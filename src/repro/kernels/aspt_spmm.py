@@ -12,9 +12,10 @@ Alg. 1 oracle.
 Like the row-wise kernels, ``spmm_tiled`` accepts ``workspace=`` so the
 panel gather buffers and products scratch are leased from a
 :class:`~repro.util.workspace.WorkspacePool` instead of allocated per
-panel; the panel *metadata* (local column ids, segment starts) can also be
-precomputed once via :func:`panel_plan` — that is what
-:class:`repro.kernels.KernelSession` pins for the repeated-multiply case.
+panel.  This is the paper's reference kernel, not the CPU executor:
+:class:`repro.kernels.KernelSession` and
+:meth:`repro.reorder.ExecutionPlan.spmm` multiply the whole tiled or
+reordered matrix in one row-wise pass, which is faster on CPU.
 """
 
 from __future__ import annotations
@@ -38,11 +39,9 @@ def panel_plan(
 ) -> list[tuple]:
     """Precompute the per-panel gather metadata of the dense phase.
 
-    For every non-trivial panel: ``(cols, lo, p0, vals, local, starts,
+    For every non-trivial panel: ``(cols, lo, vals, local, starts,
     nonempty)`` where ``local`` remaps the panel's column ids into the
     gathered buffer and ``starts``/``nonempty`` drive the segment sum.
-    Computing this per call costs a ``searchsorted`` per panel; a
-    :class:`~repro.kernels.KernelSession` computes it once.
     """
     rowptr = dense_part.rowptr
     plan: list[tuple] = []
@@ -71,20 +70,18 @@ def _panel_dense_spmm(
     out: np.ndarray,
     *,
     workspace: Workspace | None = None,
-    panels: list[tuple] | None = None,
 ) -> None:
     """Accumulate the dense-tile contribution into ``out``.
 
     Mirrors the shared-memory kernel: gather, remap, multiply per panel.
-    With ``workspace`` the buffers are leased; with ``panels`` (from
-    :func:`panel_plan`) the per-panel metadata is not recomputed.  Both
-    paths produce bitwise-identical accumulations.
+    With ``workspace`` the buffers are leased; both paths produce
+    bitwise-identical accumulations.
     """
-    if panels is None:
-        panels = panel_plan(dense_part, panel_dense_cols, panel_height)
     ws = workspace
     K = X.shape[1]
-    for cols, lo, vals, local, starts, nonempty in panels:
+    for cols, lo, vals, local, starts, nonempty in panel_plan(
+        dense_part, panel_dense_cols, panel_height
+    ):
         if ws is None:
             buffer = X[cols]  # "shared memory" stage: one load per dense column
             products = vals[:, None] * buffer[local]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.backends.base import CompiledKernel, KernelBackend, SpecializationSpec
+from repro.kernels.state import stage_transposed
 
 __all__ = ["CodegenBackend"]
 
@@ -37,8 +38,7 @@ def kernel(state, X, out, ws):
     if csr.nnz == 0 or K == 0:
         out[:] = 0.0
         return
-    XT = ws.scratch((K, csr.n_cols))
-    np.copyto(XT, X.T)
+    XT = stage_transposed(X, ws)
     chunk = min({chunk_k}, K)
     gathered = ws.scratch((chunk, csr.nnz))
     sums = ws.scratch((chunk, state.nonempty.size))
@@ -105,7 +105,11 @@ class CodegenBackend(KernelBackend):
 
         source = render_source(spec)
         filename = f"<repro-codegen-{spec.fingerprint()[:12]}>"
-        namespace: dict = {"np": np, "segment_sum": segment_sum}
+        namespace: dict = {
+            "np": np,
+            "segment_sum": segment_sum,
+            "stage_transposed": stage_transposed,
+        }
         exec(compile(source, filename, "exec"), namespace)  # noqa: S102
         return CompiledKernel(
             backend=self.name, spec=spec, fn=namespace["kernel"], source=source

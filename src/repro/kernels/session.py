@@ -2,36 +2,45 @@
 
 The serving scenario behind the paper (and the ROADMAP north star) is a
 *fixed* sparse matrix multiplied against a stream of dense operands.  The
-one-shot kernels re-derive everything per call — segment starts, panel
-column remaps, scratch buffers, the output array.  A
-:class:`KernelSession` hoists all of it:
+one-shot kernels re-derive everything per call — segment starts, scratch
+buffers, the output array.  A :class:`KernelSession` hoists all of it:
 
-* per-matrix metadata (non-empty rows, segment starts, per-panel local
-  column ids) is computed once at construction;
+* per-matrix metadata (non-empty rows, segment starts) is computed once
+  at construction, in one pinned :class:`~repro.kernels.state.CsrState`;
 * scratch comes from a private :class:`~repro.util.workspace.WorkspacePool`,
   so after the first call the steady state allocates nothing;
-* the row-wise multiplies run through a **compiled kernel backend**
+* the multiply runs through a **compiled kernel backend**
   (:mod:`repro.kernels.backends`): at construction the session resolves
   the requested backend (its own ``backend=`` argument, or the plan's
-  ``backend`` field for plan targets) and compiles one artifact per
-  pinned :class:`~repro.kernels.state.CsrState`, specialized to that
-  matrix's structure.  Compiled artifacts are cached process-wide, so a
-  warm session constructed against an already-seen fingerprint skips
-  compilation entirely;
+  ``backend`` field for plan targets) and compiles one artifact for the
+  pinned state, specialized to that matrix's structure.  Compiled
+  artifacts are cached process-wide, so a warm session constructed
+  against an already-seen fingerprint skips compilation entirely;
 * the reference strategy itself (the ``numpy`` backend) multiplies
   *transposed and K-chunked*: the dense operand is staged as ``X.T``
-  (one contiguous ``K x N`` copy) and processed in chunks of ``chunk_k``
+  (a cache-blocked ``K x N`` copy) and processed in chunks of ``chunk_k``
   columns, so the gather, scale and segment-sum all stream along the
   contiguous axis and the active chunk stays cache resident.  This is
   the CPU analogue of the GPU kernel's coalesced-access + shared-memory
-  staging, and measures ~3x faster than the one-shot
-  :func:`~repro.kernels.spmm` at K=512 on the bench-gate workload.
+  staging.
 
-Despite the different loop structure, results are **bitwise identical**
-to the one-shot kernels (``numpy``/``codegen`` backends) or within 1 ULP
+Every target runs the same executor, one pass over one pinned state: a
+:class:`~repro.sparse.CSRMatrix` itself, a :class:`~repro.aspt.TiledMatrix`'s
+``original``, or an :class:`~repro.reorder.ExecutionPlan`'s
+``tiled.original`` (the round-1-reordered matrix) followed by one row
+scatter back to original coordinates.  The ASpT split stays a plan
+decision and :func:`repro.kernels.spmm_tiled` the paper's two-phase
+reference, but no session reads the split: on CPU two phases are slower
+than one pass (``perfbench/run.py --workload warm-kernel --trace 1``
+reports ``kernels.plan_vs_csr``).
+
+Results are **bitwise identical** to the one-shot :func:`repro.kernels.spmm`
+of the original matrix (``numpy``/``codegen`` backends) or within 1 ULP
 (``numba``): per output element the same products are accumulated
 left-to-right in the same order, and float32 operands are widened by an
-exact cast before the same float64 multiply.  The equivalence is
+exact cast before the same float64 multiply.  A reordered plan's rows
+are the original rows with unchanged contents, so this holds on every
+degradation-ladder rung and for streamed plans.  The equivalence is
 asserted in the oracle tests, the cross-backend differential matrix and,
 for plans, by :meth:`repro.reorder.ExecutionPlan.validate`.
 
@@ -41,15 +50,6 @@ fault), the session falls back to the uncompiled numpy reference path —
 ``kernels.backend_fallback`` counts it, one
 :class:`~repro.errors.DegradedExecution` warning fires, and
 :attr:`KernelSession.backend_provenance` records the step.
-
-A session accepts three target types:
-
-* :class:`~repro.sparse.CSRMatrix` — matches :func:`repro.kernels.spmm`;
-* :class:`~repro.aspt.TiledMatrix` — matches
-  :func:`repro.kernels.spmm_tiled`;
-* :class:`~repro.reorder.ExecutionPlan` — matches
-  :meth:`~repro.reorder.ExecutionPlan.spmm` (multiplies in original
-  coordinates through the reordered execution plan).
 
 Sessions are thread-safe: the pool is locked, per-call scratch is leased
 per call, and the default output buffer is thread-local.  ``run`` returns
@@ -66,7 +66,6 @@ import numpy as np
 
 from repro.aspt.tiles import TiledMatrix
 from repro.errors import BackendUnavailable, DegradedExecution, WorkspaceExhausted
-from repro.kernels.aspt_spmm import _panel_dense_spmm, panel_plan
 from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
@@ -74,7 +73,7 @@ from repro.resilience.faults import fault_point
 from repro.sparse.csr import CSRMatrix
 from repro.util.log import get_logger
 from repro.util.validation import check_dense, check_out
-from repro.util.workspace import DirectWorkspace, Workspace, WorkspacePool
+from repro.util.workspace import DirectWorkspace, WorkspacePool
 
 __all__ = ["KernelSession"]
 
@@ -96,7 +95,7 @@ class KernelSession:
         :class:`~repro.reorder.ExecutionPlan`.
     chunk_k:
         Width of the K-chunks the multiply streams through (default 64);
-        baked into the compiled artifacts' specialization key.
+        baked into the compiled artifact's specialization key.
     pool:
         Workspace pool to lease scratch from; by default the session owns
         a private pool sized to its own working set.
@@ -144,58 +143,40 @@ class KernelSession:
         self._bind(target)
 
     def _bind(self, target) -> None:
-        """Pin ``target``: derive per-matrix state and compile artifacts.
+        """Pin ``target``: derive per-matrix state and compile its artifact.
 
         Shared by construction and :meth:`refresh`; every target-derived
         attribute is (re)assigned here so a refresh leaves no stale state
         behind.
         """
-        self._plan = None
-        self._tiled = None
-        self._steady = None
-        self._sparse = None
-        self._remainder = None
+        # Row scatter back to original coordinates (plans only): reordered
+        # row r is original row row_order[r].
+        self._row_order = None
         if isinstance(target, CSRMatrix):
             self._kind = "csr"
-            self._n_rows = target.n_rows
-            self._n_cols = target.n_cols
-            self._steady = CsrState(target)
-            states = [self._steady]
+            csr = target
         elif isinstance(target, TiledMatrix):
             self._kind = "tiled"
-            self._init_tiled(target)
-            states = [self._sparse] if self._sparse is not None else []
+            csr = target.original
         elif hasattr(target, "tiled") and hasattr(target, "row_order"):
             # ExecutionPlan (duck-typed: repro.reorder imports this module's
             # package, so a class check would be a circular import).
             self._kind = "plan"
-            self._plan = target
-            self._init_tiled(target.tiled)
-            self._remainder = (
-                CsrState(target.remainder) if target.remainder.nnz else None
-            )
-            states = [s for s in (self._sparse, self._remainder) if s is not None]
+            csr = target.tiled.original
+            self._row_order = target.row_order
         else:
             raise TypeError(
                 "KernelSession target must be a CSRMatrix, TiledMatrix or "
                 f"ExecutionPlan, got {type(target).__name__}"
             )
         self.target = target
-        self._init_backend(self._requested_backend, states)
+        self._n_rows = csr.n_rows
+        self._n_cols = csr.n_cols
+        self._state = CsrState(csr)
+        self._init_backend(self._requested_backend)
 
-    def _init_tiled(self, tiled: TiledMatrix) -> None:
-        self._tiled = tiled
-        self._n_rows = tiled.original.n_rows
-        self._n_cols = tiled.original.n_cols
-        self._panels = panel_plan(
-            tiled.dense_part, tiled.panel_dense_cols, tiled.spec.panel_height
-        )
-        self._sparse = (
-            CsrState(tiled.sparse_part) if tiled.sparse_part.nnz else None
-        )
-
-    def _init_backend(self, backend: str | None, states: list[CsrState]) -> None:
-        """Resolve the backend and compile one SpMM artifact per state.
+    def _init_backend(self, backend: str | None) -> None:
+        """Resolve the backend and compile the pinned state's SpMM artifact.
 
         Unavailable backends degrade inside ``resolve_backend``; compile
         *failures* (e.g. the injected ``backend.compile`` fault) degrade
@@ -206,14 +187,12 @@ class KernelSession:
 
         requested = backend
         if requested is None and self._kind == "plan":
-            requested = getattr(self._plan, "backend", None)
+            requested = getattr(self.target, "backend", None)
         backend_obj, provenance = resolve_backend(requested)
         provenance = list(provenance)
         try:
-            mult = {}
-            for state in states:
-                spec = specialize(state, kernel="spmm", chunk_k=self.chunk_k)
-                mult[id(state)] = backend_obj.artifact(spec).fn
+            spec = specialize(self._state, kernel="spmm", chunk_k=self.chunk_k)
+            compiled = backend_obj.artifact(spec)
         except BackendUnavailable as exc:
             METRICS.counter(
                 "kernels.backend_fallback",
@@ -235,9 +214,14 @@ class KernelSession:
                 stacklevel=3,
             )
             backend_obj = get_backend("numpy")
-            mult = {}  # empty: _multiply uses the uncompiled reference path
+            compiled = None  # _dispatch uses the uncompiled reference path
         self._backend_obj = backend_obj
-        self._mult = mult
+        self._fn = compiled.fn if compiled is not None else None
+        #: Descriptor of the compiled artifact the session runs (the
+        #: :meth:`~repro.kernels.backends.CompiledKernel.descriptor` form
+        #: stored in ``ExecutionPlan.artifact``); empty after a compile
+        #: failure degraded the session to the uncompiled reference.
+        self.artifact = compiled.descriptor() if compiled is not None else ()
         self.backend_provenance = tuple(provenance)
 
     # ------------------------------------------------------------------
@@ -275,8 +259,8 @@ class KernelSession:
 
         The streaming path: after :func:`repro.streaming.apply_delta`
         produces a patched plan, ``refresh`` re-derives every
-        target-bound attribute (pinned states, panel remaps, compiled
-        artifacts — warm compiles hit the process-wide artifact cache)
+        target-bound attribute (pinned state, row scatter, compiled
+        artifact — warm compiles hit the process-wide artifact cache)
         while keeping the session identity, its workspace pool and its
         degradation counters.  Accepts the same target types as the
         constructor, plus a :class:`repro.streaming.PlanUpdate` (its
@@ -310,14 +294,6 @@ class KernelSession:
             pinned = np.empty((self._n_rows, K), dtype=np.float64)
             self._local.out = pinned
         return pinned
-
-    def _multiply(self, state: CsrState, X: np.ndarray, out: np.ndarray, ws) -> None:
-        """One pinned-state SpMM through the session's compiled artifact."""
-        fn = self._mult.get(id(state))
-        if fn is not None:
-            fn(state, X, out, ws)
-        else:
-            state.multiply(X, out, ws, self.chunk_k)
 
     def run(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``target @ X`` (for plans: in original coordinates).
@@ -364,12 +340,14 @@ class KernelSession:
         return out
 
     def _dispatch(self, X: np.ndarray, out: np.ndarray, ws) -> None:
-        if self._kind == "csr":
-            self._multiply(self._steady, X, out, ws)
-        elif self._kind == "tiled":
-            self._run_tiled(X, out, ws)
+        """One pass over the pinned state, then the plan's row scatter."""
+        y = out if self._row_order is None else ws.scratch(out.shape)
+        if self._fn is not None:
+            self._fn(self._state, X, y, ws)
         else:
-            self._run_plan(X, out, ws)
+            self._state.multiply(X, y, ws, self.chunk_k)
+        if self._row_order is not None:
+            out[self._row_order] = y
 
     def run_many(self, Xs) -> list[np.ndarray]:
         """Multiply a batch of operands; results are caller-owned arrays."""
@@ -378,46 +356,3 @@ class KernelSession:
             K = np.asarray(X).shape[1]
             results.append(self.run(X, out=np.empty((self._n_rows, K))))
         return results
-
-    # ------------------------------------------------------------------
-    def _run_tiled(self, X: np.ndarray, out: np.ndarray, ws: Workspace) -> None:
-        """Bitwise-identical to :func:`repro.kernels.spmm_tiled`."""
-        tiled = self._tiled
-        out[:] = 0.0
-        _panel_dense_spmm(
-            tiled.dense_part,
-            X,
-            tiled.panel_dense_cols,
-            tiled.spec.panel_height,
-            out,
-            workspace=ws,
-            panels=self._panels,
-        )
-        if self._sparse is not None:
-            remainder = ws.scratch((self._n_rows, X.shape[1]))
-            self._multiply(self._sparse, X, remainder, ws)
-            np.add(out, remainder, out=out)
-
-    def _run_plan(self, X: np.ndarray, out: np.ndarray, ws: Workspace) -> None:
-        """Bitwise-identical to :meth:`repro.reorder.ExecutionPlan.spmm`."""
-        plan = self._plan
-        tiled = self._tiled
-        K = X.shape[1]
-        # Accumulate in round-1 (reordered) row space.
-        y_reordered = ws.scratch((self._n_rows, K))
-        y_reordered[:] = 0.0
-        _panel_dense_spmm(
-            tiled.dense_part,
-            X,
-            tiled.panel_dense_cols,
-            tiled.spec.panel_height,
-            y_reordered,
-            workspace=ws,
-            panels=self._panels,
-        )
-        if self._remainder is not None:
-            y_rem = ws.scratch((self._n_rows, K))
-            self._multiply(self._remainder, X, y_rem, ws)
-            y_reordered[plan.remainder_order] += y_rem
-        # Scatter back: reordered row r is original row row_order[r].
-        out[plan.row_order] = y_reordered

@@ -10,14 +10,22 @@ take a ``CsrState`` so one artifact serves both the one-shot and the
 session path.
 
 The reference algorithm lives in :meth:`CsrState.multiply`: stage the
-dense operand transposed, then gather / scale / segment-sum one K-chunk
-at a time along the contiguous axis.  Despite the different loop
-structure the result is **bitwise identical** to
+dense operand transposed (:func:`stage_transposed`), then gather / scale /
+segment-sum one K-chunk at a time along the contiguous axis.  Despite the
+different loop structure the result is **bitwise identical** to
 :func:`repro.kernels.spmm` — per output element the same products are
 accumulated left-to-right in the same order, and float32 operands are
 widened by an exact cast before the same float64 multiply.  Every
 compiled backend is held to this same bit pattern (or, for true JIT
 machine code, to within 1 ULP) by the cross-backend differential tests.
+
+Staging is cache-blocked: ``X.T`` is written one block of operand rows at
+a time, the block height derived from ``K`` so each block's source rows
+fit a fixed byte budget that stays cache resident.  A one-shot
+``np.copyto(XT, X.T)`` instead walks ``X`` with a stride of a whole row
+per element and misses cache on nearly every read once ``X`` outgrows the
+cache; the blocked copy writes the same values (the copy is exact), so
+the multiply's bits are unchanged.
 """
 
 from __future__ import annotations
@@ -27,12 +35,31 @@ import numpy as np
 from repro.sparse.csr import CSRMatrix
 from repro.util.workspace import Workspace
 
-__all__ = ["DEFAULT_CHUNK_K", "CsrState"]
+__all__ = ["DEFAULT_CHUNK_K", "CsrState", "stage_transposed"]
 
 #: Default K-chunk width.  64 float64 columns x a few tens of thousands of
 #: non-zeros keeps the active gather chunk inside the last-level cache on
 #: typical hardware while amortising the per-chunk Python overhead.
 DEFAULT_CHUNK_K = 64
+
+#: Source bytes per staging block: small enough that a block of operand
+#: rows stays in a per-core L2 while its columns are scattered into
+#: ``X.T``.
+_STAGE_BLOCK_BYTES = 256 * 1024
+
+
+def stage_transposed(X: np.ndarray, ws: Workspace) -> np.ndarray:
+    """``X.T`` as leased float64 scratch, copied one cache block at a time.
+
+    Bitwise identical to ``np.copyto(XT, X.T)`` (float32 operands are
+    widened by the same exact cast); only the traversal order differs.
+    """
+    n, K = X.shape
+    XT = ws.scratch((K, n))
+    rows = max(1, _STAGE_BLOCK_BYTES // max(1, K * X.itemsize))
+    for r0 in range(0, n, rows):
+        np.copyto(XT[:, r0 : r0 + rows], X[r0 : r0 + rows].T)
+    return XT
 
 
 class CsrState:
@@ -69,10 +96,9 @@ class CsrState:
         if csr.nnz == 0 or K == 0:
             out[:] = 0.0
             return
-        # Stage the operand transposed: one exact-cast copy, after which
+        # Stage the operand transposed (an exact-cast copy), after which
         # every access pattern below streams along contiguous memory.
-        XT = ws.scratch((K, csr.n_cols))
-        np.copyto(XT, X.T)
+        XT = stage_transposed(X, ws)
         chunk = max(1, min(chunk_k, K))
         gathered = ws.scratch((chunk, csr.nnz))
         sums = ws.scratch((chunk, self.nonempty.size))

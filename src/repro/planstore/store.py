@@ -82,7 +82,7 @@ class PlanStore:
         Builds the execution plan through this store (so repeated calls
         hit the decision cache) and memoises the resulting session: the
         serving path asks once per matrix and every later request reuses
-        the already-pinned scratch and panel remaps.  The memo is
+        the already-pinned state and scratch.  The memo is
         LRU-bounded by ``max_sessions`` and keyed on the session keyword
         arguments too, so e.g. differing ``chunk_k`` values get distinct
         sessions.

@@ -9,10 +9,14 @@ matrix and produces an :class:`ExecutionPlan` containing
 * the Fig. 9 effectiveness statistics (ΔDenseRatio, ΔAvgSim),
 * a wall-clock breakdown of the preprocessing stages.
 
-The plan multiplies in **original coordinates**: ``plan.spmm(X)`` equals
-``S @ X`` for the original ``S`` bit-for-bit in pattern terms — the row
-reordering is purely an execution-order optimisation, never a semantic
-change (this is the paper's central distinction from vertex reordering).
+The plan multiplies in **original coordinates**: ``plan.spmm(X)`` is one
+pass over the round-1-reordered matrix plus a row scatter, bit-equal to
+``spmm(S, X)`` for the original ``S`` — the reordered rows are the
+original rows with unchanged contents, so the row reordering is purely an
+execution-order optimisation, never a semantic change (this is the
+paper's central distinction from vertex reordering).  The ASpT split and
+round-2 order serve the GPU cost model, the Fig. 9 statistics and
+streaming.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from repro.clustering.hierarchical import cluster_rows
 from repro.contracts import checked, validates
 from repro.errors import BackendUnavailable, DegradedExecution, TimeoutExceeded
 from repro.kernels.aspt_sddmm import sddmm_tiled
-from repro.kernels.aspt_spmm import _panel_dense_spmm
+from repro.kernels.aspt_spmm import spmm_tiled
 from repro.kernels.spmm import spmm
 from repro.kernels.sddmm import sddmm
+from repro.kernels.state import CsrState
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
 from repro.reorder.heuristics import should_reorder_round1, should_reorder_round2
@@ -146,10 +151,11 @@ class ExecutionPlan:
     row_order:
         Round-1 permutation (new position -> original row).
     tiled:
-        ASpT split of the row-1-reordered matrix.
+        ASpT split of the row-1-reordered matrix; ``tiled.original`` is
+        the reordered matrix every CPU multiply runs over.
     remainder:
         The sparse remainder with round-2 row ordering applied — the
-        matrix the remainder kernel actually walks.
+        order the GPU cost model charges (:meth:`cost_view`).
     remainder_order:
         Round-2 permutation over the reordered matrix's row space.
     stats:
@@ -177,10 +183,12 @@ class ExecutionPlan:
         Compiled-artifact descriptor — flat ``"key=value"`` strings from
         :meth:`repro.kernels.backends.CompiledKernel.descriptor`,
         including the specialization fingerprint that keys the
-        process-global artifact cache.  Stored in the plan store next to
-        the decisions so warm sessions know the artifact without
-        re-deriving it.  Empty when the backend resolved to ``numpy``
-        without compiling.
+        process-global artifact cache.  It names the artifact a default
+        :meth:`session` compiles for the one state it pins (over
+        ``tiled.original``).  Stored in the plan store next to the
+        decisions so warm sessions know the artifact without re-deriving
+        it.  Empty when the backend resolved to ``numpy`` without
+        compiling.
     revision:
         Streaming update counter: 0 for a freshly built plan, bumped by
         one each time :func:`repro.streaming.apply_delta` produces the
@@ -241,26 +249,17 @@ class ExecutionPlan:
     # multiplication in original coordinates
     # ------------------------------------------------------------------
     def spmm(self, X: np.ndarray) -> np.ndarray:
-        """``original @ X`` computed through the reordered execution plan."""
+        """``original @ X`` computed through the reordered execution plan.
+
+        One pass over the round-1-reordered matrix (``tiled.original``),
+        then a row scatter back to original coordinates; bit-equal to
+        ``spmm(original, X)``.
+        """
         X = check_dense("X", X, rows=self.original.n_cols)
-        k = X.shape[1]
-        m = self.original.n_rows
-        # Accumulate in round-1 (reordered) row space.
-        y_reordered = np.zeros((m, k), dtype=np.float64)
-        _panel_dense_spmm(
-            self.tiled.dense_part,
-            X,
-            self.tiled.panel_dense_cols,
-            self.tiled.spec.panel_height,
-            y_reordered,
-        )
-        if self.remainder.nnz:
-            y_rem = spmm(self.remainder, X)
-            # remainder row r is reordered-space row remainder_order[r].
-            y_reordered[self.remainder_order] += y_rem
-        # Scatter back: reordered row r is original row row_order[r].
-        out = np.empty_like(y_reordered)
-        out[self.row_order] = y_reordered
+        y = spmm(self.tiled.original, X)
+        out = np.empty_like(y)
+        # Reordered row r is original row row_order[r].
+        out[self.row_order] = y
         return out
 
     def sddmm(self, X: np.ndarray, Y: np.ndarray) -> CSRMatrix:
@@ -368,7 +367,7 @@ class ExecutionPlan:
 
         The session multiplies in original coordinates exactly like
         :meth:`spmm` (bitwise — asserted by :meth:`validate`) but hoists
-        the per-call panel remaps and scratch allocation, so it is the
+        the per-call metadata and scratch allocation, so it is the
         preferred interface for repeated multiplies against one plan.
         Keyword arguments are forwarded to the session constructor.
         """
@@ -377,21 +376,48 @@ class ExecutionPlan:
         return KernelSession(self, **kwargs)
 
     def validate(self, X: np.ndarray | None = None, seed: int = 0) -> None:
-        """Self-check: plan results must match the direct kernels."""
+        """Self-check: plan results must match the direct kernels.
+
+        :meth:`spmm` and a pinned session must be bit-equal to
+        ``spmm(original, X)``.  No multiply reads the tiled split, so the
+        split is checked directly: ``tiled.original`` and ``remainder``
+        must be exactly the row permutations they claim to be, and the
+        two-phase :func:`~repro.kernels.spmm_tiled` over the split must
+        agree with a plain multiply of ``tiled.original``.
+        """
         rng = np.random.default_rng(seed)
         if X is None:
             X = rng.normal(size=(self.original.n_cols, 4))
-        np.testing.assert_allclose(
-            self.spmm(X), spmm(self.original, X), rtol=1e-10, atol=1e-9
+        X = check_dense("X", X, rows=self.original.n_cols)
+        reference = spmm(self.original, X)
+        np.testing.assert_array_equal(self.spmm(X), reference)
+        np.testing.assert_array_equal(self.session().run(X), reference)
+        _assert_same_csr(
+            self.tiled.original, permute_csr_rows(self.original, self.row_order)
         )
-        # The pinned-session path must agree with the one-shot plan
-        # multiply bit for bit (same products, same accumulation order).
-        np.testing.assert_array_equal(self.session().run(X), self.spmm(X))
+        _assert_same_csr(
+            self.remainder,
+            permute_csr_rows(self.tiled.sparse_part, self.remainder_order),
+        )
+        np.testing.assert_allclose(
+            spmm_tiled(self.tiled, X),
+            spmm(self.tiled.original, X),
+            rtol=1e-10,
+            atol=1e-9,
+        )
         Y = rng.normal(size=(self.original.n_rows, X.shape[1]))
         got = self.sddmm(X, Y)
         want = sddmm(self.original, X, Y)
         assert got.same_pattern(want)
         np.testing.assert_allclose(got.values, want.values, rtol=1e-10, atol=1e-9)
+
+
+def _assert_same_csr(got: CSRMatrix, want: CSRMatrix) -> None:
+    """Array-for-array equality of two CSR matrices."""
+    np.testing.assert_equal(got.shape, want.shape)
+    np.testing.assert_array_equal(got.rowptr, want.rowptr)
+    np.testing.assert_array_equal(got.colidx, want.colidx)
+    np.testing.assert_array_equal(got.values, want.values)
 
 
 def attach_backend(plan: ExecutionPlan, config: ReorderConfig) -> ExecutionPlan:
@@ -421,7 +447,8 @@ def attach_backend(plan: ExecutionPlan, config: ReorderConfig) -> ExecutionPlan:
     artifact: tuple = ()
     if backend.name != "numpy":
         try:
-            spec = specialize(plan, kernel="spmm")
+            # The one state a default plan session pins and compiles.
+            spec = specialize(CsrState(plan.tiled.original), kernel="spmm")
             compiled = backend.artifact(spec)
         except BackendUnavailable as exc:
             METRICS.counter(

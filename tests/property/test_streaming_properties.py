@@ -71,11 +71,12 @@ def matrix_with_set_delta(draw):
 
 
 def assert_plans_identical(patched, fresh):
-    """Decision identity: same orders, same tiling, same stats."""
+    """Decision identity: same orders, same tiling, same stats, and the
+    same reordered matrix the executor multiplies."""
     np.testing.assert_array_equal(patched.row_order, fresh.row_order)
     np.testing.assert_array_equal(patched.remainder_order, fresh.remainder_order)
     assert patched.stats == fresh.stats
-    for part in ("dense_part", "sparse_part"):
+    for part in ("original", "dense_part", "sparse_part"):
         p, f = getattr(patched.tiled, part), getattr(fresh.tiled, part)
         np.testing.assert_array_equal(p.rowptr, f.rowptr)
         np.testing.assert_array_equal(p.colidx, f.colidx)

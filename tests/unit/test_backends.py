@@ -233,6 +233,17 @@ class TestPlanIntegration:
         assert not plan.backend_degraded
         assert not plan.degraded  # backend state never taints plan provenance
 
+    def test_plan_artifact_names_the_artifact_its_session_runs(self, matrix):
+        config = ReorderConfig(siglen=16, panel_height=8, backend="codegen")
+        plan = build_plan(matrix, config)
+        session = plan.session()
+        assert session.backend == "codegen"
+
+        def fingerprint(descriptor):
+            return dict(part.split("=", 1) for part in descriptor)["fingerprint"]
+
+        assert fingerprint(session.artifact) == fingerprint(plan.artifact)
+
     def test_backend_degradation_stays_out_of_plan_provenance(self, matrix):
         numba = get_backend("numba")
         if numba.available():  # pragma: no cover - CI backends lane

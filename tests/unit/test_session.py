@@ -8,8 +8,9 @@ import pytest
 from repro.aspt import tile_matrix
 from repro.datasets import hidden_clusters
 from repro.kernels import KernelSession, spmm, spmm_tiled
+from repro.kernels.state import stage_transposed
 from repro.reorder import ReorderConfig, build_plan
-from repro.util.workspace import WorkspacePool
+from repro.util.workspace import DirectWorkspace, WorkspacePool
 
 from conftest import random_csr
 
@@ -133,31 +134,75 @@ class TestCsrSession:
 
 
 class TestTiledSession:
-    def test_bitwise_matches_spmm_tiled(self, matrix, X):
+    def test_bitwise_matches_spmm_of_tiled_original(self, matrix, X):
         tiled = tile_matrix(matrix, 8, 2)
+        assert tiled.dense_part.nnz  # the split is non-trivial
         session = KernelSession(tiled)
-        np.testing.assert_array_equal(session.run(X), spmm_tiled(tiled, X))
+        got = session.run(X)
+        np.testing.assert_array_equal(got, spmm(tiled.original, X))
+        # The paper's two-phase kernel sums the split in another order.
+        np.testing.assert_allclose(got, spmm_tiled(tiled, X), rtol=1e-10, atol=1e-9)
 
     def test_all_sparse_panels(self, rng):
         csr = random_csr(rng, 24, 12, density=0.05)  # nothing promotes to dense
         tiled = tile_matrix(csr, 8, 4)
         X = rng.normal(size=(12, 6))
         np.testing.assert_array_equal(
-            KernelSession(tiled).run(X), spmm_tiled(tiled, X)
+            KernelSession(tiled).run(X), spmm(tiled.original, X)
         )
+
+
+#: Round-1 (and round-2) reordering forced on, so the row scatter is real.
+REORDERED = ReorderConfig(siglen=32, panel_height=8, force_round1=True, force_round2=True)
 
 
 class TestPlanSession:
     def test_bitwise_matches_plan_spmm(self, matrix, X):
         plan = build_plan(matrix, ReorderConfig())
         session = KernelSession(plan)
-        np.testing.assert_array_equal(session.run(X), plan.spmm(X))
+        got = session.run(X)
+        np.testing.assert_array_equal(got, plan.spmm(X))
+        np.testing.assert_array_equal(got, spmm(matrix, X))
 
     def test_plan_session_accessor(self, matrix, X):
-        plan = build_plan(matrix, ReorderConfig())
+        plan = build_plan(matrix, REORDERED)
+        assert plan.stats.round1_applied
         session = plan.session()
         assert isinstance(session, KernelSession)
         np.testing.assert_array_equal(session.run(X), plan.spmm(X))
+        np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
+
+    def test_k512_steady_state_takes_no_pool_misses(self):
+        # A dense-tile-heavy plan at K=512: one pass needs X.T, one gather
+        # chunk and the scatter buffer, which fit this pool, so every
+        # lease after the first run is a hit.
+        matrix = hidden_clusters(16, 16, 2048, 24, noise=0.05, seed=5)
+        plan = build_plan(matrix, ReorderConfig(panel_height=16))
+        assert plan.tiled.dense_ratio > 0.5
+        X = np.random.default_rng(2).normal(size=(matrix.n_cols, 512))
+        session = plan.session(pool=WorkspacePool(max_bytes=16 << 20))
+        session.run(X)
+        warm = session.stats()
+        for _ in range(3):
+            got = session.run(X)
+        stats = session.stats()
+        assert stats["misses"] == warm["misses"]
+        assert stats["evictions"] == warm["evictions"]
+        assert session.fallbacks == 0
+        np.testing.assert_array_equal(got, spmm(matrix, X))
+
+
+class TestStagedTranspose:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocked_copy_equals_transpose(self, dtype):
+        # 5000-wide rows: several rows per block and a ragged last block.
+        X = np.random.default_rng(4).normal(size=(37, 5000)).astype(dtype)
+        XT = stage_transposed(X, DirectWorkspace())
+        assert XT.dtype == np.float64
+        np.testing.assert_array_equal(XT, X.T)
+
+    def test_zero_width_operand(self):
+        assert stage_transposed(np.empty((3, 0)), DirectWorkspace()).shape == (0, 3)
 
 
 class TestValidation:
