@@ -9,7 +9,7 @@ analyses to a fixpoint:
 * :mod:`~repro.analysis.dataflow.taint` — RD4xx: nondeterminism sources
   (clocks, unseeded RNG, ``os.urandom``, ``id()``, set/dict iteration
   order) tracked through calls, returns and container writes into hashing,
-  fingerprint and codegen/kernel-output sinks;
+  fingerprint and generated-code/kernel-output sinks;
 * :mod:`~repro.analysis.dataflow.dtypes` — RD5xx: a dtype lattice
   (``float32 < float64``, ``int``, ``⊤``) propagated across call
   boundaries to find implicit float64 upcasts on float32 paths;

@@ -19,9 +19,9 @@ Sinks:
   into :mod:`repro.util.hashing` or :mod:`repro.planstore.fingerprint`,
   plus ``hashlib``/``zlib`` digest constructors.  A nondeterministic
   value here silently changes cache keys between runs.
-* **RD402** — generated kernels: ``exec``/``compile``, calls into the
-  codegen backend's render path, and values *returned* from
-  ``repro.kernels`` code (the kernel output itself).
+* **RD402** — generated kernels: source handed to ``exec``/``compile``/
+  ``eval`` (how a JIT backend builds its kernels) and values *returned*
+  from ``repro.kernels`` code (the kernel output itself).
 
 ``sorted(...)`` and ``np.sort`` are order sanitisers: they strip the
 iteration-order labels (but not value taint like clock reads).
@@ -66,9 +66,6 @@ _ORDER_LABELS = {"set iteration order", "dict iteration order"}
 _SINK_MODULES = {
     "repro.util.hashing": (HASH_SINK_CODE, "content hash (repro.util.hashing)"),
     "repro.planstore.fingerprint": (HASH_SINK_CODE, "plan fingerprint"),
-    "repro.kernels.backends.codegen_backend": (
-        KERNEL_SINK_CODE, "codegen kernel template"
-    ),
 }
 
 #: External digest constructors treated as hash sinks.

@@ -18,20 +18,20 @@ instead of re-allocated per call, and
 execution plan) for the repeated-multiply serving case — bitwise-identical
 results at a fraction of the steady-state cost.
 
-Every vectorised kernel (and :class:`~repro.kernels.KernelSession`)
-additionally accepts ``backend=``, selecting a compiled kernel backend
-from :mod:`repro.kernels.backends` — ``numpy`` (the reference, always),
-``codegen`` (``exec``-compiled specialized source, always), ``numba``
-(machine-code JIT when importable, graceful degradation otherwise).  All
-backends are held to the reference's bit pattern (1 ULP for true JIT) by
-the cross-backend differential test matrix.
+The row-wise kernels :func:`spmm`, :func:`spmv` and :func:`sddmm` (and
+:class:`~repro.kernels.KernelSession`) additionally accept ``backend=``,
+selecting a kernel backend from :mod:`repro.kernels.backends` —
+``numpy`` (the uncompiled reference, always) or ``numba`` (machine-code
+JIT when importable, graceful degradation to ``numpy`` otherwise).  The
+cross-backend differential test matrix holds ``numba`` to within 1 ULP
+of the reference.
 
 These kernels compute *results*; the corresponding *performance* estimates
 come from :mod:`repro.gpu`, which models the same access patterns on a
 P100-like memory hierarchy.
 """
 
-from repro.kernels.spmm import spmm, spmm_blocked, spmm_rowwise_reference
+from repro.kernels.spmm import spmm, spmm_rowwise_reference
 from repro.kernels.spmv import spmv, spmv_rowwise_reference
 from repro.kernels.sddmm import sddmm, sddmm_rowwise_reference
 from repro.kernels.aspt_spmm import spmm_tiled
@@ -55,7 +55,6 @@ __all__ = [
     "CsrState",
     "DEFAULT_CHUNK_K",
     "spmm",
-    "spmm_blocked",
     "spmm_rowwise_reference",
     "spmv",
     "spmv_rowwise_reference",

@@ -105,7 +105,6 @@ def spmm_tiled(
     out: np.ndarray | None = None,
     *,
     workspace=None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Two-phase ASpT SpMM: dense tiles through panel buffers, remainder
     row-wise.
@@ -125,23 +124,12 @@ def spmm_tiled(
     workspace:
         Optional pool/workspace for the panel buffers, products scratch
         and the remainder kernel's scratch (bitwise-identical results).
-    backend:
-        Optional compiled-backend name (:mod:`repro.kernels.backends`):
-        the sparse remainder then runs the backend's compiled SpMM (the
-        dense phase is the shared panel-gather path on every backend).
-        Degrades back to this reference path when unavailable.
 
     Returns
     -------
     numpy.ndarray
         ``Y = tiled.original @ X`` of shape ``(n_rows, K)``.
     """
-    if backend is not None and backend != "numpy":
-        from repro.kernels.backends import resolve_backend
-
-        resolved, _ = resolve_backend(backend)
-        if resolved.name != "numpy":
-            return resolved.spmm_tiled(tiled, X, out, workspace=workspace)
     X = check_dense("X", X, rows=tiled.original.n_cols, dtype=None)
     K = X.shape[1]
     if out is None:

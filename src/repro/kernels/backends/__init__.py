@@ -4,19 +4,16 @@ The paper's speedups come from tailoring execution to each matrix's
 structure; this package carries that idea past strategy selection into
 *code* selection.  A :class:`SpecializationSpec` captures the structural
 facts worth baking into a kernel (K-chunk width, empty-row presence,
-panel height, dense-ratio bucket); a backend compiles it into a
+dtype, expected operand width); a backend compiles it into a
 :class:`CompiledKernel`; the registry caches artifacts process-wide by
 ``(backend, spec fingerprint)`` so warm sessions never recompile.
 
-Three backends are always registered:
+Two backends are always registered:
 
 ``numpy``
-    The reference.  Always available; every degradation lands here.
-``codegen``
-    ``exec``-compiled Python/NumPy source specialized per spec — always
-    available, bitwise identical to ``numpy`` by construction, and
-    severalfold faster than the one-shot kernels at serving widths
-    (the committed ``BENCH_kernels.json`` cell).
+    The uncompiled reference: :meth:`repro.kernels.state.CsrState.multiply`
+    and the one-shot kernels.  Always available, it compiles nothing, and
+    every degradation lands here.
 ``numba``
     True machine-code JIT when :mod:`numba` is importable; registered
     but unavailable otherwise, so requesting it degrades gracefully to
@@ -38,7 +35,6 @@ from repro.kernels.backends.base import (
     SpecializationSpec,
     specialize,
 )
-from repro.kernels.backends.codegen_backend import CodegenBackend
 from repro.kernels.backends.numba_backend import NumbaBackend
 from repro.kernels.backends.numpy_backend import NumpyBackend
 from repro.kernels.backends.registry import (
@@ -55,7 +51,6 @@ __all__ = [
     "CompiledKernel",
     "KernelBackend",
     "NumpyBackend",
-    "CodegenBackend",
     "NumbaBackend",
     "specialize",
     "register_backend",
@@ -69,5 +64,4 @@ __all__ = [
 # Canonical registrations, numpy first (the degradation target must
 # exist before any resolve_backend call can run).
 register_backend(NumpyBackend())
-register_backend(CodegenBackend())
 register_backend(NumbaBackend())

@@ -1,21 +1,20 @@
 """Backend abstraction: specialization specs, compiled artifacts, base class.
 
 A *backend* turns a :class:`SpecializationSpec` — the structural facts
-about one matrix that are worth baking into code (K-chunk width, whether
-any row is empty, panel height, dense-ratio bucket) — into a
-:class:`CompiledKernel` whose ``fn`` executes one kernel.  The contract
-every backend is held to (by the cross-backend differential test matrix,
+about one matrix that are worth baking into code (kernel, operand dtype,
+K-chunk width, whether any row is empty, expected operand width) — into a
+:class:`CompiledKernel` whose ``fn`` executes one kernel.  The ``numpy``
+reference compiles nothing: its kernels *are* the reference paths
+(:meth:`repro.kernels.state.CsrState.multiply` and the one-shot
+kernels).  The contract every compiled backend is held to (by the
+cross-backend differential test matrix,
 ``tests/unit/test_backend_differential.py``) is the paper's "same bits,
-faster" claim:
-
-* the ``numpy`` and ``codegen`` backends must be **bitwise identical** to
-  the reference kernels — they run the same ufunc sequence in the same
-  operand order, so every intermediate rounds identically;
-* a true machine-code backend (``numba``) must match within **1 ULP** per
-  element: its sequential row-wise accumulation performs the same adds in
-  the same order as ``np.add.reduceat`` (an accumulator initialised to
-  ``0.0`` is exact: ``0.0 + x == x``), but the compiler may contract
-  multiply-adds differently.
+faster" claim: a machine-code backend (``numba``) must match the
+reference within **1 ULP** per element — its sequential row-wise
+accumulation performs the same adds in the same order as
+``np.add.reduceat`` (an accumulator initialised to ``0.0`` is exact:
+``0.0 + x == x``), but the compiler may contract multiply-adds
+differently.
 
 Compiled-fn calling conventions (what ``CompiledKernel.fn`` receives):
 
@@ -34,12 +33,7 @@ kernel      signature and contract
 :class:`~repro.util.workspace.Workspace` or a
 :class:`~repro.util.workspace.DirectWorkspace`); compiled kernels never
 allocate scratch directly, so pooled and direct invocations stay
-bitwise identical.  ``spmm_tiled`` is a *hybrid* on every backend: the
-dense-tile phase is the shared panel-gather implementation and only the
-sparse remainder goes through the backend's compiled SpMM — the dense
-phase's access pattern is already the staged "shared memory" form the
-paper's GPU kernel uses, so it is the remainder row-wise loop that
-benefits from compilation.
+bitwise identical.
 """
 
 from __future__ import annotations
@@ -95,12 +89,6 @@ class SpecializationSpec:
         Expected operand width (``0`` = unknown).  Advisory — kernels
         must stay correct for any K — but part of the cache key so a
         plan built for a known serving width gets its own artifact.
-    panel_height:
-        ASpT panel height for tiled targets (``0`` for plain CSR).
-    dense_bucket:
-        Dense-phase nnz share in tenths (``0``–``10``) for tiled
-        targets, ``-1`` for plain CSR.  Bucketed so near-identical
-        splits share one artifact.
     """
 
     kernel: str = "spmm"
@@ -108,8 +96,6 @@ class SpecializationSpec:
     chunk_k: int = DEFAULT_CHUNK_K
     nonempty_rows: bool = False
     k_hint: int = 0
-    panel_height: int = 0
-    dense_bucket: int = -1
 
     def fingerprint(self) -> str:
         """Stable hex digest over every field (sorted ``name=repr``)."""
@@ -150,10 +136,10 @@ class CompiledKernel:
 
     ``fn`` follows the calling convention for ``spec.kernel`` documented
     in the module docstring.  ``source`` is the generated source text for
-    backends that generate code (``codegen``, ``numba``) — kept for
-    debuggability and asserted on in the test suite — and ``None`` for
-    the ``numpy`` reference.  ``compile_seconds`` is the measured wall
-    clock of the ``backend.compile`` span that produced this artifact.
+    backends that generate code (``numba``) — kept for debuggability and
+    asserted on in the test suite — and ``None`` for backends that wrap
+    existing code.  ``compile_seconds`` is the measured wall clock of the
+    ``backend.compile`` span that produced this artifact.
     """
 
     backend: str
@@ -181,51 +167,28 @@ def specialize(
 ) -> SpecializationSpec:
     """Derive the :class:`SpecializationSpec` for a kernel on ``target``.
 
-    ``target`` may be a :class:`~repro.sparse.CSRMatrix` or
-    :class:`~repro.kernels.state.CsrState` (plain row-wise structure), an
-    ASpT ``TiledMatrix`` (panel height and dense-ratio bucket enter the
-    key) or an ``ExecutionPlan`` (specialized to its tiled form; the
-    remainder is handled conservatively, so ``nonempty_rows`` stays
-    false).  Detection is structural rather than by class to keep this
-    module import-light.
+    ``target`` is a :class:`~repro.sparse.CSRMatrix` or a
+    :class:`~repro.kernels.state.CsrState` (whose precomputed empty-row
+    set is reused); anything else raises :class:`TypeError`.  Sessions and
+    :func:`repro.reorder.attach_backend` specialize the one state they
+    pin, so a tiled matrix or a plan is specialized through its
+    ``CsrState``.
     """
     if isinstance(target, CsrState):
-        csr = target.csr
-        nonempty = not target.any_empty and csr.nnz > 0
-        return SpecializationSpec(
-            kernel=kernel,
-            dtype=dtype,
-            chunk_k=int(chunk_k),
-            nonempty_rows=nonempty,
-            k_hint=int(k_hint),
-        )
-    if isinstance(target, CSRMatrix):
+        nonempty = not target.any_empty and target.csr.nnz > 0
+    elif isinstance(target, CSRMatrix):
         nonempty = bool(target.nnz > 0 and (target.row_lengths() > 0).all())
-        return SpecializationSpec(
-            kernel=kernel,
-            dtype=dtype,
-            chunk_k=int(chunk_k),
-            nonempty_rows=nonempty,
-            k_hint=int(k_hint),
-        )
-    tiled = getattr(target, "tiled", target)
-    spec_obj = getattr(tiled, "spec", None)
-    original = getattr(tiled, "original", None)
-    dense_part = getattr(tiled, "dense_part", None)
-    if spec_obj is None or original is None or dense_part is None:
+    else:
         raise TypeError(
-            "specialize() target must be a CSRMatrix, CsrState, TiledMatrix "
-            f"or ExecutionPlan, got {type(target).__name__}"
+            "specialize() target must be a CSRMatrix or CsrState, got "
+            f"{type(target).__name__}"
         )
-    dense_bucket = int(10 * dense_part.nnz / original.nnz) if original.nnz else 0
     return SpecializationSpec(
         kernel=kernel,
         dtype=dtype,
         chunk_k=int(chunk_k),
-        nonempty_rows=False,
+        nonempty_rows=nonempty,
         k_hint=int(k_hint),
-        panel_height=int(spec_obj.panel_height),
-        dense_bucket=dense_bucket,
     )
 
 
@@ -234,12 +197,13 @@ class KernelBackend:
 
     Subclasses set :attr:`name`, implement :meth:`compile` and (for
     optional dependencies) override :meth:`available` /
-    :meth:`unavailable_reason`.  The one-shot kernel methods here are
-    shared: they validate operands exactly like the reference kernels,
-    fetch the matching compiled artifact through the process-global
-    cache (:func:`repro.kernels.backends.compiled_artifact`) and invoke
-    it through a workspace, so every backend automatically supports
-    ``workspace=`` pooling and the strict ``out=`` contract.
+    :meth:`unavailable_reason`; the ``numpy`` reference sets only its
+    name, because it is never compiled.  The one-shot kernel methods
+    here are shared: they validate operands exactly like the reference
+    kernels, fetch the matching compiled artifact through the
+    process-global cache (:func:`repro.kernels.backends.compiled_artifact`)
+    and invoke it through a workspace, so every backend automatically
+    supports ``workspace=`` pooling and the strict ``out=`` contract.
     """
 
     #: Registry name; subclasses must override.
@@ -283,14 +247,10 @@ class KernelBackend:
         out: np.ndarray | None = None,
         *,
         workspace=None,
-        state: CsrState | None = None,
     ) -> np.ndarray:
         """``csr @ X`` through this backend's compiled SpMM.
 
-        Matches :func:`repro.kernels.spmm` bitwise (``numpy`` /
-        ``codegen``) or within 1 ULP (``numba``).  ``state`` lets a
-        long-lived caller (:class:`~repro.kernels.KernelSession`) reuse a
-        prebuilt :class:`~repro.kernels.state.CsrState`.
+        Held to :func:`repro.kernels.spmm` within 1 ULP per element.
         """
         X = check_dense("X", X, rows=csr.n_cols, dtype=None)
         K = X.shape[1]
@@ -298,8 +258,7 @@ class KernelBackend:
             out = np.empty((csr.n_rows, K), dtype=np.float64)  # reprolint: disable=RD501 -- out= buffers are float64 by contract (check_out rejects anything else), so both branches agree
         else:
             out = check_out("out", out, rows=csr.n_rows, cols=K)
-        if state is None:
-            state = CsrState(csr)
+        state = CsrState(csr)
         spec = specialize(state, kernel="spmm", dtype=_dtype_token(X.dtype))
         fn = self.artifact(spec).fn
         ws, owned = as_workspace(workspace)
@@ -348,46 +307,3 @@ class KernelBackend:
             if owned:
                 ws.release()
         return csr.with_values(values)
-
-    def spmm_tiled(
-        self,
-        tiled,
-        X: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Two-phase ASpT SpMM (matches :func:`repro.kernels.spmm_tiled`).
-
-        Hybrid on every backend: the dense-tile phase runs the shared
-        panel-gather implementation; the sparse remainder goes through
-        :meth:`spmm` (this backend's compiled row-wise kernel).
-        """
-        from repro.kernels.aspt_spmm import _panel_dense_spmm
-
-        X = check_dense("X", X, rows=tiled.original.n_cols, dtype=None)
-        K = X.shape[1]
-        if out is None:
-            Y = np.zeros((tiled.original.n_rows, K), dtype=np.float64)  # reprolint: disable=RD501 -- out= buffers are float64 by contract (check_out rejects anything else), so both branches agree
-        else:
-            Y = check_out("out", out, rows=tiled.original.n_rows, cols=K)
-            Y[:] = 0.0
-        ws, owned = as_workspace(workspace)
-        try:
-            _panel_dense_spmm(
-                tiled.dense_part,
-                X,
-                tiled.panel_dense_cols,
-                tiled.spec.panel_height,
-                Y,
-                workspace=ws,
-            )
-            if tiled.sparse_part.nnz:
-                direct = ws if ws is not None else DirectWorkspace()
-                remainder = direct.scratch((tiled.original.n_rows, K))
-                self.spmm(tiled.sparse_part, X, out=remainder, workspace=ws)
-                np.add(Y, remainder, out=Y)
-        finally:
-            if owned:
-                ws.release()
-        return Y

@@ -1,66 +1,24 @@
 """The ``numpy`` reference backend — always available, defines "correct".
 
-Its "compiled" artifacts are plain closures over the exact operation
-sequences of the reference kernels: the K-chunked
-:meth:`repro.kernels.state.CsrState.multiply` for SpMM, the pooled
-gather/multiply/segment-sum for SpMV, the gather + ``einsum`` for SDDMM.
-Every other backend's output is asserted against these artifacts by the
-differential test matrix, and every degradation path (unavailable
-backend, injected compile fault) lands here.
+It compiles nothing: a numpy :class:`~repro.kernels.KernelSession` runs
+:meth:`repro.kernels.state.CsrState.multiply` directly, and the one-shot
+:func:`~repro.kernels.spmm`, :func:`~repro.kernels.spmv` and
+:func:`~repro.kernels.sddmm` run their own reference paths before any
+backend dispatch.  The backend is registered so configuration, plan
+provenance and ``repro backends`` can name it, and because every
+degradation (unavailable backend, injected compile fault) lands here.
+Every compiled backend's output is asserted against these reference
+paths by the differential test matrix.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.kernels.backends.base import CompiledKernel, KernelBackend, SpecializationSpec
-from repro.util.arrayops import segment_sum
+from repro.kernels.backends.base import KernelBackend
 
 __all__ = ["NumpyBackend"]
 
 
-def _spmm_fn(spec: SpecializationSpec):
-    chunk_k = spec.chunk_k
-
-    def spmm_kernel(state, X, out, ws):
-        state.multiply(X, out, ws, chunk_k)
-
-    return spmm_kernel
-
-
-def _spmv_kernel(csr, x, ws):
-    products = ws.scratch(csr.nnz)
-    np.take(x, csr.colidx, out=products)
-    np.multiply(csr.values, products, out=products)
-    return segment_sum(products, csr.rowptr)
-
-
-def _sddmm_kernel(csr, X, Y, ws):
-    K = X.shape[1]
-    rows = csr.row_ids()
-    y_gathered = ws.scratch((csr.nnz, K), dtype=Y.dtype)
-    np.take(Y, rows, axis=0, out=y_gathered)
-    x_gathered = ws.scratch((csr.nnz, K), dtype=X.dtype)
-    np.take(X, csr.colidx, axis=0, out=x_gathered)
-    # einsum's accumulation dtype stays the operands' common dtype —
-    # the bitwise contract every backend's SDDMM is held to.
-    dots = np.einsum("pk,pk->p", y_gathered, x_gathered)
-    return dots * csr.values
-
-
 class NumpyBackend(KernelBackend):
-    """Reference backend: the existing NumPy kernels behind the artifact API."""
+    """Reference backend: the NumPy kernels themselves, never compiled."""
 
     name = "numpy"
-
-    def compile(self, spec: SpecializationSpec) -> CompiledKernel:
-        """Wrap the reference kernel for ``spec`` — no real compilation."""
-        if spec.kernel == "spmm":
-            fn = _spmm_fn(spec)
-        elif spec.kernel == "spmv":
-            fn = _spmv_kernel
-        elif spec.kernel == "sddmm":
-            fn = _sddmm_kernel
-        else:
-            raise ValueError(f"unknown kernel {spec.kernel!r}")
-        return CompiledKernel(backend=self.name, spec=spec, fn=fn)

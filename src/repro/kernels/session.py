@@ -9,20 +9,22 @@ buffers, the output array.  A :class:`KernelSession` hoists all of it:
   at construction, in one pinned :class:`~repro.kernels.state.CsrState`;
 * scratch comes from a private :class:`~repro.util.workspace.WorkspacePool`,
   so after the first call the steady state allocates nothing;
-* the multiply runs through a **compiled kernel backend**
-  (:mod:`repro.kernels.backends`): at construction the session resolves
-  the requested backend (its own ``backend=`` argument, or the plan's
-  ``backend`` field for plan targets) and compiles one artifact for the
-  pinned state, specialized to that matrix's structure.  Compiled
-  artifacts are cached process-wide, so a warm session constructed
-  against an already-seen fingerprint skips compilation entirely;
-* the reference strategy itself (the ``numpy`` backend) multiplies
-  *transposed and K-chunked*: the dense operand is staged as ``X.T``
-  (a cache-blocked ``K x N`` copy) and processed in chunks of ``chunk_k``
-  columns, so the gather, scale and segment-sum all stream along the
-  contiguous axis and the active chunk stays cache resident.  This is
-  the CPU analogue of the GPU kernel's coalesced-access + shared-memory
-  staging.
+* the reference strategy (the ``numpy`` backend, which compiles
+  nothing) is :meth:`~repro.kernels.state.CsrState.multiply`: it
+  multiplies *transposed and K-chunked* — the dense operand is staged as
+  ``X.T`` (a cache-blocked ``K x N`` copy) and processed in chunks of
+  ``chunk_k`` columns, so the gather, scale and segment-sum all stream
+  along the contiguous axis and the active chunk stays cache resident.
+  This is the CPU analogue of the GPU kernel's coalesced-access +
+  shared-memory staging;
+* a compiled backend (``numba``, :mod:`repro.kernels.backends`) replaces
+  that multiply: at construction the session resolves the requested
+  backend (its own ``backend=`` argument, or the plan's ``backend``
+  field for plan targets) and, unless it is ``numpy``, compiles one
+  artifact for the pinned state, specialized to that matrix's
+  structure.  Compiled artifacts are cached process-wide, so a warm
+  session constructed against an already-seen fingerprint skips
+  compilation entirely.
 
 Every target runs the same executor, one pass over one pinned state: a
 :class:`~repro.sparse.CSRMatrix` itself, a :class:`~repro.aspt.TiledMatrix`'s
@@ -35,12 +37,12 @@ than one pass (``perfbench/run.py --workload warm-kernel --trace 1``
 reports ``kernels.plan_vs_csr``).
 
 Results are **bitwise identical** to the one-shot :func:`repro.kernels.spmm`
-of the original matrix (``numpy``/``codegen`` backends) or within 1 ULP
-(``numba``): per output element the same products are accumulated
-left-to-right in the same order, and float32 operands are widened by an
-exact cast before the same float64 multiply.  A reordered plan's rows
-are the original rows with unchanged contents, so this holds on every
-degradation-ladder rung and for streamed plans.  The equivalence is
+of the original matrix (``numpy`` backend) or within 1 ULP (``numba``):
+per output element the same products are accumulated left-to-right in
+the same order, and float32 operands are widened by an exact cast before
+the same float64 multiply.  A reordered plan's rows are the original
+rows with unchanged contents, so this holds on every degradation-ladder
+rung and for streamed plans.  The equivalence is
 asserted in the oracle tests, the cross-backend differential matrix and,
 for plans, by :meth:`repro.reorder.ExecutionPlan.validate`.
 
@@ -79,10 +81,6 @@ __all__ = ["KernelSession"]
 
 _log = get_logger("kernels")
 
-# Backwards-compatible aliases: both classes used to be defined here.
-_DirectWorkspace = DirectWorkspace
-_CsrSteadyState = CsrState
-
 
 class KernelSession:
     """Amortised repeated SpMM against one pinned target.
@@ -100,11 +98,10 @@ class KernelSession:
         Workspace pool to lease scratch from; by default the session owns
         a private pool sized to its own working set.
     backend:
-        Compiled kernel backend name (``"numpy"``, ``"codegen"``,
-        ``"numba"``).  ``None`` means "no preference": plan targets use
-        the plan's ``backend`` field, everything else the ``numpy``
-        reference.  Unknown names raise
-        :class:`~repro.errors.ConfigError`; known-but-unavailable
+        Kernel backend name (``"numpy"`` or ``"numba"``).  ``None``
+        means "no preference": plan targets use the plan's ``backend``
+        field, everything else the ``numpy`` reference.  Unknown names
+        raise :class:`~repro.errors.ConfigError`; known-but-unavailable
         backends (and compile failures) degrade to numpy with a
         :class:`~repro.errors.DegradedExecution` warning.
 
@@ -178,10 +175,11 @@ class KernelSession:
     def _init_backend(self, backend: str | None) -> None:
         """Resolve the backend and compile the pinned state's SpMM artifact.
 
-        Unavailable backends degrade inside ``resolve_backend``; compile
-        *failures* (e.g. the injected ``backend.compile`` fault) degrade
-        here, all the way down to the uncompiled numpy reference path —
-        a session never fails to construct over its backend.
+        The numpy reference compiles nothing: ``_dispatch`` runs
+        :meth:`CsrState.multiply` directly.  Unavailable backends degrade
+        inside ``resolve_backend``; compile *failures* (e.g. the injected
+        ``backend.compile`` fault) degrade here to that same uncompiled
+        path — a session never fails to construct over its backend.
         """
         from repro.kernels.backends import get_backend, resolve_backend, specialize
 
@@ -190,37 +188,38 @@ class KernelSession:
             requested = getattr(self.target, "backend", None)
         backend_obj, provenance = resolve_backend(requested)
         provenance = list(provenance)
-        try:
-            spec = specialize(self._state, kernel="spmm", chunk_k=self.chunk_k)
-            compiled = backend_obj.artifact(spec)
-        except BackendUnavailable as exc:
-            METRICS.counter(
-                "kernels.backend_fallback",
-                "backend requests degraded to the numpy reference",
-            ).inc()
-            provenance.append(
-                f"backend:{backend_obj.name}->numpy: compile failed: {exc}"
-            )
-            _log.warning(
-                "backend %s compile failed (%s); session using numpy",
-                backend_obj.name,
-                exc,
-            )
-            warnings.warn(
-                f"kernel backend {backend_obj.name!r} failed to compile "
-                f"({exc}); session falling back to the numpy reference "
-                "(results unchanged)",
-                DegradedExecution,
-                stacklevel=3,
-            )
-            backend_obj = get_backend("numpy")
-            compiled = None  # _dispatch uses the uncompiled reference path
+        compiled = None
+        if backend_obj.name != "numpy":
+            try:
+                spec = specialize(self._state, kernel="spmm", chunk_k=self.chunk_k)
+                compiled = backend_obj.artifact(spec)
+            except BackendUnavailable as exc:
+                METRICS.counter(
+                    "kernels.backend_fallback",
+                    "backend requests degraded to the numpy reference",
+                ).inc()
+                provenance.append(
+                    f"backend:{backend_obj.name}->numpy: compile failed: {exc}"
+                )
+                _log.warning(
+                    "backend %s compile failed (%s); session using numpy",
+                    backend_obj.name,
+                    exc,
+                )
+                warnings.warn(
+                    f"kernel backend {backend_obj.name!r} failed to compile "
+                    f"({exc}); session falling back to the numpy reference "
+                    "(results unchanged)",
+                    DegradedExecution,
+                    stacklevel=3,
+                )
+                backend_obj = get_backend("numpy")
         self._backend_obj = backend_obj
         self._fn = compiled.fn if compiled is not None else None
         #: Descriptor of the compiled artifact the session runs (the
         #: :meth:`~repro.kernels.backends.CompiledKernel.descriptor` form
-        #: stored in ``ExecutionPlan.artifact``); empty after a compile
-        #: failure degraded the session to the uncompiled reference.
+        #: stored in ``ExecutionPlan.artifact``); empty when the session
+        #: runs the uncompiled numpy reference.
         self.artifact = compiled.descriptor() if compiled is not None else ()
         self.backend_provenance = tuple(provenance)
 
@@ -350,9 +349,15 @@ class KernelSession:
             out[self._row_order] = y
 
     def run_many(self, Xs) -> list[np.ndarray]:
-        """Multiply a batch of operands; results are caller-owned arrays."""
+        """Multiply a batch of operands; results are caller-owned arrays.
+
+        Each operand is validated like :meth:`run` before its result
+        buffer is allocated, so a malformed operand raises
+        :class:`~repro.errors.ShapeError` rather than a bare indexing
+        error.
+        """
         results = []
         for X in Xs:
-            K = np.asarray(X).shape[1]
-            results.append(self.run(X, out=np.empty((self._n_rows, K))))
+            X = check_dense("X", X, rows=self._n_cols, dtype=None)
+            results.append(self.run(X, out=np.empty((self._n_rows, X.shape[1]))))
         return results

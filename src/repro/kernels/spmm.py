@@ -3,23 +3,24 @@
 ``Y[i, k] = sum_j S.value[j] * X[S.colidx[j], k]`` over the non-zeros ``j``
 of row ``i``.
 
-Three implementations with one contract:
+Two implementations with one contract:
 
 * :func:`spmm_rowwise_reference` — the paper's Alg. 1 verbatim, Python
   loops; the oracle for everything else (use only on small matrices).
 * :func:`spmm` — vectorised: one gather of ``X`` rows, one broadcast
   multiply, one ``reduceat`` segment sum.  Peak scratch memory is
-  ``nnz * K`` floats.
-* :func:`spmm_blocked` — the same algorithm applied to row blocks, capping
-  scratch memory for large inputs (the "be easy on the memory" guideline).
+  ``nnz * K`` floats.  It is the independent row-major reference that
+  :meth:`repro.kernels.state.CsrState.multiply` — the transposed,
+  K-chunked executor behind every session — is held bitwise equal to.
 
-Both vectorised kernels accept ``workspace=`` (a
+:func:`spmm` accepts ``workspace=`` (a
 :class:`~repro.util.workspace.WorkspacePool` or leased
 :class:`~repro.util.workspace.Workspace`): scratch buffers are then leased
 from the pool instead of allocated per call, and the gather / multiply /
 segment-sum run through the ``out=`` forms of the same ufuncs in the same
 operand order — results are bitwise identical to the allocating path
-(asserted in the test suite).  For the repeated-multiply serving case see
+(asserted in the test suite).  For the repeated-multiply serving case,
+whose K-chunks also bound scratch to ``chunk_k * nnz`` floats, see
 :class:`repro.kernels.KernelSession`.
 """
 
@@ -29,10 +30,10 @@ import numpy as np
 
 from repro.contracts import checked, validates
 from repro.sparse.csr import CSRMatrix
-from repro.util.validation import check_dense, check_out, check_positive
+from repro.util.validation import check_dense, check_out
 from repro.util.workspace import Workspace, as_workspace
 
-__all__ = ["spmm", "spmm_blocked", "spmm_rowwise_reference"]
+__all__ = ["spmm", "spmm_rowwise_reference"]
 
 
 @checked(validates("csr"))
@@ -161,64 +162,3 @@ def spmm(
         if owned:
             ws.release()
     return out
-
-
-@checked(validates("csr"))
-def spmm_blocked(
-    csr: CSRMatrix,
-    X: np.ndarray,
-    *,
-    block_rows: int = 4096,
-    out: np.ndarray | None = None,
-    workspace=None,
-) -> np.ndarray:
-    """SpMM with bounded scratch: processes ``block_rows`` rows at a time.
-
-    Scratch peaks at ``max_block_nnz * K`` floats instead of ``nnz * K``.
-    Results are bitwise identical to :func:`spmm` (same reduction order).
-    Accepts the same ``out=`` / ``workspace=`` as :func:`spmm`; with a
-    workspace, consecutive blocks recycle the same size-class buffers.
-    The ``out=`` buffer must be writable in place (float64,
-    C-contiguous): a buffer that would need a dtype or contiguity copy
-    is rejected instead of silently filled-then-discarded.
-    """
-    check_positive("block_rows", block_rows)
-    X = check_dense("X", X, rows=csr.n_cols, dtype=None)
-    K = X.shape[1]
-    if out is None:
-        Y = np.zeros((csr.n_rows, K), dtype=np.float64)  # reprolint: disable=RD501 -- out= buffers are float64 by contract (check_out rejects anything else), so both branches agree
-    else:
-        Y = check_out("out", out, rows=csr.n_rows, cols=K)
-        Y[:] = 0.0
-    ws, owned = as_workspace(workspace)
-    try:
-        for lo in range(0, csr.n_rows, block_rows):
-            hi = min(lo + block_rows, csr.n_rows)
-            p0, p1 = csr.rowptr[lo], csr.rowptr[hi]
-            if p0 == p1:
-                continue
-            with (ws.pool.lease() if ws is not None else _NULL_LEASE) as block_ws:
-                cols = csr.colidx[p0:p1]
-                vals = csr.values[p0:p1]
-                products = _gathered_products(vals, X, cols, block_ws)
-                lengths = np.diff(csr.rowptr[lo : hi + 1])
-                nonempty = np.flatnonzero(lengths > 0)
-                starts = (csr.rowptr[lo:hi][nonempty] - p0).astype(np.int64)
-                _segment_rows(products, starts, nonempty, Y[lo:hi], block_ws)
-    finally:
-        if owned:
-            ws.release()
-    return Y
-
-
-class _NullLease:
-    """Context manager standing in for "no workspace" in the block loop."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
-
-
-_NULL_LEASE = _NullLease()

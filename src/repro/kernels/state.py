@@ -3,11 +3,10 @@
 :class:`CsrState` hoists everything about a CSR matrix that the
 steady-state SpMM recomputes per call in the one-shot kernels — the
 non-empty row set, the segment starts, contiguous copies of the index and
-value arrays.  It is shared by :class:`repro.kernels.KernelSession`
-(which historically owned it as a private class) and by the compiled
-kernel backends (:mod:`repro.kernels.backends`), whose generated kernels
-take a ``CsrState`` so one artifact serves both the one-shot and the
-session path.
+value arrays.  It is shared by :class:`repro.kernels.KernelSession` and
+by the compiled kernel backends (:mod:`repro.kernels.backends`), whose
+generated kernels take a ``CsrState`` so one artifact serves both the
+one-shot and the session path.
 
 The reference algorithm lives in :meth:`CsrState.multiply`: stage the
 dense operand transposed (:func:`stage_transposed`), then gather / scale /
@@ -15,9 +14,9 @@ segment-sum one K-chunk at a time along the contiguous axis.  Despite the
 different loop structure the result is **bitwise identical** to
 :func:`repro.kernels.spmm` — per output element the same products are
 accumulated left-to-right in the same order, and float32 operands are
-widened by an exact cast before the same float64 multiply.  Every
-compiled backend is held to this same bit pattern (or, for true JIT
-machine code, to within 1 ULP) by the cross-backend differential tests.
+widened by an exact cast before the same float64 multiply.  The
+compiled ``numba`` backend is held to within 1 ULP of it by the
+cross-backend differential tests.
 
 Staging is cache-blocked: ``X.T`` is written one block of operand rows at
 a time, the block height derived from ``K`` so each block's source rows

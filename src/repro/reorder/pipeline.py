@@ -80,11 +80,11 @@ class ReorderConfig:
     measure: str = "jaccard"  #: candidate-scoring measure (extension; paper uses Jaccard)
     force_round1: bool | None = None  #: override the §4 gate (None = use gate)
     force_round2: bool | None = None
-    #: Compiled kernel backend the plan's multiplies should run through
-    #: (see :mod:`repro.kernels.backends`).  Must be a *registered* name
-    #: ("numpy", "codegen", "numba"); availability is checked at plan
-    #: build, where an unavailable backend degrades to numpy with
-    #: provenance rather than failing.  Part of the plan cache key.
+    #: Kernel backend the plan's multiplies should run through (see
+    #: :mod:`repro.kernels.backends`).  Must be a *registered* name
+    #: ("numpy", "numba"); availability is checked at plan build, where
+    #: an unavailable backend degrades to numpy with provenance rather
+    #: than failing.  Part of the plan cache key.
     backend: str = "numpy"
 
     def __post_init__(self):
@@ -316,7 +316,13 @@ class ExecutionPlan:
         ``original`` must be the same matrix the plan was built from (the
         permutations are checked for shape; content equality is the
         caller's contract, exactly as with any persisted preprocessing).
+        A stored backend name that this build does not register loads as
+        a numpy plan with an empty ``artifact`` and a
+        ``backend_provenance`` entry recording the step, so
+        :attr:`backend_degraded` is true and :meth:`session` still runs.
         """
+        from repro.kernels.backends import backend_names
+
         with np.load(path) as data:
             row_order = data["row_order"].astype(np.int64)
             remainder_order = data["remainder_order"].astype(np.int64)
@@ -332,6 +338,23 @@ class ExecutionPlan:
                 if "artifact" in data.files
                 else ()
             )
+        backend_provenance: tuple = ()
+        if backend not in backend_names():
+            METRICS.counter(
+                "kernels.backend_fallback",
+                "backend requests degraded to the numpy reference",
+            ).inc()
+            warnings.warn(
+                f"saved plan names kernel backend {backend!r}, which is not "
+                "registered here; loading it on the numpy reference "
+                "(results unchanged)",
+                DegradedExecution,
+                stacklevel=2,
+            )
+            backend_provenance = (
+                f"backend:{backend}->numpy: not registered in this build",
+            )
+            backend, artifact = "numpy", ()
         if row_order.size != original.n_rows:
             raise ValueError(
                 f"plan was saved for {row_order.size} rows; matrix has "
@@ -359,6 +382,7 @@ class ExecutionPlan:
             stats=stats,
             preprocess_seconds={"total": preprocess_total},
             backend=backend,
+            backend_provenance=backend_provenance,
             artifact=artifact,
         )
 

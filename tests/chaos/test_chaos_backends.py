@@ -6,7 +6,8 @@ crash — sessions and plan builds degrade to the numpy reference, the
 record the event, the degradation lands in ``backend_provenance`` (never
 in the plan's resilience provenance), and results stay correct.  A
 resumable sweep configured with a compiled backend completes with zero
-crashes at any injection rate.
+crashes at any injection rate.  The numpy reference compiles nothing, so
+every scenario runs the test-local ``compiled_backend`` (``conftest.py``).
 """
 
 import warnings
@@ -18,25 +19,14 @@ from conftest import random_csr
 from repro.errors import DegradedExecution
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.kernels import KernelSession, spmm
-from repro.kernels.backends import SpecializationSpec, get_backend, registry
+from repro.kernels.backends import SpecializationSpec, get_backend
 from repro.observability.metrics import METRICS
 from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import FaultInjector
 
 
-def _fresh_spec(seed: int, **overrides) -> dict:
-    """Config kwargs whose spec fingerprint misses the artifact cache.
-
-    The artifact cache is process-global and ``backend.compile`` faults
-    fire only on cache misses (warm artifacts intentionally skip the
-    fault point), so every chaos scenario needs an unseen spec — an
-    unusual ``chunk_k`` guarantees that.
-    """
-    return {"chunk_k": 97 + seed, **overrides}
-
-
 class TestCompileFaultDegradation:
-    def test_session_compile_fault_falls_back_to_numpy(self, rng):
+    def test_session_compile_fault_falls_back_to_numpy(self, rng, compiled_backend):
         matrix = random_csr(rng, 24, 20, density=0.2)
         X = rng.normal(size=(20, 8))
         reference = spmm(matrix, X)
@@ -47,9 +37,7 @@ class TestCompileFaultDegradation:
         with FaultInjector(rate=1.0, seed=7, sites=["backend.compile"]):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                session = KernelSession(
-                    matrix, backend="codegen", **_fresh_spec(0)
-                )
+                session = KernelSession(matrix, backend=compiled_backend)
                 got = session.run(X)
 
         assert session.backend == "numpy"
@@ -60,13 +48,13 @@ class TestCompileFaultDegradation:
         assert any(w.category is DegradedExecution for w in caught)
         np.testing.assert_array_equal(got, reference)
 
-    def test_plan_build_compile_fault_degrades_backend_only(self, rng, monkeypatch):
+    def test_plan_build_compile_fault_degrades_backend_only(
+        self, rng, compiled_backend
+    ):
         matrix = random_csr(rng, 30, 24, density=0.15)
-        # A plan specializes the plain CSR state its session pins, a spec
-        # other tests compile too: an empty process-global artifact cache
-        # guarantees the injected compile fault an arrival.
-        monkeypatch.setattr(registry, "_ARTIFACTS", {})
-        config = ReorderConfig(siglen=16, panel_height=5, backend="codegen")
+        # compiled_backend starts from an empty artifact cache, so the
+        # injected compile fault is guaranteed an arrival.
+        config = ReorderConfig(siglen=16, panel_height=5, backend=compiled_backend)
         with FaultInjector(rate=1.0, seed=11, sites=["backend.compile"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegradedExecution)
@@ -81,8 +69,8 @@ class TestCompileFaultDegradation:
         X = rng.normal(size=(24, 8))
         np.testing.assert_array_equal(plan.spmm(X), spmm(matrix, X))
 
-    def test_warm_artifacts_bypass_faults(self, rng):
-        backend = get_backend("codegen")
+    def test_warm_artifacts_bypass_faults(self, compiled_backend):
+        backend = get_backend(compiled_backend)
         spec = SpecializationSpec(kernel="spmm", chunk_k=89, k_hint=777)
         cold = backend.artifact(spec)  # fills the process-global cache
         with FaultInjector(rate=1.0, seed=3, sites=["backend.compile"]) as inj:
@@ -92,8 +80,10 @@ class TestCompileFaultDegradation:
 
 
 class TestChaosSweepWithBackend:
-    def test_backend_sweep_zero_crashes(self, tmp_path, chaos_rate, chaos_seed):
-        reorder = ReorderConfig(panel_height=8, backend="codegen")
+    def test_backend_sweep_zero_crashes(
+        self, tmp_path, chaos_rate, chaos_seed, compiled_backend
+    ):
+        reorder = ReorderConfig(panel_height=8, backend=compiled_backend)
         config = ExperimentConfig(
             scale="tiny", repeats=1, ks=(16,),
             reorder=reorder,

@@ -28,14 +28,13 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.datasets import hidden_clusters
 from repro.errors import ReproIOError
-from repro.kernels import KernelSession
+from repro.kernels import KernelSession, spmm
 from repro.reorder import build_plan
 from repro.resilience import FAULT_SITES, FaultInjector
 from repro.resilience.policy import LADDER_RUNGS, ladder_rungs
@@ -427,17 +426,16 @@ class TestAdmissionUnderLoad:
 
 
 class TestBreakerUnderCompileFaults:
-    def test_breaker_trips_to_numpy_and_stops_compiling(self, matrices):
+    def test_breaker_trips_to_numpy_and_stops_compiling(self, compiled_backend):
         config = ServeConfig(
             port=0,
             workers=1,
             panel_height=8,
             chunk_k=16,
-            backend="codegen",
+            backend=compiled_backend,
             breaker_threshold=2,
             breaker_reset_s=600.0,  # stays open for the whole test
         )
-        numpy_config = replace(config.reorder_config(), backend="numpy")
         operators = [
             hidden_clusters(8, 6, 96, 6, noise=0.1, seed=100 + i)
             for i in range(5)
@@ -457,19 +455,17 @@ class TestBreakerUnderCompileFaults:
                             )
                         health = client.health()
                 # Two failed compiles trip the breaker; the three builds
-                # after it never reach the compiler at all.
+                # after it run on numpy, which compiles nothing, so they
+                # never reach the compiler at all.
                 assert injector.checked["backend.compile"] == 2
                 assert injector.fired["backend.compile"] == 2
         assert health["breaker"]["state"] == "open"
         for operator, x, response in responses:
             assert response["status"] == STATUS_OK
             assert response["backend"] == "numpy"  # degraded, not failed
-            reference = build_plan(operator, numpy_config).session(
-                chunk_k=config.chunk_k
-            )
             np.testing.assert_array_equal(
                 np.asarray(response["result"], dtype=np.float64),
-                reference.run(x),
+                spmm(operator, x),
             )
 
 

@@ -89,7 +89,12 @@ def random_csr(rng, m, n, density=0.1) -> CSRMatrix:
 # environment (numba is an optional dependency, never required) skip with
 # the import error as the reason instead of silently shrinking coverage.
 
-from repro.kernels.backends import backend_names, get_backend  # noqa: E402
+from repro.kernels.backends import (  # noqa: E402
+    CompiledKernel,
+    KernelBackend,
+    backend_names,
+    get_backend,
+)
 
 
 def _backend_params():
@@ -117,6 +122,45 @@ def backend_name(request) -> str:
 def backend(backend_name):
     """The :class:`~repro.kernels.backends.KernelBackend` instance."""
     return get_backend(backend_name)
+
+
+# Plan-build compile, the plan-store round trip, the artifact cache and the
+# serve compile breaker run only for a backend that compiles, and numpy
+# compiles nothing.  numba is optional, so the tests of those paths
+# register a test-local backend whose "compiled" SpMM is the reference
+# CsrState.multiply: available everywhere and bitwise equal to numpy.
+
+
+class _CompiledReference(KernelBackend):
+    """Test-local compiled backend wrapping :meth:`CsrState.multiply`."""
+
+    name = "compiled-ref"
+
+    def compile(self, spec):
+        if spec.kernel != "spmm":
+            raise ValueError(f"{self.name} compiles only spmm, not {spec.kernel!r}")
+        chunk_k = spec.chunk_k
+
+        def spmm_kernel(state, X, out, ws):
+            state.multiply(X, out, ws, chunk_k)
+
+        return CompiledKernel(backend=self.name, spec=spec, fn=spmm_kernel)
+
+
+@pytest.fixture
+def compiled_backend(monkeypatch) -> str:
+    """Register the test-local compiled backend; returns its name.
+
+    The process-global artifact cache is swapped for an empty one, so
+    each test's first compile of a spec is a cold compile (and reaches
+    the ``backend.compile`` fault site) whatever ran before it.
+    """
+    from repro.kernels.backends import registry
+
+    backend = _CompiledReference()
+    monkeypatch.setitem(registry._REGISTRY, backend.name, backend)
+    monkeypatch.setattr(registry, "_ARTIFACTS", {})
+    return backend.name
 
 
 # --- Streaming construction fixture ------------------------------------------

@@ -2,10 +2,10 @@
 
 The differential matrix (tests/unit/test_backend_differential.py) pins
 hand-picked corners; these properties sweep random CSR structures and
-operand dtypes and assert the same tolerance contract: ``codegen`` is
-bitwise-equal to the ``numpy`` reference, ``numba`` (when importable)
-within 1 ULP, and within each backend the workspace-pooled path is
-bitwise-identical to the direct path.
+operand dtypes and assert the same tolerance contract: bitwise for the
+``numpy`` reference, within 1 ULP for ``numba`` (when importable), and
+within each backend the workspace-pooled session is bitwise-identical to
+the direct one.
 """
 
 import numpy as np

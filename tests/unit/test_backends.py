@@ -4,7 +4,10 @@ Covers the registry (registration, resolution, graceful degradation),
 the specialization spec (fingerprint stability, descriptor round trip),
 per-spec code generation, the process-global artifact cache, session
 integration, and the plan pipeline/persistence integration
-(``attach_backend``, npz save/load, plan-store round trip).
+(``attach_backend``, npz save/load, plan-store round trip).  The paths
+that run only for a compiling backend use the test-local
+``compiled_backend`` fixture (``conftest.py``), so they run in lanes
+without numba too.
 """
 
 import warnings
@@ -26,12 +29,10 @@ from repro.kernels.backends import (
     resolve_backend,
     specialize,
 )
-from repro.kernels.backends.codegen_backend import (
-    render_source as codegen_source,
-)
 from repro.kernels.backends.numba_backend import render_source as numba_source
 from repro.kernels.state import CsrState
 from repro.observability.metrics import METRICS
+from repro.resilience import FaultInjector
 from repro.reorder import ReorderConfig, attach_backend, build_plan
 from repro.sparse import CSRMatrix
 
@@ -44,10 +45,20 @@ def matrix(rng):
 class TestRegistry:
     def test_numpy_is_first_and_always_available(self):
         names = backend_names()
-        assert names[0] == "numpy"
-        assert "codegen" in names and "numba" in names
+        assert names == ("numpy", "numba")
         assert "numpy" in available_backends()
-        assert "codegen" in available_backends()
+
+    def test_numpy_session_compiles_nothing(self, matrix, rng):
+        compile_counter = METRICS.counter("kernels.backend_compile")
+        before = compile_counter.value
+        with FaultInjector(rate=1.0, seed=0, sites=["backend.compile"]) as inj:
+            session = KernelSession(matrix, backend="numpy")
+        assert inj.checked["backend.compile"] == 0
+        assert compile_counter.value == before
+        assert session.backend == "numpy"
+        assert session.artifact == ()
+        X = rng.normal(size=(matrix.n_cols, 8))
+        np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
 
     def test_get_backend_unknown_raises_config_error(self):
         with pytest.raises(ConfigError, match="unknown kernel backend"):
@@ -110,14 +121,18 @@ class TestSpecializationSpec:
             chunk_k=48,
             nonempty_rows=True,
             k_hint=512,
-            panel_height=16,
-            dense_bucket=7,
         )
         assert SpecializationSpec.from_descriptor(spec.to_descriptor()) == spec
 
     def test_from_descriptor_ignores_unknown_keys(self):
         spec = SpecializationSpec(chunk_k=24)
-        parts = spec.to_descriptor() + ("future_field=1",)
+        # Descriptors written before the tiled spec fields were dropped
+        # still carry them.
+        parts = spec.to_descriptor() + (
+            "future_field=1",
+            "panel_height=16",
+            "dense_bucket=7",
+        )
         assert SpecializationSpec.from_descriptor(parts) == spec
 
     def test_specialize_reads_matrix_structure(self, matrix):
@@ -126,31 +141,19 @@ class TestSpecializationSpec:
         assert spec.nonempty_rows == bool(dense_rows and matrix.nnz > 0)
         assert spec.k_hint == 64
 
-    def test_specialize_reads_plan_structure(self, matrix):
-        plan = build_plan(matrix, ReorderConfig(siglen=16, panel_height=8))
-        spec = specialize(plan, kernel="spmm")
-        assert spec.panel_height == 8
-        assert 0 <= spec.dense_bucket <= 10
-
-    def test_specialize_rejects_unknown_target(self):
+    def test_specialize_rejects_unknown_target(self, matrix):
         with pytest.raises(TypeError):
             specialize(object())
+        # A plan is specialized through the CsrState its session pins.
+        plan = build_plan(matrix, ReorderConfig(siglen=16, panel_height=8))
+        with pytest.raises(TypeError):
+            specialize(plan)
 
 
-class TestCodegenSpecialization:
-    def test_chunk_width_is_baked_into_source(self):
-        source = codegen_source(SpecializationSpec(kernel="spmm", chunk_k=37))
+class TestSpecializedKernels:
+    def test_numba_chunk_width_is_baked_into_source(self):
+        source = numba_source(SpecializationSpec(kernel="spmm", chunk_k=37))
         assert "37" in source
-
-    def test_empty_row_epilogue_is_elided_for_dense_row_matrices(self):
-        with_empties = codegen_source(
-            SpecializationSpec(kernel="spmm", nonempty_rows=False)
-        )
-        without = codegen_source(
-            SpecializationSpec(kernel="spmm", nonempty_rows=True)
-        )
-        assert "state.empty" in with_empties
-        assert "state.empty" not in without
 
     def test_numba_sddmm_accumulator_follows_dtype(self):
         f32 = numba_source(SpecializationSpec(kernel="sddmm", dtype="float32"))
@@ -158,21 +161,22 @@ class TestCodegenSpecialization:
         assert "np.float32(0.0)" in f32
         assert "np.float32(0.0)" not in f64
 
-    def test_compiled_kernel_descriptor_names_backend_and_fingerprint(self):
+    def test_compiled_kernel_descriptor_names_backend_and_fingerprint(
+        self, compiled_backend
+    ):
         spec = SpecializationSpec(kernel="spmm", chunk_k=16)
-        kernel = get_backend("codegen").compile(spec)
+        kernel = get_backend(compiled_backend).compile(spec)
         descriptor = kernel.descriptor()
-        assert "backend=codegen" in descriptor
+        assert f"backend={compiled_backend}" in descriptor
         assert f"fingerprint={spec.fingerprint()}" in descriptor
         assert isinstance(kernel, CompiledKernel)
-        assert kernel.source is not None
 
 
 class TestArtifactCache:
-    def test_warm_artifact_skips_recompilation(self):
+    def test_warm_artifact_skips_recompilation(self, compiled_backend):
         spec = SpecializationSpec(kernel="spmm", chunk_k=53, k_hint=1234)
         compile_counter = METRICS.counter("kernels.backend_compile")
-        backend = get_backend("codegen")
+        backend = get_backend(compiled_backend)
         cold = compiled_artifact(backend, spec)
         after_cold = compile_counter.value
         warm = compiled_artifact(backend, spec)
@@ -225,19 +229,23 @@ class TestPlanIntegration:
         with pytest.raises(ConfigError, match="unknown kernel backend"):
             ReorderConfig(backend="cuda")
 
-    def test_build_plan_attaches_backend_and_artifact(self, matrix):
-        config = ReorderConfig(siglen=16, panel_height=8, backend="codegen")
+    def test_build_plan_attaches_backend_and_artifact(
+        self, matrix, compiled_backend
+    ):
+        config = ReorderConfig(siglen=16, panel_height=8, backend=compiled_backend)
         plan = build_plan(matrix, config)
-        assert plan.backend == "codegen"
+        assert plan.backend == compiled_backend
         assert plan.artifact  # descriptor recorded next to the plan
         assert not plan.backend_degraded
         assert not plan.degraded  # backend state never taints plan provenance
 
-    def test_plan_artifact_names_the_artifact_its_session_runs(self, matrix):
-        config = ReorderConfig(siglen=16, panel_height=8, backend="codegen")
+    def test_plan_artifact_names_the_artifact_its_session_runs(
+        self, matrix, compiled_backend
+    ):
+        config = ReorderConfig(siglen=16, panel_height=8, backend=compiled_backend)
         plan = build_plan(matrix, config)
         session = plan.session()
-        assert session.backend == "codegen"
+        assert session.backend == compiled_backend
 
         def fingerprint(descriptor):
             return dict(part.split("=", 1) for part in descriptor)["fingerprint"]
@@ -263,32 +271,66 @@ class TestPlanIntegration:
         assert again.backend == "numpy"
         assert again.artifact == ()
 
-    def test_plan_save_load_round_trips_backend(self, matrix, tmp_path):
-        config = ReorderConfig(siglen=16, panel_height=8, backend="codegen")
+    def test_plan_save_load_round_trips_backend(
+        self, matrix, tmp_path, compiled_backend
+    ):
+        config = ReorderConfig(siglen=16, panel_height=8, backend=compiled_backend)
         plan = build_plan(matrix, config)
         path = tmp_path / "plan.npz"
         plan.save(path)
         from repro.reorder.pipeline import ExecutionPlan
 
         loaded = ExecutionPlan.load(path, matrix)
-        assert loaded.backend == "codegen"
+        assert loaded.backend == compiled_backend
         assert tuple(loaded.artifact) == tuple(plan.artifact)
+        assert not loaded.backend_degraded
+
+    def test_plan_saved_under_unregistered_backend_loads_on_numpy(
+        self, matrix, rng, tmp_path, compiled_backend, monkeypatch
+    ):
+        # A plan saved under a backend that a later build no longer
+        # registers must still load, degraded to numpy, and multiply
+        # bit-equal to the reference.
+        from repro.kernels.backends import registry
+        from repro.reorder.pipeline import ExecutionPlan
+
+        config = ReorderConfig(
+            siglen=16, panel_height=8, force_round1=True, backend=compiled_backend
+        )
+        plan = build_plan(matrix, config)
+        assert plan.artifact
+        path = tmp_path / "plan.npz"
+        plan.save(path)
+        monkeypatch.delitem(registry._REGISTRY, compiled_backend)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = ExecutionPlan.load(path, matrix)
+        assert any(w.category is DegradedExecution for w in caught)
+        assert loaded.backend == "numpy"
+        assert loaded.artifact == ()
+        assert loaded.backend_degraded
+        assert loaded.backend_provenance[0].startswith(
+            f"backend:{compiled_backend}->numpy: "
+        )
+        X = rng.normal(size=(matrix.n_cols, 8))
+        np.testing.assert_array_equal(loaded.session().run(X), spmm(matrix, X))
 
 
 class TestPlanStoreIntegration:
-    def test_backend_enters_the_cache_key(self, matrix):
+    def test_backend_enters_the_cache_key(self, matrix, compiled_backend):
         from repro.planstore import plan_key
 
         base = ReorderConfig(siglen=16, panel_height=8)
-        other = ReorderConfig(siglen=16, panel_height=8, backend="codegen")
+        other = ReorderConfig(siglen=16, panel_height=8, backend=compiled_backend)
         assert plan_key(matrix, base) != plan_key(matrix, other)
 
     def test_disk_round_trip_preserves_backend_and_artifact(
-        self, matrix, tmp_path
+        self, matrix, tmp_path, compiled_backend
     ):
         from repro.planstore import PlanStore
 
-        config = ReorderConfig(siglen=16, panel_height=8, backend="codegen")
+        config = ReorderConfig(siglen=16, panel_height=8, backend=compiled_backend)
         store = PlanStore(cache_dir=tmp_path)
         cold = build_plan(matrix, config, cache=store)
         # A fresh store over the same directory must hit the disk tier
@@ -296,7 +338,7 @@ class TestPlanStoreIntegration:
         fresh = PlanStore(cache_dir=tmp_path)
         warm = build_plan(matrix, config, cache=fresh)
         assert fresh.stats()["disk"]["hits"] == 1
-        assert warm.backend == "codegen"
+        assert warm.backend == compiled_backend
         assert tuple(warm.artifact) == tuple(cold.artifact)
 
     def test_warm_hit_resolves_backend_in_current_environment(
@@ -331,23 +373,15 @@ class TestBackendOneShotDispatch:
         else:
             np.testing.assert_array_equal(got, reference)
 
-    def test_spmm_backend_fills_caller_buffer(self, matrix, rng):
+    def test_spmm_backend_fills_caller_buffer(self, matrix, rng, compiled_backend):
         X = rng.normal(size=(matrix.n_cols, 12))
         out = np.empty((matrix.n_rows, 12), dtype=np.float64)
-        got = spmm(matrix, X, out=out, backend="codegen")
+        got = spmm(matrix, X, out=out, backend=compiled_backend)
         assert got is out
         np.testing.assert_array_equal(out, spmm(matrix, X))
 
 
 class TestCsrStateAlias:
-    def test_session_module_keeps_private_aliases(self):
-        # Back-compat: earlier code (and pickled references) used the
-        # private names; they must stay importable.
-        from repro.kernels.session import _CsrSteadyState, _DirectWorkspace
-
-        assert _CsrSteadyState is CsrState
-        assert _DirectWorkspace is not None
-
     def test_state_multiply_matches_spmm(self, matrix, rng):
         X = rng.normal(size=(matrix.n_cols, 16))
         state = CsrState(matrix)

@@ -12,7 +12,6 @@ from repro.kernels import (
     sddmm_rowwise_reference,
     sddmm_tiled,
     spmm,
-    spmm_blocked,
     spmm_rowwise_reference,
     spmm_tiled,
 )
@@ -76,31 +75,6 @@ class TestSpmm:
         # SpMM with K=1 degenerates to SpMV.
         x = rng.normal(size=(6, 1))
         assert_spmm_correct(paper_matrix, x, spmm(paper_matrix, x))
-
-
-class TestSpmmBlocked:
-    def test_matches_unblocked(self, rng):
-        m = random_csr(rng, 37, 23, 0.15)
-        X = rng.normal(size=(23, 6))
-        np.testing.assert_allclose(spmm_blocked(m, X, block_rows=5), spmm(m, X))
-
-    def test_block_larger_than_matrix(self, rng):
-        m = random_csr(rng, 10, 10, 0.3)
-        X = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(spmm_blocked(m, X, block_rows=100), spmm(m, X))
-
-    def test_block_of_one(self, rng):
-        m = random_csr(rng, 8, 8, 0.3)
-        X = rng.normal(size=(8, 2))
-        np.testing.assert_allclose(spmm_blocked(m, X, block_rows=1), spmm(m, X))
-
-    def test_empty_block_handled(self):
-        # Rows 4..7 are all empty -> whole blocks with zero nnz.
-        dense = np.zeros((8, 4))
-        dense[0, 1] = 2.0
-        m = CSRMatrix.from_dense(dense)
-        X = np.ones((4, 3))
-        np.testing.assert_allclose(spmm_blocked(m, X, block_rows=2), spmm(m, X))
 
 
 class TestSddmm:

@@ -14,7 +14,6 @@ from repro.kernels import (
     sddmm,
     sddmm_tiled,
     spmm,
-    spmm_blocked,
     spmm_tiled,
     spmv,
 )
@@ -43,14 +42,6 @@ class TestPooledBitwise:
         # second call reuses the parked blocks and still matches
         np.testing.assert_array_equal(spmm(csr, X, workspace=pool), spmm(csr, X))
         assert pool.stats()["hits"] > 0
-
-    def test_spmm_blocked(self, csr, dense):
-        X, _ = dense
-        pool = WorkspacePool()
-        np.testing.assert_array_equal(
-            spmm_blocked(csr, X, block_rows=8, workspace=pool),
-            spmm_blocked(csr, X, block_rows=8),
-        )
 
     def test_spmv(self, csr, rng):
         x = rng.normal(size=csr.n_cols)
@@ -97,28 +88,20 @@ class TestFloat32Preservation:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
-    def test_spmm_blocked_float32_pooled(self, csr, rng):
-        X32 = rng.normal(size=(csr.n_cols, 5)).astype(np.float32)
-        pool = WorkspacePool()
-        np.testing.assert_array_equal(
-            spmm_blocked(csr, X32, block_rows=8, workspace=pool),
-            spmm_blocked(csr, X32, block_rows=8),
-        )
-
 
 class TestOutBuffers:
-    def test_spmm_blocked_out_is_returned(self, csr, dense):
+    def test_spmm_out_is_returned(self, csr, dense):
         X, _ = dense
         out = np.empty((csr.n_rows, X.shape[1]))
-        got = spmm_blocked(csr, X, block_rows=8, out=out)
+        got = spmm(csr, X, out=out)
         assert got is out
         np.testing.assert_array_equal(out, spmm(csr, X))
 
-    def test_spmm_blocked_out_reused_across_calls(self, csr, dense):
+    def test_spmm_out_reused_across_calls(self, csr, dense):
         X, _ = dense
         out = np.full((csr.n_rows, X.shape[1]), np.nan)  # stale garbage
-        spmm_blocked(csr, X, block_rows=8, out=out)
-        spmm_blocked(csr, X * -1.0, block_rows=8, out=out)
+        spmm(csr, X, out=out)
+        spmm(csr, X * -1.0, out=out)
         np.testing.assert_array_equal(out, spmm(csr, X * -1.0))
 
     def test_spmm_out_with_pool(self, csr, dense):
@@ -128,9 +111,9 @@ class TestOutBuffers:
         spmm(csr, X, out=out, workspace=pool)
         np.testing.assert_array_equal(out, spmm(csr, X))
 
-    def test_spmm_blocked_out_view_of_larger_buffer(self, csr, dense):
+    def test_spmm_out_view_of_larger_buffer(self, csr, dense):
         X, _ = dense
         backing = np.empty((csr.n_rows + 4, X.shape[1]))
         out = backing[2 : 2 + csr.n_rows]  # aliases the middle of backing
-        spmm_blocked(csr, X, block_rows=8, out=out)
+        spmm(csr, X, out=out)
         np.testing.assert_array_equal(out, spmm(csr, X))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.aspt import tile_matrix
 from repro.datasets import hidden_clusters
+from repro.errors import ShapeError
 from repro.kernels import KernelSession, spmm, spmm_tiled
 from repro.kernels.state import stage_transposed
 from repro.reorder import ReorderConfig, build_plan
@@ -213,3 +214,11 @@ class TestValidation:
     def test_bad_chunk_k(self, matrix):
         with pytest.raises(ValueError):
             KernelSession(matrix, chunk_k=0)
+
+    def test_run_many_rejects_1d_operand_like_run(self, matrix):
+        session = KernelSession(matrix)
+        x = np.ones(matrix.n_cols)
+        with pytest.raises(ShapeError):
+            session.run(x)
+        with pytest.raises(ShapeError):
+            session.run_many([x])
