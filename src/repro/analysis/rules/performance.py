@@ -10,6 +10,13 @@ allocation the pool removed.  Reference oracles (which deliberately
 mirror the paper's pseudocode, allocations included) carry justified
 inline suppressions.
 
+RD109 guards the same pool from the other side: ``Workspace.scratch``
+keeps every block it hands out until the lease ends, so a scratch call
+inside a loop body holds one block per iteration at once — a pooled
+per-panel loop that looks bounded in fact peaks at the sum of every
+panel's buffers.  Lease once before the loop, sized to the largest
+iteration, and slice.
+
 RD108 protects the serving layer's event loop: one asyncio loop owns
 every connection of :mod:`repro.serve`, so a single blocking call inside
 an ``async def`` — ``time.sleep``, synchronous file IO, a subprocess
@@ -25,7 +32,7 @@ import ast
 
 from repro.analysis.core import FileContext, Rule, register
 
-__all__ = ["NnzScratchAllocationRule", "AsyncBlockingCallRule"]
+__all__ = ["NnzScratchAllocationRule", "ScratchInLoopRule", "AsyncBlockingCallRule"]
 
 #: Allocation constructors the rule watches.
 _ALLOCATORS = {"zeros", "empty"}
@@ -118,6 +125,49 @@ class NnzScratchAllocationRule(Rule):
         for top in ast.iter_child_nodes(ctx.tree):
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from self._walk(ctx, top, False)
+
+
+@register
+class ScratchInLoopRule(Rule):
+    """RD109: workspace scratch leased inside a loop body.
+
+    Flags a ``<x>.scratch(...)`` call in the body of a ``for`` or
+    ``while`` statement of the same function.  A leased block stays held
+    until the lease ends, so such a loop holds every iteration's block at
+    once.  Comprehensions are not flagged, and neither are nested
+    ``def``/``lambda`` bodies (they are not run by the loop itself).
+    """
+
+    code = "RD109"
+    name = "scratch-leased-in-loop"
+    summary = (
+        "workspace scratch leased inside a loop is held until the lease "
+        "ends; lease before the loop and slice"
+    )
+    scope_key = "workspace-scratch-paths"
+
+    def _walk(self, ctx: FileContext, node: ast.AST, in_loop: bool):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            in_loop = False
+        elif (
+            in_loop
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "scratch"
+        ):
+            yield ctx.finding(
+                node, self.code,
+                "workspace scratch leased inside a loop stays held until "
+                "the lease ends; lease before the loop and slice",
+            )
+        # Only the body repeats: a loop's header and else-clause run once.
+        body = node.body if isinstance(node, (ast.For, ast.AsyncFor, ast.While)) else ()
+        for child in ast.iter_child_nodes(node):
+            yield from self._walk(ctx, child, in_loop or child in body)
+
+    def visit(self, ctx: FileContext):
+        """Flag scratch leases lexically inside loop bodies."""
+        yield from self._walk(ctx, ctx.tree, False)
 
 
 #: ``module.attr`` call targets that block the calling thread.

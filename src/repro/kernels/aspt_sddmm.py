@@ -76,25 +76,34 @@ def sddmm_tiled(
             dense_vals = np.zeros(dense.nnz, dtype=np.float64)
             ph = tiled.spec.panel_height
             row_ids = dense.row_ids()
+            panels = []
             for p, cols in enumerate(tiled.panel_dense_cols):
-                if cols.size == 0:
-                    continue
                 lo = p * ph
                 hi = min(lo + ph, dense.n_rows)
-                p0, p1 = rowptr[lo], rowptr[hi]
-                if p0 == p1:
-                    continue
+                p0, p1 = int(rowptr[lo]), int(rowptr[hi])
+                if cols.size and p0 != p1:
+                    panels.append((cols, p0, p1))
+            if ws is not None and panels:
+                # One lease per call, sized to the largest panel and
+                # sliced per panel: a leased block stays held until the
+                # lease ends.
+                width = max(cols.size for cols, _, _ in panels)
+                span = max(p1 - p0 for _, p0, p1 in panels)
+                buffer_all = ws.scratch((width, K), dtype=X.dtype)
+                x_all = ws.scratch((span, K), dtype=X.dtype)
+                y_all = ws.scratch((span, K), dtype=Y.dtype)
+            for cols, p0, p1 in panels:
                 local = np.searchsorted(cols, dense.colidx[p0:p1])
                 rows = row_ids[p0:p1]
                 if ws is None:
                     buffer = X[cols]
                     dots = np.einsum("pk,pk->p", Y[rows], buffer[local])
                 else:
-                    buffer = ws.scratch((cols.size, K), dtype=X.dtype)
+                    buffer = buffer_all[: cols.size]
                     np.take(X, cols, axis=0, out=buffer)
-                    x_gathered = ws.scratch((local.size, K), dtype=X.dtype)
+                    x_gathered = x_all[: local.size]
                     np.take(buffer, local, axis=0, out=x_gathered)
-                    y_gathered = ws.scratch((rows.size, K), dtype=Y.dtype)
+                    y_gathered = y_all[: rows.size]
                     np.take(Y, rows, axis=0, out=y_gathered)
                     dots = np.einsum("pk,pk->p", y_gathered, x_gathered)
                 dense_vals[p0:p1] = dots * dense.values[p0:p1]

@@ -74,26 +74,34 @@ def _panel_dense_spmm(
     """Accumulate the dense-tile contribution into ``out``.
 
     Mirrors the shared-memory kernel: gather, remap, multiply per panel.
-    With ``workspace`` the buffers are leased; both paths produce
-    bitwise-identical accumulations.
+    With ``workspace`` the buffers are leased once per call, sized to the
+    largest panel, and sliced per panel (a leased block stays held until
+    the lease ends); both paths produce bitwise-identical accumulations.
     """
     ws = workspace
     K = X.shape[1]
-    for cols, lo, vals, local, starts, nonempty in panel_plan(
-        dense_part, panel_dense_cols, panel_height
-    ):
+    panels = panel_plan(dense_part, panel_dense_cols, panel_height)
+    if ws is not None and panels:
+        width = max(p[0].size for p in panels)
+        span = max(p[3].size for p in panels)
+        height = max(p[5].size for p in panels)
+        buffer_all = ws.scratch((width, K), dtype=X.dtype)
+        gathered_all = ws.scratch((span, K), dtype=X.dtype)
+        products_all = ws.scratch((span, K))
+        sums_all = ws.scratch((height, K))
+    for cols, lo, vals, local, starts, nonempty in panels:
         if ws is None:
             buffer = X[cols]  # "shared memory" stage: one load per dense column
             products = vals[:, None] * buffer[local]
             out[lo + nonempty] += np.add.reduceat(products, starts, axis=0)
             continue
-        buffer = ws.scratch((cols.size, K), dtype=X.dtype)
+        buffer = buffer_all[: cols.size]
         np.take(X, cols, axis=0, out=buffer)
-        gathered = ws.scratch((local.size, K), dtype=X.dtype)
+        gathered = gathered_all[: local.size]
         np.take(buffer, local, axis=0, out=gathered)
-        products = ws.scratch((local.size, K))
+        products = products_all[: local.size]
         np.multiply(vals[:, None], gathered, out=products)
-        sums = ws.scratch((nonempty.size, K))
+        sums = sums_all[: nonempty.size]
         np.add.reduceat(products, starts, axis=0, out=sums)
         out[lo + nonempty] += sums
 

@@ -10,11 +10,13 @@ kernels).  The contract every compiled backend is held to (by the
 cross-backend differential test matrix,
 ``tests/unit/test_backend_differential.py``) is the paper's "same bits,
 faster" claim: a machine-code backend (``numba``) must match the
-reference within **1 ULP** per element — its sequential row-wise
-accumulation performs the same adds in the same order as
-``np.add.reduceat`` (an accumulator initialised to ``0.0`` is exact:
-``0.0 + x == x``), but the compiler may contract multiply-adds
-differently.
+reference within **1 ULP** per element.  That budget is an empirical
+bound, not implied by the summation order: ``np.add.reduceat`` computes
+the first product plus numpy's pairwise sum of the rest (see
+:mod:`repro.kernels.state`), while numba's sequential row loop adds left
+to right from ``0.0`` — so for rows with three or more non-zeros the two
+also differ in association, not only where the compiler contracts a
+multiply-add.
 
 Compiled-fn calling conventions (what ``CompiledKernel.fn`` receives):
 

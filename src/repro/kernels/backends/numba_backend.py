@@ -13,15 +13,16 @@ CI lane installs numba and runs the full differential matrix against it.
 
 Numerical contract — why 1 ULP and not bitwise
 ----------------------------------------------
-The generated loops perform, per output element, the same multiplies and
-the same left-to-right adds as ``np.add.reduceat`` (the accumulator
-starts at ``0.0`` and ``0.0 + x == x`` exactly), and ``fastmath=False``
-forbids reassociation.  The one freedom left to LLVM is contracting a
-``multiply + add`` into a fused multiply-add, which rounds once instead
-of twice — hence the differential matrix holds numba output to within
-1 ULP of the numpy reference per element, and bitwise where it happens
-to agree.  Parallelising over rows is safe: each output row is written
-by exactly one iteration.
+The generated loops perform, per output element, the same multiplies as
+the numpy reference but add them left to right from ``0.0``, and
+``fastmath=False`` forbids LLVM from reassociating that loop.  The
+reference sums in ``np.add.reduceat``'s order instead — the first
+product plus numpy's pairwise sum of the rest — so for rows with three
+or more non-zeros the two differ in association; LLVM may also contract
+a ``multiply + add`` into a fused multiply-add, which rounds once
+instead of twice.  The differential matrix holds numba output to within
+1 ULP of the numpy reference per element.  Parallelising over rows is
+safe: each output row is written by exactly one iteration.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ def _import_numba():
 
 
 # Row-parallel CSR SpMM with the K-chunk width baked in.  Per (i, k) the
-# j-loop adds in ascending order — the reduceat order — so the result
-# matches the reference to 1 ULP (bitwise absent FMA contraction).
+# j-loop adds left to right, which is not the reduceat order (first
+# product plus a pairwise sum of the rest): rows of three or more
+# non-zeros may differ from the reference in association and by FMA.
 _SPMM_TEMPLATE = """\
 def kernel(rowptr, colidx, values, X, out):
     n_rows = rowptr.shape[0] - 1

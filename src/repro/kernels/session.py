@@ -5,18 +5,18 @@ The serving scenario behind the paper (and the ROADMAP north star) is a
 one-shot kernels re-derive everything per call — segment starts, scratch
 buffers, the output array.  A :class:`KernelSession` hoists all of it:
 
-* per-matrix metadata (non-empty rows, segment starts) is computed once
-  at construction, in one pinned :class:`~repro.kernels.state.CsrState`;
+* per-matrix metadata (the rows grouped by length, with their column
+  indices and values) is computed once at construction, in one pinned
+  :class:`~repro.kernels.state.CsrState`;
 * scratch comes from a private :class:`~repro.util.workspace.WorkspacePool`,
   so after the first call the steady state allocates nothing;
 * the reference strategy (the ``numpy`` backend, which compiles
-  nothing) is :meth:`~repro.kernels.state.CsrState.multiply`: it
-  multiplies *transposed and K-chunked* — the dense operand is staged as
-  ``X.T`` (a cache-blocked ``K x N`` copy) and processed in chunks of
-  ``chunk_k`` columns, so the gather, scale and segment-sum all stream
-  along the contiguous axis and the active chunk stays cache resident.
-  This is the CPU analogue of the GPU kernel's coalesced-access +
-  shared-memory staging;
+  nothing) is :meth:`~repro.kernels.state.CsrState.multiply`: rows are
+  grouped by length at construction, and each call walks the groups in
+  row blocks sized to stay cache resident — gather the block's rows of
+  the row-major operand, scale, reduce with whole-slab adds, scatter the
+  rows.  This is the CPU analogue of the GPU kernel keeping a panel's
+  reused operand rows in shared memory;
 * a compiled backend (``numba``, :mod:`repro.kernels.backends`) replaces
   that multiply: at construction the session resolves the requested
   backend (its own ``backend=`` argument, or the plan's ``backend``
@@ -36,15 +36,19 @@ reference, but no session reads the split: on CPU two phases are slower
 than one pass (``perfbench/run.py --workload warm-kernel --trace 1``
 reports ``kernels.plan_vs_csr``).
 
-Results are **bitwise identical** to the one-shot :func:`repro.kernels.spmm`
-of the original matrix (``numpy`` backend) or within 1 ULP (``numba``):
-per output element the same products are accumulated left-to-right in
-the same order, and float32 operands are widened by an exact cast before
-the same float64 multiply.  A reordered plan's rows are the original
-rows with unchanged contents, so this holds on every degradation-ladder
-rung and for streamed plans.  The equivalence is
-asserted in the oracle tests, the cross-backend differential matrix and,
-for plans, by :meth:`repro.reorder.ExecutionPlan.validate`.
+With the ``numpy`` backend, results are **bitwise identical** to the
+one-shot :func:`repro.kernels.spmm` of the original matrix: per output
+element the same float64 products are summed in ``np.add.reduceat``'s
+order (the first product plus numpy's pairwise sum of the rest — not
+left to right; see :mod:`repro.kernels.state`), and float32 operands are
+widened by an exact cast inside the same float64 multiply.  A reordered
+plan's rows are the original rows with unchanged contents, so this holds
+on every degradation-ladder rung and for streamed plans.  The equivalence
+is asserted in the oracle tests, the cross-backend differential matrix
+and, for plans, by :meth:`repro.reorder.ExecutionPlan.validate`.  The
+``numba`` loop adds left to right, so it differs from the reference in
+association as well as through FMA; the differential matrix holds it to
+1 ULP.
 
 Degradation is never fatal: if the requested backend is unavailable or
 its compile fails (including the injected ``backend.compile`` chaos
@@ -92,8 +96,9 @@ class KernelSession:
         :class:`~repro.aspt.TiledMatrix` or a
         :class:`~repro.reorder.ExecutionPlan`.
     chunk_k:
-        Width of the K-chunks the multiply streams through (default 64);
-        baked into the compiled artifact's specialization key.
+        K-chunk width (default 64) baked into a compiled backend's
+        artifact and its specialization key.  The numpy executor does
+        not read it: it blocks rows, not columns.
     pool:
         Workspace pool to lease scratch from; by default the session owns
         a private pool sized to its own working set.
@@ -308,11 +313,7 @@ class KernelSession:
         :class:`repro.errors.DegradedExecution` warning per session, and
         :attr:`fallbacks` counts the degraded calls.
         """
-        if self._kind == "plan":
-            # ExecutionPlan.spmm validates with the float64-casting form.
-            X = check_dense("X", X, rows=self._n_cols)
-        else:
-            X = check_dense("X", X, rows=self._n_cols, dtype=None)
+        X = check_dense("X", X, rows=self._n_cols, dtype=None)
         K = X.shape[1]
         out = self._output(K, out)  # reprolint: disable=RD602 -- only caches the per-thread pinned buffer on self._local; a fired fault strands a reusable buffer, never a partial result
         try:

@@ -9,9 +9,9 @@ Two implementations with one contract:
   loops; the oracle for everything else (use only on small matrices).
 * :func:`spmm` — vectorised: one gather of ``X`` rows, one broadcast
   multiply, one ``reduceat`` segment sum.  Peak scratch memory is
-  ``nnz * K`` floats.  It is the independent row-major reference that
-  :meth:`repro.kernels.state.CsrState.multiply` — the transposed,
-  K-chunked executor behind every session — is held bitwise equal to.
+  ``nnz * K`` floats.  It is the independent reference that
+  :meth:`repro.kernels.state.CsrState.multiply` — the length-grouped,
+  row-blocked executor behind every session — is held bitwise equal to.
 
 :func:`spmm` accepts ``workspace=`` (a
 :class:`~repro.util.workspace.WorkspacePool` or leased
@@ -20,7 +20,7 @@ from the pool instead of allocated per call, and the gather / multiply /
 segment-sum run through the ``out=`` forms of the same ufuncs in the same
 operand order — results are bitwise identical to the allocating path
 (asserted in the test suite).  For the repeated-multiply serving case,
-whose K-chunks also bound scratch to ``chunk_k * nnz`` floats, see
+whose row blocks also bound scratch to a fixed byte budget, see
 :class:`repro.kernels.KernelSession`.
 """
 

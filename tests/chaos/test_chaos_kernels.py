@@ -33,8 +33,9 @@ def X(matrix, rng):
 class TestLeaseCapFallback:
     def test_cap_hit_mid_multiply_falls_back_bitwise_identical(self, matrix, X):
         reference = spmm(matrix, X)
-        # Large enough for small leases, too small for the big transposed
-        # staging buffer — the cap fires mid-multiply, not at lease time.
+        # Large enough for small leases, too small for the executor's
+        # block buffer — the cap fires inside the multiply, not at lease
+        # time.
         session = KernelSession(matrix, pool=WorkspacePool(max_lease_bytes=1024))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

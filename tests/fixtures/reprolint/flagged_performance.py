@@ -1,4 +1,4 @@
-"""Fixture: every RD105 nnz-scratch allocation in this file fires."""
+"""Fixture: every RD105 nnz-scratch allocation and RD109 in-loop lease fires."""
 
 import numpy as np
 
@@ -18,3 +18,24 @@ def kw_shape(csr):
 def bare_name(nnz):
     """RD105: a bare ``nnz`` variable counts too."""
     return np.zeros(nnz)
+
+
+def per_panel(ws, panels, K):
+    """RD109: one lease per panel, all held until the lease ends."""
+    for cols in panels:
+        buffer = ws.scratch((cols.size, K))
+        buffer[:] = 0.0
+
+
+def while_body(workspace, n):
+    """RD109: a ``while`` body counts too, also inside a nested block."""
+    while n:
+        if n % 2:
+            workspace.scratch(n)
+        n -= 1
+
+
+def comprehension_in_loop(ws, groups):
+    """RD109: a comprehension evaluated once per iteration of a loop."""
+    for shapes in groups:
+        _ = [ws.scratch(s) for s in shapes]

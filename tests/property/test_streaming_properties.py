@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import KernelSession
+from repro.kernels import KernelSession, spmm
 from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import ladder_rungs
 from repro.streaming import DeltaBatch, LshState, apply_delta, split_into_deltas
@@ -84,9 +84,13 @@ def assert_plans_identical(patched, fresh):
     np.testing.assert_array_equal(patched.remainder.values, fresh.remainder.values)
 
 
-def assert_bitwise_spmm(patched, fresh, seed=3, k=4):
-    x = np.random.default_rng(seed).normal(size=(fresh.original.n_cols, k))
-    np.testing.assert_array_equal(patched.spmm(x), fresh.spmm(x))
+def assert_bitwise_spmm(patched, matrix, seed=3, k=4):
+    """The patched plan's multiply and its session's executor path both
+    equal a direct ``spmm`` of the final ``matrix``, bit for bit."""
+    x = np.random.default_rng(seed).normal(size=(matrix.n_cols, k))
+    want = spmm(matrix, x)
+    np.testing.assert_array_equal(patched.spmm(x), want)
+    np.testing.assert_array_equal(patched.session().run(x), want)
 
 
 class TestSplitReplay:
@@ -155,10 +159,11 @@ class TestPatchedPlanEquivalence:
         update = apply_delta(
             plan0, delta, CFG, state=state0, max_dirty_fraction=1.0
         )
-        fresh = build_plan(delta.apply_to(csr), CFG)
+        mutated = delta.apply_to(csr)
+        fresh = build_plan(mutated, CFG)
         assert update.plan.revision == plan0.revision + 1
         assert_plans_identical(update.plan, fresh)
-        assert_bitwise_spmm(update.plan, fresh)
+        assert_bitwise_spmm(update.plan, mutated)
 
     @given(matrix_with_set_delta())
     @settings(max_examples=25, deadline=None)
@@ -171,9 +176,10 @@ class TestPatchedPlanEquivalence:
         )
         assert update.report.patched
         assert update.report.reused_clustering
-        fresh = build_plan(delta.apply_to(csr), CFG)
+        mutated = delta.apply_to(csr)
+        fresh = build_plan(mutated, CFG)
         assert_plans_identical(update.plan, fresh)
-        assert_bitwise_spmm(update.plan, fresh)
+        assert_bitwise_spmm(update.plan, mutated)
 
     @given(matrix_with_add_delta())
     @settings(max_examples=15, deadline=None)
@@ -184,9 +190,10 @@ class TestPatchedPlanEquivalence:
         plan0 = build_plan(csr, CFG)
         state0 = LshState.build(csr, CFG)
         update = apply_delta(plan0, delta, CFG, state=state0)
-        fresh = build_plan(delta.apply_to(csr), CFG)
+        mutated = delta.apply_to(csr)
+        fresh = build_plan(mutated, CFG)
         assert_plans_identical(update.plan, fresh)
-        assert_bitwise_spmm(update.plan, fresh)
+        assert_bitwise_spmm(update.plan, mutated)
 
 
 @pytest.mark.slow
@@ -203,9 +210,10 @@ class TestDeepEquivalence:
         update = apply_delta(
             plan0, delta, CFG, state=state0, max_dirty_fraction=1.0
         )
-        fresh = build_plan(delta.apply_to(csr), CFG)
+        mutated = delta.apply_to(csr)
+        fresh = build_plan(mutated, CFG)
         assert_plans_identical(update.plan, fresh)
-        assert_bitwise_spmm(update.plan, fresh)
+        assert_bitwise_spmm(update.plan, mutated)
 
     @given(csr_matrices(max_dim=12, max_nnz=40), st.integers(2, 8))
     @settings(max_examples=40, deadline=None)
@@ -254,9 +262,10 @@ class TestPerLadderRung:
         update = apply_delta(
             plan0, delta, rung_config, state=state0, max_dirty_fraction=1.0
         )
-        fresh = build_plan(delta.apply_to(csr), rung_config)
+        mutated = delta.apply_to(csr)
+        fresh = build_plan(mutated, rung_config)
         assert_plans_identical(update.plan, fresh)
-        assert_bitwise_spmm(update.plan, fresh)
+        assert_bitwise_spmm(update.plan, mutated)
 
 
 class TestPerBackend:

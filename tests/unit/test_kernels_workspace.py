@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.aspt import tile_matrix
+from repro.datasets import hidden_clusters
 from repro.kernels import (
     sddmm,
     sddmm_tiled,
@@ -77,6 +78,31 @@ class TestPooledBitwise:
         pool = WorkspacePool()
         with pool.lease() as ws:
             np.testing.assert_array_equal(spmm(csr, X, workspace=ws), spmm(csr, X))
+
+
+class TestTiledLeasesPerCall:
+    """Pooled tiled kernels lease each buffer once per call, sized to the
+    largest panel, so a call's pool misses do not grow with its panels."""
+
+    @pytest.mark.parametrize("kernel", [spmm_tiled, sddmm_tiled])
+    def test_misses_do_not_grow_with_panel_count(self, kernel):
+        m = hidden_clusters(40, 8, 512, 12, noise=0.1, seed=0)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(m.n_cols, 16))
+        operands = (X,) if kernel is spmm_tiled else (X, rng.normal(size=(m.n_rows, 16)))
+        misses = []
+        for panel_height in (8, 32):
+            tiled = tile_matrix(m, panel_height, 2)
+            panels = sum(1 for cols in tiled.panel_dense_cols if cols.size)
+            assert panels >= 10 and tiled.sparse_part.nnz
+            pool = WorkspacePool()
+            got = kernel(tiled, *operands, workspace=pool)
+            want = kernel(tiled, *operands)
+            if kernel is sddmm_tiled:
+                got, want = got.values, want.values
+            np.testing.assert_array_equal(got, want)
+            misses.append(pool.stats()["misses"])
+        assert misses[0] == misses[1]
 
 
 class TestFloat32Preservation:

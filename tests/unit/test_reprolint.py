@@ -118,7 +118,7 @@ class TestPerformanceRules:
         findings = lint_fixture(
             "flagged_performance.py", module_path="repro/kernels/fixture.py"
         )
-        assert codes_of(findings) == ["RD105", "RD105", "RD105", "RD105"]
+        assert codes_of(findings) == ["RD105"] * 4 + ["RD109"] * 3
 
     def test_clean_fixture_is_silent(self):
         assert (
@@ -131,6 +131,17 @@ class TestPerformanceRules:
     def test_rd105_inactive_outside_kernel_scopes(self):
         findings = lint_fixture("flagged_performance.py")  # repro/aspt path
         assert "RD105" not in codes_of(findings)
+
+    def test_rd109_flags_scratch_in_loop_bodies(self):
+        findings = lint_fixture(
+            "flagged_performance.py", module_path="repro/kernels/fixture.py"
+        )
+        rd109 = [f for f in findings if f.code == "RD109"]
+        source = (FIXTURES / "flagged_performance.py").read_text().splitlines()
+        assert all(".scratch(" in source[f.line - 1] for f in rd109)
+        assert all("lease before the loop and slice" in f.message for f in rd109)
+        outside = lint_fixture("flagged_performance.py")  # repro/aspt path
+        assert "RD109" not in codes_of(outside)
 
 
 class TestAsyncBlockingRule:

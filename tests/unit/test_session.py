@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.aspt import tile_matrix
-from repro.datasets import hidden_clusters
+from repro.datasets import hidden_clusters, power_law_rows
 from repro.errors import ShapeError
 from repro.kernels import KernelSession, spmm, spmm_tiled
-from repro.kernels.state import stage_transposed
+from repro.kernels.state import _BLOCK_BYTES, DEFAULT_CHUNK_K, CsrState
 from repro.reorder import ReorderConfig, build_plan
+from repro.sparse import CSRMatrix
 from repro.util.workspace import DirectWorkspace, WorkspacePool
 
 from conftest import random_csr
@@ -44,9 +45,18 @@ class TestCsrSession:
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, spmm(matrix, X32))
 
-    def test_chunk_smaller_than_k(self, matrix, X):
-        session = KernelSession(matrix, chunk_k=5)  # forces several chunks
+    def test_chunk_smaller_than_k(self, matrix):
+        # chunk_k only keys compiled artifacts; a K=512 operand makes the
+        # numpy executor walk its length groups in several row blocks.
+        X = np.random.default_rng(12).normal(size=(matrix.n_cols, 512))
+        state = CsrState(matrix)
+        assert max(rows.size * L for L, rows, *_ in state.groups) * 512 * 8 > _BLOCK_BYTES
+        session = KernelSession(matrix, chunk_k=5)
         np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
+
+    def test_zero_width_operand(self, matrix):
+        got = KernelSession(matrix).run(np.empty((matrix.n_cols, 0)))
+        assert got.shape == (matrix.n_rows, 0)
 
     def test_empty_rows_zeroed(self, rng):
         csr = random_csr(rng, 20, 10, density=0.05)  # sparse enough for gaps
@@ -174,9 +184,9 @@ class TestPlanSession:
         np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
 
     def test_k512_steady_state_takes_no_pool_misses(self):
-        # A dense-tile-heavy plan at K=512: one pass needs X.T, one gather
-        # chunk and the scatter buffer, which fit this pool, so every
-        # lease after the first run is a hit.
+        # A dense-tile-heavy plan at K=512: one pass needs the executor's
+        # block buffer and the scatter buffer, which fit this pool, so
+        # every lease after the first run is a hit.
         matrix = hidden_clusters(16, 16, 2048, 24, noise=0.05, seed=5)
         plan = build_plan(matrix, ReorderConfig(panel_height=16))
         assert plan.tiled.dense_ratio > 0.5
@@ -193,17 +203,117 @@ class TestPlanSession:
         np.testing.assert_array_equal(got, spmm(matrix, X))
 
 
-class TestStagedTranspose:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_blocked_copy_equals_transpose(self, dtype):
-        # 5000-wide rows: several rows per block and a ragged last block.
-        X = np.random.default_rng(4).normal(size=(37, 5000)).astype(dtype)
-        XT = stage_transposed(X, DirectWorkspace())
-        assert XT.dtype == np.float64
-        np.testing.assert_array_equal(XT, X.T)
+def assert_same_bits(got, want):
+    """Equal bit patterns: unlike ``==``, this tells ``-0.0`` from ``0.0``."""
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_zero_width_operand(self):
-        assert stage_transposed(np.empty((3, 0)), DirectWorkspace()).shape == (0, 3)
+
+#: Row lengths reaching every branch of numpy's pairwise summation: the
+#: sequential branch (< 8 terms after the first), the eight-accumulator
+#: branch with and without a tail, and the recursion above 128 terms.
+ORDER_LENGTHS = (0, 1, 2, 3, 8, 9, 10, 16, 17, 128, 129, 130, 137, 257, 300)
+#: Operand rows that are strictly positive: a row whose values are all
+#: ``-0.0`` and whose columns fall here has only ``-0.0`` products, and
+#: sums to ``-0.0`` only when the reduction starts from the first term.
+POSITIVE_ROWS = 320
+#: Rows of the one large group: at K >= 64 it spans several row blocks.
+BIG_GROUP = (10, 160)
+
+
+def order_matrix(seed=0, n_cols=1024):
+    """Rows of every :data:`ORDER_LENGTHS` length in shuffled order, with
+    values from 1e-8 to 1e8 in magnitude, explicit signed zeros, and one
+    all-``-0.0`` row per length."""
+    rng = np.random.default_rng(seed)
+    lengths = [L for L in ORDER_LENGTHS for _ in range(3)]
+    lengths += [BIG_GROUP[0]] * BIG_GROUP[1]
+    signed_zero_rows = [L for L in ORDER_LENGTHS if L]
+    lengths += signed_zero_rows
+    n_regular = len(lengths) - len(signed_zero_rows)
+    cols, vals = [], []
+    for i, L in enumerate(lengths):
+        if i < n_regular:
+            c = rng.choice(n_cols, size=L, replace=False)
+            v = rng.normal(size=L) * 10.0 ** rng.uniform(-8, 8, size=L)
+            zeros = rng.random(L) < 0.15
+            v[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        else:
+            c = rng.choice(POSITIVE_ROWS, size=L, replace=False)
+            v = np.full(L, -0.0)
+        cols.append(np.sort(c))
+        vals.append(v[np.argsort(c)])
+    perm = rng.permutation(len(lengths))
+    lengths = np.asarray(lengths)[perm]
+    rowptr = np.concatenate(([0], np.cumsum(lengths)))
+    return CSRMatrix.from_arrays(
+        (len(lengths), n_cols),
+        rowptr,
+        np.concatenate([cols[i] for i in perm]),
+        np.concatenate([vals[i] for i in perm]),
+    )
+
+
+def order_operand(n_cols, k, dtype, seed=1):
+    """Magnitudes from 1e-8 to 1e8, signed zeros, positive leading rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_cols, k)) * 10.0 ** rng.uniform(-8, 8, size=(n_cols, k))
+    zeros = rng.random(X.shape) < 0.1
+    X[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    X[:POSITIVE_ROWS] = np.abs(X[:POSITIVE_ROWS]) + 1.0
+    return X.astype(dtype)
+
+
+class TestSummationOrder:
+    """The executor adds in ``np.add.reduceat``'s order, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        return order_matrix()
+
+    def test_fixture_covers_every_branch(self, matrix):
+        lengths = matrix.row_lengths()
+        assert set(ORDER_LENGTHS) <= set(lengths.tolist())
+        L, rows = BIG_GROUP
+        assert (lengths == L).sum() >= rows
+        assert rows * L * 64 * 8 > _BLOCK_BYTES  # several row blocks at K=64
+
+    def test_fixture_tells_orders_apart(self, matrix):
+        # A left-to-right sum of the same products rounds differently,
+        # so the bit-pattern checks below would catch a wrong order.
+        X = order_operand(matrix.n_cols, 64, np.float64)
+        products = matrix.values[:, None] * X[matrix.colidx]
+        left_to_right = np.zeros((matrix.n_rows, 64))
+        for i, (lo, hi) in enumerate(zip(matrix.rowptr[:-1], matrix.rowptr[1:])):
+            if hi > lo:
+                left_to_right[i] = np.add.accumulate(products[lo:hi])[-1]
+        assert not np.array_equal(left_to_right, spmm(matrix, X))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [1, 3, 64, 513])
+    def test_state_and_session_match_spmm_bits(self, matrix, k, dtype):
+        X = order_operand(matrix.n_cols, k, dtype)
+        want = spmm(matrix, X)
+        out = np.empty_like(want)
+        CsrState(matrix).multiply(X, out, DirectWorkspace(), DEFAULT_CHUNK_K)
+        assert_same_bits(out, want)
+        assert_same_bits(KernelSession(matrix).run(X), want)
+        # The all -0.0 rows sum to -0.0, which the bit patterns compare.
+        assert ((want == 0) & np.signbit(want)).any()
+
+    @pytest.mark.parametrize("k", [3, 64])
+    def test_power_law_rows(self, k):
+        m = power_law_rows(4096, 4096, 16, seed=0)
+        X = np.random.default_rng(k).normal(size=(m.n_cols, k))
+        assert_same_bits(KernelSession(m).run(X), spmm(m, X))
+
+    def test_float32_plan_session(self, matrix):
+        plan = build_plan(matrix, REORDERED)
+        assert plan.stats.round1_applied
+        X32 = order_operand(matrix.n_cols, 64, np.float32)
+        got = plan.session().run(X32)
+        assert_same_bits(got, spmm(matrix, X32))
+        assert_same_bits(got, plan.spmm(X32))
 
 
 class TestValidation:
@@ -214,6 +324,11 @@ class TestValidation:
     def test_bad_chunk_k(self, matrix):
         with pytest.raises(ValueError):
             KernelSession(matrix, chunk_k=0)
+
+    def test_state_rejects_operand_of_wrong_height(self, matrix):
+        X = np.ones((matrix.n_cols - 1, 4))
+        with pytest.raises(ShapeError):
+            CsrState(matrix).multiply(X, np.empty((matrix.n_rows, 4)), DirectWorkspace(), 64)
 
     def test_run_many_rejects_1d_operand_like_run(self, matrix):
         session = KernelSession(matrix)
