@@ -52,6 +52,9 @@ class TiledMatrix:
     panel_dense_cols:
         ``panel_dense_cols[p]`` is the sorted array of dense columns of
         panel ``p`` (empty array when the panel has none).
+    max_dense_cols:
+        The per-panel dense-column cap the split was made under
+        (``None`` = uncapped).
     """
 
     original: CSRMatrix
@@ -60,6 +63,7 @@ class TiledMatrix:
     spec: PanelSpec
     dense_threshold: int
     panel_dense_cols: list = field(repr=False)
+    max_dense_cols: int | None = None
 
     @property
     def nnz_dense(self) -> int:
@@ -172,6 +176,7 @@ def tile_matrix(
             spec=spec,
             dense_threshold=dense_threshold,
             panel_dense_cols=[np.empty(0, dtype=np.int64) for _ in range(spec.n_panels)],
+            max_dense_cols=max_dense_cols,
         )
 
     row_ids = csr.row_ids()
@@ -227,4 +232,5 @@ def tile_matrix(
         spec=spec,
         dense_threshold=dense_threshold,
         panel_dense_cols=panel_dense_cols,
+        max_dense_cols=max_dense_cols,
     )

@@ -10,9 +10,10 @@ essence — it is what both cache tiers hold, and
 the *caller's* matrix (so cached decisions are safely shared between
 matrices that agree on pattern but differ in values).
 
-This mirrors :meth:`repro.reorder.ExecutionPlan.save`/``load`` (the
-paper's offline-deployment story); the plan store adds content addressing
-and eviction on top.
+:meth:`PlanDecisions.materialise` is the one rebuild path: a plan-store
+hit and :meth:`repro.reorder.ExecutionPlan.load` (the paper's
+offline-deployment story) both go through it; the plan store adds
+content addressing and eviction on top.
 """
 
 from __future__ import annotations

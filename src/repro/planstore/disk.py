@@ -174,18 +174,7 @@ class DiskPlanStore:
     @staticmethod
     def _write(tmp: Path, path: Path, decisions: PlanDecisions) -> None:
         fault_point("planstore.write")
-        stats_block = np.array(
-            [
-                decisions.stats.dense_ratio_before,
-                decisions.stats.dense_ratio_after,
-                decisions.stats.avg_sim_before,
-                decisions.stats.avg_sim_after,
-                float(decisions.stats.round1_applied),
-                float(decisions.stats.round2_applied),
-                float(decisions.stats.n_candidates_round1),
-                float(decisions.stats.n_candidates_round2),
-            ]
-        )
+        stats_block = decisions.stats.to_array()
         provenance = np.array(list(decisions.provenance), dtype=np.str_)
         artifact = np.array(list(decisions.artifact), dtype=np.str_)
         checksum = _entry_checksum(
@@ -226,8 +215,6 @@ class DiskPlanStore:
                 data["remainder_order"], dtype=np.int64
             )
             raw = data["stats"]
-            if raw.shape != (8,):
-                raise ValueError(f"stats block has shape {raw.shape}, expected (8,)")
             preprocess_total = float(data["preprocess_total"])
             provenance = tuple(str(s) for s in data["provenance"].tolist())
             backend = str(data["backend"])
@@ -246,20 +233,10 @@ class DiskPlanStore:
             raise CorruptStoreError(
                 f"checksum mismatch: stored {declared:#010x}, computed {actual:#010x}"
             )
-        stats = PlanStats(
-            dense_ratio_before=float(raw[0]),
-            dense_ratio_after=float(raw[1]),
-            avg_sim_before=float(raw[2]),
-            avg_sim_after=float(raw[3]),
-            round1_applied=bool(raw[4]),
-            round2_applied=bool(raw[5]),
-            n_candidates_round1=int(raw[6]),
-            n_candidates_round2=int(raw[7]),
-        )
         return PlanDecisions(
             row_order=row_order,
             remainder_order=remainder_order,
-            stats=stats,
+            stats=PlanStats.from_array(raw),
             preprocess_total=preprocess_total,
             provenance=provenance,
             backend=backend,

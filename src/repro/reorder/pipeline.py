@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,6 +140,37 @@ class PlanStats:
         """Fig. 9 y-axis: change in remainder consecutive-row similarity."""
         return self.avg_sim_after - self.avg_sim_before
 
+    def to_array(self) -> np.ndarray:
+        """The 8-float block plan files store (:meth:`from_array` reads it)."""
+        return np.array(
+            [
+                self.dense_ratio_before,
+                self.dense_ratio_after,
+                self.avg_sim_before,
+                self.avg_sim_after,
+                float(self.round1_applied),
+                float(self.round2_applied),
+                float(self.n_candidates_round1),
+                float(self.n_candidates_round2),
+            ]
+        )
+
+    @classmethod
+    def from_array(cls, raw: np.ndarray) -> "PlanStats":
+        """Decode a block written by :meth:`to_array`."""
+        if raw.shape != (8,):
+            raise ValueError(f"stats block has shape {raw.shape}, expected (8,)")
+        return cls(
+            dense_ratio_before=float(raw[0]),
+            dense_ratio_after=float(raw[1]),
+            avg_sim_before=float(raw[2]),
+            avg_sim_after=float(raw[3]),
+            round1_applied=bool(raw[4]),
+            round2_applied=bool(raw[5]),
+            n_candidates_round1=int(raw[6]),
+            n_candidates_round2=int(raw[7]),
+        )
+
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -236,14 +268,7 @@ class ExecutionPlan:
         for *cost estimation only*: its dense/sparse parts are no longer a
         row-aligned partition of ``original`` (``validate()`` would fail).
         """
-        return TiledMatrix(
-            original=self.tiled.original,
-            dense_part=self.tiled.dense_part,
-            sparse_part=self.remainder,
-            spec=self.tiled.spec,
-            dense_threshold=self.tiled.dense_threshold,
-            panel_dense_cols=self.tiled.panel_dense_cols,
-        )
+        return replace(self.tiled, sparse_part=self.remainder)
 
     # ------------------------------------------------------------------
     # multiplication in original coordinates
@@ -292,21 +317,11 @@ class ExecutionPlan:
             remainder_order=self.remainder_order,
             panel_height=np.int64(self.tiled.spec.panel_height),
             dense_threshold=np.int64(self.tiled.dense_threshold),
-            stats=np.array(
-                [
-                    self.stats.dense_ratio_before,
-                    self.stats.dense_ratio_after,
-                    self.stats.avg_sim_before,
-                    self.stats.avg_sim_after,
-                    float(self.stats.round1_applied),
-                    float(self.stats.round2_applied),
-                    float(self.stats.n_candidates_round1),
-                    float(self.stats.n_candidates_round2),
-                ]
-            ),
+            # 0 stands for "no cap": a real cap is positive.
+            max_dense_cols=np.int64(self.tiled.max_dense_cols or 0),
+            stats=self.stats.to_array(),
             preprocess_total=np.float64(self.preprocessing_time),
             backend=np.str_(self.backend),
-            artifact=np.array(list(self.artifact), dtype=np.str_),
         )
 
     @classmethod
@@ -316,28 +331,29 @@ class ExecutionPlan:
         ``original`` must be the same matrix the plan was built from (the
         permutations are checked for shape; content equality is the
         caller's contract, exactly as with any persisted preprocessing).
-        A stored backend name that this build does not register loads as
-        a numpy plan with an empty ``artifact`` and a
-        ``backend_provenance`` entry recording the step, so
+        The plan is rebuilt by
+        :meth:`repro.planstore.PlanDecisions.materialise`, as a plan-store
+        hit is, so its backend is resolved in this process.  A stored
+        backend name that this build does not register loads as a numpy
+        plan with a ``backend_provenance`` entry recording the step, so
         :attr:`backend_degraded` is true and :meth:`session` still runs.
         """
         from repro.kernels.backends import backend_names
+        from repro.planstore.decisions import PlanDecisions
 
         with np.load(path) as data:
-            row_order = data["row_order"].astype(np.int64)
-            remainder_order = data["remainder_order"].astype(np.int64)
+            decisions = PlanDecisions(
+                row_order=data["row_order"].astype(np.int64),
+                remainder_order=data["remainder_order"].astype(np.int64),
+                stats=PlanStats.from_array(data["stats"]),
+                preprocess_total=float(data["preprocess_total"]),
+            )
             panel_height = int(data["panel_height"])
             dense_threshold = int(data["dense_threshold"])
-            raw = data["stats"]
-            preprocess_total = float(data["preprocess_total"])
-            # Tolerant read: files written before the backend fields
-            # existed load as numpy-backed plans.
-            backend = str(data["backend"]) if "backend" in data.files else "numpy"
-            artifact = (
-                tuple(str(s) for s in data["artifact"].tolist())
-                if "artifact" in data.files
-                else ()
-            )
+            # Tolerant read: files written before these fields existed
+            # load with no dense-column cap, as numpy-backed plans.
+            max_dense_cols = int(data.get("max_dense_cols", 0))
+            backend = str(data.get("backend", "numpy"))
         backend_provenance: tuple = ()
         if backend not in backend_names():
             METRICS.counter(
@@ -354,36 +370,22 @@ class ExecutionPlan:
             backend_provenance = (
                 f"backend:{backend}->numpy: not registered in this build",
             )
-            backend, artifact = "numpy", ()
-        if row_order.size != original.n_rows:
-            raise ValueError(
-                f"plan was saved for {row_order.size} rows; matrix has "
-                f"{original.n_rows}"
-            )
-        reordered = permute_csr_rows(original, row_order)
-        tiled = tile_matrix(reordered, panel_height, dense_threshold)
-        remainder = permute_csr_rows(tiled.sparse_part, remainder_order)
-        stats = PlanStats(
-            dense_ratio_before=float(raw[0]),
-            dense_ratio_after=float(raw[1]),
-            avg_sim_before=float(raw[2]),
-            avg_sim_after=float(raw[3]),
-            round1_applied=bool(raw[4]),
-            round2_applied=bool(raw[5]),
-            n_candidates_round1=int(raw[6]),
-            n_candidates_round2=int(raw[7]),
-        )
-        return cls(
-            original=original,
-            row_order=row_order,
-            tiled=tiled,
-            remainder=remainder,
-            remainder_order=remainder_order,
-            stats=stats,
-            preprocess_seconds={"total": preprocess_total},
+            backend = "numpy"
+        config = ReorderConfig(
+            panel_height=panel_height,
+            dense_threshold=dense_threshold,
+            max_dense_cols=max_dense_cols or None,
             backend=backend,
-            backend_provenance=backend_provenance,
-            artifact=artifact,
+        )
+        plan = decisions.materialise(original, config)
+        return replace(
+            plan,
+            # A loaded plan reports what its saved build paid.
+            preprocess_seconds={
+                **plan.preprocess_seconds,
+                "total": decisions.preprocess_total,
+            },
+            backend_provenance=backend_provenance + plan.backend_provenance,
         )
 
     def session(self, **kwargs):
@@ -632,23 +634,18 @@ def _build_plan_uncached(
 ) -> ExecutionPlan:
     """The actual Fig. 5 workflow (no cache consultation)."""
     times: dict[str, float] = {}
-    lsh = config.lsh_index()
 
     with span("build_plan", rows=csr.n_rows, cols=csr.n_cols, nnz=csr.nnz), timed(
         times, "total"
     ):
         # ---- round 1 gate + reorder -----------------------------------
-        gate1 = should_reorder_round1(
-            csr,
-            config.panel_height,
-            config.dense_threshold,
-            skip_above=config.dense_ratio_skip,
-        )
-        do_round1 = gate1.reorder if config.force_round1 is None else config.force_round1
+        gate1, do_round1 = _round1_gate(csr, config)
         n_cand1 = 0
         if do_round1:
             with span("lsh1"), timed(times, "lsh1"):
-                pairs, sims = lsh.candidate_pairs(csr, deadline=deadline)
+                pairs, sims = config.lsh_index().candidate_pairs(
+                    csr, deadline=deadline
+                )
             n_cand1 = int(pairs.shape[0])
             with span("cluster1", pairs=n_cand1), timed(times, "cluster1"):
                 clustering = cluster_rows(
@@ -678,51 +675,106 @@ def _build_plan_uncached(
         # ---- round 2 gate + reorder of the remainder -------------------
         if deadline is not None:
             deadline.check("sim2")
-        with span("sim2"), timed(times, "sim2"):
-            gate2 = should_reorder_round2(
-                tiled.sparse_part, skip_above=config.avg_sim_skip
-            )
-        do_round2 = gate2.reorder if config.force_round2 is None else config.force_round2
-        n_cand2 = 0
-        if do_round2 and tiled.sparse_part.nnz:
-            with span("lsh2"), timed(times, "lsh2"):
-                pairs2, sims2 = lsh.candidate_pairs(
-                    tiled.sparse_part, deadline=deadline
-                )
-            n_cand2 = int(pairs2.shape[0])
-            with span("cluster2", pairs=n_cand2), timed(times, "cluster2"):
-                clustering2 = cluster_rows(
-                    tiled.sparse_part,
-                    pairs2,
-                    sims2,
-                    threshold_size=config.threshold_size,
-                    measure=config.measure,
-                    deadline=deadline,
-                )
-            remainder_order = clustering2.order
-            remainder = permute_csr_rows(tiled.sparse_part, remainder_order)
-        else:
-            do_round2 = False
-            remainder_order = np.arange(csr.n_rows, dtype=np.int64)
-            remainder = tiled.sparse_part
+        round2 = _reorder_remainder(tiled, config, times, deadline)
+    return _assemble_plan(
+        csr, row_order, tiled, gate1, do_round1, n_cand1, round2, config, times
+    )
 
+
+# ----------------------------------------------------------------------
+# Stages shared with the streaming patch (repro.streaming.apply_delta)
+# ----------------------------------------------------------------------
+
+
+def _round1_gate(csr: CSRMatrix, config: ReorderConfig):
+    """The §4 round-1 gate on ``csr``: ``(gate, do_round1)``.
+
+    ``config.force_round1``, when set, overrides the gate's verdict.
+    """
+    gate = should_reorder_round1(
+        csr,
+        config.panel_height,
+        config.dense_threshold,
+        skip_above=config.dense_ratio_skip,
+    )
+    return gate, gate.reorder if config.force_round1 is None else config.force_round1
+
+
+class _Round2(NamedTuple):
+    """Round 2's decisions: the remainder in its row order, and the
+    round-2 fields of :class:`PlanStats`."""
+
+    order: np.ndarray
+    remainder: CSRMatrix
+    avg_sim_before: float
+    avg_sim_after: float
+    applied: bool
+    n_candidates: int
+
+
+def _reorder_remainder(tiled: TiledMatrix, config: ReorderConfig, times: dict,
+                       deadline) -> _Round2:
+    """Round 2 of Fig. 5: gate the sparse remainder, then LSH + cluster it.
+
+    Stage times land in ``times`` under ``sim2``, ``lsh2`` and
+    ``cluster2``.
+    """
+    with span("sim2"), timed(times, "sim2"):
+        gate2 = should_reorder_round2(tiled.sparse_part, skip_above=config.avg_sim_skip)
+    do_round2 = gate2.reorder if config.force_round2 is None else config.force_round2
+    n_cand2 = 0
+    if do_round2 and tiled.sparse_part.nnz:
+        with span("lsh2"), timed(times, "lsh2"):
+            pairs2, sims2 = config.lsh_index().candidate_pairs(
+                tiled.sparse_part, deadline=deadline
+            )
+        n_cand2 = int(pairs2.shape[0])
+        with span("cluster2", pairs=n_cand2), timed(times, "cluster2"):
+            clustering2 = cluster_rows(
+                tiled.sparse_part,
+                pairs2,
+                sims2,
+                threshold_size=config.threshold_size,
+                measure=config.measure,
+                deadline=deadline,
+            )
+        remainder_order = clustering2.order
+        remainder = permute_csr_rows(tiled.sparse_part, remainder_order)
+    else:
+        do_round2 = False
+        remainder_order = np.arange(tiled.original.n_rows, dtype=np.int64)
+        remainder = tiled.sparse_part
+    return _Round2(
+        order=remainder_order,
+        remainder=remainder,
+        avg_sim_before=gate2.indicator,
+        avg_sim_after=average_consecutive_similarity(remainder),
+        applied=bool(do_round2),
+        n_candidates=n_cand2,
+    )
+
+
+def _assemble_plan(csr, row_order, tiled, gate1, round1_applied, n_cand1,
+                   round2: _Round2, config, times, revision=0) -> ExecutionPlan:
+    """The plan around its decisions, with its Fig. 9 stats and backend."""
     stats = PlanStats(
         dense_ratio_before=gate1.indicator,
         dense_ratio_after=tiled.dense_ratio,
-        avg_sim_before=gate2.indicator,
-        avg_sim_after=average_consecutive_similarity(remainder),
-        round1_applied=bool(do_round1),
-        round2_applied=bool(do_round2),
+        avg_sim_before=round2.avg_sim_before,
+        avg_sim_after=round2.avg_sim_after,
+        round1_applied=bool(round1_applied),
+        round2_applied=round2.applied,
         n_candidates_round1=n_cand1,
-        n_candidates_round2=n_cand2,
+        n_candidates_round2=round2.n_candidates,
     )
     plan = ExecutionPlan(
         original=csr,
         row_order=row_order,
         tiled=tiled,
-        remainder=remainder,
-        remainder_order=remainder_order,
+        remainder=round2.remainder,
+        remainder_order=round2.order,
         stats=stats,
         preprocess_seconds=times,
+        revision=revision,
     )
     return attach_backend(plan, config)

@@ -15,7 +15,9 @@ and therefore its multiplies are bitwise-equal to the fresh plan's.
 Every patched stage either recomputes exactly what the from-scratch
 pipeline computes (dirty rows only), or reuses a cached result under a
 condition that provably implies the from-scratch result is unchanged
-(see the stage helpers below).
+(see the stage helpers below).  The stages it does not patch (the
+round-1 gate, round 2 and the plan's assembly) are the build's own code
+in :mod:`repro.reorder.pipeline`.
 
 Drift heuristics (the paper's §4 gates, re-run on the delta):
 
@@ -49,16 +51,16 @@ from repro.clustering.hierarchical import cluster_rows
 from repro.errors import TimeoutExceeded
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
-from repro.reorder.heuristics import should_reorder_round1, should_reorder_round2
 from repro.reorder.pipeline import (
     ExecutionPlan,
-    PlanStats,
     ReorderConfig,
-    attach_backend,
+    _assemble_plan,
+    _reorder_remainder,
+    _Round2,
+    _round1_gate,
     build_plan,
 )
 from repro.resilience.faults import fault_point
-from repro.similarity.jaccard import average_consecutive_similarity
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import permute_csr_rows
 from repro.streaming.delta import DeltaBatch
@@ -272,9 +274,9 @@ def _retile(plan, reordered, row_order, dirty, n_new, config):
 
 def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
            gate1, do_round1):
-    """The incremental pipeline; mirrors ``_build_plan_uncached`` stage
-    by stage (same gates, same stats), patching where provably exact."""
-    lsh = config.lsh_index()
+    """The incremental pipeline: patch the LSH state, clustering, tiling
+    and a value-only round 2 where provably exact; everything else runs
+    through the build's own round 2 and plan assembly."""
     pattern_unchanged = _pattern_unchanged(csr_new, plan.original)
     n_cand1 = 0
     pairs_rescored = 0
@@ -339,7 +341,7 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
             plan, reordered, row_order, tile_dirty, n_new, config
         )
 
-    # Round 2 is recomputed outright unless the delta was value-only: the
+    # Round 2 runs the build's code unless the delta was value-only: the
     # remainder is usually small (or the gate skips it), so there is
     # nothing worth patching — and a full recompute is exact by
     # construction.
@@ -351,70 +353,22 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
             # pattern, and the round-2 gate, candidate pairs, clustering
             # and similarity stats are all pattern functions — reuse the
             # old decisions wholesale.
-            do_round2 = plan.stats.round2_applied
-            n_cand2 = plan.stats.n_candidates_round2
-            remainder_order = plan.remainder_order
-            remainder = (
-                permute_csr_rows(tiled.sparse_part, remainder_order)
-                if do_round2
-                else tiled.sparse_part
+            old = plan.stats
+            round2 = _Round2(
+                order=plan.remainder_order,
+                remainder=permute_csr_rows(tiled.sparse_part, plan.remainder_order),
+                avg_sim_before=old.avg_sim_before,
+                avg_sim_after=old.avg_sim_after,
+                applied=old.round2_applied,
+                n_candidates=old.n_candidates_round2,
             )
-            avg_sim_before = plan.stats.avg_sim_before
-            avg_sim_after = plan.stats.avg_sim_after
         else:
-            gate2 = should_reorder_round2(
-                tiled.sparse_part, skip_above=config.avg_sim_skip
-            )
-            do_round2 = (
-                gate2.reorder if config.force_round2 is None else config.force_round2
-            )
-            n_cand2 = 0
-            if do_round2 and tiled.sparse_part.nnz:
-                pairs2, sims2 = lsh.candidate_pairs(
-                    tiled.sparse_part, deadline=deadline
-                )
-                n_cand2 = int(pairs2.shape[0])
-                clustering2 = cluster_rows(
-                    tiled.sparse_part,
-                    pairs2,
-                    sims2,
-                    threshold_size=config.threshold_size,
-                    measure=config.measure,
-                    deadline=deadline,
-                )
-                remainder_order = clustering2.order
-                remainder = permute_csr_rows(tiled.sparse_part, remainder_order)
-            else:
-                do_round2 = False
-                remainder_order = np.arange(csr_new.n_rows, dtype=np.int64)
-                remainder = tiled.sparse_part
-            avg_sim_before = gate2.indicator
-            avg_sim_after = average_consecutive_similarity(remainder)
-
-    stats = PlanStats(
-        dense_ratio_before=gate1.indicator,
-        dense_ratio_after=tiled.dense_ratio,
-        avg_sim_before=avg_sim_before,
-        avg_sim_after=avg_sim_after,
-        round1_applied=bool(do_round1),
-        round2_applied=bool(do_round2),
-        n_candidates_round1=n_cand1,
-        n_candidates_round2=n_cand2,
+            round2 = _reorder_remainder(tiled, config, times, deadline)
+    patched = _assemble_plan(
+        csr_new, row_order, tiled, gate1, do_round1, n_cand1, round2, config,
+        times, revision=plan.revision + 1,
     )
-    patched = ExecutionPlan(
-        original=csr_new,
-        row_order=row_order,
-        tiled=tiled,
-        remainder=remainder,
-        remainder_order=remainder_order,
-        stats=stats,
-        preprocess_seconds=times,
-        revision=plan.revision + 1,
-    )
-    return attach_backend(patched, config), state_new, reused_clustering, (
-        panels_retiled,
-        pairs_rescored,
-    )
+    return patched, state_new, reused_clustering, (panels_retiled, pairs_rescored)
 
 
 def apply_delta(
@@ -473,15 +427,7 @@ def apply_delta(
         n_new = delta.new_rows
         dirty_fraction = (dirty.size + n_new) / max(1, csr_new.n_rows)
 
-        gate1 = should_reorder_round1(
-            csr_new,
-            config.panel_height,
-            config.dense_threshold,
-            skip_above=config.dense_ratio_skip,
-        )
-        do_round1 = (
-            gate1.reorder if config.force_round1 is None else config.force_round1
-        )
+        gate1, do_round1 = _round1_gate(csr_new, config)
         reason = _patch_decision(
             plan, dirty_fraction, max_dirty_fraction, state, gate1, do_round1
         )
@@ -519,15 +465,18 @@ def apply_delta(
                 plan_new = replace(plan_new, revision=plan.revision + 1)
                 if plan_new.stats.round1_applied and not plan_new.degraded:
                     state_new = LshState.build(csr_new, config)
-        elif cache is not None:
-            # A clean patch is a full-quality plan: write its decisions
-            # through the content-addressed store so the mutated matrix
-            # is a warm hit for everyone else.
-            from repro.planstore.decisions import PlanDecisions
-
-            cache.put(cache.key_for(csr_new, config), PlanDecisions.from_plan(plan_new))
 
     if mode == "patched":
+        if cache is not None:
+            # A clean patch is a full-quality plan: write its decisions
+            # through the content-addressed store so the mutated matrix
+            # is a warm hit for everyone else.  Written once the timer
+            # has closed, so the entry carries what the patch cost.
+            from repro.planstore.decisions import PlanDecisions
+
+            cache.put(
+                cache.key_for(csr_new, config), PlanDecisions.from_plan(plan_new)
+            )
         METRICS.counter(
             "streaming.updates_patched",
             "streaming updates absorbed by the incremental patch path",

@@ -56,20 +56,26 @@ _PAIR_STRIDE = np.int64(1) << np.int64(32)
 _SIM_KEEP_THRESHOLD = np.finfo(np.float64).tiny
 
 
-def _candidate_pairs(signatures, band_keys, csr, config, deadline):
-    """Pairs + kept sims from a maintained key matrix — the exact
-    from-scratch pipeline (empty-row filter, shared pair expansion,
-    scoring, positive-similarity filter) minus the recompute."""
+def _scored_pairs(signatures, band_keys, csr, config, deadline, previous=None,
+                  changed=None):
+    """Candidate pairs and their kept similarities from a key matrix.
+
+    The from-scratch candidate pipeline (empty-row filter, the shared pair
+    expansion, scoring, positive-similarity filter) minus the MinHash
+    pass.  Given the ``previous`` state, a pair it already held whose
+    endpoints are both outside ``changed`` keeps its old score instead of
+    being rescored.  Returns ``(pairs, sims, n_rescored)``.
+    """
     n_rows = csr.n_rows
     empty_pairs = np.empty((0, 2), dtype=np.int64)
     empty_sims = np.zeros(0, dtype=np.float64)
     if n_rows < 2:
-        return empty_pairs, empty_sims
+        return empty_pairs, empty_sims, 0
     rows = np.arange(n_rows, dtype=np.int64)
     nonempty = ~(signatures == EMPTY_ROW_SENTINEL).all(axis=1)
     rows = rows[nonempty]
     if rows.size < 2:
-        return empty_pairs, empty_sims
+        return empty_pairs, empty_sims, 0
     pairs = pairs_from_band_keys(
         band_keys[nonempty],
         rows,
@@ -78,10 +84,26 @@ def _candidate_pairs(signatures, band_keys, csr, config, deadline):
         deadline=deadline,
     )
     if pairs.shape[0] == 0:
-        return pairs, empty_sims
-    sims = similarity_for_pairs(csr, pairs, config.measure)
+        return pairs, empty_sims, 0
+
+    sims = np.empty(pairs.shape[0], dtype=np.float64)
+    rescore = np.ones(pairs.shape[0], dtype=bool)
+    if previous is not None and previous.pairs.shape[0]:
+        changed_mask = np.zeros(n_rows, dtype=bool)
+        changed_mask[changed] = True
+        clean = ~(changed_mask[pairs[:, 0]] | changed_mask[pairs[:, 1]])
+        new_enc = pairs[:, 0] * _PAIR_STRIDE + pairs[:, 1]
+        old_enc = previous.pairs[:, 0] * _PAIR_STRIDE + previous.pairs[:, 1]
+        # Clipped, so a pair sorting after every old one compares unequal.
+        pos = np.minimum(np.searchsorted(old_enc, new_enc), old_enc.size - 1)
+        reuse = clean & (old_enc[pos] == new_enc)
+        sims[reuse] = previous.sims[pos[reuse]]
+        rescore = ~reuse
+    n_rescored = int(rescore.sum())
+    if n_rescored:
+        sims[rescore] = similarity_for_pairs(csr, pairs[rescore], config.measure)
     keep = sims >= _SIM_KEEP_THRESHOLD
-    return pairs[keep], sims[keep]
+    return pairs[keep], sims[keep], n_rescored
 
 
 @dataclass(frozen=True)
@@ -130,7 +152,7 @@ class LshState:
             )
             mixers = band_mixers(config.siglen, config.bsize, config.lsh_seed + 1)
             band_keys = band_keys_matrix(signatures, mixers)
-            pairs, sims = _candidate_pairs(
+            pairs, sims, _ = _scored_pairs(
                 signatures, band_keys, csr, config, deadline
             )
         return cls(
@@ -208,8 +230,9 @@ class LshState:
                 )
                 signatures[changed] = sub_sigs
                 band_keys[changed] = band_keys_matrix(sub_sigs, self.mixers)
-            pairs, sims, n_rescored = self._rescore(
-                signatures, band_keys, csr_new, changed, config, deadline
+            pairs, sims, n_rescored = _scored_pairs(
+                signatures, band_keys, csr_new, config, deadline,
+                previous=self, changed=changed,
             )
         METRICS.counter(
             "streaming.rows_resigned",
@@ -229,54 +252,3 @@ class LshState:
             ),
             n_rescored,
         )
-
-    def _rescore(self, signatures, band_keys, csr_new, changed, config, deadline):
-        """Regenerate pairs; carry scores over for clean-endpoint pairs.
-
-        Mirrors :func:`_candidate_pairs` stage by stage, but splits the
-        scoring step so similarities of pairs with two clean endpoints
-        are copied from the previous state instead of recomputed.
-        """
-        n_rows = csr_new.n_rows
-        empty_pairs = np.empty((0, 2), dtype=np.int64)
-        empty_sims = np.zeros(0, dtype=np.float64)
-        if n_rows < 2:
-            return empty_pairs, empty_sims, 0
-        rows = np.arange(n_rows, dtype=np.int64)
-        nonempty = ~(signatures == EMPTY_ROW_SENTINEL).all(axis=1)
-        rows = rows[nonempty]
-        if rows.size < 2:
-            return empty_pairs, empty_sims, 0
-        pairs = pairs_from_band_keys(
-            band_keys[nonempty],
-            rows,
-            n_rows,
-            bucket_cap=config.bucket_cap,
-            deadline=deadline,
-        )
-        if pairs.shape[0] == 0:
-            return pairs, empty_sims, 0
-
-        changed_mask = np.zeros(n_rows, dtype=bool)
-        changed_mask[changed] = True
-        clean = ~(changed_mask[pairs[:, 0]] | changed_mask[pairs[:, 1]])
-        new_enc = pairs[:, 0] * _PAIR_STRIDE + pairs[:, 1]
-        reuse = np.zeros(pairs.shape[0], dtype=bool)
-        pos = np.zeros(pairs.shape[0], dtype=np.int64)
-        if self.pairs.shape[0]:
-            old_enc = self.pairs[:, 0] * _PAIR_STRIDE + self.pairs[:, 1]
-            pos = np.searchsorted(old_enc, new_enc)
-            inb = pos < old_enc.size
-            found = np.zeros(pairs.shape[0], dtype=bool)
-            found[inb] = old_enc[pos[inb]] == new_enc[inb]
-            reuse = clean & found
-        sims = np.empty(pairs.shape[0], dtype=np.float64)
-        sims[reuse] = self.sims[pos[reuse]]
-        rescore = ~reuse
-        n_rescored = int(rescore.sum())
-        if n_rescored:
-            sims[rescore] = similarity_for_pairs(
-                csr_new, pairs[rescore], config.measure
-            )
-        keep = sims >= _SIM_KEEP_THRESHOLD
-        return pairs[keep], sims[keep], n_rescored

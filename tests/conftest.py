@@ -82,6 +82,24 @@ def random_csr(rng, m, n, density=0.1) -> CSRMatrix:
     return COOMatrix.from_arrays((m, n), rows, cols, vals).to_csr()
 
 
+def assert_plans_identical(patched, fresh):
+    """Decision identity: same orders, same tiling, same stats, and the
+    same reordered matrix the executor multiplies.
+
+    The one plan-equality oracle of the suite: a patched, loaded or
+    cache-materialised plan against the plan a fresh build produces.
+    """
+    np.testing.assert_array_equal(patched.row_order, fresh.row_order)
+    np.testing.assert_array_equal(patched.remainder_order, fresh.remainder_order)
+    assert patched.stats == fresh.stats
+    for part in ("original", "dense_part", "sparse_part"):
+        p, f = getattr(patched.tiled, part), getattr(fresh.tiled, part)
+        np.testing.assert_array_equal(p.rowptr, f.rowptr)
+        np.testing.assert_array_equal(p.colidx, f.colidx)
+        np.testing.assert_array_equal(p.values, f.values)
+    np.testing.assert_array_equal(patched.remainder.values, fresh.remainder.values)
+
+
 # --- Compiled kernel backends ------------------------------------------------
 #
 # The cross-backend differential matrix and the parametrized oracle tests

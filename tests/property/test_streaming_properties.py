@@ -6,14 +6,17 @@ The contract under test is the module contract of
 
 * :func:`~repro.streaming.split_into_deltas` replay reproduces the source
   matrix bit for bit;
-* an incrementally updated :class:`~repro.streaming.LshState` (signatures,
-  band keys, candidate pairs, scores) equals a from-scratch build on the
-  mutated matrix;
+* a built :class:`~repro.streaming.LshState` holds exactly the candidate
+  pairs and scores of :meth:`repro.similarity.LSHIndex.candidate_pairs`,
+  and an incrementally updated one (signatures, band keys, candidate
+  pairs, scores) equals a from-scratch build on the mutated matrix;
 * the plan returned by :func:`~repro.streaming.apply_delta` — patched *or*
   replanned — is decision-identical to a fresh
   :func:`~repro.reorder.build_plan` on the mutated matrix, and its
   multiplies are bitwise-equal, per kernel backend and per ladder rung.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +26,11 @@ from hypothesis import strategies as st
 from repro.kernels import KernelSession, spmm
 from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import ladder_rungs
+from repro.similarity import MEASURES
+from repro.sparse import COOMatrix
 from repro.streaming import DeltaBatch, LshState, apply_delta, split_into_deltas
 
+from conftest import assert_plans_identical
 from test_sparse_properties import csr_matrices
 
 #: Small but fully active pipeline: round 1 forced on so the LSH state /
@@ -70,20 +76,6 @@ def matrix_with_set_delta(draw):
     return csr, delta
 
 
-def assert_plans_identical(patched, fresh):
-    """Decision identity: same orders, same tiling, same stats, and the
-    same reordered matrix the executor multiplies."""
-    np.testing.assert_array_equal(patched.row_order, fresh.row_order)
-    np.testing.assert_array_equal(patched.remainder_order, fresh.remainder_order)
-    assert patched.stats == fresh.stats
-    for part in ("original", "dense_part", "sparse_part"):
-        p, f = getattr(patched.tiled, part), getattr(fresh.tiled, part)
-        np.testing.assert_array_equal(p.rowptr, f.rowptr)
-        np.testing.assert_array_equal(p.colidx, f.colidx)
-        np.testing.assert_array_equal(p.values, f.values)
-    np.testing.assert_array_equal(patched.remainder.values, fresh.remainder.values)
-
-
 def assert_bitwise_spmm(patched, matrix, seed=3, k=4):
     """The patched plan's multiply and its session's executor path both
     equal a direct ``spmm`` of the final ``matrix``, bit for bit."""
@@ -116,7 +108,33 @@ class TestSplitReplay:
         )
 
 
+@st.composite
+def matrix_with_empty_rows(draw):
+    """A CSR matrix with up to three of its rows emptied."""
+    csr = draw(csr_matrices(max_dim=10, max_nnz=30))
+    emptied = draw(st.lists(st.integers(0, csr.n_rows - 1), max_size=3))
+    keep = ~np.isin(csr.row_ids(), emptied)
+    return COOMatrix.from_arrays(
+        csr.shape, csr.row_ids()[keep], csr.colidx[keep], csr.values[keep]
+    ).to_csr()
+
+
 class TestIncrementalState:
+    @given(
+        matrix_with_empty_rows(),
+        st.sampled_from(MEASURES),
+        st.sampled_from([None, 2, 64]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_build_equals_lsh_index(self, csr, measure, bucket_cap):
+        """A built state holds ``config.lsh_index().candidate_pairs(csr)``
+        bit for bit: the pairs round 1 of a fresh build clusters."""
+        config = replace(CFG, measure=measure, bucket_cap=bucket_cap)
+        state = LshState.build(csr, config)
+        pairs, sims = config.lsh_index().candidate_pairs(csr)
+        np.testing.assert_array_equal(state.pairs, pairs)
+        np.testing.assert_array_equal(state.sims.view(np.uint64), sims.view(np.uint64))
+
     @given(matrix_with_add_delta())
     @settings(max_examples=40, deadline=None)
     def test_state_update_equals_from_scratch(self, case):

@@ -15,6 +15,8 @@ from repro.planstore import (
 )
 from repro.reorder import ReorderConfig, build_plan
 
+from conftest import assert_plans_identical
+
 
 def _decisions(n_rows=8, total=1.0):
     plan = build_plan(diagonal(n_rows), ReorderConfig(panel_height=4))
@@ -146,9 +148,7 @@ class TestBuildPlanWithCache:
 
         # Bit-identical decisions, and the timing breakdown proves no
         # pipeline stage ran.
-        np.testing.assert_array_equal(warm.row_order, cold.row_order)
-        np.testing.assert_array_equal(warm.remainder_order, cold.remainder_order)
-        assert warm.stats == cold.stats
+        assert_plans_identical(warm, cold)
         stage_keys = {"lsh1", "cluster1", "permute1", "tile", "sim2", "lsh2", "cluster2"}
         assert stage_keys.isdisjoint(warm.preprocess_seconds)
         assert "materialise" in warm.preprocess_seconds

@@ -15,9 +15,11 @@ from repro.reorder import (
     should_reorder_round1,
     should_reorder_round2,
 )
+from repro.planstore import PlanStore
+from repro.resilience import ladder_rungs
 from repro.sparse import CSRMatrix, permute_csr_rows
 
-from conftest import random_csr
+from conftest import assert_plans_identical, random_csr
 
 
 def clustered_then_shuffled(rng, n_clusters=12, rows_per=12, n_cols=256, row_nnz=16):
@@ -230,20 +232,53 @@ class TestAutotune:
         assert result.cost_reordered.op == "sddmm"
 
 
+RUNGS = [label for label, _ in ladder_rungs(ReorderConfig())]
+
+
 class TestPlanPersistence:
-    def test_save_load_roundtrip(self, rng, tmp_path):
+    @pytest.mark.parametrize("rung", RUNGS)
+    @pytest.mark.parametrize("max_dense_cols", [None, 2])
+    @pytest.mark.parametrize("route", ["file", "disk"])
+    def test_save_load_roundtrip(self, rng, tmp_path, route, max_dense_cols, rung):
+        """``load(save(plan))`` and a disk-tier hit both rebuild the plan a
+        fresh build made, on every ladder rung, capped or not."""
         m = clustered_then_shuffled(rng, n_clusters=24, rows_per=6, n_cols=512)
+        config = dict(
+            ladder_rungs(
+                ReorderConfig(siglen=32, panel_height=8, max_dense_cols=max_dense_cols)
+            )
+        )[rung]
+        if route == "file":
+            plan = build_plan(m, config)
+            path = tmp_path / "plan.npz"
+            plan.save(path)
+            loaded = ExecutionPlan.load(path, m)
+            assert loaded.preprocessing_time == pytest.approx(plan.preprocessing_time)
+        else:
+            plan = build_plan(m, config, cache=PlanStore(cache_dir=tmp_path))
+            # A fresh memory tier, so the entry comes off disk.
+            store = PlanStore(cache_dir=tmp_path)
+            loaded = build_plan(m, config, cache=store)
+            assert store.stats()["disk"]["hits"] == 1
+        assert_plans_identical(loaded, plan)
+        X = rng.normal(size=(m.n_cols, 4))
+        np.testing.assert_array_equal(loaded.spmm(X), plan.spmm(X))
+
+    def test_file_without_newer_keys_loads_uncapped_on_numpy(self, rng, tmp_path):
+        """Files written before ``max_dense_cols`` and ``backend`` were
+        stored load with no dense-column cap, on numpy."""
+        m = clustered_then_shuffled(rng, n_clusters=12, rows_per=6, n_cols=256)
         plan = build_plan(m, ReorderConfig(siglen=32, panel_height=8))
         path = tmp_path / "plan.npz"
         plan.save(path)
+        with np.load(path) as data:
+            old = {k: data[k] for k in data.files}
+        del old["max_dense_cols"], old["backend"]
+        np.savez_compressed(path, **old)
         loaded = ExecutionPlan.load(path, m)
-        np.testing.assert_array_equal(loaded.row_order, plan.row_order)
-        np.testing.assert_array_equal(loaded.remainder_order, plan.remainder_order)
-        assert loaded.tiled.nnz_dense == plan.tiled.nnz_dense
-        assert loaded.stats == plan.stats
-        assert loaded.preprocessing_time == pytest.approx(plan.preprocessing_time)
-        X = rng.normal(size=(m.n_cols, 4))
-        np.testing.assert_allclose(loaded.spmm(X), plan.spmm(X))
+        assert loaded.tiled.max_dense_cols is None
+        assert loaded.backend == "numpy"
+        assert_plans_identical(loaded, plan)
 
     def test_load_wrong_matrix_rejected(self, rng, tmp_path):
         m = clustered_then_shuffled(rng, n_clusters=12, rows_per=6, n_cols=256)

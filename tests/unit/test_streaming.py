@@ -174,6 +174,23 @@ class TestApplyDelta:
         mutated = delta.apply_to(m)
         assert store.get(store.key_for(mutated, CFG)) is not None
 
+    def test_cached_patch_carries_its_cost(self):
+        """The entry a patch writes through records what the patch took,
+        so a warm build of the mutated matrix reports it as its cold
+        cost."""
+        m = hidden_clusters(16, 8, 256, 8, noise=0.1, seed=2)
+        store = PlanStore()
+        plan = build_plan(m, CFG, cache=store)
+        state = LshState.build(m, CFG)
+        delta = DeltaBatch(
+            rows=m.row_ids()[:3], cols=m.colidx[:3], values=np.ones(3), mode="set"
+        )
+        update = apply_delta(plan, delta, CFG, state=state, cache=store)
+        assert update.report.patched
+        warm = build_plan(delta.apply_to(m), CFG, cache=store)
+        assert warm.preprocess_seconds["cold_total"] > 0.0
+        assert warm.preprocess_seconds["cold_total"] == update.report.seconds["total"]
+
     def test_report_carries_timestamp(self):
         m = small_matrix()
         plan = build_plan(m, ReorderConfig(panel_height=2))
