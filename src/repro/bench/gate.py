@@ -105,8 +105,10 @@ def _suite_kernels(quick: bool, backend: str = "numpy") -> dict:
     X = np.random.default_rng(0).normal(size=(matrix.n_cols, k))
     tiled = tile_matrix(matrix, 16, 2)
 
-    session = KernelSession(matrix)
-    tiled_session = KernelSession(tiled)
+    # The unsuffixed session cells are the numpy executor's, whatever the
+    # default backend: `--backend <name>` measures <name> in its own cells.
+    session = KernelSession(matrix, backend="numpy")
+    tiled_session = KernelSession(tiled, backend="numpy")
     # Warm the pinned scratch before any measurement so the steady state
     # is what gets timed (the first call pays the pool misses).
     session.run(X)

@@ -72,6 +72,8 @@ def cli_handler(name: str):
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the `repro` argument parser (see module docstring)."""
+    from repro.kernels.backends import DEFAULT_BACKEND
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="PPoPP'20 row-reordering SpMM/SDDMM reproduction harness",
@@ -118,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
         "untiled-csr) instead of failing",
     )
     r.add_argument(
-        "--backend", default="numpy", metavar="NAME",
-        help="compiled kernel backend for the sweep's multiplies "
-        "(see `repro backends`); unavailable backends degrade to numpy",
+        "--backend", default=DEFAULT_BACKEND, metavar="NAME",
+        help="kernel backend for the sweep's multiplies (default %(default)s; "
+        "see `repro backends`); unavailable backends degrade to numpy",
     )
 
     dr = sub.add_parser(
@@ -198,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="open interval before the breaker half-opens",
     )
     sv.add_argument(
-        "--backend", default="numpy", metavar="NAME",
-        help="compiled kernel backend for served multiplies",
+        "--backend", default=DEFAULT_BACKEND, metavar="NAME",
+        help="kernel backend for served multiplies (default %(default)s)",
     )
     sv.add_argument(
         "--panel-height", type=int, default=32, help="ASpT panel height for plans"
@@ -324,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="overwrite the baselines with the fresh numbers instead of gating",
     )
     be.add_argument(
-        "--backend", default="numpy", metavar="NAME",
-        help="compiled kernel backend dimension for the kernel cells "
-        "(adds <metric>@<backend> cells and cross-backend speedups)",
+        "--backend", default=DEFAULT_BACKEND, metavar="NAME",
+        help="kernel backend dimension for the kernel cells (default "
+        "%(default)s; adds <metric>@<backend> cells and cross-backend speedups)",
     )
 
     sub.add_parser(
@@ -482,13 +484,14 @@ def _cmd_stream_bench(args, clock=time.perf_counter) -> int:
 
 @cli_handler("backends")
 def _cmd_backends(_args) -> int:
-    from repro.kernels.backends import backend_names, get_backend
+    from repro.kernels.backends import DEFAULT_BACKEND, backend_names, get_backend
 
+    notes = {"numpy": "reference (degradation target)", DEFAULT_BACKEND: "default"}
     print(f"{'backend':<12}{'available':<12}note")
     for name in backend_names():
         backend = get_backend(name)
         if backend.available():
-            note = "reference (degradation target)" if name == "numpy" else ""
+            note = notes.get(name, "")
             print(f"{name:<12}{'yes':<12}{note}")
         else:
             print(f"{name:<12}{'no':<12}{backend.unavailable_reason()}")
@@ -515,12 +518,13 @@ def _cmd_corpus(args) -> int:
 def _cmd_run(args) -> int:
     from repro.experiments import ExperimentConfig, run_experiment, save_records
     from repro.experiments.config import PANEL_HEIGHTS
+    from repro.kernels.backends import DEFAULT_BACKEND
     from repro.reorder import ReorderConfig
     from repro.resilience import ResiliencePolicy
     from repro.util.log import enable_console_logging
 
     enable_console_logging()
-    if args.panel_height is None and args.backend == "numpy":
+    if args.panel_height is None and args.backend == DEFAULT_BACKEND:
         reorder = None  # ExperimentConfig picks the scale-matched default
     else:
         # A backend request alone must not lose the scale-matched panel

@@ -20,11 +20,12 @@ results at a fraction of the steady-state cost.
 
 The row-wise kernels :func:`spmm`, :func:`spmv` and :func:`sddmm` (and
 :class:`~repro.kernels.KernelSession`) additionally accept ``backend=``,
-selecting a kernel backend from :mod:`repro.kernels.backends` —
-``numpy`` (the uncompiled reference, always) or ``numba`` (machine-code
-JIT when importable, graceful degradation to ``numpy`` otherwise).  The
-cross-backend differential test matrix holds ``numba`` to within 1 ULP
-of the reference.
+naming a kernel backend from :mod:`repro.kernels.backends` — ``cc`` (the
+SpMM loop built by the system C compiler, the default for sessions and
+plans) or ``numpy`` (the uncompiled reference, always available, and
+what ``cc`` degrades to without a compiler).  Both give the same bits:
+the cross-backend differential test matrix holds ``cc`` bitwise equal to
+:func:`spmm`, which stays the independent reference.
 
 These kernels compute *results*; the corresponding *performance* estimates
 come from :mod:`repro.gpu`, which models the same access patterns on a

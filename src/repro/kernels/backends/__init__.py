@@ -1,29 +1,35 @@
-"""Pluggable compiled kernel backends with per-matrix specialization.
+"""Kernel backends: the numpy reference and the compiled ``cc`` SpMM.
 
-The paper's speedups come from tailoring execution to each matrix's
-structure; this package carries that idea past strategy selection into
-*code* selection.  A :class:`SpecializationSpec` captures the structural
-facts worth baking into a kernel (K-chunk width, empty-row presence,
-dtype, expected operand width); a backend compiles it into a
+A :class:`SpecializationSpec` names what one artifact is built for (the
+kernel and operand dtype — nothing about the matrix, so every matrix
+shares one artifact); a backend compiles it into a
 :class:`CompiledKernel`; the registry caches artifacts process-wide by
 ``(backend, spec fingerprint)`` so warm sessions never recompile.
 
-Two backends are always registered:
+Two backends are registered:
 
+``cc`` (the default, :data:`DEFAULT_BACKEND`)
+    The CSR SpMM loop in C, built once by the system compiler (``$CC``,
+    default ``cc``) into an on-disk cache and loaded with :mod:`ctypes`.
+    It sums in ``np.add.reduceat``'s order, so it is **bitwise
+    identical** to :func:`repro.kernels.spmm`.  Unavailable without a
+    compiler.
 ``numpy``
     The uncompiled reference: :meth:`repro.kernels.state.CsrState.multiply`
     and the one-shot kernels.  Always available, it compiles nothing, and
     every degradation lands here.
-``numba``
-    True machine-code JIT when :mod:`numba` is importable; registered
-    but unavailable otherwise, so requesting it degrades gracefully to
-    ``numpy`` instead of failing (never a hard dependency).
 
-Selection is by name — ``ReorderConfig.backend``, ``repro run/bench
---backend``, ``KernelSession(backend=...)`` — and always resolves
-through :func:`resolve_backend`, which records degradations in the
-plan's ``backend_provenance``, the ``kernels.backend_fallback`` counter
-and a :class:`~repro.errors.DegradedExecution` warning.  See
+Only SpMM is compiled; :func:`repro.kernels.spmv` and
+:func:`repro.kernels.sddmm` accept any registered backend name and run
+their numpy reference.
+
+Selection is by name — ``ReorderConfig.backend``, ``ServeConfig.backend``,
+``repro run/serve/bench --backend``, ``KernelSession(backend=...)`` — and
+always resolves through :func:`resolve_backend`; an unavailable backend or
+a failed compile degrades to ``numpy`` with a ``backend:<name>->numpy:
+...`` entry in the plan's or session's ``backend_provenance``, the
+``kernels.backend_fallback`` counter and a
+:class:`~repro.errors.DegradedExecution` warning.  See
 ``docs/BACKENDS.md`` for the full contract.
 """
 
@@ -35,9 +41,10 @@ from repro.kernels.backends.base import (
     SpecializationSpec,
     specialize,
 )
-from repro.kernels.backends.numba_backend import NumbaBackend
+from repro.kernels.backends.cc_backend import CcBackend
 from repro.kernels.backends.numpy_backend import NumpyBackend
 from repro.kernels.backends.registry import (
+    DEFAULT_BACKEND,
     available_backends,
     backend_names,
     compiled_artifact,
@@ -51,7 +58,8 @@ __all__ = [
     "CompiledKernel",
     "KernelBackend",
     "NumpyBackend",
-    "NumbaBackend",
+    "CcBackend",
+    "DEFAULT_BACKEND",
     "specialize",
     "register_backend",
     "get_backend",
@@ -64,4 +72,4 @@ __all__ = [
 # Canonical registrations, numpy first (the degradation target must
 # exist before any resolve_backend call can run).
 register_backend(NumpyBackend())
-register_backend(NumbaBackend())
+register_backend(CcBackend())

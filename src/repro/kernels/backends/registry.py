@@ -1,13 +1,13 @@
 """Backend registry, resolution with graceful degradation, artifact cache.
 
-The registry always contains every *known* backend — including ones
-whose dependency is missing in this environment — so configuration
-validation, ``repro backends`` listings and plan provenance can name
-them.  *Availability* is a separate, per-environment question:
+The registry always contains every *known* backend — including ``cc``
+on a machine without a C compiler — so configuration validation,
+``repro backends`` listings and plan provenance can name them.
+*Availability* is a separate, per-environment question:
 :func:`resolve_backend` answers it at use time, degrading to the
 ``numpy`` reference (with a ``kernels.backend_fallback`` count, a
 :class:`~repro.errors.DegradedExecution` warning and a provenance entry)
-instead of failing — an optional JIT is never a hard dependency.
+instead of failing — a compiler is never a hard dependency.
 
 Compilation goes through :func:`compiled_artifact`, the single choke
 point that adds what every backend's ``compile`` needs: the
@@ -34,6 +34,7 @@ from repro.util.log import get_logger
 from repro.util.timing import timed
 
 __all__ = [
+    "DEFAULT_BACKEND",
     "register_backend",
     "get_backend",
     "backend_names",
@@ -48,6 +49,11 @@ _log = get_logger("kernels.backends")
 # complete even before any backend compiles or degrades.
 METRICS.counter("kernels.backend_compile", "compiled-kernel artifacts built (cache misses)")
 METRICS.counter("kernels.backend_fallback", "backend requests degraded to the numpy reference")
+
+#: The backend configs, the CLI and sessions use unless told otherwise:
+#: bit-equal to the numpy reference, and degrading to it where no C
+#: compiler is found.
+DEFAULT_BACKEND = "cc"
 
 #: Registered backends in registration order (numpy first — it is the
 #: reference everything degrades to and must always be present).

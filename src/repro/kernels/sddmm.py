@@ -66,8 +66,9 @@ def sddmm(
         products themselves are computed by the same ``einsum`` in the
         same dtype, so results are bitwise identical either way.
     backend:
-        Optional compiled-backend name (:mod:`repro.kernels.backends`);
-        degrades back to this reference path when unavailable.
+        Optional registered backend name (:mod:`repro.kernels.backends`);
+        this reference path runs for every name, because only SpMM is
+        compiled.
 
     Returns
     -------
@@ -75,12 +76,10 @@ def sddmm(
         Same pattern as ``csr`` with values
         ``(Y[i] . X[c]) * csr.value`` per stored entry.
     """
-    if backend is not None and backend != "numpy":
-        from repro.kernels.backends import resolve_backend
+    if backend is not None:
+        from repro.kernels.backends import get_backend
 
-        resolved, _ = resolve_backend(backend)
-        if resolved.name != "numpy":
-            return resolved.sddmm(csr, X, Y, workspace=workspace)
+        get_backend(backend)  # a typo fails loudly; no backend compiles SDDMM
     X = check_dense("X", X, rows=csr.n_cols, dtype=None)
     Y = check_dense("Y", Y, rows=csr.n_rows, cols=X.shape[1], dtype=None)
     if csr.nnz == 0:

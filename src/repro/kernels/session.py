@@ -5,62 +5,56 @@ The serving scenario behind the paper (and the ROADMAP north star) is a
 one-shot kernels re-derive everything per call — segment starts, scratch
 buffers, the output array.  A :class:`KernelSession` hoists all of it:
 
-* per-matrix metadata (the rows grouped by length, with their column
-  indices and values) is computed once at construction, in one pinned
-  :class:`~repro.kernels.state.CsrState`;
+* the matrix is checked and pinned once, in one
+  :class:`~repro.kernels.state.CsrState` (``int64`` index arrays, the
+  plan's row order);
 * scratch comes from a private :class:`~repro.util.workspace.WorkspacePool`,
   so after the first call the steady state allocates nothing;
-* the reference strategy (the ``numpy`` backend, which compiles
-  nothing) is :meth:`~repro.kernels.state.CsrState.multiply`: rows are
-  grouped by length at construction, and each call walks the groups in
-  row blocks sized to stay cache resident — gather the block's rows of
-  the row-major operand, scale, reduce with whole-slab adds, scatter the
-  rows.  This is the CPU analogue of the GPU kernel keeping a panel's
-  reused operand rows in shared memory;
-* a compiled backend (``numba``, :mod:`repro.kernels.backends`) replaces
-  that multiply: at construction the session resolves the requested
-  backend (its own ``backend=`` argument, or the plan's ``backend``
-  field for plan targets) and, unless it is ``numpy``, compiles one
-  artifact for the pinned state, specialized to that matrix's
-  structure.  Compiled artifacts are cached process-wide, so a warm
-  session constructed against an already-seen fingerprint skips
-  compilation entirely.
+* the multiply is the default ``cc`` backend's compiled loop
+  (:mod:`repro.kernels.backends`): one pass per row that forms each
+  product and adds it straight into K-wide accumulators, the CPU
+  analogue of the GPU kernel keeping a row's partial sums in fast
+  memory.  At construction the session resolves its backend (its own
+  ``backend=`` argument, or the plan's ``backend`` field for plan
+  targets) and fetches the one compiled artifact every matrix shares;
+  artifacts are cached process-wide and the built library on disk, so a
+  warm session compiles nothing;
+* the ``numpy`` backend runs :meth:`~repro.kernels.state.CsrState.multiply`
+  instead, the length-grouped, row-blocked reference executor.
 
 Every target runs the same executor, one pass over one pinned state: a
 :class:`~repro.sparse.CSRMatrix` itself, a :class:`~repro.aspt.TiledMatrix`'s
 ``original``, or an :class:`~repro.reorder.ExecutionPlan`'s
-``tiled.original`` (the round-1-reordered matrix) followed by one row
-scatter back to original coordinates.  The ASpT split stays a plan
+``tiled.original`` (the round-1-reordered matrix), whose rows are written
+straight to their original positions.  The ASpT split stays a plan
 decision and :func:`repro.kernels.spmm_tiled` the paper's two-phase
 reference, but no session reads the split: on CPU two phases are slower
 than one pass (``perfbench/run.py --workload warm-kernel --trace 1``
 reports ``kernels.plan_vs_csr``).
 
-With the ``numpy`` backend, results are **bitwise identical** to the
-one-shot :func:`repro.kernels.spmm` of the original matrix: per output
-element the same float64 products are summed in ``np.add.reduceat``'s
-order (the first product plus numpy's pairwise sum of the rest — not
-left to right; see :mod:`repro.kernels.state`), and float32 operands are
-widened by an exact cast inside the same float64 multiply.  A reordered
-plan's rows are the original rows with unchanged contents, so this holds
-on every degradation-ladder rung and for streamed plans.  The equivalence
-is asserted in the oracle tests, the cross-backend differential matrix
-and, for plans, by :meth:`repro.reorder.ExecutionPlan.validate`.  The
-``numba`` loop adds left to right, so it differs from the reference in
-association as well as through FMA; the differential matrix holds it to
-1 ULP.
+On either backend, results are **bitwise identical** to the one-shot
+:func:`repro.kernels.spmm` of the original matrix: per output element the
+same float64 products are summed in ``np.add.reduceat``'s order (the
+first product plus numpy's pairwise sum of the rest — not left to right;
+see :mod:`repro.kernels.state`), and float32 operands are widened by an
+exact cast.  A reordered plan's rows are the original rows with unchanged
+contents, so this holds on every degradation-ladder rung and for
+streamed plans.  The equivalence is asserted in the oracle tests, the
+cross-backend differential matrix and, for plans, by
+:meth:`repro.reorder.ExecutionPlan.validate`.
 
 Degradation is never fatal: if the requested backend is unavailable or
 its compile fails (including the injected ``backend.compile`` chaos
-fault), the session falls back to the uncompiled numpy reference path —
+fault), the session falls back to the numpy reference —
 ``kernels.backend_fallback`` counts it, one
 :class:`~repro.errors.DegradedExecution` warning fires, and
 :attr:`KernelSession.backend_provenance` records the step.
 
 Sessions are thread-safe: the pool is locked, per-call scratch is leased
-per call, and the default output buffer is thread-local.  ``run`` returns
-that thread-local buffer (valid until the same thread's next ``run``);
-pass ``out=`` or copy the result to keep it.
+per call, the compiled loop keeps its accumulators on its own stack, and
+the default output buffer is thread-local.  ``run`` returns that
+thread-local buffer (valid until the same thread's next ``run``); pass
+``out=`` or copy the result to keep it.
 """
 
 from __future__ import annotations
@@ -96,17 +90,17 @@ class KernelSession:
         :class:`~repro.aspt.TiledMatrix` or a
         :class:`~repro.reorder.ExecutionPlan`.
     chunk_k:
-        K-chunk width (default 64) baked into a compiled backend's
-        artifact and its specialization key.  The numpy executor does
-        not read it: it blocks rows, not columns.
+        K-chunk width (default 64), kept for callers that slice operands
+        by it (the serve layer polls deadlines per chunk).  Neither
+        executor reads it.
     pool:
         Workspace pool to lease scratch from; by default the session owns
         a private pool sized to its own working set.
     backend:
-        Kernel backend name (``"numpy"`` or ``"numba"``).  ``None``
-        means "no preference": plan targets use the plan's ``backend``
-        field, everything else the ``numpy`` reference.  Unknown names
-        raise :class:`~repro.errors.ConfigError`; known-but-unavailable
+        Kernel backend name (``"cc"`` or ``"numpy"``).  ``None`` means
+        "no preference": plan targets use the plan's ``backend`` field,
+        everything else the default ``cc``.  Unknown names raise
+        :class:`~repro.errors.ConfigError`; known-but-unavailable
         backends (and compile failures) degrade to numpy with a
         :class:`~repro.errors.DegradedExecution` warning.
 
@@ -151,9 +145,8 @@ class KernelSession:
         attribute is (re)assigned here so a refresh leaves no stale state
         behind.
         """
-        # Row scatter back to original coordinates (plans only): reordered
-        # row r is original row row_order[r].
-        self._row_order = None
+        # Plans write reordered row r to original row row_order[r].
+        row_order = None
         if isinstance(target, CSRMatrix):
             self._kind = "csr"
             csr = target
@@ -165,7 +158,7 @@ class KernelSession:
             # package, so a class check would be a circular import).
             self._kind = "plan"
             csr = target.tiled.original
-            self._row_order = target.row_order
+            row_order = target.row_order
         else:
             raise TypeError(
                 "KernelSession target must be a CSRMatrix, TiledMatrix or "
@@ -174,11 +167,11 @@ class KernelSession:
         self.target = target
         self._n_rows = csr.n_rows
         self._n_cols = csr.n_cols
-        self._state = CsrState(csr)
+        self._state = CsrState(csr, row_order)
         self._init_backend(self._requested_backend)
 
     def _init_backend(self, backend: str | None) -> None:
-        """Resolve the backend and compile the pinned state's SpMM artifact.
+        """Resolve the backend and fetch its compiled SpMM artifact.
 
         The numpy reference compiles nothing: ``_dispatch`` runs
         :meth:`CsrState.multiply` directly.  Unavailable backends degrade
@@ -186,18 +179,24 @@ class KernelSession:
         ``backend.compile`` fault) degrade here to that same uncompiled
         path — a session never fails to construct over its backend.
         """
-        from repro.kernels.backends import get_backend, resolve_backend, specialize
+        from repro.kernels.backends import (
+            DEFAULT_BACKEND,
+            get_backend,
+            resolve_backend,
+            specialize,
+        )
 
         requested = backend
-        if requested is None and self._kind == "plan":
-            requested = getattr(self.target, "backend", None)
+        if requested is None:
+            requested = DEFAULT_BACKEND
+            if self._kind == "plan":
+                requested = getattr(self.target, "backend", DEFAULT_BACKEND)
         backend_obj, provenance = resolve_backend(requested)
         provenance = list(provenance)
         compiled = None
         if backend_obj.name != "numpy":
             try:
-                spec = specialize(self._state, kernel="spmm", chunk_k=self.chunk_k)
-                compiled = backend_obj.artifact(spec)
+                compiled = backend_obj.artifact(specialize(kernel="spmm"))
             except BackendUnavailable as exc:
                 METRICS.counter(
                     "kernels.backend_fallback",
@@ -263,7 +262,7 @@ class KernelSession:
 
         The streaming path: after :func:`repro.streaming.apply_delta`
         produces a patched plan, ``refresh`` re-derives every
-        target-bound attribute (pinned state, row scatter, compiled
+        target-bound attribute (pinned state with its row order, compiled
         artifact — warm compiles hit the process-wide artifact cache)
         while keeping the session identity, its workspace pool and its
         degradation counters.  Accepts the same target types as the
@@ -340,14 +339,11 @@ class KernelSession:
         return out
 
     def _dispatch(self, X: np.ndarray, out: np.ndarray, ws) -> None:
-        """One pass over the pinned state, then the plan's row scatter."""
-        y = out if self._row_order is None else ws.scratch(out.shape)
+        """One pass over the pinned state, rows written to their places."""
         if self._fn is not None:
-            self._fn(self._state, X, y, ws)
+            self._fn(self._state, X, out, ws)
         else:
-            self._state.multiply(X, y, ws, self.chunk_k)
-        if self._row_order is not None:
-            out[self._row_order] = y
+            self._state.multiply(X, out, ws, self.chunk_k)
 
     def run_many(self, Xs) -> list[np.ndarray]:
         """Multiply a batch of operands; results are caller-owned arrays.

@@ -124,10 +124,11 @@ def spmm(
         :class:`~repro.util.workspace.Workspace`; the ``nnz * K``
         products scratch is leased from it instead of allocated.
     backend:
-        Optional compiled-backend name (see
-        :mod:`repro.kernels.backends`).  ``None``/``"numpy"`` run this
-        reference path; other names dispatch to the backend's compiled
-        SpMM, degrading back here when the backend is unavailable.
+        Optional backend name (see :mod:`repro.kernels.backends`).
+        ``None``/``"numpy"`` run this reference path — one-shot ``spmm``
+        stays the independent reference every backend is held to; other
+        names dispatch to the backend's compiled SpMM (bit-equal to this
+        path), degrading back here when the backend is unavailable.
 
     Returns
     -------

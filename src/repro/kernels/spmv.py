@@ -48,16 +48,13 @@ def spmv(
     :class:`~repro.util.workspace.Workspace` instead of allocating it;
     the gather and multiply then run through ``out=`` forms with the same
     operand order, so the result is bitwise identical.  ``backend``
-    optionally dispatches to a compiled backend
-    (:mod:`repro.kernels.backends`), degrading back to this reference
-    path when the backend is unavailable.
+    accepts any registered backend name (:mod:`repro.kernels.backends`)
+    and runs this reference path: only SpMM is compiled.
     """
-    if backend is not None and backend != "numpy":
-        from repro.kernels.backends import resolve_backend
+    if backend is not None:
+        from repro.kernels.backends import get_backend
 
-        resolved, _ = resolve_backend(backend)
-        if resolved.name != "numpy":
-            return resolved.spmv(csr, x, workspace=workspace)
+        get_backend(backend)  # a typo fails loudly; no backend compiles SpMV
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != csr.n_cols:
         raise ValueError(f"x must be 1-D of length {csr.n_cols}, got shape {x.shape}")

@@ -1,32 +1,35 @@
-"""Pinned per-matrix CSR state for the row-major, length-grouped multiply.
+"""Pinned per-matrix CSR state and the numpy reference multiply.
 
-:class:`CsrState` hoists everything about a CSR matrix that the
-steady-state SpMM would otherwise recompute per call.  It is shared by
-:class:`repro.kernels.KernelSession` and by the compiled kernel backends
-(:mod:`repro.kernels.backends`), whose generated kernels take a
-``CsrState`` so one artifact serves both the one-shot and the session
-path.
+:class:`CsrState` checks a CSR matrix once and holds what a steady-state
+SpMM reads: ``int64`` contiguous ``rowptr``/``colidx``, ``float64``
+values and, for a plan, the ``row_order`` that sends each computed row to
+its place in the result.  It is shared by
+:class:`repro.kernels.KernelSession` and the compiled ``cc`` backend
+(:mod:`repro.kernels.backends`), whose C loop reads those arrays by
+pointer: the structure check at pin time (``rowptr`` non-decreasing and
+ending at ``nnz``, every column index in range, ``row_order`` a
+permutation) is what keeps that loop inside its buffers.
 
-At construction the non-empty rows are grouped by length; each group
-keeps its row ids and, in group order, the column indices and values of
-its non-zeros.  The reference algorithm lives in
-:meth:`CsrState.multiply`: walk each group in row blocks sized to a fixed
-byte budget (:data:`_BLOCK_BYTES`, so a block stays resident in a per-core
-L2), and per block
+:meth:`CsrState.multiply` is the numpy executor, the reference the
+compiled loop replaces and what every backend degrades to.  On first use
+it groups the non-empty rows by length; each group keeps its output row
+ids and, in group order, the column indices and values of its non-zeros.
+It walks each group in row blocks sized to a fixed byte budget
+(:data:`_BLOCK_BYTES`, so a block stays resident in a per-core L2), and
+per block
 
-* gather the block's operand rows from the row-major ``X`` (each
+* gathers the block's operand rows from the row-major ``X`` (each
   non-zero reads one contiguous row — no transposed copy of ``X``);
-* scale them by the values;
-* reduce the ``(rows, L, K)`` block over ``L`` with whole-slab adds;
-* scatter the block's result rows into ``out``.
+* scales them by the values;
+* reduces the ``(rows, L, K)`` block over ``L`` with whole-slab adds;
+* scatters the block's result rows into ``out``.
 
-The result is **bitwise identical** to :func:`repro.kernels.spmm`: the
-products are the same float64 multiplies (float32 operands are gathered
-as float32 and widened exactly by the multiply, as ``spmm`` does), and
-the slab adds follow ``np.add.reduceat``'s own summation order, which is
-*not* left to right.  For a segment ``p0 ... p(L-1)`` reduceat computes
-``p0 + pairwise(p1 ... p(L-1))``, where ``pairwise`` is numpy's
-``pairwise_sum``:
+Both executors are **bitwise identical** to :func:`repro.kernels.spmm`:
+the products are the same float64 multiplies (float32 operands widen
+exactly, as in ``spmm``), and the adds follow ``np.add.reduceat``'s own
+summation order, which is *not* left to right.  For a segment
+``p0 ... p(L-1)`` reduceat computes ``p0 + pairwise(p1 ... p(L-1))``,
+where ``pairwise`` is numpy's ``pairwise_sum``:
 
 * below 8 terms it adds sequentially;
 * from 8 to 128 terms it keeps eight interleaved accumulators, combines
@@ -37,10 +40,9 @@ the slab adds follow ``np.add.reduceat``'s own summation order, which is
 
 So ``[1.0, 1e-16, 1e-16]`` reduces to ``1.0000000000000002`` where a left
 to right sum gives ``1.0``.  :func:`_pairwise_slabs` replays that order
-on whole ``(rows, K)`` slabs; ``tests/unit/test_session.py`` holds it to
-``spmm`` by bit pattern across every branch.  The compiled ``numba``
-backend adds left to right instead and is held to 1 ULP by the
-cross-backend differential tests.
+on whole ``(rows, K)`` slabs and the C loop on K-wide accumulators;
+``tests/unit/test_session.py`` holds both to ``spmm`` by bit pattern
+across every branch.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.sparse.csr import CSRMatrix
+from repro.util.validation import check_permutation
 from repro.util.workspace import Workspace
 
 __all__ = ["DEFAULT_CHUNK_K", "CsrState"]
 
-#: Default K-chunk width: the ``numba`` backend's specialization key and
-#: the serve layer's chunk width.  The numpy executor does not read it.
+#: Default K-chunk width: the serve layer's deadline-poll grain.  Neither
+#: executor reads it.
 DEFAULT_CHUNK_K = 64
 
 #: Float64 product bytes per row block: small enough that the gathered
@@ -97,34 +100,80 @@ def _pairwise_slabs(Q: np.ndarray) -> np.ndarray:
 
 
 class CsrState:
-    """Pinned per-matrix state for the row-major, length-grouped multiply."""
+    """Pinned, checked CSR arrays plus the numpy executor's length groups.
 
-    __slots__ = ("csr", "colidx", "values", "empty", "any_empty", "groups")
+    Parameters
+    ----------
+    csr:
+        The matrix.  Its structure is checked here
+        (:class:`~repro.errors.FormatError` on a decreasing ``rowptr`` or
+        an out-of-range column index), because the compiled loop trusts
+        it.
+    row_order:
+        Optional permutation of ``range(csr.n_rows)``: row ``r`` of the
+        product is written to ``out[row_order[r]]`` (a plan's rows go back
+        to original coordinates).  ``None`` writes row ``r`` to
+        ``out[r]``.
+    """
 
-    def __init__(self, csr: CSRMatrix) -> None:
+    __slots__ = ("csr", "rowptr", "colidx", "values", "row_order", "_grouping")
+
+    def __init__(self, csr: CSRMatrix, row_order=None) -> None:
+        rowptr = np.ascontiguousarray(csr.rowptr, dtype=np.int64)
+        colidx = np.ascontiguousarray(csr.colidx, dtype=np.int64)
+        values = np.ascontiguousarray(csr.values, dtype=np.float64)
+        if rowptr is not csr.rowptr or colidx is not csr.colidx or values is not csr.values:
+            csr = CSRMatrix(csr.shape, rowptr, colidx, values)
+        csr._check_structure()
+        if row_order is not None:
+            row_order = np.ascontiguousarray(
+                check_permutation("row_order", row_order, csr.n_rows), dtype=np.int64
+            )
         self.csr = csr
-        self.colidx = np.ascontiguousarray(csr.colidx)
-        #: 1-D contiguous values (what row-wise compiled kernels index).
-        self.values = np.ascontiguousarray(csr.values)
-        lengths = csr.row_lengths()
-        self.empty = lengths == 0
-        self.any_empty = bool(self.empty.any())
-        # Non-empty rows sorted by length (stable: ascending ids within a
-        # length), then their non-zeros gathered into that order at once.
+        self.rowptr = rowptr
+        self.colidx = colidx
+        self.values = values
+        self.row_order = row_order
+        # (groups, empty output rows), built by the first numpy multiply:
+        # the compiled loop never reads it.  One attribute, so a racing
+        # first use publishes both halves at once.
+        self._grouping = None
+
+    @property
+    def groups(self) -> tuple:
+        """``(L, rows, colidx, values)`` per non-empty row length ``L``.
+
+        ``rows`` are the group's output row ids (through ``row_order``);
+        ``colidx`` and ``values`` (an ``(n, 1)`` column) are its
+        non-zeros in group order.  Built on first use.
+        """
+        return self._grouped()[0]
+
+    def _grouped(self) -> tuple:
+        grouping = self._grouping
+        if grouping is None:
+            grouping = self._grouping = self._group_rows()
+        return grouping
+
+    def _group_rows(self) -> tuple:
+        lengths = np.diff(self.rowptr)
+        # Rows sorted by length (stable: ascending ids within a length),
+        # then the non-empty rows' non-zeros gathered into that order.
         order = np.argsort(lengths, kind="stable")
-        order = order[lengths[order] > 0]
+        n_empty = int(np.searchsorted(lengths[order], 0, side="right"))
+        empty, order = order[:n_empty], order[n_empty:]
         grouped_lengths = lengths[order]
         offsets = np.zeros(order.size + 1, dtype=np.int64)
         np.cumsum(grouped_lengths, out=offsets[1:])
-        shift = np.repeat(csr.rowptr[:-1][order] - offsets[:-1], grouped_lengths)
+        shift = np.repeat(self.rowptr[:-1][order] - offsets[:-1], grouped_lengths)
         positions = np.arange(offsets[-1], dtype=np.int64) + shift
         colidx = self.colidx[positions]
         values = self.values[positions][:, None]
+        if self.row_order is not None:
+            order = self.row_order[order]
+            empty = self.row_order[empty]
         firsts = np.flatnonzero(np.diff(grouped_lengths, prepend=0)).tolist()
-        #: ``(L, rows, colidx, values)`` per row length ``L``: the group's
-        #: row ids, and its non-zeros' column indices and values (an
-        #: ``(n, 1)`` column) in group order.
-        self.groups = tuple(
+        groups = tuple(
             (
                 int(grouped_lengths[a]),
                 order[a:b],
@@ -133,10 +182,12 @@ class CsrState:
             )
             for a, b in zip(firsts, firsts[1:] + [order.size])
         )
+        return groups, empty
 
     def multiply(self, X: np.ndarray, out: np.ndarray, ws: Workspace, chunk_k: int) -> None:
-        """``out = csr @ X``, bitwise identical to :func:`repro.kernels.spmm`.
+        """Fully overwrite ``out`` with ``csr @ X``, bit-equal to :func:`repro.kernels.spmm`.
 
+        With a ``row_order``, row ``r`` lands in ``out[row_order[r]]``.
         ``chunk_k`` is accepted for the compiled-kernel calling convention
         and not read: the numpy executor blocks rows, not columns.
         """
@@ -147,23 +198,21 @@ class CsrState:
         if self.csr.nnz == 0 or K == 0:
             out[:] = 0.0
             return
+        groups, empty = self._grouped()
         row_bytes = 8 * K  # one float64 product row
-        steps = [max(1, _BLOCK_BYTES // (L * row_bytes)) for L, *_ in self.groups]
-        cap = max(
-            min(step, rows.size) * L
-            for step, (L, rows, _, _) in zip(steps, self.groups)
-        )
+        steps = [max(1, _BLOCK_BYTES // (L * row_bytes)) for L, *_ in groups]
+        cap = max(min(step, rows.size) * L for step, (L, rows, _, _) in zip(steps, groups))
         # One lease per call, sliced per block: a block leased per
         # iteration would stay held until the lease ends.
         products = ws.scratch((cap, K))
         gathered = products if X.dtype == np.float64 else ws.scratch((cap, K), dtype=X.dtype)
-        for step, (L, rows, colidx, values) in zip(steps, self.groups):
+        for step, (L, rows, colidx, values) in zip(steps, groups):
             for r0 in range(0, rows.size, step):
                 r1 = min(r0 + step, rows.size)
                 lo, hi = r0 * L, r1 * L
                 g = gathered[: hi - lo]
-                # CSR column indices are in range; the default "raise"
-                # mode would stage out= through a temporary copy.
+                # Column indices were range-checked at pin time; the
+                # default "raise" mode would stage out= through a copy.
                 np.take(X, colidx[lo:hi], axis=0, out=g, mode="clip")
                 p = products[: hi - lo]
                 # Float32 operands widen exactly inside the multiply.
@@ -172,5 +221,5 @@ class CsrState:
                 if L > 1:
                     np.add(block[:, 0], _pairwise_slabs(block[:, 1:]), out=block[:, 0])
                 out[rows[r0:r1]] = block[:, 0]
-        if self.any_empty:
-            out[self.empty] = 0.0
+        if empty.size:
+            out[empty] = 0.0

@@ -48,8 +48,8 @@ class PlanDecisions:
     artifact the plan was built against without re-deriving the spec.
     They are *advisory*: :meth:`materialise` re-resolves the config's
     backend in the **current** environment, so an entry cached on a
-    machine with numba never pins a numba requirement onto a machine
-    without it (nor the reverse).
+    machine with a C compiler never pins a compiler requirement onto a
+    machine without one (nor the reverse).
     """
 
     row_order: np.ndarray

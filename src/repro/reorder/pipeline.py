@@ -35,7 +35,7 @@ from repro.kernels.aspt_sddmm import sddmm_tiled
 from repro.kernels.aspt_spmm import spmm_tiled
 from repro.kernels.spmm import spmm
 from repro.kernels.sddmm import sddmm
-from repro.kernels.state import CsrState
+from repro.kernels.backends import DEFAULT_BACKEND
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
 from repro.reorder.heuristics import should_reorder_round1, should_reorder_round2
@@ -81,12 +81,13 @@ class ReorderConfig:
     measure: str = "jaccard"  #: candidate-scoring measure (extension; paper uses Jaccard)
     force_round1: bool | None = None  #: override the §4 gate (None = use gate)
     force_round2: bool | None = None
-    #: Kernel backend the plan's multiplies should run through (see
-    #: :mod:`repro.kernels.backends`).  Must be a *registered* name
-    #: ("numpy", "numba"); availability is checked at plan build, where
-    #: an unavailable backend degrades to numpy with provenance rather
-    #: than failing.  Part of the plan cache key.
-    backend: str = "numpy"
+    #: Kernel backend the plan's sessions run through (see
+    #: :mod:`repro.kernels.backends`).  Must be a *registered* name: the
+    #: default "cc" (the compiled loop, bit-equal to the reference) or
+    #: "numpy".  Availability is checked at plan build, where an
+    #: unavailable backend degrades to numpy with provenance rather than
+    #: failing.  Part of the plan cache key.
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self):
         check_positive("siglen", self.siglen)
@@ -207,17 +208,16 @@ class ExecutionPlan:
         the ``numpy`` reference.
     backend_provenance:
         Degradation history for the backend choice, e.g.
-        ``("backend:numba->numpy: numba is not importable (...)",)``.
+        ``("backend:cc->numpy: C compiler 'cc' not found (set CC)",)``.
         Kept separate from :attr:`provenance` on purpose: a missing
-        optional JIT must not mark the *plan* degraded (degraded plans
-        are never cached, and the reordering decisions are unaffected).
+        compiler must not mark the *plan* degraded (degraded plans are
+        never cached, and the reordering decisions are unaffected).
     artifact:
         Compiled-artifact descriptor — flat ``"key=value"`` strings from
         :meth:`repro.kernels.backends.CompiledKernel.descriptor`,
         including the specialization fingerprint that keys the
         process-global artifact cache.  It names the artifact a default
-        :meth:`session` compiles for the one state it pins (over
-        ``tiled.original``).  Stored in the plan store next to the
+        :meth:`session` runs.  Stored in the plan store next to the
         decisions so warm sessions know the artifact without re-deriving
         it.  Empty when the backend resolved to ``numpy`` without
         compiling.
@@ -451,9 +451,10 @@ def attach_backend(plan: ExecutionPlan, config: ReorderConfig) -> ExecutionPlan:
 
     Runs at the end of every plan build *and* on every cache
     materialisation, so the choice always reflects the current
-    environment — a plan cached on a machine with numba does not pin a
-    numba requirement onto a machine without it, and vice versa.  Two
-    degradation layers:
+    environment — a plan cached on a machine with a C compiler does not
+    pin a compiler requirement onto a machine without one, and vice
+    versa.  The artifact is the one every matrix shares, so after the
+    first build this is a cache lookup.  Two degradation layers:
 
     * *unavailable* backends degrade inside
       :func:`repro.kernels.backends.resolve_backend` (counter, warning,
@@ -463,7 +464,7 @@ def attach_backend(plan: ExecutionPlan, config: ReorderConfig) -> ExecutionPlan:
 
     Either way the result lands in :attr:`ExecutionPlan.backend` /
     ``backend_provenance`` — never in the ladder :attr:`~ExecutionPlan.provenance`,
-    so a missing optional JIT does not mark the plan degraded (degraded
+    so a missing compiler does not mark the plan degraded (degraded
     plans are never cached).
     """
     from repro.kernels.backends import resolve_backend, specialize
@@ -473,9 +474,7 @@ def attach_backend(plan: ExecutionPlan, config: ReorderConfig) -> ExecutionPlan:
     artifact: tuple = ()
     if backend.name != "numpy":
         try:
-            # The one state a default plan session pins and compiles.
-            spec = specialize(CsrState(plan.tiled.original), kernel="spmm")
-            compiled = backend.artifact(spec)
+            compiled = backend.artifact(specialize(kernel="spmm"))
         except BackendUnavailable as exc:
             METRICS.counter(
                 "kernels.backend_fallback",

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.kernels.backends import DEFAULT_BACKEND
 
 __all__ = ["ServeConfig"]
 
@@ -87,7 +88,7 @@ class ServeConfig:
     latency_window: int = 64
     breaker_threshold: int = 3
     breaker_reset_s: float = 30.0
-    backend: str = "numpy"
+    backend: str = DEFAULT_BACKEND
     panel_height: int = 32
     chunk_k: int = 64
     plan_cache_dir: str | None = None

@@ -7,7 +7,8 @@ record the event, the degradation lands in ``backend_provenance`` (never
 in the plan's resilience provenance), and results stay correct.  A
 resumable sweep configured with a compiled backend completes with zero
 crashes at any injection rate.  The numpy reference compiles nothing, so
-every scenario runs the test-local ``compiled_backend`` (``conftest.py``).
+every scenario runs the ``cc`` backend through the ``compiled_backend``
+fixture (``conftest.py``).
 """
 
 import warnings
@@ -71,7 +72,7 @@ class TestCompileFaultDegradation:
 
     def test_warm_artifacts_bypass_faults(self, compiled_backend):
         backend = get_backend(compiled_backend)
-        spec = SpecializationSpec(kernel="spmm", chunk_k=89, k_hint=777)
+        spec = SpecializationSpec(kernel="spmm", dtype="float64")
         cold = backend.artifact(spec)  # fills the process-global cache
         with FaultInjector(rate=1.0, seed=3, sites=["backend.compile"]) as inj:
             warm = backend.artifact(spec)

@@ -3,7 +3,9 @@
 Contract (ISSUE satellite): when the pool cannot serve a lease — a real
 ``max_lease_bytes`` cap hit mid-multiply or an injected fault — the
 session completes through direct allocation and the result is
-**bitwise-identical** to the pooled path.
+**bitwise-identical** to the pooled path.  The lease-path tests pin the
+numpy executor, whose block buffers are leased on every call; the
+default ``cc`` loop leases scratch only to widen a float32 operand.
 """
 
 import warnings
@@ -36,7 +38,9 @@ class TestLeaseCapFallback:
         # Large enough for small leases, too small for the executor's
         # block buffer — the cap fires inside the multiply, not at lease
         # time.
-        session = KernelSession(matrix, pool=WorkspacePool(max_lease_bytes=1024))
+        session = KernelSession(
+            matrix, pool=WorkspacePool(max_lease_bytes=1024), backend="numpy"
+        )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = session.run(X)
@@ -57,11 +61,25 @@ class TestLeaseCapFallback:
     def test_plan_session_fallback_matches_plan_spmm(self, matrix, X):
         plan = build_plan(matrix, ReorderConfig(siglen=32, panel_height=8))
         reference = plan.spmm(X)
-        session = KernelSession(plan, pool=WorkspacePool(max_lease_bytes=2048))
+        session = KernelSession(
+            plan, pool=WorkspacePool(max_lease_bytes=2048), backend="numpy"
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecution)
             got = session.run(X)
         np.testing.assert_array_equal(got, reference)
+        assert session.fallbacks == 1
+
+    def test_cc_widening_lease_cap_falls_back(self, matrix, X, compiled_backend):
+        # The cc loop's one lease is the float64 copy of a float32 operand.
+        plan = build_plan(matrix, ReorderConfig(siglen=32, panel_height=8))
+        X32 = X.astype(np.float32)
+        session = KernelSession(plan, pool=WorkspacePool(max_lease_bytes=1024))
+        assert session.backend == compiled_backend
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedExecution)
+            got = session.run(X32)
+        np.testing.assert_array_equal(got, spmm(matrix, X32))
         assert session.fallbacks == 1
 
     def test_tiled_session_fallback_matches_reference(self, matrix, X):
@@ -92,7 +110,7 @@ class TestInjectedExhaustion:
 
     def test_injected_take_fault_falls_back(self, matrix, X, chaos_seed):
         reference = spmm(matrix, X)
-        session = KernelSession(matrix)
+        session = KernelSession(matrix, backend="numpy")
         with FaultInjector(
             rate=1.0, seed=chaos_seed, sites=["workspace.take"], max_faults=1
         ):

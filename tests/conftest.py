@@ -100,19 +100,27 @@ def assert_plans_identical(patched, fresh):
     np.testing.assert_array_equal(patched.remainder.values, fresh.remainder.values)
 
 
-# --- Compiled kernel backends ------------------------------------------------
+# --- Kernel backends ---------------------------------------------------------
 #
 # The cross-backend differential matrix and the parametrized oracle tests
-# run every registered backend.  Backends that are not importable in this
-# environment (numba is an optional dependency, never required) skip with
-# the import error as the reason instead of silently shrinking coverage.
+# run every registered backend.  A backend that is unavailable here (``cc``
+# without a C compiler) skips with its reason instead of silently
+# shrinking coverage.
 
-from repro.kernels.backends import (  # noqa: E402
-    CompiledKernel,
-    KernelBackend,
-    backend_names,
-    get_backend,
-)
+from repro.kernels.backends import backend_names, get_backend  # noqa: E402
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _cc_cache_home(tmp_path_factory):
+    """Build the ``cc`` library into a per-run directory, never the user's cache.
+
+    The library is built once per run; subprocesses the tests start
+    inherit the directory.
+    """
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache-home")))
+    yield
+    patch.undo()
 
 
 def _backend_params():
@@ -142,43 +150,24 @@ def backend(backend_name):
     return get_backend(backend_name)
 
 
-# Plan-build compile, the plan-store round trip, the artifact cache and the
-# serve compile breaker run only for a backend that compiles, and numpy
-# compiles nothing.  numba is optional, so the tests of those paths
-# register a test-local backend whose "compiled" SpMM is the reference
-# CsrState.multiply: available everywhere and bitwise equal to numpy.
-
-
-class _CompiledReference(KernelBackend):
-    """Test-local compiled backend wrapping :meth:`CsrState.multiply`."""
-
-    name = "compiled-ref"
-
-    def compile(self, spec):
-        if spec.kernel != "spmm":
-            raise ValueError(f"{self.name} compiles only spmm, not {spec.kernel!r}")
-        chunk_k = spec.chunk_k
-
-        def spmm_kernel(state, X, out, ws):
-            state.multiply(X, out, ws, chunk_k)
-
-        return CompiledKernel(backend=self.name, spec=spec, fn=spmm_kernel)
-
-
 @pytest.fixture
 def compiled_backend(monkeypatch) -> str:
-    """Register the test-local compiled backend; returns its name.
+    """The ``cc`` backend's name, with an empty in-process artifact cache.
 
-    The process-global artifact cache is swapped for an empty one, so
-    each test's first compile of a spec is a cold compile (and reaches
-    the ``backend.compile`` fault site) whatever ran before it.
+    Plan-build compile, the plan-store round trip, the artifact cache and
+    the serve compile breaker run only for a backend that compiles, and
+    numpy compiles nothing.  Each test's first compile is a cold one that
+    reaches the ``backend.compile`` fault site; it loads the library the
+    run's cache directory (``_cc_cache_home``) already holds.  Skips where
+    no C compiler is found.
     """
     from repro.kernels.backends import registry
 
-    backend = _CompiledReference()
-    monkeypatch.setitem(registry._REGISTRY, backend.name, backend)
+    cc = get_backend("cc")
+    if not cc.available():
+        pytest.skip(f"backend 'cc': {cc.unavailable_reason()}")
     monkeypatch.setattr(registry, "_ARTIFACTS", {})
-    return backend.name
+    return cc.name
 
 
 # --- Streaming construction fixture ------------------------------------------

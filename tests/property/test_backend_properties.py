@@ -2,10 +2,9 @@
 
 The differential matrix (tests/unit/test_backend_differential.py) pins
 hand-picked corners; these properties sweep random CSR structures and
-operand dtypes and assert the same tolerance contract: bitwise for the
-``numpy`` reference, within 1 ULP for ``numba`` (when importable), and
-within each backend the workspace-pooled session is bitwise-identical to
-the direct one.
+operand dtypes and assert the same contract: every available backend is
+bitwise equal to the one-shot numpy reference, and within each backend
+the workspace-pooled session is bitwise-identical to the direct one.
 """
 
 import numpy as np
@@ -19,16 +18,8 @@ from repro.util.workspace import WorkspacePool
 
 from test_sparse_properties import csr_matrices
 
-#: Backends that are importable here; the full set runs in the CI
-#: ``backends`` lane where numba is installed.
+#: Backends usable here (``cc`` needs a C compiler).
 AVAILABLE = tuple(available_backends())
-
-
-def _assert_matches(backend_name, got, reference):
-    if backend_name == "numba":
-        np.testing.assert_array_max_ulp(got, reference, maxulp=1)
-    else:
-        np.testing.assert_array_equal(got, reference)
 
 
 class TestBackendSpmmProperties:
@@ -42,7 +33,7 @@ class TestBackendSpmmProperties:
             size=(csr.n_cols, k)
         ).astype(dtype)
         reference = spmm(csr, X)
-        _assert_matches(backend_name, spmm(csr, X, backend=backend_name), reference)
+        np.testing.assert_array_equal(spmm(csr, X, backend=backend_name), reference)
 
     @pytest.mark.parametrize("backend_name", AVAILABLE)
     @given(csr=csr_matrices(), seed=st.integers(0, 2**31))
@@ -50,7 +41,7 @@ class TestBackendSpmmProperties:
     def test_spmv_matches_numpy_reference(self, backend_name, csr, seed):
         x = np.random.default_rng(seed).normal(size=csr.n_cols)
         reference = spmv(csr, x)
-        _assert_matches(backend_name, spmv(csr, x, backend=backend_name), reference)
+        np.testing.assert_array_equal(spmv(csr, x, backend=backend_name), reference)
 
 
 class TestPooledVsDirectProperties:

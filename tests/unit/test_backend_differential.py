@@ -1,13 +1,11 @@
 """Cross-backend differential test matrix.
 
-Every (kernel x backend x dtype x degenerate shape) cell is held to the
-numpy reference: bitwise equal for the ``numpy`` backend itself (whose
-sessions run ``CsrState.multiply`` against the one-shot kernels), and
-within 1 ULP for ``numba`` (whose only licensed deviation from the
-reference accumulation is FMA contraction — ``fastmath`` is off, so no
-reassociation).  The matrix is the lockdown for the backend subsystem:
-any backend that cannot hold its tolerance on any cell fails here, not
-in a downstream experiment.
+Every (kernel x backend x dtype x degenerate shape) cell is held bitwise
+equal to the one-shot numpy reference: the ``numpy`` backend's sessions
+run ``CsrState.multiply``, the ``cc`` backend's its compiled loop, and
+both sum in ``np.add.reduceat``'s order.  The matrix is the lockdown for
+the backend subsystem: any backend that changes a bit on any cell fails
+here, not in a downstream experiment.
 """
 
 import numpy as np
@@ -42,14 +40,6 @@ def _shaped_csr(rng, m, n, density=0.5):
     return COOMatrix.from_arrays((m, n), rows, cols, vals).to_csr()
 
 
-def _assert_matches(backend_name, got, reference):
-    """The per-backend tolerance contract (see module docstring)."""
-    if backend_name == "numba":
-        np.testing.assert_array_max_ulp(got, reference, maxulp=1)
-    else:
-        np.testing.assert_array_equal(got, reference)
-
-
 class TestSpmmMatrix:
     @pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
@@ -58,22 +48,22 @@ class TestSpmmMatrix:
         csr = _shaped_csr(rng, m, n)
         X = rng.normal(size=(n, 4)).astype(dtype)
         reference = spmm(csr, X)
-        _assert_matches(backend_name, spmm(csr, X, backend=backend_name), reference)
+        np.testing.assert_array_equal(spmm(csr, X, backend=backend_name), reference)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_degenerate_operand_widths(self, rng, backend_name, k):
         csr = random_csr(rng, 12, 10, density=0.3)
         X = rng.normal(size=(10, k))
         reference = spmm(csr, X)
-        _assert_matches(backend_name, spmm(csr, X, backend=backend_name), reference)
+        np.testing.assert_array_equal(spmm(csr, X, backend=backend_name), reference)
 
     def test_all_dense_panel(self, rng, backend_name):
-        # Every row full: the nonempty_rows fast path (epilogue elided).
+        # Every row full: no empty row to zero.
         dense = rng.normal(size=(8, 6))
         csr = CSRMatrix.from_dense(dense)
         X = rng.normal(size=(6, 5))
         reference = spmm(csr, X)
-        _assert_matches(backend_name, spmm(csr, X, backend=backend_name), reference)
+        np.testing.assert_array_equal(spmm(csr, X, backend=backend_name), reference)
 
     def test_empty_rows_are_zeroed(self, rng, backend_name):
         # Rows with no non-zeros must come back exactly 0.0, even when
@@ -85,7 +75,7 @@ class TestSpmmMatrix:
         X = rng.normal(size=(5, 3))
         out = np.full((6, 3), np.nan, dtype=np.float64)
         got = spmm(csr, X, out=out, backend=backend_name)
-        _assert_matches(backend_name, got, spmm(csr, X))
+        np.testing.assert_array_equal(got, spmm(csr, X))
         assert np.all(got[[0, 2, 3, 5]] == 0.0)
 
 
@@ -96,14 +86,14 @@ class TestSpmvMatrix:
         csr = _shaped_csr(rng, m, n)
         x = rng.normal(size=n)
         reference = spmv(csr, x)
-        _assert_matches(backend_name, spmv(csr, x, backend=backend_name), reference)
+        np.testing.assert_array_equal(spmv(csr, x, backend=backend_name), reference)
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
     def test_dtypes(self, rng, backend_name, dtype):
         csr = random_csr(rng, 15, 12, density=0.25)
         x = rng.normal(size=12).astype(dtype)
         reference = spmv(csr, x)
-        _assert_matches(backend_name, spmv(csr, x, backend=backend_name), reference)
+        np.testing.assert_array_equal(spmv(csr, x, backend=backend_name), reference)
 
 
 class TestSddmmMatrix:
@@ -117,7 +107,7 @@ class TestSddmmMatrix:
         reference = sddmm(csr, X, Y)
         got = sddmm(csr, X, Y, backend=backend_name)
         assert got.values.dtype == reference.values.dtype
-        _assert_matches(backend_name, got.values, reference.values)
+        np.testing.assert_array_equal(got.values, reference.values)
 
 
 class TestSessionMatrix:
@@ -128,7 +118,7 @@ class TestSessionMatrix:
         X = rng.normal(size=(n, 4))
         reference = spmm(csr, X)
         session = KernelSession(csr, backend=backend_name)
-        _assert_matches(backend_name, session.run(X), reference)
+        np.testing.assert_array_equal(session.run(X), reference)
 
     def test_pooled_session_is_bitwise_stable_per_backend(
         self, rng, backend_name

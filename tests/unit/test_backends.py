@@ -1,21 +1,28 @@
-"""Unit tests for the pluggable compiled kernel backends.
+"""Unit tests for the kernel backends.
 
 Covers the registry (registration, resolution, graceful degradation),
 the specialization spec (fingerprint stability, descriptor round trip),
-per-spec code generation, the process-global artifact cache, session
-integration, and the plan pipeline/persistence integration
-(``attach_backend``, npz save/load, plan-store round trip).  The paths
-that run only for a compiling backend use the test-local
-``compiled_backend`` fixture (``conftest.py``), so they run in lanes
-without numba too.
+the process-global artifact cache, session integration, the plan
+pipeline/persistence integration (``attach_backend``, npz save/load,
+plan-store round trip), and the ``cc`` backend's build: its on-disk
+cache, its failure modes and its GIL-free loop under threads.  The
+paths that run only for a compiling backend use the ``compiled_backend``
+fixture (``conftest.py``), which skips where no C compiler is found; the
+degradation tests point ``CC`` at a missing compiler themselves, so they
+run everywhere.
 """
 
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_csr
+import repro
 from repro.errors import BackendUnavailable, ConfigError, DegradedExecution
 from repro.kernels import KernelSession, spmm
 from repro.kernels.backends import (
@@ -29,7 +36,7 @@ from repro.kernels.backends import (
     resolve_backend,
     specialize,
 )
-from repro.kernels.backends.numba_backend import render_source as numba_source
+from repro.kernels.backends.cc_backend import cache_dir
 from repro.kernels.state import CsrState
 from repro.observability.metrics import METRICS
 from repro.resilience import FaultInjector
@@ -42,10 +49,19 @@ def matrix(rng):
     return random_csr(rng, 40, 32, density=0.1)
 
 
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """``CC`` names a missing compiler; the in-process artifact cache is empty."""
+    from repro.kernels.backends import registry
+
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    monkeypatch.setattr(registry, "_ARTIFACTS", {})
+
+
 class TestRegistry:
     def test_numpy_is_first_and_always_available(self):
         names = backend_names()
-        assert names == ("numpy", "numba")
+        assert names == ("numpy", "cc")
         assert "numpy" in available_backends()
 
     def test_numpy_session_compiles_nothing(self, matrix, rng):
@@ -108,73 +124,65 @@ class TestRegistry:
 
 class TestSpecializationSpec:
     def test_fingerprint_is_stable_and_field_sensitive(self):
-        a = SpecializationSpec(kernel="spmm", chunk_k=64)
-        b = SpecializationSpec(kernel="spmm", chunk_k=64)
-        c = SpecializationSpec(kernel="spmm", chunk_k=32)
+        a = SpecializationSpec(kernel="spmm", dtype="float64")
+        b = SpecializationSpec(kernel="spmm", dtype="float64")
+        c = SpecializationSpec(kernel="spmm", dtype="float32")
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
     def test_descriptor_round_trip(self):
-        spec = SpecializationSpec(
-            kernel="sddmm",
-            dtype="float32",
-            chunk_k=48,
-            nonempty_rows=True,
-            k_hint=512,
-        )
+        spec = SpecializationSpec(kernel="spmm", dtype="float32")
         assert SpecializationSpec.from_descriptor(spec.to_descriptor()) == spec
 
     def test_from_descriptor_ignores_unknown_keys(self):
-        spec = SpecializationSpec(chunk_k=24)
-        # Descriptors written before the tiled spec fields were dropped
-        # still carry them.
+        spec = SpecializationSpec(dtype="float64")
+        # Descriptors written before the matrix-derived spec fields were
+        # dropped still carry them.
         parts = spec.to_descriptor() + (
             "future_field=1",
             "panel_height=16",
             "dense_bucket=7",
+            "chunk_k=64",
+            "nonempty_rows=True",
+            "k_hint=512",
         )
         assert SpecializationSpec.from_descriptor(parts) == spec
 
-    def test_specialize_reads_matrix_structure(self, matrix):
-        spec = specialize(matrix, kernel="spmm", dtype="float64", k_hint=64)
-        dense_rows = np.all(matrix.row_lengths() > 0)
-        assert spec.nonempty_rows == bool(dense_rows and matrix.nnz > 0)
-        assert spec.k_hint == 64
+    def test_specialize_needs_no_matrix(self):
+        spec = specialize(kernel="spmm", dtype="float64")
+        assert spec == SpecializationSpec(kernel="spmm", dtype="float64")
+        # One artifact for every matrix: the default spec is dtype-generic.
+        assert specialize() == SpecializationSpec(kernel="spmm", dtype="any")
 
     def test_specialize_rejects_unknown_target(self, matrix):
+        # specialize() takes no target at all: passing a matrix or a plan
+        # is a mistake, not a hint.
         with pytest.raises(TypeError):
             specialize(object())
-        # A plan is specialized through the CsrState its session pins.
         plan = build_plan(matrix, ReorderConfig(siglen=16, panel_height=8))
         with pytest.raises(TypeError):
             specialize(plan)
 
 
 class TestSpecializedKernels:
-    def test_numba_chunk_width_is_baked_into_source(self):
-        source = numba_source(SpecializationSpec(kernel="spmm", chunk_k=37))
-        assert "37" in source
-
-    def test_numba_sddmm_accumulator_follows_dtype(self):
-        f32 = numba_source(SpecializationSpec(kernel="sddmm", dtype="float32"))
-        f64 = numba_source(SpecializationSpec(kernel="sddmm", dtype="float64"))
-        assert "np.float32(0.0)" in f32
-        assert "np.float32(0.0)" not in f64
-
     def test_compiled_kernel_descriptor_names_backend_and_fingerprint(
         self, compiled_backend
     ):
-        spec = SpecializationSpec(kernel="spmm", chunk_k=16)
+        spec = SpecializationSpec(kernel="spmm")
         kernel = get_backend(compiled_backend).compile(spec)
         descriptor = kernel.descriptor()
         assert f"backend={compiled_backend}" in descriptor
         assert f"fingerprint={spec.fingerprint()}" in descriptor
         assert isinstance(kernel, CompiledKernel)
 
+    def test_cc_compiles_only_spmm(self, compiled_backend):
+        with pytest.raises(BackendUnavailable, match="only spmm"):
+            get_backend(compiled_backend).compile(SpecializationSpec(kernel="sddmm"))
+
 
 class TestArtifactCache:
     def test_warm_artifact_skips_recompilation(self, compiled_backend):
-        spec = SpecializationSpec(kernel="spmm", chunk_k=53, k_hint=1234)
+        spec = SpecializationSpec(kernel="spmm", dtype="float64")
         compile_counter = METRICS.counter("kernels.backend_compile")
         backend = get_backend(compiled_backend)
         cold = compiled_artifact(backend, spec)
@@ -184,14 +192,12 @@ class TestArtifactCache:
         assert compile_counter.value == after_cold  # no second compile
         assert cold.compile_seconds >= 0.0
 
-    def test_unavailable_backend_compile_raises(self):
-        numba = get_backend("numba")
-        if numba.available():  # pragma: no cover - CI backends lane
-            pytest.skip("numba importable here; unavailability not testable")
+    def test_unavailable_backend_compile_raises(self, no_compiler):
+        cc = get_backend("cc")
+        assert not cc.available()
+        assert "/nonexistent/cc" in cc.unavailable_reason()
         with pytest.raises(BackendUnavailable):
-            compiled_artifact(
-                numba, SpecializationSpec(kernel="spmm", chunk_k=51)
-            )
+            compiled_artifact(cc, SpecializationSpec(kernel="spmm"))
 
 
 class TestSessionIntegration:
@@ -203,25 +209,36 @@ class TestSessionIntegration:
         session = KernelSession(matrix, backend=backend_name)
         assert session.backend == backend_name
         assert session.backend_provenance == ()
-        got = session.run(X)
-        if backend_name == "numba":
-            np.testing.assert_array_max_ulp(got, reference, maxulp=1)
-        else:
-            np.testing.assert_array_equal(got, reference)
+        np.testing.assert_array_equal(session.run(X), reference)
 
-    def test_unavailable_backend_session_degrades_to_numpy(self, matrix, rng):
-        numba = get_backend("numba")
-        if numba.available():  # pragma: no cover - CI backends lane
-            pytest.skip("numba importable here; degradation not testable")
+    def test_unavailable_backend_session_degrades_to_numpy(
+        self, matrix, rng, no_compiler
+    ):
         X = rng.normal(size=(matrix.n_cols, 8))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            session = KernelSession(matrix, backend="numba")
+            session = KernelSession(matrix, backend="cc")
         assert session.backend == "numpy"
         assert session.backend_provenance
-        assert session.backend_provenance[0].startswith("backend:numba->numpy")
+        assert session.backend_provenance[0].startswith("backend:cc->numpy")
         assert any(w.category is DegradedExecution for w in caught)
         np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
+
+    def test_default_session_degrades_without_compiler(
+        self, matrix, rng, no_compiler
+    ):
+        X = rng.normal(size=(matrix.n_cols, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedExecution)
+            session = KernelSession(matrix)
+        assert session.backend == "numpy"
+        assert session.backend_provenance[0].startswith("backend:cc->numpy")
+        np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
+
+    def test_session_defaults_to_cc(self, matrix, compiled_backend):
+        session = KernelSession(matrix)
+        assert session.backend == compiled_backend
+        assert session.artifact
 
 
 class TestPlanIntegration:
@@ -252,22 +269,42 @@ class TestPlanIntegration:
 
         assert fingerprint(session.artifact) == fingerprint(plan.artifact)
 
-    def test_backend_degradation_stays_out_of_plan_provenance(self, matrix):
-        numba = get_backend("numba")
-        if numba.available():  # pragma: no cover - CI backends lane
-            pytest.skip("numba importable here; degradation not testable")
-        config = ReorderConfig(siglen=16, panel_height=8, backend="numba")
+    def test_backend_degradation_stays_out_of_plan_provenance(
+        self, matrix, rng, no_compiler
+    ):
+        config = ReorderConfig(siglen=16, panel_height=8)  # the default, cc
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecution)
             plan = build_plan(matrix, config)
         assert plan.backend == "numpy"
         assert plan.backend_degraded
+        assert plan.backend_provenance[0].startswith("backend:cc->numpy: ")
         assert not plan.degraded
         assert plan.provenance == ()
+        X = rng.normal(size=(matrix.n_cols, 8))
+        np.testing.assert_array_equal(plan.session().run(X), spmm(matrix, X))
+
+    def test_compiler_failure_degrades_with_provenance(
+        self, matrix, rng, compiled_backend, monkeypatch
+    ):
+        # A compiler that exits non-zero: available, but every build fails.
+        monkeypatch.setenv("CC", "false")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan = build_plan(matrix, ReorderConfig(siglen=16, panel_height=8))
+            session = KernelSession(matrix)
+        for provenance in (plan.backend_provenance, session.backend_provenance):
+            assert provenance[0].startswith("backend:cc->numpy: compile failed: ")
+            assert "exited 1" in provenance[0]
+        assert plan.backend == session.backend == "numpy"
+        assert any(w.category is DegradedExecution for w in caught)
+        X = rng.normal(size=(matrix.n_cols, 8))
+        np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
 
     def test_attach_backend_is_idempotent_on_numpy(self, matrix):
-        plan = build_plan(matrix, ReorderConfig(siglen=16, panel_height=8))
-        again = attach_backend(plan, ReorderConfig(siglen=16, panel_height=8))
+        config = ReorderConfig(siglen=16, panel_height=8, backend="numpy")
+        plan = build_plan(matrix, config)
+        again = attach_backend(plan, config)
         assert again.backend == "numpy"
         assert again.artifact == ()
 
@@ -321,7 +358,7 @@ class TestPlanStoreIntegration:
     def test_backend_enters_the_cache_key(self, matrix, compiled_backend):
         from repro.planstore import plan_key
 
-        base = ReorderConfig(siglen=16, panel_height=8)
+        base = ReorderConfig(siglen=16, panel_height=8, backend="numpy")
         other = ReorderConfig(siglen=16, panel_height=8, backend=compiled_backend)
         assert plan_key(matrix, base) != plan_key(matrix, other)
 
@@ -342,36 +379,34 @@ class TestPlanStoreIntegration:
         assert tuple(warm.artifact) == tuple(cold.artifact)
 
     def test_warm_hit_resolves_backend_in_current_environment(
-        self, matrix, tmp_path
+        self, matrix, tmp_path, compiled_backend, monkeypatch
     ):
-        """A cached numba entry must not pin numba on a numba-less host."""
+        """A cached cc entry must not pin cc on a host without a compiler."""
+        from repro.kernels.backends import registry
         from repro.planstore import PlanDecisions, PlanStore
 
-        config = ReorderConfig(siglen=16, panel_height=8, backend="numba")
-        store = PlanStore(cache_dir=tmp_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedExecution)
-            plan = build_plan(matrix, config, cache=store)
-        # Whatever environment wrote the entry, materialising re-resolves:
-        # on this host the result is exactly what resolve_backend says now.
-        expected = resolve_backend("numba", warn=False)[0].name
-        assert plan.backend == expected
+        config = ReorderConfig(siglen=16, panel_height=8, backend=compiled_backend)
+        plan = build_plan(matrix, config, cache=PlanStore(cache_dir=tmp_path))
+        assert plan.backend == compiled_backend
         decisions = PlanDecisions.from_plan(plan)
+        # The same entry materialised where no compiler is found.
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        monkeypatch.setattr(registry, "_ARTIFACTS", {})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecution)
             rebuilt = decisions.materialise(matrix, config)
-        assert rebuilt.backend == expected
+            warm = build_plan(matrix, config, cache=PlanStore(cache_dir=tmp_path))
+        expected = resolve_backend(compiled_backend, warn=False)[0].name
+        assert expected == "numpy"
+        assert rebuilt.backend == warm.backend == expected
+        assert warm.backend_provenance[0].startswith("backend:cc->numpy: ")
 
 
 class TestBackendOneShotDispatch:
     def test_spmm_backend_kwarg_dispatches(self, matrix, rng, backend_name):
         X = rng.normal(size=(matrix.n_cols, 12))
         reference = spmm(matrix, X)
-        got = spmm(matrix, X, backend=backend_name)
-        if backend_name == "numba":
-            np.testing.assert_array_max_ulp(got, reference, maxulp=1)
-        else:
-            np.testing.assert_array_equal(got, reference)
+        np.testing.assert_array_equal(spmm(matrix, X, backend=backend_name), reference)
 
     def test_spmm_backend_fills_caller_buffer(self, matrix, rng, compiled_backend):
         X = rng.normal(size=(matrix.n_cols, 12))
@@ -390,3 +425,122 @@ class TestCsrStateAlias:
 
         state.multiply(X, out, DirectWorkspace(), 8)
         np.testing.assert_array_equal(out, spmm(matrix, X))
+
+
+#: A fresh process's cc session on a small matrix, checked against spmm.
+_PROBE = """
+import numpy as np
+from repro.datasets import hidden_clusters
+from repro.kernels import KernelSession, spmm
+
+m = hidden_clusters(10, 4, 64, 6, seed=0)
+X = np.random.default_rng(0).normal(size=(m.n_cols, 8))
+session = KernelSession(m, backend="cc")
+assert session.backend == "cc", session.backend_provenance
+assert np.array_equal(session.run(X), spmm(m, X))
+print("ok")
+"""
+
+
+def _probe_processes(cache_home, n):
+    """Start ``n`` fresh interpreters running :data:`_PROBE` on one cache."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache_home))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return [
+        subprocess.Popen(
+            [sys.executable, "-c", _PROBE],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(n)
+    ]
+
+
+def _assert_probes_ok(procs):
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert out.strip() == "ok"
+
+
+class TestCcBuild:
+    def test_library_is_cached_under_xdg_cache_home(
+        self, compiled_backend, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert cache_dir() == tmp_path / "repro" / "cc"
+        compile_counter = METRICS.counter("kernels.backend_compile")
+        before = compile_counter.value
+        get_backend(compiled_backend).artifact(specialize(kernel="spmm"))
+        assert compile_counter.value == before + 1
+        libraries = list(cache_dir().glob("spmm-*.so"))
+        assert len(libraries) == 1
+        assert libraries[0].with_name(libraries[0].name + ".sha256").exists()
+        assert not list(cache_dir().glob("*.tmp"))  # no temp-file litter
+
+    def test_truncated_library_is_rebuilt(self, compiled_backend, tmp_path):
+        # Build once, cut the library in half, then load it in fresh
+        # processes (this one may hold the old mapping): each must rebuild
+        # and run, never map the torn file.
+        _assert_probes_ok(_probe_processes(tmp_path, 1))
+        (library,) = (tmp_path / "repro" / "cc").glob("spmm-*.so")
+        intact = library.read_bytes()
+        library.write_bytes(intact[: len(intact) // 2])
+        _assert_probes_ok(_probe_processes(tmp_path, 1))
+        assert library.stat().st_size > len(intact) // 2
+
+    def test_two_processes_compile_into_one_empty_cache(
+        self, compiled_backend, tmp_path
+    ):
+        _assert_probes_ok(_probe_processes(tmp_path, 2))
+        libraries = list((tmp_path / "repro" / "cc").glob("spmm-*.so"))
+        assert len(libraries) == 1
+        assert not list((tmp_path / "repro" / "cc").glob("*.tmp"))
+
+
+class TestCcThreads:
+    def test_threads_share_one_plan_session(self, compiled_backend):
+        # The C loop runs without the GIL: four threads multiply through one
+        # plan session at once, each result bit-equal to spmm, so no
+        # scratch may be shared between calls.
+        from repro.datasets import hidden_clusters
+
+        matrix = hidden_clusters(64, 4, 512, 12, noise=0.1, seed=2)
+        config = ReorderConfig(siglen=32, panel_height=8, force_round1=True)
+        session = build_plan(matrix, config).session()
+        assert session.backend == compiled_backend
+        rng = np.random.default_rng(5)
+        operands = [rng.normal(size=(matrix.n_cols, 96)) for _ in range(4)]
+        operands[1] = operands[1].astype(np.float32)  # widened via the lease
+        expected = [spmm(matrix, X) for X in operands]
+        barrier = threading.Barrier(len(operands))
+        errors = []
+
+        def worker(idx):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(20):
+                    got = session.run(operands[idx])
+                    if not np.array_equal(got, expected[idx]):
+                        errors.append(f"thread {idx}: result differs from spmm")
+                        return
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(len(operands))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []

@@ -433,7 +433,7 @@ class TestSessionFallbackCompat:
 
         matrix = hidden_clusters(10, 4, 64, 6, seed=0)
         session = KernelSession(
-            matrix, pool=WorkspacePool(max_lease_bytes=0)
+            matrix, pool=WorkspacePool(max_lease_bytes=0), backend="numpy"
         )
         X = np.random.default_rng(0).normal(size=(matrix.n_cols, 8))
         assert session.fallbacks == 0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.aspt import tile_matrix
 from repro.datasets import hidden_clusters, power_law_rows
-from repro.errors import ShapeError
+from repro.errors import FormatError, ShapeError, ValidationError
 from repro.kernels import KernelSession, spmm, spmm_tiled
 from repro.kernels.state import _BLOCK_BYTES, DEFAULT_CHUNK_K, CsrState
 from repro.reorder import ReorderConfig, build_plan
@@ -77,7 +77,9 @@ class TestCsrSession:
         assert first is second  # pinned thread-local buffer
 
     def test_steady_state_stops_allocating(self, matrix, X):
-        session = KernelSession(matrix)
+        # The numpy executor leases its block buffers on every call; the
+        # default cc loop leases nothing for a float64 operand.
+        session = KernelSession(matrix, backend="numpy")
         session.run(X)
         misses_after_warmup = session.stats()["misses"]
         for _ in range(4):
@@ -95,7 +97,7 @@ class TestCsrSession:
 
     def test_shared_pool(self, matrix, X):
         pool = WorkspacePool()
-        session = KernelSession(matrix, pool=pool)
+        session = KernelSession(matrix, pool=pool, backend="numpy")
         session.run(X)
         assert pool.stats()["misses"] > 0
 
@@ -317,6 +319,28 @@ class TestSummationOrder:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "rowptr, colidx",
+        [([0, 1, 2], [0, 7]), ([0, 2, 1], [0, 1])],
+        ids=["column-out-of-range", "decreasing-rowptr"],
+    )
+    def test_pinning_checks_the_index_arrays(self, rowptr, colidx):
+        # spmm raises FormatError on these; a pinned state must too, not
+        # clip the index or let the compiled loop read out of bounds.
+        bad = CSRMatrix((2, 3), np.array(rowptr), np.array(colidx), np.ones(2))
+        with pytest.raises(FormatError):
+            spmm(bad, np.ones((3, 4)))
+        with pytest.raises(FormatError):
+            KernelSession(bad)
+        with pytest.raises(FormatError):
+            CsrState(bad)
+
+    @pytest.mark.parametrize("row_order", [[0, 0, 1], [0, 1, 3], [0, 1]])
+    def test_pinning_checks_the_row_order(self, row_order):
+        csr = CSRMatrix.from_dense(np.eye(3))
+        with pytest.raises(ValidationError):
+            CsrState(csr, row_order)
+
     def test_bad_target_type(self):
         with pytest.raises(TypeError):
             KernelSession(np.zeros((3, 3)))
