@@ -99,14 +99,12 @@ class CompiledKernel:
     """One backend-compiled kernel plus its provenance.
 
     ``fn`` follows the calling convention documented in the module
-    docstring.  ``compile_seconds`` is the measured wall clock of the
-    ``backend.compile`` span that produced this artifact.
+    docstring.
     """
 
     backend: str
     spec: SpecializationSpec
     fn: object
-    compile_seconds: float = 0.0
 
     def descriptor(self) -> tuple[str, ...]:
         """Flat string form: backend + spec fields + spec fingerprint."""

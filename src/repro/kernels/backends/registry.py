@@ -13,15 +13,13 @@ Compilation goes through :func:`compiled_artifact`, the single choke
 point that adds what every backend's ``compile`` needs: the
 process-global artifact cache keyed by ``(backend, spec fingerprint)``
 (warm sessions and repeated plan builds never recompile), the
-``backend.compile`` tracing span, measured compile seconds, the
-``kernels.backend_compile`` counter and the ``backend.compile`` fault
-point that the chaos suite uses to prove compile failures degrade
-cleanly.
+``backend.compile`` tracing span, the ``kernels.backend_compile``
+counter and the ``backend.compile`` fault point that the chaos suite
+uses to prove compile failures degrade cleanly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import warnings
 
@@ -31,7 +29,6 @@ from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
 from repro.resilience.faults import fault_point
 from repro.util.log import get_logger
-from repro.util.timing import timed
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -139,9 +136,9 @@ def compiled_artifact(
 ) -> CompiledKernel:
     """The cached :class:`CompiledKernel` for ``(backend, spec)``.
 
-    Cache misses compile under the ``backend.compile`` tracing span with
-    wall-clock attribution and the ``kernels.backend_compile`` counter;
-    hits are a dict lookup, which is what lets warm sessions (and plan
+    Cache misses compile under the ``backend.compile`` tracing span and
+    count on the ``kernels.backend_compile`` counter; hits are a dict
+    lookup, which is what lets warm sessions (and plan
     materialisation against an already-seen fingerprint) skip
     recompilation entirely.  Propagates
     :class:`~repro.errors.BackendUnavailable` from the backend or from
@@ -152,7 +149,6 @@ def compiled_artifact(
         cached = _ARTIFACTS.get(key)
     if cached is not None:
         return cached
-    times: dict[str, float] = {}
     with span("backend.compile", backend=backend.name, kernel=spec.kernel):
         fault_point("backend.compile")
         if not backend.available():
@@ -160,9 +156,7 @@ def compiled_artifact(
                 f"backend {backend.name!r} cannot compile here: "
                 f"{backend.unavailable_reason() or 'unavailable'}"
             )
-        with timed(times, "compile"):
-            kernel = backend.compile(spec)
-    kernel = dataclasses.replace(kernel, compile_seconds=times["compile"])
+        kernel = backend.compile(spec)
     METRICS.counter(
         "kernels.backend_compile", "compiled-kernel artifacts built (cache misses)"
     ).inc()

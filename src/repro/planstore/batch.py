@@ -50,10 +50,16 @@ class PlanResult:
 
 
 def _build_one(payload) -> tuple:
-    """Pool worker: build one plan; never raises (returns the failure)."""
+    """Pool worker: build one plan; never raises (returns the failure).
+
+    The plan's deferred round 2 runs here too, so a pool computes it in
+    parallel and its failure is returned like any other.
+    """
     index, csr, config = payload
     try:
-        return index, build_plan(csr, config), None, None
+        plan = build_plan(csr, config)
+        plan.stats
+        return index, plan, None, None
     except Exception as exc:  # noqa: BLE001  # reprolint: disable=RD106 -- pool worker marshals every failure back to the parent; nothing may escape
         return (
             index,

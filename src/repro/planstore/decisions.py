@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aspt.tiles import tile_matrix
-from repro.reorder.pipeline import ExecutionPlan, PlanStats
+from repro.reorder.pipeline import ExecutionPlan, PlanStats, _Round2Memo
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import permute_csr_rows
 
@@ -63,12 +63,13 @@ class PlanDecisions:
     @classmethod
     def from_plan(cls, plan: ExecutionPlan) -> "PlanDecisions":
         """Extract the cacheable decisions from a freshly built plan."""
+        stats = plan.stats  # runs a deferred round 2 into the stored total
         return cls(
             row_order=np.ascontiguousarray(plan.row_order, dtype=np.int64),
             remainder_order=np.ascontiguousarray(
                 plan.remainder_order, dtype=np.int64
             ),
-            stats=plan.stats,
+            stats=stats,
             preprocess_total=plan.preprocessing_time,
             provenance=tuple(plan.provenance),
             backend=plan.backend,
@@ -89,7 +90,8 @@ class PlanDecisions:
         ``config`` must be the config they were computed with — both are
         the cache key's contract, enforced upstream by content addressing.
         Only the cheap deterministic stages run here (permute + tile);
-        MinHash/LSH/clustering are skipped entirely.
+        MinHash/LSH/clustering are skipped entirely, and the plan's
+        round 2 is filled from the decisions.
         """
         if self.row_order.size != csr.n_rows:
             raise ValueError(
@@ -108,9 +110,7 @@ class PlanDecisions:
             original=csr,
             row_order=self.row_order,
             tiled=tiled,
-            remainder=remainder,
-            remainder_order=self.remainder_order,
-            stats=self.stats,
+            _round2=_Round2Memo.filled(self.remainder_order, remainder, self.stats),
             provenance=self.provenance,
             # "total" reflects what *this* call pays; callers that time the
             # materialisation overwrite it.  The cold build's cost stays

@@ -17,10 +17,23 @@ execution-order optimisation, never a semantic change (this is the
 paper's central distinction from vertex reordering).  The ASpT split and
 round-2 order serve the GPU cost model, the Fig. 9 statistics and
 streaming.
+
+No CPU multiply reads round 2, so a plain ``build_plan(csr, config)``
+defers it: the plan computes round 2 the first time anything reads
+``stats``, ``remainder``, ``remainder_order`` or ``cost_view()`` (and so
+``save``, ``validate``, the plan store, the GPU model, the experiments
+runner and streaming), at most once, and adds its stage times and
+wall-clock to ``preprocess_seconds``; a run that raises adds nothing,
+and the next read runs it again.  ``session()``, ``spmm()`` and
+``tiled`` never compute it.  A build under a ``ResiliencePolicy`` or
+through a plan store computes round 2 inside the build, as the ladder's
+deadlines and the store's write-through need it there, and
+``build_plans`` computes it in the worker that built the plan.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -188,14 +201,21 @@ class ExecutionPlan:
         the reordered matrix every CPU multiply runs over.
     remainder:
         The sparse remainder with round-2 row ordering applied — the
-        order the GPU cost model charges (:meth:`cost_view`).
+        order the GPU cost model charges (:meth:`cost_view`).  Computes
+        round 2 if it has not run.
     remainder_order:
         Round-2 permutation over the reordered matrix's row space.
+        Computes round 2 if it has not run.
     stats:
-        Fig. 9 effectiveness statistics.
+        Fig. 9 effectiveness statistics.  Computes round 2 if it has not
+        run.
     preprocess_seconds:
         Wall-clock breakdown: ``lsh1``, ``cluster1``, ``permute1``,
-        ``tile``, ``sim2``, ``lsh2``, ``cluster2``, ``total``.
+        ``tile``, ``sim2``, ``lsh2``, ``cluster2``, ``backend_compile``,
+        ``total``.  On a plain :func:`build_plan` the round-2 keys appear
+        when round 2 runs, on first read of one of the three attributes
+        above or of :meth:`cost_view`, and its wall-clock is then added
+        to ``total``.
     provenance:
         Degradation-ladder history when the plan was built under a
         :class:`repro.resilience.ResiliencePolicy` — one entry per
@@ -233,15 +253,31 @@ class ExecutionPlan:
     original: CSRMatrix
     row_order: np.ndarray
     tiled: TiledMatrix
-    remainder: CSRMatrix
-    remainder_order: np.ndarray
-    stats: PlanStats
+    _round2: _Round2Memo = field(repr=False, compare=False)
     preprocess_seconds: dict = field(default_factory=dict, repr=False)
     provenance: tuple = ()
     backend: str = "numpy"
     backend_provenance: tuple = ()
     artifact: tuple = ()
     revision: int = 0
+
+    @property
+    def remainder_order(self) -> np.ndarray:
+        """Round-2 permutation over the reordered row space (reading it
+        runs a deferred round 2)."""
+        return self._round2.get(self.preprocess_seconds)[0]
+
+    @property
+    def remainder(self) -> CSRMatrix:
+        """The sparse remainder in its round-2 row order (reading it runs a
+        deferred round 2)."""
+        return self._round2.get(self.preprocess_seconds)[1]
+
+    @property
+    def stats(self) -> PlanStats:
+        """Fig. 9 effectiveness statistics (reading them runs a deferred
+        round 2)."""
+        return self._round2.get(self.preprocess_seconds)[2]
 
     @property
     def degraded(self) -> bool:
@@ -264,9 +300,10 @@ class ExecutionPlan:
 
         Identical to :attr:`tiled` except that ``sparse_part`` carries the
         round-2 row ordering, so the executor's remainder access stream
-        reflects the order the kernel really processes.  Note this view is
-        for *cost estimation only*: its dense/sparse parts are no longer a
-        row-aligned partition of ``original`` (``validate()`` would fail).
+        reflects the order the kernel really processes, so it runs a
+        deferred round 2.  Note this view is for *cost estimation only*: its
+        dense/sparse parts are no longer a row-aligned partition of
+        ``original`` (``validate()`` would fail).
         """
         return replace(self.tiled, sparse_part=self.remainder)
 
@@ -311,6 +348,7 @@ class ExecutionPlan:
         stored — the tiled structures are recomputed deterministically by
         :meth:`load`, so the file stays small and version-stable.
         """
+        stats = self.stats  # runs a deferred round 2 into the saved total
         np.savez_compressed(
             path,
             row_order=self.row_order,
@@ -319,7 +357,7 @@ class ExecutionPlan:
             dense_threshold=np.int64(self.tiled.dense_threshold),
             # 0 stands for "no cap": a real cap is positive.
             max_dense_cols=np.int64(self.tiled.max_dense_cols or 0),
-            stats=self.stats.to_array(),
+            stats=stats.to_array(),
             preprocess_total=np.float64(self.preprocessing_time),
             backend=np.str_(self.backend),
         )
@@ -474,7 +512,10 @@ def attach_backend(plan: ExecutionPlan, config: ReorderConfig) -> ExecutionPlan:
     artifact: tuple = ()
     if backend.name != "numpy":
         try:
-            compiled = backend.artifact(specialize(kernel="spmm"))
+            # What this build paid: a compile once per process, then a
+            # cache lookup.
+            with timed(plan.preprocess_seconds, "backend_compile"):
+                compiled = backend.artifact(specialize(kernel="spmm"))
         except BackendUnavailable as exc:
             METRICS.counter(
                 "kernels.backend_fallback",
@@ -494,9 +535,6 @@ def attach_backend(plan: ExecutionPlan, config: ReorderConfig) -> ExecutionPlan:
             backend = get_backend("numpy")
         else:
             artifact = compiled.descriptor()
-            plan.preprocess_seconds.setdefault(
-                "backend_compile", compiled.compile_seconds
-            )
     return replace(
         plan,
         backend=backend.name,
@@ -536,6 +574,10 @@ def build_plan(
     ``config.force_round1`` / ``force_round2`` to override (used by the
     autotuner and the ablation benches).
 
+    Without ``cache`` and ``resilience`` the plan defers round 2 until
+    something reads it (see the module docstring); with either, round 2
+    runs inside the build.
+
     ``cache`` accepts a :class:`repro.planstore.PlanStore` (or anything
     with the same ``get``/``put``/``key_for`` surface).  On a hit the
     expensive stages (MinHash, LSH, clustering) are skipped entirely and
@@ -558,7 +600,7 @@ def build_plan(
     if resilience is not None:
         return _build_plan_resilient(csr, config, cache, resilience)
     if cache is None:
-        return _build_plan_uncached(csr, config)
+        return _build_plan_uncached(csr, config, defer_round2=True)
     return _build_plan_cached(csr, config, cache, None)
 
 
@@ -629,9 +671,13 @@ def _build_plan_resilient(csr, config, cache, policy) -> ExecutionPlan:
 
 
 def _build_plan_uncached(
-    csr: CSRMatrix, config: ReorderConfig, *, deadline=None
+    csr: CSRMatrix, config: ReorderConfig, *, deadline=None, defer_round2=False
 ) -> ExecutionPlan:
-    """The actual Fig. 5 workflow (no cache consultation)."""
+    """The actual Fig. 5 workflow (no cache consultation).
+
+    With ``defer_round2`` the plan computes round 2 on first read instead
+    (without a deadline: only the plain :func:`build_plan` defers).
+    """
     times: dict[str, float] = {}
 
     with span("build_plan", rows=csr.n_rows, cols=csr.n_cols, nnz=csr.nnz), timed(
@@ -672,9 +718,11 @@ def _build_plan_uncached(
             )
 
         # ---- round 2 gate + reorder of the remainder -------------------
-        if deadline is not None:
-            deadline.check("sim2")
-        round2 = _reorder_remainder(tiled, config, times, deadline)
+        round2 = None
+        if not defer_round2:
+            if deadline is not None:
+                deadline.check("sim2")
+            round2 = _reorder_remainder(tiled, config, times, deadline)
     return _assemble_plan(
         csr, row_order, tiled, gate1, do_round1, n_cand1, round2, config, times
     )
@@ -753,26 +801,92 @@ def _reorder_remainder(tiled: TiledMatrix, config: ReorderConfig, times: dict,
     )
 
 
-def _assemble_plan(csr, row_order, tiled, gate1, round1_applied, n_cand1,
-                   round2: _Round2, config, times, revision=0) -> ExecutionPlan:
-    """The plan around its decisions, with its Fig. 9 stats and backend."""
+def _round2_fields(round1: dict, round2: _Round2) -> tuple:
+    """The plan's ``(remainder_order, remainder, stats)`` from both rounds;
+    ``round1`` holds the round-1 fields of :class:`PlanStats`."""
     stats = PlanStats(
-        dense_ratio_before=gate1.indicator,
-        dense_ratio_after=tiled.dense_ratio,
+        **round1,
         avg_sim_before=round2.avg_sim_before,
         avg_sim_after=round2.avg_sim_after,
-        round1_applied=bool(round1_applied),
         round2_applied=round2.applied,
-        n_candidates_round1=n_cand1,
         n_candidates_round2=round2.n_candidates,
     )
+    return round2.order, round2.remainder, stats
+
+
+class _Round2Memo:
+    """A plan's round-2 fields, known at build time or computed on first read.
+
+    Holds either the fields ``(remainder_order, remainder, stats)`` or the
+    inputs of a deferred round 2 (``tiled``, ``config`` and the round-1
+    stats fields).  Every ``dataclasses.replace`` copy of a plan shares
+    its memo, so round 2 runs at most once per build; it pickles pending
+    or filled.
+    """
+
+    def __init__(self, fields: tuple | None = None, pending: tuple | None = None):
+        self._fields = fields
+        self._pending = pending
+        self._lock = threading.Lock()
+
+    @classmethod
+    def filled(cls, remainder_order: np.ndarray, remainder: CSRMatrix,
+               stats: PlanStats) -> "_Round2Memo":
+        """A memo whose round 2 is already known."""
+        return cls(fields=(remainder_order, remainder, stats))
+
+    def get(self, times: dict) -> tuple:
+        """The fields, running a pending round 2 first.
+
+        A run that succeeds adds its stages and its wall-clock (to
+        ``total``) to ``times``; one that raises adds nothing and leaves
+        the memo pending.  Concurrent first readers wait for the one run.
+        """
+        if self._fields is None:
+            with self._lock:
+                if self._fields is None:
+                    tiled, config, round1 = self._pending
+                    run: dict[str, float] = {}
+                    with timed(run, "total"):
+                        round2 = _reorder_remainder(tiled, config, run, None)
+                    fields = _round2_fields(round1, round2)
+                    for key, seconds in run.items():
+                        times[key] = times.get(key, 0.0) + seconds
+                    # Published last: a reader that sees the fields sees
+                    # their times.
+                    self._fields, self._pending = fields, None
+        return self._fields
+
+    def __getstate__(self) -> dict:
+        return {"_fields": self._fields, "_pending": self._pending}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+
+def _assemble_plan(csr, row_order, tiled, gate1, round1_applied, n_cand1,
+                   round2: _Round2 | None, config, times,
+                   revision=0) -> ExecutionPlan:
+    """The plan around its decisions, with its Fig. 9 stats and backend.
+
+    ``round2=None`` defers round 2 to the plan's first read of it.
+    """
+    round1 = dict(
+        dense_ratio_before=gate1.indicator,
+        dense_ratio_after=tiled.dense_ratio,
+        round1_applied=bool(round1_applied),
+        n_candidates_round1=n_cand1,
+    )
+    if round2 is None:
+        memo = _Round2Memo(pending=(tiled, config, round1))
+    else:
+        memo = _Round2Memo.filled(*_round2_fields(round1, round2))
     plan = ExecutionPlan(
         original=csr,
         row_order=row_order,
         tiled=tiled,
-        remainder=round2.remainder,
-        remainder_order=round2.order,
-        stats=stats,
+        _round2=memo,
         preprocess_seconds=times,
         revision=revision,
     )

@@ -35,7 +35,9 @@ Torn-plan safety: all work happens on locals; the input plan, state and
 matrix are never mutated.  A fault injected at the ``streaming.update``
 site (or a deadline expiry) aborts the update with the old plan fully
 intact; under a :class:`~repro.resilience.ResiliencePolicy` the patch
-degrades to a laddered full replan instead, recording provenance.
+degrades to a laddered full replan instead, recording provenance, and
+so does a failure of the old plan's deferred round 2, which the drift
+check runs.
 """
 
 from __future__ import annotations
@@ -428,9 +430,6 @@ def apply_delta(
         dirty_fraction = (dirty.size + n_new) / max(1, csr_new.n_rows)
 
         gate1, do_round1 = _round1_gate(csr_new, config)
-        reason = _patch_decision(
-            plan, dirty_fraction, max_dirty_fraction, state, gate1, do_round1
-        )
 
         plan_new = None
         state_new = None
@@ -438,11 +437,17 @@ def apply_delta(
         panels_retiled: int | None = None
         pairs_rescored = 0
         mode = "patched"
-        if reason is None:
-            deadline = (
-                resilience.new_deadline() if resilience is not None else None
+        try:
+            # The drift check reads the old plan's stats, which runs its
+            # round 2 if deferred; a failure there replans like a failed
+            # patch.
+            reason = _patch_decision(
+                plan, dirty_fraction, max_dirty_fraction, state, gate1, do_round1
             )
-            try:
+            if reason is None:
+                deadline = (
+                    resilience.new_deadline() if resilience is not None else None
+                )
                 fault_point("streaming.update")
                 plan_new, state_new, reused_clustering, (
                     panels_retiled,
@@ -451,10 +456,10 @@ def apply_delta(
                     plan, csr_new, dirty, n_new, state, config, times,
                     deadline, gate1, do_round1,
                 )
-            except (TimeoutExceeded, MemoryError) as exc:
-                if resilience is None or not resilience.ladder:
-                    raise
-                reason = f"patch aborted ({type(exc).__name__}: {exc}); replanned"
+        except (TimeoutExceeded, MemoryError) as exc:
+            if resilience is None or not resilience.ladder:
+                raise
+            reason = f"patch aborted ({type(exc).__name__}: {exc}); replanned"
 
         if plan_new is None:
             mode = "replanned"

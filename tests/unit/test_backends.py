@@ -190,7 +190,6 @@ class TestArtifactCache:
         warm = compiled_artifact(backend, spec)
         assert warm is cold
         assert compile_counter.value == after_cold  # no second compile
-        assert cold.compile_seconds >= 0.0
 
     def test_unavailable_backend_compile_raises(self, no_compiler):
         cc = get_backend("cc")
@@ -255,6 +254,22 @@ class TestPlanIntegration:
         assert plan.artifact  # descriptor recorded next to the plan
         assert not plan.backend_degraded
         assert not plan.degraded  # backend state never taints plan provenance
+
+    def test_only_the_compiling_build_reports_the_compile(
+        self, matrix, compiled_backend, monkeypatch, tmp_path
+    ):
+        """``backend_compile`` is what each build paid: the library build
+        once, then an artifact-cache lookup."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # no built library
+        config = ReorderConfig(siglen=16, panel_height=8, backend=compiled_backend)
+        cold = build_plan(matrix, config)
+        warm = build_plan(matrix, config)
+        assert warm.backend == compiled_backend
+        assert warm.preprocess_seconds["backend_compile"] < 0.01
+        assert (
+            cold.preprocess_seconds["backend_compile"]
+            > warm.preprocess_seconds["backend_compile"]
+        )
 
     def test_plan_artifact_names_the_artifact_its_session_runs(
         self, matrix, compiled_backend

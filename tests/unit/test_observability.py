@@ -512,26 +512,41 @@ class TestReporters:
 class TestPipelineTracing:
     def test_traced_build_plan_covers_every_stage(self):
         from repro.reorder import ReorderConfig, build_plan
+        from repro.resilience import ResiliencePolicy
 
         matrix = hidden_clusters(40, 8, 1024, 12, noise=0.1, seed=3)
         config = ReorderConfig(
             panel_height=8, force_round1=True, force_round2=True
         )
+        round2 = {"sim2", "lsh2", "cluster2"}
         tracer = Tracer(pid=1)
         with tracing(tracer):
-            build_plan(matrix, config)
-        names = {e["name"] for e in tracer.chrome_trace()["traceEvents"]}
-        # The acceptance criterion: minhash -> LSH -> clustering ->
-        # tiling -> (second round) all present under build_plan.
-        for stage in (
-            "build_plan", "minhash", "lsh1", "cluster1", "permute1",
-            "tile", "sim2", "lsh2", "cluster2",
-        ):
-            assert stage in names, f"missing span {stage!r}"
-        (root,) = tracer.to_dicts()
-        assert root["name"] == "build_plan"
-        child_names = [c["name"] for c in root["children"]]
+            plan = build_plan(matrix, config)
+            # minhash -> LSH -> clustering -> tiling under build_plan; a
+            # plain build leaves round 2 to the plan's first read of it.
+            names = {e["name"] for e in tracer.chrome_trace()["traceEvents"]}
+            for stage in (
+                "build_plan", "minhash", "lsh1", "cluster1", "permute1", "tile",
+            ):
+                assert stage in names, f"missing span {stage!r}"
+            assert not names & round2
+            plan.stats
+        build, *rest = tracer.to_dicts()
+        assert build["name"] == "build_plan"
+        child_names = [c["name"] for c in build["children"]]
         assert child_names.index("lsh1") < child_names.index("tile")
+        assert not round2 & set(child_names)
+        assert {r["name"] for r in rest} == round2
+
+        # Under a resilience policy round 2 runs inside the build, under
+        # the rung's deadline.
+        tracer = Tracer(pid=1)
+        with tracing(tracer):
+            build_plan(matrix, config, resilience=ResiliencePolicy())
+        (rung,) = tracer.to_dicts()
+        (build,) = rung["children"]
+        assert build["name"] == "build_plan"
+        assert round2 <= {c["name"] for c in build["children"]}
 
     def test_run_experiment_trace_and_stage_seconds(self, tmp_path):
         from repro.experiments import ExperimentConfig, run_experiment

@@ -1,9 +1,16 @@
 """Unit tests for repro.reorder (heuristics, pipeline, autotune)."""
 
+import dataclasses
+import functools
+import itertools
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import DegradedExecution, TimeoutExceeded, ValidationError
 from repro.gpu import GPUExecutor, P100
 from repro.reorder import (
     AutotuneResult,
@@ -15,9 +22,10 @@ from repro.reorder import (
     should_reorder_round1,
     should_reorder_round2,
 )
-from repro.planstore import PlanStore
-from repro.resilience import ladder_rungs
+from repro.planstore import PlanDecisions, PlanStore, build_plans
+from repro.resilience import FaultInjector, ResiliencePolicy, ladder_rungs
 from repro.sparse import CSRMatrix, permute_csr_rows
+from repro.streaming import DeltaBatch, apply_delta
 
 from conftest import assert_plans_identical, random_csr
 
@@ -31,6 +39,18 @@ def clustered_then_shuffled(rng, n_clusters=12, rows_per=12, n_cols=256, row_nnz
             dense[c * rows_per + r, pattern] = 1.0
     order = rng.permutation(n_clusters * rows_per)
     return CSRMatrix.from_dense(dense[order])
+
+
+def round1_gated_off(rng):
+    """A matrix whose round-1 gate is off at ``panel_height=8``, so the
+    only clustering a build runs is round 2's."""
+    dense = np.zeros((64, 256))
+    for g in range(8):
+        dense[g * 8 : (g + 1) * 8, g * 6 : g * 6 + 6] = 1.0
+    dense[np.arange(64), 64 + rng.permutation(192)[:64]] = 1.0
+    m = CSRMatrix.from_dense(dense)
+    assert not should_reorder_round1(m, 8, ReorderConfig().dense_threshold).reorder
+    return m
 
 
 class TestHeuristics:
@@ -188,6 +208,168 @@ class TestBuildPlan:
             s.dense_ratio_after - s.dense_ratio_before
         )
         assert s.delta_avg_sim == pytest.approx(s.avg_sim_after - s.avg_sim_before)
+
+
+class TestDeferredRound2:
+    """A plain build leaves round 2 to the plan's first read of it."""
+
+    CONFIG = ReorderConfig(siglen=64, panel_height=8, force_round2=True)
+
+    @pytest.fixture
+    def matrix(self, rng):
+        return clustered_then_shuffled(rng)
+
+    @pytest.fixture
+    def round2_calls(self, monkeypatch):
+        """Records each ``_reorder_remainder`` run."""
+        from repro.reorder import pipeline
+
+        calls = []
+        real = pipeline._reorder_remainder
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_reorder_remainder", spy)
+        return calls
+
+    def test_first_read_runs_round2_once(self, matrix, rng, tmp_path, round2_calls):
+        plan = build_plan(matrix, self.CONFIG)
+        X = rng.normal(size=(matrix.n_cols, 4))
+        plan.session().run(X)
+        plan.spmm(X)
+        assert plan.tiled.original.nnz == matrix.nnz
+        assert round2_calls == []
+        assert "sim2" not in plan.preprocess_seconds
+        total = plan.preprocessing_time
+
+        stats = plan.stats
+        assert len(round2_calls) == 1
+        assert {"sim2", "lsh2", "cluster2"} <= plan.preprocess_seconds.keys()
+        assert plan.preprocessing_time > total  # its wall-clock joins total
+        assert plan.stats is stats
+        plan.cost_view()
+        plan.save(tmp_path / "plan.npz")
+        PlanDecisions.from_plan(plan)
+        assert len(round2_calls) == 1
+
+    def test_concurrent_first_reads_run_round2_once(self, matrix, round2_calls):
+        plan = build_plan(matrix, self.CONFIG)
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=30)
+            seen.append(plan.stats)
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(round2_calls) == 1
+        assert len(seen) == 4 and all(stats == seen[0] for stats in seen)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["pending", "forced"])
+    def test_pickle_round_trip(self, matrix, forced):
+        plan = build_plan(matrix, self.CONFIG)
+        if forced:
+            plan.stats
+        restored = pickle.loads(pickle.dumps(plan))
+        assert_plans_identical(restored, plan)
+
+    def test_replace_shares_the_computed_round2(self, matrix, round2_calls):
+        plan = build_plan(matrix, self.CONFIG)
+        stats = plan.stats
+        successor = dataclasses.replace(plan, revision=1)
+        assert successor.stats is stats
+        assert len(round2_calls) == 1
+
+    @pytest.mark.parametrize("force_round2", [None, True, False])
+    def test_forced_plan_equals_the_eager_plan(self, matrix, force_round2):
+        """On every ladder rung a deferred round 2, once read, is the one a
+        build under a resilience policy computes inside the build."""
+        base = ReorderConfig(siglen=64, panel_height=8, force_round2=force_round2)
+        for _, config in ladder_rungs(base):
+            eager = build_plan(matrix, config, resilience=ResiliencePolicy())
+            assert "sim2" in eager.preprocess_seconds
+            lazy = build_plan(matrix, config)
+            assert_plans_identical(lazy, eager)
+            assert lazy.preprocess_seconds.keys() == eager.preprocess_seconds.keys()
+
+    def test_round2_fault_under_a_policy_drops_a_rung(self, rng):
+        """Under a policy round 2 runs inside the rung, so a fault in its
+        clustering is absorbed by the ladder."""
+        m = round1_gated_off(rng)
+        with FaultInjector(
+            rate=1.0, sites=["clustering.cluster"], max_faults=1
+        ), pytest.warns(DegradedExecution):
+            plan = build_plan(
+                m, ReorderConfig(panel_height=8), resilience=ResiliencePolicy()
+            )
+        assert plan.provenance[0].startswith("full: TimeoutExceeded")
+        assert plan.provenance[1:] == ("round1-only: ok",)
+
+    def test_failed_first_read_charges_one_run(self, rng, monkeypatch):
+        """A round 2 that raises adds no time and stays pending, so the
+        read that then succeeds charges exactly one run."""
+        from repro.reorder import pipeline
+        from repro.util import timing
+
+        # Every clock read advances one second: equal work, equal times.
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            pipeline,
+            "timed",
+            functools.partial(timing.timed, clock=lambda: float(next(ticks))),
+        )
+        m = round1_gated_off(rng)
+        config = ReorderConfig(panel_height=8)
+        clean = build_plan(m, config)
+        clean.stats
+        plan = build_plan(m, config)
+        built = dict(plan.preprocess_seconds)
+        with FaultInjector(rate=1.0, sites=["clustering.cluster"], max_faults=1):
+            with pytest.raises(TimeoutExceeded):
+                plan.stats
+        assert plan.preprocess_seconds == built
+        plan.stats
+        assert plan.preprocess_seconds == clean.preprocess_seconds
+        assert plan.preprocess_seconds["sim2"] == 1.0
+
+    def test_policy_patch_replans_when_the_old_round2_fails(self, rng):
+        """A patch's drift check runs the old plan's deferred round 2;
+        under a policy its failure replans like a failed patch."""
+        m = round1_gated_off(rng)
+        config = ReorderConfig(panel_height=8)
+        plan = build_plan(m, config)
+        delta = DeltaBatch(
+            rows=m.row_ids()[:1], cols=m.colidx[:1], values=np.ones(1), mode="set"
+        )
+        with FaultInjector(rate=1.0, sites=["clustering.cluster"], max_faults=1):
+            update = apply_delta(plan, delta, config, resilience=ResiliencePolicy())
+        assert update.report.mode == "replanned"
+        assert update.report.reason.startswith("patch aborted (TimeoutExceeded")
+        assert_plans_identical(update.plan, build_plan(update.matrix, config))
+
+    def test_build_plans_returns_a_round2_failure(self, rng):
+        """A batch runs each plan's round 2 where it built the plan, so a
+        round-2 failure comes back as that result's error."""
+        m = round1_gated_off(rng)
+        config = ReorderConfig(panel_height=8)
+        with FaultInjector(rate=1.0, sites=["clustering.cluster"], max_faults=1):
+            (failed,) = build_plans([m], config)
+        assert not failed.ok
+        assert failed.error.startswith("TimeoutExceeded")
+        (built,) = build_plans([m], config)
+        assert "sim2" in built.plan.preprocess_seconds
 
 
 class TestAutotune:
