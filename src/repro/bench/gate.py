@@ -37,6 +37,7 @@ import json
 import statistics
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,11 +161,14 @@ def _suite_kernels(quick: bool, backend: str = "numpy") -> dict:
     # If the requested backend degrades on this machine, the cells are
     # *omitted* rather than silently measuring numpy twice.
     if backend != "numpy":
-        from repro.kernels.backends import resolve_backend
+        from repro.errors import DegradedExecution
+        from repro.kernels.backends import load_backend
 
-        resolved, provenance = resolve_backend(backend, warn=False)
-        if resolved.name != backend:
-            workload["backend_degraded"] = list(provenance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedExecution)
+            loaded = load_backend(backend)
+        if loaded.backend != backend:
+            workload["backend_degraded"] = list(loaded.provenance)
         else:
             backend_session = KernelSession(matrix, backend=backend)
             backend_session.run(X)  # warm scratch + compiled artifact

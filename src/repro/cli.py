@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 
 from repro.errors import (
     EXIT_INTERRUPTED,
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--breaker-threshold", type=int, default=3,
-        help="consecutive compile failures that trip the JIT circuit breaker",
+        help="consecutive C-build failures that trip the compile circuit breaker",
     )
     sv.add_argument(
         "--breaker-reset", type=float, metavar="SECONDS", default=30.0,
@@ -488,17 +489,20 @@ def _cmd_stream_bench(args, clock=time.perf_counter) -> int:
 
 @cli_handler("backends")
 def _cmd_backends(_args) -> int:
-    from repro.kernels.backends import DEFAULT_BACKEND, backend_names, get_backend
+    from repro.errors import DegradedExecution
+    from repro.kernels.backends import BACKENDS, DEFAULT_BACKEND, load_backend
 
     notes = {"numpy": "reference (degradation target)", DEFAULT_BACKEND: "default"}
     print(f"{'backend':<12}{'available':<12}note")
-    for name in backend_names():
-        backend = get_backend(name)
-        if backend.available():
-            note = notes.get(name, "")
-            print(f"{name:<12}{'yes':<12}{note}")
+    for name in BACKENDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedExecution)
+            loaded = load_backend(name)
+        if loaded.backend == name:
+            print(f"{name:<12}{'yes':<12}{notes.get(name, '')}")
         else:
-            print(f"{name:<12}{'no':<12}{backend.unavailable_reason()}")
+            reason = loaded.provenance[0].partition("->numpy: ")[2]
+            print(f"{name:<12}{'no':<12}{reason}")
     return 0
 
 

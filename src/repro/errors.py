@@ -111,14 +111,14 @@ class WorkspaceExhausted(ReproError, MemoryError):
 
 
 class BackendUnavailable(ReproError, RuntimeError):
-    """A compiled kernel backend could not be imported or compiled.
+    """The compiled ``cc`` backend could not be found, built or loaded.
 
-    Raised by :func:`repro.kernels.backends.resolve_backend` in strict
-    mode and by backend ``compile`` implementations (including the
-    ``backend.compile`` injected fault).  Degradable callers — plan
-    builds, :class:`repro.kernels.KernelSession` — catch it and fall back
-    to the always-available ``numpy`` backend, recording the step in the
-    plan's ``backend_provenance``.
+    Raised by :mod:`repro.kernels.backends.cc_backend` (no compiler, a
+    failed build, a library that fails to load) and by the
+    ``backend.compile`` injected fault.  Only
+    :func:`repro.kernels.backends.load_backend` catches it: it falls back
+    to the always-available ``numpy`` backend, and plans and sessions
+    record the step in their ``backend_provenance``.
     """
 
 

@@ -18,14 +18,14 @@ instead of re-allocated per call, and
 execution plan) for the repeated-multiply serving case — bitwise-identical
 results at a fraction of the steady-state cost.
 
-The row-wise kernels :func:`spmm`, :func:`spmv` and :func:`sddmm` (and
-:class:`~repro.kernels.KernelSession`) additionally accept ``backend=``,
-naming a kernel backend from :mod:`repro.kernels.backends` — ``cc`` (the
-SpMM loop built by the system C compiler, the default for sessions and
-plans) or ``numpy`` (the uncompiled reference, always available, and
-what ``cc`` degrades to without a compiler).  Both give the same bits:
-the cross-backend differential test matrix holds ``cc`` bitwise equal to
-:func:`spmm`, which stays the independent reference.
+:func:`spmm` and :class:`~repro.kernels.KernelSession` additionally
+accept ``backend=``, naming a kernel backend from
+:mod:`repro.kernels.backends` — ``cc`` (the SpMM loop built by the system
+C compiler, the default for sessions and plans) or ``numpy`` (the
+uncompiled reference, always available, and what ``cc`` degrades to
+without a compiler).  Both give the same bits: the cross-backend
+differential test matrix holds ``cc`` bitwise equal to :func:`spmm`,
+which stays the independent reference.
 
 These kernels compute *results*; the corresponding *performance* estimates
 come from :mod:`repro.gpu`, which models the same access patterns on a
@@ -40,16 +40,7 @@ from repro.kernels.aspt_sddmm import sddmm_tiled
 from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
 from repro.kernels.session import KernelSession
 from repro.kernels.validate import assert_spmm_correct, assert_sddmm_correct
-from repro.kernels.backends import (
-    CompiledKernel,
-    KernelBackend,
-    SpecializationSpec,
-    available_backends,
-    backend_names,
-    get_backend,
-    resolve_backend,
-    specialize,
-)
+from repro.kernels.backends import BACKENDS, load_backend
 
 __all__ = [
     "KernelSession",
@@ -65,12 +56,6 @@ __all__ = [
     "sddmm_tiled",
     "assert_spmm_correct",
     "assert_sddmm_correct",
-    "SpecializationSpec",
-    "CompiledKernel",
-    "KernelBackend",
-    "specialize",
-    "backend_names",
-    "available_backends",
-    "get_backend",
-    "resolve_backend",
+    "BACKENDS",
+    "load_backend",
 ]

@@ -1,6 +1,6 @@
 """The ``cc`` backend: the CSR SpMM loop built by the system C compiler.
 
-``compile`` builds ``cc_spmm.c`` — one loop per row that adds each
+:func:`load_spmm` builds ``cc_spmm.c`` — one loop per row that adds each
 product straight into K-wide accumulators in ``np.add.reduceat``'s order
 (see :mod:`repro.kernels.state`) — into a shared library and loads it
 with :mod:`ctypes`.  Its results are **bitwise identical** to
@@ -23,13 +23,12 @@ before it is loaded, so a truncated file is never mapped.
 
 Degradation
 -----------
-A missing compiler makes the backend unavailable, and
-:func:`~repro.kernels.backends.resolve_backend` degrades requests to
-``numpy``.  Every other failure — a non-zero compiler exit or a timeout,
-an unwritable cache, a library that fails to load — raises
-:class:`~repro.errors.BackendUnavailable` from :meth:`CcBackend.compile`,
-which sessions and plan builds catch and degrade the same way, with a
-``backend:cc->numpy: ...`` provenance entry.
+A missing compiler (:func:`compiler` raises) and every other failure —
+a non-zero compiler exit or a timeout, an unwritable cache, a library
+that fails to load — raise :class:`~repro.errors.BackendUnavailable`,
+which :func:`repro.kernels.backends.load_backend` turns into a
+degradation to ``numpy`` with a ``backend:cc->numpy: ...`` provenance
+entry.
 
 The loop runs with the GIL released (a :class:`ctypes.CDLL` call), on
 float64 operands directly and on float32 operands widened exactly to
@@ -52,12 +51,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import BackendUnavailable, ShapeError
-from repro.kernels.backends.base import CompiledKernel, KernelBackend, SpecializationSpec
 from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
 from repro.util.hashing import stable_digest
 from repro.util.workspace import Workspace
 
-__all__ = ["CcBackend", "cache_dir"]
+__all__ = ["cache_dir", "compiler", "load_spmm"]
 
 _SOURCE = Path(__file__).with_name("cc_spmm.c")
 
@@ -75,7 +73,7 @@ _CPU_KEYS = (
 )
 
 
-def _compiler() -> list[str]:
+def compiler() -> list[str]:
     """The compiler command: ``$CC`` split like a shell word list, else ``cc``.
 
     Raises :class:`BackendUnavailable` when the command cannot be found.
@@ -153,7 +151,7 @@ def _replace_atomically(path: Path, write) -> None:
 
 def _library_path() -> Path:
     """Build the library unless the cache holds an intact one; return its path."""
-    cc = _compiler()
+    cc = compiler()
     version = _run([*cc, "--version"])
     key = stable_digest(
         _SOURCE.read_bytes(),
@@ -235,31 +233,10 @@ def _spmm_fn(kernel):
     return spmm
 
 
-class CcBackend(KernelBackend):
-    """SpMM compiled from C by the system compiler, bit-equal to ``spmm``."""
+def load_spmm():
+    """The compiled SpMM, loading the cached library or building it first.
 
-    name = "cc"
-
-    @classmethod
-    def available(cls) -> bool:
-        """True when the ``$CC`` (default ``cc``) command can be found."""
-        return not cls.unavailable_reason()
-
-    @classmethod
-    def unavailable_reason(cls) -> str:
-        """Why no compiler is usable here, or ``""`` when one is."""
-        try:
-            _compiler()
-        except BackendUnavailable as exc:
-            return str(exc)
-        return ""
-
-    def compile(self, spec: SpecializationSpec) -> CompiledKernel:
-        """Load the cached library, building it first on a miss.
-
-        Raises :class:`~repro.errors.BackendUnavailable` for anything but
-        an SpMM spec and for every build or load failure.
-        """
-        if spec.kernel != "spmm":
-            raise BackendUnavailable(f"cc compiles only spmm, not {spec.kernel!r}")
-        return CompiledKernel(backend=self.name, spec=spec, fn=_spmm_fn(_load_kernel()))
+    Raises :class:`~repro.errors.BackendUnavailable` for every build or
+    load failure.
+    """
+    return _spmm_fn(_load_kernel())

@@ -46,7 +46,6 @@ def sddmm(
     Y: np.ndarray,
     *,
     workspace=None,
-    backend: str | None = None,
 ) -> CSRMatrix:
     """Vectorised SDDMM.
 
@@ -65,10 +64,6 @@ def sddmm(
         gather buffers are leased from it instead of allocated.  The dot
         products themselves are computed by the same ``einsum`` in the
         same dtype, so results are bitwise identical either way.
-    backend:
-        Optional registered backend name (:mod:`repro.kernels.backends`);
-        this reference path runs for every name, because only SpMM is
-        compiled.
 
     Returns
     -------
@@ -76,10 +71,6 @@ def sddmm(
         Same pattern as ``csr`` with values
         ``(Y[i] . X[c]) * csr.value`` per stored entry.
     """
-    if backend is not None:
-        from repro.kernels.backends import get_backend
-
-        get_backend(backend)  # a typo fails loudly; no backend compiles SDDMM
     X = check_dense("X", X, rows=csr.n_cols, dtype=None)
     Y = check_dense("Y", Y, rows=csr.n_rows, cols=X.shape[1], dtype=None)
     if csr.nnz == 0:

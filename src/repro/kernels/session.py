@@ -14,11 +14,11 @@ buffers, the output array.  A :class:`KernelSession` hoists all of it:
   (:mod:`repro.kernels.backends`): one pass per row that forms each
   product and adds it straight into K-wide accumulators, the CPU
   analogue of the GPU kernel keeping a row's partial sums in fast
-  memory.  At construction the session resolves its backend (its own
+  memory.  At construction the session loads its backend (its own
   ``backend=`` argument, or the plan's ``backend`` field for plan
-  targets) and fetches the one compiled artifact every matrix shares;
-  artifacts are cached process-wide and the built library on disk, so a
-  warm session compiles nothing;
+  targets) through :func:`~repro.kernels.backends.load_backend`; the one
+  compiled SpMM every matrix shares is cached process-wide and the built
+  library on disk, so a warm session compiles nothing;
 * the ``numpy`` backend runs :meth:`~repro.kernels.state.CsrState.multiply`
   instead, the length-grouped, row-blocked reference executor.
 
@@ -45,7 +45,7 @@ cross-backend differential matrix and, for plans, by
 
 Degradation is never fatal: if the requested backend is unavailable or
 its compile fails (including the injected ``backend.compile`` chaos
-fault), the session falls back to the numpy reference —
+fault), the loader falls back to the numpy reference —
 ``kernels.backend_fallback`` counts it, one
 :class:`~repro.errors.DegradedExecution` warning fires, and
 :attr:`KernelSession.backend_provenance` records the step.
@@ -65,7 +65,7 @@ import warnings
 import numpy as np
 
 from repro.aspt.tiles import TiledMatrix
-from repro.errors import BackendUnavailable, DegradedExecution, WorkspaceExhausted
+from repro.errors import DegradedExecution, WorkspaceExhausted
 from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
@@ -139,14 +139,17 @@ class KernelSession:
         self._bind(target)
 
     def _bind(self, target) -> None:
-        """Pin ``target``: derive per-matrix state and compile its artifact.
+        """Pin ``target``: derive per-matrix state and load its backend.
 
         Shared by construction and :meth:`refresh`; every target-derived
         attribute is (re)assigned here so a refresh leaves no stale state
         behind.
         """
+        from repro.kernels.backends import DEFAULT_BACKEND, load_backend
+
         # Plans write reordered row r to original row row_order[r].
         row_order = None
+        backend = self._requested_backend
         if isinstance(target, CSRMatrix):
             self._kind = "csr"
             csr = target
@@ -159,6 +162,8 @@ class KernelSession:
             self._kind = "plan"
             csr = target.tiled.original
             row_order = target.row_order
+            if backend is None:
+                backend = getattr(target, "backend", DEFAULT_BACKEND)
         else:
             raise TypeError(
                 "KernelSession target must be a CSRMatrix, TiledMatrix or "
@@ -168,64 +173,12 @@ class KernelSession:
         self._n_rows = csr.n_rows
         self._n_cols = csr.n_cols
         self._state = CsrState(csr, row_order)
-        self._init_backend(self._requested_backend)
-
-    def _init_backend(self, backend: str | None) -> None:
-        """Resolve the backend and fetch its compiled SpMM artifact.
-
-        The numpy reference compiles nothing: ``_dispatch`` runs
-        :meth:`CsrState.multiply` directly.  Unavailable backends degrade
-        inside ``resolve_backend``; compile *failures* (e.g. the injected
-        ``backend.compile`` fault) degrade here to that same uncompiled
-        path — a session never fails to construct over its backend.
-        """
-        from repro.kernels.backends import (
-            DEFAULT_BACKEND,
-            get_backend,
-            resolve_backend,
-            specialize,
-        )
-
-        requested = backend
-        if requested is None:
-            requested = DEFAULT_BACKEND
-            if self._kind == "plan":
-                requested = getattr(self.target, "backend", DEFAULT_BACKEND)
-        backend_obj, provenance = resolve_backend(requested)
-        provenance = list(provenance)
-        compiled = None
-        if backend_obj.name != "numpy":
-            try:
-                compiled = backend_obj.artifact(specialize(kernel="spmm"))
-            except BackendUnavailable as exc:
-                METRICS.counter(
-                    "kernels.backend_fallback",
-                    "backend requests degraded to the numpy reference",
-                ).inc()
-                provenance.append(
-                    f"backend:{backend_obj.name}->numpy: compile failed: {exc}"
-                )
-                _log.warning(
-                    "backend %s compile failed (%s); session using numpy",
-                    backend_obj.name,
-                    exc,
-                )
-                warnings.warn(
-                    f"kernel backend {backend_obj.name!r} failed to compile "
-                    f"({exc}); session falling back to the numpy reference "
-                    "(results unchanged)",
-                    DegradedExecution,
-                    stacklevel=3,
-                )
-                backend_obj = get_backend("numpy")
-        self._backend_obj = backend_obj
-        self._fn = compiled.fn if compiled is not None else None
-        #: Descriptor of the compiled artifact the session runs (the
-        #: :meth:`~repro.kernels.backends.CompiledKernel.descriptor` form
-        #: stored in ``ExecutionPlan.artifact``); empty when the session
-        #: runs the uncompiled numpy reference.
-        self.artifact = compiled.descriptor() if compiled is not None else ()
-        self.backend_provenance = tuple(provenance)
+        # A missing compiler or a failed compile degrades inside the
+        # loader, so a session never fails to construct over its backend.
+        loaded = load_backend(DEFAULT_BACKEND if backend is None else backend)
+        self._backend = loaded.backend
+        self._fn = loaded.spmm
+        self.backend_provenance = loaded.provenance
 
     # ------------------------------------------------------------------
     @property
@@ -241,7 +194,7 @@ class KernelSession:
     @property
     def backend(self) -> str:
         """Name of the backend actually executing (after any degradation)."""
-        return self._backend_obj.name
+        return self._backend
 
     @property
     def fallbacks(self) -> int:
@@ -262,8 +215,8 @@ class KernelSession:
 
         The streaming path: after :func:`repro.streaming.apply_delta`
         produces a patched plan, ``refresh`` re-derives every
-        target-bound attribute (pinned state with its row order, compiled
-        artifact — warm compiles hit the process-wide artifact cache)
+        target-bound attribute (pinned state with its row order, backend —
+        a warm load hits the process-wide cache)
         while keeping the session identity, its workspace pool and its
         degradation counters.  Accepts the same target types as the
         constructor, plus a :class:`repro.streaming.PlanUpdate` (its

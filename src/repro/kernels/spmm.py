@@ -29,9 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.contracts import checked, validates
+from repro.kernels.state import CsrState
 from repro.sparse.csr import CSRMatrix
 from repro.util.validation import check_dense, check_out
-from repro.util.workspace import Workspace, as_workspace
+from repro.util.workspace import DirectWorkspace, Workspace, as_workspace
 
 __all__ = ["spmm", "spmm_rowwise_reference"]
 
@@ -126,21 +127,20 @@ def spmm(
     backend:
         Optional backend name (see :mod:`repro.kernels.backends`).
         ``None``/``"numpy"`` run this reference path — one-shot ``spmm``
-        stays the independent reference every backend is held to; other
-        names dispatch to the backend's compiled SpMM (bit-equal to this
-        path), degrading back here when the backend is unavailable.
+        stays the independent reference every backend is held to;
+        ``"cc"`` runs the compiled SpMM (bit-equal to this path),
+        degrading back here when it cannot load.
 
     Returns
     -------
     numpy.ndarray
         ``Y`` of shape ``(M, K)``.
     """
+    compiled = None
     if backend is not None and backend != "numpy":
-        from repro.kernels.backends import resolve_backend
+        from repro.kernels.backends import load_backend
 
-        resolved, _ = resolve_backend(backend)
-        if resolved.name != "numpy":
-            return resolved.spmm(csr, X, out, workspace=workspace)
+        compiled = load_backend(backend).spmm
     X = check_dense("X", X, rows=csr.n_cols, dtype=None)
     K = X.shape[1]
     if out is None:
@@ -152,13 +152,16 @@ def spmm(
         return out
     ws, owned = as_workspace(workspace)
     try:
-        # Gather + scale: products[p] = value[p] * X[col[p]], then
-        # segment-sum into rows (reduceat needs non-empty segments).
-        products = _gathered_products(csr.values, X, csr.colidx, ws)
-        lengths = csr.row_lengths()
-        nonempty = np.flatnonzero(lengths > 0)
-        starts = csr.rowptr[:-1][nonempty]
-        _segment_rows(products, starts, nonempty, out, ws)
+        if compiled is not None:
+            compiled(CsrState(csr), X, out, DirectWorkspace() if ws is None else ws)
+        else:
+            # Gather + scale: products[p] = value[p] * X[col[p]], then
+            # segment-sum into rows (reduceat needs non-empty segments).
+            products = _gathered_products(csr.values, X, csr.colidx, ws)
+            lengths = csr.row_lengths()
+            nonempty = np.flatnonzero(lengths > 0)
+            starts = csr.rowptr[:-1][nonempty]
+            _segment_rows(products, starts, nonempty, out, ws)
     finally:
         if owned:
             ws.release()

@@ -38,23 +38,15 @@ def spmv_rowwise_reference(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
 
 
 @checked(validates("csr"))
-def spmv(
-    csr: CSRMatrix, x: np.ndarray, *, workspace=None, backend: str | None = None
-) -> np.ndarray:
+def spmv(csr: CSRMatrix, x: np.ndarray, *, workspace=None) -> np.ndarray:
     """Vectorised SpMV: gather, multiply, segment-sum.
 
     ``workspace`` optionally leases the ``nnz``-long products scratch from
     a :class:`~repro.util.workspace.WorkspacePool` /
     :class:`~repro.util.workspace.Workspace` instead of allocating it;
     the gather and multiply then run through ``out=`` forms with the same
-    operand order, so the result is bitwise identical.  ``backend``
-    accepts any registered backend name (:mod:`repro.kernels.backends`)
-    and runs this reference path: only SpMM is compiled.
+    operand order, so the result is bitwise identical.
     """
-    if backend is not None:
-        from repro.kernels.backends import get_backend
-
-        get_backend(backend)  # a typo fails loudly; no backend compiles SpMV
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != csr.n_cols:
         raise ValueError(f"x must be 1-D of length {csr.n_cols}, got shape {x.shape}")

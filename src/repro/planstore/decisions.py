@@ -42,14 +42,11 @@ class PlanDecisions:
     a resilience policy — in practice always, since degraded plans are
     never cached, but the field keeps the round trip lossless).
 
-    ``backend``/``artifact`` record the compiled kernel backend the plan
-    resolved to and its artifact descriptor (spec fields + fingerprint)
-    — stored next to the decisions so a warm hit knows which compiled
-    artifact the plan was built against without re-deriving the spec.
-    They are *advisory*: :meth:`materialise` re-resolves the config's
-    backend in the **current** environment, so an entry cached on a
-    machine with a C compiler never pins a compiler requirement onto a
-    machine without one (nor the reverse).
+    No backend is stored: :meth:`materialise` loads the config's backend
+    in the **current** environment (``config.backend`` is part of the
+    cache key), so an entry cached on a machine with a C compiler never
+    pins a compiler requirement onto a machine without one (nor the
+    reverse).
     """
 
     row_order: np.ndarray
@@ -57,8 +54,6 @@ class PlanDecisions:
     stats: PlanStats
     preprocess_total: float
     provenance: tuple = ()
-    backend: str = "numpy"
-    artifact: tuple = ()
 
     @classmethod
     def from_plan(cls, plan: ExecutionPlan) -> "PlanDecisions":
@@ -72,8 +67,6 @@ class PlanDecisions:
             stats=stats,
             preprocess_total=plan.preprocessing_time,
             provenance=tuple(plan.provenance),
-            backend=plan.backend,
-            artifact=tuple(plan.artifact),
         )
 
     @property
@@ -120,10 +113,8 @@ class PlanDecisions:
                 "cold_total": self.preprocess_total,
             },
         )
-        # Re-resolve the backend here rather than trusting the cached
-        # value: availability is a property of this process, not of the
-        # entry.  A warm hit against an already-seen spec fingerprint
-        # reuses the process-global compiled artifact (no recompile).
+        # Availability is a property of this process, not of the entry;
+        # a warm load reuses the process-wide compiled SpMM.
         from repro.reorder.pipeline import attach_backend
 
         return attach_backend(plan, config)

@@ -77,8 +77,6 @@ def _entry_checksum(
     stats: np.ndarray,
     preprocess_total: float,
     provenance,
-    backend: str,
-    artifact,
 ) -> int:
     """CRC-32 over the entry's semantic content (layout-independent)."""
     crc = zlib.crc32(np.ascontiguousarray(row_order, dtype=np.int64).tobytes())
@@ -89,9 +87,6 @@ def _entry_checksum(
     crc = zlib.crc32(np.float64(preprocess_total).tobytes(), crc)
     for step in provenance:
         crc = zlib.crc32(str(step).encode("utf-8"), crc)
-    crc = zlib.crc32(str(backend).encode("utf-8"), crc)
-    for part in artifact:
-        crc = zlib.crc32(str(part).encode("utf-8"), crc)
     return crc & 0xFFFFFFFF
 
 
@@ -176,15 +171,12 @@ class DiskPlanStore:
         fault_point("planstore.write")
         stats_block = decisions.stats.to_array()
         provenance = np.array(list(decisions.provenance), dtype=np.str_)
-        artifact = np.array(list(decisions.artifact), dtype=np.str_)
         checksum = _entry_checksum(
             decisions.row_order,
             decisions.remainder_order,
             stats_block,
             decisions.preprocess_total,
             decisions.provenance,
-            decisions.backend,
-            decisions.artifact,
         )
         with open(tmp, "wb") as fh:
             np.savez_compressed(
@@ -195,8 +187,6 @@ class DiskPlanStore:
                 stats=stats_block,
                 preprocess_total=np.float64(decisions.preprocess_total),
                 provenance=provenance,
-                backend=np.str_(decisions.backend),
-                artifact=artifact,
                 checksum=np.int64(checksum),
             )
         os.replace(tmp, path)
@@ -217,8 +207,6 @@ class DiskPlanStore:
             raw = data["stats"]
             preprocess_total = float(data["preprocess_total"])
             provenance = tuple(str(s) for s in data["provenance"].tolist())
-            backend = str(data["backend"])
-            artifact = tuple(str(s) for s in data["artifact"].tolist())
             declared = int(data["checksum"]) & 0xFFFFFFFF
         actual = _entry_checksum(
             row_order,
@@ -226,8 +214,6 @@ class DiskPlanStore:
             raw,
             preprocess_total,
             provenance,
-            backend,
-            artifact,
         )
         if actual != declared:
             raise CorruptStoreError(
@@ -239,8 +225,6 @@ class DiskPlanStore:
             stats=PlanStats.from_array(raw),
             preprocess_total=preprocess_total,
             provenance=provenance,
-            backend=backend,
-            artifact=artifact,
         )
 
     def _quarantine(self, path: Path) -> None:

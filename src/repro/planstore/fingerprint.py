@@ -41,7 +41,9 @@ __all__ = [
 #: (degradation-ladder history); v1 entries quarantine on read.
 #: v3: entries gained the resolved kernel ``backend`` name and the
 #: compiled-artifact descriptor; v2 entries quarantine on read.
-PLAN_FORMAT_VERSION = 3
+#: v4: both dropped again (materialise re-loads ``config.backend``, which
+#: is part of the key); v3 entries quarantine on read.
+PLAN_FORMAT_VERSION = 4
 
 
 def pattern_fingerprint(csr: CSRMatrix) -> str:

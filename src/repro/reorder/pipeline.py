@@ -43,12 +43,18 @@ import numpy as np
 from repro.aspt.tiles import TiledMatrix, tile_matrix
 from repro.clustering.hierarchical import cluster_rows
 from repro.contracts import checked, validates
-from repro.errors import BackendUnavailable, DegradedExecution, TimeoutExceeded
+from repro.errors import DegradedExecution, TimeoutExceeded
 from repro.kernels.aspt_sddmm import sddmm_tiled
 from repro.kernels.aspt_spmm import spmm_tiled
 from repro.kernels.spmm import spmm
 from repro.kernels.sddmm import sddmm
-from repro.kernels.backends import DEFAULT_BACKEND
+from repro.kernels.backends import (
+    BACKENDS,
+    DEFAULT_BACKEND,
+    check_backend,
+    degrade,
+    load_backend,
+)
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
 from repro.reorder.heuristics import should_reorder_round1, should_reorder_round2
@@ -95,11 +101,11 @@ class ReorderConfig:
     force_round1: bool | None = None  #: override the §4 gate (None = use gate)
     force_round2: bool | None = None
     #: Kernel backend the plan's sessions run through (see
-    #: :mod:`repro.kernels.backends`).  Must be a *registered* name: the
-    #: default "cc" (the compiled loop, bit-equal to the reference) or
-    #: "numpy".  Availability is checked at plan build, where an
-    #: unavailable backend degrades to numpy with provenance rather than
-    #: failing.  Part of the plan cache key.
+    #: :mod:`repro.kernels.backends`): the default "cc" (the compiled
+    #: loop, bit-equal to the reference) or "numpy".  Availability is
+    #: checked at plan build, where an unavailable backend degrades to
+    #: numpy with provenance rather than failing.  Part of the plan cache
+    #: key.
     backend: str = DEFAULT_BACKEND
 
     def __post_init__(self):
@@ -108,12 +114,7 @@ class ReorderConfig:
         check_positive("threshold_size", self.threshold_size)
         check_positive("panel_height", self.panel_height)
         check_positive("dense_threshold", self.dense_threshold)
-        # Registered-name check only (never an availability probe): a
-        # typo fails loudly here, a missing optional dependency degrades
-        # later at resolve time.
-        from repro.kernels.backends import get_backend
-
-        get_backend(self.backend)
+        check_backend(self.backend)
 
     def lsh_index(self) -> LSHIndex:
         """The LSH configuration as an index object."""
@@ -232,15 +233,6 @@ class ExecutionPlan:
         Kept separate from :attr:`provenance` on purpose: a missing
         compiler must not mark the *plan* degraded (degraded plans are
         never cached, and the reordering decisions are unaffected).
-    artifact:
-        Compiled-artifact descriptor — flat ``"key=value"`` strings from
-        :meth:`repro.kernels.backends.CompiledKernel.descriptor`,
-        including the specialization fingerprint that keys the
-        process-global artifact cache.  It names the artifact a default
-        :meth:`session` runs.  Stored in the plan store next to the
-        decisions so warm sessions know the artifact without re-deriving
-        it.  Empty when the backend resolved to ``numpy`` without
-        compiling.
     revision:
         Streaming update counter: 0 for a freshly built plan, bumped by
         one each time :func:`repro.streaming.apply_delta` produces the
@@ -258,7 +250,6 @@ class ExecutionPlan:
     provenance: tuple = ()
     backend: str = "numpy"
     backend_provenance: tuple = ()
-    artifact: tuple = ()
     revision: int = 0
 
     @property
@@ -372,11 +363,11 @@ class ExecutionPlan:
         The plan is rebuilt by
         :meth:`repro.planstore.PlanDecisions.materialise`, as a plan-store
         hit is, so its backend is resolved in this process.  A stored
-        backend name that this build does not register loads as a numpy
-        plan with a ``backend_provenance`` entry recording the step, so
-        :attr:`backend_degraded` is true and :meth:`session` still runs.
+        backend name this build does not know (``"numba"``, say) loads as
+        a numpy plan with a ``backend_provenance`` entry recording the
+        step, so :attr:`backend_degraded` is true and :meth:`session`
+        still runs.
         """
-        from repro.kernels.backends import backend_names
         from repro.planstore.decisions import PlanDecisions
 
         with np.load(path) as data:
@@ -393,22 +384,10 @@ class ExecutionPlan:
             max_dense_cols = int(data.get("max_dense_cols", 0))
             backend = str(data.get("backend", "numpy"))
         backend_provenance: tuple = ()
-        if backend not in backend_names():
-            METRICS.counter(
-                "kernels.backend_fallback",
-                "backend requests degraded to the numpy reference",
-            ).inc()
-            warnings.warn(
-                f"saved plan names kernel backend {backend!r}, which is not "
-                "registered here; loading it on the numpy reference "
-                "(results unchanged)",
-                DegradedExecution,
-                stacklevel=2,
+        if backend not in BACKENDS:
+            backend, _, backend_provenance = degrade(
+                backend, "not registered in this build"
             )
-            backend_provenance = (
-                f"backend:{backend}->numpy: not registered in this build",
-            )
-            backend = "numpy"
         config = ReorderConfig(
             panel_height=panel_height,
             dense_threshold=dense_threshold,
@@ -439,7 +418,7 @@ class ExecutionPlan:
 
         return KernelSession(self, **kwargs)
 
-    def validate(self, X: np.ndarray | None = None, seed: int = 0) -> None:
+    def validate(self, X: np.ndarray | None = None, seed: int = 0) -> None:  # reprolint: disable=RD601 -- a plan self-check, not a contract validator (validates() calls CSRMatrix.validate only); the session it builds loads the plan's backend into the process-wide cache on purpose
         """Self-check: plan results must match the direct kernels.
 
         :meth:`spmm` and a pinned session must be bit-equal to
@@ -485,61 +464,27 @@ def _assert_same_csr(got: CSRMatrix, want: CSRMatrix) -> None:
 
 
 def attach_backend(plan: ExecutionPlan, config: ReorderConfig) -> ExecutionPlan:
-    """Resolve ``config.backend`` and pin its artifact descriptor on ``plan``.
+    """Load ``config.backend`` and record the outcome on ``plan``.
 
     Runs at the end of every plan build *and* on every cache
     materialisation, so the choice always reflects the current
     environment — a plan cached on a machine with a C compiler does not
     pin a compiler requirement onto a machine without one, and vice
-    versa.  The artifact is the one every matrix shares, so after the
-    first build this is a cache lookup.  Two degradation layers:
-
-    * *unavailable* backends degrade inside
-      :func:`repro.kernels.backends.resolve_backend` (counter, warning,
-      provenance entry);
-    * *compile failures* (e.g. the injected ``backend.compile`` fault)
-      are caught here and degrade the same way.
+    versa.  One compiled SpMM serves every matrix, so after the first
+    build this is a cache lookup.  A missing compiler or a failed compile
+    (e.g. the injected ``backend.compile`` fault) degrades inside
+    :func:`repro.kernels.backends.load_backend`.
 
     Either way the result lands in :attr:`ExecutionPlan.backend` /
     ``backend_provenance`` — never in the ladder :attr:`~ExecutionPlan.provenance`,
     so a missing compiler does not mark the plan degraded (degraded
     plans are never cached).
     """
-    from repro.kernels.backends import resolve_backend, specialize
-
-    backend, provenance = resolve_backend(config.backend)
-    provenance = list(provenance)
-    artifact: tuple = ()
-    if backend.name != "numpy":
-        try:
-            # What this build paid: a compile once per process, then a
-            # cache lookup.
-            with timed(plan.preprocess_seconds, "backend_compile"):
-                compiled = backend.artifact(specialize(kernel="spmm"))
-        except BackendUnavailable as exc:
-            METRICS.counter(
-                "kernels.backend_fallback",
-                "backend requests degraded to the numpy reference",
-            ).inc()
-            provenance.append(
-                f"backend:{backend.name}->numpy: compile failed: {exc}"
-            )
-            warnings.warn(
-                f"kernel backend {backend.name!r} failed to compile ({exc}); "
-                "plan falling back to the numpy reference (results unchanged)",
-                DegradedExecution,
-                stacklevel=2,
-            )
-            from repro.kernels.backends import get_backend
-
-            backend = get_backend("numpy")
-        else:
-            artifact = compiled.descriptor()
+    # What this build paid: a compile once per process, then a lookup.
+    with timed(plan.preprocess_seconds, "backend_compile"):
+        loaded = load_backend(config.backend)
     return replace(
-        plan,
-        backend=backend.name,
-        backend_provenance=tuple(provenance),
-        artifact=artifact,
+        plan, backend=loaded.backend, backend_provenance=loaded.provenance
     )
 
 

@@ -24,8 +24,8 @@ The robustness stack, rung by rung:
   (:mod:`repro.serve.shedding`) — queue depth and p95 latency map onto
   the existing 4-rung degradation ladder, so a pressured server serves a
   degraded-but-provenance-tagged plan rather than timing out, and a
-  **circuit breaker** around backend JIT compilation trips to the numpy
-  backend on repeated compile faults;
+  **circuit breaker** around the ``cc`` backend's C build trips to the
+  numpy backend on repeated compile failures;
 * **request coalescing** (:mod:`repro.serve.coalesce`) — concurrent
   requests against the same fingerprint batch into one K-chunked
   multiply with per-request result slicing, bitwise-identical to serial

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.kernels.backends import DEFAULT_BACKEND
+from repro.kernels.backends import DEFAULT_BACKEND, check_backend
 
 __all__ = ["ServeConfig"]
 
@@ -129,11 +129,9 @@ class ServeConfig:
             )
         if self.breaker_reset_s < 0 or self.drain_timeout_s < 0:
             raise ConfigError("breaker_reset_s/drain_timeout_s must be >= 0")
-        # Registered-name check (availability degrades later, a typo
-        # should fail loudly now) — same contract as ReorderConfig.
-        from repro.kernels.backends import get_backend
-
-        get_backend(self.backend)
+        # Name check (availability degrades later, a typo should fail
+        # loudly now) — same contract as ReorderConfig.
+        check_backend(self.backend)
 
     def reorder_config(self):
         """The :class:`~repro.reorder.ReorderConfig` requests build with."""

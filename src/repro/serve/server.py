@@ -497,18 +497,25 @@ class SpmmServer:
         if len(budgets) == len(members) and budgets:
             budget = max(0.0, max(budgets))
         policy = ResiliencePolicy(deadline_s=budget, ladder=True)
-        plan = build_plan(
-            csr,
-            replace(rung_config, backend=build_backend),
-            cache=self._plan_cache,
-            resilience=policy,
-        )
-        session = plan.session(chunk_k=self.config.chunk_k)
-        if compiling:
-            if session.backend == requested:
-                self.breaker.record_success()
-            else:
-                self.breaker.record_failure()
+        compiled = False
+        try:
+            plan = build_plan(
+                csr,
+                replace(rung_config, backend=build_backend),
+                cache=self._plan_cache,
+                resilience=policy,
+            )
+            session = plan.session(chunk_k=self.config.chunk_k)
+            compiled = session.backend == requested
+        finally:
+            # Settle the breaker whatever the build does: a half-open
+            # trial that never reports would refuse every later compile,
+            # so a build that raises counts as a failed one.
+            if compiling:
+                if compiled:
+                    self.breaker.record_success()
+                else:
+                    self.breaker.record_failure()
         return self.pool.put(
             key,
             session,

@@ -9,7 +9,7 @@ and a sliding-window p95 latency — onto the 4-rung degradation ladder
 a degraded-but-provenance-tagged plan instead of timing out; the
 response says which rung it got.
 
-The :class:`CircuitBreaker` guards backend JIT compilation: after
+The :class:`CircuitBreaker` guards the ``cc`` backend's C build: after
 ``threshold`` consecutive compile failures (including the injected
 ``backend.compile`` chaos fault) the breaker *opens* and sessions are
 built directly on the numpy reference backend — no doomed compile

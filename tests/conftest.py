@@ -103,11 +103,13 @@ def assert_plans_identical(patched, fresh):
 # --- Kernel backends ---------------------------------------------------------
 #
 # The cross-backend differential matrix and the parametrized oracle tests
-# run every registered backend.  A backend that is unavailable here (``cc``
-# without a C compiler) skips with its reason instead of silently
-# shrinking coverage.
+# run every backend.  ``cc`` without a C compiler skips with its reason
+# instead of silently shrinking coverage (the CI ``backends`` lane fails
+# first when no compiler is found).
 
-from repro.kernels.backends import backend_names, get_backend  # noqa: E402
+import repro.kernels.backends as backends_mod  # noqa: E402
+from repro.errors import BackendUnavailable  # noqa: E402
+from repro.kernels.backends import BACKENDS, cc_backend  # noqa: E402
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -123,51 +125,55 @@ def _cc_cache_home(tmp_path_factory):
     patch.undo()
 
 
+def cc_missing() -> str:
+    """Why the ``cc`` backend cannot build here, or ``""`` when it can."""
+    try:
+        cc_backend.compiler()
+    except BackendUnavailable as exc:
+        return str(exc)
+    return ""
+
+
 def _backend_params():
+    missing = cc_missing()
     params = []
-    for name in backend_names():
-        backend = get_backend(name)
+    for name in BACKENDS:
         marks = ()
-        if not backend.available():
-            marks = (
-                pytest.mark.skip(
-                    reason=f"backend {name!r}: {backend.unavailable_reason()}"
-                ),
-            )
+        if name == "cc" and missing:
+            marks = (pytest.mark.skip(reason=f"backend 'cc': {missing}"),)
         params.append(pytest.param(name, marks=marks, id=name))
     return params
 
 
 @pytest.fixture(params=_backend_params())
 def backend_name(request) -> str:
-    """Name of each registered *available* backend (others skip)."""
+    """Name of each *available* backend (``cc`` skips without a compiler)."""
     return request.param
 
 
 @pytest.fixture
-def backend(backend_name):
-    """The :class:`~repro.kernels.backends.KernelBackend` instance."""
-    return get_backend(backend_name)
+def no_compiler(monkeypatch):
+    """``CC`` names a missing compiler; the in-process SpMM cache is empty."""
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    monkeypatch.setattr(backends_mod, "_LOADED", {})
 
 
 @pytest.fixture
 def compiled_backend(monkeypatch) -> str:
-    """The ``cc`` backend's name, with an empty in-process artifact cache.
+    """The ``cc`` backend's name, with an empty in-process SpMM cache.
 
-    Plan-build compile, the plan-store round trip, the artifact cache and
-    the serve compile breaker run only for a backend that compiles, and
-    numpy compiles nothing.  Each test's first compile is a cold one that
-    reaches the ``backend.compile`` fault site; it loads the library the
-    run's cache directory (``_cc_cache_home``) already holds.  Skips where
-    no C compiler is found.
+    Plan-build compile, the plan-store round trip, the in-process cache
+    and the serve compile breaker run only for a backend that compiles,
+    and numpy compiles nothing.  Each test's first load is a cold one
+    that reaches the ``backend.compile`` fault site; it loads the library
+    the run's cache directory (``_cc_cache_home``) already holds.  Skips
+    where no C compiler is found.
     """
-    from repro.kernels.backends import registry
-
-    cc = get_backend("cc")
-    if not cc.available():
-        pytest.skip(f"backend 'cc': {cc.unavailable_reason()}")
-    monkeypatch.setattr(registry, "_ARTIFACTS", {})
-    return cc.name
+    missing = cc_missing()
+    if missing:
+        pytest.skip(f"backend 'cc': {missing}")
+    monkeypatch.setattr(backends_mod, "_LOADED", {})
+    return "cc"
 
 
 # --- Streaming construction fixture ------------------------------------------

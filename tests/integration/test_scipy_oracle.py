@@ -48,11 +48,12 @@ class TestAgainstScipy:
     def test_spmv(self, name, factory, rng, backend_name, streamed):
         m = maybe_streamed(factory(), streamed)
         x = rng.normal(size=m.n_cols)
-        np.testing.assert_allclose(
-            spmv(m, x, backend=backend_name),
-            to_scipy(m) @ x,
-            rtol=1e-10,
-            atol=1e-9,
+        got = spmv(m, x)
+        np.testing.assert_allclose(got, to_scipy(m) @ x, rtol=1e-10, atol=1e-9)
+        # SpMV has only its numpy reference; each backend's SpMM over x as
+        # one column reproduces it bit for bit.
+        np.testing.assert_array_equal(
+            spmm(m, x[:, None], backend=backend_name)[:, 0], got
         )
 
     def test_plan_spmm(self, name, factory, rng, streamed):
@@ -67,12 +68,21 @@ class TestAgainstScipy:
         m = maybe_streamed(factory(), streamed)
         X = rng.normal(size=(m.n_cols, 8))
         Y = rng.normal(size=(m.n_rows, 8))
-        got = sddmm(m, X, Y, backend=backend_name)
+        got = sddmm(m, X, Y)
         s = to_scipy(m)
         # scipy oracle: sample (Y @ X.T) at the stored coordinates.
         dense_vals = np.einsum("pk,pk->p", Y[m.row_ids()], X[m.colidx])
         expected = dense_vals * s.data
         np.testing.assert_allclose(got.values, expected, rtol=1e-10, atol=1e-9)
+        # SDDMM has only its numpy reference; its result then aggregates
+        # through each backend's SpMM (an attention or GNN layer).
+        V = rng.normal(size=(m.n_cols, 4))
+        np.testing.assert_allclose(
+            spmm(got, V, backend=backend_name),
+            to_scipy(got) @ V,
+            rtol=1e-10,
+            atol=1e-9,
+        )
 
     def test_transpose(self, name, factory, rng, streamed):
         m = maybe_streamed(factory(), streamed)

@@ -3,9 +3,12 @@
 Every (kernel x backend x dtype x degenerate shape) cell is held bitwise
 equal to the one-shot numpy reference: the ``numpy`` backend's sessions
 run ``CsrState.multiply``, the ``cc`` backend's its compiled loop, and
-both sum in ``np.add.reduceat``'s order.  The matrix is the lockdown for
-the backend subsystem: any backend that changes a bit on any cell fails
-here, not in a downstream experiment.
+both sum in ``np.add.reduceat``'s order.  SpMV and SDDMM have only their
+numpy reference, so their rows hold each backend's SpMM to them: SpMV
+is the one-column SpMM, and an SDDMM result is a sparse operand like any
+other.  The matrix is the lockdown for the backend subsystem: any
+backend that changes a bit on any cell fails here, not in a downstream
+experiment.
 """
 
 import numpy as np
@@ -79,6 +82,11 @@ class TestSpmmMatrix:
         assert np.all(got[[0, 2, 3, 5]] == 0.0)
 
 
+def _spmm_column(csr, x, backend_name):
+    """``csr @ x`` as the backend's SpMM over ``x`` as a single column."""
+    return spmm(csr, x[:, None], backend=backend_name)[:, 0]
+
+
 class TestSpmvMatrix:
     @pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
     def test_degenerate_shapes(self, rng, backend_name, shape):
@@ -86,28 +94,31 @@ class TestSpmvMatrix:
         csr = _shaped_csr(rng, m, n)
         x = rng.normal(size=n)
         reference = spmv(csr, x)
-        np.testing.assert_array_equal(spmv(csr, x, backend=backend_name), reference)
+        np.testing.assert_array_equal(_spmm_column(csr, x, backend_name), reference)
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
     def test_dtypes(self, rng, backend_name, dtype):
         csr = random_csr(rng, 15, 12, density=0.25)
         x = rng.normal(size=12).astype(dtype)
         reference = spmv(csr, x)
-        np.testing.assert_array_equal(spmv(csr, x, backend=backend_name), reference)
+        np.testing.assert_array_equal(_spmm_column(csr, x, backend_name), reference)
 
 
 class TestSddmmMatrix:
     @pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
     def test_degenerate_shapes(self, rng, backend_name, shape, dtype):
+        # Sampled scores, then an aggregation over them (an attention or
+        # GNN layer): the SDDMM result feeds each backend's SpMM.
         m, n = shape
         csr = _shaped_csr(rng, m, n)
         X = rng.normal(size=(n, 4)).astype(dtype)
         Y = rng.normal(size=(m, 4)).astype(dtype)
-        reference = sddmm(csr, X, Y)
-        got = sddmm(csr, X, Y, backend=backend_name)
-        assert got.values.dtype == reference.values.dtype
-        np.testing.assert_array_equal(got.values, reference.values)
+        scores = sddmm(csr, X, Y)
+        assert scores.same_pattern(csr)
+        V = rng.normal(size=(n, 3)).astype(dtype)
+        reference = spmm(scores, V)
+        np.testing.assert_array_equal(spmm(scores, V, backend=backend_name), reference)
 
 
 class TestSessionMatrix:

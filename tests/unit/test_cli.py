@@ -101,6 +101,31 @@ class TestCommands:
         assert "vertex reordering" in out
 
 
+class TestBackendsCommand:
+    @staticmethod
+    def _rows(out):
+        """``{name: (available, note)}`` from the command's table."""
+        rows = {}
+        for line in out.splitlines()[1:]:
+            name, available, *note = line.split(maxsplit=2)
+            rows[name] = (available, note[0] if note else "")
+        return rows
+
+    def test_lists_both_backends(self, compiled_backend, capsys):
+        assert main(["backends"]) == EXIT_OK
+        rows = self._rows(capsys.readouterr().out)
+        assert rows == {
+            "numpy": ("yes", "reference (degradation target)"),
+            "cc": ("yes", "default"),
+        }
+
+    def test_missing_compiler_reads_no_with_its_reason(self, no_compiler, capsys):
+        assert main(["backends"]) == EXIT_OK
+        rows = self._rows(capsys.readouterr().out)
+        assert rows["numpy"][0] == "yes"
+        assert rows["cc"] == ("no", "C compiler '/nonexistent/cc' not found (set CC)")
+
+
 class TestFigureJsonExport:
     def test_json_dump(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"

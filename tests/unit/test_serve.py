@@ -9,11 +9,18 @@ genuine wire path.
 """
 
 import asyncio
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, FormatError, ReproIOError, ValidationError
+from repro.errors import (
+    ConfigError,
+    DegradedExecution,
+    FormatError,
+    ReproIOError,
+    ValidationError,
+)
 from repro.resilience import FaultInjector
 from repro.serve import (
     STATUS_DEADLINE_EXCEEDED,
@@ -30,6 +37,7 @@ from repro.serve import (
     ServeConfig,
     ServerThread,
     SessionPool,
+    SpmmServer,
     TokenBucket,
     decode_message,
     encode_message,
@@ -243,6 +251,52 @@ class TestCircuitBreaker:
         assert breaker.allow()
         breaker.record_success()
         assert breaker.state == "closed" and breaker.allow()
+
+    def test_trial_build_that_raises_settles_the_breaker(
+        self, compiled_backend, monkeypatch
+    ):
+        """A half-open trial whose build raises counts as a failed trial:
+        one ``reset_s`` later the next build compiles again."""
+        from repro.datasets import hidden_clusters
+        from repro.serve import server as server_mod
+
+        clock = ManualClock()
+        config = ServeConfig(
+            port=0,
+            workers=1,
+            panel_height=8,
+            backend=compiled_backend,
+            breaker_threshold=1,
+            breaker_reset_s=1.0,
+        )
+        server = SpmmServer(config, clock=clock)
+        matrix = hidden_clusters(8, 6, 96, 6, noise=0.1, seed=7)
+
+        def build(key):
+            entry = server._build_entry(key, matrix, config.reorder_config(), [])
+            server.pool.unpin(entry)
+            return entry.backend
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("trial build ran out of memory")
+
+        try:
+            with monkeypatch.context() as patch, warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegradedExecution)
+                patch.setenv("CC", "false")  # every build of the library fails
+                assert build("a") == "numpy"
+            assert server.breaker.state == "open"
+            clock.advance(1.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(server_mod, "build_plan", out_of_memory)
+                with pytest.raises(MemoryError):
+                    build("b")  # the half-open trial
+            assert server.breaker.state == "open"
+            clock.advance(1.0)
+            assert build("c") == compiled_backend
+            assert server.breaker.state == "closed"
+        finally:
+            server._executor.shutdown(wait=True)
 
     def test_snapshot_reports_open_interval(self):
         clock = ManualClock()

@@ -46,12 +46,12 @@ class TestCsrSession:
         np.testing.assert_array_equal(got, spmm(matrix, X32))
 
     def test_chunk_smaller_than_k(self, matrix):
-        # chunk_k only keys compiled artifacts; a K=512 operand makes the
-        # numpy executor walk its length groups in several row blocks.
+        # No executor reads chunk_k; a K=512 operand makes the numpy
+        # executor walk its length groups in several row blocks.
         X = np.random.default_rng(12).normal(size=(matrix.n_cols, 512))
         state = CsrState(matrix)
         assert max(rows.size * L for L, rows, *_ in state.groups) * 512 * 8 > _BLOCK_BYTES
-        session = KernelSession(matrix, chunk_k=5)
+        session = KernelSession(matrix, chunk_k=5, backend="numpy")
         np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
 
     def test_zero_width_operand(self, matrix):
