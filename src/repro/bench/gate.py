@@ -233,9 +233,11 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
     # entries, ~2% of the rows dirty) absorbed by the incremental patch
     # vs a full from-scratch rebuild of the mutated matrix.  The ISSUE-10
     # acceptance bar (patch measurably faster at <= 5% dirt) lives in the
-    # gated ``plan_patch_vs_rebuild`` speedup below.  A patch returns
-    # round 2, so the rebuild reads it too; reading ``plan0.stats`` runs
-    # the old plan's round 2 before the patch is timed.
+    # gated ``plan_patch_vs_rebuild`` speedup below.  Reading
+    # ``plan0.stats`` runs the old plan's round 2 before the patch is
+    # timed, so the value-only patch reuses it and returns round 2 (a
+    # patch of a pending plan would leave it pending); the rebuild reads
+    # it too.
     config = ReorderConfig()
     plan0 = build_plan(matrix, config)
     state0 = (

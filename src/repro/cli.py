@@ -432,9 +432,11 @@ def _cmd_stream_bench(args, clock=time.perf_counter) -> int:
         patched = sum(r.patched for r in sp.reports)
 
         # Timing cell: one value-only set-delta on the final matrix,
-        # incremental patch vs full from-scratch rebuild.  A patch returns
-        # round 2, so the rebuild reads it too; reading ``plan.stats``
-        # runs the old plan's round 2 before the patch is timed.
+        # incremental patch vs full from-scratch rebuild.  Reading
+        # ``plan.stats`` runs the old plan's round 2 before the patch is
+        # timed, so the value-only patch reuses it and returns round 2 (a
+        # patch of a pending plan would leave it pending); the rebuild
+        # reads it too.
         final, config, plan = sp.matrix, sp.config, sp.plan
         state = (
             LshState.build(final, config)

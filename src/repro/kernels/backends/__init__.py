@@ -16,9 +16,10 @@ Selection is by name — ``ReorderConfig.backend``, ``ServeConfig.backend``,
 ``spmm(backend=...)`` — and always goes through :func:`load_backend`, the
 one place backend work happens.  It checks that a compiler is found,
 fetches the compiled SpMM from a process-wide cache (building it on the
-first miss, under the ``backend.compile`` span and fault site) and, when
-either step fails, degrades to ``numpy`` through :func:`degrade`: one
-``kernels.backend_fallback`` count, one
+first miss, under the ``backend.compile`` span and fault site, and
+checking its bits against :func:`repro.kernels.spmm` on a fixed probe
+before caching it) and, when any step fails, degrades to ``numpy``
+through :func:`degrade`: one ``kernels.backend_fallback`` count, one
 :class:`~repro.errors.DegradedExecution` warning and one ``backend:<name>->numpy:
 ...`` provenance entry.  An unknown name is a
 :class:`~repro.errors.ConfigError`.  See ``docs/BACKENDS.md`` for the full
@@ -39,12 +40,18 @@ import threading
 import warnings
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from repro.errors import BackendUnavailable, ConfigError, DegradedExecution
 from repro.kernels.backends import cc_backend
+from repro.kernels.spmm import spmm
+from repro.kernels.state import CsrState
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
 from repro.resilience.faults import fault_point
+from repro.sparse.csr import CSRMatrix
 from repro.util.log import get_logger
+from repro.util.workspace import DirectWorkspace
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -111,9 +118,10 @@ def load_backend(name: str) -> LoadedBackend:
     ``"numpy"`` compiles nothing.  ``"cc"`` needs a compiler on the path;
     a warm in-process load is a dict lookup that never reaches the
     ``backend.compile`` fault site, and a cold one builds (or reuses) the
-    library on disk and counts on ``kernels.backend_compile``.  A missing
-    compiler or a failed build (including the injected fault) degrades
-    through :func:`degrade`, so this never raises over availability.
+    library on disk, checks its bits once (:func:`_bits_match`) and counts
+    on ``kernels.backend_compile``.  A missing compiler, a failed build
+    (including the injected fault) or a failed bit check degrades through
+    :func:`degrade`, so this never raises over availability.
     """
     check_backend(name)
     if name == "numpy":
@@ -130,11 +138,48 @@ def load_backend(name: str) -> LoadedBackend:
         with span("backend.compile", backend=name, kernel="spmm"):
             fault_point("backend.compile")
             fn = cc_backend.load_spmm()
+            exact = _bits_match(fn)
     except BackendUnavailable as exc:
         return degrade(name, f"compile failed: {exc}")
+    if not exact:
+        return degrade(name, "bit check failed")
     _COMPILES.inc()
     with _LOADED_LOCK:
         return LoadedBackend(name, _LOADED.setdefault(name, fn))
+
+
+def _bits_match(fn: Callable) -> bool:
+    """Whether the compiled SpMM ``fn`` gives :func:`repro.kernels.spmm`'s
+    bits on a fixed probe.
+
+    The probe's rows hold 1, 5, 9, 100 and 300 products, so the products
+    after a row's first reach every branch of ``pairwise`` in
+    ``cc_spmm.c``: none, fewer than 8, exactly 8, up to 128, and above 128
+    with its split.  K=67 is one 64-column block plus a tail.  Values and
+    operand span 1e-8 to 1e8 and hold a signed zero, so a library whose
+    compiler reassociates the sums (``-ffast-math`` in ``$CC``, say)
+    gives other bits.  The operand is the outer product of two random
+    vectors, which keeps the check, reference included, under a
+    millisecond.
+    """
+    rng = np.random.default_rng(0)
+    lengths = np.array([1, 5, 9, 100, 300])
+    n_cols, K = 300, 67
+    columns = rng.permutation(n_cols)
+    colidx = np.concatenate([np.sort(columns[:n]) for n in lengths])
+
+    def spread(size, decades):
+        return rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-decades, decades, size)
+
+    values = spread(colidx.size, 8)
+    values[0] = -0.0  # the one product of the one-entry row
+    X = np.outer(spread(n_cols, 4), spread(K, 4))
+    probe = CSRMatrix(
+        (lengths.size, n_cols), np.concatenate([[0], np.cumsum(lengths)]), colidx, values
+    )
+    out = np.empty((probe.n_rows, K), dtype=np.float64)
+    fn(CsrState(probe), X, out, DirectWorkspace())
+    return np.array_equal(out.view(np.uint64), spmm(probe, X).view(np.uint64))
 
 
 def degrade(name: str, reason: str) -> LoadedBackend:

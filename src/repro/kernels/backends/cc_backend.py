@@ -14,8 +14,10 @@ The compiler is ``$CC`` (default ``cc``), run with
 ``-ffp-contract=off`` keeps every product rounded before it is added.
 The kernel takes K and the CSR arrays as arguments, so one library serves
 every matrix, operand width and process.  It is built once per (source
-digest, compiler ``--version``, flags, host CPU) — the CPU is in the key
-because of ``-march=native`` — into ``$XDG_CACHE_HOME/repro/cc``
+digest, compiler ``--version``, every word of ``$CC``, the resolved
+compiler path, flags, host CPU) — the extra words of ``$CC`` (say
+``-ffast-math``) reach the build, and the CPU is in the key because of
+``-march=native`` — into ``$XDG_CACHE_HOME/repro/cc``
 (default ``~/.cache/repro/cc``), never into the checkout.  A build goes to
 a temporary file that ``os.replace`` moves into place, next to a
 ``.sha256`` of its bytes; a library whose bytes do not match is rebuilt
@@ -156,6 +158,9 @@ def _library_path() -> Path:
     key = stable_digest(
         _SOURCE.read_bytes(),
         version.encode(),
+        # Every word of $CC reaches the build, so each can change the bits.
+        "\0".join(cc).encode(),
+        os.path.realpath(shutil.which(cc[0]) or cc[0]).encode(),
         " ".join(_FLAGS).encode(),
         _host_cpu().encode(),
     )

@@ -21,14 +21,18 @@ streaming.
 No CPU multiply reads round 2, so a plain ``build_plan(csr, config)``
 defers it: the plan computes round 2 the first time anything reads
 ``stats``, ``remainder``, ``remainder_order`` or ``cost_view()`` (and so
-``save``, ``validate``, the plan store, the GPU model, the experiments
-runner and streaming), at most once, and adds its stage times and
+``save``, ``validate``, the plan store, the GPU model and the
+experiments runner), at most once, and adds its stage times and
 wall-clock to ``preprocess_seconds``; a run that raises adds nothing,
-and the next read runs it again.  ``session()``, ``spmm()`` and
-``tiled`` never compute it.  A build under a ``ResiliencePolicy`` or
-through a plan store computes round 2 inside the build, as the ladder's
-deadlines and the store's write-through need it there, and
-``build_plans`` computes it in the worker that built the plan.
+and the next read runs it again.  ``session()``, ``spmm()``, ``tiled``
+and ``round1_applied`` never compute it.  A streaming patch
+(:func:`repro.streaming.apply_delta`) defers it exactly when a build
+does, so a plain patch returns a plan whose round 2 is the build's own,
+run over the patched tiling on first read.  A build under a
+``ResiliencePolicy`` or through a plan store computes round 2 inside the
+build, as the ladder's deadlines and the store's write-through need it
+there, and so does a patch under either; ``build_plans`` computes it in
+the worker that built the plan.
 """
 
 from __future__ import annotations
@@ -210,6 +214,9 @@ class ExecutionPlan:
     stats:
         Fig. 9 effectiveness statistics.  Computes round 2 if it has not
         run.
+    round1_applied:
+        Whether round 1 reordered the rows, as ``stats`` records it, but
+        known without running round 2.
     preprocess_seconds:
         Wall-clock breakdown: ``lsh1``, ``cluster1``, ``permute1``,
         ``tile``, ``sim2``, ``lsh2``, ``cluster2``, ``backend_compile``,
@@ -269,6 +276,12 @@ class ExecutionPlan:
         """Fig. 9 effectiveness statistics (reading them runs a deferred
         round 2)."""
         return self._round2.get(self.preprocess_seconds)[2]
+
+    @property
+    def round1_applied(self) -> bool:
+        """Whether round 1 reordered the rows: ``stats.round1_applied``,
+        read without running a deferred round 2."""
+        return self._round2.round1_applied
 
     @property
     def degraded(self) -> bool:
@@ -766,12 +779,17 @@ class _Round2Memo:
     inputs of a deferred round 2 (``tiled``, ``config`` and the round-1
     stats fields).  Every ``dataclasses.replace`` copy of a plan shares
     its memo, so round 2 runs at most once per build; it pickles pending
-    or filled.
+    or filled.  :attr:`round1_applied` is known either way, so reading it
+    never runs round 2.
     """
 
     def __init__(self, fields: tuple | None = None, pending: tuple | None = None):
         self._fields = fields
         self._pending = pending
+        self.round1_applied = (
+            fields[2].round1_applied if fields is not None
+            else pending[2]["round1_applied"]
+        )
         self._lock = threading.Lock()
 
     @classmethod
@@ -779,6 +797,11 @@ class _Round2Memo:
                stats: PlanStats) -> "_Round2Memo":
         """A memo whose round 2 is already known."""
         return cls(fields=(remainder_order, remainder, stats))
+
+    @property
+    def computed(self) -> bool:
+        """Whether the fields are known: round 2 ran, or was never deferred."""
+        return self._fields is not None
 
     def get(self, times: dict) -> tuple:
         """The fields, running a pending round 2 first.
@@ -803,7 +826,11 @@ class _Round2Memo:
         return self._fields
 
     def __getstate__(self) -> dict:
-        return {"_fields": self._fields, "_pending": self._pending}
+        return {
+            "_fields": self._fields,
+            "_pending": self._pending,
+            "round1_applied": self.round1_applied,
+        }
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)

@@ -19,6 +19,16 @@ condition that provably implies the from-scratch result is unchanged
 round-1 gate, round 2 and the plan's assembly) are the build's own code
 in :mod:`repro.reorder.pipeline`.
 
+Round 2 is deferred exactly when ``build_plan`` defers it.  With no
+``cache`` and no ``resilience`` the returned plan runs the build's round
+2 over the patched tiling the first time something reads it (``stats``,
+``remainder``, ``remainder_order``, ``cost_view()``); with either, the
+patch runs it, as the store's write-through and the policy's deadline
+need it there.  A value-only delta reuses the old plan's round 2 when
+that has already run.  The drift check reads only the old plan's
+round-1 decision (:attr:`~repro.reorder.ExecutionPlan.round1_applied`),
+so it never runs a deferred round 2.
+
 Drift heuristics (the paper's §4 gates, re-run on the delta):
 
 * more than ``max_dirty_fraction`` of the rows changed — the patch would
@@ -36,8 +46,8 @@ matrix are never mutated.  A fault injected at the ``streaming.update``
 site (or a deadline expiry) aborts the update with the old plan fully
 intact; under a :class:`~repro.resilience.ResiliencePolicy` the patch
 degrades to a laddered full replan instead, recording provenance, and
-so does a failure of the old plan's deferred round 2, which the drift
-check runs.
+so does a failure of its round 2, which runs inside the patch under a
+policy.
 """
 
 from __future__ import annotations
@@ -148,9 +158,9 @@ def _patch_decision(plan, dirty_fraction, max_dirty_fraction, state, gate1,
             f"dirty fraction {dirty_fraction:.3f} exceeds "
             f"max_dirty_fraction={max_dirty_fraction}"
         )
-    if do_round1 != plan.stats.round1_applied:
+    if do_round1 != plan.round1_applied:
         return (
-            f"round-1 gate flipped ({plan.stats.round1_applied} -> {do_round1}, "
+            f"round-1 gate flipped ({plan.round1_applied} -> {do_round1}, "
             f"indicator {gate1.indicator:.4f})"
         )
     if do_round1 and state is None:
@@ -275,10 +285,15 @@ def _retile(plan, reordered, row_order, dirty, n_new, config):
 
 
 def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
-           gate1, do_round1):
+           gate1, do_round1, eager_round2):
     """The incremental pipeline: patch the LSH state, clustering, tiling
     and a value-only round 2 where provably exact; everything else runs
-    through the build's own round 2 and plan assembly."""
+    through the build's own round 2 and plan assembly.
+
+    Round 2 runs here only when ``eager_round2`` (a patch under a cache or
+    a policy); otherwise the returned plan runs it on first read, as a
+    plain build's does.
+    """
     pattern_unchanged = _pattern_unchanged(csr_new, plan.original)
     n_cand1 = 0
     pairs_rescored = 0
@@ -343,29 +358,40 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
             plan, reordered, row_order, tile_dirty, n_new, config
         )
 
-    # Round 2 runs the build's code unless the delta was value-only: the
-    # remainder is usually small (or the gate skips it), so there is
-    # nothing worth patching — and a full recompute is exact by
-    # construction.
-    if deadline is not None:
-        deadline.check("sim2")
-    with span("streaming.round2"), timed(times, "round2"):
-        if pattern_unchanged and np.array_equal(row_order, plan.row_order):
-            # Value-only fast path: the remainder carries the exact old
-            # pattern, and the round-2 gate, candidate pairs, clustering
-            # and similarity stats are all pattern functions — reuse the
-            # old decisions wholesale.
-            old = plan.stats
-            round2 = _Round2(
-                order=plan.remainder_order,
-                remainder=permute_csr_rows(tiled.sparse_part, plan.remainder_order),
-                avg_sim_before=old.avg_sim_before,
-                avg_sim_after=old.avg_sim_after,
-                applied=old.round2_applied,
-                n_candidates=old.n_candidates_round2,
-            )
-        else:
-            round2 = _reorder_remainder(tiled, config, times, deadline)
+    # Round 2 runs the build's code unless the delta was value-only and
+    # the old plan's round 2 has run: the remainder is usually small (or
+    # the gate skips it), so there is nothing worth patching — and a full
+    # recompute is exact by construction.  Only a patch under a cache or
+    # a policy runs it here; a plain patch leaves it pending, as a plain
+    # build does.
+    reuse = (
+        pattern_unchanged
+        and np.array_equal(row_order, plan.row_order)
+        and plan._round2.computed
+    )
+    round2 = None
+    if reuse or eager_round2:
+        if deadline is not None:
+            deadline.check("sim2")
+        with span("streaming.round2"), timed(times, "round2"):
+            if reuse:
+                # Value-only fast path: the remainder carries the exact
+                # old pattern, and the round-2 gate, candidate pairs,
+                # clustering and similarity stats are all pattern
+                # functions — reuse the old decisions wholesale.
+                old = plan.stats
+                round2 = _Round2(
+                    order=plan.remainder_order,
+                    remainder=permute_csr_rows(
+                        tiled.sparse_part, plan.remainder_order
+                    ),
+                    avg_sim_before=old.avg_sim_before,
+                    avg_sim_after=old.avg_sim_after,
+                    applied=old.round2_applied,
+                    n_candidates=old.n_candidates_round2,
+                )
+            else:
+                round2 = _reorder_remainder(tiled, config, times, deadline)
     patched = _assemble_plan(
         csr_new, row_order, tiled, gate1, do_round1, n_cand1, round2, config,
         times, revision=plan.revision + 1,
@@ -385,6 +411,11 @@ def apply_delta(
 ) -> PlanUpdate:
     """Produce the plan for ``plan.original`` + ``delta`` (see module docs).
 
+    Like :func:`~repro.reorder.build_plan`, a patch with no ``cache`` and
+    no ``resilience`` defers round 2 to the returned plan's first read of
+    it, so the report's ``seconds`` hold no ``round2`` key; with either,
+    the patch runs round 2.
+
     Parameters
     ----------
     plan:
@@ -399,14 +430,15 @@ def apply_delta(
         it the update replans and returns a fresh state).
     cache:
         Optional :class:`repro.planstore.PlanStore`; replans go through
-        it, and successful patches write their decisions through it under
-        the mutated matrix's content key, so a later cold build of the
-        same matrix is a warm hit.
+        it, and successful patches write their decisions (round 2
+        included, so the patch runs it) through it under the mutated
+        matrix's content key, so a later cold build of the same matrix is
+        a warm hit.
     resilience:
-        Optional :class:`repro.resilience.ResiliencePolicy`.  The patch
-        runs under a per-update deadline; a timeout (or injected
-        ``streaming.update`` fault) degrades to a laddered full replan
-        with provenance instead of failing.
+        Optional :class:`repro.resilience.ResiliencePolicy`.  The patch,
+        round 2 included, runs under a per-update deadline; a timeout (or
+        injected ``streaming.update`` fault) degrades to a laddered full
+        replan with provenance instead of failing.
     max_dirty_fraction:
         Patch-vs-replan threshold on ``(dirty + new) / total`` rows.
 
@@ -438,9 +470,6 @@ def apply_delta(
         pairs_rescored = 0
         mode = "patched"
         try:
-            # The drift check reads the old plan's stats, which runs its
-            # round 2 if deferred; a failure there replans like a failed
-            # patch.
             reason = _patch_decision(
                 plan, dirty_fraction, max_dirty_fraction, state, gate1, do_round1
             )
@@ -455,6 +484,7 @@ def apply_delta(
                 ) = _patch(
                     plan, csr_new, dirty, n_new, state, config, times,
                     deadline, gate1, do_round1,
+                    eager_round2=cache is not None or resilience is not None,
                 )
         except (TimeoutExceeded, MemoryError) as exc:
             if resilience is None or not resilience.ladder:
@@ -468,7 +498,7 @@ def apply_delta(
                     csr_new, config, cache=cache, resilience=resilience
                 )
                 plan_new = replace(plan_new, revision=plan.revision + 1)
-                if plan_new.stats.round1_applied and not plan_new.degraded:
+                if plan_new.round1_applied and not plan_new.degraded:
                     state_new = LshState.build(csr_new, config)
 
     if mode == "patched":
@@ -503,7 +533,9 @@ def apply_delta(
         reused_clustering=reused_clustering,
         panels_retiled=panels_retiled,
         pairs_rescored=pairs_rescored,
-        seconds=times,
+        # A copy: a patched plan's preprocess_seconds is ``times``, and a
+        # deferred round 2 adds to it when it runs after this update.
+        seconds=dict(times),
         provenance=plan_new.provenance,
         timestamp=delta.timestamp,
     )
@@ -542,7 +574,7 @@ class StreamingPlan:
         )
         self._state = (
             LshState.build(csr, self.config)
-            if self._plan.stats.round1_applied and not self._plan.degraded
+            if self._plan.round1_applied and not self._plan.degraded
             else None
         )
         self.reports: list[UpdateReport] = []

@@ -82,6 +82,25 @@ def random_csr(rng, m, n, density=0.1) -> CSRMatrix:
     return COOMatrix.from_arrays((m, n), rows, cols, vals).to_csr()
 
 
+@pytest.fixture
+def round2_calls(monkeypatch):
+    """Records each ``_reorder_remainder`` run, through either module that
+    binds it: a plan's deferred round 2 and an eager streaming patch."""
+    from repro.reorder import pipeline
+    from repro.streaming import incremental
+
+    calls = []
+    real = pipeline._reorder_remainder
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_reorder_remainder", spy)
+    monkeypatch.setattr(incremental, "_reorder_remainder", spy)
+    return calls
+
+
 def assert_plans_identical(patched, fresh):
     """Decision identity: same orders, same tiling, same stats, and the
     same reordered matrix the executor multiplies.

@@ -11,7 +11,9 @@ which skips where no C compiler is found; the degradation tests use the
 they run everywhere.
 """
 
+import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -40,6 +42,10 @@ from repro.serve import ServeConfig
 
 #: The provenance entry of a ``cc`` request where no compiler is found.
 NO_COMPILER = "backend:cc->numpy: C compiler '/nonexistent/cc' not found (set CC)"
+
+#: Extra ``$CC`` words that let the compiler reassociate sums: the bare
+#: compiler plus these builds a library whose bits differ from spmm's.
+FAST_MATH = ("-ffast-math", "-fno-signed-zeros")
 
 
 @pytest.fixture
@@ -392,14 +398,36 @@ print("ok")
 """
 
 
-def _probe_processes(cache_home, n):
-    """Start ``n`` fresh interpreters running :data:`_PROBE` on one cache."""
+#: A fresh process's cc load, printed as JSON: what the loader returned,
+#: the warnings and fallbacks it caused and what it cached.
+_LOAD = """
+import json, warnings
+import repro.kernels.backends as backends
+from repro.observability.metrics import METRICS
+
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    loaded = backends.load_backend("cc")
+print(json.dumps({
+    "backend": loaded.backend,
+    "spmm": None if loaded.spmm is None else "compiled",
+    "provenance": list(loaded.provenance),
+    "warnings": [w.category.__name__ for w in caught],
+    "fallbacks": METRICS.counter("kernels.backend_fallback").value,
+    "loaded": sorted(backends._LOADED),
+}))
+"""
+
+
+def _probe_processes(cache_home, n, script=_PROBE, **environ):
+    """Start ``n`` fresh interpreters running ``script`` on one cache, with
+    ``environ`` added to their environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ, XDG_CACHE_HOME=str(cache_home))
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache_home), **environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return [
         subprocess.Popen(
-            [sys.executable, "-c", _PROBE],
+            [sys.executable, "-c", script],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -449,6 +477,38 @@ class TestCcBuild:
         libraries = list((tmp_path / "repro" / "cc").glob("spmm-*.so"))
         assert len(libraries) == 1
         assert not list((tmp_path / "repro" / "cc").glob("*.tmp"))
+
+    def test_every_word_of_cc_is_in_the_key(
+        self, compiled_backend, tmp_path, monkeypatch
+    ):
+        # Extra words of $CC reach the build, so a fast-math build must
+        # never share a file with a plain one.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cc = cc_backend.compiler()[0]
+        monkeypatch.setenv("CC", shlex.quote(cc))
+        plain_library = cc_backend._library_path()
+        monkeypatch.setenv("CC", shlex.join([cc, *FAST_MATH]))
+        assert cc_backend._library_path() != plain_library
+
+    def test_library_that_fails_the_bit_check_degrades(
+        self, compiled_backend, tmp_path
+    ):
+        # A fast-math build loads, but reassociated sums give other bits
+        # than spmm: the loader degrades it once and does not cache it.
+        # In a fresh process, as loading such a library makes the loading
+        # thread flush subnormals to zero.
+        cc = shlex.join([cc_backend.compiler()[0], *FAST_MATH])
+        (proc,) = _probe_processes(tmp_path, 1, script=_LOAD, CC=cc)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert json.loads(out) == {
+            "backend": "numpy",
+            "spmm": None,
+            "provenance": ["backend:cc->numpy: bit check failed"],
+            "warnings": ["DegradedExecution"],
+            "fallbacks": 1,
+            "loaded": [],
+        }
 
 
 class TestCcThreads:

@@ -219,21 +219,6 @@ class TestDeferredRound2:
     def matrix(self, rng):
         return clustered_then_shuffled(rng)
 
-    @pytest.fixture
-    def round2_calls(self, monkeypatch):
-        """Records each ``_reorder_remainder`` run."""
-        from repro.reorder import pipeline
-
-        calls = []
-        real = pipeline._reorder_remainder
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "_reorder_remainder", spy)
-        return calls
-
     def test_first_read_runs_round2_once(self, matrix, rng, tmp_path, round2_calls):
         plan = build_plan(matrix, self.CONFIG)
         X = rng.normal(size=(matrix.n_cols, 4))
@@ -344,9 +329,34 @@ class TestDeferredRound2:
         assert plan.preprocess_seconds == clean.preprocess_seconds
         assert plan.preprocess_seconds["sim2"] == 1.0
 
-    def test_policy_patch_replans_when_the_old_round2_fails(self, rng):
-        """A patch's drift check runs the old plan's deferred round 2;
-        under a policy its failure replans like a failed patch."""
+    @pytest.mark.parametrize("force_round2", [None, True, False])
+    def test_round1_applied_never_runs_round2(self, matrix, round2_calls,
+                                              force_round2):
+        """The plan knows its round-1 decision before round 2 runs: on
+        every ladder rung, pending or filled, and across a pickle."""
+        base = ReorderConfig(
+            siglen=64, panel_height=8, force_round1=True, force_round2=force_round2
+        )
+        seen = set()
+        for _, config in ladder_rungs(base):
+            plan = build_plan(matrix, config)
+            pending = pickle.loads(pickle.dumps(plan))
+            runs = len(round2_calls)
+            before = [plan.round1_applied, pending.round1_applied]
+            assert len(round2_calls) == runs
+            stats = plan.stats
+            filled = pickle.loads(pickle.dumps(plan))
+            eager = build_plan(matrix, config, resilience=ResiliencePolicy())
+            after = [plan.round1_applied, filled.round1_applied, eager.round1_applied]
+            assert before + after == [stats.round1_applied] * 5
+            assert eager.stats.round1_applied == stats.round1_applied
+            seen.add(stats.round1_applied)
+        assert seen == {True, False}
+
+    def test_policy_patch_replans_when_its_round2_fails(self, rng):
+        """Under a policy a patch runs round 2 over the patched tiling,
+        inside its deadline (the old plan's round 2 stays pending); a
+        failure there replans like a failed patch."""
         m = round1_gated_off(rng)
         config = ReorderConfig(panel_height=8)
         plan = build_plan(m, config)

@@ -1,14 +1,18 @@
 """Unit tests for the streaming subsystem: deltas, streams, incremental
 replanning, session refresh and the plan-store staleness regression."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.datasets import edge_stream, hidden_clusters, stream_corpus
 from repro.errors import ValidationError
 from repro.kernels import KernelSession, spmm
+from repro.observability import Tracer, tracing
 from repro.planstore import PlanStore
 from repro.reorder import ReorderConfig, build_plan
+from repro.resilience import ResiliencePolicy
 from repro.sparse import COOMatrix, CSRMatrix
 from repro.streaming import (
     DeltaBatch,
@@ -18,7 +22,7 @@ from repro.streaming import (
     split_into_deltas,
 )
 
-from conftest import random_csr
+from conftest import assert_plans_identical, random_csr
 
 CFG = ReorderConfig(siglen=16, bsize=4, panel_height=8, force_round1=True)
 
@@ -201,6 +205,110 @@ class TestApplyDelta:
         update = apply_delta(plan, delta, ReorderConfig(panel_height=2))
         assert update.report.timestamp == 42.5
         assert update.matrix.to_dense()[0, 0] == 2.0
+
+
+def _span_names(tracer) -> set:
+    names, todo = set(), list(tracer.to_dicts())
+    while todo:
+        node = todo.pop()
+        names.add(node["name"])
+        todo.extend(node.get("children", ()))
+    return names
+
+
+class TestDeferredRound2:
+    """A patch defers round 2 exactly when ``build_plan`` does: with no
+    cache and no policy."""
+
+    CONFIG = dataclasses.replace(CFG, force_round2=True)
+
+    @pytest.fixture
+    def matrix(self):
+        return hidden_clusters(16, 8, 256, 8, noise=0.1, seed=2)
+
+    @staticmethod
+    def deltas(m):
+        """A structural ``add`` (one new entry in each of two rows) and a
+        value-only ``set`` of three existing entries."""
+        dense = m.to_dense()
+        rows = np.array([0, 7])
+        cols = np.array([np.flatnonzero(dense[r] == 0)[0] for r in rows])
+        add = DeltaBatch(rows=rows, cols=cols, values=np.ones(2))
+        set_ = DeltaBatch(
+            rows=m.row_ids()[:3], cols=m.colidx[:3], values=np.full(3, 2.0),
+            mode="set",
+        )
+        return add, set_
+
+    def test_stream_runs_round2_on_first_read_only(self, matrix, round2_calls):
+        add, set_ = self.deltas(matrix)
+        sp = StreamingPlan(matrix, self.CONFIG)
+        reports = [sp.apply(add), sp.apply(set_)]
+        assert all(report.patched for report in reports)
+        assert sp.matrix.nnz == matrix.nnz + 2
+        assert round2_calls == []
+
+        sp.plan.stats
+        assert len(round2_calls) == 1
+        assert_plans_identical(sp.plan, build_plan(sp.matrix, self.CONFIG))
+
+    def test_value_only_patch_keeps_pending_or_reuses(self, matrix, round2_calls):
+        _, set_ = self.deltas(matrix)
+        state = LshState.build(matrix, self.CONFIG)
+        pending = apply_delta(build_plan(matrix, self.CONFIG), set_, self.CONFIG,
+                              state=state)
+        assert pending.report.patched and round2_calls == []
+        pending.plan.stats  # still pending: this read runs it
+        assert len(round2_calls) == 1
+
+        filled = build_plan(matrix, self.CONFIG)
+        filled.stats
+        assert len(round2_calls) == 2
+        update = apply_delta(filled, set_, self.CONFIG, state=state)
+        assert update.report.patched
+        assert "round2" in update.report.seconds  # the reuse, timed
+        update.plan.stats
+        assert len(round2_calls) == 2
+        fresh = build_plan(update.matrix, self.CONFIG)
+        assert_plans_identical(update.plan, fresh)
+        assert_plans_identical(pending.plan, fresh)
+
+    def test_deferred_patch_reports_no_round2(self, matrix):
+        add, _ = self.deltas(matrix)
+        plan = build_plan(matrix, self.CONFIG)
+        tracer = Tracer()
+        with tracing(tracer):
+            update = apply_delta(plan, add, self.CONFIG,
+                                 state=LshState.build(matrix, self.CONFIG))
+        assert update.report.patched
+        names = _span_names(tracer)
+        assert "streaming.tile" in names and "streaming.round2" not in names
+        assert "round2" not in update.report.seconds
+        assert "sim2" not in update.plan.preprocess_seconds
+        total = update.plan.preprocessing_time
+
+        update.plan.stats
+        assert {"sim2", "lsh2", "cluster2"} <= update.plan.preprocess_seconds.keys()
+        assert update.plan.preprocessing_time > total
+        assert "sim2" not in update.report.seconds  # what the patch did
+
+    @pytest.mark.parametrize("eager", ["cache", "resilience"])
+    def test_patch_under_a_cache_or_a_policy_runs_round2(
+        self, matrix, round2_calls, eager
+    ):
+        add, _ = self.deltas(matrix)
+        kwargs = {"cache": PlanStore()} if eager == "cache" else {
+            "resilience": ResiliencePolicy()
+        }
+        plan = build_plan(matrix, self.CONFIG, **kwargs)
+        assert len(round2_calls) == 1  # an eager build
+        update = apply_delta(plan, add, self.CONFIG,
+                             state=LshState.build(matrix, self.CONFIG), **kwargs)
+        assert update.report.patched
+        assert "round2" in update.report.seconds
+        assert len(round2_calls) == 2
+        update.plan.stats
+        assert len(round2_calls) == 2
 
 
 class TestStreamingPlan:
