@@ -199,7 +199,10 @@ def _suite_kernels(quick: bool, backend: str = "numpy") -> dict:
 
 def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
     # ``backend`` is accepted for a uniform runner signature but ignored:
-    # preprocessing is pure pipeline work, no kernel backend is involved.
+    # the build and patch cells run on ``ReorderConfig``'s default backend
+    # (their MinHash included, as every build's does), and the ``minhash``
+    # cell calls ``minhash_signatures`` with no backend, so it times the
+    # numpy reference.
     del backend
     from repro.clustering import cluster_rows
     from repro.datasets import bipartite_ratings
@@ -241,7 +244,9 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
     config = ReorderConfig()
     plan0 = build_plan(matrix, config)
     state0 = (
-        LshState.build(matrix, config) if plan0.stats.round1_applied else None
+        LshState.build(matrix, config, backend=plan0.backend)
+        if plan0.stats.round1_applied
+        else None
     )
     rng = np.random.default_rng(11)
     n_dirty = max(1, matrix.nnz // 1000)

@@ -439,7 +439,7 @@ def _cmd_stream_bench(args, clock=time.perf_counter) -> int:
         # reads it too.
         final, config, plan = sp.matrix, sp.config, sp.plan
         state = (
-            LshState.build(final, config)
+            LshState.build(final, config, backend=plan.backend)
             if plan.stats.round1_applied and not plan.degraded
             else None
         )

@@ -1,24 +1,28 @@
-"""Kernel backends: the numpy reference and the compiled ``cc`` SpMM.
+"""Kernel backends: the numpy reference and the compiled ``cc`` library.
 
 ``cc`` (the default, :data:`DEFAULT_BACKEND`)
-    The CSR SpMM loop in C, built once by the system compiler (``$CC``,
-    default ``cc``) into an on-disk cache and loaded with :mod:`ctypes`
-    (:mod:`repro.kernels.backends.cc_backend`).  It sums in
-    ``np.add.reduceat``'s order, so it is **bitwise identical** to
-    :func:`repro.kernels.spmm`.  Unavailable without a compiler.
+    The CSR SpMM loop and the MinHash pass in C, built once by the system
+    compiler (``$CC``, default ``cc``) into an on-disk cache and loaded
+    with :mod:`ctypes` (:mod:`repro.kernels.backends.cc_backend`).  The
+    SpMM sums in ``np.add.reduceat``'s order, so it is **bitwise
+    identical** to :func:`repro.kernels.spmm`; the MinHash is bitwise
+    identical to the numpy reference of
+    :func:`repro.similarity.minhash_signatures`.  Unavailable without a
+    compiler.
 ``numpy``
-    The uncompiled reference: :meth:`repro.kernels.state.CsrState.multiply`
-    and the one-shot kernels.  Always available, it compiles nothing, and
-    every degradation lands here.
+    The uncompiled reference: :meth:`repro.kernels.state.CsrState.multiply`,
+    the one-shot kernels and the numpy MinHash.  Always available, it
+    compiles nothing, and every degradation lands here.
 
 Selection is by name — ``ReorderConfig.backend``, ``ServeConfig.backend``,
 ``repro run/serve/bench --backend``, ``KernelSession(backend=...)``,
-``spmm(backend=...)`` — and always goes through :func:`load_backend`, the
-one place backend work happens.  It checks that a compiler is found,
-fetches the compiled SpMM from a process-wide cache (building it on the
-first miss, under the ``backend.compile`` span and fault site, and
-checking its bits against :func:`repro.kernels.spmm` on a fixed probe
-before caching it) and, when any step fails, degrades to ``numpy``
+``spmm(backend=...)``, ``minhash_signatures(backend=...)`` — and always
+goes through :func:`load_backend`, the one place backend work happens.
+It checks that a compiler is found, fetches the compiled library from a
+process-wide cache (building it on the first miss, under the
+``backend.compile`` span and fault site, and checking the bits of both
+entry points against the numpy references on fixed probes before
+caching it) and, when any step fails, degrades to ``numpy``
 through :func:`degrade`: one ``kernels.backend_fallback`` count, one
 :class:`~repro.errors.DegradedExecution` warning and one ``backend:<name>->numpy:
 ...`` provenance entry.  An unknown name is a
@@ -81,9 +85,9 @@ DEFAULT_BACKEND = "cc"
 #: Every backend name, the degradation target first.
 BACKENDS = ("numpy", "cc")
 
-#: The compiled SpMM once loaded in this process.  Loading is
+#: The compiled library once loaded in this process.  Loading is
 #: idempotent, so a racing double load is tolerated and the first wins.
-_LOADED: dict[str, Callable] = {}
+_LOADED: dict[str, "LoadedBackend"] = {}
 _LOADED_LOCK = threading.Lock()
 
 
@@ -98,6 +102,9 @@ class LoadedBackend(NamedTuple):
     #: ``()``, or the one ``backend:<name>->numpy: <reason>`` entry of a
     #: degradation.
     provenance: tuple = ()
+    #: The compiled MinHash ``fn(csr, a, b, out)``; ``None`` runs the
+    #: numpy reference.
+    minhash: Callable | None = None
 
 
 def check_backend(name: str) -> None:
@@ -113,7 +120,7 @@ def check_backend(name: str) -> None:
 
 
 def load_backend(name: str) -> LoadedBackend:
-    """Resolve ``name`` to the SpMM that runs it, degrading to numpy.
+    """Resolve ``name`` to the kernels that run it, degrading to numpy.
 
     ``"numpy"`` compiles nothing.  ``"cc"`` needs a compiler on the path;
     a warm in-process load is a dict lookup that never reaches the
@@ -131,21 +138,23 @@ def load_backend(name: str) -> LoadedBackend:
     except BackendUnavailable as exc:
         return degrade(name, str(exc))
     with _LOADED_LOCK:
-        fn = _LOADED.get(name)
-    if fn is not None:
-        return LoadedBackend(name, fn)
+        loaded = _LOADED.get(name)
+    if loaded is not None:
+        return loaded
     try:
-        with span("backend.compile", backend=name, kernel="spmm"):
+        with span("backend.compile", backend=name, kernel="spmm,minhash"):
             fault_point("backend.compile")
-            fn = cc_backend.load_spmm()
-            exact = _bits_match(fn)
+            spmm_fn, minhash_fn = cc_backend.load_kernels()
+            exact = _bits_match(spmm_fn) and _minhash_bits_match(minhash_fn)
     except BackendUnavailable as exc:
         return degrade(name, f"compile failed: {exc}")
     if not exact:
         return degrade(name, "bit check failed")
     _COMPILES.inc()
     with _LOADED_LOCK:
-        return LoadedBackend(name, _LOADED.setdefault(name, fn))
+        return _LOADED.setdefault(
+            name, LoadedBackend(name, spmm_fn, minhash=minhash_fn)
+        )
 
 
 def _bits_match(fn: Callable) -> bool:
@@ -182,6 +191,31 @@ def _bits_match(fn: Callable) -> bool:
     return np.array_equal(out.view(np.uint64), spmm(probe, X).view(np.uint64))
 
 
+def _minhash_bits_match(fn: Callable) -> bool:
+    """Whether the compiled MinHash ``fn`` gives the numpy reference's
+    signatures on a fixed probe.
+
+    The probe has empty rows (first, middle and last), column ids on both
+    sides of the modulus ``2**31 - 1`` and up to ``2**62 - 1``, where
+    ``a*c`` would wrap 64 bits without the ``% p`` fold, and an odd
+    ``siglen``.
+    """
+    from repro.similarity.minhash import MERSENNE_PRIME, signatures
+
+    p = int(MERSENNE_PRIME)
+    rows = [[], [0, 1, 5], [], [p - 1, p, p + 1, 2 * p + 3], [7, 2**40 + 9, 2**62 - 1], []]
+    colidx = np.array([c for row in rows for c in row], dtype=np.int64)
+    rowptr = np.concatenate([[0], np.cumsum([len(row) for row in rows])])
+    probe = CSRMatrix(
+        (len(rows), 2**62),
+        rowptr.astype(np.int64),
+        colidx,
+        np.ones(colidx.size, dtype=np.float64),
+    )
+    compiled = signatures(probe, 7, 0, kernel=fn)
+    return np.array_equal(compiled, signatures(probe, 7, 0))
+
+
 def degrade(name: str, reason: str) -> LoadedBackend:
     """Run a request for backend ``name`` on the numpy reference instead.
 
@@ -197,4 +231,4 @@ def degrade(name: str, reason: str) -> LoadedBackend:
         DegradedExecution,
         stacklevel=3,
     )
-    return LoadedBackend("numpy", None, (f"backend:{name}->numpy: {reason}",))
+    return LoadedBackend("numpy", provenance=(f"backend:{name}->numpy: {reason}",))

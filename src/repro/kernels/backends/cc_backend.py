@@ -1,11 +1,14 @@
-"""The ``cc`` backend: the CSR SpMM loop built by the system C compiler.
+"""The ``cc`` backend: the CSR SpMM loop and MinHash built by the system C compiler.
 
-:func:`load_spmm` builds ``cc_spmm.c`` — one loop per row that adds each
-product straight into K-wide accumulators in ``np.add.reduceat``'s order
-(see :mod:`repro.kernels.state`) — into a shared library and loads it
-with :mod:`ctypes`.  Its results are **bitwise identical** to
-:func:`repro.kernels.spmm`, so it is the default backend and is held to
-the same single oracle as the numpy reference.
+:func:`load_kernels` builds ``cc_spmm.c`` into a shared library, loads it
+with :mod:`ctypes` and returns its two entry points.  ``repro_spmm`` is
+one loop per row that adds each product straight into K-wide
+accumulators in ``np.add.reduceat``'s order (see
+:mod:`repro.kernels.state`), so its results are **bitwise identical** to
+:func:`repro.kernels.spmm`; it is the default backend and is held to the
+same single oracle as the numpy reference.  ``repro_minhash`` computes
+the round-1 MinHash signatures bit-equal to the numpy reference of
+:func:`repro.similarity.minhash_signatures`.
 
 Build and cache
 ---------------
@@ -54,10 +57,11 @@ import numpy as np
 
 from repro.errors import BackendUnavailable, ShapeError
 from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
+from repro.sparse.csr import CSRMatrix
 from repro.util.hashing import stable_digest
 from repro.util.workspace import Workspace
 
-__all__ = ["cache_dir", "compiler", "load_spmm"]
+__all__ = ["cache_dir", "compiler", "load_kernels"]
 
 _SOURCE = Path(__file__).with_name("cc_spmm.c")
 
@@ -67,6 +71,10 @@ _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 #: Seconds a compiler run may take before the build counts as failed.
 _TIMEOUT_S = 120.0
+
+#: Bytes kept for a saved ``fenv_t``: glibc's is 28 bytes on x86-64 and
+#: 8 on aarch64, so this leaves room on every platform.
+_FENV_BYTES = 512
 
 #: /proc/cpuinfo keys that name what ``-march=native`` compiles for.
 _CPU_KEYS = (
@@ -180,19 +188,35 @@ def _library_path() -> Path:
     return library
 
 
-def _load_kernel():
-    """The ``repro_spmm`` entry point of the (cached) library."""
+def _open_library(path: Path) -> ctypes.CDLL:
+    """``ctypes.CDLL(path)``, leaving the thread's floating-point
+    environment as it found it (see the module docstring)."""
+    libm = ctypes.CDLL(None)  # fegetenv/fesetenv, from the loaded libm
+    saved = ctypes.create_string_buffer(_FENV_BYTES)
+    if libm.fegetenv(saved) != 0:
+        raise BackendUnavailable("cannot save the floating-point environment")
+    try:
+        return ctypes.CDLL(str(path))
+    finally:
+        libm.fesetenv(saved)
+
+
+def _load_library():
+    """The ``(repro_spmm, repro_minhash)`` entry points of the cached library."""
     try:
         library = _library_path()
     except OSError as exc:  # unreadable source, unwritable cache dir
         raise BackendUnavailable(f"cannot build the cc library: {exc}") from exc
     try:
-        kernel = ctypes.CDLL(str(library)).repro_spmm
+        loaded = _open_library(library)
+        spmm, minhash = loaded.repro_spmm, loaded.repro_minhash
     except (OSError, AttributeError) as exc:
         raise BackendUnavailable(f"cannot load {library}: {exc}") from exc
-    kernel.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 6
-    kernel.restype = None
-    return kernel
+    spmm.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 6
+    spmm.restype = None
+    minhash.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
+    minhash.restype = None
+    return spmm, minhash
 
 
 def _spmm_fn(kernel):
@@ -238,10 +262,51 @@ def _spmm_fn(kernel):
     return spmm
 
 
-def load_spmm():
-    """The compiled SpMM, loading the cached library or building it first.
+def _minhash_fn(kernel):
+    """Adapt the C entry point to the compiled MinHash calling convention:
+    ``fn(csr, a, b, out)`` fills the ``(n_rows, siglen)`` signatures of
+    ``csr`` under the hash family ``(a, b)``."""
+
+    def minhash(csr: CSRMatrix, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        # The loop reads and writes by pointer: check what it assumes
+        # (rowptr in bounds and non-decreasing, columns non-negative).
+        csr._check_structure()
+        rowptr = np.ascontiguousarray(csr.rowptr, dtype=np.int64)
+        colidx = np.ascontiguousarray(csr.colidx, dtype=np.int64)
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        b = np.ascontiguousarray(b, dtype=np.int64)
+        siglen = a.size
+        if b.shape != (siglen,):
+            raise ShapeError(f"a and b must hold {siglen} values, got {b.shape}")
+        if (
+            out.dtype != np.int64
+            or out.shape != (csr.n_rows, siglen)
+            or not out.flags.c_contiguous
+            or not out.flags.writeable
+        ):
+            raise ShapeError(
+                f"out must be a writable C-contiguous int64 ({csr.n_rows}, {siglen}) "
+                f"array, got {out.dtype} {out.shape}"
+            )
+        kernel(
+            csr.n_rows,
+            siglen,
+            rowptr.ctypes.data,
+            colidx.ctypes.data,
+            a.ctypes.data,
+            b.ctypes.data,
+            out.ctypes.data,
+        )
+
+    return minhash
+
+
+def load_kernels():
+    """The compiled ``(spmm, minhash)``, from one load of the cached
+    library, building it first where the cache holds none.
 
     Raises :class:`~repro.errors.BackendUnavailable` for every build or
     load failure.
     """
-    return _spmm_fn(_load_kernel())
+    spmm, minhash = _load_library()
+    return _spmm_fn(spmm), _minhash_fn(minhash)

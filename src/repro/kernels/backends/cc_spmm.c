@@ -1,4 +1,7 @@
 /*
+ * The two compiled entry points of the cc backend: repro_spmm and
+ * repro_minhash (at the end of the file).
+ *
  * CSR SpMM in np.add.reduceat's summation order, one loop per row.
  *
  * Row i of the result is the sum of its products p[j] = values[j] *
@@ -14,6 +17,7 @@
  */
 
 typedef long long i64;
+typedef unsigned long long u64;
 
 enum { KB = 64 };
 
@@ -105,6 +109,45 @@ void repro_spmm(i64 n_rows, i64 K, const i64 *rowptr, const i64 *colidx,
             pairwise(res, v + 1, c + 1, L - 1, X + k0, K, kb);
             for (i64 k = 0; k < kb; k++)
                 y[k0 + k] = v[0] * x0[k] + res[k];
+        }
+    }
+}
+
+/*
+ * MinHash signatures, bit-equal to the numpy reference of
+ * repro.similarity.minhash_signatures: out[i, k] is the minimum over the
+ * columns c of row i of (a[k] * (c mod p) + b[k]) mod p, p = 2^31 - 1,
+ * and p itself (EMPTY_ROW_SENTINEL) for an empty row.  With a[k] and b[k]
+ * below p every h = a*c + b is below 2^62, so unsigned 64-bit arithmetic
+ * is exact, and two Mersenne folds (2^31 = 1 mod p) plus one conditional
+ * subtract reduce it.  One row at a time, with a running minimum per
+ * hash function; out is n_rows x siglen, row-major.  The caller
+ * guarantees a valid CSR structure with non-negative column ids.
+ */
+enum { MERSENNE_SHIFT = 31 };
+
+static u64 mod_mersenne(u64 h)
+{
+    const u64 p = (1ULL << MERSENNE_SHIFT) - 1;
+    h = (h & p) + (h >> MERSENNE_SHIFT);  /* < 2^32 */
+    h = (h & p) + (h >> MERSENNE_SHIFT);  /* <= p + 1 */
+    return h >= p ? h - p : h;
+}
+
+void repro_minhash(i64 n_rows, i64 siglen, const i64 *rowptr,
+                   const i64 *colidx, const i64 *a, const i64 *b, i64 *out)
+{
+    const i64 p = (1LL << MERSENNE_SHIFT) - 1;
+    for (i64 i = 0; i < n_rows; i++) {
+        i64 *sig = out + i * siglen;
+        for (i64 k = 0; k < siglen; k++)
+            sig[k] = p;
+        for (i64 j = rowptr[i]; j < rowptr[i + 1]; j++) {
+            u64 c = (u64)(colidx[j] % p);
+            for (i64 k = 0; k < siglen; k++) {
+                i64 h = (i64)mod_mersenne((u64)a[k] * c + (u64)b[k]);
+                sig[k] = h < sig[k] ? h : sig[k];
+            }
         }
     }
 }

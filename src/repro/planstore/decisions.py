@@ -76,7 +76,7 @@ class PlanDecisions:
         # fixed small overhead.
         return int(self.row_order.nbytes + self.remainder_order.nbytes + 256)
 
-    def materialise(self, csr: CSRMatrix, config) -> ExecutionPlan:
+    def materialise(self, csr: CSRMatrix, config, loaded=None) -> ExecutionPlan:
         """Rebuild the full :class:`ExecutionPlan` for ``csr``.
 
         ``csr`` must have the pattern the decisions were computed from and
@@ -84,7 +84,10 @@ class PlanDecisions:
         the cache key's contract, enforced upstream by content addressing.
         Only the cheap deterministic stages run here (permute + tile);
         MinHash/LSH/clustering are skipped entirely, and the plan's
-        round 2 is filled from the decisions.
+        round 2 is filled from the decisions.  ``loaded`` is a
+        :class:`~repro.kernels.backends.LoadedBackend` the caller already
+        resolved for ``config.backend`` (a build's one load); without it
+        the backend is loaded here.
         """
         if self.row_order.size != csr.n_rows:
             raise ValueError(
@@ -117,4 +120,4 @@ class PlanDecisions:
         # a warm load reuses the process-wide compiled SpMM.
         from repro.reorder.pipeline import attach_backend
 
-        return attach_backend(plan, config)
+        return attach_backend(plan, config, loaded)

@@ -55,6 +55,7 @@ from repro.kernels.sddmm import sddmm
 from repro.kernels.backends import (
     BACKENDS,
     DEFAULT_BACKEND,
+    LoadedBackend,
     check_backend,
     degrade,
     load_backend,
@@ -104,12 +105,12 @@ class ReorderConfig:
     measure: str = "jaccard"  #: candidate-scoring measure (extension; paper uses Jaccard)
     force_round1: bool | None = None  #: override the §4 gate (None = use gate)
     force_round2: bool | None = None
-    #: Kernel backend the plan's sessions run through (see
+    #: Kernel backend the plan's MinHash and sessions run through (see
     #: :mod:`repro.kernels.backends`): the default "cc" (the compiled
-    #: loop, bit-equal to the reference) or "numpy".  Availability is
-    #: checked at plan build, where an unavailable backend degrades to
-    #: numpy with provenance rather than failing.  Part of the plan cache
-    #: key.
+    #: library, bit-equal to the reference) or "numpy".  Availability is
+    #: checked once per plan build, before round 1, where an unavailable
+    #: backend degrades to numpy with provenance rather than failing.
+    #: Part of the plan cache key.
     backend: str = DEFAULT_BACKEND
 
     def __post_init__(self):
@@ -398,9 +399,8 @@ class ExecutionPlan:
             backend = str(data.get("backend", "numpy"))
         backend_provenance: tuple = ()
         if backend not in BACKENDS:
-            backend, _, backend_provenance = degrade(
-                backend, "not registered in this build"
-            )
+            degraded = degrade(backend, "not registered in this build")
+            backend, backend_provenance = degraded.backend, degraded.provenance
         config = ReorderConfig(
             panel_height=panel_height,
             dense_threshold=dense_threshold,
@@ -476,26 +476,31 @@ def _assert_same_csr(got: CSRMatrix, want: CSRMatrix) -> None:
     np.testing.assert_array_equal(got.values, want.values)
 
 
-def attach_backend(plan: ExecutionPlan, config: ReorderConfig) -> ExecutionPlan:
+def attach_backend(
+    plan: ExecutionPlan, config: ReorderConfig, loaded: LoadedBackend | None = None
+) -> ExecutionPlan:
     """Load ``config.backend`` and record the outcome on ``plan``.
 
-    Runs at the end of every plan build *and* on every cache
-    materialisation, so the choice always reflects the current
+    Runs on every cache materialisation, and every plan build resolves
+    its backend the same way, so the choice always reflects the current
     environment — a plan cached on a machine with a C compiler does not
     pin a compiler requirement onto a machine without one, and vice
-    versa.  One compiled SpMM serves every matrix, so after the first
+    versa.  One compiled library serves every matrix, so after the first
     build this is a cache lookup.  A missing compiler or a failed compile
     (e.g. the injected ``backend.compile`` fault) degrades inside
-    :func:`repro.kernels.backends.load_backend`.
+    :func:`repro.kernels.backends.load_backend`.  ``loaded``, when given,
+    is a backend the caller already resolved: it is recorded as-is, with
+    no second load.
 
     Either way the result lands in :attr:`ExecutionPlan.backend` /
     ``backend_provenance`` — never in the ladder :attr:`~ExecutionPlan.provenance`,
     so a missing compiler does not mark the plan degraded (degraded
     plans are never cached).
     """
-    # What this build paid: a compile once per process, then a lookup.
-    with timed(plan.preprocess_seconds, "backend_compile"):
-        loaded = load_backend(config.backend)
+    if loaded is None:
+        # What this call paid: a compile once per process, then a lookup.
+        with timed(plan.preprocess_seconds, "backend_compile"):
+            loaded = load_backend(config.backend)
     return replace(
         plan, backend=loaded.backend, backend_provenance=loaded.provenance
     )
@@ -544,6 +549,11 @@ def build_plan(
     and ``materialise`` instead of the stage keys.  On a miss the plan is
     built normally and its decisions written through the cache.
 
+    The build loads ``config.backend`` once, before round 1 (and before
+    the ladder), and records the time as ``backend_compile`` outside
+    ``total``: both rounds' MinHash, a deferred round 2 included, and the
+    plan's sessions run on the backend it resolves to.
+
     ``resilience`` accepts a :class:`repro.resilience.ResiliencePolicy`.
     With one, each preprocessing attempt runs under a per-rung stage
     deadline, and a rung that times out (or hits memory pressure) drops
@@ -555,14 +565,20 @@ def build_plan(
     pin a weaker plan under the original config's key).
     """
     config = config or ReorderConfig()
+    compile_times: dict[str, float] = {}
+    with timed(compile_times, "backend_compile"):
+        loaded = load_backend(config.backend)
     if resilience is not None:
-        return _build_plan_resilient(csr, config, cache, resilience)
-    if cache is None:
-        return _build_plan_uncached(csr, config, defer_round2=True)
-    return _build_plan_cached(csr, config, cache, None)
+        plan = _build_plan_resilient(csr, config, loaded, cache, resilience)
+    elif cache is None:
+        plan = _build_plan_uncached(csr, config, loaded, defer_round2=True)
+    else:
+        plan = _build_plan_cached(csr, config, loaded, cache, None)
+    plan.preprocess_seconds.update(compile_times)
+    return plan
 
 
-def _build_plan_cached(csr, config, cache, deadline) -> ExecutionPlan:
+def _build_plan_cached(csr, config, loaded, cache, deadline) -> ExecutionPlan:
     """The cache-wrapped build (hit -> materialise, miss -> build + put)."""
     from repro.planstore.decisions import PlanDecisions
 
@@ -574,9 +590,9 @@ def _build_plan_cached(csr, config, cache, deadline) -> ExecutionPlan:
             decisions = cache.get(key)
         if decisions is not None:
             with span("materialise"), timed(times, "materialise"):
-                plan = decisions.materialise(csr, config)
+                plan = decisions.materialise(csr, config, loaded)
         else:
-            plan = _build_plan_uncached(csr, config, deadline=deadline)
+            plan = _build_plan_uncached(csr, config, loaded, deadline=deadline)
             cache.put(key, PlanDecisions.from_plan(plan))
     if "materialise" in times:  # warm hit: breakdown is lookup+materialise
         plan.preprocess_seconds.update(times)
@@ -585,7 +601,7 @@ def _build_plan_cached(csr, config, cache, deadline) -> ExecutionPlan:
     return plan
 
 
-def _build_plan_resilient(csr, config, cache, policy) -> ExecutionPlan:
+def _build_plan_resilient(csr, config, loaded, cache, policy) -> ExecutionPlan:
     """Walk the degradation ladder until a rung succeeds.
 
     Rung 0 (``full``) goes through the cache when one is given; the
@@ -603,9 +619,13 @@ def _build_plan_resilient(csr, config, cache, policy) -> ExecutionPlan:
         try:
             with span("plan_rung", rung=label):
                 if index == 0 and cache is not None:
-                    plan = _build_plan_cached(csr, rung_config, cache, deadline)
+                    plan = _build_plan_cached(
+                        csr, rung_config, loaded, cache, deadline
+                    )
                 else:
-                    plan = _build_plan_uncached(csr, rung_config, deadline=deadline)
+                    plan = _build_plan_uncached(
+                        csr, rung_config, loaded, deadline=deadline
+                    )
         except (TimeoutExceeded, MemoryError) as exc:
             provenance.append(f"{label}: {type(exc).__name__}: {exc}")
             if index == len(rungs) - 1:
@@ -629,14 +649,22 @@ def _build_plan_resilient(csr, config, cache, policy) -> ExecutionPlan:
 
 
 def _build_plan_uncached(
-    csr: CSRMatrix, config: ReorderConfig, *, deadline=None, defer_round2=False
+    csr: CSRMatrix,
+    config: ReorderConfig,
+    loaded: LoadedBackend,
+    *,
+    deadline=None,
+    defer_round2=False,
 ) -> ExecutionPlan:
     """The actual Fig. 5 workflow (no cache consultation).
 
-    With ``defer_round2`` the plan computes round 2 on first read instead
-    (without a deadline: only the plain :func:`build_plan` defers).
+    ``loaded`` is the build's resolved backend: both rounds' MinHash run
+    on it and the plan records it.  With ``defer_round2`` the plan
+    computes round 2 on first read instead (without a deadline: only the
+    plain :func:`build_plan` defers).
     """
     times: dict[str, float] = {}
+    config = replace(config, backend=loaded.backend)
 
     with span("build_plan", rows=csr.n_rows, cols=csr.n_cols, nnz=csr.nnz), timed(
         times, "total"
@@ -647,7 +675,7 @@ def _build_plan_uncached(
         if do_round1:
             with span("lsh1"), timed(times, "lsh1"):
                 pairs, sims = config.lsh_index().candidate_pairs(
-                    csr, deadline=deadline
+                    csr, deadline=deadline, backend=config.backend
                 )
             n_cand1 = int(pairs.shape[0])
             with span("cluster1", pairs=n_cand1), timed(times, "cluster1"):
@@ -682,7 +710,8 @@ def _build_plan_uncached(
                 deadline.check("sim2")
             round2 = _reorder_remainder(tiled, config, times, deadline)
     return _assemble_plan(
-        csr, row_order, tiled, gate1, do_round1, n_cand1, round2, config, times
+        csr, row_order, tiled, gate1, do_round1, n_cand1, round2, config, times,
+        loaded,
     )
 
 
@@ -721,8 +750,9 @@ def _reorder_remainder(tiled: TiledMatrix, config: ReorderConfig, times: dict,
                        deadline) -> _Round2:
     """Round 2 of Fig. 5: gate the sparse remainder, then LSH + cluster it.
 
-    Stage times land in ``times`` under ``sim2``, ``lsh2`` and
-    ``cluster2``.
+    ``config.backend`` must be a resolved backend (a plan's
+    :attr:`~ExecutionPlan.backend`): the MinHash runs on it.  Stage times
+    land in ``times`` under ``sim2``, ``lsh2`` and ``cluster2``.
     """
     with span("sim2"), timed(times, "sim2"):
         gate2 = should_reorder_round2(tiled.sparse_part, skip_above=config.avg_sim_skip)
@@ -731,7 +761,7 @@ def _reorder_remainder(tiled: TiledMatrix, config: ReorderConfig, times: dict,
     if do_round2 and tiled.sparse_part.nnz:
         with span("lsh2"), timed(times, "lsh2"):
             pairs2, sims2 = config.lsh_index().candidate_pairs(
-                tiled.sparse_part, deadline=deadline
+                tiled.sparse_part, deadline=deadline, backend=config.backend
             )
         n_cand2 = int(pairs2.shape[0])
         with span("cluster2", pairs=n_cand2), timed(times, "cluster2"):
@@ -776,10 +806,10 @@ class _Round2Memo:
     """A plan's round-2 fields, known at build time or computed on first read.
 
     Holds either the fields ``(remainder_order, remainder, stats)`` or the
-    inputs of a deferred round 2 (``tiled``, ``config`` and the round-1
-    stats fields).  Every ``dataclasses.replace`` copy of a plan shares
-    its memo, so round 2 runs at most once per build; it pickles pending
-    or filled.  :attr:`round1_applied` is known either way, so reading it
+    inputs of a deferred round 2 (``tiled``, ``config`` with the plan's
+    resolved backend, and the round-1 stats fields).  Every
+    ``dataclasses.replace`` copy of a plan shares its memo, so round 2
+    runs at most once per build; it pickles pending or filled.  :attr:`round1_applied` is known either way, so reading it
     never runs round 2.
     """
 
@@ -839,11 +869,19 @@ class _Round2Memo:
 
 def _assemble_plan(csr, row_order, tiled, gate1, round1_applied, n_cand1,
                    round2: _Round2 | None, config, times,
+                   loaded: LoadedBackend | None = None,
                    revision=0) -> ExecutionPlan:
     """The plan around its decisions, with its Fig. 9 stats and backend.
 
-    ``round2=None`` defers round 2 to the plan's first read of it.
+    ``loaded`` is the backend the caller resolved; ``None`` loads
+    ``config.backend`` here (a streaming patch's one load), timed as
+    ``backend_compile``.  ``round2=None`` defers round 2 to the plan's
+    first read of it, on the resolved backend.
     """
+    if loaded is None:
+        with timed(times, "backend_compile"):
+            loaded = load_backend(config.backend)
+        config = replace(config, backend=loaded.backend)
     round1 = dict(
         dense_ratio_before=gate1.indicator,
         dense_ratio_after=tiled.dense_ratio,
@@ -854,12 +892,13 @@ def _assemble_plan(csr, row_order, tiled, gate1, round1_applied, n_cand1,
         memo = _Round2Memo(pending=(tiled, config, round1))
     else:
         memo = _Round2Memo.filled(*_round2_fields(round1, round2))
-    plan = ExecutionPlan(
+    return ExecutionPlan(
         original=csr,
         row_order=row_order,
         tiled=tiled,
         _round2=memo,
         preprocess_seconds=times,
+        backend=loaded.backend,
+        backend_provenance=loaded.provenance,
         revision=revision,
     )
-    return attach_backend(plan, config)

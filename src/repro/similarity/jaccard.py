@@ -10,8 +10,8 @@ dedicated, fully vectorised implementation:
 
 * a single pair (:func:`jaccard_rows`) — merge of two sorted views;
 * a batch of pairs (:func:`jaccard_for_pairs`) — used on LSH candidate
-  pairs; one lexsort over the concatenated supports, no Python loop over
-  pairs;
+  pairs; one sort of ``pair * n_cols + column`` keys over the
+  concatenated supports, no Python loop over pairs;
 * all consecutive pairs (:func:`consecutive_similarities`) — the §4
   "is this matrix already clustered?" indicator.
 
@@ -47,50 +47,50 @@ def jaccard_rows(csr: CSRMatrix, i: int, j: int) -> float:
     return inter / union
 
 
+#: Above this, ``pair * n_cols + column`` keys could overflow int64, so
+#: :func:`_intersection_sizes` sorts (pair, column) with a lexsort instead.
+_KEY_LIMIT = 2**62
+
+
 def _intersection_sizes(csr: CSRMatrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Vectorised ``|S_left[k] ∩ S_right[k]|`` for parallel index arrays.
 
-    Strategy: tag every column index of every involved row with its pair id,
-    concatenate both sides, sort by (pair, column) and count adjacent equal
-    (pair, column) entries.  Because rows are canonical (no duplicate columns
-    within a row), an adjacent duplicate can only arise from one column
-    present on *both* sides of a pair.
+    Strategy: tag every column index of every involved row with its pair
+    id ``k`` as one key ``k * n_cols + column``, concatenate both sides,
+    sort the keys and count adjacent equal keys per pair.  Because rows
+    are canonical (no duplicate columns within a row), an adjacent
+    duplicate can only arise from one column present on *both* sides of a
+    pair.  Where the keys could overflow (``E * n_cols >= 2**62``) the
+    (pair, column) tags are lexsorted instead, which counts the same.
     """
+    n_pairs = left.size
     lengths = csr.row_lengths()
-    nl = lengths[left]
-    nr = lengths[right]
-    total = int(nl.sum() + nr.sum())
+    rows = np.concatenate([left, right])
+    counts = lengths[rows]
+    total = int(counts.sum())
     if total == 0:
-        return np.zeros(left.size, dtype=np.int64)
+        return np.zeros(n_pairs, dtype=np.int64)
 
-    pair_ids = np.empty(total, dtype=np.int64)
-    cols = np.empty(total, dtype=np.int64)
-    # Gather the supports of the left rows then the right rows.
-    pos = 0
-    for rows, counts in ((left, nl), (right, nr)):
-        chunk = int(counts.sum())
-        if chunk == 0:
-            continue
-        from repro.util.arrayops import counts_to_offsets, offsets_to_row_ids
+    # Gather the supports of the left rows then the right rows: entry t of
+    # the gathered run of rows[s] sits at colidx[rowptr[rows[s]] + t].
+    ends = np.cumsum(counts)
+    shift = np.repeat(csr.rowptr[rows] - (ends - counts), counts)
+    cols = csr.colidx[shift + np.arange(total, dtype=np.int64)]
+    pair_ids = np.tile(np.arange(n_pairs, dtype=np.int64), 2)
+    n_cols = csr.n_cols
+    if n_pairs * n_cols < _KEY_LIMIT:
+        keys = np.repeat(pair_ids * n_cols, counts)
+        keys += cols
+        keys.sort()
+        dup = keys[1:] == keys[:-1]
+        return np.bincount(keys[1:][dup] // n_cols, minlength=n_pairs)
 
-        offsets = counts_to_offsets(counts)
-        which_pair = offsets_to_row_ids(offsets)
-        starts = csr.rowptr[:-1][rows]
-        gather = starts[which_pair] + (
-            np.arange(chunk, dtype=np.int64) - offsets[:-1][which_pair]
-        )
-        pair_ids[pos : pos + chunk] = which_pair
-        cols[pos : pos + chunk] = csr.colidx[gather]
-        pos += chunk
-
-    order = np.lexsort((cols, pair_ids))
-    p = pair_ids[order]
+    pairs = np.repeat(pair_ids, counts)
+    order = np.lexsort((cols, pairs))
+    p = pairs[order]
     c = cols[order]
     dup = (p[1:] == p[:-1]) & (c[1:] == c[:-1])
-    inter = np.zeros(left.size, dtype=np.int64)
-    if dup.any():
-        np.add.at(inter, p[1:][dup], 1)
-    return inter
+    return np.bincount(p[1:][dup], minlength=n_pairs)
 
 
 def jaccard_for_pairs(csr: CSRMatrix, pairs: np.ndarray) -> np.ndarray:

@@ -10,8 +10,10 @@ paper's description ("the smaller the bsize, the more likely two nodes will
 be hashed into the same bucket").
 
 The expensive part — grouping equal band-slices — is vectorised: each band
-slice is compressed to one ``int64`` key with a random linear hash, then a
-single ``argsort`` groups equal keys.  Linear-hash collisions can produce
+slice is compressed to one ``int64`` key with a random linear hash, then
+one ``argsort`` of the ``(nbands, rows)`` key matrix along its rows groups
+equal keys in every band at once, and one batched expansion turns all
+bands' buckets into pairs.  Linear-hash collisions can produce
 false-positive candidates; that is harmless because every candidate pair is
 re-scored with the *exact* similarity measure before clustering.
 
@@ -19,8 +21,9 @@ Buckets larger than ``bucket_cap`` are not expanded quadratically (a single
 degenerate bucket — e.g. all empty rows — would otherwise produce millions
 of pairs); instead each member is paired with the next ``bucket_cap``
 members in bucket order, which keeps the candidate graph connected inside
-the bucket while bounding the pair count.  ``bucket_cap=None`` disables the
-cap for exact-recall experiments.
+the bucket while bounding the pair count.  Bucket order is ascending row
+index, the order a stable sort of the keys gives.  ``bucket_cap=None``
+disables the cap for exact-recall experiments.
 """
 
 from __future__ import annotations
@@ -59,14 +62,11 @@ def band_mixers(siglen: int, bsize: int, seed=None) -> np.ndarray:
     if siglen % bsize != 0:
         raise ValidationError(f"bsize={bsize} must divide siglen={siglen}")
     rng = as_generator(seed)
-    nbands = siglen // bsize
-    # One draw per band, in band order — consumes the generator stream in
-    # exactly the chunks the historical per-band loop consumed it, so the
-    # mixers (and therefore every bucket key) are bit-identical to what
-    # any previously built plan used.
-    return np.stack(
-        [rng.integers(1, 2**61, size=bsize, dtype=np.int64) for _ in range(nbands)]
-    )
+    # One draw, row-major.  A bounded int64 draw this wide takes one
+    # generator output per accepted value and buffers nothing, so this
+    # equals the historical one-draw-per-band loop value for value (and
+    # every bucket key of a previously built plan stays the same).
+    return rng.integers(1, 2**61, size=(siglen // bsize, bsize), dtype=np.int64)
 
 
 def band_keys_matrix(signatures: np.ndarray, mixers: np.ndarray) -> np.ndarray:
@@ -84,9 +84,12 @@ def band_keys_matrix(signatures: np.ndarray, mixers: np.ndarray) -> np.ndarray:
     banded = signatures.reshape(signatures.shape[0], nbands, bsize)
     # Overflowing multiply-add is fine: wrap-around keeps the map
     # deterministic, and modular int64 addition is order-independent so
-    # the batched sum matches a per-band loop bit for bit.
+    # the sum over band positions matches a per-band loop bit for bit.
     with np.errstate(over="ignore"):
-        return (banded * mixers[None, :, :]).sum(axis=2, dtype=np.int64)
+        keys = banded[:, :, 0] * mixers[:, 0]
+        for j in range(1, bsize):
+            keys += banded[:, :, j] * mixers[:, j]
+    return keys
 
 
 def pairs_from_band_keys(
@@ -102,25 +105,44 @@ def pairs_from_band_keys(
     ``keys[i]`` are the per-band bucket keys of ``rows[i]`` (an int64 map
     back to original row ids, after any empty-row filtering); ``n_rows``
     is the full matrix height used to canonicalise/deduplicate pairs.
-    This is the exact tail of :func:`lsh_candidate_pairs` — bucketing by
-    stable argsort per band, capped expansion, then global dedupe — so a
+    This is the exact tail of :func:`lsh_candidate_pairs` — bucketing all
+    bands with one argsort, capped expansion, then global dedupe — so a
     caller that maintains ``keys`` incrementally gets the same pairs a
-    from-scratch pass would produce.
+    from-scratch pass would produce.  ``deadline`` is polled between the
+    whole-array steps.
     """
-    chunks: list[np.ndarray] = []
-    for band_idx in range(keys.shape[1]):
-        if deadline is not None:
-            deadline.check("lsh")
-        band_keys = keys[:, band_idx]
-        order = np.argsort(band_keys, kind="stable")
-        sorted_keys = band_keys[order]
-        boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [sorted_keys.size]])
-        chunks.extend(_pairs_in_buckets(order, starts, ends, bucket_cap))
-
+    m, nbands = keys.shape
+    if m < 2 or nbands == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if deadline is not None:
+        deadline.check("lsh")
+    # Row b of the transposed matrix is band b; sorting each row groups
+    # that band's equal keys.  The flat positions of band b are
+    # [b*m, (b+1)*m), so a boundary forced at each band start keeps every
+    # bucket inside one band, and the flat order holds local row indices.
+    band_major = np.ascontiguousarray(keys.T)
+    order = np.argsort(band_major, axis=1)
+    sorted_keys = np.take_along_axis(band_major, order, axis=1).ravel()
+    order = order.ravel()
+    boundary = np.empty(sorted_keys.size, dtype=bool)
+    boundary[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
+    boundary[::m] = True
+    starts = np.flatnonzero(boundary)
+    ends = np.append(starts[1:], sorted_keys.size)
+    if bucket_cap is not None:
+        # A capped bucket pairs neighbours in bucket order, which must be
+        # ascending row index as a stable sort leaves it.
+        capped = ends - starts > bucket_cap
+        for s, e in zip(starts[capped].tolist(), ends[capped].tolist()):
+            order[s:e].sort()
+    if deadline is not None:
+        deadline.check("lsh")
+    chunks = _pairs_in_buckets(order, starts, ends, bucket_cap)
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
+    if deadline is not None:
+        deadline.check("lsh")
     pairs = np.concatenate(chunks, axis=0)
     # Map local (post-filter) indices back to original row ids and
     # canonicalise as (min, max).
@@ -128,7 +150,11 @@ def pairs_from_band_keys(
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     pair_keys = lo * np.int64(n_rows) + hi
-    uniq = np.unique(pair_keys)
+    pair_keys.sort()
+    keep = np.empty(pair_keys.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(pair_keys[1:], pair_keys[:-1], out=keep[1:])
+    uniq = pair_keys[keep]
     return np.stack([uniq // n_rows, uniq % n_rows], axis=1)
 
 
@@ -178,14 +204,14 @@ def _pairs_in_buckets(order: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         small &= sizes <= bucket_cap
     small_sizes = sizes[small]
     small_starts = starts[small]
-    for z in np.unique(small_sizes).tolist():
+    for z in np.flatnonzero(np.bincount(small_sizes)).tolist():
         bucket_starts = small_starts[small_sizes == z]
-        # (n_buckets, z) member matrix, then one gather per triangle side.
-        members = order[bucket_starts[:, None] + np.arange(z, dtype=np.int64)]
+        # One gather per triangle side, straight from ``order``: row k of
+        # ``bucket_starts[:, None] + ii`` is bucket k's triangle.
         ii, jj = _triu(z)
         pairs = np.empty((bucket_starts.size * ii.size, 2), dtype=np.int64)
-        pairs[:, 0] = members[:, ii].ravel()
-        pairs[:, 1] = members[:, jj].ravel()
+        pairs[:, 0] = order[(bucket_starts[:, None] + ii).ravel()]
+        pairs[:, 1] = order[(bucket_starts[:, None] + jj).ravel()]
         chunks.append(pairs)
 
     if bucket_cap is not None:
@@ -226,8 +252,9 @@ def lsh_candidate_pairs(
         Drop rows whose whole signature is the empty-row sentinel (they have
         no columns, hence zero similarity to everything).
     deadline:
-        Optional :class:`repro.resilience.Deadline`, polled once per band
-        (each band is a complete unit of work, so cancellation is clean).
+        Optional :class:`repro.resilience.Deadline`, polled between the
+        whole-array banding steps (each a complete unit of work, so
+        cancellation is clean).
 
     Returns
     -------
@@ -297,7 +324,7 @@ class LSHIndex:
     measure: str = "jaccard"
 
     def candidate_pairs(
-        self, csr: CSRMatrix, *, deadline=None
+        self, csr: CSRMatrix, *, deadline=None, backend: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(pairs, similarities)`` for ``csr``.
 
@@ -306,10 +333,13 @@ class LSHIndex:
         similarity (pure LSH/banding false positives) are always dropped —
         they can never improve data reuse.  ``deadline`` is threaded into
         both the MinHash and banding passes (see
-        :class:`repro.resilience.Deadline`).
+        :class:`repro.resilience.Deadline`).  ``backend`` selects the
+        MinHash implementation as in :func:`minhash_signatures`: ``None``
+        or ``"numpy"`` run the reference, ``"cc"`` the compiled pass, with
+        the same signatures either way.
         """
         signatures = minhash_signatures(
-            csr, self.siglen, seed=self.seed, deadline=deadline
+            csr, self.siglen, seed=self.seed, deadline=deadline, backend=backend
         )
         with span("lsh", rows=csr.n_rows, bsize=self.bsize):
             pairs = lsh_candidate_pairs(

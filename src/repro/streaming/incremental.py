@@ -308,7 +308,8 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
                 state_new, pairs_rescored = state, 0
             else:
                 state_new, pairs_rescored = state.update(  # reprolint: disable=RD602 -- LshState.update is pure (returns a new state, never mutates self); the name just matches the dict.update mutation heuristic
-                    csr_new, dirty, n_new, config, deadline=deadline
+                    csr_new, dirty, n_new, config, deadline=deadline,
+                    backend=plan.backend,
                 )
         pairs, sims = state_new.pairs, state_new.sims
         n_cand1 = int(pairs.shape[0])
@@ -391,7 +392,9 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
                     n_candidates=old.n_candidates_round2,
                 )
             else:
-                round2 = _reorder_remainder(tiled, config, times, deadline)
+                round2 = _reorder_remainder(
+                    tiled, replace(config, backend=plan.backend), times, deadline
+                )
     patched = _assemble_plan(
         csr_new, row_order, tiled, gate1, do_round1, n_cand1, round2, config,
         times, revision=plan.revision + 1,
@@ -499,7 +502,9 @@ def apply_delta(
                 )
                 plan_new = replace(plan_new, revision=plan.revision + 1)
                 if plan_new.round1_applied and not plan_new.degraded:
-                    state_new = LshState.build(csr_new, config)
+                    state_new = LshState.build(
+                        csr_new, config, backend=plan_new.backend
+                    )
 
     if mode == "patched":
         if cache is not None:
@@ -573,7 +578,7 @@ class StreamingPlan:
             csr, self.config, cache=cache, resilience=resilience
         )
         self._state = (
-            LshState.build(csr, self.config)
+            LshState.build(csr, self.config, backend=self._plan.backend)
             if self._plan.round1_applied and not self._plan.degraded
             else None
         )

@@ -138,17 +138,21 @@ class LshState:
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, csr: CSRMatrix, config, *, deadline=None) -> "LshState":
+    def build(cls, csr: CSRMatrix, config, *, deadline=None,
+              backend: str | None = None) -> "LshState":
         """From-scratch state for ``csr`` under ``config``.
 
         Uses the same seeds as ``config.lsh_index()`` (MinHash at
         ``lsh_seed``, banding at ``lsh_seed + 1``), so ``pairs``/``sims``
         equal a fresh :meth:`~repro.similarity.LSHIndex.candidate_pairs`
-        call bit for bit.
+        call bit for bit.  ``backend`` is the MinHash backend (see
+        :func:`~repro.similarity.minhash_signatures`); streaming passes
+        the resolved backend of the plan at hand.
         """
         with span("streaming.state_build", rows=csr.n_rows, nnz=csr.nnz):
             signatures = minhash_signatures(
-                csr, config.siglen, seed=config.lsh_seed, deadline=deadline
+                csr, config.siglen, seed=config.lsh_seed, deadline=deadline,
+                backend=backend,
             )
             mixers = band_mixers(config.siglen, config.bsize, config.lsh_seed + 1)
             band_keys = band_keys_matrix(signatures, mixers)
@@ -172,6 +176,7 @@ class LshState:
         config,
         *,
         deadline=None,
+        backend: str | None = None,
     ) -> tuple["LshState", int]:
         """Patched state for ``csr_new`` (copy-on-write; see module docs).
 
@@ -188,6 +193,9 @@ class LshState:
         config:
             The same :class:`repro.reorder.ReorderConfig` the state was
             built with.
+        backend:
+            The MinHash backend for the changed rows, as in
+            :meth:`build`; every backend gives the same signatures.
 
         Returns
         -------
@@ -226,7 +234,8 @@ class LshState:
             if changed.size:
                 sub = extract_rows(csr_new, changed)
                 sub_sigs = minhash_signatures(
-                    sub, config.siglen, seed=config.lsh_seed, deadline=deadline
+                    sub, config.siglen, seed=config.lsh_seed, deadline=deadline,
+                    backend=backend,
                 )
                 signatures[changed] = sub_sigs
                 band_keys[changed] = band_keys_matrix(sub_sigs, self.mixers)

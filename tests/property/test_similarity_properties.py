@@ -1,8 +1,10 @@
 """Hypothesis property tests for Jaccard / MinHash / LSH."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from repro.kernels.backends import load_backend
 
 from repro.similarity import (
     average_consecutive_similarity,
@@ -12,7 +14,8 @@ from repro.similarity import (
     minhash_signatures,
     pairwise_jaccard_dense,
 )
-from repro.sparse import COOMatrix
+from repro.similarity.minhash import MERSENNE_PRIME
+from repro.sparse import COOMatrix, CSRMatrix
 
 from test_sparse_properties import csr_matrices
 
@@ -87,6 +90,41 @@ class TestMinHashProperties:
         a = minhash_signatures(csr, 8, seed=seed)
         b = minhash_signatures(csr, 8, seed=seed)
         np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def wide_csr_matrices(draw):
+    """CSR patterns over up to ``2**40`` columns: zero rows, empty rows, and
+    column ids on both sides of the MinHash modulus ``2**31 - 1``."""
+    p = int(MERSENNE_PRIME)
+    n_cols = draw(st.sampled_from([1, 7, p, p + 1, 2**33, 2**40]))
+    edges = [c for c in (0, 1, p - 1, p, p + 1, 2 * p, n_cols - 1) if c < n_cols]
+    column = st.one_of(st.sampled_from(edges), st.integers(0, n_cols - 1))
+    rows = draw(st.lists(st.lists(column, max_size=6, unique=True), max_size=10))
+    colidx = np.array([c for row in rows for c in sorted(row)], dtype=np.int64)
+    rowptr = np.concatenate([[0], np.cumsum([len(row) for row in rows])])
+    return CSRMatrix.from_arrays((len(rows), n_cols), rowptr, colidx)
+
+
+class TestCompiledMinHashProperties:
+    @given(
+        csr=wide_csr_matrices(),
+        siglen=st.sampled_from([1, 7, 128]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(
+        max_examples=60,
+        deadline=None,
+        # compiled_backend only empties the in-process library cache, so
+        # sharing it across examples is fine.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_cc_bit_identical_to_numpy(self, compiled_backend, csr, siglen, seed):
+        assert load_backend(compiled_backend).minhash is not None
+        np.testing.assert_array_equal(
+            minhash_signatures(csr, siglen, seed=seed, backend=compiled_backend),
+            minhash_signatures(csr, siglen, seed=seed, backend="numpy"),
+        )
 
 
 class TestLSHProperties:

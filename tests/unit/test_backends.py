@@ -133,7 +133,7 @@ class TestArtifactCache:
 
     def test_unavailable_backend_compile_raises(self, no_compiler):
         with pytest.raises(BackendUnavailable, match="/nonexistent/cc"):
-            cc_backend.load_spmm()
+            cc_backend.load_kernels()
         # The loader degrades before the cache and the fault site.
         with FaultInjector(rate=1.0, seed=0, sites=["backend.compile"]) as inj:
             with warnings.catch_warnings():
@@ -303,6 +303,82 @@ class TestPlanIntegration:
         np.testing.assert_array_equal(loaded.session().run(X), spmm(matrix, X))
 
 
+class TestOneLoadPerBuild:
+    """A build loads its backend once, before round 1: both rounds'
+    MinHash, a deferred round 2 included, run on what that load resolved,
+    and a later read of the plan loads nothing."""
+
+    CONFIG = dict(siglen=16, panel_height=8, force_round1=True, force_round2=True)
+
+    @pytest.fixture
+    def clustered(self):
+        from repro.datasets import hidden_clusters
+
+        return hidden_clusters(16, 4, 256, 8, noise=0.1, seed=4)
+
+    @staticmethod
+    def _degradations(call):
+        """``call()``, its warning categories and its fallback count."""
+        fallback = METRICS.counter("kernels.backend_fallback")
+        before = fallback.value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        return result, [w.category for w in caught], fallback.value - before
+
+    def test_each_build_degrades_once_without_compiler(self, clustered, no_compiler):
+        from repro.resilience import ResiliencePolicy
+        from repro.streaming import StreamingPlan
+
+        config = ReorderConfig(**self.CONFIG)  # the default backend, cc
+        builds = {
+            "plain": lambda: build_plan(clustered, config),
+            "policy": lambda: build_plan(
+                clustered, config, resilience=ResiliencePolicy()
+            ),
+            "streaming": lambda: StreamingPlan(clustered, config).plan,
+        }
+        for name, build in builds.items():
+            plan, warned, fallbacks = self._degradations(build)
+            assert (warned, fallbacks) == ([DegradedExecution], 1), name
+            assert plan.backend_provenance == (NO_COMPILER,), name
+            stats, warned, fallbacks = self._degradations(lambda: plan.stats)
+            assert (warned, fallbacks) == ([], 0), name
+            assert stats.round1_applied and stats.round2_applied, name
+
+    def test_cold_build_reaches_the_compile_site_once(
+        self, clustered, compiled_backend
+    ):
+        config = ReorderConfig(**self.CONFIG, backend=compiled_backend)
+        with FaultInjector(rate=0.0, seed=0, sites=["backend.compile"]) as inj:
+            plan = build_plan(clustered, config)
+            assert plan.stats.round2_applied
+        assert inj.checked["backend.compile"] == 1
+        assert plan.backend == compiled_backend
+
+    def test_both_rounds_hash_on_the_resolved_backend(
+        self, clustered, compiled_backend, monkeypatch
+    ):
+        import repro.kernels.backends as backends_mod
+        from conftest import assert_plans_identical
+
+        loaded = load_backend(compiled_backend)
+        hashed = []
+
+        def counting(csr, a, b, out):
+            hashed.append(csr.n_rows)
+            loaded.minhash(csr, a, b, out)
+
+        monkeypatch.setitem(
+            backends_mod._LOADED, compiled_backend, loaded._replace(minhash=counting)
+        )
+        plan = build_plan(clustered, ReorderConfig(**self.CONFIG, backend=compiled_backend))
+        assert len(hashed) == 1  # round 1; round 2 is pending
+        reference = build_plan(clustered, ReorderConfig(**self.CONFIG, backend="numpy"))
+        assert_plans_identical(plan, reference)  # runs round 2
+        assert len(hashed) == 2
+
+
 class TestPlanStoreIntegration:
     def test_backend_enters_the_cache_key(self, matrix, compiled_backend):
         from repro.planstore import plan_key
@@ -399,22 +475,33 @@ print("ok")
 
 
 #: A fresh process's cc load, printed as JSON: what the loader returned,
-#: the warnings and fallbacks it caused and what it cached.
+#: the warnings and fallbacks it caused, what it cached, and half the
+#: smallest normal float64 computed after it, in the loading thread and in
+#: a thread started afterwards (0.0 where the load left flush-to-zero on).
 _LOAD = """
-import json, warnings
+import json, threading, warnings
+import numpy as np
 import repro.kernels.backends as backends
 from repro.observability.metrics import METRICS
 
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     loaded = backends.load_backend("cc")
+halves = [float(np.float64(2.2250738585072014e-308) / 2)]
+thread = threading.Thread(
+    target=lambda: halves.append(float(np.float64(2.2250738585072014e-308) / 2))
+)
+thread.start()
+thread.join(timeout=60)
 print(json.dumps({
     "backend": loaded.backend,
     "spmm": None if loaded.spmm is None else "compiled",
+    "minhash": None if loaded.minhash is None else "compiled",
     "provenance": list(loaded.provenance),
     "warnings": [w.category.__name__ for w in caught],
     "fallbacks": METRICS.counter("kernels.backend_fallback").value,
     "loaded": sorted(backends._LOADED),
+    "subnormal_halves": halves,
 }))
 """
 
@@ -495,20 +582,28 @@ class TestCcBuild:
     ):
         # A fast-math build loads, but reassociated sums give other bits
         # than spmm: the loader degrades it once and does not cache it.
-        # In a fresh process, as loading such a library makes the loading
-        # thread flush subnormals to zero.
+        # Loading it runs gcc's crtfastmath constructor, which turns on
+        # flush-to-zero; the loader puts the floating-point environment
+        # back, so subnormals survive in the loading thread and in threads
+        # it starts later.  In a fresh process, so a regression cannot
+        # leak flush-to-zero into the rest of the suite.
         cc = shlex.join([cc_backend.compiler()[0], *FAST_MATH])
         (proc,) = _probe_processes(tmp_path, 1, script=_LOAD, CC=cc)
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
-        assert json.loads(out) == {
+        report = json.loads(out)
+        halves = report.pop("subnormal_halves")
+        assert report == {
             "backend": "numpy",
             "spmm": None,
+            "minhash": None,
             "provenance": ["backend:cc->numpy: bit check failed"],
             "warnings": ["DegradedExecution"],
             "fallbacks": 1,
             "loaded": [],
         }
+        assert len(halves) == 2
+        assert all(half != 0.0 for half in halves), halves
 
 
 class TestCcThreads:

@@ -1,9 +1,12 @@
 """Unit tests for repro.similarity.minhash and repro.similarity.lsh."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import ConfigError, DegradedExecution, ValidationError
+from repro.kernels.backends import load_backend
 from repro.sparse import CSRMatrix
 from repro.similarity import LSHIndex, lsh_candidate_pairs, minhash_signatures
 from repro.similarity.jaccard import jaccard_rows, pairwise_jaccard_dense
@@ -217,3 +220,169 @@ class TestPairsInBucketsBatching:
             map(tuple, np.concatenate(chunks).tolist() if chunks else [])
         )
         assert got == self._naive(order, starts, ends, bucket_cap)
+
+
+class TestMinhashBackends:
+    def test_none_and_numpy_are_the_reference(self, paper_matrix):
+        reference = minhash_signatures(paper_matrix, 16, seed=3)
+        for backend in (None, "numpy"):
+            np.testing.assert_array_equal(
+                minhash_signatures(paper_matrix, 16, seed=3, backend=backend),
+                reference,
+            )
+
+    def test_unknown_backend_raises_config_error(self, paper_matrix):
+        with pytest.raises(ConfigError, match="unknown kernel backend"):
+            minhash_signatures(paper_matrix, 16, backend="cuda")
+
+    def test_cc_matches_the_reference(self, compiled_backend, rng):
+        # Empty rows, column ids past the modulus and an odd siglen.
+        cols = np.sort(rng.choice(2**33, size=40, replace=False))
+        rowptr = np.concatenate([[0], np.sort(rng.integers(0, 41, size=29)), [40]])
+        m = CSRMatrix.from_arrays((30, 2**33), rowptr, cols)
+        assert (m.row_lengths() == 0).any()
+        assert load_backend(compiled_backend).minhash is not None
+        for siglen in (1, 7, 128):
+            np.testing.assert_array_equal(
+                minhash_signatures(m, siglen, seed=siglen, backend=compiled_backend),
+                minhash_signatures(m, siglen, seed=siglen),
+            )
+
+    def test_cc_without_compiler_degrades_to_the_reference(
+        self, paper_matrix, no_compiler
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = minhash_signatures(paper_matrix, 16, seed=1, backend="cc")
+        assert [w.category for w in caught] == [DegradedExecution]
+        np.testing.assert_array_equal(got, minhash_signatures(paper_matrix, 16, seed=1))
+
+    def test_candidate_pairs_same_on_every_backend(self, rng, backend_name):
+        m = random_csr(rng, 60, 40, density=0.15)
+        index = LSHIndex(siglen=32, bsize=2, seed=5)
+        want_pairs, want_sims = index.candidate_pairs(m)
+        pairs, sims = index.candidate_pairs(m, backend=backend_name)
+        np.testing.assert_array_equal(pairs, want_pairs)
+        np.testing.assert_array_equal(sims, want_sims)
+
+
+def _intersection_reference(csr, left, right):
+    return np.array(
+        [np.intersect1d(csr.row_cols(a), csr.row_cols(b)).size
+         for a, b in zip(left.tolist(), right.tolist())],
+        dtype=np.int64,
+    )
+
+
+class TestIntersectionSizes:
+    """``_intersection_sizes``: one key sort, lexsort where keys overflow."""
+
+    def test_sort_path_equals_lexsort_path(self, rng, monkeypatch):
+        from repro.similarity import jaccard
+
+        m = random_csr(rng, 50, 30, density=0.3)
+        left = rng.integers(0, 50, size=400).astype(np.int64)
+        right = rng.integers(0, 50, size=400).astype(np.int64)
+        by_key = jaccard._intersection_sizes(m, left, right)
+        monkeypatch.setattr(jaccard, "_KEY_LIMIT", 0)  # every input overflows
+        by_lexsort = jaccard._intersection_sizes(m, left, right)
+        np.testing.assert_array_equal(by_key, by_lexsort)
+        np.testing.assert_array_equal(by_key, _intersection_reference(m, left, right))
+
+    def test_huge_n_cols_takes_the_lexsort_fallback(self, monkeypatch):
+        from repro.similarity import jaccard
+
+        n_cols = 2**62 - 1
+        # Under wrapping int64 keys, pair 4's column c would land on pair
+        # 0's column c - 4: the columns are chosen so that it would.
+        rows = [[0, 10], [10, 20], [2**61, n_cols - 1], [14, n_cols - 1],
+                [7, 14], [3, 7]]
+        colidx = np.array([c for row in rows for c in row], dtype=np.int64)
+        rowptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+        m = CSRMatrix.from_arrays((len(rows), n_cols), rowptr, colidx)
+        left = np.array([0, 1, 2, 3, 4, 3], dtype=np.int64)
+        right = np.array([1, 0, 3, 4, 5, 2], dtype=np.int64)
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+        got = jaccard._intersection_sizes(m, left, right)
+        assert calls  # the (pair, column) lexsort ran
+        np.testing.assert_array_equal(got, _intersection_reference(m, left, right))
+        np.testing.assert_array_equal(got, [1, 1, 1, 1, 1, 1])
+
+    def test_no_pairs_and_empty_rows(self):
+        from repro.similarity.jaccard import _intersection_sizes
+
+        m = CSRMatrix.from_dense(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        empty = np.zeros(0, dtype=np.int64)
+        assert _intersection_sizes(m, empty, empty).shape == (0,)
+        np.testing.assert_array_equal(
+            _intersection_sizes(m, np.array([0, 1]), np.array([0, 1])), [0, 1]
+        )
+
+
+def _pairs_per_band(keys, rows, n_rows, bucket_cap):
+    """The per-band banding loop ``pairs_from_band_keys`` replaced, kept as
+    its reference: a stable argsort per band, expansion per band, then a
+    global dedupe."""
+    from repro.similarity.lsh import _pairs_in_buckets
+
+    chunks = []
+    for band in range(keys.shape[1]):
+        order = np.argsort(keys[:, band], kind="stable")
+        sorted_keys = keys[:, band][order]
+        boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        starts = np.concatenate([[0], boundaries])
+        ends = np.concatenate([boundaries, [sorted_keys.size]])
+        chunks.extend(_pairs_in_buckets(order, starts, ends, bucket_cap))
+    if not chunks:
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = rows[np.concatenate(chunks, axis=0)]
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    uniq = np.unique(lo * np.int64(n_rows) + hi)
+    return np.stack([uniq // n_rows, uniq % n_rows], axis=1)
+
+
+class TestPairsFromBandKeys:
+    """All bands in one pass give the per-band loop's pairs exactly."""
+
+    @pytest.mark.parametrize("bucket_cap", [None, 2, 3, 64])
+    def test_matches_per_band_reference(self, rng, bucket_cap):
+        from repro.similarity.lsh import pairs_from_band_keys
+
+        for _ in range(30):
+            m = int(rng.integers(0, 150))
+            nbands = int(rng.integers(1, 9))
+            # Few distinct keys: heavy collisions, so buckets outgrow the
+            # cap and take the ascending-order path.
+            keys = rng.integers(-3, int(rng.integers(-2, 8)), size=(m, nbands))
+            n_rows = m + int(rng.integers(0, 20))
+            rows = np.sort(rng.choice(n_rows, size=m, replace=False)).astype(np.int64)
+            got = pairs_from_band_keys(keys, rows, n_rows, bucket_cap=bucket_cap)
+            want = _pairs_per_band(keys, rows, n_rows, bucket_cap)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    def test_band_keys_match_a_per_band_sum(self, rng):
+        from repro.similarity.lsh import band_keys_matrix, band_mixers
+
+        signatures = rng.integers(0, 2**31 - 1, size=(20, 24))
+        for bsize in (1, 2, 3, 8):
+            mixers = band_mixers(24, bsize, seed=9)
+            banded = signatures.reshape(20, 24 // bsize, bsize)
+            with np.errstate(over="ignore"):
+                want = (banded * mixers[None, :, :]).sum(axis=2, dtype=np.int64)
+            np.testing.assert_array_equal(band_keys_matrix(signatures, mixers), want)
+
+    @pytest.mark.parametrize("bsize", [1, 2, 4, 128])
+    def test_mixers_match_the_per_band_draw(self, bsize):
+        from repro.similarity.lsh import band_mixers
+
+        for seed in range(20):
+            draws = np.random.default_rng(seed)
+            want = np.stack([
+                draws.integers(1, 2**61, size=bsize, dtype=np.int64)
+                for _ in range(128 // bsize)
+            ])
+            np.testing.assert_array_equal(band_mixers(128, bsize, seed), want)
