@@ -200,16 +200,17 @@ def _suite_kernels(quick: bool, backend: str = "numpy") -> dict:
 def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
     # ``backend`` is accepted for a uniform runner signature but ignored:
     # the build and patch cells run on ``ReorderConfig``'s default backend
-    # (their MinHash included, as every build's does), and the ``minhash``
-    # cell calls ``minhash_signatures`` with no backend, so it times the
-    # numpy reference.
+    # (their MinHash included, as every build's does).  The ``minhash``
+    # cell, and the ``stage`` cell that adds it in, call
+    # ``minhash_signatures`` with no backend, so they time the numpy
+    # reference and not the compiled MinHash a build hashes with; the
+    # emitted ``workload`` block says so.
     del backend
     from repro.clustering import cluster_rows
     from repro.datasets import bipartite_ratings
     from repro.reorder import ReorderConfig, build_plan
     from repro.similarity import LSHIndex, minhash_signatures
-
-    from repro.streaming import DeltaBatch, LshState, apply_delta
+    from repro.streaming import DeltaBatch, apply_delta
 
     repeats = 3 if quick else 7
     matrix = bipartite_ratings(
@@ -233,21 +234,17 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
         ),
     }
     # Streaming cells: one value-only set-delta (overwrite existing
-    # entries, ~2% of the rows dirty) absorbed by the incremental patch
-    # vs a full from-scratch rebuild of the mutated matrix.  The ISSUE-10
-    # acceptance bar (patch measurably faster at <= 5% dirt) lives in the
-    # gated ``plan_patch_vs_rebuild`` speedup below.  Reading
-    # ``plan0.stats`` runs the old plan's round 2 before the patch is
-    # timed, so the value-only patch reuses it and returns round 2 (a
-    # patch of a pending plan would leave it pending); the rebuild reads
-    # it too.
+    # entries, ~2% of the rows dirty) absorbed by ``apply_delta``, which
+    # keeps the plan's decisions and re-tiles the new values, vs a full
+    # from-scratch rebuild of the mutated matrix; the gated
+    # ``plan_patch_vs_rebuild`` speedup below is their ratio.  Reading
+    # ``plan0.stats`` runs the old plan's round 2 before the update is
+    # timed, so the successor reuses it and returns round 2 (the
+    # successor of a pending plan would leave it pending); the rebuild
+    # reads it too.
     config = ReorderConfig()
     plan0 = build_plan(matrix, config)
-    state0 = (
-        LshState.build(matrix, config, backend=plan0.backend)
-        if plan0.stats.round1_applied
-        else None
-    )
+    plan0.stats
     rng = np.random.default_rng(11)
     n_dirty = max(1, matrix.nnz // 1000)
     idx = np.sort(rng.choice(matrix.nnz, size=n_dirty, replace=False))
@@ -260,7 +257,7 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
     mutated = delta.apply_to(matrix)
     plan_repeats = max(2, repeats - 3)
     metrics["plan_patch"] = _metric(
-        lambda: apply_delta(plan0, delta, config, state=state0), plan_repeats
+        lambda: apply_delta(plan0, delta, config), plan_repeats
     )
     metrics["plan_rebuild"] = _metric(
         lambda: build_plan(mutated, config).stats, plan_repeats
@@ -296,6 +293,8 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
             "n_rows": matrix.n_rows,
             "nnz": matrix.nnz,
             "lsh": "LSHIndex() defaults",
+            "minhash": "minhash and stage time minhash_signatures with no "
+            "backend: the numpy reference, not the cc MinHash builds run",
             "n_candidate_pairs": int(pairs.shape[0]),
             "delta": f"set-delta, {n_dirty} existing entries overwritten "
             "(~0.1% nnz), seed 11",

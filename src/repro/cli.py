@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sb = sub.add_parser(
         "stream-bench",
-        help="replay the streaming corpus through incremental replanning "
-        "and report patch/replan behaviour per stream",
+        help="replay the streaming corpus through apply_delta and report "
+        "patched/replanned updates per stream",
     )
     sb.add_argument("--seed", type=int, default=0, help="corpus seed")
     sb.add_argument(
@@ -412,7 +412,7 @@ def _cmd_stream_bench(args, clock=time.perf_counter) -> int:
 
     from repro.datasets import stream_corpus
     from repro.reorder import build_plan
-    from repro.streaming import DeltaBatch, LshState, StreamingPlan, apply_delta
+    from repro.streaming import DeltaBatch, StreamingPlan, apply_delta
 
     def median_ms(fn, repeats):
         ts = []
@@ -431,18 +431,14 @@ def _cmd_stream_bench(args, clock=time.perf_counter) -> int:
         replay_ms = round((clock() - t0) * 1e3, 3)
         patched = sum(r.patched for r in sp.reports)
 
-        # Timing cell: one value-only set-delta on the final matrix,
-        # incremental patch vs full from-scratch rebuild.  Reading
-        # ``plan.stats`` runs the old plan's round 2 before the patch is
-        # timed, so the value-only patch reuses it and returns round 2 (a
-        # patch of a pending plan would leave it pending); the rebuild
-        # reads it too.
+        # Timing cell: one value-only set-delta on the final matrix, the
+        # plan's same-pattern successor vs a full from-scratch rebuild.
+        # Reading ``plan.stats`` runs the old plan's round 2 before the
+        # update is timed, so the successor reuses it and returns round 2
+        # (the successor of a pending plan would leave it pending); the
+        # rebuild reads it too.
         final, config, plan = sp.matrix, sp.config, sp.plan
-        state = (
-            LshState.build(final, config, backend=plan.backend)
-            if plan.stats.round1_applied and not plan.degraded
-            else None
-        )
+        plan.stats
         rng = np.random.default_rng(args.seed + 99)
         n = max(1, final.nnz // 1000)
         idx = np.sort(rng.choice(final.nnz, size=n, replace=False))
@@ -454,7 +450,7 @@ def _cmd_stream_bench(args, clock=time.perf_counter) -> int:
         )
         mutated = delta.apply_to(final)
         patch_ms = median_ms(
-            lambda: apply_delta(plan, delta, config, state=state), args.repeats
+            lambda: apply_delta(plan, delta, config), args.repeats
         )
         rebuild_ms = median_ms(
             lambda: build_plan(mutated, config).stats, args.repeats

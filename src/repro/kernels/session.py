@@ -214,7 +214,7 @@ class KernelSession:
         """Re-pin the session onto a successor ``target`` in place.
 
         The streaming path: after :func:`repro.streaming.apply_delta`
-        produces a patched plan, ``refresh`` re-derives every
+        produces the successor plan, ``refresh`` re-derives every
         target-bound attribute (pinned state with its row order, backend —
         a warm load hits the process-wide cache)
         while keeping the session identity, its workspace pool and its

@@ -24,15 +24,14 @@ defers it: the plan computes round 2 the first time anything reads
 ``save``, ``validate``, the plan store, the GPU model and the
 experiments runner), at most once, and adds its stage times and
 wall-clock to ``preprocess_seconds``; a run that raises adds nothing,
-and the next read runs it again.  ``session()``, ``spmm()``, ``tiled``
-and ``round1_applied`` never compute it.  A streaming patch
-(:func:`repro.streaming.apply_delta`) defers it exactly when a build
-does, so a plain patch returns a plan whose round 2 is the build's own,
-run over the patched tiling on first read.  A build under a
-``ResiliencePolicy`` or through a plan store computes round 2 inside the
-build, as the ladder's deadlines and the store's write-through need it
-there, and so does a patch under either; ``build_plans`` computes it in
-the worker that built the plan.
+and the next read runs it again.  ``session()``, ``spmm()`` and
+``tiled`` never compute it.  A build under a ``ResiliencePolicy`` or
+through a plan store computes round 2 inside the build, as the ladder's
+deadlines and the store's write-through need it there; ``build_plans``
+computes it in the worker that built the plan.  A streaming update
+(:func:`repro.streaming.apply_delta`) is either such a build or a
+same-pattern successor that carries its plan's round 2 over
+(:meth:`_Round2Memo.successor`): computed if it had run, pending if not.
 """
 
 from __future__ import annotations
@@ -215,9 +214,6 @@ class ExecutionPlan:
     stats:
         Fig. 9 effectiveness statistics.  Computes round 2 if it has not
         run.
-    round1_applied:
-        Whether round 1 reordered the rows, as ``stats`` records it, but
-        known without running round 2.
     preprocess_seconds:
         Wall-clock breakdown: ``lsh1``, ``cluster1``, ``permute1``,
         ``tile``, ``sim2``, ``lsh2``, ``cluster2``, ``backend_compile``,
@@ -245,9 +241,9 @@ class ExecutionPlan:
         Streaming update counter: 0 for a freshly built plan, bumped by
         one each time :func:`repro.streaming.apply_delta` produces the
         plan's successor.  Session memos and serve pools key on it so a
-        patched plan — whose *pattern* fingerprint may be unchanged when
-        only values drifted — can never be served through a stale
-        session pinned on the predecessor's data.
+        successor — whose *pattern* fingerprint is unchanged when only
+        values drifted — can never be served through a stale session
+        pinned on the predecessor's data.
     """
 
     original: CSRMatrix
@@ -277,12 +273,6 @@ class ExecutionPlan:
         """Fig. 9 effectiveness statistics (reading them runs a deferred
         round 2)."""
         return self._round2.get(self.preprocess_seconds)[2]
-
-    @property
-    def round1_applied(self) -> bool:
-        """Whether round 1 reordered the rows: ``stats.round1_applied``,
-        read without running a deferred round 2."""
-        return self._round2.round1_applied
 
     @property
     def degraded(self) -> bool:
@@ -670,7 +660,15 @@ def _build_plan_uncached(
         times, "total"
     ):
         # ---- round 1 gate + reorder -----------------------------------
-        gate1, do_round1 = _round1_gate(csr, config)
+        gate1 = should_reorder_round1(
+            csr,
+            config.panel_height,
+            config.dense_threshold,
+            skip_above=config.dense_ratio_skip,
+        )
+        do_round1 = (
+            gate1.reorder if config.force_round1 is None else config.force_round1
+        )
         n_cand1 = 0
         if do_round1:
             with span("lsh1"), timed(times, "lsh1"):
@@ -709,29 +707,30 @@ def _build_plan_uncached(
             if deadline is not None:
                 deadline.check("sim2")
             round2 = _reorder_remainder(tiled, config, times, deadline)
-    return _assemble_plan(
-        csr, row_order, tiled, gate1, do_round1, n_cand1, round2, config, times,
-        loaded,
+    round1 = dict(
+        dense_ratio_before=gate1.indicator,
+        dense_ratio_after=tiled.dense_ratio,
+        round1_applied=bool(do_round1),
+        n_candidates_round1=n_cand1,
+    )
+    if round2 is None:
+        memo = _Round2Memo(pending=(tiled, config, round1))
+    else:
+        memo = _Round2Memo.filled(*_round2_fields(round1, round2))
+    return ExecutionPlan(
+        original=csr,
+        row_order=row_order,
+        tiled=tiled,
+        _round2=memo,
+        preprocess_seconds=times,
+        backend=loaded.backend,
+        backend_provenance=loaded.provenance,
     )
 
 
 # ----------------------------------------------------------------------
-# Stages shared with the streaming patch (repro.streaming.apply_delta)
+# Round 2, computed in the build or on a plan's first read of it
 # ----------------------------------------------------------------------
-
-
-def _round1_gate(csr: CSRMatrix, config: ReorderConfig):
-    """The §4 round-1 gate on ``csr``: ``(gate, do_round1)``.
-
-    ``config.force_round1``, when set, overrides the gate's verdict.
-    """
-    gate = should_reorder_round1(
-        csr,
-        config.panel_height,
-        config.dense_threshold,
-        skip_above=config.dense_ratio_skip,
-    )
-    return gate, gate.reorder if config.force_round1 is None else config.force_round1
 
 
 class _Round2(NamedTuple):
@@ -809,17 +808,12 @@ class _Round2Memo:
     inputs of a deferred round 2 (``tiled``, ``config`` with the plan's
     resolved backend, and the round-1 stats fields).  Every
     ``dataclasses.replace`` copy of a plan shares its memo, so round 2
-    runs at most once per build; it pickles pending or filled.  :attr:`round1_applied` is known either way, so reading it
-    never runs round 2.
+    runs at most once per build; it pickles pending or filled.
     """
 
     def __init__(self, fields: tuple | None = None, pending: tuple | None = None):
         self._fields = fields
         self._pending = pending
-        self.round1_applied = (
-            fields[2].round1_applied if fields is not None
-            else pending[2]["round1_applied"]
-        )
         self._lock = threading.Lock()
 
     @classmethod
@@ -827,11 +821,6 @@ class _Round2Memo:
                stats: PlanStats) -> "_Round2Memo":
         """A memo whose round 2 is already known."""
         return cls(fields=(remainder_order, remainder, stats))
-
-    @property
-    def computed(self) -> bool:
-        """Whether the fields are known: round 2 ran, or was never deferred."""
-        return self._fields is not None
 
     def get(self, times: dict) -> tuple:
         """The fields, running a pending round 2 first.
@@ -855,50 +844,35 @@ class _Round2Memo:
                     self._fields, self._pending = fields, None
         return self._fields
 
+    def successor(self, tiled: TiledMatrix, times: dict | None = None,
+                  deadline=None) -> "_Round2Memo":
+        """The memo of a successor plan: this plan's sparsity pattern with
+        new values, tiled as ``tiled``.
+
+        Every decision of a build is a function of the pattern, so the
+        round-1 fields carry over as they are, and so does a round 2 that
+        has run, with the remainder re-permuted from ``tiled``.  A pending
+        round 2 stays pending over ``tiled``, unless ``times`` is given:
+        then it runs now under ``deadline``, as a build under a cache or a
+        policy runs it, and adds its stage times to ``times``.
+        """
+        with self._lock:  # waits out a first read that is running round 2
+            fields, pending = self._fields, self._pending
+        if fields is not None:
+            order, _, stats = fields
+            remainder = permute_csr_rows(tiled.sparse_part, order)
+            return _Round2Memo.filled(order, remainder, stats)
+        _, config, round1 = pending
+        if times is None:
+            return _Round2Memo(pending=(tiled, config, round1))
+        if deadline is not None:
+            deadline.check("sim2")
+        round2 = _reorder_remainder(tiled, config, times, deadline)
+        return _Round2Memo.filled(*_round2_fields(round1, round2))
+
     def __getstate__(self) -> dict:
-        return {
-            "_fields": self._fields,
-            "_pending": self._pending,
-            "round1_applied": self.round1_applied,
-        }
+        return {"_fields": self._fields, "_pending": self._pending}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
-
-
-def _assemble_plan(csr, row_order, tiled, gate1, round1_applied, n_cand1,
-                   round2: _Round2 | None, config, times,
-                   loaded: LoadedBackend | None = None,
-                   revision=0) -> ExecutionPlan:
-    """The plan around its decisions, with its Fig. 9 stats and backend.
-
-    ``loaded`` is the backend the caller resolved; ``None`` loads
-    ``config.backend`` here (a streaming patch's one load), timed as
-    ``backend_compile``.  ``round2=None`` defers round 2 to the plan's
-    first read of it, on the resolved backend.
-    """
-    if loaded is None:
-        with timed(times, "backend_compile"):
-            loaded = load_backend(config.backend)
-        config = replace(config, backend=loaded.backend)
-    round1 = dict(
-        dense_ratio_before=gate1.indicator,
-        dense_ratio_after=tiled.dense_ratio,
-        round1_applied=bool(round1_applied),
-        n_candidates_round1=n_cand1,
-    )
-    if round2 is None:
-        memo = _Round2Memo(pending=(tiled, config, round1))
-    else:
-        memo = _Round2Memo.filled(*_round2_fields(round1, round2))
-    return ExecutionPlan(
-        original=csr,
-        row_order=row_order,
-        tiled=tiled,
-        _round2=memo,
-        preprocess_seconds=times,
-        backend=loaded.backend,
-        backend_provenance=loaded.provenance,
-        revision=revision,
-    )

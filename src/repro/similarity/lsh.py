@@ -51,13 +51,8 @@ __all__ = [
 
 
 def band_mixers(siglen: int, bsize: int, seed=None) -> np.ndarray:
-    """The ``(nbands, bsize)`` band-compression mix vectors for ``seed``.
-
-    Drawn in exactly the per-band order :func:`lsh_candidate_pairs` draws
-    them, so keys computed from these mixers are identical to the keys of
-    a from-scratch banding pass — the contract the incremental
-    :mod:`repro.streaming` state relies on.
-    """
+    """The ``(nbands, bsize)`` band-compression mix vectors for ``seed``:
+    the first step of :func:`lsh_candidate_pairs`."""
     bsize = check_positive("bsize", bsize)
     if siglen % bsize != 0:
         raise ValidationError(f"bsize={bsize} must divide siglen={siglen}")
@@ -76,8 +71,8 @@ def band_keys_matrix(signatures: np.ndarray, mixers: np.ndarray) -> np.ndarray:
     the band-``b`` bucket key of each row — two rows share an LSH bucket
     in band ``b`` exactly when their keys agree (modulo the harmless
     linear-hash collisions noted in the module docstring).  Row ``i``'s
-    keys depend only on ``signatures[i]``, which is what makes dirty-row
-    re-bucketing in :mod:`repro.streaming` exact.
+    keys depend only on ``signatures[i]``.  The second step of
+    :func:`lsh_candidate_pairs`.
     """
     signatures = np.asarray(signatures)
     nbands, bsize = mixers.shape
@@ -105,11 +100,9 @@ def pairs_from_band_keys(
     ``keys[i]`` are the per-band bucket keys of ``rows[i]`` (an int64 map
     back to original row ids, after any empty-row filtering); ``n_rows``
     is the full matrix height used to canonicalise/deduplicate pairs.
-    This is the exact tail of :func:`lsh_candidate_pairs` — bucketing all
-    bands with one argsort, capped expansion, then global dedupe — so a
-    caller that maintains ``keys`` incrementally gets the same pairs a
-    from-scratch pass would produce.  ``deadline`` is polled between the
-    whole-array steps.
+    This is the tail of :func:`lsh_candidate_pairs` — bucketing all
+    bands with one argsort, capped expansion, then global dedupe.
+    ``deadline`` is polled between the whole-array steps.
     """
     m, nbands = keys.shape
     if m < 2 or nbands == 0:

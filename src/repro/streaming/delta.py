@@ -38,6 +38,10 @@ from repro.util.validation import check_positive
 
 __all__ = ["DeltaBatch", "split_into_deltas"]
 
+#: ``row * (n_cols + 1) + col`` keys of a ``set`` delta stay below this
+#: (2**63, the int64 range); wider matrices key on column ranks.
+_KEY_LIMIT = 2**63
+
 
 @dataclass(frozen=True)
 class DeltaBatch:
@@ -105,8 +109,7 @@ class DeltaBatch:
         """Sorted unique *pre-existing* rows this batch modifies.
 
         Appended rows (index ``>= n_rows_before``) are excluded — they
-        are new, not dirty, and the incremental pipeline treats the two
-        classes differently (new rows extend state, dirty rows patch it).
+        are new, not dirty; an update report counts the two apart.
         """
         touched = self.touched_rows()
         return touched[touched < n_rows_before]
@@ -154,9 +157,18 @@ class DeltaBatch:
     def _apply_set(self, csr: CSRMatrix) -> CSRMatrix:
         # Locate each entry by its (row, col) key; canonical CSR makes the
         # key stream strictly increasing, so one searchsorted finds all.
-        stride = np.int64(csr.n_cols + 1)
-        mat_keys = csr.row_ids() * stride + csr.colidx
-        ent_keys = self.rows * stride + self.cols
+        mat_cols, ent_cols, width = csr.colidx, self.cols, csr.n_cols
+        if csr.n_rows * (width + 1) >= _KEY_LIMIT:
+            # ``row * (n_cols + 1) + col`` could overflow: key on column
+            # ranks instead, which keep each row's column order and number
+            # at most nnz + n_entries.
+            cols, ranks = np.unique(
+                np.concatenate([mat_cols, ent_cols]), return_inverse=True
+            )
+            mat_cols, ent_cols, width = ranks[: csr.nnz], ranks[csr.nnz :], cols.size
+        stride = np.int64(width + 1)
+        mat_keys = csr.row_ids() * stride + mat_cols
+        ent_keys = self.rows * stride + ent_cols
         if np.unique(ent_keys).size != ent_keys.size:
             raise ValidationError("mode='set' batch targets an entry twice")
         pos = np.searchsorted(mat_keys, ent_keys)

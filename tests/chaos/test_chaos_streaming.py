@@ -1,4 +1,4 @@
-"""Chaos tests for incremental replanning (the ``streaming.update`` site).
+"""Chaos tests for streaming updates (the ``streaming.update`` site).
 
 Contract: an interrupted :func:`~repro.streaming.apply_delta` must never
 leave a torn plan — the caller either gets the complete new plan or keeps
@@ -17,7 +17,6 @@ from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import FaultInjector, ResiliencePolicy
 from repro.streaming import (
     DeltaBatch,
-    LshState,
     StreamingPlan,
     apply_delta,
     split_into_deltas,
@@ -40,6 +39,21 @@ def delta(matrix):
         cols=rng.integers(0, matrix.n_cols, size=k),
         values=rng.normal(size=k),
     )
+
+
+def set_deltas(matrix, n, seed=4, k=10):
+    """``n`` value-only deltas, each overwriting ``k`` existing entries."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        idx = np.sort(rng.choice(matrix.nnz, size=k, replace=False))
+        out.append(
+            DeltaBatch(
+                rows=matrix.row_ids()[idx], cols=matrix.colidx[idx],
+                values=rng.normal(size=k), mode="set",
+            )
+        )
+    return out
 
 
 def plans_identical(a, b) -> bool:
@@ -72,6 +86,24 @@ class TestTornPlanSafety:
         assert sp.reports == []
         np.testing.assert_array_equal(sp.plan.spmm(x), y_before)
 
+    def test_interrupted_value_only_update_leaves_old_plan_intact(
+        self, matrix, chaos_seed
+    ):
+        """A value-only delta passes the same site before it keeps the
+        plan's decisions; the interrupted update leaves the old plan, and
+        the retry patches it."""
+        (delta,) = set_deltas(matrix, 1)
+        sp = StreamingPlan(matrix, CFG)
+        before = sp.plan
+        with FaultInjector(
+            rate=1.0, seed=chaos_seed, sites=["streaming.update"], max_faults=1
+        ):
+            with pytest.raises(TimeoutExceeded):
+                sp.apply(delta)
+        assert sp.plan is before and sp.reports == []
+        assert sp.apply(delta).patched
+        assert plans_identical(sp.plan, build_plan(delta.apply_to(matrix), CFG))
+
     def test_resumed_update_converges(self, matrix, delta, chaos_seed):
         """Retrying the same delta after the fault clears produces exactly
         the from-scratch plan for the mutated matrix."""
@@ -82,23 +114,25 @@ class TestTornPlanSafety:
             with pytest.raises(TimeoutExceeded):
                 sp.apply(delta)
         report = sp.apply(delta)  # no injector: must succeed
-        assert report.patched
+        assert report.mode == "replanned"  # the delta inserts entries
         fresh = build_plan(delta.apply_to(matrix), CFG)
         assert plans_identical(sp.plan, fresh)
         assert sp.revision == 1
 
     def test_input_plan_and_state_never_mutated(self, matrix, delta, chaos_seed):
+        """The interrupted update leaves the input plan and the matrix
+        state it serves as they were."""
         plan0 = build_plan(matrix, CFG)
-        state0 = LshState.build(matrix, CFG)
-        sig0 = state0.signatures.copy()
         order0 = plan0.row_order.copy()
+        values0 = matrix.values.copy()
         with FaultInjector(
             rate=1.0, seed=chaos_seed, sites=["streaming.update"], max_faults=1
         ):
             with pytest.raises(TimeoutExceeded):
-                apply_delta(plan0, delta, CFG, state=state0)
+                apply_delta(plan0, delta, CFG)
         np.testing.assert_array_equal(plan0.row_order, order0)
-        np.testing.assert_array_equal(state0.signatures, sig0)
+        assert plan0.original is matrix
+        np.testing.assert_array_equal(matrix.values, values0)
 
 
 class TestDegradedUpdates:
@@ -108,14 +142,10 @@ class TestDegradedUpdates:
         """With the ladder enabled the injected fault turns into a full
         replan whose report carries the reason — never an exception."""
         plan0 = build_plan(matrix, CFG)
-        state0 = LshState.build(matrix, CFG)
         with FaultInjector(
             rate=1.0, seed=chaos_seed, sites=["streaming.update"], max_faults=1
         ):
-            update = apply_delta(
-                plan0, delta, CFG, state=state0,
-                resilience=ResiliencePolicy(),
-            )
+            update = apply_delta(plan0, delta, CFG, resilience=ResiliencePolicy())
         assert update.report.mode == "replanned"
         assert "patch aborted" in update.report.reason
         assert update.report.provenance == update.plan.provenance
@@ -128,7 +158,7 @@ class TestDegradedUpdates:
         policy = ResiliencePolicy(deadline_s=0.0)  # every rung times out
         degraded = build_plan(matrix, CFG, resilience=policy)
         assert degraded.degraded
-        update = apply_delta(degraded, delta, CFG, state=None)
+        update = apply_delta(degraded, delta, CFG)
         assert update.report.mode == "replanned"
         assert "degraded" in update.report.reason
 
@@ -141,11 +171,7 @@ class TestChaosRate:
         degraded-replanned) and the surviving plan is always bitwise-equal
         to a from-scratch build on the same matrix."""
         base, deltas = split_into_deltas(matrix, 6, seed=3, grow_rows=False)
-        # max_dirty_fraction=1.0 keeps every update on the patch path (the
-        # site under injection); the heuristic path is covered above.
-        sp = StreamingPlan(
-            base, CFG, resilience=ResiliencePolicy(), max_dirty_fraction=1.0
-        )
+        sp = StreamingPlan(base, CFG, resilience=ResiliencePolicy())
         x = np.random.default_rng(2).normal(size=(matrix.n_cols, 4))
         with FaultInjector(
             rate=chaos_rate, seed=chaos_seed, sites=["streaming.update"]
@@ -157,3 +183,23 @@ class TestChaosRate:
         assert injector.checked["streaming.update"] > 0
         assert sp.revision == len(deltas)
         np.testing.assert_array_equal(sp.matrix.values, matrix.values)
+
+    def test_value_only_stream_correct_under_sustained_injection(
+        self, matrix, chaos_rate, chaos_seed
+    ):
+        """The same for a stream of value-only deltas: each is patched, or
+        replanned when a fault hits it, and always equals a fresh build."""
+        sp = StreamingPlan(matrix, CFG, resilience=ResiliencePolicy())
+        x = np.random.default_rng(2).normal(size=(matrix.n_cols, 4))
+        deltas = set_deltas(matrix, 6)
+        with FaultInjector(
+            rate=chaos_rate, seed=chaos_seed, sites=["streaming.update"]
+        ) as injector:
+            for delta in deltas:
+                report = sp.apply(delta)
+                assert report.patched or report.reason.startswith("patch aborted (")
+                fresh = build_plan(sp.matrix, CFG)
+                np.testing.assert_array_equal(sp.plan.spmm(x), fresh.spmm(x))
+                assert plans_identical(sp.plan, fresh)
+        assert injector.checked["streaming.update"] == len(deltas)
+        assert sp.revision == len(deltas)

@@ -84,10 +84,10 @@ def random_csr(rng, m, n, density=0.1) -> CSRMatrix:
 
 @pytest.fixture
 def round2_calls(monkeypatch):
-    """Records each ``_reorder_remainder`` run, through either module that
-    binds it: a plan's deferred round 2 and an eager streaming patch."""
+    """Records each ``_reorder_remainder`` run: a build's, a plan's
+    deferred round 2 and a streaming successor's all call it through
+    :mod:`repro.reorder.pipeline`."""
     from repro.reorder import pipeline
-    from repro.streaming import incremental
 
     calls = []
     real = pipeline._reorder_remainder
@@ -97,7 +97,6 @@ def round2_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "_reorder_remainder", spy)
-    monkeypatch.setattr(incremental, "_reorder_remainder", spy)
     return calls
 
 

@@ -6,17 +6,11 @@ The contract under test is the module contract of
 
 * :func:`~repro.streaming.split_into_deltas` replay reproduces the source
   matrix bit for bit;
-* a built :class:`~repro.streaming.LshState` holds exactly the candidate
-  pairs and scores of :meth:`repro.similarity.LSHIndex.candidate_pairs`,
-  and an incrementally updated one (signatures, band keys, candidate
-  pairs, scores) equals a from-scratch build on the mutated matrix;
 * the plan returned by :func:`~repro.streaming.apply_delta` — patched *or*
   replanned — is decision-identical to a fresh
   :func:`~repro.reorder.build_plan` on the mutated matrix, and its
   multiplies are bitwise-equal, per kernel backend and per ladder rung.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,15 +20,13 @@ from hypothesis import strategies as st
 from repro.kernels import KernelSession, spmm
 from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import ladder_rungs
-from repro.similarity import MEASURES
-from repro.sparse import COOMatrix
-from repro.streaming import DeltaBatch, LshState, apply_delta, split_into_deltas
+from repro.streaming import DeltaBatch, apply_delta, split_into_deltas
 
 from conftest import assert_plans_identical
 from test_sparse_properties import csr_matrices
 
-#: Small but fully active pipeline: round 1 forced on so the LSH state /
-#: clustering-reuse machinery is exercised on every example.
+#: Small but fully active pipeline: round 1 forced on so every example
+#: carries a real row order and clustering decision.
 CFG = ReorderConfig(
     siglen=16, bsize=4, panel_height=4, threshold_size=16, force_round1=True
 )
@@ -76,8 +68,24 @@ def matrix_with_set_delta(draw):
     return csr, delta
 
 
+def random_deltas(rng, csr, k):
+    """An ``add`` of ``k`` random entries (structural as a rule) and a
+    ``set`` of ``k`` existing ones (value-only)."""
+    add = DeltaBatch(
+        rows=rng.integers(0, csr.n_rows, size=k),
+        cols=rng.integers(0, csr.n_cols, size=k),
+        values=rng.normal(size=k),
+    )
+    idx = np.sort(rng.choice(csr.nnz, size=min(k, csr.nnz), replace=False))
+    set_ = DeltaBatch(
+        rows=csr.row_ids()[idx], cols=csr.colidx[idx],
+        values=rng.normal(size=idx.size), mode="set",
+    )
+    return add, set_
+
+
 def assert_bitwise_spmm(patched, matrix, seed=3, k=4):
-    """The patched plan's multiply and its session's executor path both
+    """The updated plan's multiply and its session's executor path both
     equal a direct ``spmm`` of the final ``matrix``, bit for bit."""
     x = np.random.default_rng(seed).normal(size=(matrix.n_cols, k))
     want = spmm(matrix, x)
@@ -108,75 +116,13 @@ class TestSplitReplay:
         )
 
 
-@st.composite
-def matrix_with_empty_rows(draw):
-    """A CSR matrix with up to three of its rows emptied."""
-    csr = draw(csr_matrices(max_dim=10, max_nnz=30))
-    emptied = draw(st.lists(st.integers(0, csr.n_rows - 1), max_size=3))
-    keep = ~np.isin(csr.row_ids(), emptied)
-    return COOMatrix.from_arrays(
-        csr.shape, csr.row_ids()[keep], csr.colidx[keep], csr.values[keep]
-    ).to_csr()
-
-
-class TestIncrementalState:
-    @given(
-        matrix_with_empty_rows(),
-        st.sampled_from(MEASURES),
-        st.sampled_from([None, 2, 64]),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_build_equals_lsh_index(self, csr, measure, bucket_cap):
-        """A built state holds ``config.lsh_index().candidate_pairs(csr)``
-        bit for bit: the pairs round 1 of a fresh build clusters."""
-        config = replace(CFG, measure=measure, bucket_cap=bucket_cap)
-        state = LshState.build(csr, config)
-        pairs, sims = config.lsh_index().candidate_pairs(csr)
-        np.testing.assert_array_equal(state.pairs, pairs)
-        np.testing.assert_array_equal(state.sims.view(np.uint64), sims.view(np.uint64))
-
-    @given(matrix_with_add_delta())
-    @settings(max_examples=40, deadline=None)
-    def test_state_update_equals_from_scratch(self, case):
-        csr, delta = case
-        state0 = LshState.build(csr, CFG)
-        mutated = delta.apply_to(csr)
-        updated, _ = state0.update(
-            mutated, delta.dirty_existing_rows(csr.n_rows), delta.new_rows, CFG
-        )
-        fresh = LshState.build(mutated, CFG)
-        np.testing.assert_array_equal(updated.signatures, fresh.signatures)
-        np.testing.assert_array_equal(updated.band_keys, fresh.band_keys)
-        np.testing.assert_array_equal(updated.pairs, fresh.pairs)
-        np.testing.assert_array_equal(updated.sims, fresh.sims)
-
-    @given(matrix_with_set_delta())
-    @settings(max_examples=25, deadline=None)
-    def test_value_only_delta_leaves_state_invariant(self, case):
-        """Signatures and buckets are pattern functions: recomputing the
-        dirty rows of a value-only delta must change nothing."""
-        csr, delta = case
-        state0 = LshState.build(csr, CFG)
-        mutated = delta.apply_to(csr)
-        updated, _ = state0.update(
-            mutated, delta.dirty_existing_rows(csr.n_rows), 0, CFG
-        )
-        np.testing.assert_array_equal(updated.signatures, state0.signatures)
-        np.testing.assert_array_equal(updated.band_keys, state0.band_keys)
-        np.testing.assert_array_equal(updated.pairs, state0.pairs)
-        np.testing.assert_array_equal(updated.sims, state0.sims)
-
-
 class TestPatchedPlanEquivalence:
     @given(matrix_with_add_delta())
     @settings(max_examples=25, deadline=None)
     def test_apply_delta_equals_fresh_build(self, case):
         csr, delta = case
         plan0 = build_plan(csr, CFG)
-        state0 = LshState.build(csr, CFG)
-        update = apply_delta(
-            plan0, delta, CFG, state=state0, max_dirty_fraction=1.0
-        )
+        update = apply_delta(plan0, delta, CFG)
         mutated = delta.apply_to(csr)
         fresh = build_plan(mutated, CFG)
         assert update.plan.revision == plan0.revision + 1
@@ -188,26 +134,24 @@ class TestPatchedPlanEquivalence:
     def test_value_only_delta_patches_and_matches(self, case):
         csr, delta = case
         plan0 = build_plan(csr, CFG)
-        state0 = LshState.build(csr, CFG)
-        update = apply_delta(
-            plan0, delta, CFG, state=state0, max_dirty_fraction=1.0
-        )
+        update = apply_delta(plan0, delta, CFG)
         assert update.report.patched
-        assert update.report.reused_clustering
         mutated = delta.apply_to(csr)
         fresh = build_plan(mutated, CFG)
         assert_plans_identical(update.plan, fresh)
         assert_bitwise_spmm(update.plan, mutated)
 
-    @given(matrix_with_add_delta())
+    @given(matrix_with_set_delta())
     @settings(max_examples=15, deadline=None)
-    def test_heuristic_path_also_equals_fresh_build(self, case):
-        """With the default drift threshold the update may patch *or*
-        replan — either way the result must equal a fresh build."""
+    def test_value_only_delta_reuses_a_computed_round2(self, case):
+        """The successor of a plan whose round 2 has run carries that
+        round 2 over, with the remainder re-permuted from the new values,
+        and still equals a fresh build."""
         csr, delta = case
         plan0 = build_plan(csr, CFG)
-        state0 = LshState.build(csr, CFG)
-        update = apply_delta(plan0, delta, CFG, state=state0)
+        plan0.stats
+        update = apply_delta(plan0, delta, CFG)
+        assert update.report.patched
         mutated = delta.apply_to(csr)
         fresh = build_plan(mutated, CFG)
         assert_plans_identical(update.plan, fresh)
@@ -224,10 +168,7 @@ class TestDeepEquivalence:
     def test_apply_delta_equals_fresh_build_deep(self, case):
         csr, delta = case
         plan0 = build_plan(csr, CFG)
-        state0 = LshState.build(csr, CFG)
-        update = apply_delta(
-            plan0, delta, CFG, state=state0, max_dirty_fraction=1.0
-        )
+        update = apply_delta(plan0, delta, CFG)
         mutated = delta.apply_to(csr)
         fresh = build_plan(mutated, CFG)
         assert_plans_identical(update.plan, fresh)
@@ -240,13 +181,9 @@ class TestDeepEquivalence:
         plan equals a from-scratch build on the current matrix."""
         base, deltas = split_into_deltas(csr, n_batches, seed=7, grow_rows=True)
         sp_plan = build_plan(base, CFG)
-        state = LshState.build(base, CFG)
         current = base
         for delta in deltas:
-            update = apply_delta(
-                sp_plan, delta, CFG, state=state, max_dirty_fraction=1.0
-            )
-            sp_plan, state = update.plan, update.state
+            sp_plan = apply_delta(sp_plan, delta, CFG).plan
             current = delta.apply_to(current)
             fresh = build_plan(current, CFG)
             assert_plans_identical(sp_plan, fresh)
@@ -259,36 +196,25 @@ class TestDeepEquivalence:
 )
 class TestPerLadderRung:
     """apply_delta on a plan built at each ladder rung's config equals a
-    fresh build at that rung (the ladder rungs are just configs)."""
+    fresh build at that rung (the ladder rungs are just configs), for a
+    structural delta and a value-only one."""
 
     def test_rung_equivalence(self, label, rung_config, rng):
         from conftest import random_csr
 
         csr = random_csr(rng, 48, 32, density=0.12)
         plan0 = build_plan(csr, rung_config)
-        state0 = (
-            LshState.build(csr, rung_config)
-            if plan0.stats.round1_applied
-            else None
-        )
-        k = 12
-        delta = DeltaBatch(
-            rows=rng.integers(0, csr.n_rows, size=k),
-            cols=rng.integers(0, csr.n_cols, size=k),
-            values=rng.normal(size=k),
-        )
-        update = apply_delta(
-            plan0, delta, rung_config, state=state0, max_dirty_fraction=1.0
-        )
-        mutated = delta.apply_to(csr)
-        fresh = build_plan(mutated, rung_config)
-        assert_plans_identical(update.plan, fresh)
-        assert_bitwise_spmm(update.plan, mutated)
+        for delta in random_deltas(rng, csr, 12):
+            update = apply_delta(plan0, delta, rung_config)
+            mutated = delta.apply_to(csr)
+            fresh = build_plan(mutated, rung_config)
+            assert_plans_identical(update.plan, fresh)
+            assert_bitwise_spmm(update.plan, mutated)
 
 
 class TestPerBackend:
     def test_patched_plan_bitwise_per_backend(self, rng, backend_name):
-        """A session on the patched plan and one on the fresh plan produce
+        """A session on the updated plan and one on the fresh plan produce
         bitwise-identical results on every registered backend."""
         from conftest import random_csr
 
@@ -298,22 +224,14 @@ class TestPerBackend:
             backend=backend_name,
         )
         plan0 = build_plan(csr, config)
-        state0 = LshState.build(csr, config)
-        k = 6
-        delta = DeltaBatch(
-            rows=rng.integers(0, csr.n_rows, size=k),
-            cols=rng.integers(0, csr.n_cols, size=k),
-            values=rng.normal(size=k),
-        )
-        update = apply_delta(
-            plan0, delta, config, state=state0, max_dirty_fraction=1.0
-        )
-        fresh = build_plan(delta.apply_to(csr), config)
         x = rng.normal(size=(csr.n_cols, 5))
-        patched_s = KernelSession(update.plan, backend=backend_name)
-        fresh_s = KernelSession(fresh, backend=backend_name)
-        try:
-            np.testing.assert_array_equal(patched_s.run(x), fresh_s.run(x))
-        finally:
-            patched_s.close()
-            fresh_s.close()
+        for delta in random_deltas(rng, csr, 6):
+            update = apply_delta(plan0, delta, config)
+            fresh = build_plan(delta.apply_to(csr), config)
+            patched_s = KernelSession(update.plan, backend=backend_name)
+            fresh_s = KernelSession(fresh, backend=backend_name)
+            try:
+                np.testing.assert_array_equal(patched_s.run(x), fresh_s.run(x))
+            finally:
+                patched_s.close()
+                fresh_s.close()

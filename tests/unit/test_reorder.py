@@ -329,30 +329,6 @@ class TestDeferredRound2:
         assert plan.preprocess_seconds == clean.preprocess_seconds
         assert plan.preprocess_seconds["sim2"] == 1.0
 
-    @pytest.mark.parametrize("force_round2", [None, True, False])
-    def test_round1_applied_never_runs_round2(self, matrix, round2_calls,
-                                              force_round2):
-        """The plan knows its round-1 decision before round 2 runs: on
-        every ladder rung, pending or filled, and across a pickle."""
-        base = ReorderConfig(
-            siglen=64, panel_height=8, force_round1=True, force_round2=force_round2
-        )
-        seen = set()
-        for _, config in ladder_rungs(base):
-            plan = build_plan(matrix, config)
-            pending = pickle.loads(pickle.dumps(plan))
-            runs = len(round2_calls)
-            before = [plan.round1_applied, pending.round1_applied]
-            assert len(round2_calls) == runs
-            stats = plan.stats
-            filled = pickle.loads(pickle.dumps(plan))
-            eager = build_plan(matrix, config, resilience=ResiliencePolicy())
-            after = [plan.round1_applied, filled.round1_applied, eager.round1_applied]
-            assert before + after == [stats.round1_applied] * 5
-            assert eager.stats.round1_applied == stats.round1_applied
-            seen.add(stats.round1_applied)
-        assert seen == {True, False}
-
     def test_policy_patch_replans_when_its_round2_fails(self, rng):
         """Under a policy a patch runs round 2 over the patched tiling,
         inside its deadline (the old plan's round 2 stays pending); a

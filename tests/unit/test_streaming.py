@@ -1,5 +1,5 @@
-"""Unit tests for the streaming subsystem: deltas, streams, incremental
-replanning, session refresh and the plan-store staleness regression."""
+"""Unit tests for the streaming subsystem: deltas, streams, plan
+updates, session refresh and the plan-store staleness regression."""
 
 import dataclasses
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import edge_stream, hidden_clusters, stream_corpus
-from repro.errors import ValidationError
+from repro.errors import DegradedExecution, ValidationError
 from repro.kernels import KernelSession, spmm
 from repro.observability import Tracer, tracing
 from repro.planstore import PlanStore
@@ -16,7 +16,6 @@ from repro.resilience import ResiliencePolicy
 from repro.sparse import COOMatrix, CSRMatrix
 from repro.streaming import (
     DeltaBatch,
-    LshState,
     StreamingPlan,
     apply_delta,
     split_into_deltas,
@@ -81,6 +80,33 @@ class TestDeltaBatch:
         with pytest.raises(ValidationError):
             delta.apply_to(m)
 
+    def test_set_on_a_matrix_too_wide_for_int64_keys(self):
+        """``row * (n_cols + 1) + col`` overflows int64 here; the entry is
+        still found, and a missing one still rejected."""
+        n = 2**62
+        m = CSRMatrix.from_arrays(
+            (3, n), np.array([0, 2, 3, 5]), np.array([1, n - 1, 4, 0, 9]),
+            np.arange(1.0, 6.0),
+        )
+        out = DeltaBatch(
+            rows=np.array([2, 0]), cols=np.array([9, n - 1]),
+            values=np.array([7.0, 8.0]), mode="set",
+        ).apply_to(m)
+        np.testing.assert_array_equal(out.values, [1.0, 8.0, 3.0, 4.0, 7.0])
+        np.testing.assert_array_equal(out.colidx, m.colidx)
+        with pytest.raises(ValidationError, match=r"missing entry \(2, 8\)"):
+            DeltaBatch(
+                rows=np.array([2]), cols=np.array([8]), values=np.ones(1),
+                mode="set",
+            ).apply_to(m)
+        grown = DeltaBatch(
+            rows=np.array([2, 2]), cols=np.array([9, n - 2]),
+            values=np.array([1.0, 2.0]),
+        ).apply_to(m)
+        assert grown.nnz == m.nnz + 1
+        np.testing.assert_array_equal(grown.colidx[-3:], [0, 9, n - 2])
+        np.testing.assert_array_equal(grown.values[-3:], [4.0, 6.0, 2.0])
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -136,45 +162,41 @@ class TestStreams:
 
 
 class TestApplyDelta:
-    def test_replan_reason_dirty_fraction(self):
+    def test_update_rule_and_its_reasons(self):
+        """A same-pattern delta keeps the plan's decisions; a structural
+        one, or any delta to a degraded plan, replans and says why."""
         m = hidden_clusters(16, 8, 256, 8, noise=0.1, seed=2)
         plan = build_plan(m, CFG)
-        state = LshState.build(m, CFG)
-        rng = np.random.default_rng(1)
-        k = m.n_rows  # every row dirty
-        delta = DeltaBatch(
-            rows=np.arange(k, dtype=np.int64),
-            cols=rng.integers(0, m.n_cols, size=k),
-            values=rng.normal(size=k),
+        set_ = DeltaBatch(
+            rows=m.row_ids()[:3], cols=m.colidx[:3], values=np.ones(3), mode="set"
         )
-        update = apply_delta(plan, delta, CFG, state=state)
-        assert update.report.mode == "replanned"
-        assert "dirty fraction" in update.report.reason
-
-    def test_replan_reason_missing_state(self):
-        m = hidden_clusters(16, 8, 256, 8, noise=0.1, seed=2)
-        plan = build_plan(m, CFG)
-        delta = DeltaBatch(
-            rows=np.array([0]), cols=np.array([0]), values=np.array([1.0])
-        )
-        update = apply_delta(plan, delta, CFG, state=None)
-        assert update.report.mode == "replanned"
-        assert "no incremental LSH state" in update.report.reason
-        # The replan hands back a fresh state so the next update can patch.
-        assert update.state is not None
-        follow = apply_delta(update.plan, delta, CFG, state=update.state)
-        assert follow.report.patched
+        col = int(np.flatnonzero(m.to_dense()[0] == 0)[0])
+        add = DeltaBatch(rows=np.array([0]), cols=np.array([col]), values=np.ones(1))
+        # An add onto an existing entry keeps the pattern too.
+        onto = DeltaBatch(rows=m.row_ids()[:1], cols=m.colidx[:1], values=np.ones(1))
+        reports = [apply_delta(plan, d, CFG).report for d in (set_, add, onto)]
+        assert [(r.mode, r.reason) for r in reports] == [
+            ("patched", None),
+            ("replanned", "sparsity pattern changed"),
+            ("patched", None),
+        ]
+        with pytest.warns(DegradedExecution):
+            degraded = build_plan(
+                m, CFG, resilience=ResiliencePolicy(deadline_s=0.0)
+            )
+        report = apply_delta(degraded, set_, CFG).report
+        assert report.mode == "replanned"
+        assert report.reason.startswith("old plan is degraded")
 
     def test_patch_writes_through_the_plan_cache(self):
         m = hidden_clusters(16, 8, 256, 8, noise=0.1, seed=2)
         store = PlanStore()
         plan = build_plan(m, CFG, cache=store)
-        state = LshState.build(m, CFG)
         delta = DeltaBatch(
             rows=np.array([0]), cols=np.array([1]), values=np.array([1.0])
         )
-        update = apply_delta(plan, delta, CFG, state=state, cache=store)
-        assert update.report.patched
+        update = apply_delta(plan, delta, CFG, cache=store)
+        assert update.report.mode == "replanned"  # a new entry: a build's put
         mutated = delta.apply_to(m)
         assert store.get(store.key_for(mutated, CFG)) is not None
 
@@ -185,11 +207,10 @@ class TestApplyDelta:
         m = hidden_clusters(16, 8, 256, 8, noise=0.1, seed=2)
         store = PlanStore()
         plan = build_plan(m, CFG, cache=store)
-        state = LshState.build(m, CFG)
         delta = DeltaBatch(
             rows=m.row_ids()[:3], cols=m.colidx[:3], values=np.ones(3), mode="set"
         )
-        update = apply_delta(plan, delta, CFG, state=state, cache=store)
+        update = apply_delta(plan, delta, CFG, cache=store)
         assert update.report.patched
         warm = build_plan(delta.apply_to(m), CFG, cache=store)
         assert warm.preprocess_seconds["cold_total"] > 0.0
@@ -207,6 +228,22 @@ class TestApplyDelta:
         assert update.matrix.to_dense()[0, 0] == 2.0
 
 
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Records each run of the §4 round-1 gate."""
+    from repro.reorder import pipeline
+
+    calls = []
+    real = pipeline.should_reorder_round1
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "should_reorder_round1", spy)
+    return calls
+
+
 def _span_names(tracer) -> set:
     names, todo = set(), list(tracer.to_dicts())
     while todo:
@@ -217,7 +254,7 @@ def _span_names(tracer) -> set:
 
 
 class TestDeferredRound2:
-    """A patch defers round 2 exactly when ``build_plan`` does: with no
+    """An update defers round 2 exactly when ``build_plan`` does: with no
     cache and no policy."""
 
     CONFIG = dataclasses.replace(CFG, force_round2=True)
@@ -244,7 +281,7 @@ class TestDeferredRound2:
         add, set_ = self.deltas(matrix)
         sp = StreamingPlan(matrix, self.CONFIG)
         reports = [sp.apply(add), sp.apply(set_)]
-        assert all(report.patched for report in reports)
+        assert [report.mode for report in reports] == ["replanned", "patched"]
         assert sp.matrix.nnz == matrix.nnz + 2
         assert round2_calls == []
 
@@ -252,37 +289,44 @@ class TestDeferredRound2:
         assert len(round2_calls) == 1
         assert_plans_identical(sp.plan, build_plan(sp.matrix, self.CONFIG))
 
-    def test_value_only_patch_keeps_pending_or_reuses(self, matrix, round2_calls):
+    def test_value_only_patch_keeps_pending_or_reuses(
+        self, matrix, round2_calls, gate_calls
+    ):
+        """A value-only delta reads the old plan's decisions: it runs
+        neither the round-1 gate nor round 2, and leaves a pending round 2
+        pending."""
         _, set_ = self.deltas(matrix)
-        state = LshState.build(matrix, self.CONFIG)
-        pending = apply_delta(build_plan(matrix, self.CONFIG), set_, self.CONFIG,
-                              state=state)
+        pending = apply_delta(build_plan(matrix, self.CONFIG), set_, self.CONFIG)
         assert pending.report.patched and round2_calls == []
+        assert len(gate_calls) == 1  # the build's
         pending.plan.stats  # still pending: this read runs it
         assert len(round2_calls) == 1
 
         filled = build_plan(matrix, self.CONFIG)
         filled.stats
         assert len(round2_calls) == 2
-        update = apply_delta(filled, set_, self.CONFIG, state=state)
+        update = apply_delta(filled, set_, self.CONFIG)
         assert update.report.patched
         assert "round2" in update.report.seconds  # the reuse, timed
         update.plan.stats
         assert len(round2_calls) == 2
+        assert len(gate_calls) == 2  # the two builds'
         fresh = build_plan(update.matrix, self.CONFIG)
         assert_plans_identical(update.plan, fresh)
         assert_plans_identical(pending.plan, fresh)
 
     def test_deferred_patch_reports_no_round2(self, matrix):
+        """A structural delta replans, and the plain build it runs defers
+        round 2: the update times no round 2 and opens no round-2 span."""
         add, _ = self.deltas(matrix)
         plan = build_plan(matrix, self.CONFIG)
         tracer = Tracer()
         with tracing(tracer):
-            update = apply_delta(plan, add, self.CONFIG,
-                                 state=LshState.build(matrix, self.CONFIG))
-        assert update.report.patched
+            update = apply_delta(plan, add, self.CONFIG)
+        assert update.report.mode == "replanned"
         names = _span_names(tracer)
-        assert "streaming.tile" in names and "streaming.round2" not in names
+        assert {"streaming.replan", "lsh1", "cluster1", "tile"} <= names
+        assert not names & {"streaming.round2", "sim2"}
         assert "round2" not in update.report.seconds
         assert "sim2" not in update.plan.preprocess_seconds
         total = update.plan.preprocessing_time
@@ -290,28 +334,51 @@ class TestDeferredRound2:
         update.plan.stats
         assert {"sim2", "lsh2", "cluster2"} <= update.plan.preprocess_seconds.keys()
         assert update.plan.preprocessing_time > total
-        assert "sim2" not in update.report.seconds  # what the patch did
+        assert "sim2" not in update.report.seconds  # what the update did
 
     @pytest.mark.parametrize("eager", ["cache", "resilience"])
     def test_patch_under_a_cache_or_a_policy_runs_round2(
         self, matrix, round2_calls, eager
     ):
-        add, _ = self.deltas(matrix)
+        """The successor of a pending plan computes round 2 before it
+        returns under a cache or a policy, and so does a replan's build."""
+        add, set_ = self.deltas(matrix)
         kwargs = {"cache": PlanStore()} if eager == "cache" else {
             "resilience": ResiliencePolicy()
         }
-        plan = build_plan(matrix, self.CONFIG, **kwargs)
-        assert len(round2_calls) == 1  # an eager build
-        update = apply_delta(plan, add, self.CONFIG,
-                             state=LshState.build(matrix, self.CONFIG), **kwargs)
+        plan = build_plan(matrix, self.CONFIG)  # plain: round 2 pending
+        update = apply_delta(plan, set_, self.CONFIG, **kwargs)
         assert update.report.patched
         assert "round2" in update.report.seconds
+        assert "sim2" in update.plan.preprocess_seconds
+        assert len(round2_calls) == 1
+        replanned = apply_delta(update.plan, add, self.CONFIG, **kwargs)
+        assert replanned.report.mode == "replanned"
         assert len(round2_calls) == 2
         update.plan.stats
+        replanned.plan.stats
         assert len(round2_calls) == 2
 
 
 class TestStreamingPlan:
+    def test_hashes_its_matrix_once(self, monkeypatch):
+        """``build_plan`` hashes, bands and scores the matrix; nothing
+        hashes it again."""
+        from repro.similarity import minhash
+
+        m = hidden_clusters(16, 8, 256, 8, noise=0.1, seed=2)
+        shapes = []
+        real = minhash.signatures
+
+        def spy(csr, *args, **kwargs):
+            shapes.append(csr.shape)
+            return real(csr, *args, **kwargs)
+
+        monkeypatch.setattr(minhash, "signatures", spy)
+        sp = StreamingPlan(m, CFG)  # round 1 forced on, round 2 pending
+        assert shapes.count(m.shape) == 1
+        assert sp.plan.original is m
+
     def test_revision_counts_updates(self):
         m = random_csr(np.random.default_rng(4), 24, 16, density=0.15)
         base, deltas = split_into_deltas(m, 3, seed=0, grow_rows=False)
@@ -337,14 +404,13 @@ class TestSessionRefresh:
     def test_refresh_tracks_patched_plan(self):
         m = hidden_clusters(16, 8, 256, 8, noise=0.1, seed=3)
         plan = build_plan(m, CFG)
-        state = LshState.build(m, CFG)
         session = KernelSession(plan)
         x = np.random.default_rng(7).normal(size=(m.n_cols, 4))
         session.run(x)
         delta = DeltaBatch(
             rows=np.array([1]), cols=np.array([2]), values=np.array([3.0])
         )
-        update = apply_delta(plan, delta, CFG, state=state)
+        update = apply_delta(plan, delta, CFG)
         session.refresh(update)  # accepts the PlanUpdate directly
         np.testing.assert_array_equal(session.run(x), spmm(delta.apply_to(m), x))
         session.close()
