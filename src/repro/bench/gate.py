@@ -255,12 +255,11 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
         mode="set",
     )
     mutated = delta.apply_to(matrix)
-    plan_repeats = max(2, repeats - 3)
     metrics["plan_patch"] = _metric(
-        lambda: apply_delta(plan0, delta, config), plan_repeats
+        lambda: apply_delta(plan0, delta, config), repeats
     )
     metrics["plan_rebuild"] = _metric(
-        lambda: build_plan(mutated, config).stats, plan_repeats
+        lambda: build_plan(mutated, config).stats, repeats
     )
     stage_ms = round(
         metrics["minhash"]["median_ms"] + metrics["cluster"]["median_ms"], 4

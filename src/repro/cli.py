@@ -8,7 +8,7 @@ Subcommands::
     repro doctor    [--plan-cache-dir DIR] [--checkpoint PATH] [--heal]
                     [--serve ADDR]                   # probe a running server
     repro serve     [--port P | --unix-socket PATH] [--max-inflight N]
-                    [--quota-rate R] [--slo-p95 S]   # the SpMM service
+                    [--quota-rate R] [--workers N]   # the SpMM service
     repro table     {1,2,3,4} --records results.json
     repro figure    {8,9,10,11,12} --records results.json [--k K]
     repro metis     [--scale S] [--k K]
@@ -159,10 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--pool-sessions", type=int, default=8,
-        help="warm kernel sessions kept resident (LRU beyond this)",
-    )
-    sv.add_argument(
-        "--pool-shards", type=int, default=4, help="session-pool lock shards"
+        help="warm kernel sessions kept resident, one per matrix (LRU beyond this)",
     )
     sv.add_argument(
         "--workers", type=int, default=2,
@@ -183,14 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--default-deadline", type=float, metavar="SECONDS", default=None,
         help="deadline for requests that do not carry deadline_s",
-    )
-    sv.add_argument(
-        "--shed-depths", type=int, nargs="+", default=[6, 10, 14],
-        help="in-flight depths at which requests shed one ladder rung each",
-    )
-    sv.add_argument(
-        "--slo-p95", type=float, metavar="SECONDS", default=None,
-        help="p95 latency SLO; exceeding it sheds one extra rung",
     )
     sv.add_argument(
         "--breaker-threshold", type=int, default=3,
@@ -598,14 +587,11 @@ def _cmd_serve(args) -> int:
         port=args.port,
         unix_path=args.unix_socket,
         pool_sessions=args.pool_sessions,
-        pool_shards=args.pool_shards,
         workers=args.workers,
         max_inflight=args.max_inflight,
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
         default_deadline_s=args.default_deadline,
-        shed_depths=tuple(args.shed_depths),
-        slo_p95_s=args.slo_p95,
         breaker_threshold=args.breaker_threshold,
         breaker_reset_s=args.breaker_reset,
         backend=args.backend,

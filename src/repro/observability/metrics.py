@@ -47,10 +47,10 @@ Instrument catalogue (see ``docs/OBSERVABILITY.md``):
 ``serve.rejected_quota``         rejections by a tenant token bucket
 ``serve.in_flight``              gauge of admitted requests in flight
 ``serve.pool_hit/miss/evict``    warm-session pool traffic
+``serve.pool_invalidate``        warm sessions dropped by streaming deltas
 ``serve.pool_size/pool_pinned``  gauges of resident / serving sessions
-``serve.shed_degraded``          requests served below the full rung
-``serve.rung``                   gauge of the last-planned ladder rung
 ``serve.breaker_trip``           compile circuit-breaker open transitions
+``serve.batches``                multiply batches executed
 ``serve.coalesced``              requests riding a coalesced batch
 ``serve.latency_s``              histogram of admitted spmm latency
 =============================== ==========================================

@@ -126,9 +126,6 @@ def _serve_lines(health: dict) -> list:
     elif breaker.get("consecutive_failures"):
         breaker_line += f" ({breaker['consecutive_failures']} consecutive failures)"
     lines.append(breaker_line)
-    p95 = health.get("shed", {}).get("p95_s")
-    if p95 is not None:
-        lines.append(f"  p95 latency: {p95:.4f}s")
     return lines
 
 

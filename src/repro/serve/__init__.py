@@ -6,11 +6,11 @@ multiplied many times — a *serving* workload.  This package turns the
 library into that long-running service: clients submit
 ``(matrix fingerprint | matrix upload, dense batch, deadline, tenant)``
 requests over a newline-delimited-JSON TCP/UNIX-socket protocol
-(:mod:`repro.serve.protocol`) and get results computed on a sharded,
-bounded pool of warm :class:`~repro.kernels.KernelSession`
+(:mod:`repro.serve.protocol`) and get results computed on a bounded LRU
+pool of warm :class:`~repro.kernels.KernelSession`, one per matrix
 (:mod:`repro.serve.pool`).
 
-The robustness stack, rung by rung:
+The robustness stack, layer by layer:
 
 * **admission control + per-tenant token-bucket quotas**
   (:mod:`repro.serve.admission`) — overload produces explicit
@@ -19,13 +19,13 @@ The robustness stack, rung by rung:
 * **deadline propagation** — the request deadline threads into the
   existing cooperative :class:`~repro.resilience.Deadline` through plan
   build and the K-chunked multiply, with partial-work cancellation at
-  chunk boundaries;
-* **graceful degradation under pressure**
-  (:mod:`repro.serve.shedding`) — queue depth and p95 latency map onto
-  the existing 4-rung degradation ladder, so a pressured server serves a
-  degraded-but-provenance-tagged plan rather than timing out, and a
-  **circuit breaker** around the ``cc`` backend's C build trips to the
-  numpy backend on repeated compile failures;
+  chunk boundaries; a build that would miss the batch's budget walks
+  down the degradation ladder, and the response's ``rung`` names the
+  rung it settled at (a degraded plan serves its batch and is not
+  pooled);
+* **compile circuit breaker** (:mod:`repro.serve.breaker`) around the
+  ``cc`` backend's C build — repeated compile failures trip it to the
+  numpy backend;
 * **request coalescing** (:mod:`repro.serve.coalesce`) — concurrent
   requests against the same fingerprint batch into one K-chunked
   multiply with per-request result slicing, bitwise-identical to serial
@@ -39,6 +39,7 @@ See ``docs/SERVING.md`` for the protocol spec and the tuning knobs, and
 """
 
 from repro.serve.admission import AdmissionController, TokenBucket
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.client import ServeClient, parse_address
 from repro.serve.coalesce import Coalescer
 from repro.serve.config import ServeConfig
@@ -59,14 +60,12 @@ from repro.serve.protocol import (
     matrix_to_wire,
 )
 from repro.serve.server import SpmmServer, run_server
-from repro.serve.shedding import CircuitBreaker, LoadShedController
 from repro.serve.testing import ServerThread
 
 __all__ = [
     "AdmissionController",
     "CircuitBreaker",
     "Coalescer",
-    "LoadShedController",
     "ServeClient",
     "ServeConfig",
     "ServerThread",

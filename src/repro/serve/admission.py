@@ -6,8 +6,7 @@ or *rejected explicitly* with a status the client can act on:
 
 * ``rejected_overload`` — every in-flight slot is taken.  Rejecting at
   the door keeps the executor queue short, so admitted requests see
-  predictable latency and the shed controller's depth signal stays
-  meaningful.
+  predictable latency.
 * ``rejected_quota`` — the tenant's token bucket is empty.  Workload
   heterogeneity is the norm (Yang et al., PAPERS.md): one tenant
   hammering a huge matrix must not starve the others, so each tenant

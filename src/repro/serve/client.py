@@ -136,7 +136,7 @@ class ServeClient:
         return np.asarray(response["result"], dtype=np.float64)
 
     def health(self) -> dict:
-        """Readiness/health snapshot (pool, admission, breaker, shed state)."""
+        """Readiness/health snapshot (pool, admission, breaker state)."""
         return self.request({"op": "health"})
 
     def metrics(self) -> dict:

@@ -2,12 +2,13 @@
 
 SpMM is column-independent — output column ``j`` of ``A @ X`` depends
 only on input column ``j``, with an accumulation order that does not
-change when unrelated columns sit beside it (the kernels chunk over K
-already).  So when several requests for the *same* session key arrive
-concurrently, the server can stack their operands side by side, run one
-multiply, and slice each requester's columns back out — bitwise-identical
-to serving them one at a time, but paying the per-call overhead (session
-pin, workspace lease, fault bookkeeping) once.
+change when unrelated columns sit beside it (the server already cuts
+every multiply into ``chunk_k``-wide column blocks).  So when several
+requests for the *same* matrix arrive concurrently, the server can stack
+their operands side by side, run one multiply, and slice each
+requester's columns back out — bitwise-identical to serving them one at
+a time, but paying the per-call overhead (session pin, workspace lease,
+fault bookkeeping) once.
 
 The :class:`Coalescer` implements single-flight batching per key: the
 first arrival for a key becomes the *leader* and executes the batch; any
@@ -26,7 +27,8 @@ __all__ = ["Coalescer"]
 
 
 class Coalescer:
-    """Single-flight batcher keyed by session key (see module docstring).
+    """Single-flight batcher per key (see module docstring); the server
+    keys it by matrix fingerprint.
 
     Usage (from event-loop coroutines only)::
 

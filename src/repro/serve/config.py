@@ -1,22 +1,38 @@
 """Configuration for the SpMM serving layer.
 
 One frozen dataclass holds every tuning knob of the server — transport,
-session-pool bounds, admission quotas, load-shedding thresholds and the
-compile circuit breaker — so a config is printable, JSON-able and easy to
-pin in tests.  Validation happens at construction
-(:class:`repro.errors.ConfigError`), never at request time.
+the session-pool bound, admission quotas and the compile circuit
+breaker — so a config is printable, JSON-able and easy to pin in tests.
+Validation happens at construction (:class:`repro.errors.ConfigError`),
+never at request time.
 
 See ``docs/SERVING.md`` for tuning guidance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.kernels.backends import DEFAULT_BACKEND, check_backend
 
-__all__ = ["ServeConfig"]
+__all__ = ["ServeConfig", "positive_seconds"]
+
+
+def positive_seconds(value) -> bool:
+    """Whether ``value`` is a positive, finite number of seconds.
+
+    The check behind every deadline: ``json`` parses ``NaN`` and
+    ``Infinity`` literals, and ``True`` is an ``int``; none of them is a
+    deadline.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 @dataclass(frozen=True)
@@ -30,8 +46,9 @@ class ServeConfig:
         is exposed as :attr:`repro.serve.SpmmServer.port`).
     unix_path:
         When set, listen on a UNIX domain socket instead of TCP.
-    pool_sessions, pool_shards:
-        Bound and shard count of the warm :class:`~repro.serve.SessionPool`.
+    pool_sessions:
+        Bound of the warm :class:`~repro.serve.SessionPool` (one session
+        per matrix).
     max_matrices:
         Bound of the uploaded-matrix registry (LRU evicted).
     workers:
@@ -47,16 +64,6 @@ class ServeConfig:
     default_deadline_s:
         Deadline applied to requests that do not carry ``deadline_s``
         (``None`` = no implicit deadline).
-    shed_depths:
-        In-flight depth thresholds mapping pressure onto the degradation
-        ladder: depth >= ``shed_depths[i]`` serves plans from ladder rung
-        ``i + 1`` (``full`` -> ``round1-only`` -> ``identity`` ->
-        ``untiled-csr``).
-    slo_p95_s:
-        Optional p95 latency SLO; while the observed p95 exceeds it the
-        shed controller degrades one extra rung.
-    latency_window:
-        Sliding-window size for the p95 estimate.
     breaker_threshold, breaker_reset_s:
         Consecutive backend-compile failures that trip the circuit
         breaker, and the open interval before a half-open retrial.
@@ -76,16 +83,12 @@ class ServeConfig:
     port: int = 7077
     unix_path: str | None = None
     pool_sessions: int = 8
-    pool_shards: int = 4
     max_matrices: int = 64
     workers: int = 2
     max_inflight: int = 16
     quota_rate: float = 100.0
     quota_burst: float = 50.0
     default_deadline_s: float | None = None
-    shed_depths: tuple = (6, 10, 14)
-    slo_p95_s: float | None = None
-    latency_window: int = 64
     breaker_threshold: int = 3
     breaker_reset_s: float = 30.0
     backend: str = DEFAULT_BACKEND
@@ -98,9 +101,9 @@ class ServeConfig:
     tenant_quotas: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("pool_sessions", "pool_shards", "max_matrices", "workers",
-                     "max_inflight", "breaker_threshold", "latency_window",
-                     "chunk_k", "panel_height", "max_line_bytes"):
+        for name in ("pool_sessions", "max_matrices", "workers", "max_inflight",
+                     "breaker_threshold", "chunk_k", "panel_height",
+                     "max_line_bytes"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
@@ -109,23 +112,12 @@ class ServeConfig:
                 f"quota_rate/quota_burst must be > 0, got "
                 f"{self.quota_rate}/{self.quota_burst}"
             )
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ConfigError(
-                f"default_deadline_s must be > 0, got {self.default_deadline_s}"
-            )
-        if self.slo_p95_s is not None and self.slo_p95_s <= 0:
-            raise ConfigError(f"slo_p95_s must be > 0, got {self.slo_p95_s}")
-        if list(self.shed_depths) != sorted(self.shed_depths) or any(
-            d < 1 for d in self.shed_depths
+        if self.default_deadline_s is not None and not positive_seconds(
+            self.default_deadline_s
         ):
             raise ConfigError(
-                f"shed_depths must be ascending positive depths, got "
-                f"{self.shed_depths}"
-            )
-        if len(self.shed_depths) > 3:
-            raise ConfigError(
-                "shed_depths maps onto the 4-rung ladder; at most 3 "
-                f"thresholds make sense, got {len(self.shed_depths)}"
+                "default_deadline_s must be a positive finite number, got "
+                f"{self.default_deadline_s}"
             )
         if self.breaker_reset_s < 0 or self.drain_timeout_s < 0:
             raise ConfigError("breaker_reset_s/drain_timeout_s must be >= 0")

@@ -1,17 +1,16 @@
-"""Sharded, bounded pool of warm :class:`~repro.kernels.KernelSession`.
+"""Bounded LRU pool of warm :class:`~repro.kernels.KernelSession`, one per matrix.
 
 The serving economics of the paper live here: a plan build costs orders
 of magnitude more than a multiply, so the server keeps sessions (pinned
-plan + compiled artifact + scratch) warm across requests, keyed by the
-matrix fingerprint *and* the degradation-ladder rung the plan was built
-at (a shed request must never be served a weaker plan later without its
-provenance saying so, nor a degraded session outlive the pressure that
-created it under a full-rung key).
+plan + scratch) warm across requests, keyed by the matrix's content
+fingerprint.  Only plans that settled at the ``full`` ladder rung are
+kept: a degraded plan (its build ran out of budget) serves the batch
+that built it and is dropped, as the plan store never caches one either.
 
 Robustness properties:
 
-* **bounded** — at most ``capacity`` sessions across ``shards`` shards;
-  inserting past the bound evicts least-recently-used entries;
+* **bounded** — at most ``capacity`` sessions; inserting past the bound
+  evicts least-recently-used entries;
 * **in-flight pinning** — an entry serving a request carries a non-zero
   refcount and is never evicted, however stale; the pool may
   transiently exceed its bound rather than yank a session mid-multiply;
@@ -25,7 +24,6 @@ Robustness properties:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 
@@ -39,44 +37,40 @@ __all__ = ["PooledSession", "SessionPool"]
 class PooledSession:
     """One warm pool entry: a session plus its serving metadata."""
 
-    __slots__ = ("key", "session", "rung", "provenance", "backend", "degraded", "refs")
+    __slots__ = ("key", "session", "provenance", "backend", "refs")
 
-    def __init__(self, key, session, *, rung, provenance, backend, degraded):
+    def __init__(self, key, session, *, provenance, backend):
         self.key = key
         self.session = session
-        self.rung = rung
         self.provenance = tuple(provenance)
         self.backend = backend
-        self.degraded = bool(degraded)
-        self.refs = 0  # guarded by the owning shard's lock
+        self.refs = 0  # guarded by the pool's lock
 
+    @property
+    def rung(self) -> str:
+        """The ladder rung the plan settled at (its last provenance entry)."""
+        return self.provenance[-1].split(":", 1)[0] if self.provenance else "full"
 
-class _Shard:
-    __slots__ = ("entries", "lock")
-
-    def __init__(self):
-        self.entries: OrderedDict = OrderedDict()
-        self.lock = threading.Lock()
+    @property
+    def degraded(self) -> bool:
+        """Whether the plan settled below the ``full`` rung."""
+        return self.rung != "full"
 
 
 class SessionPool:
     """LRU session cache with in-flight pinning (see module docstring).
 
     The pool is written to from executor threads and read by the event
-    loop's health endpoint, so every shard carries its own lock; the
-    shard index is derived from the key digest, keeping unrelated
-    fingerprints contention-free.
+    loop's health endpoint; one lock guards the table, held only for
+    dict operations, never across a multiply.
     """
 
-    def __init__(self, capacity: int = 8, shards: int = 4) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.capacity = int(capacity)
-        self._shards = [_Shard() for _ in range(int(shards))]
-        # Per-shard bound; ceil so shards * bound >= capacity.
-        self._shard_capacity = -(-self.capacity // len(self._shards))
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
         self._hits = METRICS.counter(
             "serve.pool_hit", "warm-session pool hits"
         )
@@ -94,13 +88,6 @@ class SessionPool:
             "serve.pool_pinned", "warm sessions currently serving requests"
         )
 
-    def _shard_for(self, key: str) -> _Shard:
-        # BLAKE2b, not hash(): shard placement (and therefore eviction
-        # order and fault-site arrival order under chaos) must not vary
-        # with PYTHONHASHSEED.
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=4).digest()
-        return self._shards[int.from_bytes(digest, "little") % len(self._shards)]
-
     # ------------------------------------------------------------------
     def pin(self, key: str) -> PooledSession | None:
         """Look up and pin a warm entry (``None`` on miss).
@@ -108,13 +95,12 @@ class SessionPool:
         A pinned entry cannot be evicted until :meth:`unpin` releases it;
         callers pair the two in try/finally around the multiply.
         """
-        shard = self._shard_for(key)
-        with shard.lock:
-            entry = shard.entries.get(key)
+        with self._lock:
+            entry = self._entries.get(key)
             if entry is None:
                 self._misses.inc()
                 return None
-            shard.entries.move_to_end(key)
+            self._entries.move_to_end(key)
             entry.refs += 1
         self._hits.inc()
         self._pinned.add(1)
@@ -122,48 +108,41 @@ class SessionPool:
 
     def unpin(self, entry: PooledSession) -> None:
         """Release one pin taken by :meth:`pin` or :meth:`put`."""
-        shard = self._shard_for(entry.key)
-        with shard.lock:
+        with self._lock:
             if entry.refs < 1:
                 raise AssertionError(f"unpin without pin on {entry.key!r}")
             entry.refs -= 1
         self._pinned.add(-1)
 
-    def put(self, key: str, session, *, rung, provenance, backend, degraded) -> PooledSession:
+    def put(self, key: str, session, *, provenance, backend) -> PooledSession:
         """Insert a freshly built session, returned already pinned.
 
         When two builders race on the same key the first insert wins and
         the loser's session is discarded (the returned entry is always
-        the resident one).  Inserting past the shard bound evicts LRU
-        entries with zero refs; pinned entries survive, so the pool can
-        transiently overflow under pressure rather than break an
-        in-flight multiply.
+        the resident one).  A degraded session is returned pinned but
+        never inserted.  Inserting past the bound evicts LRU entries with
+        zero refs; pinned entries survive, so the pool can transiently
+        overflow under pressure rather than break an in-flight multiply.
         """
-        made = PooledSession(
-            key, session, rung=rung, provenance=provenance,
-            backend=backend, degraded=degraded,
-        )
-        shard = self._shard_for(key)
+        entry = PooledSession(key, session, provenance=provenance, backend=backend)
         evicted = []
-        with shard.lock:
-            resident = shard.entries.get(key)
+        with self._lock:
+            resident = self._entries.get(key)
             if resident is not None:
-                shard.entries.move_to_end(key)
-                resident.refs += 1
+                self._entries.move_to_end(key)
                 entry = resident
-            else:
-                made.refs = 1
-                shard.entries[key] = made
-                entry = made
+            entry.refs += 1
+            if resident is None and not entry.degraded:
+                self._entries[key] = entry
                 # LRU scan from the cold end; skip pinned entries.
-                while len(shard.entries) > self._shard_capacity:
+                while len(self._entries) > self.capacity:
                     victim_key = next(
-                        (k for k, e in shard.entries.items() if e.refs == 0),
+                        (k for k, e in self._entries.items() if e.refs == 0),
                         None,
                     )
                     if victim_key is None:
                         break  # everything pinned: transient overflow
-                    evicted.append(shard.entries.pop(victim_key))
+                    evicted.append(self._entries.pop(victim_key))
         for victim in evicted:
             self._evict(victim)
         self._pinned.add(1)
@@ -181,69 +160,54 @@ class SessionPool:
             # of the table, a failure must never surface into a request.
             self._evict_faults.inc()
 
-    def invalidate_prefix(self, fingerprint: str) -> int:
-        """Drop every warm entry for ``fingerprint`` (any rung).
+    def invalidate(self, key: str) -> bool:
+        """Drop the warm entry for ``key``; whether there was one.
 
         The streaming path: a ``delta`` request replaces a registered
-        matrix, so sessions pinned to its old fingerprint must never
-        serve another multiply.  Entries are removed from the table
-        immediately; unpinned ones are closed through the normal evict
-        path, in-flight ones finish their current multiply on the
-        detached object and are garbage-collected on unpin.  Returns the
-        number of entries invalidated.
+        matrix, so the session pinned to its old fingerprint must never
+        serve another multiply.  The entry leaves the table immediately;
+        an unpinned one is closed through the normal evict path, an
+        in-flight one finishes its current multiply on the detached
+        object and is garbage-collected on unpin.
         """
-        prefix = f"{fingerprint}:"
-        dropped = []
-        for shard in self._shards:
-            with shard.lock:
-                doomed = [k for k in shard.entries if k.startswith(prefix)]
-                for k in doomed:
-                    dropped.append(shard.entries.pop(k))
-        for entry in dropped:
-            if entry.refs == 0:
-                self._evict(entry)
-        if dropped:
-            METRICS.counter(
-                "serve.pool_invalidate",
-                "warm sessions invalidated by streaming deltas",
-            ).inc(len(dropped))
+        with self._lock:
+            entry = self._entries.pop(key, None)
+        if entry is None:
+            return False
+        if entry.refs == 0:
+            self._evict(entry)
+        METRICS.counter(
+            "serve.pool_invalidate",
+            "warm sessions invalidated by streaming deltas",
+        ).inc()
         self._size.set(len(self))
-        return len(dropped)
+        return True
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
+        return len(self._entries)
 
     def occupancy(self) -> dict:
-        """Health-endpoint snapshot: per-shard entries and pin counts."""
-        shards = []
-        for shard in self._shards:
-            with shard.lock:
-                shards.append(
-                    {
-                        "entries": len(shard.entries),
-                        "pinned": sum(1 for e in shard.entries.values() if e.refs),
-                        "keys": [
-                            {"key": k, "rung": e.rung, "refs": e.refs,
-                             "backend": e.backend}
-                            for k, e in shard.entries.items()
-                        ],
-                    }
-                )
+        """Health-endpoint snapshot: bound, entries, pins and resident keys."""
+        with self._lock:
+            keys = [
+                {"key": k, "refs": e.refs, "backend": e.backend}
+                for k, e in self._entries.items()
+            ]
         return {
             "capacity": self.capacity,
-            "entries": sum(s["entries"] for s in shards),
-            "pinned": sum(s["pinned"] for s in shards),
-            "shards": shards,
+            "entries": len(keys),
+            "pinned": sum(1 for k in keys if k["refs"]),
+            "keys": keys,
         }
 
     def clear(self) -> None:
         """Evict every unpinned entry (tests and drain shutdown)."""
-        for shard in self._shards:
-            evicted = []
-            with shard.lock:
-                for key in [k for k, e in shard.entries.items() if e.refs == 0]:
-                    evicted.append(shard.entries.pop(key))
-            for victim in evicted:
-                self._evict(victim)
+        with self._lock:
+            evicted = [
+                self._entries.pop(k)
+                for k in [k for k, e in self._entries.items() if e.refs == 0]
+            ]
+        for victim in evicted:
+            self._evict(victim)
         self._size.set(len(self))

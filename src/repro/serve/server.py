@@ -5,9 +5,13 @@ builds run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
 so the loop never blocks on numpy (rule RD108 enforces this shape).  A
 request travels::
 
-    accept -> decode -> admission -> matrix resolve -> deadline
-           -> shed rung -> coalesce -> [executor] pin-or-build
-           -> K-chunked multiply -> slice -> respond
+    accept -> decode -> admission -> deadline check -> matrix resolve
+           -> coalesce -> [executor] pin-or-build -> K-chunked multiply
+           -> slice -> respond
+
+Warm sessions are keyed by the matrix fingerprint alone: every request
+for a matrix builds with the server's one reorder config, and only the
+deadline-budgeted build ladder can settle a plan below ``full``.
 
 Every failure mode has an explicit, typed outcome (see
 :mod:`repro.serve.protocol`); the chaos suite asserts the server never
@@ -33,10 +37,10 @@ from repro.observability.metrics import METRICS
 from repro.reorder import build_plan
 from repro.resilience import Deadline, ResiliencePolicy
 from repro.resilience.faults import fault_point
-from repro.resilience.policy import LADDER_RUNGS, ladder_rungs
 from repro.serve.admission import AdmissionController
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.coalesce import Coalescer
-from repro.serve.config import ServeConfig
+from repro.serve.config import ServeConfig, positive_seconds
 from repro.serve.pool import SessionPool
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -53,7 +57,6 @@ from repro.serve.protocol import (
     matrix_fingerprint,
     matrix_from_wire,
 )
-from repro.serve.shedding import CircuitBreaker, LoadShedController
 
 __all__ = ["SpmmServer", "run_server"]
 
@@ -84,16 +87,13 @@ class SpmmServer:
         self.config = config or ServeConfig()
         self._clock = clock
         cfg = self.config
-        self.pool = SessionPool(cfg.pool_sessions, cfg.pool_shards)
+        self.pool = SessionPool(cfg.pool_sessions)
         self.admission = AdmissionController(
             max_inflight=cfg.max_inflight,
             quota_rate=cfg.quota_rate,
             quota_burst=cfg.quota_burst,
             tenant_quotas=cfg.tenant_quotas,
             clock=clock,
-        )
-        self.shedder = LoadShedController(
-            cfg.shed_depths, slo_p95_s=cfg.slo_p95_s, window=cfg.latency_window
         )
         self.breaker = CircuitBreaker(
             threshold=cfg.breaker_threshold, reset_s=cfg.breaker_reset_s, clock=clock
@@ -330,7 +330,7 @@ class SpmmServer:
         """Stream a delta into a registered matrix (see the protocol docs).
 
         The mutated matrix replaces the old registry entry under its new
-        content fingerprint, and every warm session pinned to the old
+        content fingerprint, and the warm session pinned to the old
         fingerprint is invalidated — a later ``spmm`` against the new
         fingerprint rebuilds warm (the plan store still holds the
         pattern-keyed decisions when the delta was value-only).
@@ -361,7 +361,7 @@ class SpmmServer:
         with self._matrices_lock:
             self._matrices.pop(fingerprint, None)
         self._register_matrix(new_fingerprint, csr_new)
-        invalidated = self.pool.invalidate_prefix(fingerprint)
+        invalidated = int(self.pool.invalidate(fingerprint))
         self._deltas.inc()
         return {
             "status": STATUS_OK,
@@ -381,7 +381,6 @@ class SpmmServer:
             "pool": self.pool.occupancy(),
             "admission": self.admission.snapshot(),
             "breaker": self.breaker.snapshot(),
-            "shed": {"p95_s": self.shedder.p95()},
             "matrices": len(self._matrices),
         }
 
@@ -397,10 +396,17 @@ class SpmmServer:
             return await self._admitted_spmm(msg)
         finally:
             self.admission.release()
-            self.shedder.observe(self._clock() - t0)
             self._latency.observe(self._clock() - t0)
 
     async def _admitted_spmm(self, msg: dict) -> dict:
+        # Deadline: checked before any decode, started after it.
+        deadline_s = msg.get("deadline_s", self.config.default_deadline_s)
+        if deadline_s is not None and not positive_seconds(deadline_s):
+            return {
+                "status": STATUS_ERROR,
+                "error": "deadline_s must be a positive finite number, "
+                f"got {deadline_s!r}",
+            }
         # Resolve the operator matrix.
         fingerprint = msg.get("fingerprint")
         if fingerprint is not None:
@@ -428,65 +434,38 @@ class SpmmServer:
             self._executor, lambda: dense_from_wire(msg["x"], rows=csr.n_cols)
         )
 
-        # Deadline: per-request budget on the server's clock.
-        deadline_s = msg.get("deadline_s", self.config.default_deadline_s)
+        # Per-request budget on the server's clock.
         deadline = None
         if deadline_s is not None:
-            if not isinstance(deadline_s, (int, float)) or deadline_s <= 0:
-                return {
-                    "status": STATUS_ERROR,
-                    "error": f"deadline_s must be a positive number, got {deadline_s!r}",
-                }
             deadline = Deadline.after(float(deadline_s), clock=self._clock)
 
-        # Shed rung for *this* request, decided at admission depth.
-        rung_idx = self.shedder.rung_for(self.admission.in_flight)
-        rung_label, rung_config = self._rung(rung_idx)
-        key = f"{fingerprint}:{rung_label}"
-
-        member = _Member(x, deadline)
-
-        async def execute(batch_key, members):
+        async def execute(key, members):
             return await self._loop.run_in_executor(
-                self._executor,
-                self._run_batch,
-                batch_key,
-                csr,
-                rung_label,
-                rung_config,
-                members,
+                self._executor, self._run_batch, key, csr, members
             )
 
-        result = await self.coalescer.submit(key, member, execute)
-        return result
-
-    def _rung(self, rung_idx: int):
-        """The ``(label, config)`` the shed controller selected.
-
-        ``ladder_rungs`` drops rungs that cannot differ from an earlier
-        one, so the index maps through labels with a floor fallback.
-        """
-        rungs = ladder_rungs(self.config.reorder_config())
-        wanted = LADDER_RUNGS[min(rung_idx, len(LADDER_RUNGS) - 1)]
-        for label, rung_config in rungs:
-            if label == wanted:
-                return label, rung_config
-        return rungs[-1]
+        return await self.coalescer.submit(
+            fingerprint, _Member(x, deadline), execute
+        )
 
     # ------------------------------------------------------------------
     # Executor-side work (sync; never runs on the event loop)
     # ------------------------------------------------------------------
-    def _run_batch(self, key, csr, rung_label, rung_config, members) -> list:
+    def _run_batch(self, key, csr, members) -> list:
         entry = self.pool.pin(key)
         if entry is None:
-            entry = self._build_entry(key, csr, rung_config, members)
+            entry = self._build_entry(key, csr, members)
         try:
-            return self._multiply_members(entry, csr.n_rows, rung_label, members)
+            return self._multiply_members(entry, csr.n_rows, members)
         finally:
             self.pool.unpin(entry)
 
-    def _build_entry(self, key, csr, rung_config, members):
-        """Build a plan + session for ``key`` and insert it (pinned)."""
+    def _build_entry(self, key, csr, members):
+        """Build a plan + session for ``key`` and pool it (returned pinned).
+
+        A plan the batch's budget degraded is not pooled (see
+        :meth:`SessionPool.put`): it serves this batch only.
+        """
         requested = self.config.backend
         compiling = requested != "numpy" and self.breaker.allow()
         build_backend = requested if compiling else "numpy"
@@ -501,7 +480,7 @@ class SpmmServer:
         try:
             plan = build_plan(
                 csr,
-                replace(rung_config, backend=build_backend),
+                replace(self.config.reorder_config(), backend=build_backend),
                 cache=self._plan_cache,
                 resilience=policy,
             )
@@ -517,15 +496,10 @@ class SpmmServer:
                 else:
                     self.breaker.record_failure()
         return self.pool.put(
-            key,
-            session,
-            rung=key.rsplit(":", 1)[-1],
-            provenance=plan.provenance,
-            backend=session.backend,
-            degraded=plan.degraded,
+            key, session, provenance=plan.provenance, backend=session.backend
         )
 
-    def _multiply_members(self, entry, n_rows, rung_label, members) -> list:
+    def _multiply_members(self, entry, n_rows, members) -> list:
         """One K-chunked multiply over the concatenated batch operand.
 
         Output column ``j`` depends only on input column ``j`` with an

@@ -37,7 +37,7 @@ from repro.errors import ReproIOError
 from repro.kernels import KernelSession, spmm
 from repro.reorder import build_plan
 from repro.resilience import FAULT_SITES, FaultInjector
-from repro.resilience.policy import LADDER_RUNGS, ladder_rungs
+from repro.resilience.policy import LADDER_RUNGS
 from repro.serve import ServeClient, ServeConfig
 from repro.serve.protocol import (
     STATUS_DEADLINE_EXCEEDED,
@@ -119,29 +119,24 @@ def _assert_monotone_provenance(provenance):
 class _ReferenceOracle:
     """Fault-free reference: one numpy CSR session per matrix.
 
-    The server keys warm sessions by the *requested* shed rung; the
-    build may then settle lower on that rung's own sub-ladder (recorded
-    in provenance).  Every rung multiplies in one pass over its
-    reordered matrix plus a row scatter, which is bit-equal to the
-    unreordered multiply, so one session per matrix is the reference
-    for all of them — bitwise equality is the wrong-answer detector.
-    The rung labels are still checked against the ladder.
+    The server keeps one warm session per matrix; a build under a tight
+    deadline may settle below ``full`` (recorded in provenance), and the
+    response's ``rung`` must name the rung it settled at.  Every rung
+    multiplies in one pass over its reordered matrix plus a row scatter,
+    which is bit-equal to the unreordered multiply, so one session per
+    matrix is the reference for all of them — bitwise equality is the
+    wrong-answer detector.
     """
 
     def __init__(self, config):
         self.config = config
-        self._base = dict(ladder_rungs(config.reorder_config()))
         self._sessions = {}
 
-    def _check_rung(self, requested_label, provenance):
-        requested = self._base.get(requested_label)
-        assert requested is not None, f"unknown rung {requested_label!r}"
-        sub = dict(ladder_rungs(requested))
-        label = _settled_label(provenance)
-        assert label in sub, f"settled label {label!r} not on the sub-ladder"
-
     def verify(self, fingerprint, matrix, response, x):
-        self._check_rung(response["rung"], response.get("provenance", ()))
+        settled = _settled_label(response.get("provenance", ()))
+        assert response["rung"] == settled, (
+            f"rung {response['rung']!r} is not the settled rung {settled!r}"
+        )
         if fingerprint not in self._sessions:
             self._sessions[fingerprint] = KernelSession(
                 matrix, chunk_k=self.config.chunk_k
@@ -182,7 +177,6 @@ class TestServeLoadUnderChaos:
             panel_height=8,
             chunk_k=16,
             pool_sessions=2,  # smaller than the key universe: evictions
-            pool_shards=1,
             max_inflight=32,
             quota_rate=1000.0,
             quota_burst=1000.0,

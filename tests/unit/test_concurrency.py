@@ -178,8 +178,8 @@ class TestSessionPoolPinBalance:
             pass
 
     def test_refcounts_return_to_zero_under_concurrent_pin_unpin(self):
-        pool = SessionPool(capacity=4, shards=2)
-        keys = [f"matrix-{i}:full" for i in range(6)]  # > capacity: evicts
+        pool = SessionPool(capacity=4)
+        keys = [f"matrix-{i}" for i in range(6)]  # > capacity: evicts
         threads_n, iterations = 8, 250
         errors = []
         barrier = threading.Barrier(threads_n)
@@ -195,10 +195,8 @@ class TestSessionPoolPinBalance:
                         entry = pool.put(
                             key,
                             self._Session(),
-                            rung="full",
                             provenance=("full: ok",),
                             backend="numpy",
-                            degraded=False,
                         )
                     if entry.refs < 1:
                         errors.append(f"pinned entry {key} with refs < 1")
@@ -219,11 +217,7 @@ class TestSessionPoolPinBalance:
         occupancy = pool.occupancy()
         # Every pin was matched by an unpin: nothing is left pinned.
         assert occupancy["pinned"] == 0
-        assert all(
-            entry["refs"] == 0
-            for shard in occupancy["shards"]
-            for entry in shard["keys"]
-        )
+        assert all(entry["refs"] == 0 for entry in occupancy["keys"])
         # clear() only evicts refs == 0 entries, so an empty pool after
         # clear proves no pin leaked anywhere.
         pool.clear()

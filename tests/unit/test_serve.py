@@ -1,8 +1,8 @@
 """Unit tests for the serving layer (repro.serve).
 
-Pure-logic pieces (protocol codec, token buckets, shed controller,
-breaker, session pool, coalescer) are tested directly with injected
-clocks; the server itself is exercised end-to-end over real sockets via
+Pure-logic pieces (protocol codec, token buckets, breaker, session
+pool, coalescer) are tested directly with injected clocks; the server
+itself is exercised end-to-end over real sockets via
 :class:`repro.serve.ServerThread` — the suite has no async runner, so
 the event loop lives on a background thread and every test crosses the
 genuine wire path.
@@ -21,6 +21,7 @@ from repro.errors import (
     ReproIOError,
     ValidationError,
 )
+from repro.kernels import spmm
 from repro.resilience import FaultInjector
 from repro.serve import (
     STATUS_DEADLINE_EXCEEDED,
@@ -32,7 +33,6 @@ from repro.serve import (
     AdmissionController,
     CircuitBreaker,
     Coalescer,
-    LoadShedController,
     ServeClient,
     ServeConfig,
     ServerThread,
@@ -191,34 +191,8 @@ class TestAdmissionController:
 
 
 # ----------------------------------------------------------------------
-# Shedding + breaker
+# Breaker
 # ----------------------------------------------------------------------
-class TestLoadShedController:
-    def test_depth_thresholds_map_to_rungs(self):
-        shed = LoadShedController(depths=(2, 4, 6))
-        assert [shed.rung_for(d) for d in (0, 1, 2, 3, 4, 5, 6, 99)] == [
-            0, 0, 1, 1, 2, 2, 3, 3,
-        ]
-
-    def test_p95_slo_sheds_one_extra_rung(self):
-        shed = LoadShedController(depths=(2, 4, 6), slo_p95_s=0.1, window=8)
-        for _ in range(8):
-            shed.observe(0.5)  # p95 well above the SLO
-        assert shed.rung_for(0) == 1
-        assert shed.rung_for(6) == 3  # capped at the ladder floor
-
-    def test_p95_none_until_observations(self):
-        shed = LoadShedController(slo_p95_s=0.1)
-        assert shed.p95() is None
-        assert shed.rung_for(0) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LoadShedController(depths=(4, 2))
-        with pytest.raises(ValueError):
-            LoadShedController(depths=(1, 2, 3, 4))
-
-
 class TestCircuitBreaker:
     def test_trips_after_threshold_consecutive_failures(self):
         clock = ManualClock()
@@ -273,7 +247,7 @@ class TestCircuitBreaker:
         matrix = hidden_clusters(8, 6, 96, 6, noise=0.1, seed=7)
 
         def build(key):
-            entry = server._build_entry(key, matrix, config.reorder_config(), [])
+            entry = server._build_entry(key, matrix, [])
             server.pool.unpin(entry)
             return entry.backend
 
@@ -320,16 +294,14 @@ class FakeSession:
 
 
 def _put(pool, key, **kw):
-    kw.setdefault("rung", "full")
     kw.setdefault("provenance", ("full: ok",))
     kw.setdefault("backend", "numpy")
-    kw.setdefault("degraded", False)
     return pool.put(key, FakeSession(), **kw)
 
 
 class TestSessionPool:
     def test_miss_then_hit(self):
-        pool = SessionPool(capacity=4, shards=1)
+        pool = SessionPool(capacity=4)
         assert pool.pin("absent") is None
         entry = _put(pool, "k1")
         pool.unpin(entry)
@@ -338,7 +310,7 @@ class TestSessionPool:
         pool.unpin(again)
 
     def test_lru_eviction_closes_the_victim(self):
-        pool = SessionPool(capacity=2, shards=1)
+        pool = SessionPool(capacity=2)
         a = _put(pool, "a"); pool.unpin(a)
         b = _put(pool, "b"); pool.unpin(b)
         pool.pin("a")  # refresh a; b is now LRU
@@ -349,7 +321,7 @@ class TestSessionPool:
         assert pool.pin("a") is not None
 
     def test_pinned_entries_survive_eviction_pressure(self):
-        pool = SessionPool(capacity=1, shards=1)
+        pool = SessionPool(capacity=1)
         pinned = _put(pool, "hot")  # stays pinned
         other = _put(pool, "cold")
         assert not pinned.session.closed
@@ -358,7 +330,7 @@ class TestSessionPool:
         pool.unpin(other)
 
     def test_racing_put_keeps_the_resident_entry(self):
-        pool = SessionPool(capacity=4, shards=1)
+        pool = SessionPool(capacity=4)
         first = _put(pool, "k")
         second = _put(pool, "k")
         assert second is first
@@ -366,45 +338,69 @@ class TestSessionPool:
         pool.unpin(first)
         pool.unpin(first)
 
-    def test_invalidate_prefix_evicts_all_rungs_of_a_matrix(self):
-        pool = SessionPool(capacity=8, shards=2)
-        full = _put(pool, "fp1:full"); pool.unpin(full)
-        ident = _put(pool, "fp1:identity"); pool.unpin(ident)
-        other = _put(pool, "fp2:full"); pool.unpin(other)
-        assert pool.invalidate_prefix("fp1") == 2
-        assert full.session.closed and ident.session.closed
-        assert pool.pin("fp1:full") is None
-        assert pool.pin("fp2:full") is other  # untouched
+    def test_invalidate_drops_only_its_key(self):
+        pool = SessionPool(capacity=8)
+        doomed = _put(pool, "fp1"); pool.unpin(doomed)
+        other = _put(pool, "fp2"); pool.unpin(other)
+        assert pool.invalidate("fp1") is True
+        assert pool.invalidate("fp1") is False  # already gone
+        assert doomed.session.closed
+        assert pool.pin("fp1") is None
+        assert pool.pin("fp2") is other  # untouched
         pool.unpin(other)
 
-    def test_invalidate_prefix_leaves_pinned_entries_running(self):
-        pool = SessionPool(capacity=8, shards=1)
-        busy = _put(pool, "fp1:full")  # still pinned: a request is running
-        assert pool.invalidate_prefix("fp1") == 1
+    def test_invalidate_leaves_pinned_entries_running(self):
+        pool = SessionPool(capacity=8)
+        busy = _put(pool, "fp1")  # still pinned: a request is running
+        assert pool.invalidate("fp1") is True
         assert not busy.session.closed  # finishes on the detached session
-        assert pool.pin("fp1:full") is None  # but no new pins find it
+        assert pool.pin("fp1") is None  # but no new pins find it
         pool.unpin(busy)
 
+    def test_capacity_is_exact(self):
+        """Every key up to ``capacity`` stays resident: no per-shard
+        bound evicts below it."""
+        pool = SessionPool(capacity=8)
+        for i in range(8):
+            pool.unpin(_put(pool, f"k{i}"))
+        assert len(pool) == 8
+        pinned = [pool.pin(f"k{i}") for i in range(8)]
+        assert None not in pinned
+        for entry in pinned:
+            pool.unpin(entry)
+        pool.unpin(_put(pool, "k8"))  # the ninth evicts exactly one
+        assert len(pool) == 8 and pool.pin("k0") is None
+
+    def test_degraded_session_is_served_but_not_kept(self):
+        pool = SessionPool(capacity=4)
+        provenance = ("full: TimeoutExceeded: over budget", "untiled-csr: ok")
+        entry = _put(pool, "fp", provenance=provenance)
+        assert entry.refs == 1  # pinned for the batch that built it
+        assert entry.degraded and entry.rung == "untiled-csr"
+        pool.unpin(entry)
+        assert len(pool) == 0 and pool.pin("fp") is None
+
     def test_unpin_without_pin_raises(self):
-        pool = SessionPool(capacity=4, shards=1)
+        pool = SessionPool(capacity=4)
         entry = _put(pool, "k")
         pool.unpin(entry)
         with pytest.raises(AssertionError):
             pool.unpin(entry)
 
     def test_occupancy_snapshot(self):
-        pool = SessionPool(capacity=4, shards=2)
-        entry = _put(pool, "k1", rung="identity", backend="numpy")
+        pool = SessionPool(capacity=4)
+        entry = _put(pool, "k1", backend="numpy")
         occ = pool.occupancy()
-        assert occ["capacity"] == 4 and occ["entries"] == 1 and occ["pinned"] == 1
-        keys = [k for shard in occ["shards"] for k in shard["keys"]]
-        assert keys == [
-            {"key": "k1", "rung": "identity", "refs": 1, "backend": "numpy"}
-        ]
+        assert occ == {
+            "capacity": 4,
+            "entries": 1,
+            "pinned": 1,
+            "keys": [{"key": "k1", "refs": 1, "backend": "numpy"}],
+        }
         pool.unpin(entry)
 
     def test_eviction_fault_is_absorbed(self):
-        pool = SessionPool(capacity=1, shards=1)
+        pool = SessionPool(capacity=1)
         a = _put(pool, "a"); pool.unpin(a)
         with FaultInjector(rate=1.0, seed=7, sites=["serve.pool_evict"]):
             b = _put(pool, "b")  # evicts a; injected fault must not escape
@@ -413,21 +409,13 @@ class TestSessionPool:
         assert not a.session.closed  # fault fired before close()
 
     def test_clear_leaves_pinned_entries(self):
-        pool = SessionPool(capacity=4, shards=2)
+        pool = SessionPool(capacity=4)
         held = _put(pool, "held")
         loose = _put(pool, "loose"); pool.unpin(loose)
         pool.clear()
         assert len(pool) == 1 and not held.session.closed
         assert loose.session.closed
         pool.unpin(held)
-
-    def test_sharding_is_hashseed_independent(self):
-        # BLAKE2b placement: the same keys land in the same shards in
-        # every process, whatever PYTHONHASHSEED says.
-        pool = SessionPool(capacity=8, shards=4)
-        placements = [pool._shard_for(f"key{i}") for i in range(16)]
-        again = [pool._shard_for(f"key{i}") for i in range(16)]
-        assert placements == again
 
 
 # ----------------------------------------------------------------------
@@ -517,9 +505,9 @@ class TestServeConfig:
             {"pool_sessions": 0},
             {"workers": 0},
             {"quota_rate": 0.0},
-            {"shed_depths": (5, 3)},
-            {"shed_depths": (1, 2, 3, 4)},
             {"default_deadline_s": 0.0},
+            {"default_deadline_s": float("nan")},
+            {"default_deadline_s": float("inf")},
             {"backend": "no-such-backend"},
         ],
     )
@@ -628,6 +616,28 @@ class TestServerEndToEnd:
             assert resp["status"] == STATUS_DEADLINE_EXCEEDED
             assert "result" not in resp
 
+    @pytest.mark.parametrize("deadline_s", [True, float("nan"), float("inf")])
+    def test_non_finite_or_bool_deadline_is_an_error(self, served, deadline_s):
+        csr = served["csr"]
+        with ServeClient(served["thread"].address) as client:
+            fingerprint = client.upload(csr)["fingerprint"]
+            resp = client.spmm(
+                np.ones((csr.n_cols, 2)), fingerprint=fingerprint,
+                deadline_s=deadline_s,
+            )
+        assert resp["status"] == STATUS_ERROR and "deadline_s" in resp["error"]
+        assert "result" not in resp
+
+    def test_bad_deadline_is_refused_before_the_operand_decode(self, served):
+        with ServeClient(served["thread"].address) as client:
+            fingerprint = client.upload(served["csr"])["fingerprint"]
+            resp = client.request(
+                {"op": "spmm", "fingerprint": fingerprint,
+                 "x": "not an operand", "deadline_s": -1.0}
+            )
+        assert resp["status"] == STATUS_ERROR
+        assert resp["error"].startswith("deadline_s must be")
+
     def test_health_and_metrics(self, served):
         with ServeClient(served["thread"].address) as client:
             health = client.health()
@@ -639,6 +649,54 @@ class TestServerEndToEnd:
             assert metrics["status"] == STATUS_OK
             assert "serve.requests" in metrics["metrics"]
             assert metrics["metrics"]["serve.requests"] >= 1
+
+
+class TestWarmSessions:
+    """One warm session per matrix, served at the rung its build settled."""
+
+    def _server(self):
+        return ServerThread(ServeConfig(port=0, workers=1, panel_height=8, chunk_k=16))
+
+    def test_admission_depth_does_not_degrade_a_warm_matrix(self, rng):
+        csr = random_csr(rng, 48, 36, density=0.12)
+        X = np.asarray(rng.random((csr.n_cols, 6)), dtype=np.float64)
+        with self._server() as thread, ServeClient(thread.address) as client:
+            fingerprint = client.upload(csr)["fingerprint"]
+            assert client.spmm(X, fingerprint=fingerprint)["rung"] == "full"
+            before = client.metrics()["metrics"]
+            admission, held = thread.server.admission, 0
+            try:
+                for _ in range(10):  # a deep queue of other requests
+                    assert admission.admit("holder") is None
+                    held += 1
+                resp = client.spmm(X, fingerprint=fingerprint)
+            finally:
+                for _ in range(held):
+                    admission.release()
+            after = client.metrics()["metrics"]
+            health = client.health()
+        assert resp["status"] == STATUS_OK
+        assert resp["rung"] == "full" and resp["degraded"] is False
+        np.testing.assert_array_equal(ServeClient.result_array(resp), spmm(csr, X))
+        assert after["serve.pool_hit"] - before["serve.pool_hit"] == 1
+        assert after["serve.pool_miss"] == before["serve.pool_miss"]
+        assert [k["key"] for k in health["pool"]["keys"]] == [fingerprint]
+
+    def test_an_impatient_request_does_not_pin_a_degraded_plan(self, rng):
+        csr = random_csr(rng, 48, 36, density=0.12)
+        X = np.asarray(rng.random((csr.n_cols, 6)), dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedExecution)
+            with self._server() as thread, ServeClient(thread.address) as client:
+                fingerprint = client.upload(csr)["fingerprint"]
+                rushed = client.spmm(X, fingerprint=fingerprint, deadline_s=1e-9)
+                plain = client.spmm(X, fingerprint=fingerprint)
+        assert rushed["status"] == STATUS_DEADLINE_EXCEEDED
+        assert rushed["rung"] != "full"  # its budget-0 build degraded
+        assert plain["status"] == STATUS_OK
+        assert plain["degraded"] is False and plain["rung"] == "full"
+        assert plain["provenance"] == ["full: ok"]
+        np.testing.assert_array_equal(ServeClient.result_array(plain), spmm(csr, X))
 
 
 @pytest.fixture()

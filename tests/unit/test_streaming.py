@@ -13,7 +13,7 @@ from repro.observability import Tracer, tracing
 from repro.planstore import PlanStore
 from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import ResiliencePolicy
-from repro.sparse import COOMatrix, CSRMatrix
+from repro.sparse import CSRMatrix
 from repro.streaming import (
     DeltaBatch,
     StreamingPlan,
@@ -430,36 +430,3 @@ class TestSessionRefresh:
         assert out.shape == (5, 2)
         np.testing.assert_array_equal(out[4], [1.0, 1.0])
         session.close()
-
-
-class TestSessionMemoStaleness:
-    def test_set_delta_gets_a_fresh_session(self):
-        """Regression: the session memo was keyed on the pattern-only plan
-        key, so a value-only (``mode="set"``) delta kept serving the old
-        values through the memoised session."""
-        m = small_matrix()
-        store = PlanStore()
-        cfg = ReorderConfig(panel_height=2)
-        x = np.eye(m.n_cols)
-        before = store.session(m, cfg).run(x).copy()
-        delta = DeltaBatch(
-            rows=np.array([0]), cols=np.array([0]), values=np.array([9.0]),
-            mode="set",
-        )
-        mutated = delta.apply_to(m)  # identical pattern, new values
-        after = store.session(mutated, cfg).run(x)
-        np.testing.assert_array_equal(before[0, 0], 1.0)
-        np.testing.assert_array_equal(after[0, 0], 9.0)
-
-    def test_invalidate_sessions_by_matrix_and_wholesale(self):
-        store = PlanStore()
-        cfg = ReorderConfig(panel_height=2)
-        a = small_matrix()
-        b = COOMatrix.from_arrays(
-            (2, 2), np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0])
-        ).to_csr()
-        store.session(a, cfg)
-        store.session(b, cfg)
-        assert store.invalidate_sessions(a, cfg) == 1
-        assert store.invalidate_sessions(a, cfg) == 0  # already gone
-        assert store.invalidate_sessions() == 1  # b, wholesale clear
