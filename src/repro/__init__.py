@@ -7,7 +7,8 @@ the sparse matrix** so that rows with similar column sets become
 neighbours, letting Adaptive Sparse Tiling (ASpT) capture far more
 non-zeros in shared-memory-friendly dense tiles and improving L2 temporal
 locality for the remainder.  The reordering is computed with MinHash/LSH
-candidate generation plus hierarchical clustering (union–find + max-heap).
+candidate generation plus hierarchical clustering of the candidate pairs
+(paper Alg. 3).
 
 Quick start::
 
@@ -28,7 +29,7 @@ Package map::
 
     repro.sparse      CSR/CSC/COO containers, ops, MatrixMarket I/O
     repro.similarity  Jaccard, MinHash, LSH
-    repro.clustering  union-find, max-heap, Alg. 3 clustering
+    repro.clustering  Alg. 3 hierarchical clustering of rows
     repro.aspt        adaptive sparse tiling
     repro.kernels     functional SpMM/SDDMM kernels
     repro.gpu         P100 memory-hierarchy performance model
@@ -47,7 +48,6 @@ from repro.reorder import (
     ReorderConfig,
     autotune,
     build_plan,
-    reorder_rows,
 )
 from repro.sparse import COOMatrix, CSCMatrix, CSRMatrix, read_matrix_market
 
@@ -66,7 +66,6 @@ __all__ = [
     "ReorderConfig",
     "autotune",
     "build_plan",
-    "reorder_rows",
     "COOMatrix",
     "CSCMatrix",
     "CSRMatrix",

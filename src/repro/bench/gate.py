@@ -7,9 +7,9 @@ Two suites, chosen to cover the two hot paths this library optimises:
     one-shot vs :class:`~repro.kernels.KernelSession`, for both the flat
     CSR kernel and the ASpT tiled kernel.
 ``preproc``
-    The reorder preprocessing pipeline: MinHash signatures, the
-    clustering loop over LSH candidates (the stage the batch-scored
-    rewrite targets) and an end-to-end :func:`~repro.reorder.build_plan`.
+    The reorder preprocessing pipeline: MinHash signatures, the Alg. 3
+    clustering loop over LSH candidates (:func:`~repro.clustering.cluster_rows`)
+    and an end-to-end :func:`~repro.reorder.build_plan`.
 
 Each suite produces a ``BENCH_<name>.json`` document::
 
@@ -275,9 +275,9 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
             metrics["cluster"]["alloc_peak_bytes"],
         ),
     }
-    # Reference medians measured on the pre-rewrite implementations (same
-    # machine, same workload, commit 5539229) — kept so the trajectory
-    # file records the speedup the batch-scored rewrite bought.  This is
+    # Reference medians measured at commit 5539229 (same machine, same
+    # workload), before preprocessing was first optimised — kept so the
+    # trajectory file records the speedup since.  This is
     # an *absolute* cross-machine reference, so it lives under
     # ``reference`` (informational), not ``speedups`` (gated): a slower
     # CI runner must not fail the gate for taking longer than the

@@ -1,22 +1,10 @@
-"""Hierarchical-clustering substrate for row reordering (paper Alg. 3).
+"""Hierarchical clustering of rows for reordering (paper Alg. 3).
 
-:mod:`repro.clustering.union_find` is the cluster forest with the paper's
-path-halving optimisation; :mod:`repro.clustering.heap` the indexed binary
-max-heap holding candidate-pair similarities; :mod:`repro.clustering.hierarchical`
-the clustering loop itself; and :mod:`repro.clustering.ordering` turns a
-finished forest into a row permutation.
+:func:`cluster_rows` runs the whole algorithm — the merge loop over
+candidate pairs and the epilogue that turns the finished forest into a row
+permutation — and returns a :class:`ClusteringResult`.
 """
 
-from repro.clustering.heap import MaxHeap
 from repro.clustering.hierarchical import ClusteringResult, cluster_rows
-from repro.clustering.ordering import clusters_from_forest, order_from_clusters
-from repro.clustering.union_find import UnionFind
 
-__all__ = [
-    "MaxHeap",
-    "ClusteringResult",
-    "cluster_rows",
-    "clusters_from_forest",
-    "order_from_clusters",
-    "UnionFind",
-]
+__all__ = ["ClusteringResult", "cluster_rows"]

@@ -2,7 +2,7 @@
 
 The algorithm maintains a union–find forest whose roots are the
 *representing rows* of the clusters, and a max-heap of candidate pairs keyed
-by exact Jaccard similarity:
+by exact similarity (ties broken by ``(i, j)`` ascending):
 
 1. Pop the most similar pair ``(i, j)``.
 2. If both are representing rows, merge the smaller cluster into the larger
@@ -10,47 +10,36 @@ by exact Jaccard similarity:
    size reaches ``threshold_size`` is *retired* (the paper's ``deleted``
    flag): its rows will be emitted but it takes no further merges —
    bounding cluster size to roughly the ASpT row-panel working set.
-3. Otherwise chase both ids to their representatives and, if they belong to
-   different live clusters and the pair is new, push the representatives'
-   similarity back onto the heap.
+3. Otherwise chase both ids to their representatives (with the path
+   halving of lines 7–10) and, if they belong to different live clusters
+   and the pair is new, score the representatives' similarity right away
+   and push it back onto the heap (line 28).
 4. Stop when the heap is empty or no live cluster remains; emit rows
    cluster-by-cluster (clusters ordered by their smallest original row id,
    rows ascending within a cluster), matching the paper's Fig. 6 example
    which returns ``[0, 2, 4, 1, 3, 5]``.
 
+One deliberate deviation from the pseudocode: Alg. 3 never updates
+``cluster_sz`` after a merge, which would make the size threshold dead code
+and the "merge smaller into larger" rule meaningless.  The accompanying
+complexity analysis assumes maintained sizes, so the loop keeps
+``size[root]`` current on every merge.
+
 Complexity (paper §3.2): ``O(E log N + (N + E) log E + N)`` for ``N`` rows
 and ``E`` candidate pairs — near ``O(N log N)`` when ``E = O(N)``.
 
-Implementation notes (hot path).  All candidate similarities arrive
-pre-scored in one vectorised :func:`~repro.similarity.similarity_for_pairs`
-pass (:meth:`repro.similarity.LSHIndex.candidate_pairs`).  The requeued
-representative pairs of step 3 — the only scoring left inside the loop —
-are *batch-scored*: instead of one Python-level similarity call per pair,
-requeue requests accumulate in a pending list and are scored with a single
-NumPy call when the loop is about to need one of them.  The flush point is
-exact, not heuristic: each pending pair carries a cheap upper bound on its
-similarity (``measure`` evaluated with the intersection replaced by the
-smaller support size — e.g. ``min(|A|,|B|) / max(|A|,|B|)`` for Jaccard),
-and the batch is scored the moment the heap's top similarity falls to or
-below the largest pending bound (or the heap empties).  Until then every
-pending pair provably orders after the heap top (IEEE rounding is
-monotone, and ties are impossible below a *strict* bound), so the pop
-sequence — including tie-breaking — is identical to scoring eagerly.
-When a flush drains a single pair (common on matrices with uniform row
-lengths, where the upper bound is vacuous and every requeue flushes
-immediately), the batch call's fixed cost is skipped and the pair is
-scored with a scalar set-intersection path computing the *same*
-correctly-rounded IEEE value as :func:`similarity_for_pairs` — double
-division and ``sqrt`` of exactly representable integers are deterministic,
-so the two paths are bitwise interchangeable.  The
-loop itself consumes the (static) initial candidates from one presorted
-stream — only requeued pairs live on a real heap, merged with the stream
-by key — and keeps union–find state in Python lists (same path-halving
-updates as :class:`~repro.clustering.UnionFind`, which profiling showed
-dominating preprocessing through per-call indirection);
-the forest is rebuilt as a :class:`~repro.clustering.UnionFind` afterwards
-for the ordering helpers.  Outputs are identical — asserted against the
-Fig. 6 oracle and the property suite.
+Implementation notes.  The initial candidates arrive pre-scored from one
+vectorised :func:`~repro.similarity.similarity_for_pairs` pass
+(:meth:`repro.similarity.LSHIndex.candidate_pairs`); they are static, so
+they are sorted once by the heap key and consumed as a stream, and only
+requeued pairs live on a real heap, merged with the stream by key.  A
+requeued pair is scored eagerly from the two rows' column supports
+(frozensets, built once per representative) by :func:`_scalar_score`,
+which computes the same correctly-rounded IEEE value as
+:func:`similarity_for_pairs`.  The epilogue (lines 30–34) runs in
+whole-array passes: pointer-jump the parent array to its roots, take
+each cluster's smallest row from :func:`numpy.unique`, and one stable
+sort on it emits the order.
 """
 
 from __future__ import annotations
@@ -61,8 +50,6 @@ from math import sqrt
 
 import numpy as np
 
-from repro.clustering.ordering import clusters_from_forest, order_from_clusters
-from repro.clustering.union_find import UnionFind
 from repro.errors import ValidationError
 from repro.observability.metrics import METRICS
 from repro.resilience.faults import fault_point
@@ -71,44 +58,6 @@ from repro.sparse.csr import CSRMatrix
 from repro.util.validation import check_positive
 
 __all__ = ["ClusteringResult", "cluster_rows"]
-
-
-def _upper_bound_fn(measure: str, row_lengths: list):
-    """Per-pair similarity upper bound (intersection -> ``min(|A|, |B|)``).
-
-    Every measure in :data:`repro.similarity.MEASURES` is monotone in the
-    intersection size, so substituting its maximum possible value bounds
-    the similarity from above; IEEE division is monotone, so the bound
-    holds for the computed floats too, which is what the batch-flush
-    ordering proof needs.
-    """
-    if measure == "jaccard":
-
-        def bound(i: int, j: int) -> float:
-            la, lb = row_lengths[i], row_lengths[j]
-            mn, mx = (la, lb) if la <= lb else (lb, la)
-            return mn / mx if mx else 0.0
-
-    elif measure == "cosine":
-
-        def bound(i: int, j: int) -> float:
-            la, lb = row_lengths[i], row_lengths[j]
-            mn = la if la <= lb else lb
-            return mn / sqrt(la * lb) if mn else 0.0
-
-    elif measure == "overlap":
-
-        def bound(i: int, j: int) -> float:
-            return 1.0 if row_lengths[i] and row_lengths[j] else 0.0
-
-    else:  # dice
-
-        def bound(i: int, j: int) -> float:
-            la, lb = row_lengths[i], row_lengths[j]
-            mn = la if la <= lb else lb
-            return 2.0 * mn / (la + lb) if mn else 0.0
-
-    return bound
 
 
 def _scalar_score(measure: str, inter: int, la: int, lb: int) -> float:
@@ -122,7 +71,7 @@ def _scalar_score(measure: str, inter: int, la: int, lb: int) -> float:
         denom = la + lb - inter
         return inter / denom if denom else 0.0
     if measure == "cosine":
-        # Match the batch path exactly: float64 product, then sqrt.
+        # Match the vectorised path exactly: float64 product, then sqrt.
         denom = sqrt(float(la) * float(lb))
         return inter / denom if denom else 0.0
     if measure == "overlap":
@@ -183,7 +132,8 @@ def cluster_rows(
         The matrix whose rows are clustered (needed to score re-queued
         representative pairs with exact Jaccard).
     pairs:
-        ``(E, 2)`` int64 candidate pairs (from :class:`repro.similarity.LSHIndex`).
+        ``(E, 2)`` int64 candidate pairs (from :class:`repro.similarity.LSHIndex`),
+        every index in ``[0, csr.n_rows)``.
     sims:
         Exact Jaccard similarity of each candidate pair.
     threshold_size:
@@ -208,13 +158,15 @@ def cluster_rows(
         raise ValidationError(f"pairs must have shape (E, 2), got {pairs.shape}")
     if sims.size != pairs.shape[0]:
         raise ValidationError("pairs and sims must have equal length")
+    n = csr.n_rows
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValidationError(f"pair indices must lie in [0, {n})")
     threshold_size = check_positive("threshold_size", threshold_size)
     fault_point("clustering.cluster")
     if measure not in ("jaccard", "cosine", "overlap", "dice"):
         # Fail before the loop with the standard message.
         similarity_for_pairs(csr, np.empty((0, 2), dtype=np.int64), measure)
 
-    n = csr.n_rows
     parent = list(range(n))
     size = [1] * n
     deleted = bytearray(n)
@@ -225,8 +177,8 @@ def cluster_rows(
     # consumed as a stream.  Only *requeued* pairs, which arrive while the
     # loop runs, need a real heap — and there are few of them (Alg. 3
     # requeues once per survived representative collision), so its pops
-    # stay cheap.  Every key is distinct (the seen-set dedups pairs and
-    # the key embeds the pair), hence the min-merge of stream and requeue
+    # stay cheap.  A requeued key never equals a stream key (the seen-set
+    # holds every stream pair), hence the min-merge of stream and requeue
     # heap pops in exactly the order one big heap would.
     order0 = np.lexsort((pairs[:, 1], pairs[:, 0], -sims))
     stream_s = (-sims)[order0].tolist()
@@ -240,13 +192,8 @@ def cluster_rows(
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     seen.update((lo * np.int64(n) + hi).tolist())
 
+    # Column supports of requeued representatives, built on first use.
     lens = csr.row_lengths().tolist()
-    bound = _upper_bound_fn(measure, lens)
-    pending: list[tuple[int, int]] = []
-    pending_bound = -1.0  # max upper bound over pending pairs
-
-    # Lazily built column supports for the single-pair scoring path.  Only
-    # requeued representatives land here, so the cache stays small.
     colidx = csr.colidx
     rowptr = csr.rowptr
     row_sets: dict[int, frozenset] = {}
@@ -254,54 +201,14 @@ def cluster_rows(
     n_merges = 0
     n_retired = 0
     n_requeued = 0
-    n_scored = 0
     iters = 0
 
-    while live_clusters > 0 and (spos < send or rq or pending):
+    while live_clusters > 0 and (spos < send or rq):
         # Poll the deadline between complete merge steps, amortised so the
         # common deadline-free path pays one compare per iteration.
         iters += 1
         if deadline is not None and not iters & 4095:
             deadline.check("cluster")
-        if pending:
-            if spos < send:
-                top_neg = stream_s[spos]
-                if rq and rq[0][0] < top_neg:
-                    top_neg = rq[0][0]
-            elif rq:
-                top_neg = rq[0][0]
-            else:
-                top_neg = None
-            if top_neg is None or pending_bound >= -top_neg:
-                if len(pending) == 1:
-                    # Degenerate batch: score the lone pair with C-level
-                    # set intersection instead of paying the batch call's
-                    # fixed cost (same IEEE value — see _scalar_score).
-                    a, b = pending[0]
-                    sa = row_sets.get(a)
-                    if sa is None:
-                        sa = frozenset(colidx[rowptr[a] : rowptr[a + 1]].tolist())
-                        row_sets[a] = sa
-                    sb = row_sets.get(b)
-                    if sb is None:
-                        sb = frozenset(colidx[rowptr[b] : rowptr[b + 1]].tolist())
-                        row_sets[b] = sb
-                    s = _scalar_score(measure, len(sa & sb), lens[a], lens[b])
-                    heappush(rq, (-s, a, b))
-                    n_scored += 1
-                else:
-                    # Batch-score the drained requeue requests with one
-                    # NumPy call and fold them into the requeue heap
-                    # before the order can need them.
-                    scores = similarity_for_pairs(
-                        csr, np.array(pending, dtype=np.int64), measure
-                    )
-                    for (a, b), s in zip(pending, scores.tolist()):
-                        heappush(rq, (-s, a, b))
-                    n_scored += len(pending)
-                pending.clear()
-                pending_bound = -1.0
-                continue
         # Pop the smaller of (stream head, requeue-heap top) — with all
         # keys distinct this merges into the single-heap pop sequence.
         if spos < send and (
@@ -332,7 +239,7 @@ def cluster_rows(
                 n_retired += 1
                 live_clusters -= 1
         else:
-            # Path-halving root chase (UnionFind.root, inlined).
+            # Path-halving root chase (Alg. 3 lines 7-10).
             ri = i
             while parent[ri] != ri:
                 parent[ri] = parent[parent[ri]]
@@ -347,33 +254,41 @@ def cluster_rows(
             key = a * n + b
             if key not in seen:
                 seen.add(key)
-                pending.append((a, b))
-                ub = bound(a, b)
-                if ub > pending_bound:
-                    pending_bound = ub
+                sa = row_sets.get(a)
+                if sa is None:
+                    sa = frozenset(colidx[rowptr[a] : rowptr[a + 1]].tolist())
+                    row_sets[a] = sa
+                sb = row_sets.get(b)
+                if sb is None:
+                    sb = frozenset(colidx[rowptr[b] : rowptr[b + 1]].tolist())
+                    row_sets[b] = sb
+                s = _scalar_score(measure, len(sa & sb), lens[a], lens[b])
+                heappush(rq, (-s, a, b))
                 n_requeued += 1
 
     # One registry update per call (not per merge) keeps the loop lock-free.
     METRICS.counter(
         "clustering.pairs_scored", "similarity evaluations during clustering"
-    ).inc(n_scored)
+    ).inc(n_requeued)
     METRICS.counter(
-        "clustering.heap_requeues", "requeued representative collisions re-scored"
+        "clustering.heap_requeues", "requeued representative pairs (Alg. 3 line 28)"
     ).inc(n_requeued)
 
-    forest = UnionFind(n)
-    forest.parent[:] = parent
-    forest.size[:] = size
-    forest.n_sets = n - n_merges
-    clusters = clusters_from_forest(forest)
-    order = order_from_clusters(clusters, n)
-    cluster_of = np.empty(n, dtype=np.int64)
-    for root, members in clusters.items():
-        cluster_of[members] = root
+    # Epilogue (lines 30-34) in whole-array passes.  Pointer jumping ends at
+    # the roots; ``first`` is each cluster's smallest row, so a stable sort
+    # on it emits clusters by smallest row with rows ascending inside each.
+    roots = np.array(parent, dtype=np.int64)
+    while True:
+        up = roots[roots]
+        if np.array_equal(up, roots):
+            break
+        roots = up
+    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+    order = np.argsort(first[inverse], kind="stable").astype(np.int64, copy=False)
     return ClusteringResult(
         order=order,
-        cluster_of=cluster_of,
-        n_clusters=len(clusters),
+        cluster_of=roots,
+        n_clusters=int(first.size),
         n_merges=n_merges,
         n_retired=n_retired,
         n_requeued=n_requeued,

@@ -39,7 +39,7 @@ Instrument catalogue (see ``docs/OBSERVABILITY.md``):
 ``gpu.l2_hits``                  modelled L2 hits
 ``gpu.shm_bytes``                bytes staged through shared memory
 ``clustering.pairs_scored``      similarity evaluations during clustering
-``clustering.heap_requeues``     stale heap entries re-scored
+``clustering.heap_requeues``     requeued representative pairs (Alg. 3 line 28)
 ``retry.sleep_s``                histogram of seconds slept between retries
 ``serve.requests/errors``        protocol requests handled / answered error
 ``serve.admitted``               requests past admission control

@@ -23,7 +23,6 @@ from repro.reorder.pipeline import (
     ReorderConfig,
     attach_backend,
     build_plan,
-    reorder_rows,
 )
 from repro.reorder.autotune import AutotuneResult, autotune
 from repro.reorder.online import OnlineReorderer
@@ -36,7 +35,6 @@ __all__ = [
     "PlanStats",
     "ReorderConfig",
     "build_plan",
-    "reorder_rows",
     "attach_backend",
     "AutotuneResult",
     "autotune",

@@ -75,7 +75,6 @@ __all__ = [
     "PlanStats",
     "ExecutionPlan",
     "build_plan",
-    "reorder_rows",
     "attach_backend",
 ]
 
@@ -240,10 +239,8 @@ class ExecutionPlan:
     revision:
         Streaming update counter: 0 for a freshly built plan, bumped by
         one each time :func:`repro.streaming.apply_delta` produces the
-        plan's successor.  Session memos and serve pools key on it so a
-        successor — whose *pattern* fingerprint is unchanged when only
-        values drifted — can never be served through a stale session
-        pinned on the predecessor's data.
+        plan's successor.  :attr:`repro.streaming.StreamingPlan.revision`
+        reports it.
     """
 
     original: CSRMatrix
@@ -494,23 +491,6 @@ def attach_backend(
     return replace(
         plan, backend=loaded.backend, backend_provenance=loaded.provenance
     )
-
-
-@checked(validates("csr"))
-def reorder_rows(csr: CSRMatrix, config: ReorderConfig | None = None) -> np.ndarray:
-    """One round of LSH + clustering row reordering (paper Alg. 3).
-
-    Returns the permutation (new position -> original row).  This is the
-    bare reordering primitive; most callers want :func:`build_plan`.
-    """
-    config = config or ReorderConfig()
-    pairs, sims = config.lsh_index().candidate_pairs(csr)
-    result = cluster_rows(
-        csr, pairs, sims,
-        threshold_size=config.threshold_size,
-        measure=config.measure,
-    )
-    return result.order
 
 
 @checked(validates("csr"))

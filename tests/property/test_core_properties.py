@@ -1,61 +1,90 @@
 """Hypothesis property tests for clustering, tiling, cache and the pipeline."""
 
+import heapq
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.aspt import tile_matrix
-from repro.clustering import MaxHeap, UnionFind, cluster_rows
+from repro.clustering import cluster_rows
 from repro.gpu.cache import approx_lru_hits, lru_hits, set_associative_hits
 from repro.kernels import sddmm, spmm
 from repro.reorder import ReorderConfig, build_plan
+from repro.similarity import similarity_for_pairs
 
 from test_sparse_properties import csr_matrices
 
 
-class TestUnionFindProperties:
-    @given(st.integers(1, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60))
-    def test_sizes_partition(self, n, unions):
-        uf = UnionFind(n)
-        for i, j in unions:
-            if i < n and j < n:
-                uf.union_by_size(i, j)
-        roots = {uf.root(i) for i in range(n)}
-        assert sum(int(uf.size[r]) for r in roots) == n
-        assert len(roots) == uf.n_sets
+def alg3_oracle(csr, pairs, sims, threshold_size, measure):
+    """Paper Alg. 3 as written: one heap of every candidate, each requeued
+    pair scored on its own, and a dict epilogue."""
+    n = csr.n_rows
+    heap = [(-s, i, j) for (i, j), s in zip(pairs.tolist(), sims.tolist())]
+    heapq.heapify(heap)
+    seen = {(min(i, j), max(i, j)) for i, j in pairs.tolist()}
+    parent, size, deleted = list(range(n)), [1] * n, [False] * n
+    live, merges, retired, requeued = n, 0, 0, 0
 
-    @given(st.integers(1, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60))
-    def test_root_is_idempotent(self, n, unions):
-        uf = UnionFind(n)
-        for i, j in unions:
-            if i < n and j < n:
-                uf.union_by_size(i, j)
-        for i in range(n):
-            r = uf.root(i)
-            assert uf.root(r) == r
+    def root(r):
+        while parent[r] != r:
+            r = parent[r]
+        return r
+
+    while heap and live:
+        _, i, j = heapq.heappop(heap)
+        if parent[i] == i and parent[j] == j:
+            if deleted[i] or deleted[j] or i == j:
+                continue
+            # The smaller cluster joins the larger; a tie keeps the smaller row.
+            smaller_i = size[i] < size[j] or (size[i] == size[j] and j < i)
+            child, rep = (i, j) if smaller_i else (j, i)
+            parent[child] = rep
+            size[rep] += size[child]
+            live, merges = live - 1, merges + 1
+            if size[rep] >= threshold_size:
+                deleted[rep] = True
+                live, retired = live - 1, retired + 1
+            continue
+        a, b = sorted((root(i), root(j)))
+        if deleted[a] or deleted[b] or a == b or (a, b) in seen:
+            continue
+        seen.add((a, b))
+        s = similarity_for_pairs(csr, np.array([[a, b]]), measure)[0]
+        heapq.heappush(heap, (-s, a, b))
+        requeued += 1
+    clusters = {}
+    for r in range(n):
+        clusters.setdefault(root(r), []).append(r)
+    order = [r for members in sorted(clusters.values()) for r in members]
+    cluster_of = [root(r) for r in range(n)]
+    return order, cluster_of, len(clusters), merges, retired, requeued
 
 
-class TestHeapProperties:
-    @given(st.lists(st.floats(0, 1, allow_nan=False), max_size=200))
-    def test_pops_sorted_descending(self, sims):
-        h = MaxHeap()
-        for k, s in enumerate(sims):
-            h.push(s, k, k + 1)
-        out = [h.pop()[0] for _ in range(len(sims))]
-        assert out == sorted(sims, reverse=True)
-
+class TestAlg3Oracle:
     @given(
-        hnp.arrays(np.float64, st.integers(0, 100), elements=st.floats(0, 1)),
+        csr_matrices(),
+        st.sampled_from(["jaccard", "cosine", "overlap", "dice"]),
+        st.sampled_from([1, 2, 4, 256]),
+        st.integers(0, 2**32 - 1),
     )
-    def test_bulk_build_equals_incremental(self, sims):
-        bulk = MaxHeap.from_arrays(sims, np.arange(sims.size), np.arange(sims.size))
-        inc = MaxHeap()
-        for k, s in enumerate(sims):
-            inc.push(float(s), k, k)
-        a = [bulk.pop()[0] for _ in range(sims.size)]
-        b = [inc.pop()[0] for _ in range(sims.size)]
-        assert a == b
+    @settings(max_examples=200, deadline=None)
+    def test_cluster_rows_matches_the_oracle(self, csr, measure, threshold_size, seed):
+        # A random subset of all row pairs, some reversed and some repeated,
+        # so that merges leave representative pairs to requeue.
+        rng = np.random.default_rng(seed)
+        n = csr.n_rows
+        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
+        pairs = pairs.reshape(-1, 2)[rng.random(len(pairs)) < 0.5]
+        pairs = np.where(rng.random((len(pairs), 1)) < 0.5, pairs[:, ::-1], pairs)
+        pairs = np.concatenate([pairs, pairs[: rng.integers(0, len(pairs) + 1)]])
+        sims = similarity_for_pairs(csr, pairs, measure)
+        got = cluster_rows(csr, pairs, sims, threshold_size=threshold_size, measure=measure)
+        assert (
+            got.order.tolist(), got.cluster_of.tolist(), got.n_clusters,
+            got.n_merges, got.n_retired, got.n_requeued,
+        ) == alg3_oracle(csr, pairs, sims, threshold_size, measure)
 
 
 class TestCacheProperties:

@@ -1,140 +1,10 @@
-"""Unit tests for repro.clustering (union-find, heap, Alg. 3)."""
+"""Unit tests for repro.clustering (paper Alg. 3)."""
 
 import numpy as np
 import pytest
 
-from repro.clustering import (
-    ClusteringResult,
-    MaxHeap,
-    UnionFind,
-    cluster_rows,
-    clusters_from_forest,
-    order_from_clusters,
-)
+from repro.clustering import ClusteringResult, cluster_rows
 from repro.errors import ValidationError
-
-
-class TestUnionFind:
-    def test_initial_state(self):
-        uf = UnionFind(4)
-        assert len(uf) == 4
-        assert uf.n_sets == 4
-        assert all(uf.is_root(i) for i in range(4))
-
-    def test_union_by_size_smaller_into_larger(self):
-        uf = UnionFind(5)
-        uf.union_by_size(0, 1)  # {0,1} rooted at 0 (tie -> smaller index)
-        assert uf.root(1) == 0
-        uf.union_by_size(2, 3)  # {2,3} rooted at 2
-        r = uf.union_by_size(1, 2)  # equal sizes -> smaller root wins
-        assert r == 0
-        assert uf.root(3) == 0
-        assert uf.size[0] == 4
-        assert uf.n_sets == 2
-
-    def test_larger_cluster_root_survives(self):
-        uf = UnionFind(5)
-        uf.union_by_size(3, 4)  # {3,4} rooted at 3
-        uf.union_by_size(3, 2)  # size 2 vs 1 -> root stays 3
-        assert uf.root(2) == 3
-        r = uf.union_by_size(0, 3)  # {0} size 1 into {2,3,4} size 3
-        assert r == 3
-
-    def test_union_same_set_noop(self):
-        uf = UnionFind(3)
-        uf.union_by_size(0, 1)
-        before = uf.n_sets
-        assert uf.union_by_size(0, 1) == uf.root(0)
-        assert uf.n_sets == before
-
-    def test_merge_roots_rejects_non_roots(self):
-        uf = UnionFind(3)
-        uf.union_by_size(0, 1)
-        with pytest.raises(ValueError):
-            uf.merge_roots(1, 2)  # 1 is no longer a root
-
-    def test_merge_roots_rejects_self_merge(self):
-        uf = UnionFind(3)
-        with pytest.raises(ValueError):
-            uf.merge_roots(1, 1)
-
-    def test_path_halving_preserves_roots(self):
-        uf = UnionFind(50)
-        for i in range(1, 50):
-            uf.union_by_size(0, i)
-        assert all(uf.root(i) == 0 for i in range(50))
-        assert uf.size[0] == 50
-        assert uf.n_sets == 1
-
-    def test_members(self):
-        uf = UnionFind(4)
-        uf.union_by_size(0, 2)
-        m = uf.members()
-        assert m[0] == [0, 2]
-        assert m[1] == [1]
-
-
-class TestMaxHeap:
-    def test_push_pop_ordering(self):
-        h = MaxHeap()
-        h.push(0.3, 1, 2)
-        h.push(0.9, 0, 3)
-        h.push(0.5, 4, 5)
-        assert h.pop() == (0.9, 0, 3)
-        assert h.pop() == (0.5, 4, 5)
-        assert h.pop() == (0.3, 1, 2)
-
-    def test_empty_pop_raises(self):
-        with pytest.raises(IndexError):
-            MaxHeap().pop()
-        with pytest.raises(IndexError):
-            MaxHeap().peek()
-
-    def test_peek_does_not_remove(self):
-        h = MaxHeap()
-        h.push(1.0, 0, 1)
-        assert h.peek() == (1.0, 0, 1)
-        assert len(h) == 1
-
-    def test_tie_break_deterministic(self):
-        h = MaxHeap()
-        h.push(0.5, 3, 4)
-        h.push(0.5, 1, 2)
-        h.push(0.5, 1, 0)
-        assert h.pop() == (0.5, 1, 0)
-        assert h.pop() == (0.5, 1, 2)
-        assert h.pop() == (0.5, 3, 4)
-
-    def test_growth_beyond_capacity(self):
-        h = MaxHeap(capacity=2)
-        for k in range(100):
-            h.push(float(k), k, k + 1)
-        assert len(h) == 100
-        out = [h.pop()[0] for _ in range(100)]
-        assert out == sorted(out, reverse=True)
-
-    def test_from_arrays_heapifies(self):
-        sims = np.array([0.1, 0.9, 0.4, 0.7])
-        h = MaxHeap.from_arrays(sims, np.arange(4), np.arange(4) + 10)
-        assert h.pop() == (0.9, 1, 11)
-        assert len(h) == 3
-
-    def test_from_arrays_length_mismatch(self):
-        with pytest.raises(ValueError):
-            MaxHeap.from_arrays(np.zeros(2), np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64))
-
-    def test_bool(self):
-        h = MaxHeap()
-        assert not h
-        h.push(0.5, 0, 1)
-        assert h
-
-    def test_random_sequence_matches_sorted(self):
-        rng = np.random.default_rng(0)
-        sims = rng.random(500)
-        h = MaxHeap.from_arrays(sims, np.arange(500), np.arange(500))
-        popped = [h.pop()[0] for _ in range(500)]
-        np.testing.assert_allclose(popped, np.sort(sims)[::-1])
 
 
 class TestClusterRows:
@@ -194,37 +64,27 @@ class TestClusterRows:
         result = cluster_rows(paper_matrix, pairs, sims)
         assert result.n_merges == 1
 
+    def test_negative_pair_index_rejected(self, paper_matrix):
+        # Python list indexing would wrap -1 to the last row and merge it.
+        with pytest.raises(ValidationError):
+            cluster_rows(paper_matrix, np.array([[-1, 0]]), np.array([0.5]))
+
+    def test_pair_index_past_last_row_rejected(self, paper_matrix):
+        with pytest.raises(ValidationError):
+            cluster_rows(paper_matrix, np.array([[0, 6]]), np.array([0.5]))
+
     def test_result_type(self, paper_matrix):
         result = cluster_rows(paper_matrix, np.array([[0, 4]]), np.array([0.5]))
         assert isinstance(result, ClusteringResult)
 
 
-class TestOrdering:
-    def test_clusters_from_forest_ordering(self):
-        uf = UnionFind(6)
-        uf.union_by_size(4, 2)
-        uf.union_by_size(5, 1)
-        clusters = clusters_from_forest(uf)
-        keys = [members[0] for members in clusters.values()]
-        assert keys == sorted(keys)
-        all_members = np.concatenate(list(clusters.values()))
-        assert sorted(all_members.tolist()) == list(range(6))
-
-    def test_order_from_clusters_identity_when_empty(self):
-        assert order_from_clusters({}, 4).tolist() == [0, 1, 2, 3]
-
-    def test_order_from_clusters_wrong_cover(self):
-        with pytest.raises(ValueError):
-            order_from_clusters({0: np.array([0, 1])}, 4)
-
-
 class TestBatchScoringInternals:
-    """Invariants the batch-scored rewrite of Alg. 3 relies on."""
+    """Invariants of the requeued-pair scoring path."""
 
     @staticmethod
     def _random_matrix(rng, n_rows=24, n_cols=40):
-        # Deliberately varied row lengths so the measure upper bounds are
-        # non-trivial (< 1.0) and requeued pairs can accumulate in batches.
+        # Deliberately varied row lengths, so the measures' denominators
+        # differ from pair to pair.
         dense = np.zeros((n_rows, n_cols))
         for i in range(n_rows):
             k = int(rng.integers(1, 1 + min(n_cols, 2 + 3 * (i % 7))))
@@ -253,22 +113,6 @@ class TestBatchScoringInternals:
             inter = len(supports[i] & supports[j])
             got = _scalar_score(measure, inter, len(supports[i]), len(supports[j]))
             assert got == want  # bitwise, not approximate
-
-    @pytest.mark.parametrize("measure", ["jaccard", "cosine", "overlap", "dice"])
-    def test_upper_bound_is_admissible(self, rng, measure):
-        from repro.clustering.hierarchical import _upper_bound_fn
-        from repro.similarity import similarity_for_pairs
-
-        csr = self._random_matrix(rng)
-        lens = csr.row_lengths().tolist()
-        bound = _upper_bound_fn(measure, lens)
-        pairs = np.array(
-            [[i, j] for i in range(csr.n_rows) for j in range(i + 1, csr.n_rows)],
-            dtype=np.int64,
-        )
-        sims = similarity_for_pairs(csr, pairs, measure)
-        for (i, j), s in zip(pairs.tolist(), sims.tolist()):
-            assert bound(i, j) >= s
 
     @pytest.mark.parametrize("measure", ["jaccard", "dice"])
     def test_requeue_path_is_deterministic(self, rng, measure):

@@ -1,0 +1,39 @@
+"""The hand-written docs name only modules, attributes and files that exist."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+DOCS = [ROOT / n for n in ("README.md", "DESIGN.md", "CONTRIBUTING.md", "EXPERIMENTS.md",
+                           "examples/README.md")]
+DOCS += [p for p in sorted((ROOT / "docs").glob("*.md")) if p.name != "API.md"]  # API.md is generated
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for k in range(len(parts), 0, -1):  # longest importable module prefix, then attributes
+        try:
+            obj = importlib.import_module(".".join(parts[:k]))
+        except ImportError:
+            continue
+        for attr in parts[k:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_doc_references_resolve(doc):
+    text = doc.read_text()
+    names = set(re.findall(r"`(repro(?:\.\w+)+)", text))
+    paths = set(re.findall(r"src/repro/[\w/]+\.(?:py|c)\b", text)) | set(
+        re.findall(r"`((?:tests|benchmarks|examples|scripts|perfbench)/[\w/.-]*?\.py)", text)
+    )
+    missing = [n for n in sorted(names) if not _resolves(n)]
+    missing += [p for p in sorted(paths) if not (ROOT / p).is_file()]
+    assert missing == []

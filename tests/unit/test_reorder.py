@@ -18,7 +18,6 @@ from repro.reorder import (
     ReorderConfig,
     autotune,
     build_plan,
-    reorder_rows,
     should_reorder_round1,
     should_reorder_round2,
 )
@@ -97,14 +96,20 @@ class TestHeuristics:
 
 
 class TestReorderRows:
+    """Round 1 forced on: ``row_order`` is Alg. 3's permutation."""
+
+    @staticmethod
+    def _row_order(m, **kw):
+        return build_plan(m, ReorderConfig(force_round1=True, **kw)).row_order
+
     def test_identity_on_diagonal(self):
         m = CSRMatrix.from_dense(np.eye(32))
-        order = reorder_rows(m, ReorderConfig(siglen=32))
+        order = self._row_order(m, siglen=32)
         assert order.tolist() == list(range(32))
 
     def test_recovers_hidden_clusters(self, rng):
         m = clustered_then_shuffled(rng)
-        order = reorder_rows(m, ReorderConfig(siglen=64, threshold_size=64))
+        order = self._row_order(m, siglen=64, threshold_size=64)
         reordered = permute_csr_rows(m, order)
         from repro.similarity import average_consecutive_similarity
 
@@ -114,7 +119,7 @@ class TestReorderRows:
 
     def test_order_is_permutation(self, rng):
         m = random_csr(rng, 50, 40, 0.1)
-        order = reorder_rows(m, ReorderConfig(siglen=32))
+        order = self._row_order(m, siglen=32)
         assert sorted(order.tolist()) == list(range(50))
 
 
