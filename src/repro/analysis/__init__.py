@@ -24,7 +24,7 @@ The runtime complement is :mod:`repro.contracts`, which executes the same
 from repro.analysis.config import DEFAULT_SCOPES, LintConfig, load_config
 from repro.analysis.core import REGISTRY, Finding, ProjectRule, Rule, all_rules
 from repro.analysis.report import render_json, render_text
-from repro.analysis.runner import lint_file, lint_paths, lint_session, lint_source
+from repro.analysis.runner import lint_paths, lint_session, lint_source
 
 __all__ = [
     "Finding",
@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_SCOPES",
     "load_config",
     "lint_paths",
-    "lint_file",
     "lint_source",
     "lint_session",
     "render_text",

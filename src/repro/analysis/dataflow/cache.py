@@ -34,11 +34,6 @@ class CacheStats:
     misses: int = 0  #: files (re-)analysed this session
     dirty: list = field(default_factory=list)  #: displays that were re-analysed
 
-    @property
-    def analyzed(self) -> int:
-        """Alias for :attr:`misses` — the number of files re-analysed."""
-        return self.misses
-
     def to_dict(self) -> dict:
         """JSON-serialisable counter snapshot."""
         return {"hits": self.hits, "misses": self.misses, "dirty": sorted(self.dirty)}

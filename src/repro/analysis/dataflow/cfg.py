@@ -68,14 +68,6 @@ class CFG:
             out[block.id] = seen
         return out
 
-    def preds(self) -> dict[int, list[int]]:
-        """Predecessor map derived from :attr:`Block.succs`."""
-        out: dict[int, list[int]] = {b.id: [] for b in self.blocks}
-        for b in self.blocks:
-            for s in b.succs:
-                out[s].append(b.id)
-        return out
-
 
 class _Builder:
     def __init__(self):

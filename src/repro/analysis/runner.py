@@ -41,7 +41,6 @@ from repro.util.hashing import stable_digest
 
 __all__ = [
     "lint_paths",
-    "lint_file",
     "lint_source",
     "lint_session",
     "iter_python_files",
@@ -215,18 +214,6 @@ def lint_source(
     findings = _file_findings(parsed, config)
     findings.extend(_project_findings({display: parsed}, config))
     return sorted(findings)
-
-
-def lint_file(path, config: LintConfig) -> list[Finding]:
-    """Lint one file on disk (per-file and single-file project rules)."""
-    path = Path(path)
-    source = path.read_text(encoding="utf-8")
-    return lint_source(
-        source,
-        display=display_rel(path, config.root),
-        config=config,
-        module_path=module_rel(path, config.root),
-    )
 
 
 def _load_files(paths, config: LintConfig):

@@ -7,30 +7,16 @@ corresponding dense-operand rows are staged through GPU shared memory, while
 the remaining non-zeros form the *sparse remainder* processed row-wise.
 
 :func:`repro.aspt.tile_matrix` performs the split and returns a
-:class:`repro.aspt.TiledMatrix`; :mod:`repro.aspt.stats` computes the
-dense-ratio statistics that drive both the paper's §4 heuristics and the
-Fig. 9 analysis.
+:class:`repro.aspt.TiledMatrix`, whose
+:attr:`~repro.aspt.TiledMatrix.dense_ratio` is the statistic that drives
+both the paper's §4 round-1 heuristic and the Fig. 9 analysis.
 """
 
-from repro.aspt.column_sort import panel_column_orders
-from repro.aspt.panels import PanelSpec, panel_of_rows, split_into_panels
-from repro.aspt.stats import (
-    TilingStats,
-    dense_ratio,
-    panel_dense_column_histogram,
-    tiling_stats,
-)
+from repro.aspt.panels import PanelSpec
 from repro.aspt.tiles import TiledMatrix, tile_matrix
 
 __all__ = [
     "PanelSpec",
-    "panel_of_rows",
-    "split_into_panels",
-    "panel_column_orders",
     "TiledMatrix",
     "tile_matrix",
-    "TilingStats",
-    "dense_ratio",
-    "tiling_stats",
-    "panel_dense_column_histogram",
 ]

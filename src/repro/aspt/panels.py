@@ -2,20 +2,16 @@
 
 A *panel* is a group of ``panel_height`` consecutive rows.  The panel
 decomposition never moves data — it only defines the scope within which
-column density is evaluated, so the helpers here are pure index arithmetic.
+column density is evaluated, so :class:`PanelSpec` is pure index arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.contracts import checked, validates
-from repro.sparse.csr import CSRMatrix
 from repro.util.validation import check_positive
 
-__all__ = ["PanelSpec", "panel_of_rows", "split_into_panels"]
+__all__ = ["PanelSpec"]
 
 
 @dataclass(frozen=True)
@@ -44,43 +40,3 @@ class PanelSpec:
     def n_panels(self) -> int:
         """``ceil(n_rows / panel_height)`` (0 for an empty matrix)."""
         return -(-self.n_rows // self.panel_height) if self.n_rows else 0
-
-    def panel_of(self, row: int) -> int:
-        """Panel index containing ``row``."""
-        if not 0 <= row < self.n_rows:
-            raise IndexError(f"row {row} out of range for {self.n_rows} rows")
-        return row // self.panel_height
-
-    def rows_of(self, panel: int) -> np.ndarray:
-        """Row indices of ``panel``."""
-        if not 0 <= panel < self.n_panels:
-            raise IndexError(f"panel {panel} out of range for {self.n_panels} panels")
-        lo = panel * self.panel_height
-        hi = min(lo + self.panel_height, self.n_rows)
-        return np.arange(lo, hi, dtype=np.int64)
-
-    def bounds(self, panel: int) -> tuple[int, int]:
-        """Half-open row range ``[lo, hi)`` of ``panel``."""
-        if not 0 <= panel < self.n_panels:
-            raise IndexError(f"panel {panel} out of range for {self.n_panels} panels")
-        lo = panel * self.panel_height
-        return lo, min(lo + self.panel_height, self.n_rows)
-
-
-def panel_of_rows(rows: np.ndarray, panel_height: int) -> np.ndarray:
-    """Vectorised ``row // panel_height``."""
-    check_positive("panel_height", panel_height)
-    return np.asarray(rows, dtype=np.int64) // panel_height
-
-
-@checked(validates("csr"))
-def split_into_panels(csr: CSRMatrix, panel_height: int) -> list[CSRMatrix]:
-    """Materialise each panel as its own CSR sub-matrix.
-
-    This is a convenience for inspection and tests; the tiler itself works
-    on index arrays without materialising panels.
-    """
-    from repro.sparse.ops import extract_rows
-
-    spec = PanelSpec(csr.n_rows, panel_height)
-    return [extract_rows(csr, spec.rows_of(p)) for p in range(spec.n_panels)]

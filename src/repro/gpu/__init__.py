@@ -36,7 +36,6 @@ from repro.gpu.trace import (
     paper_example_access_counts,
 )
 from repro.gpu.costmodel import CostModelConfig, KernelCost
-from repro.gpu.occupancy import OccupancyResult, occupancy
 from repro.gpu.executor import GPUExecutor
 
 __all__ = [
@@ -53,7 +52,5 @@ __all__ = [
     "paper_example_access_counts",
     "CostModelConfig",
     "KernelCost",
-    "OccupancyResult",
-    "occupancy",
     "GPUExecutor",
 ]

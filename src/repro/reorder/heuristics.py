@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.aspt.stats import dense_ratio
-from repro.contracts import checked, validates
+from repro.aspt.tiles import TiledMatrix
+from repro.contracts import checked, invokes
 from repro.similarity.jaccard import average_consecutive_similarity
 from repro.sparse.csr import CSRMatrix
 from repro.util.validation import check_in_range
@@ -50,22 +50,21 @@ class HeuristicDecision:
     threshold: float
 
 
-@checked(validates("csr"))
+@checked(invokes("validate_structure", "tiled"))
 def should_reorder_round1(
-    csr: CSRMatrix,
-    panel_height: int,
-    dense_threshold: int = 2,
+    tiled: TiledMatrix,
     *,
     skip_above: float = 0.10,
 ) -> HeuristicDecision:
     """Round-1 gate: reorder unless the original dense ratio exceeds 10%.
 
+    ``tiled`` is the ASpT split of the *original* (unreordered) matrix.
     The paper (§5.2): "for all matrices that show slowdown after
     row-reordering, the original ratios of nonzeros in the dense tiles are
     greater than 10%. So we set the threshold to 10%."
     """
     skip_above = check_in_range("skip_above", skip_above, 0.0, 1.0)
-    ratio = dense_ratio(csr, panel_height, dense_threshold)
+    ratio = tiled.dense_ratio
     return HeuristicDecision(reorder=ratio <= skip_above, indicator=ratio, threshold=skip_above)
 
 

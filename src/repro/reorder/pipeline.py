@@ -640,12 +640,8 @@ def _build_plan_uncached(
         times, "total"
     ):
         # ---- round 1 gate + reorder -----------------------------------
-        gate1 = should_reorder_round1(
-            csr,
-            config.panel_height,
-            config.dense_threshold,
-            skip_above=config.dense_ratio_skip,
-        )
+        original_tiled = tile_matrix(csr, config.panel_height, config.dense_threshold)
+        gate1 = should_reorder_round1(original_tiled, skip_above=config.dense_ratio_skip)
         do_round1 = (
             gate1.reorder if config.force_round1 is None else config.force_round1
         )
@@ -674,12 +670,15 @@ def _build_plan_uncached(
         if deadline is not None:
             deadline.check("tile")
         with span("tile"), timed(times, "tile"):
-            tiled = tile_matrix(
-                reordered,
-                config.panel_height,
-                config.dense_threshold,
-                max_dense_cols=config.max_dense_cols,
-            )
+            if do_round1 or config.max_dense_cols is not None:
+                tiled = tile_matrix(
+                    reordered,
+                    config.panel_height,
+                    config.dense_threshold,
+                    max_dense_cols=config.max_dense_cols,
+                )
+            else:  # the gate's uncapped split of the original is the plan's
+                tiled = original_tiled
 
         # ---- round 2 gate + reorder of the remainder -------------------
         round2 = None

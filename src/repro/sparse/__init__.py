@@ -1,7 +1,7 @@
 """Sparse-matrix substrate.
 
 From-scratch COO/CSR/CSC containers backed by NumPy arrays, plus structural
-operations (permutation, transpose, slicing), structural statistics and
+operations (permutation, transpose), structural statistics and
 MatrixMarket I/O.  These containers are the currency of the whole library:
 the reordering pipeline consumes and produces :class:`CSRMatrix`, the ASpT
 tiler splits one into a :class:`repro.aspt.TiledMatrix`, and the kernels and
@@ -14,29 +14,22 @@ it appears only in the test suite as an independent oracle.
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ell import ELLMatrix
 from repro.sparse.conversions import (
     coo_to_csr,
     csr_to_coo,
     csr_to_csc,
     csc_to_csr,
-    dense_to_csr,
 )
 from repro.sparse.ops import (
-    extract_columns,
-    extract_rows,
-    hstack_csr,
     permute_csr_columns,
     permute_csr_rows,
     transpose_csr,
-    vstack_csr,
 )
 from repro.sparse.properties import (
     bandwidth,
     column_counts,
     density,
     nnz_per_row,
-    row_support,
     structural_summary,
 )
 from repro.sparse.io import read_matrix_market, write_matrix_market
@@ -44,25 +37,18 @@ from repro.sparse.io import read_matrix_market, write_matrix_market
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
-    "ELLMatrix",
     "CSCMatrix",
     "coo_to_csr",
     "csr_to_coo",
     "csr_to_csc",
     "csc_to_csr",
-    "dense_to_csr",
-    "extract_columns",
-    "extract_rows",
-    "hstack_csr",
     "permute_csr_columns",
     "permute_csr_rows",
     "transpose_csr",
-    "vstack_csr",
     "bandwidth",
     "column_counts",
     "density",
     "nnz_per_row",
-    "row_support",
     "structural_summary",
     "read_matrix_market",
     "write_matrix_market",

@@ -1,4 +1,4 @@
-"""Conversions between sparse formats (and dense).
+"""Conversions between sparse formats.
 
 All conversions are fully vectorised: the COO->CSR path is a stable lexsort
 followed by a duplicate-collapsing ``reduceat``, and CSR<->CSC is a
@@ -15,14 +15,12 @@ from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.util.arrayops import offsets_to_row_ids
-from repro.util.validation import check_dense
 
 __all__ = [
     "coo_to_csr",
     "csr_to_coo",
     "csr_to_csc",
     "csc_to_csr",
-    "dense_to_csr",
 ]
 
 
@@ -91,10 +89,3 @@ def csc_to_csr(csc: CSCMatrix) -> CSRMatrix:
     rowptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(counts, out=rowptr[1:])
     return CSRMatrix((m, n), rowptr, colidx, values)
-
-
-@checked(lambda a: check_dense("dense", a["dense"], dtype=None))
-def dense_to_csr(dense: np.ndarray) -> CSRMatrix:
-    """Compress a dense array into canonical CSR (alias of
-    :meth:`CSRMatrix.from_dense`, provided for API symmetry)."""
-    return CSRMatrix.from_dense(dense)

@@ -1,28 +1,21 @@
 """Structural operations on CSR matrices.
 
-The row-reordering pipeline is built on :func:`permute_csr_rows`; the ASpT
-tiler additionally uses column permutation (per panel) and row/column
-extraction to split a matrix into its dense-tile and sparse-remainder parts.
-All operations return new canonical CSR matrices and never mutate inputs.
+The row-reordering pipeline is built on :func:`permute_csr_rows`.  All
+operations return new canonical CSR matrices and never mutate inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.contracts import checked, validates, validates_each
-from repro.errors import ShapeError
+from repro.contracts import checked, validates
 from repro.sparse.csr import CSRMatrix
-from repro.util.validation import check_integer_array, check_permutation
+from repro.util.validation import check_permutation
 
 __all__ = [
     "permute_csr_rows",
     "permute_csr_columns",
     "transpose_csr",
-    "extract_rows",
-    "extract_columns",
-    "vstack_csr",
-    "hstack_csr",
 ]
 
 
@@ -81,99 +74,3 @@ def transpose_csr(csr: CSRMatrix) -> CSRMatrix:
     # A CSC matrix of shape (m, n) has exactly the CSR arrays of the
     # transpose, shape (n, m).
     return CSRMatrix((csr.n_cols, csr.n_rows), csc.colptr, csc.rowidx, csc.values)
-
-
-@checked(validates("csr"))
-def extract_rows(csr: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
-    """Sub-matrix containing the given rows (in the given order).
-
-    Unlike :func:`permute_csr_rows`, ``rows`` may be any subset (possibly
-    with repetitions) — the result has ``len(rows)`` rows and the same
-    number of columns.
-    """
-    rows = check_integer_array("rows", rows, min_value=0, max_value=csr.n_rows - 1)
-    lengths = csr.row_lengths()[rows]
-    rowptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=rowptr[1:])
-    total = int(rowptr[-1])
-    if total:
-        from repro.util.arrayops import offsets_to_row_ids
-
-        new_row_of_p = offsets_to_row_ids(rowptr)
-        old_starts = csr.rowptr[:-1][rows]
-        gather = old_starts[new_row_of_p] + (
-            np.arange(total, dtype=np.int64) - rowptr[:-1][new_row_of_p]
-        )
-        colidx = csr.colidx[gather]
-        values = csr.values[gather]
-    else:
-        colidx = np.empty(0, dtype=np.int64)
-        values = np.empty(0, dtype=csr.values.dtype)
-    return CSRMatrix((rows.size, csr.n_cols), rowptr, colidx, values)
-
-
-@checked(validates("csr"))
-def extract_columns(csr: CSRMatrix, cols: np.ndarray) -> CSRMatrix:
-    """Sub-matrix containing the given columns, relabelled to ``0..len-1``.
-
-    ``cols`` must not contain duplicates.  Entries outside ``cols`` are
-    dropped.  Column order in the output follows the order of ``cols``.
-    """
-    cols = check_integer_array("cols", cols, min_value=0, max_value=csr.n_cols - 1)
-    if np.unique(cols).size != cols.size:
-        raise ShapeError("cols must not contain duplicates")
-    col_map = np.full(csr.n_cols, -1, dtype=np.int64)
-    col_map[cols] = np.arange(cols.size, dtype=np.int64)
-    keep = col_map[csr.colidx] >= 0 if csr.nnz else np.empty(0, dtype=bool)
-    row_ids = csr.row_ids()[keep]
-    new_cols = col_map[csr.colidx[keep]]
-    values = csr.values[keep]
-    counts = np.bincount(row_ids, minlength=csr.n_rows)
-    rowptr = np.zeros(csr.n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=rowptr[1:])
-    return CSRMatrix.from_arrays((csr.n_rows, cols.size), rowptr, new_cols, values)
-
-
-@checked(validates_each("mats"))
-def vstack_csr(mats: list[CSRMatrix]) -> CSRMatrix:
-    """Stack CSR matrices vertically (all must share ``n_cols``)."""
-    if not mats:
-        raise ShapeError("vstack_csr requires at least one matrix")
-    n_cols = mats[0].n_cols
-    for m in mats:
-        if m.n_cols != n_cols:
-            raise ShapeError("all matrices must have the same number of columns")
-    rowptr_parts = [mats[0].rowptr]
-    offset = mats[0].nnz
-    for m in mats[1:]:
-        rowptr_parts.append(m.rowptr[1:] + offset)
-        offset += m.nnz
-    rowptr = np.concatenate(rowptr_parts)
-    colidx = np.concatenate([m.colidx for m in mats])
-    values = np.concatenate([m.values for m in mats])
-    n_rows = sum(m.n_rows for m in mats)
-    return CSRMatrix((n_rows, n_cols), rowptr, colidx, values)
-
-
-@checked(validates_each("mats"))
-def hstack_csr(mats: list[CSRMatrix]) -> CSRMatrix:
-    """Stack CSR matrices horizontally (all must share ``n_rows``)."""
-    if not mats:
-        raise ShapeError("hstack_csr requires at least one matrix")
-    n_rows = mats[0].n_rows
-    for m in mats:
-        if m.n_rows != n_rows:
-            raise ShapeError("all matrices must have the same number of rows")
-    col_offsets = np.cumsum([0] + [m.n_cols for m in mats])
-    rows = np.concatenate([m.row_ids() for m in mats])
-    cols = np.concatenate(
-        [m.colidx + off for m, off in zip(mats, col_offsets[:-1])]
-    )
-    values = np.concatenate([m.values for m in mats])
-    from repro.sparse.coo import COOMatrix
-    from repro.sparse.conversions import coo_to_csr
-
-    total_cols = int(col_offsets[-1])
-    return coo_to_csr(
-        COOMatrix((n_rows, total_cols), rows.astype(np.int64), cols.astype(np.int64), values)
-    )

@@ -19,7 +19,6 @@ __all__ = [
     "column_counts",
     "density",
     "bandwidth",
-    "row_support",
     "structural_summary",
     "StructuralSummary",
 ]
@@ -56,13 +55,6 @@ def bandwidth(csr: CSRMatrix) -> int:
     if csr.nnz == 0:
         return 0
     return int(np.abs(csr.row_ids() - csr.colidx).max())
-
-
-@checked(validates("csr"))
-def row_support(csr: CSRMatrix, i: int) -> np.ndarray:
-    """The support set (sorted column indices) of row ``i`` — the set
-    :math:`S_i` of the paper's Jaccard definition."""
-    return csr.row_cols(i)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ from repro.util.arrayops import (
     lengths_from_offsets,
     offsets_to_row_ids,
     rank_of_permutation,
-    segment_max,
-    segment_min,
     segment_sum,
 )
 from repro.util.hashing import digest_arrays, stable_digest
@@ -35,8 +33,6 @@ __all__ = [
     "lengths_from_offsets",
     "offsets_to_row_ids",
     "rank_of_permutation",
-    "segment_max",
-    "segment_min",
     "segment_sum",
     "digest_arrays",
     "stable_digest",

@@ -2,9 +2,9 @@
 
 These are the NumPy idioms the rest of the library is built on: converting
 between per-segment counts and CSR-style offset arrays, expanding offsets
-back into per-element segment ids, and segment reductions via
-``ufunc.reduceat``.  Keeping them in one place means the tricky empty-segment
-corner cases are handled (and tested) exactly once.
+back into per-element segment ids, and a segment sum via ``np.add.reduceat``.
+Keeping them in one place means the tricky empty-segment corner cases are
+handled (and tested) exactly once.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ __all__ = [
     "lengths_from_offsets",
     "offsets_to_row_ids",
     "segment_sum",
-    "segment_min",
-    "segment_max",
     "rank_of_permutation",
 ]
 
@@ -63,12 +61,12 @@ def offsets_to_row_ids(offsets: np.ndarray) -> np.ndarray:
     return out.astype(np.int64, copy=False)
 
 
-def _reduceat(ufunc, values: np.ndarray, offsets: np.ndarray, empty_fill):
-    """Shared implementation for the segment reductions.
+def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-segment sum for CSR-style ``offsets`` (empty segments -> 0).
 
-    ``ufunc.reduceat`` has a famous wart: for an empty segment it returns the
-    *element at the start index* instead of the identity.  We post-fix empty
-    segments with ``empty_fill``.
+    ``np.add.reduceat`` has a famous wart: for an empty segment it returns
+    the *element at the start index* instead of 0, so only the non-empty
+    segments are reduced.
     """
     values = np.asarray(values)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -76,43 +74,16 @@ def _reduceat(ufunc, values: np.ndarray, offsets: np.ndarray, empty_fill):
     if nseg == 0:
         return np.empty(0, dtype=values.dtype)
     lengths = np.diff(offsets)
-    out = np.full(nseg, empty_fill, dtype=values.dtype)
+    out = np.zeros(nseg, dtype=values.dtype)
     nonempty = lengths > 0
     if values.size and nonempty.any():
         starts = offsets[:-1][nonempty]
-        out[nonempty] = ufunc.reduceat(values, starts)
+        out[nonempty] = np.add.reduceat(values, starts)
         # reduceat reduces from each start to the next start *in the index
         # list*, so consecutive non-empty starts already delimit segments;
         # the final segment runs to the end of `values`, which is correct
         # because offsets[-1] == len(values) is a documented precondition.
     return out
-
-
-def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sum for CSR-style ``offsets`` (empty segments -> 0)."""
-    values = np.asarray(values)
-    zero = values.dtype.type(0)
-    return _reduceat(np.add, values, offsets, zero)
-
-
-def segment_min(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment minimum (empty segments -> dtype max)."""
-    values = np.asarray(values)
-    if np.issubdtype(values.dtype, np.integer):
-        fill = np.iinfo(values.dtype).max
-    else:
-        fill = np.inf
-    return _reduceat(np.minimum, values, offsets, fill)
-
-
-def segment_max(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment maximum (empty segments -> dtype min)."""
-    values = np.asarray(values)
-    if np.issubdtype(values.dtype, np.integer):
-        fill = np.iinfo(values.dtype).min
-    else:
-        fill = -np.inf
-    return _reduceat(np.maximum, values, offsets, fill)
 
 
 def rank_of_permutation(perm: np.ndarray) -> np.ndarray:

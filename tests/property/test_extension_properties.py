@@ -1,5 +1,5 @@
-"""Hypothesis property tests for the extension modules (ELL, measures,
-online reorderer, SpMV)."""
+"""Hypothesis property tests for the extension modules (measures, online
+reorderer, SpMV)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,38 +8,8 @@ from hypothesis import strategies as st
 from repro.kernels import spmm, spmv
 from repro.reorder import OnlineReorderer
 from repro.similarity import MEASURES, jaccard_for_pairs, similarity_for_pairs
-from repro.sparse import ELLMatrix
 
 from test_sparse_properties import csr_matrices
-
-
-class TestELLProperties:
-    @given(csr_matrices())
-    @settings(max_examples=50)
-    def test_roundtrip(self, csr):
-        ell = ELLMatrix.from_csr(csr)
-        ell.validate()
-        assert ell.to_csr().allclose(csr)
-
-    @given(csr_matrices())
-    @settings(max_examples=50)
-    def test_nnz_preserved(self, csr):
-        assert ELLMatrix.from_csr(csr).nnz == csr.nnz
-
-    @given(csr_matrices(), st.integers(1, 4), st.integers(0, 100))
-    @settings(max_examples=40)
-    def test_spmm_matches_csr(self, csr, k, seed):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(csr.n_cols, k))
-        np.testing.assert_allclose(
-            ELLMatrix.from_csr(csr).spmm(X), spmm(csr, X), rtol=1e-9, atol=1e-9
-        )
-
-    @given(csr_matrices())
-    @settings(max_examples=40)
-    def test_padding_ratio_bounds(self, csr):
-        ratio = ELLMatrix.from_csr(csr).padding_ratio
-        assert 0.0 <= ratio < 1.0 or (csr.nnz == 0 and ratio == 1.0)
 
 
 class TestMeasureProperties:

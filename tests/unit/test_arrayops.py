@@ -8,8 +8,6 @@ from repro.util.arrayops import (
     lengths_from_offsets,
     offsets_to_row_ids,
     rank_of_permutation,
-    segment_max,
-    segment_min,
     segment_sum,
 )
 
@@ -66,23 +64,6 @@ class TestSegmentReductions:
     def test_segment_sum_empty_values(self):
         out = segment_sum(np.array([], dtype=np.float64), np.array([0, 0, 0]))
         assert out.tolist() == [0.0, 0.0]
-
-    def test_segment_min_with_empty_segment(self):
-        values = np.array([3, 1, 2], dtype=np.int64)
-        offsets = np.array([0, 2, 2, 3])
-        out = segment_min(values, offsets)
-        assert out[0] == 1
-        assert out[1] == np.iinfo(np.int64).max
-        assert out[2] == 2
-
-    def test_segment_max_float(self):
-        values = np.array([3.0, 1.0, 2.0])
-        offsets = np.array([0, 1, 3])
-        assert segment_max(values, offsets).tolist() == [3.0, 2.0]
-
-    def test_segment_max_empty_is_minus_inf(self):
-        out = segment_max(np.array([1.0]), np.array([0, 1, 1]))
-        assert out[1] == -np.inf
 
     def test_against_naive_loop(self):
         rng = np.random.default_rng(7)

@@ -1,19 +1,9 @@
-"""Unit tests for repro.aspt (panels, column sort, tiles, stats)."""
+"""Unit tests for repro.aspt (panels, tiles, and the tiling statistics)."""
 
 import numpy as np
 import pytest
 
-from repro.aspt import (
-    PanelSpec,
-    TiledMatrix,
-    dense_ratio,
-    panel_column_orders,
-    panel_dense_column_histogram,
-    panel_of_rows,
-    split_into_panels,
-    tile_matrix,
-    tiling_stats,
-)
+from repro.aspt import PanelSpec, tile_matrix
 from repro.errors import ValidationError
 from repro.sparse import CSRMatrix, permute_csr_rows
 
@@ -30,70 +20,9 @@ class TestPanelSpec:
     def test_n_panels_empty(self):
         assert PanelSpec(0, 3).n_panels == 0
 
-    def test_panel_of(self):
-        spec = PanelSpec(7, 3)
-        assert spec.panel_of(0) == 0
-        assert spec.panel_of(2) == 0
-        assert spec.panel_of(3) == 1
-        assert spec.panel_of(6) == 2
-
-    def test_panel_of_out_of_range(self):
-        with pytest.raises(IndexError):
-            PanelSpec(6, 3).panel_of(6)
-
-    def test_rows_of_last_short_panel(self):
-        spec = PanelSpec(7, 3)
-        assert spec.rows_of(2).tolist() == [6]
-
-    def test_bounds(self):
-        spec = PanelSpec(7, 3)
-        assert spec.bounds(1) == (3, 6)
-        assert spec.bounds(2) == (6, 7)
-
-    def test_bounds_out_of_range(self):
-        with pytest.raises(IndexError):
-            PanelSpec(6, 3).bounds(2)
-
     def test_invalid_height(self):
         with pytest.raises(ValidationError):
             PanelSpec(6, 0)
-
-    def test_panel_of_rows_vectorised(self):
-        out = panel_of_rows(np.array([0, 3, 5, 6]), 3)
-        assert out.tolist() == [0, 1, 1, 2]
-
-    def test_split_into_panels(self, paper_matrix):
-        panels = split_into_panels(paper_matrix, 3)
-        assert len(panels) == 2
-        assert panels[0].shape == (3, 6)
-        assert panels[0].nnz + panels[1].nnz == 13
-
-
-class TestColumnSort:
-    def test_paper_first_panel_starts_with_col4(self, paper_matrix):
-        orders = panel_column_orders(paper_matrix, 3)
-        # Fig 3b: column 4 has two non-zeros in panel 0, all others <= 1.
-        assert orders[0][0] == 4
-
-    def test_paper_second_panel_natural_order(self, paper_matrix):
-        orders = panel_column_orders(paper_matrix, 3)
-        # All columns in panel 1 have at most one non-zero -> ties keep
-        # ascending column order.
-        assert orders[1].tolist() == sorted(
-            orders[1].tolist(), key=lambda c: (-np.bincount(
-                np.concatenate([paper_matrix.row_cols(r) for r in (3, 4, 5)]),
-                minlength=6)[c], c),
-        )
-
-    def test_orders_are_permutations(self, rng):
-        m = random_csr(rng, 20, 15, 0.2)
-        for order in panel_column_orders(m, 4):
-            assert sorted(order.tolist()) == list(range(15))
-
-    def test_empty_matrix(self):
-        orders = panel_column_orders(CSRMatrix.empty((6, 4)), 3)
-        assert len(orders) == 2
-        assert orders[0].tolist() == [0, 1, 2, 3]
 
 
 class TestTileMatrix:
@@ -196,20 +125,20 @@ class TestTileMatrix:
 
 
 class TestStats:
+    """The paper's worked example (Fig. 1a, panel height 3) read from the
+    :class:`TiledMatrix` of the original order."""
+
     def test_dense_ratio_helper(self, paper_matrix):
-        assert dense_ratio(paper_matrix, 3, 2) == pytest.approx(2 / 13)
+        assert tile_matrix(paper_matrix, 3, 2).dense_ratio == pytest.approx(2 / 13)
 
     def test_tiling_stats(self, paper_matrix):
         tiled = tile_matrix(paper_matrix, 3, 2)
-        s = tiling_stats(tiled)
-        assert s.n_panels == 2
-        assert s.nnz_total == 13 and s.nnz_dense == 2
-        assert s.n_dense_column_instances == 1
-        assert s.max_dense_cols_in_panel == 1
-        assert s.panels_with_dense_tiles == 1
-        assert s.as_dict()["dense_ratio"] == pytest.approx(2 / 13)
+        assert tiled.spec.n_panels == 2
+        assert tiled.original.nnz == 13 and tiled.nnz_dense == 2
+        assert tiled.nnz_sparse == 11
+        assert sum(c.size for c in tiled.panel_dense_cols) == 1
 
     def test_histogram(self, paper_matrix):
+        # Dense columns per panel: one in panel 0, none in panel 1.
         tiled = tile_matrix(paper_matrix, 3, 2)
-        hist = panel_dense_column_histogram(tiled)
-        assert hist.tolist() == [1, 1]  # one panel with 0, one with 1
+        assert [c.size for c in tiled.panel_dense_cols] == [1, 0]

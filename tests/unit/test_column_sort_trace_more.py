@@ -1,12 +1,11 @@
-"""Additional coverage: panel column ordering semantics, trace helpers,
-autotune internals and MatrixMarket writer details."""
+"""Additional coverage: trace helpers, autotune internals and MatrixMarket
+writer details."""
 
 import io
 
 import numpy as np
 import pytest
 
-from repro.aspt import panel_column_orders, split_into_panels, tile_matrix
 from repro.gpu.trace import (
     block_access_stream,
     paper_example_access_counts,
@@ -15,45 +14,6 @@ from repro.gpu.trace import (
 from repro.sparse import CSRMatrix, read_matrix_market, write_matrix_market
 
 from conftest import random_csr
-
-
-class TestColumnSortSemantics:
-    def test_densest_first(self):
-        dense = np.zeros((4, 5))
-        dense[:, 3] = 1.0  # col 3: 4 nnz
-        dense[:2, 1] = 1.0  # col 1: 2 nnz
-        dense[0, 0] = 1.0  # col 0: 1 nnz
-        orders = panel_column_orders(CSRMatrix.from_dense(dense), 4)
-        assert orders[0][:3].tolist() == [3, 1, 0]
-
-    def test_tie_break_ascending_column(self):
-        dense = np.zeros((2, 4))
-        dense[0, [1, 3]] = 1.0
-        dense[1, [1, 3]] = 1.0
-        orders = panel_column_orders(CSRMatrix.from_dense(dense), 2)
-        # cols 1 and 3 both have 2 nnz; ties ascending; 0 and 2 follow.
-        assert orders[0].tolist() == [1, 3, 0, 2]
-
-    def test_one_order_per_panel(self, rng):
-        m = random_csr(rng, 10, 6, 0.3)
-        assert len(panel_column_orders(m, 3)) == 4
-
-    def test_consistent_with_tiler(self, paper_matrix):
-        # Columns the tiler marks dense must be a prefix of the sorted
-        # order (they have the highest counts by construction).
-        orders = panel_column_orders(paper_matrix, 3)
-        tiled = tile_matrix(paper_matrix, 3, 2)
-        for p, dense_cols in enumerate(tiled.panel_dense_cols):
-            k = dense_cols.size
-            assert set(orders[p][:k].tolist()) == set(dense_cols.tolist())
-
-
-class TestSplitIntoPanels:
-    def test_round_trips_nnz(self, rng):
-        m = random_csr(rng, 11, 8, 0.3)
-        panels = split_into_panels(m, 4)
-        assert sum(p.nnz for p in panels) == m.nnz
-        assert [p.n_rows for p in panels] == [4, 4, 3]
 
 
 class TestTraceHelpers:

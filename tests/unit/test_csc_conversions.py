@@ -12,7 +12,6 @@ from repro.sparse import (
     csc_to_csr,
     csr_to_coo,
     csr_to_csc,
-    dense_to_csr,
 )
 
 from conftest import random_csr
@@ -77,11 +76,6 @@ class TestConversionRoundtrips:
         assert csr_to_csc(e).nnz == 0
         assert csc_to_csr(csr_to_csc(e)).nnz == 0
         assert coo_to_csr(COOMatrix.empty((3, 3))).nnz == 0
-
-    def test_dense_to_csr(self):
-        d = np.eye(3)
-        m = dense_to_csr(d)
-        np.testing.assert_allclose(m.to_dense(), d)
 
     def test_csc_matches_scipy(self, rng):
         sp = pytest.importorskip("scipy.sparse")

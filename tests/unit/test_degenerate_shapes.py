@@ -13,7 +13,6 @@ from repro.similarity import LSHIndex, average_consecutive_similarity, minhash_s
 from repro.sparse import (
     COOMatrix,
     CSRMatrix,
-    ELLMatrix,
     csr_to_csc,
     permute_csr_rows,
     transpose_csr,
@@ -32,9 +31,6 @@ class TestFormatsDegenerate:
         assert m.to_coo().to_csr().allclose(m)
         assert csr_to_csc(m).to_csr().allclose(m)
         assert transpose_csr(transpose_csr(m)).allclose(m)
-        ell = ELLMatrix.from_csr(m)
-        ell.validate()
-        assert ell.to_csr().nnz == 0
 
     def test_permutation(self, shape):
         m = CSRMatrix.empty(shape)

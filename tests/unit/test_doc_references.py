@@ -1,4 +1,6 @@
-"""The hand-written docs name only modules, attributes and files that exist."""
+"""The hand-written docs, and the Sphinx-role cross-references in the
+library's own docstrings and comments, name only modules, attributes and
+files that exist."""
 
 import importlib
 import re
@@ -10,6 +12,8 @@ ROOT = Path(__file__).resolve().parents[2]
 DOCS = [ROOT / n for n in ("README.md", "DESIGN.md", "CONTRIBUTING.md", "EXPERIMENTS.md",
                            "examples/README.md")]
 DOCS += [p for p in sorted((ROOT / "docs").glob("*.md")) if p.name != "API.md"]  # API.md is generated
+SOURCES = sorted((ROOT / "src" / "repro").rglob("*.py"))
+ROLE_REFERENCE = re.compile(r":(?:func|class|mod|meth|attr|data|exc):`[~!]?(repro(?:\.\w+)+)`")
 
 
 def _resolves(dotted: str) -> bool:
@@ -37,3 +41,9 @@ def test_doc_references_resolve(doc):
     missing = [n for n in sorted(names) if not _resolves(n)]
     missing += [p for p in sorted(paths) if not (ROOT / p).is_file()]
     assert missing == []
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_source_role_references_resolve(source):
+    names = set(ROLE_REFERENCE.findall(source.read_text()))
+    assert [n for n in sorted(names) if not _resolves(n)] == []

@@ -13,7 +13,6 @@ from repro.sparse import (
     density,
     nnz_per_row,
     read_matrix_market,
-    row_support,
     structural_summary,
     write_matrix_market,
 )
@@ -45,9 +44,6 @@ class TestProperties:
 
     def test_bandwidth_empty(self):
         assert bandwidth(CSRMatrix.empty((3, 3))) == 0
-
-    def test_row_support(self, paper_matrix):
-        assert row_support(paper_matrix, 4).tolist() == [0, 3, 4]
 
     def test_structural_summary(self, paper_matrix):
         s = structural_summary(paper_matrix)
@@ -144,72 +140,3 @@ class TestMatrixMarketIO:
         write_matrix_market(path, m)
         theirs = sio.mmread(str(path)).toarray()
         np.testing.assert_allclose(m.to_dense(), theirs)
-
-
-class TestELLMatrix:
-    def test_from_csr_roundtrip(self, rng):
-        m = random_csr(rng, 15, 12, 0.25)
-        from repro.sparse import ELLMatrix
-
-        ell = ELLMatrix.from_csr(m)
-        ell.validate()
-        assert ell.to_csr().allclose(m)
-        np.testing.assert_allclose(ell.to_dense(), m.to_dense())
-
-    def test_nnz_and_padding(self):
-        from repro.sparse import ELLMatrix
-
-        m = CSRMatrix.from_dense([[1.0, 2.0, 3.0], [4.0, 0.0, 0.0]])
-        ell = ELLMatrix.from_csr(m)
-        assert ell.width == 3
-        assert ell.nnz == 4
-        assert ell.padding_ratio == pytest.approx(2 / 6)
-
-    def test_max_width_guard(self, rng):
-        from repro.errors import FormatError
-        from repro.datasets import power_law_rows
-        from repro.sparse import ELLMatrix
-
-        skewed = power_law_rows(200, 200, 8, seed=0)
-        with pytest.raises(FormatError):
-            ELLMatrix.from_csr(skewed, max_width=4)
-
-    def test_spmm_matches_csr(self, rng):
-        from repro.kernels import spmm
-        from repro.sparse import ELLMatrix
-
-        m = random_csr(rng, 20, 16, 0.2)
-        X = rng.normal(size=(16, 5))
-        np.testing.assert_allclose(ELLMatrix.from_csr(m).spmm(X), spmm(m, X))
-
-    def test_empty_matrix(self):
-        from repro.sparse import ELLMatrix
-
-        ell = ELLMatrix.from_csr(CSRMatrix.empty((3, 4)))
-        assert ell.nnz == 0
-        assert ell.to_csr().nnz == 0
-        np.testing.assert_allclose(ell.spmm(np.ones((4, 2))), 0.0)
-
-    def test_validate_rejects_right_packed(self):
-        from repro.errors import FormatError
-        from repro.sparse import ELLMatrix
-
-        bad = ELLMatrix(
-            (1, 4),
-            np.array([[-1, 2]], dtype=np.int64),
-            np.array([[0.0, 1.0]]),
-        )
-        with pytest.raises(FormatError):
-            bad.validate()
-
-    def test_validate_rejects_out_of_range(self):
-        from repro.errors import FormatError
-        from repro.sparse import ELLMatrix
-
-        bad = ELLMatrix(
-            (1, 2),
-            np.array([[5]], dtype=np.int64),
-            np.array([[1.0]]),
-        )
-        with pytest.raises(FormatError):
-            bad.validate()

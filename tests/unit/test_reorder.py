@@ -10,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.aspt import tile_matrix
 from repro.errors import DegradedExecution, TimeoutExceeded, ValidationError
 from repro.gpu import GPUExecutor, P100
 from repro.reorder import (
@@ -48,7 +49,7 @@ def round1_gated_off(rng):
         dense[g * 8 : (g + 1) * 8, g * 6 : g * 6 + 6] = 1.0
     dense[np.arange(64), 64 + rng.permutation(192)[:64]] = 1.0
     m = CSRMatrix.from_dense(dense)
-    assert not should_reorder_round1(m, 8, ReorderConfig().dense_threshold).reorder
+    assert not should_reorder_round1(tile_matrix(m, 8, ReorderConfig().dense_threshold)).reorder
     return m
 
 
@@ -60,13 +61,13 @@ class TestHeuristics:
             cols = np.arange(g * 8, g * 8 + 6)
             dense[g * 8 : (g + 1) * 8, cols] = 1.0
         m = CSRMatrix.from_dense(dense)
-        decision = should_reorder_round1(m, panel_height=8)
+        decision = should_reorder_round1(tile_matrix(m, panel_height=8))
         assert not decision.reorder
         assert decision.indicator > 0.10
 
     def test_round1_reorders_scattered(self):
         m = CSRMatrix.from_dense(np.eye(64))
-        decision = should_reorder_round1(m, panel_height=8)
+        decision = should_reorder_round1(tile_matrix(m, panel_height=8))
         assert decision.reorder
         assert decision.indicator == 0.0
 
@@ -83,14 +84,14 @@ class TestHeuristics:
 
     def test_threshold_validation(self, paper_matrix):
         with pytest.raises(ValidationError):
-            should_reorder_round1(paper_matrix, 3, skip_above=1.5)
+            should_reorder_round1(tile_matrix(paper_matrix, 3), skip_above=1.5)
         with pytest.raises(ValidationError):
             should_reorder_round2(paper_matrix, skip_above=-0.1)
 
     def test_paper_matrix_needs_round1(self, paper_matrix):
         # dense ratio 2/13 ~ 15% > 10% -> the gate would actually skip;
         # verify the indicator value is exactly the tiling ratio.
-        decision = should_reorder_round1(paper_matrix, 3)
+        decision = should_reorder_round1(tile_matrix(paper_matrix, 3))
         assert decision.indicator == pytest.approx(2 / 13)
         assert not decision.reorder
 
@@ -213,6 +214,58 @@ class TestBuildPlan:
             s.dense_ratio_after - s.dense_ratio_before
         )
         assert s.delta_avg_sim == pytest.approx(s.avg_sim_after - s.avg_sim_before)
+
+
+@pytest.fixture
+def tile_calls(monkeypatch):
+    """Counts the library's ``tile_matrix`` calls, through every
+    ``repro`` module's binding of it."""
+    import repro.aspt.tiles
+
+    real = repro.aspt.tiles.tile_matrix
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "tile_matrix", None) is real:
+            monkeypatch.setattr(module, "tile_matrix", spy)
+    return calls
+
+
+class TestGateTiling:
+    """The round-1 gate tiles the original; a build whose round 1 does not
+    run keeps that split as the plan's."""
+
+    @pytest.mark.parametrize("force_round1", [None, False])
+    def test_build_without_round1_tiles_once(self, rng, tile_calls, force_round1):
+        m = round1_gated_off(rng)
+        plan = build_plan(m, ReorderConfig(panel_height=8, force_round1=force_round1))
+        assert not plan.stats.round1_applied
+        assert len(tile_calls) == 1
+
+    @pytest.mark.parametrize("rung", ["identity", "untiled-csr"])
+    def test_ladder_rungs_without_round1_tile_once(self, rng, tile_calls, rung):
+        m = clustered_then_shuffled(rng)
+        config = dict(ladder_rungs(ReorderConfig(siglen=64, panel_height=8)))[rung]
+        build_plan(m, config)
+        assert len(tile_calls) == 1
+
+    def test_reused_split_is_the_plans_split(self, rng):
+        m = round1_gated_off(rng)
+        for max_dense_cols in (None, 1):
+            config = ReorderConfig(panel_height=8, max_dense_cols=max_dense_cols)
+            plan = build_plan(m, config)
+            want = tile_matrix(m, 8, config.dense_threshold, max_dense_cols=max_dense_cols)
+            for part in ("dense_part", "sparse_part"):
+                got, ref = getattr(plan.tiled, part), getattr(want, part)
+                for field in ("rowptr", "colidx", "values"):
+                    np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+            assert plan.tiled.max_dense_cols == max_dense_cols
+            # The gate's indicator is the uncapped ratio of the original.
+            assert plan.stats.dense_ratio_before == tile_matrix(m, 8).dense_ratio
 
 
 class TestDeferredRound2:

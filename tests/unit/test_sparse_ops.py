@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
 from repro.errors import ValidationError
 from repro.sparse import (
     CSRMatrix,
-    extract_columns,
-    extract_rows,
-    hstack_csr,
     permute_csr_columns,
     permute_csr_rows,
     transpose_csr,
-    vstack_csr,
 )
 
 from conftest import random_csr
@@ -87,72 +82,3 @@ class TestTranspose:
     def test_empty(self):
         t = transpose_csr(CSRMatrix.empty((4, 6)))
         assert t.shape == (6, 4) and t.nnz == 0
-
-
-class TestExtractRows:
-    def test_subset(self, paper_matrix):
-        sub = extract_rows(paper_matrix, np.array([4, 0]))
-        assert sub.shape == (2, 6)
-        assert sub.row_cols(0).tolist() == [0, 3, 4]
-        assert sub.row_cols(1).tolist() == [0, 4]
-
-    def test_repetition_allowed(self, paper_matrix):
-        sub = extract_rows(paper_matrix, np.array([0, 0]))
-        assert sub.nnz == 4
-
-    def test_out_of_range_rejected(self, paper_matrix):
-        with pytest.raises(ValidationError):
-            extract_rows(paper_matrix, np.array([6]))
-
-    def test_empty_selection(self, paper_matrix):
-        sub = extract_rows(paper_matrix, np.array([], dtype=np.int64))
-        assert sub.shape == (0, 6) and sub.nnz == 0
-
-
-class TestExtractColumns:
-    def test_subset_relabels(self, paper_matrix):
-        sub = extract_columns(paper_matrix, np.array([4, 0]))
-        # Column 4 -> new column 0, column 0 -> new column 1.
-        assert sub.shape == (6, 2)
-        dense = sub.to_dense()
-        orig = paper_matrix.to_dense()
-        np.testing.assert_allclose(dense[:, 0], orig[:, 4])
-        np.testing.assert_allclose(dense[:, 1], orig[:, 0])
-
-    def test_duplicates_rejected(self, paper_matrix):
-        with pytest.raises(ShapeError):
-            extract_columns(paper_matrix, np.array([0, 0]))
-
-    def test_drops_other_entries(self, paper_matrix):
-        sub = extract_columns(paper_matrix, np.array([4]))
-        assert sub.nnz == 3  # rows 0, 2, 4 contain column 4
-
-
-class TestStacking:
-    def test_vstack_matches_dense(self, rng):
-        a = random_csr(rng, 4, 6, 0.4)
-        b = random_csr(rng, 3, 6, 0.4)
-        got = vstack_csr([a, b])
-        np.testing.assert_allclose(
-            got.to_dense(), np.vstack([a.to_dense(), b.to_dense()])
-        )
-
-    def test_vstack_mismatch_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            vstack_csr([random_csr(rng, 3, 4, 0.5), random_csr(rng, 3, 5, 0.5)])
-
-    def test_vstack_empty_list_rejected(self):
-        with pytest.raises(ShapeError):
-            vstack_csr([])
-
-    def test_hstack_matches_dense(self, rng):
-        a = random_csr(rng, 5, 3, 0.4)
-        b = random_csr(rng, 5, 4, 0.4)
-        got = hstack_csr([a, b])
-        np.testing.assert_allclose(
-            got.to_dense(), np.hstack([a.to_dense(), b.to_dense()])
-        )
-
-    def test_hstack_mismatch_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            hstack_csr([random_csr(rng, 3, 4, 0.5), random_csr(rng, 4, 4, 0.5)])

@@ -165,13 +165,13 @@ class TestOnlineReorderer:
     def test_incremental_matches_batch_quality(self):
         # Online placement should reach similar panel quality as the batch
         # pipeline on a clean clustered stream.
-        from repro.aspt import dense_ratio
+        from repro.aspt import tile_matrix
         from repro.reorder import ReorderConfig, build_plan
 
         m = hidden_clusters(40, 8, 768, 16, noise=0.0, seed=5)
         idx = OnlineReorderer(768, siglen=64, seed=0)
         idx.insert_matrix(m)
-        online_ratio = dense_ratio(permute_csr_rows(m, idx.order()), 8)
+        online_ratio = tile_matrix(permute_csr_rows(m, idx.order()), 8).dense_ratio
         plan = build_plan(
             m, ReorderConfig(siglen=64, panel_height=8, force_round1=True)
         )
