@@ -1,16 +1,18 @@
 #!/usr/bin/env python
-"""Streaming row arrival with the online reorderer (extension).
+"""Streaming row arrival on a growing matrix (the paper's §4 online scenario).
 
 A recommender ingests users in arrival order; users with similar taste
 (similar rating columns) arrive interleaved, so the stored matrix has no
-row locality.  Instead of re-running the full LSH + clustering pipeline
-after every batch, :class:`repro.reorder.OnlineReorderer` places each new
-row into the best matching cluster as it arrives (``O(siglen * nnz_row)``
-per row) and can emit a grouped row order at any point.
+row locality.  A :class:`repro.streaming.StreamingPlan` follows the matrix
+as it grows: each batch of arriving users is one row-appending ``add``
+delta.  Such a delta changes the sparsity pattern, so the plan is rebuilt
+through the batch MinHash/LSH pipeline (:func:`repro.reorder.build_plan`);
+a value-only delta would keep the plan instead.
 
-The script streams a taste-clustered rating matrix row by row, then
-compares three orderings on the modelled GPU: arrival order, the online
-order, and the full batch pipeline.
+The script streams a taste-clustered rating matrix in 8 batches, prints
+each update's mode and time, checks that the final plan orders the rows
+exactly as a batch build of the whole matrix does, and compares the
+modelled GPU cost of arrival order against plan order.
 
 Run:  python examples/streaming_updates.py
 """
@@ -21,8 +23,8 @@ from repro.aspt import tile_matrix
 from repro.datasets import bipartite_ratings
 from repro.experiments.config import ExperimentConfig
 from repro.gpu import GPUExecutor
-from repro.reorder import OnlineReorderer, ReorderConfig, build_plan
-from repro.sparse import permute_csr_rows
+from repro.reorder import ReorderConfig, build_plan
+from repro.streaming import StreamingPlan, split_into_deltas
 from repro.util.timing import Timer
 
 
@@ -34,38 +36,32 @@ def main() -> None:
     print(f"stream: {ratings.n_rows} users x {ratings.n_cols} items, "
           f"{ratings.nnz} ratings")
 
-    # ---- ingest the stream ------------------------------------------------
-    online = OnlineReorderer(ratings.n_cols, siglen=128, bsize=2, seed=0)
-    with Timer() as t_online:
-        for i in range(ratings.n_rows):
-            online.insert_row(ratings.row_cols(i))
-    print(f"online ingest: {t_online.elapsed:.2f}s total "
-          f"({t_online.elapsed / ratings.n_rows * 1e3:.2f} ms/row), "
-          f"{online.n_clusters} clusters")
+    # ---- grow the matrix batch by batch -------------------------------------
+    config = ReorderConfig(panel_height=16, force_round1=True)
+    base, deltas = split_into_deltas(ratings, 8, seed=0, grow_rows=True)
+    stream = StreamingPlan(base, config)
+    with Timer() as t_stream:
+        for delta in deltas:
+            report = stream.apply(delta)
+            print(f"  +{delta.new_rows:4d} users -> {stream.matrix.n_rows:4d}: "
+                  f"{report.mode} in {report.seconds['total'] * 1e3:6.1f} ms")
+    print(f"streamed: {t_stream.elapsed:.2f}s over {len(deltas)} batches")
 
-    # ---- batch pipeline for reference --------------------------------------
+    # ---- the grown plan is the batch pipeline's plan ------------------------
     with Timer() as t_batch:
-        plan = build_plan(
-            ratings, ReorderConfig(panel_height=16, force_round1=True)
-        )
-    print(f"batch pipeline: {t_batch.elapsed:.2f}s "
-          f"(one-shot; must re-run after every batch of arrivals)")
+        batch = build_plan(ratings, config)
+    print(f"batch pipeline on the whole matrix: {t_batch.elapsed:.2f}s")
+    np.testing.assert_array_equal(stream.matrix.values, ratings.values)
+    np.testing.assert_array_equal(stream.plan.row_order, batch.row_order)
 
-    # ---- modelled SpMM cost of the three orderings -------------------------
-    cfg = ExperimentConfig(scale="small")
-    device, cost = cfg.effective_model()
+    # ---- modelled SpMM cost: arrival order vs plan order --------------------
+    device, cost = ExperimentConfig(scale="small").effective_model()
     executor = GPUExecutor(device, cost)
-
     arrival = executor.spmm_cost(tile_matrix(ratings, 16), 512, "aspt").time_s
-    online_t = executor.spmm_cost(
-        tile_matrix(permute_csr_rows(ratings, online.order()), 16), 512, "aspt"
-    ).time_s
-    batch_t = executor.spmm_cost(plan.cost_view(), 512, "aspt").time_s
-
-    print(f"modelled SpMM (K=512):")
+    planned = executor.spmm_cost(stream.plan.cost_view(), 512, "aspt").time_s
+    print("modelled SpMM (K=512):")
     print(f"  arrival order : {arrival * 1e6:8.1f} us")
-    print(f"  online order  : {online_t * 1e6:8.1f} us  ({arrival / online_t:.2f}x)")
-    print(f"  batch order   : {batch_t * 1e6:8.1f} us  ({arrival / batch_t:.2f}x)")
+    print(f"  plan order    : {planned * 1e6:8.1f} us  ({arrival / planned:.2f}x)")
 
 
 if __name__ == "__main__":

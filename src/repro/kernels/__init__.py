@@ -11,12 +11,11 @@ Two families:
   explicitly staged panel buffer (the functional analogue of the GPU
   shared-memory path) and the remainder row-wise.
 
-All vectorised kernels accept ``workspace=`` (see
-:mod:`repro.util.workspace`) so their large scratch buffers are pooled
-instead of re-allocated per call, and
+The one-shot kernels allocate their scratch on every call.
 :class:`repro.kernels.KernelSession` pins a matrix (or tiled matrix, or
-execution plan) for the repeated-multiply serving case — bitwise-identical
-results at a fraction of the steady-state cost.
+execution plan) for the repeated-multiply serving case and leases its
+scratch from its own pool (:mod:`repro.util.workspace`) —
+bitwise-identical results at a fraction of the steady-state cost.
 
 :func:`spmm` and :class:`~repro.kernels.KernelSession` additionally
 accept ``backend=``, naming a kernel backend from

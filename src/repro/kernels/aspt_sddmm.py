@@ -16,7 +16,6 @@ from repro.contracts import checked, invokes
 from repro.kernels.sddmm import sddmm
 from repro.sparse.csr import CSRMatrix
 from repro.util.validation import check_dense
-from repro.util.workspace import as_workspace
 
 __all__ = ["sddmm_tiled"]
 
@@ -38,7 +37,7 @@ def _nnz_positions_in_original(original: CSRMatrix, part: CSRMatrix) -> np.ndarr
 
 @checked(invokes("validate_structure", "tiled"))
 def sddmm_tiled(
-    tiled: TiledMatrix, X: np.ndarray, Y: np.ndarray, *, workspace=None
+    tiled: TiledMatrix, X: np.ndarray, Y: np.ndarray
 ) -> CSRMatrix:
     """Two-phase ASpT SDDMM.
 
@@ -51,10 +50,6 @@ def sddmm_tiled(
         preserved (no up-cast copy).
     Y:
         Dense operand of shape ``(n_rows, K)``.
-    workspace:
-        Optional :class:`~repro.util.workspace.WorkspacePool` /
-        :class:`~repro.util.workspace.Workspace`; panel gather buffers
-        are leased from it (bitwise-identical results).
 
     Returns
     -------
@@ -64,60 +59,31 @@ def sddmm_tiled(
     original = tiled.original
     X = check_dense("X", X, rows=original.n_cols, dtype=None)
     Y = check_dense("Y", Y, rows=original.n_rows, cols=X.shape[1], dtype=None)
-    K = X.shape[1]
-    # The value arrays escape into the returned matrix — never leased.
-    out_values = np.zeros(original.nnz, dtype=np.float64)
-    ws, owned = as_workspace(workspace)
-    try:
-        # Dense tiles: per-panel staged buffer.
-        dense = tiled.dense_part
-        if dense.nnz:
-            rowptr = dense.rowptr
-            dense_vals = np.zeros(dense.nnz, dtype=np.float64)
-            ph = tiled.spec.panel_height
-            row_ids = dense.row_ids()
-            panels = []
-            for p, cols in enumerate(tiled.panel_dense_cols):
-                lo = p * ph
-                hi = min(lo + ph, dense.n_rows)
-                p0, p1 = int(rowptr[lo]), int(rowptr[hi])
-                if cols.size and p0 != p1:
-                    panels.append((cols, p0, p1))
-            if ws is not None and panels:
-                # One lease per call, sized to the largest panel and
-                # sliced per panel: a leased block stays held until the
-                # lease ends.
-                width = max(cols.size for cols, _, _ in panels)
-                span = max(p1 - p0 for _, p0, p1 in panels)
-                buffer_all = ws.scratch((width, K), dtype=X.dtype)
-                x_all = ws.scratch((span, K), dtype=X.dtype)
-                y_all = ws.scratch((span, K), dtype=Y.dtype)
-            for cols, p0, p1 in panels:
+    out_values = np.zeros(original.nnz, dtype=np.float64)  # reprolint: disable=RD105 -- the returned matrix's values, not scratch: they escape into the result, so no pool may lease them
+
+    # Dense tiles: per-panel staged buffer.
+    dense = tiled.dense_part
+    if dense.nnz:
+        rowptr = dense.rowptr
+        ph = tiled.spec.panel_height
+        row_ids = dense.row_ids()
+        positions = _nnz_positions_in_original(original, dense)
+        for p, cols in enumerate(tiled.panel_dense_cols):
+            lo = p * ph
+            hi = min(lo + ph, dense.n_rows)
+            p0, p1 = int(rowptr[lo]), int(rowptr[hi])
+            if cols.size and p0 != p1:
                 local = np.searchsorted(cols, dense.colidx[p0:p1])
                 rows = row_ids[p0:p1]
-                if ws is None:
-                    buffer = X[cols]
-                    dots = np.einsum("pk,pk->p", Y[rows], buffer[local])
-                else:
-                    buffer = buffer_all[: cols.size]
-                    np.take(X, cols, axis=0, out=buffer)
-                    x_gathered = x_all[: local.size]
-                    np.take(buffer, local, axis=0, out=x_gathered)
-                    y_gathered = y_all[: rows.size]
-                    np.take(Y, rows, axis=0, out=y_gathered)
-                    dots = np.einsum("pk,pk->p", y_gathered, x_gathered)
-                dense_vals[p0:p1] = dots * dense.values[p0:p1]
-            out_values[_nnz_positions_in_original(original, dense)] = dense_vals
+                buffer = X[cols]
+                dots = np.einsum("pk,pk->p", Y[rows], buffer[local])
+                out_values[positions[p0:p1]] = dots * dense.values[p0:p1]
 
-        # Sparse remainder: row-wise kernel.
-        sparse = tiled.sparse_part
-        if sparse.nnz:
-            sparse_result = sddmm(sparse, X, Y, workspace=ws)
-            out_values[_nnz_positions_in_original(original, sparse)] = (
-                sparse_result.values
-            )
-    finally:
-        if owned:
-            ws.release()
-
+    # Sparse remainder: row-wise kernel.
+    sparse = tiled.sparse_part
+    if sparse.nnz:
+        sparse_result = sddmm(sparse, X, Y)
+        out_values[_nnz_positions_in_original(original, sparse)] = (
+            sparse_result.values
+        )
     return original.with_values(out_values)

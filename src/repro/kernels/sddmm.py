@@ -17,7 +17,6 @@ import numpy as np
 from repro.contracts import checked, validates
 from repro.sparse.csr import CSRMatrix
 from repro.util.validation import check_dense
-from repro.util.workspace import as_workspace
 
 __all__ = ["sddmm", "sddmm_rowwise_reference"]
 
@@ -44,8 +43,6 @@ def sddmm(
     csr: CSRMatrix,
     X: np.ndarray,
     Y: np.ndarray,
-    *,
-    workspace=None,
 ) -> CSRMatrix:
     """Vectorised SDDMM.
 
@@ -58,12 +55,6 @@ def sddmm(
         Floating dtypes are preserved (no up-cast copy).
     Y:
         Dense operand of shape ``(M, K)`` (indexed by ``S``'s rows).
-    workspace:
-        Optional :class:`~repro.util.workspace.WorkspacePool` or
-        :class:`~repro.util.workspace.Workspace`; the two ``nnz * K``
-        gather buffers are leased from it instead of allocated.  The dot
-        products themselves are computed by the same ``einsum`` in the
-        same dtype, so results are bitwise identical either way.
 
     Returns
     -------
@@ -76,21 +67,5 @@ def sddmm(
     if csr.nnz == 0:
         return csr.copy()
     rows = csr.row_ids()
-    ws, owned = as_workspace(workspace)
-    try:
-        if ws is None:
-            dots = np.einsum("pk,pk->p", Y[rows], X[csr.colidx])
-        else:
-            K = X.shape[1]
-            y_gathered = ws.scratch((csr.nnz, K), dtype=Y.dtype)
-            np.take(Y, rows, axis=0, out=y_gathered)
-            x_gathered = ws.scratch((csr.nnz, K), dtype=X.dtype)
-            np.take(X, csr.colidx, axis=0, out=x_gathered)
-            # No out= here: einsum's accumulation dtype must stay the
-            # operands' common dtype for bitwise identity, and the (nnz,)
-            # result escapes into the returned matrix anyway.
-            dots = np.einsum("pk,pk->p", y_gathered, x_gathered)
-    finally:
-        if owned:
-            ws.release()
+    dots = np.einsum("pk,pk->p", Y[rows], X[csr.colidx])
     return csr.with_values(dots * csr.values)

@@ -13,15 +13,9 @@ Two implementations with one contract:
   :meth:`repro.kernels.state.CsrState.multiply` — the length-grouped,
   row-blocked executor behind every session — is held bitwise equal to.
 
-:func:`spmm` accepts ``workspace=`` (a
-:class:`~repro.util.workspace.WorkspacePool` or leased
-:class:`~repro.util.workspace.Workspace`): scratch buffers are then leased
-from the pool instead of allocated per call, and the gather / multiply /
-segment-sum run through the ``out=`` forms of the same ufuncs in the same
-operand order — results are bitwise identical to the allocating path
-(asserted in the test suite).  For the repeated-multiply serving case,
-whose row blocks also bound scratch to a fixed byte budget, see
-:class:`repro.kernels.KernelSession`.
+One-shot :func:`spmm` allocates its scratch on every call.  For the
+repeated-multiply serving case, whose row blocks lease a fixed byte budget
+of scratch from the session's pool, see :class:`repro.kernels.KernelSession`.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from repro.contracts import checked, validates
 from repro.kernels.state import CsrState
 from repro.sparse.csr import CSRMatrix
 from repro.util.validation import check_dense, check_out
-from repro.util.workspace import DirectWorkspace, Workspace, as_workspace
+from repro.util.workspace import DirectWorkspace
 
 __all__ = ["spmm", "spmm_rowwise_reference"]
 
@@ -52,57 +46,12 @@ def spmm_rowwise_reference(csr: CSRMatrix, X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _gathered_products(
-    values: np.ndarray, X: np.ndarray, cols: np.ndarray, ws: Workspace | None
-) -> np.ndarray:
-    """``values[:, None] * X[cols]`` — through leased scratch when pooled.
-
-    The pooled path gathers with ``np.take(out=)`` and multiplies with
-    ``np.multiply(out=)`` using the same operand order as the allocating
-    expression, so both paths round identically.
-    """
-    if ws is None:
-        return values[:, None] * X[cols]
-    K = X.shape[1]
-    if X.dtype == np.float64:
-        products = ws.scratch((cols.size, K))
-        np.take(X, cols, axis=0, out=products)
-    else:
-        # dtype-preserving gather, then a widening multiply into float64
-        # scratch (float32 -> float64 casts are exact, so the product is
-        # bit-for-bit the promoted multiply of the allocating path).
-        products = ws.scratch((cols.size, K), dtype=X.dtype)
-        np.take(X, cols, axis=0, out=products)
-        widened = ws.scratch((cols.size, K))
-        np.multiply(values[:, None], products, out=widened)
-        return widened
-    np.multiply(values[:, None], products, out=products)
-    return products
-
-
-def _segment_rows(
-    products: np.ndarray,
-    starts: np.ndarray,
-    nonempty: np.ndarray,
-    out_rows: np.ndarray,
-    ws: Workspace | None,
-) -> None:
-    """``out_rows[nonempty] = reduceat(products, starts)`` without allocating."""
-    if ws is None:
-        out_rows[nonempty] = np.add.reduceat(products, starts, axis=0)
-        return
-    sums = ws.scratch((nonempty.size, products.shape[1]))
-    np.add.reduceat(products, starts, axis=0, out=sums)
-    out_rows[nonempty] = sums
-
-
 @checked(validates("csr"))
 def spmm(
     csr: CSRMatrix,
     X: np.ndarray,
     out: np.ndarray | None = None,
     *,
-    workspace=None,
     backend: str | None = None,
 ) -> np.ndarray:
     """Vectorised SpMM.
@@ -120,10 +69,6 @@ def spmm(
         accumulated).  Must be writable in place: a float64 C-contiguous
         ndarray of exactly that shape
         (:func:`~repro.util.validation.check_out`).
-    workspace:
-        Optional :class:`~repro.util.workspace.WorkspacePool` or
-        :class:`~repro.util.workspace.Workspace`; the ``nnz * K``
-        products scratch is leased from it instead of allocated.
     backend:
         Optional backend name (see :mod:`repro.kernels.backends`).
         ``None``/``"numpy"`` run this reference path — one-shot ``spmm``
@@ -150,19 +95,14 @@ def spmm(
         out[:] = 0.0
     if csr.nnz == 0:
         return out
-    ws, owned = as_workspace(workspace)
-    try:
-        if compiled is not None:
-            compiled(CsrState(csr), X, out, DirectWorkspace() if ws is None else ws)
-        else:
-            # Gather + scale: products[p] = value[p] * X[col[p]], then
-            # segment-sum into rows (reduceat needs non-empty segments).
-            products = _gathered_products(csr.values, X, csr.colidx, ws)
-            lengths = csr.row_lengths()
-            nonempty = np.flatnonzero(lengths > 0)
-            starts = csr.rowptr[:-1][nonempty]
-            _segment_rows(products, starts, nonempty, out, ws)
-    finally:
-        if owned:
-            ws.release()
+    if compiled is not None:
+        compiled(CsrState(csr), X, out, DirectWorkspace())
+    else:
+        # Gather + scale: products[p] = value[p] * X[col[p]], then
+        # segment-sum into rows (reduceat needs non-empty segments).
+        products = csr.values[:, None] * X[csr.colidx]
+        lengths = csr.row_lengths()
+        nonempty = np.flatnonzero(lengths > 0)
+        starts = csr.rowptr[:-1][nonempty]
+        out[nonempty] = np.add.reduceat(products, starts, axis=0)
     return out

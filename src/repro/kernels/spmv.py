@@ -17,7 +17,6 @@ import numpy as np
 from repro.contracts import checked, validates
 from repro.sparse.csr import CSRMatrix
 from repro.util.arrayops import segment_sum
-from repro.util.workspace import as_workspace
 
 __all__ = ["spmv", "spmv_rowwise_reference"]
 
@@ -38,29 +37,12 @@ def spmv_rowwise_reference(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
 
 
 @checked(validates("csr"))
-def spmv(csr: CSRMatrix, x: np.ndarray, *, workspace=None) -> np.ndarray:
-    """Vectorised SpMV: gather, multiply, segment-sum.
-
-    ``workspace`` optionally leases the ``nnz``-long products scratch from
-    a :class:`~repro.util.workspace.WorkspacePool` /
-    :class:`~repro.util.workspace.Workspace` instead of allocating it;
-    the gather and multiply then run through ``out=`` forms with the same
-    operand order, so the result is bitwise identical.
-    """
+def spmv(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
+    """Vectorised SpMV: gather, multiply, segment-sum."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != csr.n_cols:
         raise ValueError(f"x must be 1-D of length {csr.n_cols}, got shape {x.shape}")
     if csr.nnz == 0:
         return np.zeros(csr.n_rows, dtype=np.float64)
-    ws, owned = as_workspace(workspace)
-    try:
-        if ws is None:
-            products = csr.values * x[csr.colidx]
-        else:
-            products = ws.scratch(csr.nnz)
-            np.take(x, csr.colidx, out=products)
-            np.multiply(csr.values, products, out=products)
-        return segment_sum(products, csr.rowptr)
-    finally:
-        if owned:
-            ws.release()
+    products = csr.values * x[csr.colidx]
+    return segment_sum(products, csr.rowptr)

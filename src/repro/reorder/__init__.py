@@ -25,7 +25,6 @@ from repro.reorder.pipeline import (
     build_plan,
 )
 from repro.reorder.autotune import AutotuneResult, autotune
-from repro.reorder.online import OnlineReorderer
 
 __all__ = [
     "HeuristicDecision",
@@ -38,5 +37,4 @@ __all__ = [
     "attach_backend",
     "AutotuneResult",
     "autotune",
-    "OnlineReorderer",
 ]

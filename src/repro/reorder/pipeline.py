@@ -216,10 +216,12 @@ class ExecutionPlan:
     preprocess_seconds:
         Wall-clock breakdown: ``lsh1``, ``cluster1``, ``permute1``,
         ``tile``, ``sim2``, ``lsh2``, ``cluster2``, ``backend_compile``,
-        ``total``.  On a plain :func:`build_plan` the round-2 keys appear
-        when round 2 runs, on first read of one of the three attributes
-        above or of :meth:`cost_view`, and its wall-clock is then added
-        to ``total``.
+        ``total``.  ``tile`` sums the round-1 gate's split of the
+        original and, when it is not the plan's, the plan's.  On a
+        plain :func:`build_plan` the round-2 keys appear when round 2
+        runs, on first read of one of the three attributes above or of
+        :meth:`cost_view`, and its wall-clock is then added to
+        ``total``.
     provenance:
         Degradation-ladder history when the plan was built under a
         :class:`repro.resilience.ResiliencePolicy` — one entry per
@@ -640,7 +642,10 @@ def _build_plan_uncached(
         times, "total"
     ):
         # ---- round 1 gate + reorder -----------------------------------
-        original_tiled = tile_matrix(csr, config.panel_height, config.dense_threshold)
+        with span("tile"), timed(times, "tile"):
+            original_tiled = tile_matrix(
+                csr, config.panel_height, config.dense_threshold
+            )
         gate1 = should_reorder_round1(original_tiled, skip_above=config.dense_ratio_skip)
         do_round1 = (
             gate1.reorder if config.force_round1 is None else config.force_round1

@@ -4,8 +4,8 @@ The utilities here are deliberately tiny and dependency-free (NumPy only):
 argument validation (:mod:`repro.util.validation`), deterministic RNG
 handling (:mod:`repro.util.rng`), wall-clock timing (:mod:`repro.util.timing`),
 lightweight logging (:mod:`repro.util.log`), vectorised array primitives
-(:mod:`repro.util.arrayops`) and the reusable scratch-buffer pool backing
-the zero-allocation kernel paths (:mod:`repro.util.workspace`).
+(:mod:`repro.util.arrayops`) and the reusable scratch-buffer pool behind
+kernel sessions (:mod:`repro.util.workspace`).
 """
 
 from repro.util.arrayops import (

@@ -1,13 +1,15 @@
-"""Size-class scratch-buffer pool for the zero-allocation kernel paths.
+"""Size-class scratch-buffer pool behind :class:`~repro.kernels.KernelSession`.
 
 The paper's whole argument is data-movement reduction, and the serving
 story (ROADMAP north star) multiplies the *same* matrix thousands of times.
-Allocating the ``O(nnz * K)`` products scratch on every call churns the
-allocator and the page cache for no benefit: the buffer shapes repeat
-call after call.  :class:`WorkspacePool` keeps freed blocks in per
-``(dtype, size-class)`` freelists so steady-state kernel calls allocate
-nothing, and :class:`Workspace` scopes a set of leased blocks to one
-kernel invocation (or to a long-lived :class:`~repro.kernels.KernelSession`).
+Allocating the products scratch on every call churns the allocator and
+the page cache for no benefit: the buffer shapes repeat call after call.
+:class:`WorkspacePool` keeps freed blocks in per ``(dtype, size-class)``
+freelists so steady-state session multiplies allocate nothing, and
+:class:`Workspace` scopes a set of leased blocks to one session call.
+The pool is the session's: only the two executors a session runs
+(:meth:`~repro.kernels.state.CsrState.multiply` and the compiled ``cc``
+loop) lease from it.  The one-shot reference kernels allocate.
 
 Design notes
 ------------
@@ -22,9 +24,10 @@ Design notes
 * ``hits`` / ``misses`` / ``evictions`` counters make reuse observable —
   the perf-regression gate asserts steady-state calls stop allocating.
 
-Correctness contract: pooled kernel paths gather/multiply/reduce into
-leased buffers with the *same operand order* as the allocating paths, so
-results are bitwise identical (asserted by the oracle tests).
+Correctness contract: a session's executor runs the same operations on
+leased and on directly allocated (:class:`DirectWorkspace`) buffers, so
+results are bitwise identical to the one-shot :func:`~repro.kernels.spmm`
+reference (asserted by the oracle tests).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.errors import WorkspaceExhausted
 from repro.observability.metrics import METRICS
 from repro.resilience.faults import fault_point
 
-__all__ = ["DirectWorkspace", "Workspace", "WorkspacePool", "as_workspace"]
+__all__ = ["DirectWorkspace", "Workspace", "WorkspacePool"]
 
 
 def _size_class(n_elements: int) -> int:
@@ -212,11 +215,10 @@ class WorkspacePool:
 class Workspace:
     """A scoped set of scratch arrays leased from a :class:`WorkspacePool`.
 
-    Kernels take ``workspace=`` and call :meth:`scratch` for every
-    temporary; on :meth:`release` (or context-manager exit) all blocks
-    go back to the pool.  A workspace may be long-lived — a
-    :class:`~repro.kernels.KernelSession` holds one per call so repeated
-    multiplies recycle the same blocks.
+    An executor calls :meth:`scratch` for every temporary; on
+    :meth:`release` (or context-manager exit) all blocks go back to the
+    pool.  A :class:`~repro.kernels.KernelSession` holds one per call so
+    repeated multiplies recycle the same blocks.
 
     Scratch arrays are only valid until release; they must never escape
     into a returned value (kernel outputs are caller-owned arrays).
@@ -252,10 +254,10 @@ class DirectWorkspace:
 
     Stands in for a :class:`Workspace` wherever code is written against
     the ``scratch``/``release`` surface but no pool is in play: the
-    :class:`~repro.kernels.KernelSession` exhaustion fallback, and
-    compiled-backend kernels invoked one-shot without a ``workspace=``.
-    Results are bitwise identical either way — pooled and direct paths
-    run the same operations on same-shaped buffers.
+    :class:`~repro.kernels.KernelSession` exhaustion fallback, and the
+    compiled SpMM that one-shot ``spmm(backend=...)`` runs.  Results are
+    bitwise identical either way — pooled and direct paths run the same
+    operations on same-shaped buffers.
     """
 
     __slots__ = ()
@@ -274,23 +276,3 @@ class DirectWorkspace:
     def __exit__(self, exc_type, exc, tb) -> None:
         return None
 
-
-def as_workspace(workspace) -> tuple[Workspace | None, bool]:
-    """Normalise a kernel ``workspace=`` argument.
-
-    Kernels accept ``None`` (allocate normally), a :class:`WorkspacePool`
-    (lease a fresh workspace for this one call) or a :class:`Workspace`
-    (caller manages the lease — used by long-lived sessions).  Returns
-    ``(workspace_or_none, owned)`` where ``owned`` tells the kernel it
-    must release the workspace when it finishes.
-    """
-    if workspace is None:
-        return None, False
-    if isinstance(workspace, WorkspacePool):
-        return workspace.lease(), True
-    if isinstance(workspace, Workspace):
-        return workspace, False
-    raise TypeError(
-        "workspace must be a WorkspacePool, a Workspace or None, got "
-        f"{type(workspace).__name__}"
-    )

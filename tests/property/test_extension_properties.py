@@ -1,12 +1,10 @@
-"""Hypothesis property tests for the extension modules (measures, online
-reorderer, SpMV)."""
+"""Hypothesis property tests for the extension modules (measures, SpMV)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import spmm, spmv
-from repro.reorder import OnlineReorderer
 from repro.similarity import MEASURES, jaccard_for_pairs, similarity_for_pairs
 
 from test_sparse_properties import csr_matrices
@@ -69,26 +67,3 @@ class TestSpmvProperties:
             spmv(csr, x), spmm(csr, x[:, None])[:, 0], rtol=1e-9, atol=1e-9
         )
 
-
-class TestOnlineReordererProperties:
-    @given(csr_matrices(max_dim=10, max_nnz=30))
-    @settings(max_examples=30, deadline=None)
-    def test_order_is_permutation(self, csr):
-        idx = OnlineReorderer(csr.n_cols, siglen=16, seed=0)
-        idx.insert_matrix(csr)
-        assert sorted(idx.order().tolist()) == list(range(csr.n_rows))
-
-    @given(csr_matrices(max_dim=10, max_nnz=30))
-    @settings(max_examples=30, deadline=None)
-    def test_cluster_sizes_partition_rows(self, csr):
-        idx = OnlineReorderer(csr.n_cols, siglen=16, seed=0)
-        idx.insert_matrix(csr)
-        assert int(idx.cluster_sizes().sum()) == csr.n_rows
-
-    @given(csr_matrices(max_dim=10, max_nnz=30), st.integers(1, 4))
-    @settings(max_examples=25, deadline=None)
-    def test_max_cluster_respected(self, csr, cap):
-        idx = OnlineReorderer(csr.n_cols, siglen=16, max_cluster=cap, seed=0)
-        idx.insert_matrix(csr)
-        if idx.n_rows:
-            assert int(idx.cluster_sizes().max()) <= cap

@@ -104,10 +104,3 @@ class TestSingleRowMatrix:
         X = rng.normal(size=(16, 4))
         np.testing.assert_allclose(plan.spmm(X), spmm(m, X))
         assert plan.row_order.tolist() == [0]
-
-    def test_online_reorderer_single_row(self):
-        from repro.reorder import OnlineReorderer
-
-        idx = OnlineReorderer(16, siglen=8)
-        idx.insert_row([3, 5])
-        assert idx.order().tolist() == [0]

@@ -1,15 +1,12 @@
-"""Unit tests for the SpMV kernel/cost model, staircase generator and the
-online reorderer extension."""
+"""Unit tests for the SpMV kernel/cost model and the staircase generator."""
 
 import numpy as np
 import pytest
 
-from repro.datasets import hidden_clusters, staircase
+from repro.datasets import staircase
 from repro.errors import ConfigError, ValidationError
 from repro.gpu import GPUExecutor, P100
 from repro.kernels import spmv, spmv_rowwise_reference
-from repro.reorder import OnlineReorderer
-from repro.similarity import average_consecutive_similarity
 from repro.sparse import CSRMatrix, permute_csr_rows
 
 from conftest import random_csr
@@ -97,83 +94,3 @@ class TestStaircase:
         with pytest.raises(ValidationError):
             staircase(0, 3)
 
-
-class TestOnlineReorderer:
-    def test_groups_identical_rows(self):
-        idx = OnlineReorderer(100, siglen=32, seed=0)
-        c1 = idx.insert_row([1, 5, 9])
-        c2 = idx.insert_row([40, 50])
-        c3 = idx.insert_row([1, 5, 9])
-        assert c1 == c3 != c2
-        assert idx.n_clusters == 2
-
-    def test_recovers_hidden_clusters(self):
-        m = hidden_clusters(40, 6, 512, 12, noise=0.05, seed=3)
-        idx = OnlineReorderer(512, siglen=64, seed=0)
-        idx.insert_matrix(m)
-        reordered = permute_csr_rows(m, idx.order())
-        assert (
-            average_consecutive_similarity(reordered)
-            > average_consecutive_similarity(m) + 0.3
-        )
-
-    def test_order_is_permutation(self, rng):
-        m = random_csr(rng, 50, 40, 0.1)
-        idx = OnlineReorderer(40, siglen=32, seed=0)
-        idx.insert_matrix(m)
-        assert sorted(idx.order().tolist()) == list(range(50))
-
-    def test_min_similarity_gate(self):
-        idx = OnlineReorderer(100, siglen=32, min_similarity=0.9, seed=0)
-        idx.insert_row([1, 2, 3, 4])
-        c2 = idx.insert_row([1, 2, 50, 60])  # Jaccard 2/6 < 0.9
-        assert c2 == 1  # new cluster
-
-    def test_max_cluster_cap(self):
-        idx = OnlineReorderer(100, siglen=32, max_cluster=2, seed=0)
-        clusters = [idx.insert_row([7, 8, 9]) for _ in range(5)]
-        assert max(idx.cluster_sizes()) <= 2
-        assert len(set(clusters)) >= 3
-
-    def test_empty_rows_dont_cluster_with_content(self):
-        idx = OnlineReorderer(100, siglen=32, seed=0)
-        c1 = idx.insert_row([])
-        c2 = idx.insert_row([3, 4])
-        c3 = idx.insert_row([])
-        assert c1 != c2
-        assert c3 != c2
-
-    def test_column_bound_validated(self):
-        idx = OnlineReorderer(10, siglen=32)
-        with pytest.raises(ValidationError):
-            idx.insert_row([10])
-
-    def test_matrix_width_validated(self, rng):
-        idx = OnlineReorderer(10, siglen=32)
-        with pytest.raises(ValidationError):
-            idx.insert_matrix(random_csr(rng, 5, 12, 0.3))
-
-    def test_bad_params(self):
-        with pytest.raises(ValidationError):
-            OnlineReorderer(10, siglen=10, bsize=3)
-        with pytest.raises(ValidationError):
-            OnlineReorderer(10, min_similarity=1.5)
-
-    def test_empty_index_order(self):
-        assert OnlineReorderer(10).order().size == 0
-
-    def test_incremental_matches_batch_quality(self):
-        # Online placement should reach similar panel quality as the batch
-        # pipeline on a clean clustered stream.
-        from repro.aspt import tile_matrix
-        from repro.reorder import ReorderConfig, build_plan
-
-        m = hidden_clusters(40, 8, 768, 16, noise=0.0, seed=5)
-        idx = OnlineReorderer(768, siglen=64, seed=0)
-        idx.insert_matrix(m)
-        online_ratio = tile_matrix(permute_csr_rows(m, idx.order()), 8).dense_ratio
-        plan = build_plan(
-            m, ReorderConfig(siglen=64, panel_height=8, force_round1=True)
-        )
-        batch_ratio = plan.stats.dense_ratio_after
-        assert online_ratio >= 0.8 * batch_ratio

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.aspt import tile_matrix
 from repro.datasets import edge_stream, hidden_clusters, stream_corpus
 from repro.errors import DegradedExecution, ValidationError
 from repro.kernels import KernelSession, spmm
@@ -13,7 +14,8 @@ from repro.observability import Tracer, tracing
 from repro.planstore import PlanStore
 from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import ResiliencePolicy
-from repro.sparse import CSRMatrix
+from repro.similarity import average_consecutive_similarity
+from repro.sparse import CSRMatrix, permute_csr_rows
 from repro.streaming import (
     DeltaBatch,
     StreamingPlan,
@@ -398,6 +400,62 @@ class TestStreamingPlan:
             sp.apply(delta)
         x = np.random.default_rng(6).normal(size=(m.n_cols, 4))
         np.testing.assert_array_equal(sp.plan.spmm(x), spmm(m, x))
+
+
+class TestGrowingMatrix:
+    """The paper's §4 online scenario on a matrix that grows: rows arrive
+    as row-appending ``add`` deltas, and each one replans through the
+    batch MinHash/LSH."""
+
+    def test_groups_identical_rows(self):
+        sp = StreamingPlan(CSRMatrix.empty((0, 100)), CFG)
+        for cols in ([1, 5, 9], [40, 50], [1, 5, 9]):
+            sp.apply(DeltaBatch(
+                rows=np.full(len(cols), sp.matrix.n_rows), cols=np.array(cols),
+                values=np.ones(len(cols)), new_rows=1,
+            ))
+        order = sp.plan.row_order.tolist()
+        assert sorted(order) == [0, 1, 2]
+        assert abs(order.index(0) - order.index(2)) == 1
+
+    def test_recovers_hidden_clusters(self):
+        m = hidden_clusters(40, 6, 512, 12, noise=0.05, seed=3)
+        base, deltas = split_into_deltas(m, 8, seed=0, grow_rows=True)
+        sp = StreamingPlan(base, CFG)
+        for delta in deltas:
+            report = sp.apply(delta)
+            assert report.reason == "sparsity pattern changed"
+        assert sorted(sp.plan.row_order.tolist()) == list(range(m.n_rows))
+        reordered = permute_csr_rows(m, sp.plan.row_order)
+        assert (
+            average_consecutive_similarity(reordered)
+            > average_consecutive_similarity(m) + 0.3
+        )
+        assert_plans_identical(sp.plan, build_plan(m, CFG))
+
+    def test_order_is_permutation(self, rng):
+        m = random_csr(rng, 50, 40, 0.1)
+        base, deltas = split_into_deltas(m, 8, seed=0, grow_rows=True)
+        sp = StreamingPlan(base, CFG)
+        for delta in deltas:
+            sp.apply(delta)
+        assert sorted(sp.plan.row_order.tolist()) == list(range(50))
+
+    def test_incremental_matches_batch_quality(self):
+        # The grown plan reaches the batch pipeline's panel quality on a
+        # clean clustered stream: it is the batch build.
+        config = ReorderConfig(siglen=64, panel_height=8, force_round1=True)
+        m = hidden_clusters(40, 8, 768, 16, noise=0.0, seed=5)
+        base, deltas = split_into_deltas(m, 8, seed=0, grow_rows=True)
+        sp = StreamingPlan(base, config)
+        for delta in deltas:
+            sp.apply(delta)
+        online_ratio = tile_matrix(
+            permute_csr_rows(m, sp.plan.row_order), 8
+        ).dense_ratio
+        plan = build_plan(m, config)
+        assert online_ratio >= 0.8 * plan.stats.dense_ratio_after
+        assert_plans_identical(sp.plan, plan)
 
 
 class TestSessionRefresh:

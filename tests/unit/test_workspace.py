@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.util.workspace import Workspace, WorkspacePool, as_workspace
+from repro.util.workspace import WorkspacePool
 from repro.util.workspace import _size_class
 
 
@@ -138,25 +138,3 @@ class TestWorkspace:
             "held_bytes": 16 * 8,
         }
 
-
-class TestAsWorkspace:
-    def test_none_passthrough(self):
-        assert as_workspace(None) == (None, False)
-
-    def test_pool_leases_owned_workspace(self):
-        pool = WorkspacePool()
-        ws, owned = as_workspace(pool)
-        assert isinstance(ws, Workspace)
-        assert owned
-        assert ws.pool is pool
-
-    def test_workspace_is_borrowed(self):
-        pool = WorkspacePool()
-        ws = pool.lease()
-        got, owned = as_workspace(ws)
-        assert got is ws
-        assert not owned
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            as_workspace(object())
