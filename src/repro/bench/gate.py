@@ -236,8 +236,10 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
     # Streaming cells: one value-only set-delta (overwrite existing
     # entries, ~2% of the rows dirty) absorbed by ``apply_delta``, which
     # keeps the plan's decisions and re-tiles the new values, vs a full
-    # from-scratch rebuild of the mutated matrix; the gated
-    # ``plan_patch_vs_rebuild`` speedup below is their ratio.  Reading
+    # from-scratch rebuild of the mutated matrix.  Each is gated against
+    # its own baseline.  Their ratio, ``plan_patch_vs_rebuild``, is
+    # recorded under ``reference`` and not gated: a faster rebuild would
+    # read as a regression of it.  Reading
     # ``plan0.stats`` runs the old plan's round 2 before the update is
     # timed, so the successor reuses it and returns round 2 (the
     # successor of a pending plan would leave it pending); the rebuild
@@ -299,16 +301,15 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
             "(~0.1% nnz), seed 11",
         },
         "metrics": metrics,
-        "speedups": {
+        "speedups": {},
+        "reference": {
+            "pre_pr_median_ms": pre_pr,
+            "stage_vs_pre_pr": round(pre_pr["stage"] / stage_ms, 3),
             "plan_patch_vs_rebuild": round(
                 metrics["plan_rebuild"]["median_ms"]
                 / metrics["plan_patch"]["median_ms"],
                 3,
             ),
-        },
-        "reference": {
-            "pre_pr_median_ms": pre_pr,
-            "stage_vs_pre_pr": round(pre_pr["stage"] / stage_ms, 3),
         },
     }
 

@@ -122,7 +122,6 @@ class ExperimentConfig:
     reorder: ReorderConfig | None = None  #: None -> panel height from PANEL_HEIGHTS
     cache_mode: str = "approx"
     verify: bool = False
-    auto_scale_model: bool = True  #: apply :func:`scale_model` for the corpus scale
     plan_cache_dir: str | None = None  #: persistent plan-store directory (optional)
     resilience: ResiliencePolicy | None = None  #: deadline/ladder policy (optional)
 
@@ -143,7 +142,6 @@ class ExperimentConfig:
             )
 
     def effective_model(self) -> tuple[DeviceSpec, CostModelConfig]:
-        """The (device, cost) pair after optional corpus-scale shrinking."""
-        if not self.auto_scale_model:
-            return self.device, self.cost
+        """The (device, cost) pair shrunk by :func:`scale_model` for the
+        corpus scale."""
         return scale_model(self.device, self.cost, SCALE_FACTORS[self.scale])

@@ -29,7 +29,7 @@ and the next read runs it again.  ``session()``, ``spmm()`` and
 through a plan store computes round 2 inside the build, as the ladder's
 deadlines and the store's write-through need it there; ``build_plans``
 computes it in the worker that built the plan.  A streaming update
-(:func:`repro.streaming.apply_delta`) is either such a build or a
+(:func:`repro.streaming.apply_delta`) is either a plain build or a
 same-pattern successor that carries its plan's round 2 over
 (:meth:`_Round2Memo.successor`): computed if it had run, pending if not.
 """
@@ -578,15 +578,14 @@ def _build_plan_resilient(csr, config, loaded, cache, policy) -> ExecutionPlan:
 
     Rung 0 (``full``) goes through the cache when one is given; the
     degraded rungs never touch it.  The final rung runs without a
-    deadline, so a laddered build always terminates with *some* plan;
-    with ``policy.ladder`` off the first failure propagates.
+    deadline, so a build always terminates with *some* plan.
     """
     from repro.resilience.policy import ladder_rungs
 
-    rungs = ladder_rungs(config) if policy.ladder else [("full", config)]
+    rungs = ladder_rungs(config)
     provenance: list = []
     for index, (label, rung_config) in enumerate(rungs):
-        floor = policy.ladder and index == len(rungs) - 1
+        floor = index == len(rungs) - 1
         deadline = None if floor else policy.new_deadline()
         try:
             with span("plan_rung", rung=label):
@@ -600,7 +599,7 @@ def _build_plan_resilient(csr, config, loaded, cache, policy) -> ExecutionPlan:
                     )
         except (TimeoutExceeded, MemoryError) as exc:
             provenance.append(f"{label}: {type(exc).__name__}: {exc}")
-            if index == len(rungs) - 1:
+            if floor:
                 raise
             continue
         provenance.append(f"{label}: ok")
@@ -828,17 +827,14 @@ class _Round2Memo:
                     self._fields, self._pending = fields, None
         return self._fields
 
-    def successor(self, tiled: TiledMatrix, times: dict | None = None,
-                  deadline=None) -> "_Round2Memo":
+    def successor(self, tiled: TiledMatrix) -> "_Round2Memo":
         """The memo of a successor plan: this plan's sparsity pattern with
         new values, tiled as ``tiled``.
 
         Every decision of a build is a function of the pattern, so the
         round-1 fields carry over as they are, and so does a round 2 that
         has run, with the remainder re-permuted from ``tiled``.  A pending
-        round 2 stays pending over ``tiled``, unless ``times`` is given:
-        then it runs now under ``deadline``, as a build under a cache or a
-        policy runs it, and adds its stage times to ``times``.
+        round 2 stays pending over ``tiled``.
         """
         with self._lock:  # waits out a first read that is running round 2
             fields, pending = self._fields, self._pending
@@ -847,12 +843,7 @@ class _Round2Memo:
             remainder = permute_csr_rows(tiled.sparse_part, order)
             return _Round2Memo.filled(order, remainder, stats)
         _, config, round1 = pending
-        if times is None:
-            return _Round2Memo(pending=(tiled, config, round1))
-        if deadline is not None:
-            deadline.check("sim2")
-        round2 = _reorder_remainder(tiled, config, times, deadline)
-        return _Round2Memo.filled(*_round2_fields(round1, round2))
+        return _Round2Memo(pending=(tiled, config, round1))
 
     def __getstate__(self) -> dict:
         return {"_fields": self._fields, "_pending": self._pending}

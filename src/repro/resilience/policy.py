@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.errors import ConfigError
 from repro.observability.metrics import METRICS
 from repro.resilience.deadline import Deadline
+from repro.util.validation import finite_real
 
 __all__ = ["ResiliencePolicy", "LADDER_RUNGS", "ladder_rungs"]
 
@@ -85,29 +87,20 @@ class ResiliencePolicy:
     Attributes
     ----------
     deadline_s:
-        Per-rung stage budget in seconds (``None`` = unlimited).  Each
-        rung gets a fresh deadline; the final ``untiled-csr`` rung runs
-        without one so the ladder always has an escape that cannot time
-        out.
-    ladder:
-        When ``False``, failures propagate instead of degrading (the
-        deadline still applies — useful for hard-real-time callers that
-        prefer an error over a slower plan).
-    io_attempts, io_backoff_s:
-        Bounded-retry parameters applied around dataset and plan-store
-        IO (see :func:`repro.resilience.retry_io`).
+        Per-rung stage budget in seconds (``None`` = unlimited): a finite
+        number ``>= 0``.  Each rung gets a fresh deadline; the final
+        ``untiled-csr`` rung runs without one so the ladder always has an
+        escape that cannot time out.
     """
 
     deadline_s: float | None = None
-    ladder: bool = True
-    io_attempts: int = 3
-    io_backoff_s: float = 0.02
 
     def __post_init__(self):
-        if self.deadline_s is not None and self.deadline_s < 0:
-            raise ValueError(f"deadline_s must be >= 0, got {self.deadline_s}")
-        if self.io_attempts < 1:
-            raise ValueError(f"io_attempts must be >= 1, got {self.io_attempts}")
+        value = self.deadline_s
+        if value is not None and not (finite_real(value) and value >= 0):
+            raise ConfigError(
+                f"deadline_s must be a finite number >= 0, got {value!r}"
+            )
 
     def new_deadline(self) -> Deadline | None:
         """A fresh per-rung deadline (``None`` when unlimited)."""

@@ -15,9 +15,10 @@ them all retry at the same instants and collide again.  The jitter here
 is **deterministic** — derived from BLAKE2b over ``(label, attempt,
 sequence)`` exactly like the fault-injection streams, never from
 :mod:`random` — so a chaos run's retry timing is still exactly
-reproducible and the library RNGs are untouched.  Pass ``jitter=0.0``
-for the legacy fixed schedule.
+reproducible and the library RNGs are untouched.
 
+The schedule is fixed: :data:`ATTEMPTS` tries of an ``OSError``, the
+``i``-th failure sleeping a jittered fraction of ``BACKOFF_S * 2**i``.
 The sleeper is injectable so chaos tests run at full speed; every real
 delay is recorded on the ``retry.sleep_s`` histogram.
 """
@@ -43,12 +44,19 @@ NON_TRANSIENT_OS_ERRORS: tuple = (
     PermissionError,
 )
 
+#: Tries per call, the first included.
+ATTEMPTS = 3
+
+#: Backoff ceiling after the first failure, doubled after each later one:
+#: with :data:`ATTEMPTS` tries a call waits at most 60 ms in all.
+BACKOFF_S = 0.02
+
 #: Process-wide retry sequence number: makes successive retry *bursts*
 #: of the same label draw different jitter, while a fixed call sequence
 #: still reproduces exactly.
 _SEQ = itertools.count()
 
-# Sub-10ms buckets matter here: the default backoff ceiling is 80 ms.
+# Sub-10ms buckets matter here: no backoff is longer than 40 ms.
 _SLEEP_BUCKETS = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5)
 
 
@@ -60,82 +68,57 @@ def _jitter_fraction(label: str, attempt: int, seq: int) -> float:
     return int.from_bytes(digest, "little") / 2.0**64
 
 
-def retry_io(
-    fn,
-    *,
-    attempts: int = 3,
-    backoff_s: float = 0.02,
-    label: str = "",
-    retry_on: tuple = (OSError,),
-    sleep=time.sleep,
-    jitter: float = 1.0,
-):
-    """Call ``fn()``; retry transient failures up to ``attempts`` times.
+def retry_io(fn, *, label: str = "", sleep=time.sleep):
+    """Call ``fn()``; retry a transient ``OSError`` up to :data:`ATTEMPTS`
+    tries in all.
 
     Parameters
     ----------
     fn:
         Zero-argument callable performing the IO.
-    attempts:
-        Total tries (``1`` disables retrying).
-    backoff_s:
-        Base backoff; try ``i`` (0-based) waits up to
-        ``backoff_s * 2**i`` after failing, so defaults cost at most
-        ~60 ms of waiting.
     label:
         Operation name for the retry log line (e.g. the path); also keys
         the deterministic jitter stream.
-    retry_on:
-        Exception types considered potentially transient.  Members of
-        :data:`NON_TRANSIENT_OS_ERRORS` are *always* re-raised
-        immediately, even when they match ``retry_on``.
     sleep:
         Injectable sleeper (chaos tests pass a no-op).
-    jitter:
-        Fraction of each delay drawn uniformly (full jitter): the actual
-        sleep is ``ceiling * (1 - jitter + jitter * u)`` for a
-        deterministic ``u`` in ``[0, 1)``.  ``1.0`` (default) is classic
-        full jitter; ``0.0`` restores the fixed exponential schedule.
+
+    Members of :data:`NON_TRANSIENT_OS_ERRORS` are re-raised at once, as
+    is any exception that is not an ``OSError``.  Try ``i`` (0-based)
+    sleeps ``BACKOFF_S * 2**i * u`` after failing, for a deterministic
+    ``u`` in ``[0, 1)`` (full jitter).
 
     Returns
     -------
     Whatever ``fn`` returns.  The last exception is re-raised when every
     attempt fails.
     """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    if not 0.0 <= jitter <= 1.0:
-        raise ValueError(f"jitter must be in [0, 1], got {jitter}")
-    for attempt in range(attempts):
+    for attempt in range(ATTEMPTS):
         try:
             return fn()
         except NON_TRANSIENT_OS_ERRORS:
             raise
-        except retry_on as exc:
-            if attempt == attempts - 1:
+        except OSError as exc:
+            if attempt == ATTEMPTS - 1:
                 raise
             METRICS.counter(
                 "resilience.retry", "transient-IO retry attempts"
             ).inc()
-            ceiling = backoff_s * (2.0**attempt)
-            delay = ceiling
-            if jitter > 0.0 and ceiling > 0.0:
-                u = _jitter_fraction(label, attempt, next(_SEQ))
-                delay = ceiling * (1.0 - jitter + jitter * u)
+            delay = BACKOFF_S * (2.0**attempt) * _jitter_fraction(
+                label, attempt, next(_SEQ)
+            )
             _log.warning(
                 "retrying %s after %s: %s (attempt %d/%d, backoff %.3fs)",
                 label or "operation",
                 type(exc).__name__,
                 exc,
                 attempt + 1,
-                attempts,
+                ATTEMPTS,
                 delay,
             )
-            if delay > 0:
-                METRICS.histogram(
-                    "retry.sleep_s",
-                    "seconds slept between IO retry attempts",
-                    bounds=_SLEEP_BUCKETS,
-                ).observe(delay)
-                sleep(delay)
+            METRICS.histogram(
+                "retry.sleep_s",
+                "seconds slept between IO retry attempts",
+                bounds=_SLEEP_BUCKETS,
+            ).observe(delay)
+            sleep(delay)
     raise AssertionError("unreachable")  # pragma: no cover

@@ -11,11 +11,11 @@ See ``docs/SERVING.md`` for tuning guidance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.kernels.backends import DEFAULT_BACKEND, check_backend
+from repro.util.validation import finite_real
 
 __all__ = ["ServeConfig", "positive_seconds"]
 
@@ -23,16 +23,10 @@ __all__ = ["ServeConfig", "positive_seconds"]
 def positive_seconds(value) -> bool:
     """Whether ``value`` is a positive, finite number of seconds.
 
-    The check behind every deadline: ``json`` parses ``NaN`` and
-    ``Infinity`` literals, and ``True`` is an ``int``; none of them is a
-    deadline.
+    The check behind every deadline (see
+    :func:`~repro.util.validation.finite_real` for what it refuses).
     """
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    )
+    return finite_real(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -49,8 +43,6 @@ class ServeConfig:
     pool_sessions:
         Bound of the warm :class:`~repro.serve.SessionPool` (one session
         per matrix).
-    max_matrices:
-        Bound of the uploaded-matrix registry (LRU evicted).
     workers:
         Threads executing plan builds and multiplies (the asyncio loop
         never runs kernels itself).
@@ -60,30 +52,34 @@ class ServeConfig:
         instead of unbounded queueing.
     quota_rate, quota_burst:
         Per-tenant token-bucket refill rate (requests/second) and burst
-        capacity; exhausted buckets reject with ``rejected_quota``.
+        capacity, each a positive finite number; exhausted buckets reject
+        with ``rejected_quota``.
     default_deadline_s:
         Deadline applied to requests that do not carry ``deadline_s``
         (``None`` = no implicit deadline).
     breaker_threshold, breaker_reset_s:
         Consecutive backend-compile failures that trip the circuit
-        breaker, and the open interval before a half-open retrial.
+        breaker, and the open interval (a finite number of seconds
+        ``>= 0``) before a half-open retrial.
     backend, panel_height, chunk_k:
         Kernel-side knobs forwarded into the
         :class:`~repro.reorder.ReorderConfig` / sessions.
     plan_cache_dir:
         Optional persistent plan-store directory shared across restarts.
     drain_timeout_s:
-        Bound on the graceful drain (SIGTERM / ``drain`` op): in-flight
-        requests get this long to finish before the server closes anyway.
-    max_line_bytes:
-        Protocol line-length bound (guards the reader buffer).
+        Bound on the graceful drain (SIGTERM / ``drain`` op), a finite
+        number of seconds ``>= 0``: in-flight requests get this long to
+        finish before the server closes anyway.
+
+    The uploaded-matrix registry and the protocol line length have fixed
+    bounds, :data:`repro.serve.server.MAX_MATRICES` and
+    :data:`repro.serve.server.MAX_LINE_BYTES`.
     """
 
     host: str = "127.0.0.1"
     port: int = 7077
     unix_path: str | None = None
     pool_sessions: int = 8
-    max_matrices: int = 64
     workers: int = 2
     max_inflight: int = 16
     quota_rate: float = 100.0
@@ -96,22 +92,21 @@ class ServeConfig:
     chunk_k: int = 64
     plan_cache_dir: str | None = None
     drain_timeout_s: float = 30.0
-    max_line_bytes: int = 64 * 1024 * 1024
     #: Extra per-tenant quota overrides: ``{tenant: (rate, burst)}``.
     tenant_quotas: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("pool_sessions", "max_matrices", "workers", "max_inflight",
-                     "breaker_threshold", "chunk_k", "panel_height",
-                     "max_line_bytes"):
+        for name in ("pool_sessions", "workers", "max_inflight",
+                     "breaker_threshold", "chunk_k", "panel_height"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.quota_rate <= 0 or self.quota_burst <= 0:
-            raise ConfigError(
-                f"quota_rate/quota_burst must be > 0, got "
-                f"{self.quota_rate}/{self.quota_burst}"
-            )
+        for name in ("quota_rate", "quota_burst"):
+            value = getattr(self, name)
+            if not (finite_real(value) and value > 0):
+                raise ConfigError(
+                    f"{name} must be a positive finite number, got {value!r}"
+                )
         if self.default_deadline_s is not None and not positive_seconds(
             self.default_deadline_s
         ):
@@ -119,8 +114,12 @@ class ServeConfig:
                 "default_deadline_s must be a positive finite number, got "
                 f"{self.default_deadline_s}"
             )
-        if self.breaker_reset_s < 0 or self.drain_timeout_s < 0:
-            raise ConfigError("breaker_reset_s/drain_timeout_s must be >= 0")
+        for name in ("breaker_reset_s", "drain_timeout_s"):
+            value = getattr(self, name)
+            if not (finite_real(value) and value >= 0):
+                raise ConfigError(
+                    f"{name} must be a finite number >= 0, got {value!r}"
+                )
         # Name check (availability degrades later, a typo should fail
         # loudly now) — same contract as ReorderConfig.
         check_backend(self.backend)

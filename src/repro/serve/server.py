@@ -60,6 +60,15 @@ from repro.serve.protocol import (
 
 __all__ = ["SpmmServer", "run_server"]
 
+#: Uploaded matrices the registry holds; past it the least recently used
+#: one is evicted (``serve.matrix_evict``) and its fingerprint answers
+#: ``not_found``.
+MAX_MATRICES = 64
+
+#: Longest protocol line the reader buffers; a longer one is answered
+#: with an error and its connection closed.
+MAX_LINE_BYTES = 64 * 1024 * 1024
+
 
 class _Member:
     """One request riding a coalesced batch."""
@@ -141,12 +150,12 @@ class SpmmServer:
         addr = self.config.address()
         if isinstance(addr, str):
             self._server = await asyncio.start_unix_server(
-                self._on_conn, path=addr, limit=self.config.max_line_bytes
+                self._on_conn, path=addr, limit=MAX_LINE_BYTES
             )
         else:
             host, port = addr
             self._server = await asyncio.start_server(
-                self._on_conn, host, port, limit=self.config.max_line_bytes
+                self._on_conn, host, port, limit=MAX_LINE_BYTES
             )
             # Cache now: the sockets list empties once the listener closes,
             # but clients still need the address to observe the drain.
@@ -219,7 +228,8 @@ class SpmmServer:
                         writer,
                         {
                             "status": STATUS_ERROR,
-                            "error": "protocol line exceeds max_line_bytes",
+                            "error": "protocol line exceeds "
+                            f"{MAX_LINE_BYTES} bytes",
                         },
                     )
                     break
@@ -298,7 +308,7 @@ class SpmmServer:
         with self._matrices_lock:
             self._matrices[fingerprint] = csr
             self._matrices.move_to_end(fingerprint)
-            while len(self._matrices) > self.config.max_matrices:
+            while len(self._matrices) > MAX_MATRICES:
                 self._matrices.popitem(last=False)
                 self._matrix_evicts.inc()
 
@@ -475,7 +485,7 @@ class SpmmServer:
         budget = None
         if len(budgets) == len(members) and budgets:
             budget = max(0.0, max(budgets))
-        policy = ResiliencePolicy(deadline_s=budget, ladder=True)
+        policy = ResiliencePolicy(deadline_s=budget)
         compiled = False
         try:
             plan = build_plan(

@@ -226,10 +226,12 @@ def lsh_candidate_pairs(
     *,
     seed=None,
     bucket_cap: int | None = 64,
-    skip_empty_sentinel: bool = True,
     deadline=None,
 ) -> np.ndarray:
     """Generate candidate row pairs from a MinHash signature matrix.
+
+    Rows whose whole signature is the empty-row sentinel are dropped:
+    they have no columns, hence zero similarity to everything.
 
     Parameters
     ----------
@@ -241,9 +243,6 @@ def lsh_candidate_pairs(
         RNG for the band-compression hash.
     bucket_cap:
         Cap on quadratic bucket expansion (see module docstring).
-    skip_empty_sentinel:
-        Drop rows whose whole signature is the empty-row sentinel (they have
-        no columns, hence zero similarity to everything).
     deadline:
         Optional :class:`repro.resilience.Deadline`, polled between the
         whole-array banding steps (each a complete unit of work, so
@@ -262,16 +261,11 @@ def lsh_candidate_pairs(
     bsize = check_positive("bsize", bsize)
     if siglen % bsize != 0:
         raise ValidationError(f"bsize={bsize} must divide siglen={siglen}")
-    if n_rows < 2:
+    nonempty = ~(signatures == EMPTY_ROW_SENTINEL).all(axis=1)
+    rows = np.arange(n_rows, dtype=np.int64)[nonempty]
+    signatures = signatures[nonempty]
+    if rows.size < 2:
         return np.empty((0, 2), dtype=np.int64)
-
-    rows = np.arange(n_rows, dtype=np.int64)
-    if skip_empty_sentinel:
-        nonempty = ~(signatures == EMPTY_ROW_SENTINEL).all(axis=1)
-        rows = rows[nonempty]
-        signatures = signatures[nonempty]
-        if rows.size < 2:
-            return np.empty((0, 2), dtype=np.int64)
 
     mixers = band_mixers(siglen, bsize, seed)
     keys = band_keys_matrix(signatures, mixers)
@@ -286,7 +280,7 @@ class LSHIndex:
 
     Mirrors the black-box ``LSH(S, siglen, bsize)`` call of Alg. 3: given a
     CSR matrix, produce candidate pairs and their *exact* similarities
-    (Jaccard by default), optionally filtered by a minimum similarity.
+    (Jaccard by default).
 
     Attributes
     ----------
@@ -298,10 +292,6 @@ class LSHIndex:
         Seed for both MinHash and band hashing (deterministic preprocessing).
     bucket_cap:
         See :func:`lsh_candidate_pairs`.
-    min_similarity:
-        Candidates with exact similarity strictly below this are dropped.
-        The default 0 keeps everything LSH returned (the paper filters only
-        implicitly through the banding probability).
     measure:
         Scoring measure for candidate pairs (``"jaccard"`` — the paper's
         choice — or any of :data:`repro.similarity.MEASURES`).  MinHash
@@ -313,7 +303,6 @@ class LSHIndex:
     bsize: int = 2
     seed: int = 0
     bucket_cap: int | None = 64
-    min_similarity: float = 0.0
     measure: str = "jaccard"
 
     def candidate_pairs(
@@ -351,6 +340,5 @@ class LSHIndex:
         METRICS.counter(
             "clustering.pairs_scored", "similarity evaluations during clustering"
         ).inc(int(pairs.shape[0]))
-        threshold = max(self.min_similarity, np.finfo(np.float64).tiny)
-        keep = sims >= threshold
+        keep = sims >= np.finfo(np.float64).tiny
         return pairs[keep], sims[keep]

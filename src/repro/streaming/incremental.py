@@ -19,18 +19,15 @@ is **decision-identical** to a from-scratch build on the mutated matrix —
 same ``row_order``, same tiling, same ``remainder_order``, same stats —
 and therefore its multiplies are bitwise-equal to the fresh plan's.
 
-Round 2 is deferred exactly when ``build_plan`` defers it.  A successor
+Round 2 stays pending as a plain ``build_plan`` leaves it.  A successor
 carries the old plan's round 2 over (:meth:`_Round2Memo.successor` in
 :mod:`repro.reorder.pipeline`): reused when it has run, pending when it
-has not, and computed before return under a ``cache`` or a
-``resilience``, as builds do.
+has not.
 
 Torn-plan safety: all work happens on locals; the input plan and matrix
 are never mutated.  A fault injected at the ``streaming.update`` site,
-which every update passes, or a deadline expiry aborts the update with
-the old plan fully intact; under a
-:class:`~repro.resilience.ResiliencePolicy` with the ladder on the
-update replans instead, and the report says why.
+which every update passes, propagates and leaves the old plan fully
+intact.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.aspt.tiles import tile_matrix
-from repro.errors import TimeoutExceeded
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
 from repro.reorder.pipeline import ExecutionPlan, ReorderConfig, build_plan
@@ -61,8 +57,7 @@ class UpdateReport:
     ``mode`` is ``"patched"`` (a same-pattern successor of the old plan)
     or ``"replanned"`` (a full :func:`~repro.reorder.build_plan`);
     ``reason`` explains a replan in one sentence and is ``None`` for a
-    patch.  ``provenance`` mirrors the returned plan's ladder provenance
-    so degraded updates are auditable from the report alone.
+    patch.
     """
 
     mode: str
@@ -71,7 +66,6 @@ class UpdateReport:
     n_new_rows: int
     dirty_fraction: float
     seconds: dict = field(default_factory=dict, repr=False)
-    provenance: tuple = ()
     timestamp: float = 0.0
 
     @property
@@ -112,15 +106,13 @@ def _pattern_unchanged(csr_new, csr_old) -> bool:
     )
 
 
-def _successor(plan, csr_new, config, times, deadline, eager_round2):
+def _successor(plan, csr_new, config, times):
     """``plan``'s decisions over ``csr_new``, which has its pattern.
 
     The row order is kept, so only the new values are permuted (when the
     order moves any row) and tiled; the round-1 fields and round 2 come
     from the old plan's memo.
     """
-    if deadline is not None:
-        deadline.check("tile")
     with span("streaming.tile"), timed(times, "tile"):
         order = plan.row_order
         # Round 1 off leaves the identity order, and an identity
@@ -132,9 +124,7 @@ def _successor(plan, csr_new, config, times, deadline, eager_round2):
             max_dense_cols=config.max_dense_cols,
         )
     with span("streaming.round2"), timed(times, "round2"):
-        memo = plan._round2.successor(
-            tiled, times if eager_round2 else None, deadline
-        )
+        memo = plan._round2.successor(tiled)
     return replace(
         plan, original=csr_new, tiled=tiled, _round2=memo,
         preprocess_seconds=times, provenance=(), revision=plan.revision + 1,
@@ -145,9 +135,6 @@ def apply_delta(
     plan: ExecutionPlan,
     delta: DeltaBatch,
     config: ReorderConfig | None = None,
-    *,
-    cache=None,
-    resilience=None,
 ) -> PlanUpdate:
     """Produce the plan for ``plan.original`` + ``delta`` (see module docs).
 
@@ -159,16 +146,6 @@ def apply_delta(
         that assumption.
     delta:
         The batch of mutations to absorb.
-    cache:
-        Optional :class:`repro.planstore.PlanStore`; replans go through
-        it, and a successor writes its decisions (round 2 included, so
-        the update computes it) through it under the mutated matrix's
-        key, which is the old key: the key reads the pattern only.
-    resilience:
-        Optional :class:`repro.resilience.ResiliencePolicy`.  A successor,
-        round 2 included, runs under a per-update deadline; a timeout (or
-        an injected ``streaming.update`` fault) on either path degrades to
-        a laddered full replan with provenance instead of failing.
 
     Returns
     -------
@@ -195,42 +172,17 @@ def apply_delta(
             reason = "sparsity pattern changed"
         else:
             reason = None
-        plan_new = None
-        try:
-            fault_point("streaming.update")
-            if reason is None:
-                deadline = (
-                    resilience.new_deadline() if resilience is not None else None
-                )
-                plan_new = _successor(
-                    plan, csr_new, config, times, deadline,
-                    eager_round2=cache is not None or resilience is not None,
-                )
-        except (TimeoutExceeded, MemoryError) as exc:
-            if resilience is None or not resilience.ladder:
-                raise
-            reason = f"patch aborted ({type(exc).__name__}: {exc}); replanned"
-
-        if plan_new is None:
+        fault_point("streaming.update")
+        if reason is None:
+            mode = "patched"
+            plan_new = _successor(plan, csr_new, config, times)
+        else:
             mode = "replanned"
             with span("streaming.replan"), timed(times, "replan"):
-                plan_new = build_plan(
-                    csr_new, config, cache=cache, resilience=resilience
-                )
+                plan_new = build_plan(csr_new, config)
                 plan_new = replace(plan_new, revision=plan.revision + 1)
-        else:
-            mode = "patched"
 
     if mode == "patched":
-        if cache is not None:
-            # A successor is a full-quality plan: write its decisions
-            # through the content-addressed store.  Written once the timer
-            # has closed, so the entry carries what the update cost.
-            from repro.planstore.decisions import PlanDecisions
-
-            cache.put(
-                cache.key_for(csr_new, config), PlanDecisions.from_plan(plan_new)
-            )
         METRICS.counter(
             "streaming.updates_patched",
             "streaming updates that kept the old plan's decisions",
@@ -252,7 +204,6 @@ def apply_delta(
         # A copy: a successor's preprocess_seconds is ``times``, and a
         # deferred round 2 adds to it when it runs after this update.
         seconds=dict(times),
-        provenance=plan_new.provenance,
         timestamp=delta.timestamp,
     )
     return PlanUpdate(plan=plan_new, report=report)
@@ -264,29 +215,16 @@ class StreamingPlan:
     Owns the current plan (and through it the matrix) and swaps it
     *atomically* under a lock at the end of each successful update — a
     reader (or a failed update) always observes a complete, consistent
-    plan, never a torn one.  This is the object the serving layer holds
-    per tenant.
+    plan, never a torn one.
 
-    Parameters mirror :func:`apply_delta`; the initial plan is built
-    through :func:`repro.reorder.build_plan` with the same cache and
-    resilience policy.
+    Parameters mirror :func:`apply_delta`; the initial plan is a plain
+    :func:`repro.reorder.build_plan`.
     """
 
-    def __init__(
-        self,
-        csr: CSRMatrix,
-        config: ReorderConfig | None = None,
-        *,
-        cache=None,
-        resilience=None,
-    ) -> None:
+    def __init__(self, csr: CSRMatrix, config: ReorderConfig | None = None) -> None:
         self.config = config or ReorderConfig()
-        self.cache = cache
-        self.resilience = resilience
         self._lock = threading.Lock()
-        self._plan = build_plan(
-            csr, self.config, cache=cache, resilience=resilience
-        )
+        self._plan = build_plan(csr, self.config)
         self.reports: list[UpdateReport] = []
 
     @property
@@ -308,18 +246,12 @@ class StreamingPlan:
     def apply(self, delta: DeltaBatch) -> UpdateReport:
         """Absorb one delta; returns its :class:`UpdateReport`.
 
-        Updates are serialised; a failed update (propagated fault with no
-        resilience policy, deadline expiry with the ladder disabled)
-        leaves the previous plan installed and fully usable.
+        Updates are serialised; a failed update (an injected
+        ``streaming.update`` fault, say) propagates and leaves the
+        previous plan installed and fully usable.
         """
         with self._lock:
-            update = apply_delta(
-                self._plan,
-                delta,
-                self.config,
-                cache=self.cache,
-                resilience=self.resilience,
-            )
+            update = apply_delta(self._plan, delta, self.config)
             # Commit point: nothing above mutated self.
             self._plan = update.plan
             self.reports.append(update.report)

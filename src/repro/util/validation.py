@@ -9,6 +9,7 @@ lets callers write ``n = check_positive("n", n)``.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "check_dense",
     "check_out",
     "check_permutation",
+    "finite_real",
 ]
 
 
@@ -65,6 +67,21 @@ def check_nonnegative(name: str, value, *, integer: bool = True):
     if value < 0:
         raise ValidationError(f"{name} must be >= 0, got {value!r}")
     return value
+
+
+def finite_real(value) -> bool:
+    """Whether ``value`` is a finite ``int`` or ``float`` and not a ``bool``.
+
+    The check behind every duration and rate in a config: ``json`` parses
+    ``NaN`` and ``Infinity`` literals, ``float()`` parses ``"nan"`` and
+    ``"inf"`` from a command line, and ``True`` is an ``int``; none of
+    them is a number of seconds.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def check_in_range(name: str, value, low, high, *, inclusive: bool = True) -> float:

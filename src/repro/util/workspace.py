@@ -36,7 +36,6 @@ import threading
 
 import numpy as np
 
-from repro.errors import WorkspaceExhausted
 from repro.observability.metrics import METRICS
 from repro.resilience.faults import fault_point
 
@@ -60,13 +59,6 @@ class WorkspacePool:
         freelists.  Blocks released beyond the bound are dropped (an
         *eviction*).  Leased blocks are not counted — the bound caps the
         pool's parked memory, not the caller's working set.
-    max_lease_bytes:
-        Optional hard cap on the size of any *single* leased block;
-        requests above it raise :class:`repro.errors.WorkspaceExhausted`
-        instead of allocating.  ``None`` (the default) disables the cap.
-        Callers that can degrade — :class:`repro.kernels.KernelSession`
-        falls back to direct allocation — use this to bound the pool's
-        peak footprint under memory pressure.
 
     Examples
     --------
@@ -81,22 +73,10 @@ class WorkspacePool:
     1
     """
 
-    def __init__(
-        self,
-        max_bytes: int = 256 * 1024 * 1024,
-        *,
-        max_lease_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, max_bytes: int = 256 * 1024 * 1024) -> None:
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
-        if max_lease_bytes is not None and max_lease_bytes < 0:
-            raise ValueError(
-                f"max_lease_bytes must be non-negative, got {max_lease_bytes}"
-            )
         self.max_bytes = int(max_bytes)
-        self.max_lease_bytes = (
-            int(max_lease_bytes) if max_lease_bytes is not None else None
-        )
         self._lock = threading.Lock()
         self._free: dict[tuple[str, int], list[np.ndarray]] = {}
         self._held_bytes = 0
@@ -122,9 +102,10 @@ class WorkspacePool:
         :meth:`give` (or lease through a :class:`Workspace`, which tracks
         and returns blocks for you).  Contents are uninitialised.
 
-        Raises :class:`repro.errors.WorkspaceExhausted` when the request
-        exceeds ``max_lease_bytes`` (or when the ``workspace.take`` fault
-        site injects exhaustion).
+        Raises :class:`repro.errors.WorkspaceExhausted` when the
+        ``workspace.take`` fault site injects exhaustion, which
+        :class:`repro.kernels.KernelSession` absorbs by allocating
+        directly.
         """
         fault_point("workspace.take")
         dtype = np.dtype(dtype)
@@ -135,15 +116,6 @@ class WorkspacePool:
                 raise ValueError(f"negative dimension in shape {shape}")
             n *= s
         cls = _size_class(n)
-        if (
-            self.max_lease_bytes is not None
-            and cls * dtype.itemsize > self.max_lease_bytes
-        ):
-            raise WorkspaceExhausted(
-                f"scratch request of {cls * dtype.itemsize} bytes (shape "
-                f"{shape}, dtype {dtype.name}) exceeds the pool's "
-                f"max_lease_bytes={self.max_lease_bytes}"
-            )
         key = (dtype.str, cls)
         with self._lock:
             freelist = self._free.get(key)

@@ -2,10 +2,8 @@
 
 Contract: an interrupted :func:`~repro.streaming.apply_delta` must never
 leave a torn plan — the caller either gets the complete new plan or keeps
-the complete old one.  Under a :class:`~repro.resilience.ResiliencePolicy`
-with the ladder enabled, injected faults degrade to a full replan whose
-report says so; without one they propagate, and retrying once the fault
-clears converges to exactly the from-scratch result.
+the complete old one.  An injected fault propagates, and retrying once
+the fault clears converges to exactly the from-scratch result.
 """
 
 import numpy as np
@@ -56,6 +54,25 @@ def set_deltas(matrix, n, seed=4, k=10):
     return out
 
 
+def apply_through_a_fault(sp, delta, injector, x):
+    """``sp.apply(delta)``.  When a fault fires, the previous plan must
+    still be installed and bitwise-equal to a fresh build of its matrix,
+    and re-applying the delta with the injector paused must succeed."""
+    before = sp.plan
+    try:
+        return sp.apply(delta)
+    except TimeoutExceeded:
+        assert sp.plan is before
+        fresh = build_plan(before.original, CFG)
+        assert plans_identical(before, fresh)
+        np.testing.assert_array_equal(before.spmm(x), fresh.spmm(x))
+    injector.uninstall()
+    try:
+        return sp.apply(delta)
+    finally:
+        injector.install()
+
+
 def plans_identical(a, b) -> bool:
     return (
         np.array_equal(a.row_order, b.row_order)
@@ -70,8 +87,8 @@ class TestTornPlanSafety:
     def test_interrupted_update_leaves_old_plan_intact(
         self, matrix, delta, chaos_seed
     ):
-        """Without a policy the injected fault propagates — and the
-        StreamingPlan still serves the *complete* pre-update plan."""
+        """The injected fault propagates — and the StreamingPlan still
+        serves the *complete* pre-update plan."""
         sp = StreamingPlan(matrix, CFG)
         before = sp.plan
         x = np.random.default_rng(1).normal(size=(matrix.n_cols, 4))
@@ -136,22 +153,6 @@ class TestTornPlanSafety:
 
 
 class TestDegradedUpdates:
-    def test_fault_degrades_to_replan_with_reason(
-        self, matrix, delta, chaos_seed
-    ):
-        """With the ladder enabled the injected fault turns into a full
-        replan whose report carries the reason — never an exception."""
-        plan0 = build_plan(matrix, CFG)
-        with FaultInjector(
-            rate=1.0, seed=chaos_seed, sites=["streaming.update"], max_faults=1
-        ):
-            update = apply_delta(plan0, delta, CFG, resilience=ResiliencePolicy())
-        assert update.report.mode == "replanned"
-        assert "patch aborted" in update.report.reason
-        assert update.report.provenance == update.plan.provenance
-        fresh = build_plan(delta.apply_to(matrix), CFG)
-        assert plans_identical(update.plan, fresh)
-
     def test_degraded_plan_triggers_recovery_replan(self, matrix, delta):
         """A plan that settled below the full rung is not patched — the
         next update replans to recover, and says why."""
@@ -167,37 +168,38 @@ class TestChaosRate:
     def test_stream_replay_correct_under_sustained_injection(
         self, matrix, chaos_rate, chaos_seed
     ):
-        """At the configured chaos rate every update completes (patched or
-        degraded-replanned) and the surviving plan is always bitwise-equal
-        to a from-scratch build on the same matrix."""
+        """At the configured chaos rate every update completes, on the
+        first try or on the retry after its fault, and the surviving plan
+        is always bitwise-equal to a from-scratch build on the same
+        matrix."""
         base, deltas = split_into_deltas(matrix, 6, seed=3, grow_rows=False)
-        sp = StreamingPlan(base, CFG, resilience=ResiliencePolicy())
+        sp = StreamingPlan(base, CFG)
         x = np.random.default_rng(2).normal(size=(matrix.n_cols, 4))
         with FaultInjector(
             rate=chaos_rate, seed=chaos_seed, sites=["streaming.update"]
         ) as injector:
             for delta in deltas:
-                sp.apply(delta)
+                apply_through_a_fault(sp, delta, injector, x)
                 fresh = build_plan(sp.matrix, CFG)
                 np.testing.assert_array_equal(sp.plan.spmm(x), fresh.spmm(x))
-        assert injector.checked["streaming.update"] > 0
+        assert injector.checked["streaming.update"] == len(deltas)
         assert sp.revision == len(deltas)
         np.testing.assert_array_equal(sp.matrix.values, matrix.values)
 
     def test_value_only_stream_correct_under_sustained_injection(
         self, matrix, chaos_rate, chaos_seed
     ):
-        """The same for a stream of value-only deltas: each is patched, or
-        replanned when a fault hits it, and always equals a fresh build."""
-        sp = StreamingPlan(matrix, CFG, resilience=ResiliencePolicy())
+        """The same for a stream of value-only deltas: each is patched,
+        on the first try or on the retry, and always equals a fresh
+        build."""
+        sp = StreamingPlan(matrix, CFG)
         x = np.random.default_rng(2).normal(size=(matrix.n_cols, 4))
         deltas = set_deltas(matrix, 6)
         with FaultInjector(
             rate=chaos_rate, seed=chaos_seed, sites=["streaming.update"]
         ) as injector:
             for delta in deltas:
-                report = sp.apply(delta)
-                assert report.patched or report.reason.startswith("patch aborted (")
+                assert apply_through_a_fault(sp, delta, injector, x).patched
                 fresh = build_plan(sp.matrix, CFG)
                 np.testing.assert_array_equal(sp.plan.spmm(x), fresh.spmm(x))
                 assert plans_identical(sp.plan, fresh)

@@ -244,6 +244,21 @@ class TestErrorRouting:
         err = capsys.readouterr().err
         assert "FormatError" in err
 
+    @pytest.mark.parametrize("deadline", ["nan", "inf", "-1"])
+    def test_bad_stage_deadline_exits_usage_in_one_line(
+        self, deadline, tmp_path, capsys
+    ):
+        """A NaN deadline never expires and a negative one cannot start,
+        so both are refused before the sweep runs."""
+        out = tmp_path / "out.json"
+        code = main(["run", "--scale", "tiny", "--repeats", "1", "--k", "32",
+                     "--out", str(out), "--stage-deadline", deadline])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("repro run: error (ConfigError): deadline_s")
+        assert not out.exists()
+
     def test_missing_records_exits_io(self, tmp_path, capsys):
         code = main(["table", "1", "--records", str(tmp_path / "none.json")])
         assert code == EXIT_IO

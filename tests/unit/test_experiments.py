@@ -100,10 +100,13 @@ class TestConfig:
         dev, _ = cfg.effective_model()
         assert dev.l2_bytes == P100.l2_bytes
 
-    def test_effective_model_disabled(self):
-        cfg = ExperimentConfig(scale="tiny", auto_scale_model=False)
-        dev, _ = cfg.effective_model()
-        assert dev.l2_bytes == P100.l2_bytes
+    def test_effective_model_shrinks_by_the_scale_factor(self):
+        cfg = ExperimentConfig(scale="tiny")
+        dev, cost = cfg.effective_model()
+        assert (dev, cost) == scale_model(
+            P100, CostModelConfig(), SCALE_FACTORS["tiny"]
+        )
+        assert dev.l2_bytes < P100.l2_bytes
 
     def test_scale_factors_cover_corpus_scales(self):
         from repro.datasets.corpus import _SCALES

@@ -100,12 +100,6 @@ class TestLshCandidatePairs:
         pairs = lsh_candidate_pairs(sig, 2, seed=0)
         assert pairs.shape[0] == 0
 
-    def test_empty_rows_grouped_when_not_skipped(self):
-        m = CSRMatrix.from_dense(np.zeros((3, 5)))
-        sig = minhash_signatures(m, 8, seed=0)
-        pairs = lsh_candidate_pairs(sig, 2, seed=0, skip_empty_sentinel=False)
-        assert pairs.shape[0] == 3  # all pairs of the 3 empty rows
-
     def test_bucket_cap_limits_pairs(self):
         # 100 identical rows: uncapped -> 4950 pairs; capped -> far fewer.
         dense = np.zeros((100, 10))
@@ -149,11 +143,6 @@ class TestLSHIndex:
         m = random_csr(rng, 30, 20, 0.2)
         _, sims = LSHIndex(siglen=64, bsize=1, seed=1).candidate_pairs(m)
         assert (sims > 0).all()
-
-    def test_min_similarity_filter(self, rng):
-        m = random_csr(rng, 40, 20, 0.2)
-        _, sims = LSHIndex(siglen=64, bsize=1, seed=2, min_similarity=0.5).candidate_pairs(m)
-        assert (sims >= 0.5).all()
 
     def test_recall_on_similar_pairs(self, rng):
         # LSH with paper parameters should find nearly all pairs with

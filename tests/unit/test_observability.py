@@ -429,16 +429,15 @@ class TestCacheStatsCompat:
 class TestSessionFallbackCompat:
     def test_fallbacks_attribute_counts_degraded_runs(self):
         from repro.kernels import KernelSession
-        from repro.util.workspace import WorkspacePool
+        from repro.resilience import FaultInjector
 
         matrix = hidden_clusters(10, 4, 64, 6, seed=0)
-        session = KernelSession(
-            matrix, pool=WorkspacePool(max_lease_bytes=0), backend="numpy"
-        )
+        session = KernelSession(matrix, backend="numpy")
         X = np.random.default_rng(0).normal(size=(matrix.n_cols, 8))
         assert session.fallbacks == 0
-        with pytest.warns(Warning):
-            out = session.run(X)
+        with FaultInjector(rate=1.0, sites=["workspace.take"]):
+            with pytest.warns(Warning):
+                out = session.run(X)
         assert session.fallbacks == 1
         from repro.kernels import spmm
 

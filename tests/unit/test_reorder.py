@@ -25,7 +25,6 @@ from repro.reorder import (
 from repro.planstore import PlanDecisions, PlanStore, build_plans
 from repro.resilience import FaultInjector, ResiliencePolicy, ladder_rungs
 from repro.sparse import CSRMatrix, permute_csr_rows
-from repro.streaming import DeltaBatch, apply_delta
 
 from conftest import assert_plans_identical, random_csr
 
@@ -386,22 +385,6 @@ class TestDeferredRound2:
         plan.stats
         assert plan.preprocess_seconds == clean.preprocess_seconds
         assert plan.preprocess_seconds["sim2"] == 1.0
-
-    def test_policy_patch_replans_when_its_round2_fails(self, rng):
-        """Under a policy a patch runs round 2 over the patched tiling,
-        inside its deadline (the old plan's round 2 stays pending); a
-        failure there replans like a failed patch."""
-        m = round1_gated_off(rng)
-        config = ReorderConfig(panel_height=8)
-        plan = build_plan(m, config)
-        delta = DeltaBatch(
-            rows=m.row_ids()[:1], cols=m.colidx[:1], values=np.ones(1), mode="set"
-        )
-        with FaultInjector(rate=1.0, sites=["clustering.cluster"], max_faults=1):
-            update = apply_delta(plan, delta, config, resilience=ResiliencePolicy())
-        assert update.report.mode == "replanned"
-        assert update.report.reason.startswith("patch aborted (TimeoutExceeded")
-        assert_plans_identical(update.plan, build_plan(update.matrix, config))
 
     def test_build_plans_returns_a_round2_failure(self, rng):
         """A batch runs each plan's round 2 where it built the plan, so a

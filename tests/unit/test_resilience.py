@@ -15,6 +15,7 @@ from repro.errors import (
     EXIT_IO,
     EXIT_TIMEOUT,
     BackendUnavailable,
+    ConfigError,
     CorruptStoreError,
     DegradedExecution,
     ReproIOError,
@@ -33,6 +34,7 @@ from repro.resilience import (
     ladder_rungs,
     retry_io,
 )
+from repro.resilience.retry import ATTEMPTS, BACKOFF_S
 
 
 class FakeClock:
@@ -194,16 +196,13 @@ class TestRetryIO:
 
         def flaky():
             calls["n"] += 1
-            if calls["n"] < 3:
+            if calls["n"] < ATTEMPTS:
                 raise OSError("transient")
             return "ok"
 
-        assert (
-            retry_io(flaky, attempts=3, backoff_s=0.01, sleep=sleeps.append, jitter=0.0)
-            == "ok"
-        )
-        assert calls["n"] == 3
-        assert sleeps == [0.01, 0.02]  # fixed exponential schedule with jitter off
+        assert retry_io(flaky, sleep=sleeps.append) == "ok"
+        assert calls["n"] == ATTEMPTS
+        assert len(sleeps) == ATTEMPTS - 1
 
     def test_full_jitter_stays_within_exponential_ceiling(self):
         sleeps = []
@@ -211,18 +210,14 @@ class TestRetryIO:
 
         def flaky():
             calls["n"] += 1
-            if calls["n"] < 4:
+            if calls["n"] < ATTEMPTS:
                 raise OSError("transient")
             return "ok"
 
-        assert (
-            retry_io(flaky, attempts=4, backoff_s=0.01, sleep=sleeps.append,
-                     label="jit")
-            == "ok"
-        )
-        assert len(sleeps) == 3
+        assert retry_io(flaky, sleep=sleeps.append, label="jit") == "ok"
+        assert len(sleeps) == ATTEMPTS - 1
         for attempt, slept in enumerate(sleeps):
-            assert 0.0 <= slept <= 0.01 * 2**attempt
+            assert 0.0 <= slept <= BACKOFF_S * 2**attempt
 
     def test_jitter_is_deterministic_not_random(self):
         from repro.resilience.retry import _jitter_fraction
@@ -232,10 +227,6 @@ class TestRetryIO:
         assert a == b
         assert 0.0 <= a < 1.0
         assert _jitter_fraction("planstore/x.bin", 2, 7) != a
-
-    def test_jitter_validated(self):
-        with pytest.raises(ValueError):
-            retry_io(lambda: None, jitter=1.5)
 
     def test_sleep_histogram_observes_real_delays(self):
         from repro.observability.metrics import METRICS
@@ -252,15 +243,18 @@ class TestRetryIO:
                 raise OSError("transient")
             return "ok"
 
-        retry_io(flaky, attempts=2, backoff_s=0.01, sleep=lambda _: None)
+        retry_io(flaky, sleep=lambda _: None)
         assert hist.count == before + 1
 
     def test_exhausted_attempts_reraise_last(self):
-        def always():
-            raise OSError("still broken")
+        calls = {"n": 0}
 
-        with pytest.raises(OSError, match="still broken"):
-            retry_io(always, attempts=2, backoff_s=0.0, sleep=lambda _: None)
+        def always():
+            calls["n"] += 1
+            raise OSError(f"still broken {calls['n']}")
+
+        with pytest.raises(OSError, match=f"still broken {ATTEMPTS}"):
+            retry_io(always, sleep=lambda _: None)
 
     def test_non_transient_errors_fail_immediately(self):
         calls = {"n": 0}
@@ -270,19 +264,19 @@ class TestRetryIO:
             raise FileNotFoundError("gone")
 
         with pytest.raises(FileNotFoundError):
-            retry_io(missing, attempts=5, sleep=lambda _: None)
+            retry_io(missing, sleep=lambda _: None)
         assert calls["n"] == 1
 
     def test_unlisted_exception_propagates(self):
+        calls = {"n": 0}
+
         def boom():
+            calls["n"] += 1
             raise ValueError("not io")
 
         with pytest.raises(ValueError):
-            retry_io(boom, attempts=3, sleep=lambda _: None)
-
-    def test_attempts_validated(self):
-        with pytest.raises(ValueError):
-            retry_io(lambda: None, attempts=0)
+            retry_io(boom, sleep=lambda _: None)
+        assert calls["n"] == 1
 
 
 class TestLadderRungs:
@@ -315,7 +309,6 @@ class TestResiliencePolicy:
     def test_defaults(self):
         policy = ResiliencePolicy()
         assert policy.deadline_s is None
-        assert policy.ladder is True
         assert policy.new_deadline() is None
 
     def test_new_deadline_fresh_per_call(self):
@@ -325,10 +318,14 @@ class TestResiliencePolicy:
         assert a.budget_s == 100.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ResiliencePolicy(deadline_s=-1.0)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(io_attempts=0)
+        """A NaN deadline never expires and a negative one cannot start:
+        only ``None`` or a finite number ``>= 0`` is a deadline."""
+        for bad in (-1.0, -1, float("nan"), float("inf"), float("-inf"),
+                    True, False, "1"):
+            with pytest.raises(ConfigError, match="deadline_s"):
+                ResiliencePolicy(deadline_s=bad)
+        for good in (None, 0, 0.0, 2, 0.25):
+            assert ResiliencePolicy(deadline_s=good).deadline_s == good
 
 
 class TestErrorTaxonomy:

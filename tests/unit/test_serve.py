@@ -46,6 +46,7 @@ from repro.serve import (
     matrix_to_wire,
     parse_address,
 )
+from repro.sparse import CSRMatrix
 
 from conftest import FakeClock, random_csr
 
@@ -509,11 +510,24 @@ class TestServeConfig:
             {"default_deadline_s": float("nan")},
             {"default_deadline_s": float("inf")},
             {"backend": "no-such-backend"},
+            # A NaN rate switches the quota off, a NaN burst refuses every
+            # request and a NaN drain timeout skips the drain.
+            *(
+                {field: value}
+                for field in (
+                    "quota_rate", "quota_burst", "breaker_reset_s", "drain_timeout_s"
+                )
+                for value in (float("nan"), float("inf"), True)
+            ),
         ],
     )
     def test_invalid_values_raise_config_error(self, kw):
-        with pytest.raises((ConfigError, Exception)):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
             ServeConfig(**kw)
+
+    @pytest.mark.parametrize("field", ["breaker_reset_s", "drain_timeout_s"])
+    def test_zero_timeouts_stay_legal(self, field):
+        assert getattr(ServeConfig(**{field: 0}), field) == 0
 
     def test_address_forms(self):
         assert ServeConfig(host="h", port=9).address() == ("h", 9)
@@ -788,6 +802,54 @@ class TestServerDelta:
             )
             assert resp["status"] == STATUS_ERROR
             assert client.ping()["status"] == STATUS_OK  # connection survives
+
+
+class TestServeBounds:
+    """The uploaded-matrix registry and the protocol line have fixed
+    bounds, :data:`repro.serve.server.MAX_MATRICES` and ``MAX_LINE_BYTES``."""
+
+    def test_registry_evicts_the_least_recently_used_matrix(self):
+        from repro.serve.server import MAX_MATRICES
+
+        # Distinct values, so distinct fingerprints.
+        mats = [
+            CSRMatrix.from_dense(np.eye(4) * (i + 1))
+            for i in range(MAX_MATRICES + 1)
+        ]
+        X = np.ones((4, 2))
+        config = ServeConfig(port=0, workers=1, panel_height=8)
+        with ServerThread(config) as thread, ServeClient(thread.address) as client:
+            before = client.metrics()["metrics"].get("serve.matrix_evict", 0)
+            fps = [client.upload(m)["fingerprint"] for m in mats[:MAX_MATRICES]]
+            # Using the first makes the second the least recently used.
+            assert client.spmm(X, fingerprint=fps[0])["status"] == STATUS_OK
+            fps.append(client.upload(mats[-1])["fingerprint"])
+            evicted = client.metrics()["metrics"]["serve.matrix_evict"] - before
+            statuses = [
+                client.spmm(X, fingerprint=fp)["status"]
+                for fp in (fps[0], fps[1], fps[2], fps[-1])
+            ]
+        assert len(set(fps)) == MAX_MATRICES + 1
+        assert evicted == 1
+        assert statuses == [STATUS_OK, STATUS_NOT_FOUND, STATUS_OK, STATUS_OK]
+
+    def test_over_long_line_is_an_error_and_other_connections_go_on(
+        self, monkeypatch
+    ):
+        from repro.serve import server
+
+        # The bound is read when the server starts listening.
+        monkeypatch.setattr(server, "MAX_LINE_BYTES", 4096)
+        config = ServeConfig(port=0, workers=1, panel_height=8)
+        with ServerThread(config) as thread, ServeClient(thread.address) as other:
+            with ServeClient(thread.address) as client:
+                client._sock.sendall(b"x" * 3 * 4096 + b"\n")
+                resp = decode_message(client._file.readline())
+            assert resp["status"] == STATUS_ERROR
+            assert "4096 bytes" in resp["error"]
+            assert other.ping()["status"] == STATUS_OK
+            with ServeClient(thread.address) as late:
+                assert late.ping()["status"] == STATUS_OK
 
 
 class TestServerDrain:

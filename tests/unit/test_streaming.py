@@ -1,5 +1,5 @@
 """Unit tests for the streaming subsystem: deltas, streams, plan
-updates, session refresh and the plan-store staleness regression."""
+updates and session refresh."""
 
 import dataclasses
 
@@ -11,7 +11,6 @@ from repro.datasets import edge_stream, hidden_clusters, stream_corpus
 from repro.errors import DegradedExecution, ValidationError
 from repro.kernels import KernelSession, spmm
 from repro.observability import Tracer, tracing
-from repro.planstore import PlanStore
 from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import ResiliencePolicy
 from repro.similarity import average_consecutive_similarity
@@ -190,34 +189,6 @@ class TestApplyDelta:
         assert report.mode == "replanned"
         assert report.reason.startswith("old plan is degraded")
 
-    def test_patch_writes_through_the_plan_cache(self):
-        m = hidden_clusters(16, 8, 256, 8, noise=0.1, seed=2)
-        store = PlanStore()
-        plan = build_plan(m, CFG, cache=store)
-        delta = DeltaBatch(
-            rows=np.array([0]), cols=np.array([1]), values=np.array([1.0])
-        )
-        update = apply_delta(plan, delta, CFG, cache=store)
-        assert update.report.mode == "replanned"  # a new entry: a build's put
-        mutated = delta.apply_to(m)
-        assert store.get(store.key_for(mutated, CFG)) is not None
-
-    def test_cached_patch_carries_its_cost(self):
-        """The entry a patch writes through records what the patch took,
-        so a warm build of the mutated matrix reports it as its cold
-        cost."""
-        m = hidden_clusters(16, 8, 256, 8, noise=0.1, seed=2)
-        store = PlanStore()
-        plan = build_plan(m, CFG, cache=store)
-        delta = DeltaBatch(
-            rows=m.row_ids()[:3], cols=m.colidx[:3], values=np.ones(3), mode="set"
-        )
-        update = apply_delta(plan, delta, CFG, cache=store)
-        assert update.report.patched
-        warm = build_plan(delta.apply_to(m), CFG, cache=store)
-        assert warm.preprocess_seconds["cold_total"] > 0.0
-        assert warm.preprocess_seconds["cold_total"] == update.report.seconds["total"]
-
     def test_report_carries_timestamp(self):
         m = small_matrix()
         plan = build_plan(m, ReorderConfig(panel_height=2))
@@ -256,8 +227,7 @@ def _span_names(tracer) -> set:
 
 
 class TestDeferredRound2:
-    """An update defers round 2 exactly when ``build_plan`` does: with no
-    cache and no policy."""
+    """An update leaves round 2 pending as a plain ``build_plan`` does."""
 
     CONFIG = dataclasses.replace(CFG, force_round2=True)
 
@@ -337,29 +307,6 @@ class TestDeferredRound2:
         assert {"sim2", "lsh2", "cluster2"} <= update.plan.preprocess_seconds.keys()
         assert update.plan.preprocessing_time > total
         assert "sim2" not in update.report.seconds  # what the update did
-
-    @pytest.mark.parametrize("eager", ["cache", "resilience"])
-    def test_patch_under_a_cache_or_a_policy_runs_round2(
-        self, matrix, round2_calls, eager
-    ):
-        """The successor of a pending plan computes round 2 before it
-        returns under a cache or a policy, and so does a replan's build."""
-        add, set_ = self.deltas(matrix)
-        kwargs = {"cache": PlanStore()} if eager == "cache" else {
-            "resilience": ResiliencePolicy()
-        }
-        plan = build_plan(matrix, self.CONFIG)  # plain: round 2 pending
-        update = apply_delta(plan, set_, self.CONFIG, **kwargs)
-        assert update.report.patched
-        assert "round2" in update.report.seconds
-        assert "sim2" in update.plan.preprocess_seconds
-        assert len(round2_calls) == 1
-        replanned = apply_delta(update.plan, add, self.CONFIG, **kwargs)
-        assert replanned.report.mode == "replanned"
-        assert len(round2_calls) == 2
-        update.plan.stats
-        replanned.plan.stats
-        assert len(round2_calls) == 2
 
 
 class TestStreamingPlan:
