@@ -18,7 +18,8 @@ CONTRIBUTING.md:
   :class:`ProjectRule` subclasses over a whole-project call graph (see
   :mod:`repro.analysis.dataflow`).
 
-``RD001`` is reserved for files that fail to parse.
+``RD001`` is reserved for files that fail to parse, and ``RD002`` for
+inline suppressions that carry no ``-- justification``.
 """
 
 from __future__ import annotations
@@ -36,10 +37,14 @@ __all__ = [
     "register",
     "all_rules",
     "PARSE_ERROR_CODE",
+    "UNJUSTIFIED_SUPPRESSION_CODE",
 ]
 
 #: Pseudo-rule code attached to files that fail :func:`ast.parse`.
 PARSE_ERROR_CODE = "RD001"
+
+#: Pseudo-rule code of an inline suppression with no ``-- justification``.
+UNJUSTIFIED_SUPPRESSION_CODE = "RD002"
 
 
 @dataclass(frozen=True, order=True)

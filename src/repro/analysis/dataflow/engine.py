@@ -263,7 +263,7 @@ def _module_contract_refs(callgraph, module) -> tuple[set, set]:
                         keys.add(resolved[1])
                 elif isinstance(arg, ast.Call):
                     factory = _callable_name(arg.func)
-                    if factory in ("validates", "validates_each"):
+                    if factory == "validates":
                         methods.add("validate")
                     elif factory == "invokes" and arg.args:
                         first = arg.args[0]

@@ -8,10 +8,9 @@ tracebacks instead of structured :mod:`repro.errors` exit codes.
 
 RD106 lives here too despite its band number: broad ``except Exception``
 handlers in library code silently swallow the resilience layer's control
-exceptions (:class:`repro.errors.TimeoutExceeded`,
-:class:`repro.errors.WorkspaceExhausted`, injected faults), which defeats
-the degradation ladder and makes chaos runs nondeterministic — hence the
-determinism-band code.
+exceptions (:class:`repro.errors.TimeoutExceeded`, ``MemoryError``,
+injected faults), which defeats the degradation ladder and makes chaos
+runs nondeterministic — hence the determinism-band code.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ class BroadExceptRule(Rule):
     resilience layer.
 
     The resilience layer signals through exceptions — ``TimeoutExceeded``
-    drives the degradation ladder, ``WorkspaceExhausted`` drives the
-    kernel-session fallback, and the chaos suite injects faults that must
-    surface.  A broad catch anywhere else in the library absorbs those
-    signals and turns a controlled degradation into a silent wrong path.
+    and ``MemoryError`` drive the degradation ladder, and the chaos suite
+    injects faults that must surface.  A broad catch anywhere else in the
+    library absorbs those signals and turns a controlled degradation into
+    a silent wrong path.
     Catch named exception types; where capture really is the job (e.g. a
     pool worker marshalling failures), suppress with
     ``# reprolint: disable=RD106 -- <why>``.  Bare ``except`` (broader
@@ -72,7 +71,7 @@ class BroadExceptRule(Rule):
             for name in self._broad_names(node.type):
                 yield ctx.finding(
                     node, self.code,
-                    f"except {name} swallows TimeoutExceeded/WorkspaceExhausted "
+                    f"except {name} swallows TimeoutExceeded/MemoryError "
                     "and injected faults, defeating the degradation ladder; "
                     "catch named exception types",
                 )

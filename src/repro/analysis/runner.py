@@ -24,6 +24,7 @@ from repro.analysis.config import LintConfig, path_matches
 from repro.analysis.core import (
     PARSE_ERROR_CODE,
     REGISTRY,
+    UNJUSTIFIED_SUPPRESSION_CODE,
     FileContext,
     Finding,
     ProjectRule,
@@ -35,7 +36,11 @@ from repro.analysis.dataflow.engine import (
     build_project,
     serialize_module,
 )
-from repro.analysis.suppressions import collect_suppressions, expand_decorated_spans
+from repro.analysis.suppressions import (
+    collect_suppressions,
+    expand_decorated_spans,
+    unjustified,
+)
 from repro.errors import ValidationError
 from repro.util.hashing import stable_digest
 
@@ -134,10 +139,28 @@ def _rule_applies(rule, display: str, rel: str, config: LintConfig) -> bool:
     return True
 
 
+def _unjustified_findings(ctx: FileContext, config: LintConfig) -> list[Finding]:
+    """One ``RD002`` per inline suppression without a justification."""
+    code = UNJUSTIFIED_SUPPRESSION_CODE
+    if not config.code_enabled(code) or config.ignored_at(ctx.display, code):
+        return []
+    return [
+        Finding(
+            path=ctx.display,
+            line=suppression.line,
+            col=0,
+            code=code,
+            message=f"suppression of {','.join(sorted(suppression.codes))} "
+            "has no '-- justification'; say why the finding does not apply",
+        )
+        for suppression in unjustified(collect_suppressions(ctx.lines))
+    ]
+
+
 def _file_findings(parsed: _ParsedFile, config: LintConfig) -> list[Finding]:
     """Per-file rule findings for one parsed file, suppressions applied."""
     ctx, suppressions = parsed.ctx, parsed.suppressions
-    findings: list[Finding] = []
+    findings = _unjustified_findings(ctx, config)
     for code in sorted(REGISTRY):
         rule = REGISTRY[code]
         if isinstance(rule, ProjectRule):

@@ -5,9 +5,9 @@ A finding is suppressed by a trailing comment on its line::
     x = frozen_set_iteration()  # reprolint: disable=RD103 -- order irrelevant here
 
 Multiple codes are comma-separated (``disable=RD103,RD201``).  Everything
-after ``--`` is the *justification*; the project convention (enforced in
-review, surfaced by :func:`unjustified`) is that every suppression carries
-one.
+after ``--`` is the *justification*, and every suppression must carry
+one: the runner reports each one :func:`unjustified` lists as an
+``RD002`` finding (the suppressed finding itself stays suppressed).
 
 Decorated definitions get span attribution: a suppression written on any
 line of the declaration header — the first decorator line through the

@@ -1,29 +1,23 @@
 """Baselines the paper compares against.
 
-* :mod:`repro.baselines.cusparse_like` — the generic vendor SpMM kernel
-  (cuSPARSE csrmm stand-in).
-* :mod:`repro.baselines.bidmach_like` — the untiled SDDMM baseline
-  (BIDMach stand-in).
+The cuSPARSE-like SpMM and BIDMach-like SDDMM baselines are cost variants
+of :class:`repro.gpu.GPUExecutor` (``"cusparse"`` and ``"bidmach"``),
+which the experiment runner calls directly; their results are the
+ordinary row-wise kernels'.
+
 * :mod:`repro.baselines.vertex_reorder` — vertex reordering (METIS
-  stand-in: recursive graph bisection; plus reverse Cuthill–McKee), used to
-  reproduce the paper's §5.2 negative result that vertex reordering does
-  not help SpMM.
+  stand-in: recursive graph bisection), used to reproduce the paper's
+  §5.2 negative result that vertex reordering does not help SpMM.
 """
 
-from repro.baselines.bidmach_like import BidmachLikeSDDMM
-from repro.baselines.cusparse_like import CusparseLikeSpMM
 from repro.baselines.vertex_reorder import (
     apply_symmetric_order,
     bisection_order,
-    reverse_cuthill_mckee,
     symmetrized_adjacency,
 )
 
 __all__ = [
-    "BidmachLikeSDDMM",
-    "CusparseLikeSpMM",
     "apply_symmetric_order",
     "bisection_order",
-    "reverse_cuthill_mckee",
     "symmetrized_adjacency",
 ]

@@ -6,15 +6,11 @@ the argument that vertex reordering (which permutes the dense operand's
 rows for spatial locality) is the wrong tool for SpMM, where locality must
 be *temporal* over whole dense rows.
 
-Two classic vertex orderings are implemented here on the symmetrised
-pattern graph:
-
-* :func:`reverse_cuthill_mckee` — BFS-based bandwidth reduction;
-* :func:`bisection_order` — recursive graph bisection via BFS level sets,
-  the closest from-scratch analogue of METIS's multilevel partitioning
-  (vertices of the same part get contiguous labels).
-
-Both return a permutation intended to be applied *symmetrically*
+The METIS stand-in here, :func:`bisection_order`, runs on the
+symmetrised pattern graph: recursive graph bisection via BFS level sets,
+the closest from-scratch analogue of METIS's multilevel partitioning
+(vertices of the same part get contiguous labels).  It returns a
+permutation intended to be applied *symmetrically*
 (:func:`apply_symmetric_order`): rows and columns are relabelled together,
 exactly what reordering a graph's vertices means.
 """
@@ -31,7 +27,6 @@ from repro.util.validation import check_positive
 
 __all__ = [
     "symmetrized_adjacency",
-    "reverse_cuthill_mckee",
     "bisection_order",
     "apply_symmetric_order",
 ]
@@ -59,49 +54,6 @@ def symmetrized_adjacency(csr: CSRMatrix) -> CSRMatrix:
         COOMatrix((n, n), rows, cols, np.ones(rows.size, dtype=np.float64))
     )
     return sym.pattern()
-
-
-def reverse_cuthill_mckee(csr: CSRMatrix) -> np.ndarray:
-    """Reverse Cuthill–McKee ordering of the symmetrised graph.
-
-    Starts each component from a minimum-degree vertex and reverses the
-    final BFS order (the classic bandwidth-reduction recipe).
-    """
-    adj = symmetrized_adjacency(csr)
-    n = adj.n_rows
-    degrees = adj.row_lengths()
-    remaining = np.ones(n, dtype=bool)
-    order_parts: list[np.ndarray] = []
-    while remaining.any():
-        candidates = np.flatnonzero(remaining)
-        start = int(candidates[np.argmin(degrees[candidates])])
-        component = _component_bfs(adj, start, remaining, by_degree=True)
-        remaining[component] = False
-        order_parts.append(component)
-    order = np.concatenate(order_parts) if order_parts else np.arange(n, dtype=np.int64)
-    return order[::-1].copy()
-
-
-def _component_bfs(adj: CSRMatrix, start: int, allowed: np.ndarray, by_degree: bool) -> np.ndarray:
-    """BFS of a single connected component (helper for the orderings)."""
-    degrees = adj.row_lengths()
-    visited = np.zeros(adj.n_rows, dtype=bool)
-    visited[~allowed] = True
-    order: list[int] = []
-    queue = [start]
-    visited[start] = True
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        order.append(v)
-        neighbours = adj.row_cols(v)
-        fresh = neighbours[~visited[neighbours]]
-        if by_degree and fresh.size > 1:
-            fresh = fresh[np.argsort(degrees[fresh], kind="stable")]
-        visited[fresh] = True
-        queue.extend(fresh.tolist())
-    return np.asarray(order, dtype=np.int64)
 
 
 def bisection_order(csr: CSRMatrix, *, leaf_size: int = 64) -> np.ndarray:

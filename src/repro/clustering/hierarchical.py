@@ -109,11 +109,6 @@ class ClusteringResult:
     n_retired: int
     n_requeued: int
 
-    @property
-    def is_identity(self) -> bool:
-        """True when clustering did not move any row."""
-        return bool(np.array_equal(self.order, np.arange(self.order.size)))
-
 
 def cluster_rows(
     csr: CSRMatrix,

@@ -39,7 +39,6 @@ from contextlib import contextmanager
 __all__ = [
     "checked",
     "validates",
-    "validates_each",
     "invokes",
     "contracts_enabled",
     "enable_contracts",
@@ -153,18 +152,3 @@ def invokes(method: str, *names):
     contract.__name__ = f"invokes({method!r}, {', '.join(names)})"
     return contract
 
-
-def validates_each(*names):
-    """Contract factory: call ``.validate()`` on every item of named sequences."""
-
-    def contract(arguments):
-        for name in names:
-            seq = arguments.get(name)
-            if seq is None:
-                continue
-            for obj in seq:
-                if obj is not None:
-                    obj.validate()
-
-    contract.__name__ = f"validates_each({', '.join(names)})"
-    return contract

@@ -31,7 +31,7 @@ from repro.datasets.synthetic import (
 from repro.datasets.clustered import hidden_clusters, preclustered
 from repro.datasets.graphs import rmat, small_world, bipartite_ratings, stochastic_block_model
 from repro.datasets.corpus import CorpusEntry, build_corpus, corpus_summary
-from repro.datasets.registry import GENERATORS, get_generator, list_generators
+from repro.datasets.registry import GENERATORS, list_generators
 from repro.datasets.streams import MatrixStream, edge_stream, stream_corpus
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "build_corpus",
     "corpus_summary",
     "GENERATORS",
-    "get_generator",
     "list_generators",
     "MatrixStream",
     "edge_stream",

@@ -1,8 +1,5 @@
-"""Name-based generator registry (CLI support).
-
-``repro generate hidden_clusters --args ...`` and the examples look
-generators up by name here instead of importing modules directly.
-"""
+"""Name-based generator registry (CLI support): ``repro generators``
+lists it."""
 
 from __future__ import annotations
 
@@ -18,9 +15,8 @@ from repro.datasets.synthetic import (
     staircase,
     uniform_random,
 )
-from repro.errors import DatasetError
 
-__all__ = ["GENERATORS", "get_generator", "list_generators"]
+__all__ = ["GENERATORS", "list_generators"]
 
 #: Public registry: name -> generator callable.
 GENERATORS: dict[str, Callable] = {
@@ -37,16 +33,6 @@ GENERATORS: dict[str, Callable] = {
     "stochastic_block_model": stochastic_block_model,
     "bipartite_ratings": bipartite_ratings,
 }
-
-
-def get_generator(name: str) -> Callable:
-    """Look up a generator by name, raising :class:`DatasetError` on miss."""
-    try:
-        return GENERATORS[name]
-    except KeyError:
-        raise DatasetError(
-            f"unknown generator {name!r}; available: {', '.join(sorted(GENERATORS))}"
-        ) from None
 
 
 def list_generators() -> list[str]:

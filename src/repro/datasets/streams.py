@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.sparse.csr import CSRMatrix
-from repro.streaming.delta import DeltaBatch, split_into_deltas
+from repro.streaming.delta import split_into_deltas
 from repro.util.validation import check_positive
 
 __all__ = ["MatrixStream", "edge_stream", "stream_corpus"]
@@ -58,13 +58,6 @@ class MatrixStream:
     def n_events(self) -> int:
         """Total non-zero events across all batches."""
         return sum(d.n_entries for d in self.deltas)
-
-    def matrices(self):
-        """Yield the matrix after each batch (ends at ``final``)."""
-        csr = self.base
-        for delta in self.deltas:
-            csr = delta.apply_to(csr)
-            yield csr
 
 
 def edge_stream(

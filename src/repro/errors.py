@@ -14,12 +14,10 @@ __all__ = [
     "FormatError",
     "ValidationError",
     "ConfigError",
-    "SimulationError",
     "DatasetError",
     "ReproIOError",
     "TimeoutExceeded",
     "CorruptStoreError",
-    "WorkspaceExhausted",
     "BackendUnavailable",
     "DegradedExecution",
     "EXIT_OK",
@@ -57,10 +55,6 @@ class ValidationError(ReproError, ValueError):
 
 class ConfigError(ReproError, ValueError):
     """An experiment or device configuration is inconsistent."""
-
-
-class SimulationError(ReproError, RuntimeError):
-    """The GPU performance model was driven into an impossible state."""
 
 
 class DatasetError(ReproError, RuntimeError):
@@ -102,14 +96,6 @@ class CorruptStoreError(ReproError, RuntimeError):
     """
 
 
-class WorkspaceExhausted(ReproError, MemoryError):
-    """A workspace pool could not serve a scratch lease within its cap.
-
-    :class:`repro.kernels.KernelSession` catches this and falls back to
-    direct allocation (bitwise-identical results, no pooling benefit).
-    """
-
-
 class BackendUnavailable(ReproError, RuntimeError):
     """The compiled ``cc`` backend could not be found, built or loaded.
 
@@ -126,7 +112,7 @@ class DegradedExecution(UserWarning):
     """Warning category for degraded-but-correct execution.
 
     Emitted when the degradation ladder settles on a rung below ``full``
-    or a kernel session falls back from pooled to direct allocation.
+    or a requested kernel backend degrades to the numpy reference.
     Results remain correct; performance characteristics do not.
     """
 

@@ -7,9 +7,8 @@ that actually explains the paper's results — **data movement**:
 * :mod:`repro.gpu.device` — machine parameters (:class:`DeviceSpec`; the
   ``P100`` preset mirrors §5.1: 56 SMs, 732 GB/s, 4 MB L2, 64 KB shared
   memory per SM).
-* :mod:`repro.gpu.cache` — an exact fully-associative LRU simulator, an
-  exact set-associative simulator, and a vectorised reuse-distance
-  approximation for corpus-scale sweeps.
+* :mod:`repro.gpu.cache` — an exact fully-associative LRU simulator and
+  a vectorised reuse-distance approximation for corpus-scale sweeps.
 * :mod:`repro.gpu.coalescing` — warp-level transaction counting.
 * :mod:`repro.gpu.trace` — converts kernels + matrices into the access
   streams the cache model consumes (including the thread-block-level
@@ -28,9 +27,8 @@ from repro.gpu.cache import (
     CacheStats,
     approx_lru_hits,
     lru_hits,
-    set_associative_hits,
 )
-from repro.gpu.coalescing import row_load_transactions, stream_bytes
+from repro.gpu.coalescing import row_load_transactions
 from repro.gpu.trace import (
     block_access_stream,
     paper_example_access_counts,
@@ -45,9 +43,7 @@ __all__ = [
     "CacheStats",
     "lru_hits",
     "approx_lru_hits",
-    "set_associative_hits",
     "row_load_transactions",
-    "stream_bytes",
     "block_access_stream",
     "paper_example_access_counts",
     "CostModelConfig",

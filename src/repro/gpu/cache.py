@@ -2,7 +2,7 @@
 
 The cost model treats the L2 as a cache of *dense-operand rows* (each row of
 ``X`` is ``K * 4`` bytes and is always touched in its entirety by a warp, so
-the natural cache block is one row).  Three simulators are provided:
+the natural cache block is one row).  Two simulators are provided:
 
 * :func:`lru_hits` — exact fully-associative LRU.  A classical result makes
   this cheap to evaluate offline: an access hits in an LRU cache of
@@ -10,9 +10,6 @@ the natural cache block is one row).  Three simulators are provided:
   blocks touched since the previous access to the same block — is at most
   ``C``.  Stack distances are computed in ``O(n log n)`` with a Fenwick
   tree over last-occurrence positions.
-* :func:`set_associative_hits` — exact set-associative LRU (configurable
-  sets/ways), loop-based; used to sanity-check the fully-associative
-  idealisation.
 * :func:`approx_lru_hits` — vectorised approximation using *time* distance
   (number of accesses, rather than distinct blocks, since the last touch).
   Since stack distance <= time distance, ``time_distance <= C`` implies a
@@ -30,7 +27,7 @@ import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["CacheStats", "lru_hits", "approx_lru_hits", "set_associative_hits"]
+__all__ = ["CacheStats", "lru_hits", "approx_lru_hits"]
 
 
 @dataclass(frozen=True)
@@ -167,24 +164,3 @@ def approx_lru_hits(stream: np.ndarray, capacity: int, *, slack: float = 1.0) ->
     hits = int(np.count_nonzero((prev >= 0) & (time_dist <= capacity * slack)))
     return CacheStats(n, hits)
 
-
-def set_associative_hits(stream: np.ndarray, n_sets: int, ways: int) -> CacheStats:
-    """Exact set-associative LRU (block -> set by modulo).
-
-    Loop-based; intended for validation on small/medium streams.
-    """
-    n_sets = check_positive("n_sets", n_sets)
-    ways = check_positive("ways", ways)
-    stream = np.asarray(stream, dtype=np.int64).ravel()
-    sets: list[list[int]] = [[] for _ in range(n_sets)]
-    hits = 0
-    for block in stream.tolist():
-        s = sets[block % n_sets]
-        try:
-            s.remove(block)
-            hits += 1
-        except ValueError:
-            if len(s) >= ways:
-                s.pop(0)  # evict least recently used (front)
-        s.append(block)
-    return CacheStats(stream.size, hits)

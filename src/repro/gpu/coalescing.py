@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.util.validation import check_positive
 
-__all__ = ["row_load_transactions", "row_load_bytes", "stream_bytes"]
+__all__ = ["row_load_transactions", "row_load_bytes"]
 
 
 def row_load_transactions(k: int, dtype_bytes: int = 4, line_bytes: int = 128) -> int:
@@ -32,10 +32,3 @@ def row_load_bytes(k: int, dtype_bytes: int = 4, line_bytes: int = 128) -> int:
     """
     return row_load_transactions(k, dtype_bytes, line_bytes) * line_bytes
 
-
-def stream_bytes(n_elements: int, dtype_bytes: int = 4) -> int:
-    """Bytes for a sequential (perfectly coalesced) stream of elements."""
-    if n_elements < 0:
-        raise ValueError(f"n_elements must be >= 0, got {n_elements}")
-    check_positive("dtype_bytes", dtype_bytes)
-    return n_elements * dtype_bytes

@@ -165,10 +165,6 @@ class KernelCost:
         """Modelled throughput in GFLOP/s (the paper's Fig. 10/11 metric)."""
         return self.flops / self.time_s / 1e9 if self.time_s > 0 else 0.0
 
-    def speedup_over(self, other: "KernelCost") -> float:
-        """``other.time / self.time`` — how much faster ``self`` is."""
-        return other.time_s / self.time_s
-
     def as_dict(self) -> dict:
         """Plain-dict form for JSON serialisation."""
         return {

@@ -60,24 +60,18 @@ thread-local buffer (valid until the same thread's next ``run``); pass
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 
 from repro.aspt.tiles import TiledMatrix
-from repro.errors import DegradedExecution, WorkspaceExhausted
 from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
-from repro.resilience.faults import fault_point
 from repro.sparse.csr import CSRMatrix
-from repro.util.log import get_logger
 from repro.util.validation import check_dense, check_out
-from repro.util.workspace import DirectWorkspace, WorkspacePool
+from repro.util.workspace import WorkspacePool
 
 __all__ = ["KernelSession"]
-
-_log = get_logger("kernels")
 
 
 class KernelSession:
@@ -128,12 +122,6 @@ class KernelSession:
             raise ValueError(f"chunk_k must be >= 1, got {chunk_k}")
         self.chunk_k = int(chunk_k)
         self.pool = pool if pool is not None else WorkspacePool()
-        # Per-session child of the global workspace.fallback instrument
-        # (exposed read-only through the ``fallbacks`` property).
-        self._fallbacks = METRICS.counter(
-            "workspace.fallback", "session runs that bypassed the pool"
-        ).child()
-        self._warned_fallback = False
         self._local = threading.local()
         self._requested_backend = backend
         self._bind(target)
@@ -196,12 +184,6 @@ class KernelSession:
         """Name of the backend actually executing (after any degradation)."""
         return self._backend
 
-    @property
-    def fallbacks(self) -> int:
-        """Calls completed through the direct-allocation fallback after
-        workspace exhaustion (per-session view of ``workspace.fallback``)."""
-        return self._fallbacks.value
-
     def stats(self) -> dict:
         """Workspace-pool counters (steady state: hits, no misses)."""
         return self.pool.stats()
@@ -216,11 +198,10 @@ class KernelSession:
         The streaming path: after :func:`repro.streaming.apply_delta`
         produces the successor plan, ``refresh`` re-derives every
         target-bound attribute (pinned state with its row order, backend —
-        a warm load hits the process-wide cache)
-        while keeping the session identity, its workspace pool and its
-        degradation counters.  Accepts the same target types as the
-        constructor, plus a :class:`repro.streaming.PlanUpdate` (its
-        ``plan`` is unwrapped).  The per-thread pinned output buffers are
+        a warm load hits the process-wide cache) while keeping the
+        session identity and its workspace pool.  Accepts the same target
+        types as the constructor, plus a
+        :class:`repro.streaming.PlanUpdate` (its ``plan`` is unwrapped).  The per-thread pinned output buffers are
         dropped because the matrix height may have changed.
 
         Not safe to interleave with concurrent :meth:`run` calls on the
@@ -259,55 +240,17 @@ class KernelSession:
         steady state allocates nothing.  Pass ``out=`` (or copy) to keep
         a result across calls.
 
-        When the pool cannot serve a lease
-        (:class:`repro.errors.WorkspaceExhausted`), the multiply reruns
-        with direct allocation — bitwise-identical result, one
-        :class:`repro.errors.DegradedExecution` warning per session, and
-        :attr:`fallbacks` counts the degraded calls.
+        A failed scratch allocation (``MemoryError``) propagates; the
+        lease hands back every block it took, so the next call runs on
+        the same pool.
         """
         X = check_dense("X", X, rows=self._n_cols, dtype=None)
         K = X.shape[1]
-        out = self._output(K, out)  # reprolint: disable=RD602 -- only caches the per-thread pinned buffer on self._local; a fired fault strands a reusable buffer, never a partial result
-        try:
-            with span("kernel.run", kind=self._kind, k=K):
-                with self.pool.lease() as ws:
-                    fault_point("session.run")
-                    self._dispatch(X, out, ws)
-        except WorkspaceExhausted as exc:
-            # Safe to rerun from the top: every dispatch path fully
-            # overwrites ``out``, so a partial first attempt leaves no
-            # trace in the final result.
-            self._fallbacks.inc()
-            if not self._warned_fallback:
-                self._warned_fallback = True
-                warnings.warn(
-                    f"workspace pool exhausted ({exc}); session falling "
-                    "back to direct allocation (results unchanged)",
-                    DegradedExecution,
-                    stacklevel=2,
-                )
-            _log.warning("session fallback to direct allocation: %s", exc)
-            with span("kernel.run.fallback", kind=self._kind, k=K):
-                self._dispatch(X, out, DirectWorkspace())
+        out = self._output(K, out)
+        with span("kernel.run", kind=self._kind, k=K), self.pool.lease() as ws:
+            # One pass over the pinned state, rows written to their places.
+            if self._fn is not None:
+                self._fn(self._state, X, out, ws)
+            else:
+                self._state.multiply(X, out, ws, self.chunk_k)
         return out
-
-    def _dispatch(self, X: np.ndarray, out: np.ndarray, ws) -> None:
-        """One pass over the pinned state, rows written to their places."""
-        if self._fn is not None:
-            self._fn(self._state, X, out, ws)
-        else:
-            self._state.multiply(X, out, ws, self.chunk_k)
-
-    def run_many(self, Xs) -> list[np.ndarray]:
-        """Multiply a batch of operands; results are caller-owned arrays.
-
-        Each operand is validated like :meth:`run` before its result
-        buffer is allocated, so a malformed operand raises
-        :class:`~repro.errors.ShapeError` rather than a bare indexing
-        error.
-        """
-        results = []
-        for X in Xs:
-            X = check_dense("X", X, rows=self._n_cols, dtype=None)
-            results.append(self.run(X, out=np.empty((self._n_rows, X.shape[1]))))
-        return results

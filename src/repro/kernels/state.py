@@ -139,17 +139,15 @@ class CsrState:
         # first use publishes both halves at once.
         self._grouping = None
 
-    @property
-    def groups(self) -> tuple:
-        """``(L, rows, colidx, values)`` per non-empty row length ``L``.
-
-        ``rows`` are the group's output row ids (through ``row_order``);
-        ``colidx`` and ``values`` (an ``(n, 1)`` column) are its
-        non-zeros in group order.  Built on first use.
-        """
-        return self._grouped()[0]
-
     def _grouped(self) -> tuple:
+        """``(groups, empty)``, built on first use.
+
+        ``groups`` holds ``(L, rows, colidx, values)`` per non-empty row
+        length ``L``: ``rows`` are the group's output row ids (through
+        ``row_order``); ``colidx`` and ``values`` (an ``(n, 1)`` column)
+        are its non-zeros in group order.  ``empty`` lists the output
+        rows with no non-zeros.
+        """
         grouping = self._grouping
         if grouping is None:
             grouping = self._grouping = self._group_rows()

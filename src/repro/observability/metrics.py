@@ -23,37 +23,8 @@ Design notes
   is get-or-create: modules may declare the same instrument independently
   and receive the same object.
 
-Instrument catalogue (see ``docs/OBSERVABILITY.md``):
-
-=============================== ==========================================
-``planstore.hit/miss/put/evict`` cache-tier traffic (memory + disk tiers)
-``planstore.quarantine``         corrupt plan files moved aside
-``workspace.hit/miss/evict``     scratch-pool reuse
-``workspace.fallback``           session runs that bypassed the pool
-``resilience.fault_fired``       injected faults that actually fired
-``resilience.retry``             transient-IO retry attempts
-``resilience.degradation_rung``  plan builds settled below the full rung
-``kernels.backend_compile``      compiled-kernel artifacts built (cache misses)
-``kernels.backend_fallback``     backend requests degraded to the numpy reference
-``gpu.global_txns``              modelled DRAM transactions
-``gpu.l2_hits``                  modelled L2 hits
-``gpu.shm_bytes``                bytes staged through shared memory
-``clustering.pairs_scored``      similarity evaluations during clustering
-``clustering.heap_requeues``     requeued representative pairs (Alg. 3 line 28)
-``retry.sleep_s``                histogram of seconds slept between retries
-``serve.requests/errors``        protocol requests handled / answered error
-``serve.admitted``               requests past admission control
-``serve.rejected_overload``      rejections at the in-flight bound
-``serve.rejected_quota``         rejections by a tenant token bucket
-``serve.in_flight``              gauge of admitted requests in flight
-``serve.pool_hit/miss/evict``    warm-session pool traffic
-``serve.pool_invalidate``        warm sessions dropped by streaming deltas
-``serve.pool_size/pool_pinned``  gauges of resident / serving sessions
-``serve.breaker_trip``           compile circuit-breaker open transitions
-``serve.batches``                multiply batches executed
-``serve.coalesced``              requests riding a coalesced batch
-``serve.latency_s``              histogram of admitted spmm latency
-=============================== ==========================================
+The catalogue of every instrument the library registers is
+``docs/OBSERVABILITY.md`` §4.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """In-process LRU tier of the plan store.
 
 A bounded mapping ``key -> PlanDecisions`` with two independent capacity
-limits (entry count and estimated bytes) and hit/miss/eviction counters.
-Bounded because a long-lived serving process sees an unbounded stream of
-matrices; counted because cache behaviour is a first-class experimental
-quantity in this repo (cf. :mod:`repro.gpu.cache`).
+limits (:data:`MAX_ENTRIES` and :data:`MAX_BYTES` of estimated size) and
+hit/miss/eviction counters.  Bounded because a long-lived serving process
+sees an unbounded stream of matrices; counted because cache behaviour is
+a first-class experimental quantity in this repo (cf.
+:mod:`repro.gpu.cache`).
 
 Thread-safe: a single lock guards the ordered map, so a multi-threaded
 server can share one cache (CPython's pipeline work releases the GIL in
@@ -21,6 +22,12 @@ from repro.observability.metrics import METRICS
 from repro.planstore.decisions import PlanDecisions
 
 __all__ = ["CacheStats", "LRUPlanCache"]
+
+#: Entry bound of the in-process LRU tier.
+MAX_ENTRIES = 256
+
+#: Bound on the estimated bytes the in-process LRU tier holds.
+MAX_BYTES = 64 * 1024 * 1024
 
 
 class CacheStats:
@@ -97,25 +104,17 @@ class CacheStats:
 class LRUPlanCache:
     """Bounded in-memory ``key -> PlanDecisions`` map with LRU eviction.
 
-    ``max_entries`` and ``max_bytes`` are both enforced after every
-    insert; whichever is tighter wins.  A single entry larger than
-    ``max_bytes`` is still admitted alone (the bound then holds again as
-    soon as anything else arrives), matching the usual clamp-not-reject
-    cache semantics.
+    :data:`MAX_ENTRIES` and :data:`MAX_BYTES` are both enforced after
+    every insert; whichever is tighter wins.  A single entry larger than
+    :data:`MAX_BYTES` is still admitted alone (the bound then holds again
+    as soon as anything else arrives), matching the usual
+    clamp-not-reject cache semantics.
     """
 
-    max_entries: int = 256
-    max_bytes: int = 64 * 1024 * 1024
     stats: CacheStats = field(default_factory=CacheStats)
     _entries: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _bytes: int = field(default=0, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def __post_init__(self):
-        if self.max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {self.max_entries}")
-        if self.max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {self.max_bytes}")
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> PlanDecisions | None:
@@ -138,8 +137,8 @@ class LRUPlanCache:
             self._entries[key] = decisions
             self._bytes += decisions.nbytes
             self.stats.puts += 1
-            while len(self._entries) > self.max_entries or (
-                self._bytes > self.max_bytes and len(self._entries) > 1
+            while len(self._entries) > MAX_ENTRIES or (
+                self._bytes > MAX_BYTES and len(self._entries) > 1
             ):
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
@@ -153,11 +152,6 @@ class LRUPlanCache:
         """Membership test that does not touch LRU order or counters."""
         with self._lock:
             return key in self._entries
-
-    @property
-    def current_bytes(self) -> int:
-        """Estimated bytes currently held."""
-        return self._bytes
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""

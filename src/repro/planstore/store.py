@@ -26,22 +26,19 @@ __all__ = ["PlanStore"]
 class PlanStore:
     """Content-addressed cache for execution-plan decisions.
 
+    The in-memory LRU tier is bounded by
+    :data:`repro.planstore.memory.MAX_ENTRIES` and
+    :data:`repro.planstore.memory.MAX_BYTES`.
+
     Parameters
     ----------
-    max_entries, max_bytes:
-        Bounds of the in-memory LRU tier.
     cache_dir:
         Optional directory for the persistent tier; ``None`` keeps the
         store purely in-process.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        max_bytes: int = 64 * 1024 * 1024,
-        cache_dir=None,
-    ) -> None:
-        self.memory = LRUPlanCache(max_entries=max_entries, max_bytes=max_bytes)
+    def __init__(self, cache_dir=None) -> None:
+        self.memory = LRUPlanCache()
         self.disk = DiskPlanStore(Path(cache_dir)) if cache_dir is not None else None
 
     # ------------------------------------------------------------------

@@ -278,11 +278,6 @@ class ExecutionPlan:
         """Whether the plan settled below the ``full`` ladder rung."""
         return bool(self.provenance) and not self.provenance[-1].startswith("full:")
 
-    @property
-    def backend_degraded(self) -> bool:
-        """Whether the requested backend degraded to the numpy reference."""
-        return bool(self.backend_provenance)
-
     # ------------------------------------------------------------------
     @property
     def preprocessing_time(self) -> float:
@@ -368,8 +363,7 @@ class ExecutionPlan:
         hit is, so its backend is resolved in this process.  A stored
         backend name this build does not know (``"numba"``, say) loads as
         a numpy plan with a ``backend_provenance`` entry recording the
-        step, so :attr:`backend_degraded` is true and :meth:`session`
-        still runs.
+        step, and :meth:`session` still runs.
         """
         from repro.planstore.decisions import PlanDecisions
 

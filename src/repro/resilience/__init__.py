@@ -6,10 +6,10 @@ back to trial-and-error autotuning — and this package makes
 degraded-but-correct execution a first-class citizen of the pipeline:
 
 * :class:`FaultInjector` / :func:`fault_point` — deterministic, seedable
-  chaos injection at named sites (``io.read``, ``planstore.read``,
-  ``planstore.write``, ``clustering.minhash``, ``clustering.cluster``,
-  ``workspace.take``, ``session.run``), driving the chaos test suite and
-  the CI ``chaos`` job.
+  chaos injection at the named sites of :data:`FAULT_SITES` (file reads,
+  plan-store IO, the MinHash and clustering stages, scratch allocation,
+  backend compiles, streaming updates, serve connections), driving the
+  chaos test suite and the CI ``chaos`` job.
 * :class:`Deadline` — a cooperative stage budget threaded through
   MinHash, LSH and clustering; polling points raise
   :class:`repro.errors.TimeoutExceeded` when the budget expires.

@@ -27,7 +27,6 @@ from repro.errors import (
     CorruptStoreError,
     ReproIOError,
     TimeoutExceeded,
-    WorkspaceExhausted,
 )
 from repro.observability.metrics import METRICS
 
@@ -58,8 +57,8 @@ def _cluster_timeout() -> Exception:
     )
 
 
-def _pool_fault() -> Exception:
-    return WorkspaceExhausted("injected fault: workspace pool exhausted")
+def _alloc_fault() -> Exception:
+    return MemoryError("injected fault: scratch allocation failed")
 
 
 def _backend_compile_fault() -> Exception:
@@ -72,28 +71,23 @@ def _streaming_update_fault() -> Exception:
     )
 
 
-def _pool_evict_fault() -> Exception:
-    return ReproIOError("injected fault: session teardown failed during eviction")
-
-
 def _accept_fault() -> Exception:
-    return ReproIOError("injected fault: connection dropped at accept")
+    return ConnectionResetError("injected fault: connection reset before its first read")
 
 
 #: Registered injection sites and the exception each one raises.  The
-#: sites live at the real failure surfaces: adding a site means adding a
-#: ``fault_point(...)`` call in the production module it names.
+#: sites live at the real failure surfaces, and each raises what the real
+#: failure there raises, so it takes the same handler: adding a site means
+#: adding a ``fault_point(...)`` call in the production module it names.
 FAULT_SITES: dict = {
     "io.read": _io_fault,
     "planstore.read": _corrupt_fault,
     "planstore.write": _write_fault,
     "clustering.minhash": _minhash_timeout,
     "clustering.cluster": _cluster_timeout,
-    "workspace.take": _pool_fault,
-    "session.run": _pool_fault,
+    "workspace.take": _alloc_fault,
     "backend.compile": _backend_compile_fault,
     "streaming.update": _streaming_update_fault,
-    "serve.pool_evict": _pool_evict_fault,
     "serve.accept": _accept_fault,
 }
 

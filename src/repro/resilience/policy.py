@@ -14,9 +14,13 @@ to the next-cheaper rung instead of aborting:
     ASpT tiling split (this is exactly the ASpT-NR baseline).
 ``untiled-csr``
     Identity ordering *and* a dense threshold no panel column can reach,
-    so every non-zero lands in the sparse remainder and multiplication
-    runs the plain CSR kernel.  Nothing on this rung can time out; it is
-    the ladder's floor.
+    so the split puts every non-zero in the sparse remainder.  Nothing on
+    this rung can time out; it is the ladder's floor.
+
+The rungs differ only in the row order and the ASpT split that the GPU
+model and the Fig. 9 statistics read: on every rung the plan's session
+multiplies ``tiled.original`` (the reordered matrix) in one CSR pass and
+writes each row to its original position.
 
 Every attempted rung is recorded in the plan's provenance (and the
 cached :class:`repro.planstore.PlanDecisions`), and settling below
@@ -64,8 +68,8 @@ def ladder_rungs(config) -> list:
         )
     # No column inside a panel_height-row panel can hold more than
     # panel_height entries, so this threshold keeps every non-zero in
-    # the sparse remainder: the plan multiplies through the plain CSR
-    # kernel (and builds with no LSH, clustering or dense split work).
+    # the sparse remainder: the split has no dense tiles (and the build
+    # does no LSH, clustering or dense split work).
     rungs.append(
         (
             "untiled-csr",

@@ -99,8 +99,8 @@ class ServeClient:
     ) -> dict:
         """One multiply request; returns the raw response dict.
 
-        On ``status == "ok"`` the dense result is under ``"result"`` —
-        use :meth:`result_array` to get it back as float64.
+        On ``status == "ok"`` the dense result is under ``"result"``, a
+        nested list that ``np.asarray(..., dtype=np.float64)`` decodes.
         """
         msg: dict = {"op": "spmm", "x": np.asarray(x, dtype=np.float64).tolist()}
         if fingerprint is not None:
@@ -125,15 +125,6 @@ class ServeClient:
         return self.request(
             {"op": "delta", "fingerprint": fingerprint, "delta": delta_to_wire(delta)}
         )
-
-    @staticmethod
-    def result_array(response: dict) -> np.ndarray:
-        """The dense result of an ``ok`` spmm response as float64."""
-        if response.get("status") != "ok" or "result" not in response:
-            raise ValidationError(
-                f"response has no result (status={response.get('status')!r})"
-            )
-        return np.asarray(response["result"], dtype=np.float64)
 
     def health(self) -> dict:
         """Readiness/health snapshot (pool, admission, breaker state)."""

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ValidationError
 from repro.kernels.backends import DEFAULT_BACKEND, check_backend
-from repro.util.validation import finite_real
+from repro.util.validation import check_positive, finite_real
 
 __all__ = ["ServeConfig", "positive_seconds"]
 
@@ -54,6 +54,9 @@ class ServeConfig:
         Per-tenant token-bucket refill rate (requests/second) and burst
         capacity, each a positive finite number; exhausted buckets reject
         with ``rejected_quota``.
+    tenant_quotas:
+        Per-tenant overrides, ``{tenant: (rate, burst)}``, each a pair of
+        positive finite numbers.
     default_deadline_s:
         Deadline applied to requests that do not carry ``deadline_s``
         (``None`` = no implicit deadline).
@@ -92,20 +95,30 @@ class ServeConfig:
     chunk_k: int = 64
     plan_cache_dir: str | None = None
     drain_timeout_s: float = 30.0
-    #: Extra per-tenant quota overrides: ``{tenant: (rate, burst)}``.
     tenant_quotas: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("pool_sessions", "workers", "max_inflight",
                      "breaker_threshold", "chunk_k", "panel_height"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            try:
+                check_positive(name, getattr(self, name))
+            except ValidationError as exc:
+                raise ConfigError(str(exc)) from None
         for name in ("quota_rate", "quota_burst"):
             value = getattr(self, name)
             if not (finite_real(value) and value > 0):
                 raise ConfigError(
                     f"{name} must be a positive finite number, got {value!r}"
+                )
+        for tenant, quota in self.tenant_quotas.items():
+            if not (
+                isinstance(quota, (tuple, list))
+                and len(quota) == 2
+                and all(finite_real(v) and v > 0 for v in quota)
+            ):
+                raise ConfigError(
+                    f"tenant_quotas[{tenant!r}] must be a (rate, burst) pair of "
+                    f"positive finite numbers, got {quota!r}"
                 )
         if self.default_deadline_s is not None and not positive_seconds(
             self.default_deadline_s

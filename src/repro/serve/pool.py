@@ -16,10 +16,7 @@ Robustness properties:
   transiently exceed its bound rather than yank a session mid-multiply;
 * **instrumented** — ``serve.pool_hit`` / ``serve.pool_miss`` /
   ``serve.pool_evict`` counters plus ``serve.pool_size`` /
-  ``serve.pool_pinned`` gauges feed the health endpoint;
-* **chaos-covered** — eviction crosses the ``serve.pool_evict`` fault
-  site; an injected eviction fault is absorbed (counted as
-  ``serve.pool_evict_fault``), never propagated into a request.
+  ``serve.pool_pinned`` gauges feed the health endpoint.
 """
 
 from __future__ import annotations
@@ -27,9 +24,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.errors import ReproError
 from repro.observability.metrics import METRICS
-from repro.resilience.faults import fault_point
 
 __all__ = ["PooledSession", "SessionPool"]
 
@@ -79,9 +74,6 @@ class SessionPool:
         )
         self._evicts = METRICS.counter(
             "serve.pool_evict", "warm sessions evicted (LRU, unpinned only)"
-        )
-        self._evict_faults = METRICS.counter(
-            "serve.pool_evict_fault", "absorbed faults during session eviction"
         )
         self._size = METRICS.gauge("serve.pool_size", "warm sessions resident")
         self._pinned = METRICS.gauge(
@@ -150,15 +142,9 @@ class SessionPool:
         return entry
 
     def _evict(self, victim: PooledSession) -> None:
-        """Drop one evicted session; an injected fault here is absorbed."""
+        """Drop one evicted session's scratch (already out of the table)."""
         self._evicts.inc()
-        try:
-            fault_point("serve.pool_evict")
-            victim.session.close()
-        except ReproError:
-            # Eviction is best-effort cleanup: the entry is already out
-            # of the table, a failure must never surface into a request.
-            self._evict_faults.inc()
+        victim.session.close()
 
     def invalidate(self, key: str) -> bool:
         """Drop the warm entry for ``key``; whether there was one.

@@ -15,8 +15,8 @@ deadline-budgeted build ladder can settle a plan below ``full``.
 
 Every failure mode has an explicit, typed outcome (see
 :mod:`repro.serve.protocol`); the chaos suite asserts the server never
-crashes and never returns a wrong answer under injected faults at the
-accept, eviction, IO, clustering, workspace, kernel and compile sites.
+crashes and never returns a wrong answer under injected faults at every
+registered site (:data:`repro.resilience.FAULT_SITES`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.errors import FormatError, ReproError, ShapeError, TimeoutExceeded
+from repro.errors import FormatError, ReproError, ShapeError
 from repro.observability.metrics import METRICS
 from repro.reorder import build_plan
 from repro.resilience import Deadline, ResiliencePolicy
@@ -127,9 +127,6 @@ class SpmmServer:
         self._closed = None  # asyncio.Event, created in start()
         self._requests = METRICS.counter("serve.requests", "protocol requests handled")
         self._errors = METRICS.counter("serve.errors", "requests answered with error")
-        self._accept_faults = METRICS.counter(
-            "serve.accept_fault", "connections dropped by an injected accept fault"
-        )
         self._matrix_evicts = METRICS.counter(
             "serve.matrix_evict", "uploaded matrices evicted from the registry"
         )
@@ -208,17 +205,10 @@ class SpmmServer:
     # ------------------------------------------------------------------
     async def _on_conn(self, reader, writer) -> None:
         try:
+            # A connection reset before its first read: the client sees
+            # EOF, nothing was processed, and it may resend.
             fault_point("serve.accept")
-        except ReproError:
-            # Chaos site: an accept fault drops the connection cleanly —
-            # the client sees EOF and may retry; nothing leaks.
-            self._accept_faults.inc()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-            return
-        self._conns.add(writer)
-        try:
+            self._conns.add(writer)
             while True:
                 try:
                     line = await reader.readline()

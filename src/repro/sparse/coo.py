@@ -32,8 +32,7 @@ class COOMatrix:
     values:
         ``float64`` array of length ``nnz``.
 
-    Duplicates are permitted in COO (they are summed on conversion to CSR);
-    use :meth:`sum_duplicates` to canonicalise in place of that behaviour.
+    Duplicates are permitted in COO; they are summed on conversion to CSR.
     """
 
     shape: tuple[int, int]
@@ -102,32 +101,6 @@ class COOMatrix:
         return COOMatrix(
             self.shape, self.rows.copy(), self.cols.copy(), self.values.copy()
         )
-
-    # ------------------------------------------------------------------
-    # canonicalisation
-    # ------------------------------------------------------------------
-    def sum_duplicates(self) -> "COOMatrix":
-        """Return an equivalent COO with duplicate coordinates summed.
-
-        Output entries are sorted by (row, col) — i.e. canonical order.
-        """
-        if self.nnz == 0:
-            return self.copy()
-        # Encode (row, col) into a single sortable key.  shape[1] can be 0
-        # only when nnz == 0, handled above.
-        key = self.rows * np.int64(self.shape[1]) + self.cols
-        order = np.argsort(key, kind="stable")
-        key_sorted = key[order]
-        vals_sorted = self.values[order]
-        uniq_mask = np.empty(key_sorted.size, dtype=bool)
-        uniq_mask[0] = True
-        np.not_equal(key_sorted[1:], key_sorted[:-1], out=uniq_mask[1:])
-        starts = np.flatnonzero(uniq_mask)
-        summed = np.add.reduceat(vals_sorted, starts)
-        key_uniq = key_sorted[starts]
-        rows = key_uniq // self.shape[1]
-        cols = key_uniq % self.shape[1]
-        return COOMatrix(self.shape, rows, cols, summed)
 
     # ------------------------------------------------------------------
     # conversion helpers (thin wrappers; full logic in conversions.py)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import FormatError
-from repro.util.arrayops import lengths_from_offsets, offsets_to_row_ids
+from repro.util.arrayops import offsets_to_row_ids
 
 __all__ = ["CSCMatrix"]
 
@@ -86,10 +86,6 @@ class CSCMatrix:
             raise IndexError(f"column {j} out of range for {self.shape[1]} columns")
         lo, hi = self.colptr[j], self.colptr[j + 1]
         return self.rowidx[lo:hi], self.values[lo:hi]
-
-    def col_lengths(self) -> np.ndarray:
-        """Number of non-zeros in each column."""
-        return lengths_from_offsets(self.colptr)
 
     def col_ids(self) -> np.ndarray:
         """Per-non-zero column index."""

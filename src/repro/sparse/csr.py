@@ -206,12 +206,6 @@ class CSRMatrix:
 
         return csr_to_coo(self)
 
-    def transpose(self) -> "CSRMatrix":
-        """Return the transpose as a new canonical CSR matrix."""
-        from repro.sparse.ops import transpose_csr
-
-        return transpose_csr(self)
-
     def copy(self) -> "CSRMatrix":
         """Deep copy (fresh arrays)."""
         return CSRMatrix(

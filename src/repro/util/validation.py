@@ -28,6 +28,21 @@ __all__ = [
 ]
 
 
+def _scalar(name: str, value, integer: bool):
+    """``value`` as a built-in ``int`` (``integer``) or ``float``.
+
+    A ``bool`` is refused either way: ``True`` is an ``int`` to Python,
+    never a count or a size.
+    """
+    if integer:
+        kind, abc = "an integer", numbers.Integral
+    else:
+        kind, abc = "a real number", numbers.Real
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def check_positive(name: str, value, *, integer: bool = True):
     """Validate that ``value`` is a (strictly) positive scalar.
 
@@ -36,19 +51,12 @@ def check_positive(name: str, value, *, integer: bool = True):
     name:
         Parameter name used in the error message.
     value:
-        The value to validate.
+        The value to validate (never a ``bool``).
     integer:
         When true (default) the value must also be an integral number and is
         returned as a built-in ``int``.
     """
-    if integer:
-        if not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        value = int(value)
-    else:
-        if not isinstance(value, numbers.Real):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
-        value = float(value)
+    value = _scalar(name, value, integer)
     if value <= 0:
         raise ValidationError(f"{name} must be > 0, got {value!r}")
     return value
@@ -56,14 +64,7 @@ def check_positive(name: str, value, *, integer: bool = True):
 
 def check_nonnegative(name: str, value, *, integer: bool = True):
     """Validate that ``value`` is a scalar >= 0 (see :func:`check_positive`)."""
-    if integer:
-        if not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        value = int(value)
-    else:
-        if not isinstance(value, numbers.Real):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
-        value = float(value)
+    value = _scalar(name, value, integer)
     if value < 0:
         raise ValidationError(f"{name} must be >= 0, got {value!r}")
     return value

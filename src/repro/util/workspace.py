@@ -19,7 +19,7 @@ Design notes
   column counts) still hit the same freelist.  Worst-case internal
   fragmentation is 2x, bounded and predictable.
 * The pool is thread-safe (one lock around the freelists) and bounded:
-  blocks returned past ``max_bytes`` of held memory are dropped
+  blocks returned past :data:`MAX_BYTES` of held memory are dropped
   (counted as evictions) instead of retained.
 * ``hits`` / ``misses`` / ``evictions`` counters make reuse observable —
   the perf-regression gate asserts steady-state calls stop allocating.
@@ -28,6 +28,11 @@ Correctness contract: a session's executor runs the same operations on
 leased and on directly allocated (:class:`DirectWorkspace`) buffers, so
 results are bitwise identical to the one-shot :func:`~repro.kernels.spmm`
 reference (asserted by the oracle tests).
+
+A block that cannot be allocated raises numpy's ``MemoryError``, which
+propagates out of the session call (the ``workspace.take`` fault site
+raises the same); the :class:`Workspace` still hands back every block it
+had leased.
 """
 
 from __future__ import annotations
@@ -41,6 +46,12 @@ from repro.resilience.faults import fault_point
 
 __all__ = ["DirectWorkspace", "Workspace", "WorkspacePool"]
 
+#: Upper bound on the bytes of *idle* blocks a pool keeps in its
+#: freelists.  Blocks returned beyond it are dropped (an *eviction*).
+#: Leased blocks are not counted: the bound caps the pool's parked
+#: memory, not the caller's working set.
+MAX_BYTES = 256 * 1024 * 1024
+
 
 def _size_class(n_elements: int) -> int:
     """Smallest power of two >= ``n_elements`` (class 1 for empty buffers)."""
@@ -50,15 +61,8 @@ def _size_class(n_elements: int) -> int:
 
 
 class WorkspacePool:
-    """Thread-safe, bounded pool of reusable scratch blocks.
-
-    Parameters
-    ----------
-    max_bytes:
-        Upper bound on the total bytes of *idle* blocks retained in the
-        freelists.  Blocks released beyond the bound are dropped (an
-        *eviction*).  Leased blocks are not counted — the bound caps the
-        pool's parked memory, not the caller's working set.
+    """Thread-safe pool of reusable scratch blocks, bounded by
+    :data:`MAX_BYTES` of idle memory.
 
     Examples
     --------
@@ -73,10 +77,7 @@ class WorkspacePool:
     1
     """
 
-    def __init__(self, max_bytes: int = 256 * 1024 * 1024) -> None:
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
-        self.max_bytes = int(max_bytes)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._free: dict[tuple[str, int], list[np.ndarray]] = {}
         self._held_bytes = 0
@@ -84,7 +85,7 @@ class WorkspacePool:
         # workspace.* instruments (see repro.observability.metrics).
         self._hits = METRICS.counter("workspace.hit", "scratch leases served from a freelist").child()
         self._misses = METRICS.counter("workspace.miss", "scratch leases that had to allocate").child()
-        self._evictions = METRICS.counter("workspace.evict", "returned blocks dropped over max_bytes").child()
+        self._evictions = METRICS.counter("workspace.evict", "returned blocks dropped over the idle bound").child()
 
     # ------------------------------------------------------------------
     def lease(self) -> "Workspace":
@@ -102,10 +103,8 @@ class WorkspacePool:
         :meth:`give` (or lease through a :class:`Workspace`, which tracks
         and returns blocks for you).  Contents are uninitialised.
 
-        Raises :class:`repro.errors.WorkspaceExhausted` when the
-        ``workspace.take`` fault site injects exhaustion, which
-        :class:`repro.kernels.KernelSession` absorbs by allocating
-        directly.
+        A failed allocation raises ``MemoryError``, as does the
+        ``workspace.take`` fault site that stands in for it.
         """
         fault_point("workspace.take")
         dtype = np.dtype(dtype)
@@ -139,7 +138,7 @@ class WorkspacePool:
             raise ValueError("give() expects an array leased from this pool")
         key = (block.dtype.str, block.size)
         with self._lock:
-            if self._held_bytes + block.nbytes > self.max_bytes:
+            if self._held_bytes + block.nbytes > MAX_BYTES:
                 self._evictions.inc()
                 return
             self._free.setdefault(key, []).append(block)
@@ -153,12 +152,6 @@ class WorkspacePool:
             self._held_bytes = 0
 
     @property
-    def held_bytes(self) -> int:
-        """Bytes currently parked in the freelists."""
-        with self._lock:
-            return self._held_bytes
-
-    @property
     def hits(self) -> int:
         """Leases served from a freelist (per-pool view of ``workspace.hit``)."""
         return self._hits.value
@@ -170,7 +163,7 @@ class WorkspacePool:
 
     @property
     def evictions(self) -> int:
-        """Returned blocks dropped over ``max_bytes`` (per-pool view)."""
+        """Returned blocks dropped over :data:`MAX_BYTES` (per-pool view)."""
         return self._evictions.value
 
     def stats(self) -> dict:
@@ -224,12 +217,11 @@ class Workspace:
 class DirectWorkspace:
     """Workspace-shaped allocator with no pooling (plain ``np.empty``).
 
-    Stands in for a :class:`Workspace` wherever code is written against
-    the ``scratch``/``release`` surface but no pool is in play: the
-    :class:`~repro.kernels.KernelSession` exhaustion fallback, and the
-    compiled SpMM that one-shot ``spmm(backend=...)`` runs.  Results are
-    bitwise identical either way — pooled and direct paths run the same
-    operations on same-shaped buffers.
+    Stands in for a :class:`Workspace` wherever an executor takes its
+    scratch but no pool is in play: the compiled SpMM that one-shot
+    ``spmm(backend=...)`` runs and the backend loader's bit check.
+    Results are bitwise identical either way — pooled and direct paths
+    run the same operations on same-shaped buffers.
     """
 
     __slots__ = ()
@@ -237,14 +229,4 @@ class DirectWorkspace:
     def scratch(self, shape, dtype=np.float64) -> np.ndarray:
         """Allocate one uninitialised C-contiguous array."""
         return np.empty(shape, dtype=dtype)
-
-    def release(self) -> None:
-        """No-op (nothing is pooled)."""
-        return None
-
-    def __enter__(self) -> "DirectWorkspace":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
 

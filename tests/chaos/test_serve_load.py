@@ -1,9 +1,9 @@
 """Chaos load tests for ``repro serve``.
 
-Contract (ISSUE tentpole): a multi-tenant server under sustained fault
-injection — every registered site, including the serve-layer
-``serve.accept`` and ``serve.pool_evict`` sites — must hold four
-properties at any injection rate:
+Contract: a multi-tenant server under sustained fault injection — every
+registered site, including ``serve.accept``, which resets a connection
+before its first read — must hold four properties at any injection
+rate:
 
 * **zero crashes** — the server thread survives the whole run and every
   request eventually gets a response or an explicit connection error;
@@ -69,7 +69,7 @@ def _write_trace(name, records):
 class _ChaosClient:
     """A :class:`ServeClient` that reconnects through injected accept faults.
 
-    ``serve.accept`` drops connections before the first read, so a
+    ``serve.accept`` resets a connection before its first read, so a
     request observing EOF was never processed — resending is safe.
     """
 

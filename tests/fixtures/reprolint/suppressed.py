@@ -7,7 +7,7 @@ def compare(val):
 
 
 def compare_bare(val):
-    """Suppressed but without a justification (flagged by unjustified())."""
+    """Suppressed but without a justification (reported as RD002)."""
     return val == 2.0  # reprolint: disable=RD201
 
 

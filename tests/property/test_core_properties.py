@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.aspt import tile_matrix
 from repro.clustering import cluster_rows
-from repro.gpu.cache import approx_lru_hits, lru_hits, set_associative_hits
+from repro.gpu.cache import approx_lru_hits, lru_hits
 from repro.kernels import sddmm, spmm
 from repro.reorder import ReorderConfig, build_plan
 from repro.similarity import similarity_for_pairs
@@ -104,10 +104,6 @@ class TestCacheProperties:
     @given(streams, st.integers(1, 30))
     def test_approx_is_lower_bound(self, stream, cap):
         assert approx_lru_hits(stream, cap, slack=1.0).hits <= lru_hits(stream, cap).hits
-
-    @given(streams, st.integers(1, 8))
-    def test_single_set_equals_fully_associative(self, stream, ways):
-        assert set_associative_hits(stream, 1, ways).hits == lru_hits(stream, ways).hits
 
     @given(streams)
     def test_infinite_capacity_only_cold_misses(self, stream):

@@ -198,7 +198,7 @@ class TestPlanIntegration:
         assert compile_counter.value == before + 1  # the build loaded it
         assert plan.session().backend == compiled_backend
         assert compile_counter.value == before + 1  # its session reuses it
-        assert not plan.backend_degraded
+        assert plan.backend_provenance == ()
         assert not plan.degraded  # backend state never taints plan provenance
 
     def test_only_the_compiling_build_reports_the_compile(
@@ -225,7 +225,6 @@ class TestPlanIntegration:
             warnings.simplefilter("ignore", DegradedExecution)
             plan = build_plan(matrix, config)
         assert plan.backend == "numpy"
-        assert plan.backend_degraded
         assert plan.backend_provenance == (NO_COMPILER,)
         assert not plan.degraded
         assert plan.provenance == ()
@@ -267,7 +266,7 @@ class TestPlanIntegration:
 
         loaded = ExecutionPlan.load(path, matrix)
         assert loaded.backend == compiled_backend
-        assert not loaded.backend_degraded
+        assert loaded.backend_provenance == ()
 
     def test_plan_saved_under_unregistered_backend_loads_on_numpy(
         self, matrix, rng, tmp_path
@@ -295,7 +294,6 @@ class TestPlanIntegration:
         assert [w.category for w in caught] == [DegradedExecution]
         assert fallback.value == before + 1
         assert loaded.backend == "numpy"
-        assert loaded.backend_degraded
         assert loaded.backend_provenance == (
             "backend:numba->numpy: not registered in this build",
         )

@@ -4,51 +4,14 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    BidmachLikeSDDMM,
-    CusparseLikeSpMM,
     apply_symmetric_order,
     bisection_order,
-    reverse_cuthill_mckee,
     symmetrized_adjacency,
 )
 from repro.errors import ValidationError
-from repro.kernels import assert_sddmm_correct, assert_spmm_correct
-from repro.sparse import CSRMatrix, bandwidth
+from repro.sparse import CSRMatrix
 
 from conftest import random_csr
-
-
-def banded_matrix(n=40, band=2):
-    dense = np.zeros((n, n))
-    for i in range(n):
-        for j in range(max(0, i - band), min(n, i + band + 1)):
-            dense[i, j] = 1.0
-    return CSRMatrix.from_dense(dense)
-
-
-class TestWrappers:
-    def test_cusparse_like_correct(self, rng):
-        m = random_csr(rng, 20, 15, 0.2)
-        X = rng.normal(size=(15, 4))
-        kernel = CusparseLikeSpMM(m)
-        assert_spmm_correct(m, X, kernel.spmm(X))
-
-    def test_cusparse_like_cost(self, rng):
-        m = random_csr(rng, 20, 15, 0.2)
-        cost = CusparseLikeSpMM(m).cost(512)
-        assert cost.variant == "cusparse" and cost.op == "spmm"
-
-    def test_bidmach_like_correct(self, rng):
-        m = random_csr(rng, 20, 15, 0.2)
-        X = rng.normal(size=(15, 4))
-        Y = rng.normal(size=(20, 4))
-        kernel = BidmachLikeSDDMM(m)
-        assert_sddmm_correct(m, X, Y, kernel.sddmm(X, Y))
-
-    def test_bidmach_like_cost(self, rng):
-        m = random_csr(rng, 20, 20, 0.2)
-        cost = BidmachLikeSDDMM(m).cost(512)
-        assert cost.variant == "bidmach" and cost.op == "sddmm"
 
 
 class TestSymmetrizedAdjacency:
@@ -66,32 +29,6 @@ class TestSymmetrizedAdjacency:
     def test_pattern_values_are_one(self, rng):
         adj = symmetrized_adjacency(random_csr(rng, 10, 10, 0.3))
         assert set(np.unique(adj.values)) <= {1.0}
-
-
-class TestRCM:
-    def test_is_permutation(self, rng):
-        m = random_csr(rng, 30, 30, 0.1)
-        order = reverse_cuthill_mckee(m)
-        assert sorted(order.tolist()) == list(range(30))
-
-    def test_reduces_bandwidth_of_shuffled_band(self, rng):
-        m = banded_matrix(50, 2)
-        shuffle = rng.permutation(50).astype(np.int64)
-        shuffled = apply_symmetric_order(m, shuffle)
-        assert bandwidth(shuffled) > bandwidth(m)
-        recovered = apply_symmetric_order(shuffled, reverse_cuthill_mckee(shuffled))
-        assert bandwidth(recovered) < bandwidth(shuffled) / 2
-
-    def test_disconnected_components_covered(self):
-        dense = np.zeros((6, 6))
-        dense[0, 1] = dense[1, 0] = 1.0
-        dense[4, 5] = dense[5, 4] = 1.0
-        order = reverse_cuthill_mckee(CSRMatrix.from_dense(dense))
-        assert sorted(order.tolist()) == list(range(6))
-
-    def test_empty_graph(self):
-        order = reverse_cuthill_mckee(CSRMatrix.empty((5, 5)))
-        assert sorted(order.tolist()) == list(range(5))
 
 
 class TestBisection:

@@ -23,7 +23,7 @@ class TestClusterRows:
         result = cluster_rows(
             paper_matrix, np.empty((0, 2), dtype=np.int64), np.zeros(0)
         )
-        assert result.is_identity
+        np.testing.assert_array_equal(result.order, np.arange(6))
         assert result.n_clusters == 6
 
     def test_order_is_permutation(self, paper_matrix, rng):

@@ -21,6 +21,7 @@ import pytest
 from repro.errors import TimeoutExceeded
 from repro.resilience import Deadline
 from repro.serve import SessionPool
+from repro.util import workspace
 from repro.util.workspace import WorkspacePool
 
 from conftest import FakeClock
@@ -94,8 +95,9 @@ class TestDeadlineNeverUnexpires:
 
 
 class TestWorkspacePoolCounterBalance:
-    def test_counters_balance_under_concurrent_lease_release(self):
-        pool = WorkspacePool(max_bytes=1 << 30)  # big enough: no evictions
+    def test_counters_balance_under_concurrent_lease_release(self, monkeypatch):
+        monkeypatch.setattr(workspace, "MAX_BYTES", 1 << 30)  # no evictions
+        pool = WorkspacePool()
         threads_n, iterations = 8, 300
         shapes = [(16,), (64,), (33, 4), (128,), (7, 7)]
         errors = []
@@ -139,9 +141,10 @@ class TestWorkspacePoolCounterBalance:
         parked = sum(len(blocks) for blocks in pool._free.values())
         assert parked == stats["misses"]
 
-    def test_eviction_accounting_balances_with_a_tiny_pool(self):
+    def test_eviction_accounting_balances_with_a_tiny_pool(self, monkeypatch):
         itemsize = np.dtype(np.float64).itemsize
-        pool = WorkspacePool(max_bytes=64 * itemsize)  # one 64-elem block
+        monkeypatch.setattr(workspace, "MAX_BYTES", 64 * itemsize)  # one 64-elem block
+        pool = WorkspacePool()
         threads_n, iterations = 4, 200
         barrier = threading.Barrier(threads_n)
 
@@ -169,7 +172,7 @@ class TestWorkspacePoolCounterBalance:
         # a freelist right now or was dropped as an eviction on return.
         parked = sum(len(blocks) for blocks in pool._free.values())
         assert parked + stats["evictions"] == stats["misses"]
-        assert stats["held_bytes"] <= pool.max_bytes
+        assert stats["held_bytes"] <= workspace.MAX_BYTES
 
 
 class TestSessionPoolPinBalance:

@@ -10,7 +10,6 @@ from repro.contracts import (
     enable_contracts,
     invokes,
     validates,
-    validates_each,
 )
 from repro.errors import FormatError, ValidationError
 from repro.kernels.spmm import spmm
@@ -134,16 +133,6 @@ class TestContractFactories:
 
         with contracts(True):
             assert f() is None
-
-    def test_validates_each(self):
-        @checked(validates_each("mats"))
-        def f(mats):
-            return len(mats)
-
-        with contracts(True):
-            assert f([good_csr(), None, good_csr()]) == 3
-            with pytest.raises(FormatError):
-                f([good_csr(), bad_csr()])
 
     def test_invokes_calls_named_method(self):
         class Probe:

@@ -42,32 +42,6 @@ class TestConstruction:
             COOMatrix.from_arrays((-1, 2), np.array([], dtype=np.int64), np.array([], dtype=np.int64))
 
 
-class TestSumDuplicates:
-    def test_sums_and_sorts(self):
-        m = COOMatrix.from_arrays(
-            (2, 3),
-            np.array([1, 0, 1, 1]),
-            np.array([2, 0, 2, 0]),
-            [1.0, 2.0, 3.0, 4.0],
-        )
-        out = m.sum_duplicates()
-        assert out.rows.tolist() == [0, 1, 1]
-        assert out.cols.tolist() == [0, 0, 2]
-        assert out.values.tolist() == [2.0, 4.0, 4.0]
-
-    def test_empty(self):
-        out = COOMatrix.empty((2, 2)).sum_duplicates()
-        assert out.nnz == 0
-
-    def test_dense_equivalence(self):
-        rng = np.random.default_rng(0)
-        rows = rng.integers(0, 5, 40)
-        cols = rng.integers(0, 6, 40)
-        vals = rng.normal(size=40)
-        m = COOMatrix.from_arrays((5, 6), rows, cols, vals)
-        np.testing.assert_allclose(m.sum_duplicates().to_dense(), m.to_dense())
-
-
 class TestToDense:
     def test_duplicates_summed(self):
         m = COOMatrix.from_arrays((1, 1), np.array([0, 0]), np.array([0, 0]), [1.0, 2.0])

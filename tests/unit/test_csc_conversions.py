@@ -12,6 +12,7 @@ from repro.sparse import (
     csc_to_csr,
     csr_to_coo,
     csr_to_csc,
+    transpose_csr,
 )
 
 from conftest import random_csr
@@ -24,7 +25,6 @@ class TestCSC:
         rows, vals = m.col(0)
         assert rows.tolist() == [0, 2]
         assert vals.tolist() == [1.0, 2.0]
-        assert m.col_lengths().tolist() == [2, 1]
 
     def test_canonicalises_unsorted_columns(self):
         m = CSCMatrix.from_arrays((3, 1), [0, 2], [2, 0], [1.0, 2.0])
@@ -88,5 +88,5 @@ class TestConversionRoundtrips:
 
     def test_transpose_shape(self, rng):
         m = random_csr(rng, 7, 13, 0.2)
-        t = m.transpose()
+        t = transpose_csr(m)
         assert t.shape == (13, 7)

@@ -10,7 +10,6 @@ from repro.datasets import (
     build_corpus,
     corpus_summary,
     diagonal,
-    get_generator,
     hidden_clusters,
     list_generators,
     power_law_rows,
@@ -21,7 +20,7 @@ from repro.datasets import (
 )
 from repro.errors import DatasetError
 from repro.similarity import average_consecutive_similarity
-from repro.sparse import bandwidth, structural_summary
+from repro.sparse import bandwidth
 
 
 class TestSyntheticGenerators:
@@ -193,14 +192,6 @@ class TestCorpus:
 
 
 class TestRegistry:
-    def test_lookup(self):
-        gen = get_generator("diagonal")
-        assert gen(5).nnz == 5
-
-    def test_unknown_name(self):
-        with pytest.raises(DatasetError):
-            get_generator("nope")
-
     def test_list_generators(self):
         names = list_generators()
         assert "rmat" in names and names == sorted(names)

@@ -10,7 +10,6 @@ from repro.errors import (
     FormatError,
     ReproError,
     ShapeError,
-    SimulationError,
     ValidationError,
 )
 from repro.util.log import enable_console_logging, get_logger
@@ -19,7 +18,7 @@ from repro.util.log import enable_console_logging, get_logger
 class TestErrorHierarchy:
     @pytest.mark.parametrize(
         "exc",
-        [ShapeError, FormatError, ValidationError, ConfigError, DatasetError, SimulationError],
+        [ShapeError, FormatError, ValidationError, ConfigError, DatasetError],
     )
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
@@ -31,7 +30,7 @@ class TestErrorHierarchy:
         # Callers that catch ValueError (NumPy-idiomatic) keep working.
         assert issubclass(exc, ValueError)
 
-    @pytest.mark.parametrize("exc", [SimulationError, DatasetError])
+    @pytest.mark.parametrize("exc", [DatasetError])
     def test_runtime_error_family(self, exc):
         assert issubclass(exc, RuntimeError)
 

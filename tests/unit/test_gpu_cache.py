@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ValidationError
-from repro.gpu import P100, V100, DeviceSpec, approx_lru_hits, lru_hits, set_associative_hits
-from repro.gpu.coalescing import row_load_bytes, row_load_transactions, stream_bytes
+from repro.gpu import P100, V100, DeviceSpec, approx_lru_hits, lru_hits
+from repro.gpu.coalescing import row_load_bytes, row_load_transactions
 
 
 def naive_lru(stream, capacity):
@@ -103,28 +103,6 @@ class TestApproxLruHits:
             approx_lru_hits(np.array([1]), 4, slack=0.0)
 
 
-class TestSetAssociative:
-    def test_single_set_equals_lru(self):
-        rng = np.random.default_rng(5)
-        stream = rng.integers(0, 15, size=200)
-        assert set_associative_hits(stream, 1, 8).hits == lru_hits(stream, 8).hits
-
-    def test_conflict_misses(self):
-        # Two blocks mapping to the same set of associativity 1 thrash.
-        stream = np.array([0, 4, 0, 4, 0, 4])
-        stats = set_associative_hits(stream, 4, 1)
-        assert stats.hits == 0
-
-    def test_associativity_resolves_conflicts(self):
-        stream = np.array([0, 4, 0, 4, 0, 4])
-        stats = set_associative_hits(stream, 4, 2)
-        assert stats.hits == 4
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            set_associative_hits(np.array([1]), 0, 1)
-
-
 class TestDeviceSpec:
     def test_p100_matches_paper(self):
         assert P100.n_sms == 56
@@ -172,12 +150,6 @@ class TestCoalescing:
         assert row_load_bytes(512, 4, 128) == 2048
         assert row_load_bytes(1, 4, 128) == 128
 
-    def test_stream_bytes(self):
-        assert stream_bytes(10, 4) == 40
-        assert stream_bytes(0) == 0
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             row_load_transactions(0)
-        with pytest.raises(ValueError):
-            stream_bytes(-1)

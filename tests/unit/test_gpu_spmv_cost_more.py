@@ -4,7 +4,6 @@ consistency, and executor behaviours not covered elsewhere."""
 import numpy as np
 import pytest
 
-from repro.aspt import tile_matrix
 from repro.datasets import banded, staircase
 from repro.gpu import GPUExecutor, P100
 from repro.gpu.costmodel import CostModelConfig
@@ -118,9 +117,3 @@ class TestExecutorEdgeCases:
         fast = GPUExecutor(P100, cache_mode="exact").spmm_cost(m, 512, "rowwise")
         assert slow.time_s > fast.time_s
 
-    def test_speedup_over_is_inverse(self, rng):
-        m = random_csr(rng, 64, 64, 0.1)
-        ex = GPUExecutor()
-        a = ex.spmm_cost(m, 512, "rowwise")
-        b = ex.spmm_cost(m, 512, "cusparse")
-        assert a.speedup_over(b) == pytest.approx(1.0 / b.speedup_over(a))

@@ -3,16 +3,18 @@
 Covers the tracer (span trees, Chrome export, golden schema snapshot),
 the gating contract (module-level ``span`` is a shared no-op until a
 tracer is installed), the metrics registry, the counter-migration
-compatibility surfaces (WorkspacePool, CacheStats, KernelSession,
-DiskPlanStore), the text reporters, and the end-to-end wiring
-(``repro trace``, ``run_experiment(trace=)``, per-record
-``stage_seconds``).
+compatibility surfaces (WorkspacePool, CacheStats, DiskPlanStore), the
+instrument catalogue in docs/OBSERVABILITY.md, the text reporters, and
+the end-to-end wiring (``repro trace``, ``run_experiment(trace=)``,
+per-record ``stage_seconds``).
 """
 
+import ast
 import json
+import re
 import threading
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import FakeClock
@@ -371,10 +373,12 @@ class TestWorkspacePoolCompat:
         stats = pool.stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
 
-    def test_eviction_counts_when_over_budget(self):
+    def test_eviction_counts_when_over_budget(self, monkeypatch):
+        from repro.util import workspace
         from repro.util.workspace import WorkspacePool
 
-        pool = WorkspacePool(max_bytes=0)
+        monkeypatch.setattr(workspace, "MAX_BYTES", 0)
+        pool = WorkspacePool()
         block = pool.take((8,))
         pool.give(block)
         assert pool.evictions == 1
@@ -421,27 +425,9 @@ class TestCacheStatsCompat:
     def test_lru_cache_still_counts(self):
         from repro.planstore.memory import LRUPlanCache
 
-        cache = LRUPlanCache(max_entries=4)
+        cache = LRUPlanCache()
         assert cache.get("missing") is None
         assert cache.stats.misses == 1
-
-
-class TestSessionFallbackCompat:
-    def test_fallbacks_attribute_counts_degraded_runs(self):
-        from repro.kernels import KernelSession
-        from repro.resilience import FaultInjector
-
-        matrix = hidden_clusters(10, 4, 64, 6, seed=0)
-        session = KernelSession(matrix, backend="numpy")
-        X = np.random.default_rng(0).normal(size=(matrix.n_cols, 8))
-        assert session.fallbacks == 0
-        with FaultInjector(rate=1.0, sites=["workspace.take"]):
-            with pytest.warns(Warning):
-                out = session.run(X)
-        assert session.fallbacks == 1
-        from repro.kernels import spmm
-
-        np.testing.assert_array_equal(out, spmm(matrix, X))
 
 
 class TestQuarantineCounter:
@@ -597,3 +583,34 @@ class TestTraceCli:
         printed = capsys.readouterr().out
         assert "build_plan" in printed
         assert str(out) in printed
+
+
+class TestInstrumentCatalogue:
+    ROOT = Path(__file__).resolve().parents[2]
+
+    def _registered(self) -> dict:
+        """``{name: kind}`` for every literal name passed to ``METRICS``."""
+        found = {}
+        for path in (self.ROOT / "src" / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter", "gauge", "histogram")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "METRICS"
+                ):
+                    name = node.args[0]
+                    assert isinstance(name, ast.Constant), f"{path}: non-literal name"
+                    found[name.value] = node.func.attr
+        return found
+
+    def _catalogue(self) -> dict:
+        text = (self.ROOT / "docs" / "OBSERVABILITY.md").read_text()
+        section = text.split("## 4. Instrument catalogue")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `([\w.]+)` \| (\w+) \|", section, flags=re.M)
+        assert len(rows) == len(dict(rows)), "an instrument is listed twice"
+        return dict(rows)
+
+    def test_docs_list_exactly_the_registered_instruments(self):
+        assert self._catalogue() == self._registered()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import diagonal, hidden_clusters
+from repro.planstore import memory
 from repro.planstore import (
     LRUPlanCache,
     PlanDecisions,
@@ -33,7 +34,7 @@ def matrix():
 
 class TestLRUPlanCache:
     def test_get_miss_then_hit(self):
-        cache = LRUPlanCache(max_entries=4)
+        cache = LRUPlanCache()
         assert cache.get("k1") is None
         d = _decisions()
         cache.put("k1", d)
@@ -42,8 +43,9 @@ class TestLRUPlanCache:
         assert cache.stats.misses == 1
         assert cache.stats.puts == 1
 
-    def test_entry_bound_evicts_lru(self):
-        cache = LRUPlanCache(max_entries=2)
+    def test_entry_bound_evicts_lru(self, monkeypatch):
+        monkeypatch.setattr(memory, "MAX_ENTRIES", 2)
+        cache = LRUPlanCache()
         d = _decisions()
         cache.put("a", d)
         cache.put("b", d)
@@ -53,24 +55,27 @@ class TestLRUPlanCache:
         assert cache.stats.evictions == 1
         assert len(cache) == 2
 
-    def test_byte_bound_evicts(self):
+    def test_byte_bound_evicts(self, monkeypatch):
         d = _decisions(8)
-        cache = LRUPlanCache(max_entries=100, max_bytes=int(d.nbytes * 2.5))
+        monkeypatch.setattr(memory, "MAX_BYTES", int(d.nbytes * 2.5))
+        cache = LRUPlanCache()
         cache.put("a", d)
         cache.put("b", d)
-        assert cache.current_bytes <= cache.max_bytes
+        assert len(cache) == 2 and cache.stats.evictions == 0
         cache.put("c", d)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
 
-    def test_oversized_entry_admitted_alone(self):
+    def test_oversized_entry_admitted_alone(self, monkeypatch):
         d = _decisions(8)
-        cache = LRUPlanCache(max_entries=4, max_bytes=1)
+        monkeypatch.setattr(memory, "MAX_BYTES", 1)
+        cache = LRUPlanCache()
         cache.put("big", d)
         assert cache.get("big") is d
 
-    def test_reput_same_key_updates_in_place(self):
-        cache = LRUPlanCache(max_entries=2)
+    def test_reput_same_key_updates_in_place(self, monkeypatch):
+        monkeypatch.setattr(memory, "MAX_ENTRIES", 2)
+        cache = LRUPlanCache()
         d1, d2 = _decisions(), _decisions()
         cache.put("k", d1)
         cache.put("k", d2)
@@ -84,14 +89,7 @@ class TestLRUPlanCache:
         cache.get("k")
         cache.clear()
         assert len(cache) == 0
-        assert cache.current_bytes == 0
         assert cache.stats.hits == 1
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            LRUPlanCache(max_entries=0)
-        with pytest.raises(ValueError):
-            LRUPlanCache(max_bytes=0)
 
 
 class TestPlanStore:

@@ -124,6 +124,13 @@ class TestReorderRows:
 
 
 class TestBuildPlan:
+    @pytest.mark.parametrize(
+        "field", ["siglen", "bsize", "threshold_size", "panel_height", "dense_threshold"]
+    )
+    def test_config_integer_fields_refuse_bools(self, field):
+        with pytest.raises(ValidationError, match=field):
+            ReorderConfig(**{field: True})
+
     def test_plan_spmm_matches_direct(self, rng):
         m = clustered_then_shuffled(rng)
         plan = build_plan(m, ReorderConfig(siglen=64, panel_height=8))

@@ -269,9 +269,26 @@ class TestBroadExceptRule:
 class TestSuppressions:
     def test_suppressed_codes_are_filtered(self):
         findings = lint_fixture("suppressed.py")
-        # Both RD201s are suppressed; the RD301 survives because its
+        # Both RD201s are suppressed; the bare suppression of the second
+        # is reported as RD002, and the RD301 survives because its
         # suppression names the wrong code.
-        assert codes_of(findings) == ["RD301"]
+        assert codes_of(findings) == ["RD002", "RD301"]
+        assert [f.line for f in findings if f.code == "RD002"] == [11]
+
+    def test_bare_suppression_is_reported_as_rd002(self):
+        source = "x = 1 == 2.0  # reprolint: disable=RD201\n"
+        findings = lint_source(source, display="s.py", config=LintConfig())
+        assert [(f.code, f.line) for f in findings] == [("RD002", 1)]
+        assert "RD201" in findings[0].message
+        assert "justification" in findings[0].message
+
+    def test_rd002_obeys_select_and_ignore(self):
+        source = "x = 1 == 2.0  # reprolint: disable=RD201\n"
+        for config in (
+            LintConfig(select=frozenset({"RD201"})),
+            LintConfig(ignore=frozenset({"RD002"})),
+        ):
+            assert lint_source(source, display="s.py", config=config) == []
 
     def test_unjustified_lists_bare_suppressions(self):
         lines = (FIXTURES / "suppressed.py").read_text().splitlines()
@@ -449,6 +466,25 @@ class TestCli:
         code, out = self.run_main([str(good)], capsys)
         assert code == 0
         assert "no findings" in out
+
+    def test_bare_suppression_fails_every_format_until_baselined(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        bare = tmp_path / "bare.py"
+        bare.write_text("x = 1 == 2.0  # reprolint: disable=RD201\n")
+        monkeypatch.chdir(tmp_path)
+        code, out = self.run_main([str(bare)], capsys)
+        assert code == 1 and "RD002" in out
+        code, out = self.run_main([str(bare), "--format", "json"], capsys)
+        assert code == 1
+        assert json.loads(out)["summary"]["by_code"] == {"RD002": 1}
+        code, out = self.run_main([str(bare), "--format", "sarif"], capsys)
+        assert code == 1
+        assert [r["ruleId"] for r in json.loads(out)["runs"][0]["results"]] == ["RD002"]
+        baseline = str(tmp_path / "baseline.json")
+        self.run_main([str(bare), "--baseline", baseline, "--update-baseline"], capsys)
+        code, _ = self.run_main([str(bare), "--baseline", baseline], capsys)
+        assert code == 0
 
     def test_json_format_is_parseable(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.py"

@@ -20,7 +20,6 @@ from repro.errors import (
     DegradedExecution,
     ReproIOError,
     TimeoutExceeded,
-    WorkspaceExhausted,
     exit_code_for,
 )
 from repro.reorder import ReorderConfig
@@ -154,12 +153,10 @@ class TestFaultInjector:
             "planstore.write": ReproIOError,
             "clustering.minhash": TimeoutExceeded,
             "clustering.cluster": TimeoutExceeded,
-            "workspace.take": WorkspaceExhausted,
-            "session.run": WorkspaceExhausted,
+            "workspace.take": MemoryError,
             "backend.compile": BackendUnavailable,
             "streaming.update": TimeoutExceeded,
-            "serve.pool_evict": ReproIOError,
-            "serve.accept": ReproIOError,
+            "serve.accept": ConnectionResetError,
         }
         assert set(expected) == set(FAULT_SITES)
         for site, exc_type in expected.items():
@@ -334,11 +331,6 @@ class TestErrorTaxonomy:
         assert exit_code_for(KeyboardInterrupt()) == EXIT_INTERRUPTED
         assert exit_code_for(ReproIOError("io")) == EXIT_IO
         assert exit_code_for(CorruptStoreError("c")) == EXIT_DATA
-
-    def test_workspace_exhausted_is_memory_error(self):
-        # The kernel-session fallback catches it; callers that only know
-        # MemoryError still handle it correctly.
-        assert issubclass(WorkspaceExhausted, MemoryError)
 
     def test_repro_io_error_is_os_error(self):
         assert issubclass(ReproIOError, OSError)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.datasets import get_generator, stochastic_block_model
+from repro.datasets import GENERATORS, list_generators, stochastic_block_model
 from repro.similarity import average_consecutive_similarity
 from repro.sparse import CSRMatrix
 
@@ -44,7 +44,8 @@ class TestStochasticBlockModel:
             stochastic_block_model(4, 4, p_in=1.5)
 
     def test_registered(self):
-        gen = get_generator("stochastic_block_model")
+        assert "stochastic_block_model" in list_generators()
+        gen = GENERATORS["stochastic_block_model"]
         assert isinstance(gen(4, 4, seed=0), CSRMatrix)
 
 

@@ -51,6 +51,12 @@ from repro.sparse import CSRMatrix
 from conftest import FakeClock, random_csr
 
 
+def _result(response):
+    """The dense result of an ``ok`` spmm response, decoded as perfbench does."""
+    assert response["status"] == STATUS_OK, response
+    return np.asarray(response["result"], dtype=np.float64)
+
+
 class ManualClock(FakeClock):
     """A FakeClock that only moves when told to (step 0)."""
 
@@ -400,15 +406,6 @@ class TestSessionPool:
         }
         pool.unpin(entry)
 
-    def test_eviction_fault_is_absorbed(self):
-        pool = SessionPool(capacity=1)
-        a = _put(pool, "a"); pool.unpin(a)
-        with FaultInjector(rate=1.0, seed=7, sites=["serve.pool_evict"]):
-            b = _put(pool, "b")  # evicts a; injected fault must not escape
-            pool.unpin(b)
-        assert pool.pin("a") is None  # eviction still happened
-        assert not a.session.closed  # fault fired before close()
-
     def test_clear_leaves_pinned_entries(self):
         pool = SessionPool(capacity=4)
         held = _put(pool, "held")
@@ -525,6 +522,31 @@ class TestServeConfig:
         with pytest.raises(ConfigError, match=next(iter(kw))):
             ServeConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["pool_sessions", "workers", "max_inflight", "breaker_threshold",
+         "chunk_k", "panel_height"],
+    )
+    @pytest.mark.parametrize("value", [True, 1.5], ids=["bool", "float"])
+    def test_integer_fields_refuse_bools_and_floats(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ServeConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "quota",
+        [(float("nan"), 1.0), (1.0, float("inf")), (0.0, 1.0), (1.0, -2.0),
+         (True, 1.0), (1.0,), (1.0, 2.0, 3.0), "x", None],
+        ids=["nan-rate", "inf-burst", "zero-rate", "negative-burst",
+             "bool-rate", "one-value", "three-values", "string", "none"],
+    )
+    def test_tenant_quotas_must_be_positive_finite_pairs(self, quota):
+        with pytest.raises(ConfigError, match=r"tenant_quotas\['t'\]"):
+            ServeConfig(tenant_quotas={"default": (1.0, 2.0), "t": quota})
+
+    def test_tenant_quotas_accept_ints_and_floats(self):
+        quotas = {"t": (1, 2.5)}
+        assert ServeConfig(tenant_quotas=quotas).tenant_quotas == quotas
+
     @pytest.mark.parametrize("field", ["breaker_reset_s", "drain_timeout_s"])
     def test_zero_timeouts_stay_legal(self, field):
         assert getattr(ServeConfig(**{field: 0}), field) == 0
@@ -571,6 +593,17 @@ class TestServerEndToEnd:
             resp = client.ping()
             assert resp["status"] == STATUS_OK and resp["pong"] is True
 
+    def test_accept_fault_resets_only_its_connection(self, served):
+        address = served["thread"].address
+        with FaultInjector(
+            rate=1.0, seed=0, sites=["serve.accept"], max_faults=1
+        ) as injector:
+            with ServeClient(address) as dropped, pytest.raises(ReproIOError):
+                dropped.ping()
+            with ServeClient(address) as client:
+                assert client.ping()["pong"] is True
+        assert injector.fired["serve.accept"] == 1
+
     def test_upload_then_spmm_is_bitwise_vs_plan_session(self, served):
         csr, plan = served["csr"], served["plan"]
         X = np.asarray(served["rng"].random((csr.n_cols, 40)), dtype=np.float64)
@@ -582,7 +615,7 @@ class TestServerEndToEnd:
             assert resp["id"] == 11
             assert resp["rung"] == "full" and resp["degraded"] is False
             np.testing.assert_array_equal(
-                ServeClient.result_array(resp), expected
+                _result(resp), expected
             )
 
     def test_inline_matrix_spmm(self, served):
@@ -593,7 +626,7 @@ class TestServerEndToEnd:
             resp = client.spmm(X, matrix=csr)
             assert resp["status"] == STATUS_OK
             np.testing.assert_array_equal(
-                ServeClient.result_array(resp), expected
+                _result(resp), expected
             )
 
     def test_unknown_fingerprint_is_not_found(self, served):
@@ -691,7 +724,7 @@ class TestWarmSessions:
             health = client.health()
         assert resp["status"] == STATUS_OK
         assert resp["rung"] == "full" and resp["degraded"] is False
-        np.testing.assert_array_equal(ServeClient.result_array(resp), spmm(csr, X))
+        np.testing.assert_array_equal(_result(resp), spmm(csr, X))
         assert after["serve.pool_hit"] - before["serve.pool_hit"] == 1
         assert after["serve.pool_miss"] == before["serve.pool_miss"]
         assert [k["key"] for k in health["pool"]["keys"]] == [fingerprint]
@@ -710,7 +743,7 @@ class TestWarmSessions:
         assert plain["status"] == STATUS_OK
         assert plain["degraded"] is False and plain["rung"] == "full"
         assert plain["provenance"] == ["full: ok"]
-        np.testing.assert_array_equal(ServeClient.result_array(plain), spmm(csr, X))
+        np.testing.assert_array_equal(_result(plain), spmm(csr, X))
 
 
 @pytest.fixture()
@@ -750,7 +783,7 @@ class TestServerDelta:
             got = client.spmm(X, fingerprint=new)
             assert got["status"] == STATUS_OK
             np.testing.assert_allclose(
-                ServeClient.result_array(got), mutated.to_dense() @ X,
+                _result(got), mutated.to_dense() @ X,
                 rtol=1e-12, atol=1e-12,
             )
             # The pre-delta fingerprint no longer serves stale results.
@@ -781,7 +814,7 @@ class TestServerDelta:
         with ServeClient(delta_served["thread"].address) as client:
             old = client.upload(csr)["fingerprint"]
             new = client.delta(old, delta)["fingerprint"]
-            got = ServeClient.result_array(client.spmm(X, fingerprint=new))
+            got = _result(client.spmm(X, fingerprint=new))
             np.testing.assert_allclose(
                 got, mutated.to_dense(), rtol=1e-12, atol=1e-12
             )

@@ -12,6 +12,7 @@ from repro.kernels import KernelSession, spmm, spmm_tiled
 from repro.kernels.state import _BLOCK_BYTES, DEFAULT_CHUNK_K, CsrState
 from repro.reorder import ReorderConfig, build_plan
 from repro.sparse import CSRMatrix
+from repro.util import workspace
 from repro.util.workspace import DirectWorkspace, WorkspacePool
 
 from conftest import random_csr
@@ -50,7 +51,8 @@ class TestCsrSession:
         # executor walk its length groups in several row blocks.
         X = np.random.default_rng(12).normal(size=(matrix.n_cols, 512))
         state = CsrState(matrix)
-        assert max(rows.size * L for L, rows, *_ in state.groups) * 512 * 8 > _BLOCK_BYTES
+        groups, _ = state._grouped()
+        assert max(rows.size * L for L, rows, *_ in groups) * 512 * 8 > _BLOCK_BYTES
         session = KernelSession(matrix, chunk_k=5, backend="numpy")
         np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
 
@@ -88,13 +90,6 @@ class TestCsrSession:
         assert stats["misses"] == misses_after_warmup
         assert stats["hits"] > 0
 
-    def test_run_many_returns_owned_arrays(self, matrix, X):
-        session = KernelSession(matrix)
-        results = session.run_many([X, X * 2.0])
-        assert results[0] is not results[1]
-        np.testing.assert_array_equal(results[0], spmm(matrix, X))
-        np.testing.assert_array_equal(results[1], spmm(matrix, X * 2.0))
-
     def test_shared_pool(self, matrix, X):
         pool = WorkspacePool()
         session = KernelSession(matrix, pool=pool, backend="numpy")
@@ -105,7 +100,7 @@ class TestCsrSession:
         session = KernelSession(matrix)
         session.run(X)
         session.close()
-        assert session.pool.held_bytes == 0
+        assert session.stats()["held_bytes"] == 0
         np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
 
     def test_concurrent_runs_are_bitwise_correct(self, matrix):
@@ -185,15 +180,16 @@ class TestPlanSession:
         np.testing.assert_array_equal(session.run(X), plan.spmm(X))
         np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
 
-    def test_k512_steady_state_takes_no_pool_misses(self):
+    def test_k512_steady_state_takes_no_pool_misses(self, monkeypatch):
         # A dense-tile-heavy plan at K=512: one pass needs the executor's
         # block buffer and the scatter buffer, which fit this pool, so
         # every lease after the first run is a hit.
+        monkeypatch.setattr(workspace, "MAX_BYTES", 16 << 20)
         matrix = hidden_clusters(16, 16, 2048, 24, noise=0.05, seed=5)
         plan = build_plan(matrix, ReorderConfig(panel_height=16))
         assert plan.tiled.dense_ratio > 0.5
         X = np.random.default_rng(2).normal(size=(matrix.n_cols, 512))
-        session = plan.session(pool=WorkspacePool(max_bytes=16 << 20))
+        session = plan.session(pool=WorkspacePool())
         session.run(X)
         warm = session.stats()
         for _ in range(3):
@@ -201,7 +197,6 @@ class TestPlanSession:
         stats = session.stats()
         assert stats["misses"] == warm["misses"]
         assert stats["evictions"] == warm["evictions"]
-        assert session.fallbacks == 0
         np.testing.assert_array_equal(got, spmm(matrix, X))
 
 
@@ -354,10 +349,6 @@ class TestValidation:
         with pytest.raises(ShapeError):
             CsrState(matrix).multiply(X, np.empty((matrix.n_rows, 4)), DirectWorkspace(), 64)
 
-    def test_run_many_rejects_1d_operand_like_run(self, matrix):
-        session = KernelSession(matrix)
-        x = np.ones(matrix.n_cols)
+    def test_run_rejects_1d_operand(self, matrix):
         with pytest.raises(ShapeError):
-            session.run(x)
-        with pytest.raises(ShapeError):
-            session.run_many([x])
+            KernelSession(matrix).run(np.ones(matrix.n_cols))

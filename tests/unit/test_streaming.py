@@ -146,7 +146,9 @@ class TestStreams:
         assert [d.timestamp for d in stream.deltas] == [
             100.0, 102.0, 104.0, 106.0, 108.0
         ]
-        *_, last = stream.matrices()
+        last = stream.base
+        for delta in stream.deltas:
+            last = delta.apply_to(last)
         np.testing.assert_array_equal(last.values, stream.final.values)
         np.testing.assert_array_equal(last.colidx, stream.final.colidx)
 

@@ -34,6 +34,12 @@ class TestCheckPositive:
     def test_numpy_integer_accepted(self):
         assert check_positive("n", np.int32(4)) == 4
 
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_rejects_bool(self, integer):
+        # True is an int to Python, but never a count or a size.
+        with pytest.raises(ValidationError, match="n must be"):
+            check_positive("n", True, integer=integer)
+
     def test_error_is_value_error_and_repro_error(self):
         with pytest.raises(ValueError):
             check_positive("n", -1)
@@ -48,6 +54,12 @@ class TestCheckNonnegative:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             check_nonnegative("n", -1)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_rejects_bool(self, value, integer):
+        with pytest.raises(ValidationError, match="n must be"):
+            check_nonnegative("n", value, integer=integer)
 
 
 class TestCheckInRange:

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.util import workspace
 from repro.util.workspace import WorkspacePool
 from repro.util.workspace import _size_class
 
@@ -48,22 +49,23 @@ class TestWorkspacePool:
         assert pool.stats()["hits"] == 0
         assert b.dtype == np.int64
 
-    def test_eviction_past_max_bytes(self):
-        pool = WorkspacePool(max_bytes=8 * 16)  # room for one 16-element block
+    def test_eviction_past_max_bytes(self, monkeypatch):
+        monkeypatch.setattr(workspace, "MAX_BYTES", 8 * 16)  # one 16-element block
+        pool = WorkspacePool()
         a = pool.take(16)
         b = pool.take(16)
         pool.give(a)
         pool.give(b)  # second give exceeds the bound -> dropped
         stats = pool.stats()
         assert stats["evictions"] == 1
-        assert pool.held_bytes == 8 * 16
+        assert stats["held_bytes"] == 8 * 16
 
     def test_clear_drops_idle_blocks(self):
         pool = WorkspacePool()
         pool.give(pool.take(64))
-        assert pool.held_bytes > 0
+        assert pool.stats()["held_bytes"] > 0
         pool.clear()
-        assert pool.held_bytes == 0
+        assert pool.stats()["held_bytes"] == 0
         pool.take(64)
         assert pool.stats()["misses"] == 2  # cleared block was not reused
 
@@ -77,12 +79,9 @@ class TestWorkspacePool:
         with pytest.raises(ValueError):
             pool.take((4, -1))
 
-    def test_negative_max_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            WorkspacePool(max_bytes=-1)
-
-    def test_thread_safety_under_churn(self):
-        pool = WorkspacePool(max_bytes=1 << 20)
+    def test_thread_safety_under_churn(self, monkeypatch):
+        monkeypatch.setattr(workspace, "MAX_BYTES", 1 << 20)
+        pool = WorkspacePool()
         errors = []
 
         def churn(seed):
@@ -104,7 +103,7 @@ class TestWorkspacePool:
         assert not errors
         stats = pool.stats()
         assert stats["hits"] + stats["misses"] == 8 * 200
-        assert pool.held_bytes <= pool.max_bytes
+        assert stats["held_bytes"] <= workspace.MAX_BYTES
 
 
 class TestWorkspace:
@@ -113,17 +112,17 @@ class TestWorkspace:
         with pool.lease() as ws:
             ws.scratch((4, 4))
             ws.scratch(16, np.int64)
-            assert pool.held_bytes == 0  # leased, not parked
-        assert pool.held_bytes == (16 * 8) * 2
+            assert pool.stats()["held_bytes"] == 0  # leased, not parked
+        assert pool.stats()["held_bytes"] == (16 * 8) * 2
 
     def test_release_is_idempotent(self):
         pool = WorkspacePool()
         ws = pool.lease()
         ws.scratch(8)
         ws.release()
-        held = pool.held_bytes
+        held = pool.stats()["held_bytes"]
         ws.release()
-        assert pool.held_bytes == held
+        assert pool.stats()["held_bytes"] == held
 
     def test_scratch_reuses_released_blocks(self):
         pool = WorkspacePool()
