@@ -198,14 +198,15 @@ def _suite_kernels(quick: bool, backend: str = "numpy") -> dict:
 
 
 def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
-    # ``backend`` is accepted for a uniform runner signature but ignored:
-    # the build and patch cells run on ``ReorderConfig``'s default backend
-    # (their MinHash included, as every build's does).  The ``minhash``
-    # cell, and the ``stage`` cell that adds it in, call
-    # ``minhash_signatures`` with no backend, so they time the numpy
-    # reference and not the compiled MinHash a build hashes with; the
-    # emitted ``workload`` block says so.
-    del backend
+    # The build and patch cells run on ``ReorderConfig``'s default backend
+    # (their MinHash and clustering loop included, as every build's do).
+    # The ``minhash`` and ``cluster`` cells, and the ``stage`` cell that
+    # adds them, call ``minhash_signatures`` and ``cluster_rows`` with no
+    # backend, so they time the numpy and Python references; the emitted
+    # ``workload`` block says so.  With ``--backend <name>`` the suite
+    # also times both stages on <name> in ``minhash@<name>`` and
+    # ``cluster@<name>`` cells, with the within-run ``*_<name>_vs_numpy``
+    # speedups, as the kernels suite does.
     from repro.clustering import cluster_rows
     from repro.datasets import bipartite_ratings
     from repro.reorder import ReorderConfig, build_plan
@@ -263,6 +264,50 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
     metrics["plan_rebuild"] = _metric(
         lambda: build_plan(mutated, config).stats, repeats
     )
+    workload = {
+        "matrix": "bipartite_ratings(2048, 2048, 20, n_taste_groups=64, "
+        "concentration=0.95, seed=7)",
+        "n_rows": matrix.n_rows,
+        "nnz": matrix.nnz,
+        "lsh": "LSHIndex() defaults",
+        "minhash": "minhash, cluster and stage time minhash_signatures and "
+        "cluster_rows with no backend: the numpy and Python references, not "
+        "the cc loops builds run",
+        "n_candidate_pairs": int(pairs.shape[0]),
+        "delta": f"set-delta, {n_dirty} existing entries overwritten "
+        "(~0.1% nnz), seed 11",
+    }
+    speedups = {}
+    # The round-1 stages on the compiled backend, omitted (never measured
+    # as numpy) when it degrades; the numpy cells above keep their names.
+    if backend != "numpy":
+        from repro.errors import DegradedExecution
+        from repro.kernels.backends import load_backend
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedExecution)
+            loaded = load_backend(backend)
+        if loaded.backend != backend:
+            workload["backend_degraded"] = list(loaded.provenance)
+        else:
+            metrics[f"minhash@{backend}"] = _metric(
+                lambda: minhash_signatures(
+                    matrix, index.siglen, seed=index.seed, backend=backend
+                ),
+                repeats,
+            )
+            metrics[f"cluster@{backend}"] = _metric(
+                lambda: cluster_rows(
+                    matrix, pairs, sims, threshold_size=256, backend=backend
+                ),
+                repeats,
+            )
+            for stage in ("minhash", "cluster"):
+                speedups[f"{stage}_{backend}_vs_numpy"] = round(
+                    metrics[stage]["median_ms"]
+                    / metrics[f"{stage}@{backend}"]["median_ms"],
+                    3,
+                )
     stage_ms = round(
         metrics["minhash"]["median_ms"] + metrics["cluster"]["median_ms"], 4
     )
@@ -288,20 +333,9 @@ def _suite_preproc(quick: bool, backend: str = "numpy") -> dict:
     return {
         "name": "preproc",
         "quick": quick,
-        "workload": {
-            "matrix": "bipartite_ratings(2048, 2048, 20, n_taste_groups=64, "
-            "concentration=0.95, seed=7)",
-            "n_rows": matrix.n_rows,
-            "nnz": matrix.nnz,
-            "lsh": "LSHIndex() defaults",
-            "minhash": "minhash and stage time minhash_signatures with no "
-            "backend: the numpy reference, not the cc MinHash builds run",
-            "n_candidate_pairs": int(pairs.shape[0]),
-            "delta": f"set-delta, {n_dirty} existing entries overwritten "
-            "(~0.1% nnz), seed 11",
-        },
+        "workload": workload,
         "metrics": metrics,
-        "speedups": {},
+        "speedups": speedups,
         "reference": {
             "pre_pr_median_ms": pre_pr,
             "stage_vs_pre_pr": round(pre_pr["stage"] / stage_ms, 3),
@@ -322,8 +356,8 @@ def run_suite(name: str, *, quick: bool = False, backend: str = "numpy") -> dict
     """Run one registered suite and return its result document.
 
     ``backend`` selects the compiled kernel backend dimension
-    (:mod:`repro.kernels.backends`); suites without kernel cells ignore
-    it.
+    (:mod:`repro.kernels.backends`): each suite adds ``@<backend>``
+    cells for the compiled paths it covers.
     """
     try:
         suite = SUITES[name]

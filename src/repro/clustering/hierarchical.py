@@ -40,6 +40,15 @@ which computes the same correctly-rounded IEEE value as
 whole-array passes: pointer-jump the parent array to its roots, take
 each cluster's smallest row from :func:`numpy.unique`, and one stable
 sort on it emits the order.
+
+The merge loop has two implementations that make the same decisions:
+the Python reference (``_merge_loop``) and ``repro_cluster`` in the
+compiled ``cc`` library (:mod:`repro.kernels.backends`), a translation
+with a binary heap, an open-addressing seen-pair set and a sorted-row
+merge for the scores.  ``cluster_rows(..., backend="cc")`` runs the
+compiled one; every plan build passes the backend it resolved.  The
+checks, the presort and the epilogue are shared, and the library's
+load-time bit check holds the two loops to each other.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.observability.metrics import METRICS
 from repro.resilience.faults import fault_point
-from repro.similarity.measures import similarity_for_pairs
+from repro.similarity.measures import MEASURES, similarity_for_pairs
 from repro.sparse.csr import CSRMatrix
 from repro.util.validation import check_positive
 
@@ -118,6 +127,7 @@ def cluster_rows(
     threshold_size: int = 256,
     measure: str = "jaccard",
     deadline=None,
+    backend: str | None = None,
 ) -> ClusteringResult:
     """Run Alg. 3's clustering loop on precomputed candidate pairs.
 
@@ -130,18 +140,25 @@ def cluster_rows(
         ``(E, 2)`` int64 candidate pairs (from :class:`repro.similarity.LSHIndex`),
         every index in ``[0, csr.n_rows)``.
     sims:
-        Exact Jaccard similarity of each candidate pair.
+        Exact Jaccard similarity of each candidate pair; NaN and
+        infinities are refused.
     threshold_size:
         Retire clusters when they reach this size (paper default 256).
     measure:
         Similarity used to re-score re-queued representative pairs
         (``"jaccard"`` per the paper; see :data:`repro.similarity.MEASURES`).
     deadline:
-        Optional :class:`repro.resilience.Deadline`; the merge loop polls
-        it every 4096 iterations and aborts with
-        :class:`repro.errors.TimeoutExceeded` when the budget is spent
-        (cooperative cancellation — no partial state escapes, the caller
-        simply drops the run).
+        Optional :class:`repro.resilience.Deadline`.  The reference loop
+        polls it every 4096 iterations; the compiled loop is checked just
+        before and just after its call.  An expired budget aborts with
+        :class:`repro.errors.TimeoutExceeded` (cooperative cancellation —
+        no partial state escapes, the caller simply drops the run).
+    backend:
+        Optional backend name (see :mod:`repro.kernels.backends`).
+        ``None``/``"numpy"`` run the Python reference loop; ``"cc"`` runs
+        the compiled library's loop (the same decisions, with the GIL
+        released), degrading to the reference when it cannot load.  Both
+        share the checks, the presort and the epilogue.
 
     Returns
     -------
@@ -149,42 +166,116 @@ def cluster_rows(
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     sims = np.asarray(sims, dtype=np.float64)
-    if pairs.ndim != 2 or (pairs.size and pairs.shape[1] != 2):
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValidationError(f"pairs must have shape (E, 2), got {pairs.shape}")
     if sims.size != pairs.shape[0]:
         raise ValidationError("pairs and sims must have equal length")
+    if not np.isfinite(sims).all():
+        # NaN has no place in the heap order; no scorer produces it.
+        raise ValidationError("sims must be finite (no NaN or infinities)")
     n = csr.n_rows
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValidationError(f"pair indices must lie in [0, {n})")
     threshold_size = check_positive("threshold_size", threshold_size)
     fault_point("clustering.cluster")
-    if measure not in ("jaccard", "cosine", "overlap", "dice"):
+    if measure not in MEASURES:
         # Fail before the loop with the standard message.
         similarity_for_pairs(csr, np.empty((0, 2), dtype=np.int64), measure)
+    kernel = None
+    if backend is not None and backend != "numpy":
+        from repro.kernels.backends import load_backend
 
+        kernel = load_backend(backend).cluster
+    result = cluster(
+        csr, pairs, sims, threshold_size, measure, deadline=deadline, kernel=kernel
+    )
+    # One registry update per call (not per merge) keeps the loop lock-free.
+    METRICS.counter(
+        "clustering.pairs_scored", "similarity evaluations during clustering"
+    ).inc(result.n_requeued)
+    METRICS.counter(
+        "clustering.heap_requeues", "requeued representative pairs (Alg. 3 line 28)"
+    ).inc(result.n_requeued)
+    return result
+
+
+def cluster(csr: CSRMatrix, pairs: np.ndarray, sims: np.ndarray,
+            threshold_size: int, measure: str, *, deadline=None,
+            kernel=None) -> ClusteringResult:
+    """:func:`cluster_rows` without its checks, fault site and metrics.
+
+    ``kernel`` is a compiled merge loop (``LoadedBackend.cluster``) or
+    ``None`` for the Python reference; the loader's bit check calls this
+    with both on one probe.
+    """
+    # The initial candidates are static, so instead of a heap they are
+    # sorted once (ascending ``(-sim, i, j)`` — the exact heap key) and
+    # consumed as a stream.  ``i * n_rows + j`` orders the pairs as
+    # ``(i, j)`` does, as the seen-pair keys below also assume.
+    order0 = np.lexsort((pairs[:, 0] * csr.n_rows + pairs[:, 1], -sims))
+    key = (-sims)[order0]
+    left = pairs[order0, 0]
+    right = pairs[order0, 1]
+    if kernel is None:
+        parent, n_merges, n_retired, n_requeued = _merge_loop(
+            csr, key, left, right, threshold_size, measure, deadline
+        )
+    else:
+        if deadline is not None:
+            deadline.check("cluster")
+        parent, n_merges, n_retired, n_requeued = kernel(
+            csr, key, left, right, threshold_size, measure
+        )
+        if deadline is not None:
+            deadline.check("cluster")
+
+    # Epilogue (lines 30-34) in whole-array passes.  Pointer jumping ends at
+    # the roots; ``first`` is each cluster's smallest row, so a stable sort
+    # on it emits clusters by smallest row with rows ascending inside each.
+    roots = np.array(parent, dtype=np.int64)
+    while True:
+        up = roots[roots]
+        if np.array_equal(up, roots):
+            break
+        roots = up
+    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+    order = np.argsort(first[inverse], kind="stable").astype(np.int64, copy=False)
+    return ClusteringResult(
+        order=order,
+        cluster_of=roots,
+        n_clusters=int(first.size),
+        n_merges=n_merges,
+        n_retired=n_retired,
+        n_requeued=n_requeued,
+    )
+
+
+def _merge_loop(csr, key, left, right, threshold_size, measure, deadline):
+    """The reference merge loop over the presorted candidate stream
+    ``(key, left, right)``: returns ``(parent, merges, retirements,
+    requeues)``, the forest as a list.  ``repro_cluster`` in the ``cc``
+    library is its translation."""
+    n = csr.n_rows
     parent = list(range(n))
     size = [1] * n
     deleted = bytearray(n)
     live_clusters = n
 
-    # The initial candidates are static, so instead of a heap they are
-    # sorted once (ascending ``(-sim, i, j)`` — the exact heap key) and
-    # consumed as a stream.  Only *requeued* pairs, which arrive while the
-    # loop runs, need a real heap — and there are few of them (Alg. 3
-    # requeues once per survived representative collision), so its pops
-    # stay cheap.  A requeued key never equals a stream key (the seen-set
-    # holds every stream pair), hence the min-merge of stream and requeue
-    # heap pops in exactly the order one big heap would.
-    order0 = np.lexsort((pairs[:, 1], pairs[:, 0], -sims))
-    stream_s = (-sims)[order0].tolist()
-    stream_i = pairs[order0, 0].tolist()
-    stream_j = pairs[order0, 1].tolist()
+    # Only *requeued* pairs, which arrive while the loop runs, need a real
+    # heap — and there are few of them (Alg. 3 requeues once per survived
+    # representative collision), so its pops stay cheap.  A requeued key
+    # never equals a stream key (the seen-set holds every stream pair),
+    # hence the min-merge of stream and requeue heap pops in exactly the
+    # order one big heap would.
+    stream_s = key.tolist()
+    stream_i = left.tolist()
+    stream_j = right.tolist()
     spos, send = 0, len(stream_s)
     rq: list[tuple[float, int, int]] = []  # heap of requeued (-sim, i, j)
     # Seen-pair set for the Alg. 3 line-27 dedup.  Keys encode (lo, hi).
     seen: set[int] = set()
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    lo = np.minimum(left, right)
+    hi = np.maximum(left, right)
     seen.update((lo * np.int64(n) + hi).tolist())
 
     # Column supports of requeued representatives, built on first use.
@@ -246,9 +337,9 @@ def cluster_rows(
             if deleted[ri] or deleted[rj] or ri == rj:
                 continue
             a, b = (ri, rj) if ri < rj else (rj, ri)
-            key = a * n + b
-            if key not in seen:
-                seen.add(key)
+            pair_key = a * n + b
+            if pair_key not in seen:
+                seen.add(pair_key)
                 sa = row_sets.get(a)
                 if sa is None:
                     sa = frozenset(colidx[rowptr[a] : rowptr[a + 1]].tolist())
@@ -260,31 +351,4 @@ def cluster_rows(
                 s = _scalar_score(measure, len(sa & sb), lens[a], lens[b])
                 heappush(rq, (-s, a, b))
                 n_requeued += 1
-
-    # One registry update per call (not per merge) keeps the loop lock-free.
-    METRICS.counter(
-        "clustering.pairs_scored", "similarity evaluations during clustering"
-    ).inc(n_requeued)
-    METRICS.counter(
-        "clustering.heap_requeues", "requeued representative pairs (Alg. 3 line 28)"
-    ).inc(n_requeued)
-
-    # Epilogue (lines 30-34) in whole-array passes.  Pointer jumping ends at
-    # the roots; ``first`` is each cluster's smallest row, so a stable sort
-    # on it emits clusters by smallest row with rows ascending inside each.
-    roots = np.array(parent, dtype=np.int64)
-    while True:
-        up = roots[roots]
-        if np.array_equal(up, roots):
-            break
-        roots = up
-    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
-    order = np.argsort(first[inverse], kind="stable").astype(np.int64, copy=False)
-    return ClusteringResult(
-        order=order,
-        cluster_of=roots,
-        n_clusters=int(first.size),
-        n_merges=n_merges,
-        n_retired=n_retired,
-        n_requeued=n_requeued,
-    )
+    return parent, n_merges, n_retired, n_requeued

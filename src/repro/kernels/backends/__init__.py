@@ -1,29 +1,33 @@
 """Kernel backends: the numpy reference and the compiled ``cc`` library.
 
 ``cc`` (the default, :data:`DEFAULT_BACKEND`)
-    The CSR SpMM loop and the MinHash pass in C, built once by the system
-    compiler (``$CC``, default ``cc``) into an on-disk cache and loaded
-    with :mod:`ctypes` (:mod:`repro.kernels.backends.cc_backend`).  The
-    SpMM sums in ``np.add.reduceat``'s order, so it is **bitwise
-    identical** to :func:`repro.kernels.spmm`; the MinHash is bitwise
-    identical to the numpy reference of
-    :func:`repro.similarity.minhash_signatures`.  Unavailable without a
+    The CSR SpMM loop, the MinHash pass and Alg. 3's merge loop in C,
+    built once by the system compiler (``$CC``, default ``cc``) into an
+    on-disk cache and loaded with :mod:`ctypes`
+    (:mod:`repro.kernels.backends.cc_backend`).  The SpMM sums in
+    ``np.add.reduceat``'s order, so it is **bitwise identical** to
+    :func:`repro.kernels.spmm`; the MinHash is bitwise identical to the
+    numpy reference of :func:`repro.similarity.minhash_signatures`, and
+    the merge loop makes the decisions of the reference loop of
+    :func:`repro.clustering.cluster_rows`.  Unavailable without a
     compiler.
 ``numpy``
     The uncompiled reference: :meth:`repro.kernels.state.CsrState.multiply`,
-    the one-shot kernels and the numpy MinHash.  Always available, it
-    compiles nothing, and every degradation lands here.
+    the one-shot kernels, the numpy MinHash and the Python merge loop.
+    Always available, it compiles nothing, and every degradation lands
+    here.
 
 Selection is by name — ``ReorderConfig.backend``, ``ServeConfig.backend``,
 ``repro run/serve/bench --backend``, ``KernelSession(backend=...)``,
-``spmm(backend=...)``, ``minhash_signatures(backend=...)`` — and always
-goes through :func:`load_backend`, the one place backend work happens.
+``spmm(backend=...)``, ``minhash_signatures(backend=...)``,
+``cluster_rows(backend=...)`` — and always goes through
+:func:`load_backend`, the one place backend work happens.
 It checks that a compiler is found, fetches the compiled library from a
 process-wide cache (building it on the first miss, under the
-``backend.compile`` span and fault site, and checking the bits of both
-entry points against the numpy references on fixed probes before
-caching it) and, when any step fails, degrades to ``numpy``
-through :func:`degrade`: one ``kernels.backend_fallback`` count, one
+``backend.compile`` span and fault site, and checking all three entry
+points against the references on fixed probes before caching it) and,
+when any step fails, degrades to ``numpy`` through :func:`degrade`: one
+``kernels.backend_fallback`` count, one
 :class:`~repro.errors.DegradedExecution` warning and one ``backend:<name>->numpy:
 ...`` provenance entry.  An unknown name is a
 :class:`~repro.errors.ConfigError`.  See ``docs/BACKENDS.md`` for the full
@@ -105,6 +109,10 @@ class LoadedBackend(NamedTuple):
     #: The compiled MinHash ``fn(csr, a, b, out)``; ``None`` runs the
     #: numpy reference.
     minhash: Callable | None = None
+    #: The compiled Alg. 3 merge loop
+    #: ``fn(csr, key, left, right, threshold_size, measure)``; ``None``
+    #: runs the Python reference.
+    cluster: Callable | None = None
 
 
 def check_backend(name: str) -> None:
@@ -142,10 +150,14 @@ def load_backend(name: str) -> LoadedBackend:
     if loaded is not None:
         return loaded
     try:
-        with span("backend.compile", backend=name, kernel="spmm,minhash"):
+        with span("backend.compile", backend=name, kernel="spmm,minhash,cluster"):
             fault_point("backend.compile")
-            spmm_fn, minhash_fn = cc_backend.load_kernels()
-            exact = _bits_match(spmm_fn) and _minhash_bits_match(minhash_fn)
+            spmm_fn, minhash_fn, cluster_fn = cc_backend.load_kernels()
+            exact = (
+                _bits_match(spmm_fn)
+                and _minhash_bits_match(minhash_fn)
+                and _cluster_bits_match(cluster_fn)
+            )
     except BackendUnavailable as exc:
         return degrade(name, f"compile failed: {exc}")
     if not exact:
@@ -153,7 +165,7 @@ def load_backend(name: str) -> LoadedBackend:
     _COMPILES.inc()
     with _LOADED_LOCK:
         return _LOADED.setdefault(
-            name, LoadedBackend(name, spmm_fn, minhash=minhash_fn)
+            name, LoadedBackend(name, spmm_fn, minhash=minhash_fn, cluster=cluster_fn)
         )
 
 
@@ -214,6 +226,55 @@ def _minhash_bits_match(fn: Callable) -> bool:
     )
     compiled = signatures(probe, 7, 0, kernel=fn)
     return np.array_equal(compiled, signatures(probe, 7, 0))
+
+
+def _cluster_probe() -> tuple[CSRMatrix, np.ndarray]:
+    """The clustering bit check's matrix and candidate pairs.
+
+    48 rows of 0 to 11 columns out of 40, empty and repeated rows among
+    them.  The 256 candidates are 250 distinct row pairs, some reversed,
+    four of them listed twice, and two self pairs; many score zero.
+    Under every measure, ``threshold_size=6`` merges, retires clusters
+    and requeues pairs, more requeued pairs wait at once than the C
+    heap's first allocation (8) holds, and the requeues grow the
+    seen-pair set, which ``repro_cluster`` sizes for the 256 stream pairs.
+    """
+    rng = np.random.default_rng(0)
+    n_rows, n_cols = 48, 40
+    rows = [np.sort(rng.choice(n_cols, rng.integers(0, 12), replace=False))
+            for _ in range(n_rows - 4)]
+    rows += [rows[1], rows[1], rows[7], np.empty(0, dtype=np.int64)]
+    probe = CSRMatrix.from_arrays(
+        (n_rows, n_cols),
+        np.concatenate([[0], np.cumsum([row.size for row in rows])]),
+        np.concatenate(rows),
+    )
+    upper = np.array(np.triu_indices(n_rows, 1)).T
+    pairs = upper[rng.permutation(len(upper))[:250]]
+    pairs = np.where(rng.random((len(pairs), 1)) < 0.3, pairs[:, ::-1], pairs)
+    return probe, np.concatenate([pairs, pairs[:4], [[5, 5], [30, 30]]])
+
+
+def _cluster_bits_match(fn: Callable) -> bool:
+    """Whether the compiled merge loop ``fn`` makes the Python reference's
+    decisions on :func:`_cluster_probe`, under every measure: every field
+    of the :class:`~repro.clustering.ClusteringResult` must match."""
+    from repro.clustering.hierarchical import cluster
+    from repro.similarity.measures import MEASURES, similarity_for_pairs
+
+    probe, pairs = _cluster_probe()
+    for measure in MEASURES:
+        sims = similarity_for_pairs(probe, pairs, measure)
+        want = cluster(probe, pairs, sims, 6, measure)
+        got = cluster(probe, pairs, sims, 6, measure, kernel=fn)
+        if not (
+            np.array_equal(got.order, want.order)
+            and np.array_equal(got.cluster_of, want.cluster_of)
+            and (got.n_clusters, got.n_merges, got.n_retired, got.n_requeued)
+            == (want.n_clusters, want.n_merges, want.n_retired, want.n_requeued)
+        ):
+            return False
+    return True
 
 
 def degrade(name: str, reason: str) -> LoadedBackend:

@@ -1,20 +1,24 @@
-"""The ``cc`` backend: the CSR SpMM loop and MinHash built by the system C compiler.
+"""The ``cc`` backend: the CSR SpMM loop, MinHash and Alg. 3 built by the system C compiler.
 
 :func:`load_kernels` builds ``cc_spmm.c`` into a shared library, loads it
-with :mod:`ctypes` and returns its two entry points.  ``repro_spmm`` is
+with :mod:`ctypes` and returns its three entry points.  ``repro_spmm`` is
 one loop per row that adds each product straight into K-wide
 accumulators in ``np.add.reduceat``'s order (see
 :mod:`repro.kernels.state`), so its results are **bitwise identical** to
 :func:`repro.kernels.spmm`; it is the default backend and is held to the
 same single oracle as the numpy reference.  ``repro_minhash`` computes
 the round-1 MinHash signatures bit-equal to the numpy reference of
-:func:`repro.similarity.minhash_signatures`.
+:func:`repro.similarity.minhash_signatures`.  ``repro_cluster`` is paper
+Alg. 3's merge loop, making the same decisions as the reference loop of
+:func:`repro.clustering.cluster_rows`; a failed allocation in it raises
+:class:`MemoryError`.
 
 Build and cache
 ---------------
 The compiler is ``$CC`` (default ``cc``), run with
-``-O3 -march=native -ffp-contract=off -shared -fPIC``;
-``-ffp-contract=off`` keeps every product rounded before it is added.
+``-O3 -march=native -ffp-contract=off -shared -fPIC`` and linked with
+``-lm``; ``-ffp-contract=off`` keeps every product rounded before it is
+added.
 The kernel takes K and the CSR arrays as arguments, so one library serves
 every matrix, operand width and process.  It is built once per (source
 digest, compiler ``--version``, every word of ``$CC``, the resolved
@@ -35,10 +39,11 @@ which :func:`repro.kernels.backends.load_backend` turns into a
 degradation to ``numpy`` with a ``backend:cc->numpy: ...`` provenance
 entry.
 
-The loop runs with the GIL released (a :class:`ctypes.CDLL` call), on
-float64 operands directly and on float32 operands widened exactly to
-float64 once, into scratch from the caller's per-call workspace lease.
-Other operand dtypes run :meth:`repro.kernels.state.CsrState.multiply`.
+Every entry point runs with the GIL released (a :class:`ctypes.CDLL`
+call).  The SpMM loop runs on float64 operands directly and on float32
+operands widened exactly to float64 once, into scratch from the caller's
+per-call workspace lease.  Other operand dtypes run
+:meth:`repro.kernels.state.CsrState.multiply`.
 """
 
 from __future__ import annotations
@@ -55,8 +60,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import BackendUnavailable, ShapeError
+from repro.errors import BackendUnavailable, ShapeError, ValidationError
 from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
+from repro.similarity.measures import MEASURES
 from repro.sparse.csr import CSRMatrix
 from repro.util.hashing import stable_digest
 from repro.util.workspace import Workspace
@@ -68,6 +74,12 @@ _SOURCE = Path(__file__).with_name("cc_spmm.c")
 #: Compiler flags.  ``-ffp-contract=off`` forbids fusing a multiply and an
 #: add into one rounding, which would change bits.
 _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: Libraries linked after the source: libm for the clustering loop's sqrt.
+_LIBS = ("-lm",)
+
+#: What ``repro_cluster`` returns when an allocation fails.
+_CLUSTER_NOMEM = 1
 
 #: Seconds a compiler run may take before the build counts as failed.
 _TIMEOUT_S = 120.0
@@ -169,7 +181,7 @@ def _library_path() -> Path:
         # Every word of $CC reaches the build, so each can change the bits.
         "\0".join(cc).encode(),
         os.path.realpath(shutil.which(cc[0]) or cc[0]).encode(),
-        " ".join(_FLAGS).encode(),
+        " ".join(_FLAGS + _LIBS).encode(),
         _host_cpu().encode(),
     )
     library = cache_dir() / f"spmm-{key}.so"
@@ -179,7 +191,7 @@ def _library_path() -> Path:
     library.parent.mkdir(parents=True, exist_ok=True)
 
     def build(tmp: Path) -> None:
-        _run([*cc, *_FLAGS, "-o", str(tmp), str(_SOURCE)])
+        _run([*cc, *_FLAGS, "-o", str(tmp), str(_SOURCE), *_LIBS])
         _replace_atomically(
             digest, lambda d: d.write_text(_sha256(tmp) + "\n", encoding="ascii")
         )
@@ -202,7 +214,8 @@ def _open_library(path: Path) -> ctypes.CDLL:
 
 
 def _load_library():
-    """The ``(repro_spmm, repro_minhash)`` entry points of the cached library."""
+    """The ``(repro_spmm, repro_minhash, repro_cluster)`` entry points of the
+    cached library."""
     try:
         library = _library_path()
     except OSError as exc:  # unreadable source, unwritable cache dir
@@ -210,13 +223,19 @@ def _load_library():
     try:
         loaded = _open_library(library)
         spmm, minhash = loaded.repro_spmm, loaded.repro_minhash
+        cluster = loaded.repro_cluster
     except (OSError, AttributeError) as exc:
         raise BackendUnavailable(f"cannot load {library}: {exc}") from exc
     spmm.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 6
     spmm.restype = None
     minhash.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
     minhash.restype = None
-    return spmm, minhash
+    cluster.argtypes = (
+        [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2
+        + [ctypes.c_void_p] * 2
+    )
+    cluster.restype = ctypes.c_int
+    return spmm, minhash, cluster
 
 
 def _spmm_fn(kernel):
@@ -301,12 +320,64 @@ def _minhash_fn(kernel):
     return minhash
 
 
+def _cluster_fn(kernel):
+    """Adapt the C entry point to the compiled clustering calling convention:
+    ``fn(csr, key, left, right, threshold_size, measure)`` runs Alg. 3's
+    merge loop over the candidate stream ``(left, right)``, sorted
+    ascending by ``(key, left, right)`` with ``key`` the negated
+    similarity, and returns the forest ``parent`` and the numbers of
+    merges, retirements and requeues.  A failed allocation in the loop
+    raises :class:`MemoryError`."""
+
+    def cluster(csr: CSRMatrix, key: np.ndarray, left: np.ndarray,
+                right: np.ndarray, threshold_size: int, measure: str):
+        # The loop reads and writes by pointer: check what it assumes
+        # (rowptr in bounds and non-decreasing, pair ids in range).
+        csr._check_structure()
+        n = csr.n_rows
+        rowptr = np.ascontiguousarray(csr.rowptr, dtype=np.int64)
+        colidx = np.ascontiguousarray(csr.colidx, dtype=np.int64)
+        key = np.ascontiguousarray(key, dtype=np.float64)
+        left = np.ascontiguousarray(left, dtype=np.int64)
+        right = np.ascontiguousarray(right, dtype=np.int64)
+        if key.ndim != 1 or left.shape != key.shape or right.shape != key.shape:
+            raise ShapeError(
+                f"key, left and right must be equal-length 1-D arrays, got "
+                f"{key.shape}, {left.shape} and {right.shape}"
+            )
+        if key.size and (
+            min(left.min(), right.min()) < 0 or max(left.max(), right.max()) >= n
+        ):
+            raise ValidationError(f"pair indices must lie in [0, {n})")
+        parent = np.empty(n, dtype=np.int64)
+        counts = np.zeros(3, dtype=np.int64)
+        status = kernel(
+            n,
+            key.size,
+            key.ctypes.data,
+            left.ctypes.data,
+            right.ctypes.data,
+            rowptr.ctypes.data,
+            colidx.ctypes.data,
+            min(threshold_size, n + 1),  # no cluster outgrows n rows
+            MEASURES.index(measure),
+            parent.ctypes.data,
+            counts.ctypes.data,
+        )
+        if status == _CLUSTER_NOMEM:
+            raise MemoryError("the cc clustering loop could not allocate its tables")
+        merges, retired, requeued = counts.tolist()
+        return parent, merges, retired, requeued
+
+    return cluster
+
+
 def load_kernels():
-    """The compiled ``(spmm, minhash)``, from one load of the cached
-    library, building it first where the cache holds none.
+    """The compiled ``(spmm, minhash, cluster)``, from one load of the
+    cached library, building it first where the cache holds none.
 
     Raises :class:`~repro.errors.BackendUnavailable` for every build or
     load failure.
     """
-    spmm, minhash = _load_library()
-    return _spmm_fn(spmm), _minhash_fn(minhash)
+    spmm, minhash, cluster = _load_library()
+    return _spmm_fn(spmm), _minhash_fn(minhash), _cluster_fn(cluster)

@@ -68,7 +68,7 @@ from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
 from repro.sparse.csr import CSRMatrix
-from repro.util.validation import check_dense, check_out
+from repro.util.validation import check_dense, check_out, check_positive
 from repro.util.workspace import WorkspacePool
 
 __all__ = ["KernelSession"]
@@ -118,9 +118,7 @@ class KernelSession:
         pool: WorkspacePool | None = None,
         backend: str | None = None,
     ) -> None:
-        if chunk_k < 1:
-            raise ValueError(f"chunk_k must be >= 1, got {chunk_k}")
-        self.chunk_k = int(chunk_k)
+        self.chunk_k = check_positive("chunk_k", chunk_k)
         self.pool = pool if pool is not None else WorkspacePool()
         self._local = threading.local()
         self._requested_backend = backend

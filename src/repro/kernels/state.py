@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.sparse.csr import CSRMatrix
+from repro.util.arrayops import gather_ranges
 from repro.util.validation import check_permutation
 from repro.util.workspace import Workspace
 
@@ -163,8 +164,7 @@ class CsrState:
         grouped_lengths = lengths[order]
         offsets = np.zeros(order.size + 1, dtype=np.int64)
         np.cumsum(grouped_lengths, out=offsets[1:])
-        shift = np.repeat(self.rowptr[:-1][order] - offsets[:-1], grouped_lengths)
-        positions = np.arange(offsets[-1], dtype=np.int64) + shift
+        positions = gather_ranges(self.rowptr[:-1][order], grouped_lengths)
         colidx = self.colidx[positions]
         values = self.values[positions][:, None]
         if self.row_order is not None:

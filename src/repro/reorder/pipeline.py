@@ -103,9 +103,9 @@ class ReorderConfig:
     measure: str = "jaccard"  #: candidate-scoring measure (extension; paper uses Jaccard)
     force_round1: bool | None = None  #: override the §4 gate (None = use gate)
     force_round2: bool | None = None
-    #: Kernel backend the plan's MinHash and sessions run through (see
-    #: :mod:`repro.kernels.backends`): the default "cc" (the compiled
-    #: library, bit-equal to the reference) or "numpy".  Availability is
+    #: Kernel backend the plan's MinHash, clustering loop and sessions run
+    #: through (see :mod:`repro.kernels.backends`): the default "cc" (the
+    #: compiled library, bit-equal to the reference) or "numpy".  Availability is
     #: checked once per plan build, before round 1, where an unavailable
     #: backend degrades to numpy with provenance rather than failing.
     #: Part of the plan cache key.
@@ -517,8 +517,8 @@ def build_plan(
 
     The build loads ``config.backend`` once, before round 1 (and before
     the ladder), and records the time as ``backend_compile`` outside
-    ``total``: both rounds' MinHash, a deferred round 2 included, and the
-    plan's sessions run on the backend it resolves to.
+    ``total``: both rounds' MinHash and clustering loop, a deferred round 2
+    included, and the plan's sessions run on the backend it resolves to.
 
     ``resilience`` accepts a :class:`repro.resilience.ResiliencePolicy`.
     With one, each preprocessing attempt runs under a per-rung stage
@@ -623,8 +623,8 @@ def _build_plan_uncached(
 ) -> ExecutionPlan:
     """The actual Fig. 5 workflow (no cache consultation).
 
-    ``loaded`` is the build's resolved backend: both rounds' MinHash run
-    on it and the plan records it.  With ``defer_round2`` the plan
+    ``loaded`` is the build's resolved backend: both rounds' MinHash and
+    clustering loop run on it and the plan records it.  With ``defer_round2`` the plan
     computes round 2 on first read instead (without a deadline: only the
     plain :func:`build_plan` defers).
     """
@@ -656,6 +656,7 @@ def _build_plan_uncached(
                     threshold_size=config.threshold_size,
                     measure=config.measure,
                     deadline=deadline,
+                    backend=config.backend,
                 )
             row_order = clustering.order
             with span("permute1"), timed(times, "permute1"):
@@ -727,7 +728,8 @@ def _reorder_remainder(tiled: TiledMatrix, config: ReorderConfig, times: dict,
     """Round 2 of Fig. 5: gate the sparse remainder, then LSH + cluster it.
 
     ``config.backend`` must be a resolved backend (a plan's
-    :attr:`~ExecutionPlan.backend`): the MinHash runs on it.  Stage times
+    :attr:`~ExecutionPlan.backend`): the MinHash and the clustering loop
+    run on it.  Stage times
     land in ``times`` under ``sim2``, ``lsh2`` and ``cluster2``.
     """
     with span("sim2"), timed(times, "sim2"):
@@ -748,6 +750,7 @@ def _reorder_remainder(tiled: TiledMatrix, config: ReorderConfig, times: dict,
                 threshold_size=config.threshold_size,
                 measure=config.measure,
                 deadline=deadline,
+                backend=config.backend,
             )
         remainder_order = clustering2.order
         remainder = permute_csr_rows(tiled.sparse_part, remainder_order)

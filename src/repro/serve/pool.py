@@ -25,6 +25,7 @@ import threading
 from collections import OrderedDict
 
 from repro.observability.metrics import METRICS
+from repro.util.validation import check_positive
 
 __all__ = ["PooledSession", "SessionPool"]
 
@@ -61,9 +62,7 @@ class SessionPool:
     """
 
     def __init__(self, capacity: int = 8) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
+        self.capacity = check_positive("capacity", capacity)
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._hits = METRICS.counter(

@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.contracts import checked, validates
 from repro.sparse.csr import CSRMatrix
+from repro.util.arrayops import counts_to_offsets, gather_ranges
 from repro.util.validation import check_permutation
 
 __all__ = [
@@ -30,26 +31,12 @@ def permute_csr_rows(csr: CSRMatrix, order: np.ndarray) -> CSRMatrix:
     """
     order = check_permutation("order", order, csr.n_rows)
     lengths = csr.row_lengths()[order]
-    new_rowptr = np.zeros(csr.n_rows + 1, dtype=np.int64)
-    np.cumsum(lengths, out=new_rowptr[1:])
-    # Gather indices: for each new row k, take the contiguous slice of old
-    # row order[k].  Build the gather map without a loop:
-    #   gather[p] = old_start[row_of_p] + (p - new_start[row_of_p])
-    if csr.nnz:
-        from repro.util.arrayops import offsets_to_row_ids
-
-        new_row_of_p = offsets_to_row_ids(new_rowptr)
-        old_starts = csr.rowptr[:-1][order]
-        gather = old_starts[new_row_of_p] + (
-            np.arange(csr.nnz, dtype=np.int64) - new_rowptr[:-1][new_row_of_p]
-        )
-        colidx = csr.colidx[gather]
-        values = csr.values[gather]
-    else:
-        colidx = csr.colidx.copy()
-        values = csr.values.copy()
+    # New row k is the contiguous slice of old row order[k].
+    gather = gather_ranges(csr.rowptr[:-1][order], lengths)
     # Rows keep their internal sorted order, so the result is canonical.
-    return CSRMatrix(csr.shape, new_rowptr, colidx, values)
+    return CSRMatrix(
+        csr.shape, counts_to_offsets(lengths), csr.colidx[gather], csr.values[gather]
+    )
 
 
 @checked(validates("csr"))

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.sparse.csr import CSRMatrix
-from repro.util.arrayops import counts_to_offsets
+from repro.util.arrayops import counts_to_offsets, gather_ranges
 from repro.util.rng import as_generator
 from repro.util.validation import check_positive
 
@@ -141,17 +141,45 @@ class DeltaBatch:
                 )
         if self.mode == "set":
             return self._apply_set(csr)
-        all_rows = np.concatenate([csr.row_ids(), self.rows])
-        all_cols = np.concatenate([csr.colidx, self.cols])
-        all_vals = np.concatenate([csr.values, self.values])
-        counts = (
-            np.bincount(all_rows, minlength=m_new)
-            if all_rows.size
-            else np.zeros(m_new, dtype=np.int64)
+        return self._apply_add(csr, m_new)
+
+    def _apply_add(self, csr: CSRMatrix, m_new: int) -> CSRMatrix:
+        # Only the rows the batch touches change.  Each is rebuilt from its
+        # old entries followed by its batch entries in batch order, and
+        # ``from_arrays`` canonicalises them: the order a stable sort of
+        # all entries by row gives, so duplicates sum as they always did.
+        # The untouched rows are spliced in around them unchanged.
+        m, n = csr.shape
+        starts = np.zeros(m_new, dtype=np.int64)  # appended rows: empty
+        lengths = np.zeros(m_new, dtype=np.int64)
+        starts[:m] = csr.rowptr[:-1]
+        lengths[:m] = csr.row_lengths()
+        touched, n_added = np.unique(self.rows, return_counts=True)
+        # Sources: the old entries, then the batch entries grouped by row.
+        by_row = np.argsort(self.rows, kind="stable")
+        cols = np.concatenate([csr.colidx, self.cols[by_row]])
+        vals = np.concatenate([csr.values, self.values[by_row]])
+        added_starts = csr.nnz + counts_to_offsets(n_added)[:-1]
+        pick = gather_ranges(
+            np.column_stack([starts[touched], added_starts]).ravel(),
+            np.column_stack([lengths[touched], n_added]).ravel(),
         )
-        order = np.argsort(all_rows, kind="stable")
-        return CSRMatrix.from_arrays(
-            (m_new, n), counts_to_offsets(counts), all_cols[order], all_vals[order]
+        rebuilt = CSRMatrix.from_arrays(
+            (touched.size, n),
+            counts_to_offsets(lengths[touched] + n_added),
+            cols[pick],
+            vals[pick],
+        )
+        # Splice: the untouched rows from the old matrix, the touched ones
+        # from ``rebuilt`` (stacked after the old entries).
+        starts[touched] = csr.nnz + rebuilt.rowptr[:-1]
+        lengths[touched] = rebuilt.row_lengths()
+        pick = gather_ranges(starts, lengths)
+        return CSRMatrix(
+            (m_new, n),
+            counts_to_offsets(lengths),
+            np.concatenate([csr.colidx, rebuilt.colidx])[pick],
+            np.concatenate([csr.values, rebuilt.values])[pick],
         )
 
     def _apply_set(self, csr: CSRMatrix) -> CSRMatrix:

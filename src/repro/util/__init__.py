@@ -10,6 +10,7 @@ kernel sessions (:mod:`repro.util.workspace`).
 
 from repro.util.arrayops import (
     counts_to_offsets,
+    gather_ranges,
     lengths_from_offsets,
     offsets_to_row_ids,
     rank_of_permutation,
@@ -30,6 +31,7 @@ from repro.util.validation import (
 
 __all__ = [
     "counts_to_offsets",
+    "gather_ranges",
     "lengths_from_offsets",
     "offsets_to_row_ids",
     "rank_of_permutation",

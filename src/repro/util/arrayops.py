@@ -15,6 +15,7 @@ __all__ = [
     "counts_to_offsets",
     "lengths_from_offsets",
     "offsets_to_row_ids",
+    "gather_ranges",
     "segment_sum",
     "rank_of_permutation",
 ]
@@ -59,6 +60,22 @@ def offsets_to_row_ids(offsets: np.ndarray) -> np.ndarray:
     np.add.at(marks, starts, 1)
     out = np.cumsum(marks[:-1]) - 1
     return out.astype(np.int64, copy=False)
+
+
+def gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of the ranges ``[starts[k], starts[k] + lengths[k])``,
+    concatenated in order: the gather map that copies whole CSR rows.
+
+    For ``starts = [5, 0]`` and ``lengths = [2, 3]`` returns
+    ``[5, 6, 0, 1, 2]``.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        total, dtype=np.int64
+    )
 
 
 def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import heapq
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -14,6 +15,7 @@ from repro.kernels import sddmm, spmm
 from repro.reorder import ReorderConfig, build_plan
 from repro.similarity import similarity_for_pairs
 
+from conftest import cc_missing
 from test_sparse_properties import csr_matrices
 
 
@@ -62,29 +64,45 @@ def alg3_oracle(csr, pairs, sims, threshold_size, measure):
     return order, cluster_of, len(clusters), merges, retired, requeued
 
 
-class TestAlg3Oracle:
-    @given(
-        csr_matrices(),
-        st.sampled_from(["jaccard", "cosine", "overlap", "dice"]),
-        st.sampled_from([1, 2, 4, 256]),
-        st.integers(0, 2**32 - 1),
+def _check_against_the_oracle(csr, measure, threshold_size, seed, backend):
+    # A random subset of all row pairs, some reversed and some repeated,
+    # so that merges leave representative pairs to requeue.
+    rng = np.random.default_rng(seed)
+    n = csr.n_rows
+    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
+    pairs = pairs.reshape(-1, 2)[rng.random(len(pairs)) < 0.5]
+    pairs = np.where(rng.random((len(pairs), 1)) < 0.5, pairs[:, ::-1], pairs)
+    pairs = np.concatenate([pairs, pairs[: rng.integers(0, len(pairs) + 1)]])
+    sims = similarity_for_pairs(csr, pairs, measure)
+    got = cluster_rows(
+        csr, pairs, sims, threshold_size=threshold_size, measure=measure,
+        backend=backend,
     )
+    assert (
+        got.order.tolist(), got.cluster_of.tolist(), got.n_clusters,
+        got.n_merges, got.n_retired, got.n_requeued,
+    ) == alg3_oracle(csr, pairs, sims, threshold_size, measure)
+
+
+ORACLE_CASES = (
+    csr_matrices(),
+    st.sampled_from(["jaccard", "cosine", "overlap", "dice"]),
+    st.sampled_from([1, 2, 4, 256]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestAlg3Oracle:
+    @given(*ORACLE_CASES)
     @settings(max_examples=200, deadline=None)
     def test_cluster_rows_matches_the_oracle(self, csr, measure, threshold_size, seed):
-        # A random subset of all row pairs, some reversed and some repeated,
-        # so that merges leave representative pairs to requeue.
-        rng = np.random.default_rng(seed)
-        n = csr.n_rows
-        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
-        pairs = pairs.reshape(-1, 2)[rng.random(len(pairs)) < 0.5]
-        pairs = np.where(rng.random((len(pairs), 1)) < 0.5, pairs[:, ::-1], pairs)
-        pairs = np.concatenate([pairs, pairs[: rng.integers(0, len(pairs) + 1)]])
-        sims = similarity_for_pairs(csr, pairs, measure)
-        got = cluster_rows(csr, pairs, sims, threshold_size=threshold_size, measure=measure)
-        assert (
-            got.order.tolist(), got.cluster_of.tolist(), got.n_clusters,
-            got.n_merges, got.n_retired, got.n_requeued,
-        ) == alg3_oracle(csr, pairs, sims, threshold_size, measure)
+        _check_against_the_oracle(csr, measure, threshold_size, seed, None)
+
+    @pytest.mark.skipif(bool(cc_missing()), reason="the cc backend needs a C compiler")
+    @given(*ORACLE_CASES)
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_loop_matches_the_oracle(self, csr, measure, threshold_size, seed):
+        _check_against_the_oracle(csr, measure, threshold_size, seed, "cc")
 
 
 class TestCacheProperties:

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from repro.kernels import KernelSession, spmm
 from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import ladder_rungs
+from repro.sparse import CSRMatrix
 from repro.streaming import DeltaBatch, apply_delta, split_into_deltas
+from repro.util.arrayops import counts_to_offsets
 
 from conftest import assert_plans_identical
 from test_sparse_properties import csr_matrices
@@ -91,6 +93,64 @@ def assert_bitwise_spmm(patched, matrix, seed=3, k=4):
     want = spmm(matrix, x)
     np.testing.assert_array_equal(patched.spmm(x), want)
     np.testing.assert_array_equal(patched.session().run(x), want)
+
+
+def _sum_by_resorting(csr, delta):
+    """An ``add`` delta applied by re-sorting the whole matrix: every old
+    entry, then the batch, stably sorted by row and canonicalised by
+    ``CSRMatrix.from_arrays``."""
+    m_new = csr.n_rows + delta.new_rows
+    rows = np.concatenate([csr.row_ids(), delta.rows])
+    order = np.argsort(rows, kind="stable")
+    return CSRMatrix.from_arrays(
+        (m_new, csr.n_cols),
+        counts_to_offsets(np.bincount(rows, minlength=m_new)),
+        np.concatenate([csr.colidx, delta.cols])[order],
+        np.concatenate([csr.values, delta.values])[order],
+    )
+
+
+@st.composite
+def add_batches(draw):
+    """A matrix (possibly without entries) and an ``add`` delta whose
+    entries repeat one another, land on existing entries and fill
+    appended rows; values span 24 decades, so any change in the order
+    duplicates are summed in shows in the bits."""
+    csr = draw(st.one_of(
+        csr_matrices(max_dim=10, max_nnz=30),
+        st.integers(1, 6).map(lambda n: CSRMatrix.empty((0, n))),
+    ))
+    grow = draw(st.integers(0 if csr.n_rows else 1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    k = draw(st.integers(0, 12))
+    rows = rng.integers(0, csr.n_rows + grow, size=k)
+    cols = rng.integers(0, csr.n_cols, size=k)
+    if csr.nnz:
+        onto = rng.random(k) < 0.4
+        at = rng.integers(0, csr.nnz, size=k)
+        rows = np.where(onto, csr.row_ids()[at], rows)
+        cols = np.where(onto, csr.colidx[at], cols)
+    repeat = rng.integers(0, k + 1)
+    rows = np.concatenate([rows, rows[:repeat]])
+    cols = np.concatenate([cols, cols[:repeat]])
+    values = rng.normal(size=rows.size) * 10.0 ** rng.integers(-12, 12, size=rows.size)
+    values[rng.random(rows.size) < 0.1] = -0.0
+    return csr, DeltaBatch(rows=rows, cols=cols, values=values, new_rows=grow)
+
+
+class TestAddMerge:
+    @given(add_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_merge_equals_resorting_the_whole_matrix(self, case):
+        csr, delta = case
+        got = delta.apply_to(csr)
+        want = _sum_by_resorting(csr, delta)
+        assert got.shape == want.shape
+        assert got.rowptr.dtype == got.colidx.dtype == np.int64
+        np.testing.assert_array_equal(got.rowptr, want.rowptr)
+        np.testing.assert_array_equal(got.colidx, want.colidx)
+        assert got.values.dtype == np.float64
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestSplitReplay:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.util.arrayops import (
     counts_to_offsets,
+    gather_ranges,
     lengths_from_offsets,
     offsets_to_row_ids,
     rank_of_permutation,
@@ -53,6 +54,24 @@ class TestOffsetsToRowIds:
         offsets = counts_to_offsets(counts)
         expected = np.repeat(np.arange(50), counts)
         np.testing.assert_array_equal(offsets_to_row_ids(offsets), expected)
+
+
+class TestGatherRanges:
+    def test_basic(self):
+        out = gather_ranges(np.array([5, 0]), np.array([2, 3]))
+        assert out.tolist() == [5, 6, 0, 1, 2]
+
+    def test_empty_ranges_and_no_ranges(self):
+        assert gather_ranges(np.array([4, 9, 1]), np.array([0, 2, 0])).tolist() == [9, 10]
+        assert gather_ranges(np.array([], dtype=np.int64), np.array([])).tolist() == []
+
+    def test_matches_naive_concatenation(self):
+        rng = np.random.default_rng(0)
+        starts = rng.integers(0, 100, size=40)
+        lengths = rng.integers(0, 6, size=40)
+        expected = [p for a, n in zip(starts, lengths) for p in range(a, a + n)]
+        out = gather_ranges(starts, lengths)
+        assert out.dtype == np.int64 and out.tolist() == expected
 
 
 class TestSegmentReductions:

@@ -142,6 +142,62 @@ class TestArtifactCache:
         assert inj.checked["backend.compile"] == 0
 
 
+class TestClusterBitCheck:
+    """The load-time check of ``repro_cluster`` against the reference loop."""
+
+    def test_probe_reaches_every_branch_under_every_measure(self, monkeypatch):
+        import repro.clustering.hierarchical as hierarchical
+        from repro.kernels.backends import _cluster_probe
+        from repro.similarity.measures import MEASURES, similarity_for_pairs
+
+        probe, pairs = _cluster_probe()
+        assert len(pairs) == 256  # repro_cluster sizes its set for these
+        distinct = np.unique(np.sort(pairs, axis=1), axis=0)
+        waiting = []
+        real_push = hierarchical.heappush
+
+        def push(heap, item):
+            real_push(heap, item)
+            waiting.append(len(heap))
+
+        monkeypatch.setattr(hierarchical, "heappush", push)
+        for measure in MEASURES:
+            waiting.clear()
+            sims = similarity_for_pairs(probe, pairs, measure)
+            result = hierarchical.cluster(probe, pairs, sims, 6, measure)
+            assert result.n_merges and result.n_retired and result.n_requeued, measure
+            # More than the heap's first 8 slots, and the seen-pair set
+            # (512 slots, grown at the insert that would fill half) must grow.
+            assert max(waiting) > 8, measure
+            assert len(distinct) + result.n_requeued > 512 // 2, measure
+
+    def test_library_whose_cluster_bits_differ_degrades(
+        self, compiled_backend, monkeypatch
+    ):
+        import repro.kernels.backends as backends_mod
+
+        real = cc_backend.load_kernels
+
+        def off_by_one_requeue():
+            spmm_fn, minhash_fn, cluster_fn = real()
+
+            def cluster(*args):
+                parent, merges, retired, requeued = cluster_fn(*args)
+                return parent, merges, retired, requeued + 1
+
+            return spmm_fn, minhash_fn, cluster
+
+        monkeypatch.setattr(cc_backend, "load_kernels", off_by_one_requeue)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = load_backend(compiled_backend)
+        assert loaded == LoadedBackend(
+            "numpy", provenance=("backend:cc->numpy: bit check failed",)
+        )
+        assert [w.category for w in caught] == [DegradedExecution]
+        assert compiled_backend not in backends_mod._LOADED
+
+
 class TestSessionIntegration:
     def test_session_reports_backend_and_matches_reference(
         self, matrix, rng, backend_name
@@ -495,6 +551,7 @@ print(json.dumps({
     "backend": loaded.backend,
     "spmm": None if loaded.spmm is None else "compiled",
     "minhash": None if loaded.minhash is None else "compiled",
+    "cluster": None if loaded.cluster is None else "compiled",
     "provenance": list(loaded.provenance),
     "warnings": [w.category.__name__ for w in caught],
     "fallbacks": METRICS.counter("kernels.backend_fallback").value,
@@ -595,6 +652,7 @@ class TestCcBuild:
             "backend": "numpy",
             "spmm": None,
             "minhash": None,
+            "cluster": None,
             "provenance": ["backend:cc->numpy: bit check failed"],
             "warnings": ["DegradedExecution"],
             "fallbacks": 1,

@@ -307,6 +307,12 @@ def _put(pool, key, **kw):
 
 
 class TestSessionPool:
+    @pytest.mark.parametrize("capacity", [True, 1.5, 0])
+    def test_capacity_refuses_booleans_fractions_and_zero(self, capacity):
+        # Not stored as int(capacity): True would become 1, 1.5 would be cut.
+        with pytest.raises(ValidationError, match="capacity"):
+            SessionPool(capacity=capacity)
+
     def test_miss_then_hit(self):
         pool = SessionPool(capacity=4)
         assert pool.pin("absent") is None

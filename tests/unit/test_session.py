@@ -344,6 +344,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             KernelSession(matrix, chunk_k=0)
 
+    @pytest.mark.parametrize("chunk_k", [True, 1.5, 0])
+    def test_chunk_k_refuses_booleans_fractions_and_zero(self, matrix, chunk_k):
+        # Not stored as int(chunk_k): True would become 1, 1.5 would be cut.
+        with pytest.raises(ValidationError, match="chunk_k"):
+            KernelSession(matrix, chunk_k=chunk_k)
+
     def test_state_rejects_operand_of_wrong_height(self, matrix):
         X = np.ones((matrix.n_cols - 1, 4))
         with pytest.raises(ShapeError):
