@@ -118,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stage-deadline", type=float, metavar="SECONDS", default=None,
         help="per-rung preprocessing stage deadline; builds that exceed it "
         "degrade down the ladder (full -> round1-only -> identity -> "
-        "untiled-csr) instead of failing",
+        "untiled-csr) instead of failing; round 2 runs under it only with "
+        "--plan-cache-dir, otherwise after the ladder",
     )
     r.add_argument(
         "--backend", default=DEFAULT_BACKEND, metavar="NAME",

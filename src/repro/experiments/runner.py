@@ -35,6 +35,7 @@ from repro.gpu.executor import GPUExecutor
 from repro.observability.tracing import span
 from repro.reorder.pipeline import build_plan
 from repro.util.log import get_logger
+from repro.util.validation import check_positive
 
 __all__ = ["run_experiment", "run_single_matrix"]
 
@@ -190,8 +191,7 @@ def run_experiment(
     config = config or ExperimentConfig()
     if entries is None:
         entries = build_corpus(config.scale, seed=config.seed, repeats=config.repeats)
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    n_jobs = check_positive("n_jobs", n_jobs)
 
     journal = None
     done: dict = {}

@@ -32,7 +32,6 @@ P100-like memory hierarchy.
 """
 
 from repro.kernels.spmm import spmm, spmm_rowwise_reference
-from repro.kernels.spmv import spmv, spmv_rowwise_reference
 from repro.kernels.sddmm import sddmm, sddmm_rowwise_reference
 from repro.kernels.aspt_spmm import spmm_tiled
 from repro.kernels.aspt_sddmm import sddmm_tiled
@@ -47,8 +46,6 @@ __all__ = [
     "DEFAULT_CHUNK_K",
     "spmm",
     "spmm_rowwise_reference",
-    "spmv",
-    "spmv_rowwise_reference",
     "sddmm",
     "sddmm_rowwise_reference",
     "spmm_tiled",

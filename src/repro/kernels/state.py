@@ -186,8 +186,10 @@ class CsrState:
         """Fully overwrite ``out`` with ``csr @ X``, bit-equal to :func:`repro.kernels.spmm`.
 
         With a ``row_order``, row ``r`` lands in ``out[row_order[r]]``.
-        ``chunk_k`` is accepted for the compiled-kernel calling convention
-        and not read: the numpy executor blocks rows, not columns.
+        ``chunk_k`` is not read: the numpy executor blocks rows, not
+        columns.  It stays only because :class:`~repro.kernels.KernelSession`
+        and perfbench pass it; the compiled convention is
+        ``fn(state, X, out, ws)``.
         """
         if X.shape[0] != self.csr.n_cols:
             # The clipped gather below would read a wrong row, not raise.

@@ -1,8 +1,9 @@
 """Cross-validation helpers for the kernels.
 
-Used by the test suite, the examples, and the experiment runner's optional
-``--verify`` mode: every production kernel is checked against a dense NumPy
-computation of the same contraction.
+Used by the test suite: every production kernel is checked against a
+dense NumPy computation of the same contraction.  The experiment
+runner's ``--verify`` mode runs :meth:`repro.reorder.ExecutionPlan.validate`
+instead.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from repro.observability.tracing import span
 from repro.reorder.pipeline import ExecutionPlan, ReorderConfig, build_plan
 from repro.sparse.csr import CSRMatrix
 from repro.util.log import get_logger
+from repro.util.validation import check_positive
 
 __all__ = ["PlanResult", "build_plans"]
 
@@ -100,8 +101,7 @@ def build_plans(
     """
     config = config or ReorderConfig()
     matrices = list(matrices)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = check_positive("workers", workers)
 
     results: dict[int, PlanResult] = {}
     pending: list[tuple[int, CSRMatrix]] = []

@@ -18,17 +18,17 @@ paper's central distinction from vertex reordering).  The ASpT split and
 round-2 order serve the GPU cost model, the Fig. 9 statistics and
 streaming.
 
-No CPU multiply reads round 2, so a plain ``build_plan(csr, config)``
-defers it: the plan computes round 2 the first time anything reads
-``stats``, ``remainder``, ``remainder_order`` or ``cost_view()`` (and so
-``save``, ``validate``, the plan store, the GPU model and the
-experiments runner), at most once, and adds its stage times and
-wall-clock to ``preprocess_seconds``; a run that raises adds nothing,
-and the next read runs it again.  ``session()``, ``spmm()`` and
-``tiled`` never compute it.  A build under a ``ResiliencePolicy`` or
-through a plan store computes round 2 inside the build, as the ladder's
-deadlines and the store's write-through need it there; ``build_plans``
-computes it in the worker that built the plan.  A streaming update
+No CPU multiply reads round 2, so every build defers it: the plan
+computes round 2 the first time anything reads ``stats``, ``remainder``,
+``remainder_order`` or ``cost_view()`` (and so ``save``, ``validate``,
+the plan store, the GPU model and the experiments runner), at most once,
+and adds its stage times and wall-clock to ``preprocess_seconds``; a run
+that raises adds nothing, and the next read runs it again.
+``session()``, ``spmm()`` and ``tiled`` never compute it.  The one read
+inside a build is the plan store's write: a build through a store reads
+round 2 before it writes the decisions, under the rung's deadline when a
+``ResiliencePolicy`` gives one.  ``build_plans`` reads it in the worker
+that built the plan.  A streaming update
 (:func:`repro.streaming.apply_delta`) is either a plain build or a
 same-pattern successor that carries its plan's round 2 over
 (:meth:`_Round2Memo.successor`): computed if it had run, pending if not.
@@ -39,7 +39,6 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -217,11 +216,11 @@ class ExecutionPlan:
         Wall-clock breakdown: ``lsh1``, ``cluster1``, ``permute1``,
         ``tile``, ``sim2``, ``lsh2``, ``cluster2``, ``backend_compile``,
         ``total``.  ``tile`` sums the round-1 gate's split of the
-        original and, when it is not the plan's, the plan's.  On a
-        plain :func:`build_plan` the round-2 keys appear when round 2
-        runs, on first read of one of the three attributes above or of
-        :meth:`cost_view`, and its wall-clock is then added to
-        ``total``.
+        original and, when it is not the plan's, the plan's.  The
+        round-2 keys appear when round 2 runs, on first read of one of
+        the three attributes above or of :meth:`cost_view` (a build
+        through a plan store reads it before the store's write), and its
+        wall-clock is then added to ``total``.
     provenance:
         Degradation-ladder history when the plan was built under a
         :class:`repro.resilience.ResiliencePolicy` — one entry per
@@ -503,9 +502,9 @@ def build_plan(
     ``config.force_round1`` / ``force_round2`` to override (used by the
     autotuner and the ablation benches).
 
-    Without ``cache`` and ``resilience`` the plan defers round 2 until
-    something reads it (see the module docstring); with either, round 2
-    runs inside the build.
+    The plan defers round 2 until something reads it (see the module
+    docstring).  With ``cache``, a miss reads it before the store's
+    write, so that build runs round 2 inside it.
 
     ``cache`` accepts a :class:`repro.planstore.PlanStore` (or anything
     with the same ``get``/``put``/``key_for`` surface).  On a hit the
@@ -537,7 +536,7 @@ def build_plan(
     if resilience is not None:
         plan = _build_plan_resilient(csr, config, loaded, cache, resilience)
     elif cache is None:
-        plan = _build_plan_uncached(csr, config, loaded, defer_round2=True)
+        plan = _build_plan_uncached(csr, config, loaded)
     else:
         plan = _build_plan_cached(csr, config, loaded, cache, None)
     plan.preprocess_seconds.update(compile_times)
@@ -559,6 +558,9 @@ def _build_plan_cached(csr, config, loaded, cache, deadline) -> ExecutionPlan:
                 plan = decisions.materialise(csr, config, loaded)
         else:
             plan = _build_plan_uncached(csr, config, loaded, deadline=deadline)
+            # The store holds round 2's decisions, so its write reads round
+            # 2 here, under the rung's deadline.
+            plan._round2.get(plan.preprocess_seconds, deadline)
             cache.put(key, PlanDecisions.from_plan(plan))
     if "materialise" in times:  # warm hit: breakdown is lookup+materialise
         plan.preprocess_seconds.update(times)
@@ -619,14 +621,13 @@ def _build_plan_uncached(
     loaded: LoadedBackend,
     *,
     deadline=None,
-    defer_round2=False,
 ) -> ExecutionPlan:
     """The actual Fig. 5 workflow (no cache consultation).
 
     ``loaded`` is the build's resolved backend: both rounds' MinHash and
-    clustering loop run on it and the plan records it.  With ``defer_round2`` the plan
-    computes round 2 on first read instead (without a deadline: only the
-    plain :func:`build_plan` defers).
+    clustering loop run on it and the plan records it.  ``deadline``
+    bounds round 1 and the tiling; round 2 is left pending, to run on
+    the plan's first read of it.
     """
     times: dict[str, float] = {}
     config = replace(config, backend=loaded.backend)
@@ -678,28 +679,17 @@ def _build_plan_uncached(
                 )
             else:  # the gate's uncapped split of the original is the plan's
                 tiled = original_tiled
-
-        # ---- round 2 gate + reorder of the remainder -------------------
-        round2 = None
-        if not defer_round2:
-            if deadline is not None:
-                deadline.check("sim2")
-            round2 = _reorder_remainder(tiled, config, times, deadline)
     round1 = dict(
         dense_ratio_before=gate1.indicator,
         dense_ratio_after=tiled.dense_ratio,
         round1_applied=bool(do_round1),
         n_candidates_round1=n_cand1,
     )
-    if round2 is None:
-        memo = _Round2Memo(pending=(tiled, config, round1))
-    else:
-        memo = _Round2Memo.filled(*_round2_fields(round1, round2))
     return ExecutionPlan(
         original=csr,
         row_order=row_order,
         tiled=tiled,
-        _round2=memo,
+        _round2=_Round2Memo(pending=(tiled, config, round1)),
         preprocess_seconds=times,
         backend=loaded.backend,
         backend_provenance=loaded.provenance,
@@ -707,30 +697,19 @@ def _build_plan_uncached(
 
 
 # ----------------------------------------------------------------------
-# Round 2, computed in the build or on a plan's first read of it
+# Round 2, computed on a plan's first read of it
 # ----------------------------------------------------------------------
 
 
-class _Round2(NamedTuple):
-    """Round 2's decisions: the remainder in its row order, and the
-    round-2 fields of :class:`PlanStats`."""
-
-    order: np.ndarray
-    remainder: CSRMatrix
-    avg_sim_before: float
-    avg_sim_after: float
-    applied: bool
-    n_candidates: int
-
-
-def _reorder_remainder(tiled: TiledMatrix, config: ReorderConfig, times: dict,
-                       deadline) -> _Round2:
+def _reorder_remainder(tiled: TiledMatrix, config: ReorderConfig, round1: dict,
+                       times: dict, deadline) -> tuple:
     """Round 2 of Fig. 5: gate the sparse remainder, then LSH + cluster it.
 
-    ``config.backend`` must be a resolved backend (a plan's
-    :attr:`~ExecutionPlan.backend`): the MinHash and the clustering loop
-    run on it.  Stage times
-    land in ``times`` under ``sim2``, ``lsh2`` and ``cluster2``.
+    Returns the plan's ``(remainder_order, remainder, stats)``; ``round1``
+    holds the round-1 fields of :class:`PlanStats`.  ``config.backend``
+    must be a resolved backend (a plan's :attr:`~ExecutionPlan.backend`):
+    the MinHash and the clustering loop run on it.  Stage times land in
+    ``times`` under ``sim2``, ``lsh2`` and ``cluster2``.
     """
     with span("sim2"), timed(times, "sim2"):
         gate2 = should_reorder_round2(tiled.sparse_part, skip_above=config.avg_sim_skip)
@@ -758,35 +737,23 @@ def _reorder_remainder(tiled: TiledMatrix, config: ReorderConfig, times: dict,
         do_round2 = False
         remainder_order = np.arange(tiled.original.n_rows, dtype=np.int64)
         remainder = tiled.sparse_part
-    return _Round2(
-        order=remainder_order,
-        remainder=remainder,
-        avg_sim_before=gate2.indicator,
-        avg_sim_after=average_consecutive_similarity(remainder),
-        applied=bool(do_round2),
-        n_candidates=n_cand2,
-    )
-
-
-def _round2_fields(round1: dict, round2: _Round2) -> tuple:
-    """The plan's ``(remainder_order, remainder, stats)`` from both rounds;
-    ``round1`` holds the round-1 fields of :class:`PlanStats`."""
     stats = PlanStats(
         **round1,
-        avg_sim_before=round2.avg_sim_before,
-        avg_sim_after=round2.avg_sim_after,
-        round2_applied=round2.applied,
-        n_candidates_round2=round2.n_candidates,
+        avg_sim_before=gate2.indicator,
+        avg_sim_after=average_consecutive_similarity(remainder),
+        round2_applied=bool(do_round2),
+        n_candidates_round2=n_cand2,
     )
-    return round2.order, round2.remainder, stats
+    return remainder_order, remainder, stats
 
 
 class _Round2Memo:
-    """A plan's round-2 fields, known at build time or computed on first read.
+    """A plan's round-2 fields, computed on first read.
 
-    Holds either the fields ``(remainder_order, remainder, stats)`` or the
-    inputs of a deferred round 2 (``tiled``, ``config`` with the plan's
-    resolved backend, and the round-1 stats fields).  Every
+    Holds either the fields ``(remainder_order, remainder, stats)`` (once
+    read, or filled from stored decisions or a successor's old plan) or
+    the inputs of a pending round 2 (``tiled``, ``config`` with the
+    plan's resolved backend, and the round-1 stats fields).  Every
     ``dataclasses.replace`` copy of a plan shares its memo, so round 2
     runs at most once per build; it pickles pending or filled.
     """
@@ -802,21 +769,26 @@ class _Round2Memo:
         """A memo whose round 2 is already known."""
         return cls(fields=(remainder_order, remainder, stats))
 
-    def get(self, times: dict) -> tuple:
+    def get(self, times: dict, deadline=None) -> tuple:
         """The fields, running a pending round 2 first.
 
-        A run that succeeds adds its stages and its wall-clock (to
-        ``total``) to ``times``; one that raises adds nothing and leaves
-        the memo pending.  Concurrent first readers wait for the one run.
+        ``deadline`` is the reader's: checked before ``sim2`` and polled
+        by round 2's LSH and clustering.  A run that succeeds adds its
+        stages and its wall-clock (to ``total``) to ``times``; one that
+        raises adds nothing and leaves the memo pending.  Concurrent
+        first readers wait for the one run.
         """
         if self._fields is None:
             with self._lock:
                 if self._fields is None:
+                    if deadline is not None:
+                        deadline.check("sim2")
                     tiled, config, round1 = self._pending
                     run: dict[str, float] = {}
                     with timed(run, "total"):
-                        round2 = _reorder_remainder(tiled, config, run, None)
-                    fields = _round2_fields(round1, round2)
+                        fields = _reorder_remainder(
+                            tiled, config, round1, run, deadline
+                        )
                     for key, seconds in run.items():
                         times[key] = times.get(key, 0.0) + seconds
                     # Published last: a reader that sees the fields sees

@@ -9,6 +9,8 @@ to the next-cheaper rung instead of aborting:
     The normal Fig. 5 workflow — both reordering rounds, gated by §4.
 ``round1-only``
     Round 2 forced off; the expensive remainder reordering is skipped.
+    Every build defers round 2 to its first read, so a rung bounds it
+    only under a plan store, whose write reads it inside ``full``.
 ``identity``
     Both rounds forced off; no MinHash/LSH/clustering at all, only the
     ASpT tiling split (this is exactly the ASpT-NR baseline).

@@ -331,9 +331,10 @@ class SpmmServer:
 
         The mutated matrix replaces the old registry entry under its new
         content fingerprint, and the warm session pinned to the old
-        fingerprint is invalidated — a later ``spmm`` against the new
-        fingerprint rebuilds warm (the plan store still holds the
-        pattern-keyed decisions when the delta was value-only).
+        fingerprint is invalidated.  A later ``spmm`` against the new
+        fingerprint builds its plan from scratch, unless a plan store
+        (``plan_cache_dir``) holds the pattern-keyed decisions of a
+        value-only delta.
         """
         if self._draining:
             return {"status": STATUS_DRAINING}

@@ -14,7 +14,6 @@ from repro.util.arrayops import (
     lengths_from_offsets,
     offsets_to_row_ids,
     rank_of_permutation,
-    segment_sum,
 )
 from repro.util.hashing import digest_arrays, stable_digest
 from repro.util.rng import as_generator, spawn_generators
@@ -35,7 +34,6 @@ __all__ = [
     "lengths_from_offsets",
     "offsets_to_row_ids",
     "rank_of_permutation",
-    "segment_sum",
     "digest_arrays",
     "stable_digest",
     "as_generator",

@@ -2,8 +2,8 @@
 
 These are the NumPy idioms the rest of the library is built on: converting
 between per-segment counts and CSR-style offset arrays, expanding offsets
-back into per-element segment ids, and a segment sum via ``np.add.reduceat``.
-Keeping them in one place means the tricky empty-segment corner cases are
+back into per-element segment ids, and gathering index ranges.  Keeping
+them in one place means the tricky empty-segment corner cases are
 handled (and tested) exactly once.
 """
 
@@ -16,7 +16,6 @@ __all__ = [
     "lengths_from_offsets",
     "offsets_to_row_ids",
     "gather_ranges",
-    "segment_sum",
     "rank_of_permutation",
 ]
 
@@ -76,31 +75,6 @@ def gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(
         total, dtype=np.int64
     )
-
-
-def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sum for CSR-style ``offsets`` (empty segments -> 0).
-
-    ``np.add.reduceat`` has a famous wart: for an empty segment it returns
-    the *element at the start index* instead of 0, so only the non-empty
-    segments are reduced.
-    """
-    values = np.asarray(values)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    nseg = offsets.size - 1
-    if nseg == 0:
-        return np.empty(0, dtype=values.dtype)
-    lengths = np.diff(offsets)
-    out = np.zeros(nseg, dtype=values.dtype)
-    nonempty = lengths > 0
-    if values.size and nonempty.any():
-        starts = offsets[:-1][nonempty]
-        out[nonempty] = np.add.reduceat(values, starts)
-        # reduceat reduces from each start to the next start *in the index
-        # list*, so consecutive non-empty starts already delimit segments;
-        # the final segment runs to the end of `values`, which is correct
-        # because offsets[-1] == len(values) is a documented precondition.
-    return out
 
 
 def rank_of_permutation(perm: np.ndarray) -> np.ndarray:

@@ -84,9 +84,9 @@ def random_csr(rng, m, n, density=0.1) -> CSRMatrix:
 
 @pytest.fixture
 def round2_calls(monkeypatch):
-    """Records each ``_reorder_remainder`` run: a build's, a plan's
-    deferred round 2 and a streaming successor's all call it through
-    :mod:`repro.reorder.pipeline`."""
+    """Records each ``_reorder_remainder`` run: a plan's first read of
+    round 2, a plan store's write and a streaming successor's first read
+    all call it through :mod:`repro.reorder.pipeline`."""
     from repro.reorder import pipeline
 
     calls = []

@@ -12,7 +12,7 @@ import pytest
 sp = pytest.importorskip("scipy.sparse")
 
 from repro.datasets import bipartite_ratings, hidden_clusters, power_law_rows, rmat
-from repro.kernels import sddmm, spmm, spmv
+from repro.kernels import sddmm, spmm
 from repro.reorder import ReorderConfig, build_plan
 from repro.sparse import csr_to_csc, transpose_csr
 
@@ -43,17 +43,6 @@ class TestAgainstScipy:
             to_scipy(m) @ X,
             rtol=1e-10,
             atol=1e-9,
-        )
-
-    def test_spmv(self, name, factory, rng, backend_name, streamed):
-        m = maybe_streamed(factory(), streamed)
-        x = rng.normal(size=m.n_cols)
-        got = spmv(m, x)
-        np.testing.assert_allclose(got, to_scipy(m) @ x, rtol=1e-10, atol=1e-9)
-        # SpMV has only its numpy reference; each backend's SpMM over x as
-        # one column reproduces it bit for bit.
-        np.testing.assert_array_equal(
-            spmm(m, x[:, None], backend=backend_name)[:, 0], got
         )
 
     def test_plan_spmm(self, name, factory, rng, streamed):

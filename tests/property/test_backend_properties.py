@@ -3,9 +3,8 @@
 The differential matrix (tests/unit/test_backend_differential.py) pins
 hand-picked corners; these properties sweep random CSR structures and
 operand dtypes and assert the same contract: every available backend is
-bitwise equal to the one-shot numpy reference (SpMV's included, as the
-one-column SpMM), and within each backend the workspace-pooled session
-is bitwise-identical to the direct one.
+bitwise equal to the one-shot numpy reference, and within each backend
+the workspace-pooled session is bitwise-identical to the direct one.
 """
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cc_missing
-from repro.kernels import KernelSession, spmm, spmv
+from repro.kernels import KernelSession, spmm
 from repro.kernels.backends import BACKENDS
 from repro.util.workspace import WorkspacePool
 
@@ -36,18 +35,6 @@ class TestBackendSpmmProperties:
         ).astype(dtype)
         reference = spmm(csr, X)
         np.testing.assert_array_equal(spmm(csr, X, backend=backend_name), reference)
-
-    @pytest.mark.parametrize("backend_name", AVAILABLE)
-    @given(csr=csr_matrices(), seed=st.integers(0, 2**31))
-    @settings(max_examples=30, deadline=None)
-    def test_spmv_matches_numpy_reference(self, backend_name, csr, seed):
-        # SpMV has only its numpy reference: each backend's one-column
-        # SpMM must reproduce it bit for bit.
-        x = np.random.default_rng(seed).normal(size=csr.n_cols)
-        reference = spmv(csr, x)
-        got = spmm(csr, x[:, None], backend=backend_name)[:, 0]
-        np.testing.assert_array_equal(got, reference)
-
 
 class TestPooledVsDirectProperties:
     @pytest.mark.parametrize("backend_name", AVAILABLE)

@@ -1,10 +1,9 @@
-"""Hypothesis property tests for the extension modules (measures, SpMV)."""
+"""Hypothesis property tests for the similarity-measure extension."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import spmm, spmv
 from repro.similarity import MEASURES, jaccard_for_pairs, similarity_for_pairs
 
 from test_sparse_properties import csr_matrices
@@ -47,23 +46,5 @@ class TestMeasureProperties:
         np.testing.assert_allclose(
             similarity_for_pairs(csr, pairs, "jaccard"),
             jaccard_for_pairs(csr, pairs),
-        )
-
-
-class TestSpmvProperties:
-    @given(csr_matrices(), st.integers(0, 100))
-    @settings(max_examples=50)
-    def test_matches_dense(self, csr, seed):
-        x = np.random.default_rng(seed).normal(size=csr.n_cols)
-        np.testing.assert_allclose(
-            spmv(csr, x), csr.to_dense() @ x, rtol=1e-9, atol=1e-9
-        )
-
-    @given(csr_matrices())
-    @settings(max_examples=40)
-    def test_equals_spmm_with_k1(self, csr):
-        x = np.linspace(-1, 1, csr.n_cols)
-        np.testing.assert_allclose(
-            spmv(csr, x), spmm(csr, x[:, None])[:, 0], rtol=1e-9, atol=1e-9
         )
 

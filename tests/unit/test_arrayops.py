@@ -1,7 +1,6 @@
 """Unit tests for repro.util.arrayops."""
 
 import numpy as np
-import pytest
 
 from repro.util.arrayops import (
     counts_to_offsets,
@@ -9,7 +8,6 @@ from repro.util.arrayops import (
     lengths_from_offsets,
     offsets_to_row_ids,
     rank_of_permutation,
-    segment_sum,
 )
 
 
@@ -72,27 +70,6 @@ class TestGatherRanges:
         expected = [p for a, n in zip(starts, lengths) for p in range(a, a + n)]
         out = gather_ranges(starts, lengths)
         assert out.dtype == np.int64 and out.tolist() == expected
-
-
-class TestSegmentReductions:
-    def test_segment_sum_basic(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        offsets = np.array([0, 2, 2, 5])
-        assert segment_sum(values, offsets).tolist() == [3.0, 0.0, 12.0]
-
-    def test_segment_sum_empty_values(self):
-        out = segment_sum(np.array([], dtype=np.float64), np.array([0, 0, 0]))
-        assert out.tolist() == [0.0, 0.0]
-
-    def test_against_naive_loop(self):
-        rng = np.random.default_rng(7)
-        counts = rng.integers(0, 6, size=30)
-        offsets = counts_to_offsets(counts)
-        values = rng.normal(size=int(offsets[-1]))
-        got = segment_sum(values, offsets)
-        for i in range(30):
-            expected = values[offsets[i] : offsets[i + 1]].sum()
-            assert got[i] == pytest.approx(expected)
 
 
 class TestRankOfPermutation:

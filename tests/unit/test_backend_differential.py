@@ -3,12 +3,11 @@
 Every (kernel x backend x dtype x degenerate shape) cell is held bitwise
 equal to the one-shot numpy reference: the ``numpy`` backend's sessions
 run ``CsrState.multiply``, the ``cc`` backend's its compiled loop, and
-both sum in ``np.add.reduceat``'s order.  SpMV and SDDMM have only their
-numpy reference, so their rows hold each backend's SpMM to them: SpMV
-is the one-column SpMM, and an SDDMM result is a sparse operand like any
-other.  The matrix is the lockdown for the backend subsystem: any
-backend that changes a bit on any cell fails here, not in a downstream
-experiment.
+both sum in ``np.add.reduceat``'s order.  SDDMM has only its numpy
+reference, so its rows hold each backend's SpMM to it: an SDDMM result
+is a sparse operand like any other.  The matrix is the lockdown for the
+backend subsystem: any backend that changes a bit on any cell fails
+here, not in a downstream experiment.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from repro.kernels import (
     KernelSession,
     sddmm,
     spmm,
-    spmv,
 )
 from repro.sparse import COOMatrix, CSRMatrix
 from repro.util.workspace import WorkspacePool
@@ -80,28 +78,6 @@ class TestSpmmMatrix:
         got = spmm(csr, X, out=out, backend=backend_name)
         np.testing.assert_array_equal(got, spmm(csr, X))
         assert np.all(got[[0, 2, 3, 5]] == 0.0)
-
-
-def _spmm_column(csr, x, backend_name):
-    """``csr @ x`` as the backend's SpMM over ``x`` as a single column."""
-    return spmm(csr, x[:, None], backend=backend_name)[:, 0]
-
-
-class TestSpmvMatrix:
-    @pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
-    def test_degenerate_shapes(self, rng, backend_name, shape):
-        m, n = shape
-        csr = _shaped_csr(rng, m, n)
-        x = rng.normal(size=n)
-        reference = spmv(csr, x)
-        np.testing.assert_array_equal(_spmm_column(csr, x, backend_name), reference)
-
-    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
-    def test_dtypes(self, rng, backend_name, dtype):
-        csr = random_csr(rng, 15, 12, density=0.25)
-        x = rng.normal(size=12).astype(dtype)
-        reference = spmv(csr, x)
-        np.testing.assert_array_equal(_spmm_column(csr, x, backend_name), reference)
 
 
 class TestSddmmMatrix:

@@ -25,7 +25,7 @@ import pytest
 from conftest import random_csr
 import repro
 from repro.errors import BackendUnavailable, ConfigError, DegradedExecution
-from repro.kernels import KernelSession, sddmm, spmm, spmv
+from repro.kernels import KernelSession, sddmm, spmm
 from repro.kernels.backends import (
     BACKENDS,
     LoadedBackend,
@@ -110,13 +110,10 @@ class TestRegistry:
 
 class TestSpecializedKernels:
     def test_cc_compiles_only_spmm(self, matrix, rng):
-        # SpMV and SDDMM have only their numpy reference, so they take no
-        # backend at all.
-        x = rng.normal(size=matrix.n_cols)
+        # SDDMM has only its numpy reference, so it takes no backend at
+        # all.
         X = rng.normal(size=(matrix.n_cols, 3))
         Y = rng.normal(size=(matrix.n_rows, 3))
-        with pytest.raises(TypeError):
-            spmv(matrix, x, backend="cc")
         with pytest.raises(TypeError):
             sddmm(matrix, X, Y, backend="cc")
 

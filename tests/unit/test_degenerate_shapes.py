@@ -7,7 +7,7 @@ import pytest
 
 from repro.aspt import tile_matrix
 from repro.gpu import GPUExecutor
-from repro.kernels import sddmm, spmm, spmv
+from repro.kernels import sddmm, spmm
 from repro.reorder import ReorderConfig, build_plan
 from repro.similarity import LSHIndex, average_consecutive_similarity, minhash_signatures
 from repro.sparse import (
@@ -72,7 +72,6 @@ class TestPipelineDegenerate:
         )
         out = sddmm(m, X, np.ones((shape[0], 2)))
         assert out.nnz == 0
-        np.testing.assert_allclose(spmv(m, np.ones(shape[1])), np.zeros(shape[0]))
 
     def test_tiling(self, shape):
         tiled = tile_matrix(CSRMatrix.empty(shape), 2, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import build_corpus
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ValidationError
 from repro.experiments import (
     ExperimentConfig,
     MatrixRecord,
@@ -316,9 +316,11 @@ class TestParallelRunner:
             assert da == db
 
     def test_invalid_jobs(self):
-        with pytest.raises(ValueError):
-            run_experiment(
-                ExperimentConfig(ks=(512,), scale="tiny", repeats=1),
-                entries=[],
-                n_jobs=0,
-            )
+        # A bool or a fraction is not a job count.
+        for n_jobs in (0, True, 1.5):
+            with pytest.raises(ValidationError, match="n_jobs"):
+                run_experiment(
+                    ExperimentConfig(ks=(512,), scale="tiny", repeats=1),
+                    entries=[],
+                    n_jobs=n_jobs,
+                )

@@ -497,6 +497,7 @@ class TestReporters:
 class TestPipelineTracing:
     def test_traced_build_plan_covers_every_stage(self):
         from repro.kernels.backends import load_backend
+        from repro.planstore import PlanStore
         from repro.reorder import ReorderConfig, build_plan
         from repro.resilience import ResiliencePolicy
 
@@ -529,15 +530,19 @@ class TestPipelineTracing:
         assert not round2 & set(child_names)
         assert {r["name"] for r in rest} == round2
 
-        # Under a resilience policy round 2 runs inside the build, under
-        # the rung's deadline.
-        tracer = Tracer(pid=1)
-        with tracing(tracer):
-            build_plan(matrix, config, resilience=ResiliencePolicy())
-        (rung,) = tracer.to_dicts()
-        (build,) = rung["children"]
-        assert build["name"] == "build_plan"
-        assert round2 <= {c["name"] for c in build["children"]}
+        # Under a resilience policy a rung leaves round 2 pending as a
+        # plain build does, unless a plan store's write reads it: then
+        # its spans open in the rung, after build_plan.
+        for cache, want in ((None, set()), (PlanStore(), round2)):
+            tracer = Tracer(pid=1)
+            with tracing(tracer):
+                build_plan(matrix, config, cache=cache, resilience=ResiliencePolicy())
+            (rung,) = tracer.to_dicts()
+            names = [c["name"] for c in rung["children"]]
+            after = names[names.index("build_plan") + 1:]
+            assert set(after) == want
+            (build,) = [c for c in rung["children"] if c["name"] == "build_plan"]
+            assert not round2 & {c["name"] for c in build["children"]}
 
     def test_run_experiment_trace_and_stage_seconds(self, tmp_path):
         from repro.experiments import ExperimentConfig, run_experiment

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import diagonal, hidden_clusters
+from repro.errors import ValidationError
 from repro.planstore import memory
 from repro.planstore import (
     LRUPlanCache,
@@ -206,8 +207,10 @@ class TestBuildPlans:
         )
 
     def test_workers_must_be_positive(self, matrix):
-        with pytest.raises(ValueError):
-            build_plans([matrix], CFG, workers=0)
+        # A bool or a fraction is not a worker count.
+        for workers in (0, True, 1.5):
+            with pytest.raises(ValidationError, match="workers"):
+                build_plans([matrix], CFG, workers=workers)
 
 
 class TestPlanKey:

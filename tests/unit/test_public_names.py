@@ -29,11 +29,6 @@ EXEMPT = (
     "contracts_enabled", "enable_contracts", "lint_source", "ServerThread",
 )
 
-#: Names the rule flags that wait for their own change (ROADMAP item 8).
-PENDING = {
-    "spmv": "the SpMV kernel: deleting it takes ~45 parametrised test ids",
-}
-
 
 def _exported() -> set:
     names = set()
@@ -85,12 +80,8 @@ def _exempt(name: str) -> bool:
 
 
 def test_every_public_name_has_a_caller_outside_tests(uncalled):
-    flagged = sorted(n for n in uncalled if not _exempt(n) and n not in PENDING)
+    flagged = sorted(n for n in uncalled if not _exempt(n))
     assert flagged == [], "public names only tests reach; delete them or exempt them in CONTRIBUTING.md"
-
-
-def test_pending_names_are_still_uncalled(uncalled):
-    assert sorted(set(PENDING) - uncalled) == []
 
 
 def test_exempt_names_are_the_ones_contributing_lists():

@@ -23,7 +23,7 @@ from repro.reorder import (
     should_reorder_round2,
 )
 from repro.planstore import PlanDecisions, PlanStore, build_plans
-from repro.resilience import FaultInjector, ResiliencePolicy, ladder_rungs
+from repro.resilience import Deadline, FaultInjector, ResiliencePolicy, ladder_rungs
 from repro.sparse import CSRMatrix, permute_csr_rows
 
 from conftest import assert_plans_identical, random_csr
@@ -344,27 +344,72 @@ class TestDeferredRound2:
     @pytest.mark.parametrize("force_round2", [None, True, False])
     def test_forced_plan_equals_the_eager_plan(self, matrix, force_round2):
         """On every ladder rung a deferred round 2, once read, is the one a
-        build under a resilience policy computes inside the build."""
+        store-backed build computes inside the build, for the store's
+        write."""
         base = ReorderConfig(siglen=64, panel_height=8, force_round2=force_round2)
         for _, config in ladder_rungs(base):
-            eager = build_plan(matrix, config, resilience=ResiliencePolicy())
+            eager = build_plan(
+                matrix, config, cache=PlanStore(), resilience=ResiliencePolicy()
+            )
             assert "sim2" in eager.preprocess_seconds
             lazy = build_plan(matrix, config)
             assert_plans_identical(lazy, eager)
-            assert lazy.preprocess_seconds.keys() == eager.preprocess_seconds.keys()
+            assert lazy.preprocess_seconds.keys() | {"cache_lookup"} == (
+                eager.preprocess_seconds.keys()
+            )
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
+    def test_a_policy_build_reads_round2_only_for_the_store(
+        self, matrix, round2_calls, monkeypatch, stored
+    ):
+        """Under a policy round 2 stays pending, as in a plain build,
+        unless a plan store's write reads it inside the build, under the
+        rung's deadline."""
+        stages = []
+        check = Deadline.check
+
+        def recording(deadline, stage=""):
+            stages.append(stage)
+            check(deadline, stage)
+
+        monkeypatch.setattr(Deadline, "check", recording)
+        cache = PlanStore() if stored else None
+        plan = build_plan(
+            matrix, self.CONFIG, cache=cache,
+            resilience=ResiliencePolicy(deadline_s=3600.0),
+        )
+        assert plan.provenance == ("full: ok",)
+        assert len(round2_calls) == int(stored)
+        assert ("sim2" in plan.preprocess_seconds) == stored
+        assert ("sim2" in stages) == stored
+        plan.stats
+        assert len(round2_calls) == 1
+        assert {"sim2", "lsh2", "cluster2"} <= plan.preprocess_seconds.keys()
+
+    def test_a_read_under_an_expired_deadline_stays_pending(self, matrix):
+        plan = build_plan(matrix, self.CONFIG)
+        built = dict(plan.preprocess_seconds)
+        with pytest.raises(TimeoutExceeded, match="sim2"):
+            plan._round2.get(plan.preprocess_seconds, Deadline.after(0.0))
+        assert plan.preprocess_seconds == built
+        assert plan.stats.round2_applied
 
     def test_round2_fault_under_a_policy_drops_a_rung(self, rng):
-        """Under a policy round 2 runs inside the rung, so a fault in its
-        clustering is absorbed by the ladder."""
+        """Through a store round 2 runs inside rung 0, for the store's
+        write, so a fault in its clustering is absorbed by the ladder and
+        nothing is stored."""
         m = round1_gated_off(rng)
+        store = PlanStore()
         with FaultInjector(
             rate=1.0, sites=["clustering.cluster"], max_faults=1
         ), pytest.warns(DegradedExecution):
             plan = build_plan(
-                m, ReorderConfig(panel_height=8), resilience=ResiliencePolicy()
+                m, ReorderConfig(panel_height=8), cache=store,
+                resilience=ResiliencePolicy(),
             )
         assert plan.provenance[0].startswith("full: TimeoutExceeded")
         assert plan.provenance[1:] == ("round1-only: ok",)
+        assert len(store.memory) == 0
 
     def test_failed_first_read_charges_one_run(self, rng, monkeypatch):
         """A round 2 that raises adds no time and stays pending, so the

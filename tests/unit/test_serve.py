@@ -735,6 +735,24 @@ class TestWarmSessions:
         assert after["serve.pool_miss"] == before["serve.pool_miss"]
         assert [k["key"] for k in health["pool"]["keys"]] == [fingerprint]
 
+    @pytest.mark.parametrize("store", [False, True], ids=["default", "plan-cache-dir"])
+    def test_a_served_build_reads_round2_only_for_the_plan_store(
+        self, rng, tmp_path, round2_calls, store
+    ):
+        """No served multiply reads round 2, so a served build leaves it
+        pending unless the plan store's write reads it."""
+        csr = random_csr(rng, 48, 36, density=0.12)
+        X = np.asarray(rng.random((csr.n_cols, 6)), dtype=np.float64)
+        config = ServeConfig(
+            port=0, workers=1, panel_height=8, chunk_k=16,
+            plan_cache_dir=str(tmp_path) if store else None,
+        )
+        with ServerThread(config) as thread, ServeClient(thread.address) as client:
+            resp = client.spmm(X, matrix=csr)
+        assert resp["rung"] == "full"
+        np.testing.assert_array_equal(_result(resp), spmm(csr, X))
+        assert len(round2_calls) == int(store)
+
     def test_an_impatient_request_does_not_pin_a_degraded_plan(self, rng):
         csr = random_csr(rng, 48, 36, density=0.12)
         X = np.asarray(rng.random((csr.n_cols, 6)), dtype=np.float64)

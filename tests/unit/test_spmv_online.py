@@ -1,4 +1,4 @@
-"""Unit tests for the SpMV kernel/cost model and the staircase generator."""
+"""Unit tests for the SpMV cost model and the staircase generator."""
 
 import numpy as np
 import pytest
@@ -6,38 +6,9 @@ import pytest
 from repro.datasets import staircase
 from repro.errors import ConfigError, ValidationError
 from repro.gpu import GPUExecutor, P100
-from repro.kernels import spmv, spmv_rowwise_reference
 from repro.sparse import CSRMatrix, permute_csr_rows
 
 from conftest import random_csr
-
-
-class TestSpmv:
-    def test_matches_dense(self, rng):
-        m = random_csr(rng, 20, 15, 0.2)
-        x = rng.normal(size=15)
-        np.testing.assert_allclose(spmv(m, x), m.to_dense() @ x)
-
-    def test_matches_reference_loops(self, paper_matrix, rng):
-        x = rng.normal(size=6)
-        np.testing.assert_allclose(
-            spmv(paper_matrix, x), spmv_rowwise_reference(paper_matrix, x)
-        )
-
-    def test_empty_matrix(self):
-        y = spmv(CSRMatrix.empty((4, 4)), np.ones(4))
-        np.testing.assert_allclose(y, 0.0)
-
-    def test_empty_rows_zero(self):
-        m = CSRMatrix.from_dense([[0.0, 0.0], [2.0, 3.0]])
-        y = spmv(m, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(y, [0.0, 5.0])
-
-    def test_shape_mismatch_rejected(self, paper_matrix):
-        with pytest.raises(ValueError):
-            spmv(paper_matrix, np.ones(5))
-        with pytest.raises(ValueError):
-            spmv(paper_matrix, np.ones((6, 2)))
 
 
 class TestSpmvCost:
