@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 import warnings
 
 from repro.errors import (
@@ -117,9 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument(
         "--stage-deadline", type=float, metavar="SECONDS", default=None,
         help="per-rung preprocessing stage deadline; builds that exceed it "
-        "degrade down the ladder (full -> round1-only -> identity -> "
-        "untiled-csr) instead of failing; round 2 runs under it only with "
-        "--plan-cache-dir, otherwise after the ladder",
+        "degrade down the ladder (full -> identity) instead of failing; "
+        "round 2 runs under it only with --plan-cache-dir, otherwise after "
+        "the ladder",
     )
     r.add_argument(
         "--backend", default=DEFAULT_BACKEND, metavar="NAME",
@@ -326,24 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         "backends", help="list compiled kernel backends and their availability"
     )
 
-    sb = sub.add_parser(
-        "stream-bench",
-        help="replay the streaming corpus through apply_delta and report "
-        "patched/replanned updates per stream",
-    )
-    sb.add_argument("--seed", type=int, default=0, help="corpus seed")
-    sb.add_argument(
-        "--batches", type=int, default=12, help="delta batches per stream"
-    )
-    sb.add_argument(
-        "--repeats", type=int, default=3,
-        help="repetitions for the patch-vs-rebuild timing cells",
-    )
-    sb.add_argument(
-        "--json", action="store_true",
-        help="emit one JSON document instead of a table",
-    )
-
     tr = sub.add_parser(
         "trace", help="trace one plan build + kernel run (Chrome trace_event JSON)"
     )
@@ -390,87 +371,6 @@ def _cmd_bench(args) -> int:
             json.dumps(
                 run_suite(name, quick=args.quick, backend=args.backend), indent=1
             )
-        )
-    return 0
-
-
-@cli_handler("stream-bench")
-def _cmd_stream_bench(args, clock=time.perf_counter) -> int:
-    import json
-
-    import numpy as np
-
-    from repro.datasets import stream_corpus
-    from repro.reorder import build_plan
-    from repro.streaming import DeltaBatch, StreamingPlan, apply_delta
-
-    def median_ms(fn, repeats):
-        ts = []
-        for _ in range(max(1, repeats)):
-            t0 = clock()
-            fn()
-            ts.append((clock() - t0) * 1e3)
-        return round(sorted(ts)[len(ts) // 2], 3)
-
-    rows = []
-    for stream in stream_corpus(args.seed, n_batches=args.batches):
-        sp = StreamingPlan(stream.base)
-        t0 = clock()
-        for delta in stream.deltas:
-            sp.apply(delta)
-        replay_ms = round((clock() - t0) * 1e3, 3)
-        patched = sum(r.patched for r in sp.reports)
-
-        # Timing cell: one value-only set-delta on the final matrix, the
-        # plan's same-pattern successor vs a full from-scratch rebuild.
-        # Reading ``plan.stats`` runs the old plan's round 2 before the
-        # update is timed, so the successor reuses it and returns round 2
-        # (the successor of a pending plan would leave it pending); the
-        # rebuild reads it too.
-        final, config, plan = sp.matrix, sp.config, sp.plan
-        plan.stats
-        rng = np.random.default_rng(args.seed + 99)
-        n = max(1, final.nnz // 1000)
-        idx = np.sort(rng.choice(final.nnz, size=n, replace=False))
-        delta = DeltaBatch(
-            rows=final.row_ids()[idx],
-            cols=final.colidx[idx],
-            values=rng.normal(size=n),
-            mode="set",
-        )
-        mutated = delta.apply_to(final)
-        patch_ms = median_ms(
-            lambda: apply_delta(plan, delta, config), args.repeats
-        )
-        rebuild_ms = median_ms(
-            lambda: build_plan(mutated, config).stats, args.repeats
-        )
-        rows.append(
-            {
-                "stream": stream.name,
-                "batches": stream.n_batches,
-                "events": stream.n_events,
-                "patched": patched,
-                "replanned": len(sp.reports) - patched,
-                "replay_ms": replay_ms,
-                "patch_ms": patch_ms,
-                "rebuild_ms": rebuild_ms,
-                "patch_vs_rebuild": round(rebuild_ms / max(patch_ms, 1e-9), 3),
-            }
-        )
-
-    if args.json:
-        print(json.dumps({"seed": args.seed, "streams": rows}, indent=1))
-        return 0
-    print(
-        f"{'stream':<22}{'batches':>8}{'events':>8}{'patched':>8}"
-        f"{'replanned':>10}{'patch_ms':>10}{'rebuild_ms':>12}{'speedup':>9}"
-    )
-    for row in rows:
-        print(
-            f"{row['stream']:<22}{row['batches']:>8}{row['events']:>8}"
-            f"{row['patched']:>8}{row['replanned']:>10}{row['patch_ms']:>10}"
-            f"{row['rebuild_ms']:>12}{row['patch_vs_rebuild']:>9}"
         )
     return 0
 

@@ -32,7 +32,6 @@ from repro.datasets.clustered import hidden_clusters, preclustered
 from repro.datasets.graphs import rmat, small_world, bipartite_ratings, stochastic_block_model
 from repro.datasets.corpus import CorpusEntry, build_corpus, corpus_summary
 from repro.datasets.registry import GENERATORS, list_generators
-from repro.datasets.streams import MatrixStream, edge_stream, stream_corpus
 
 __all__ = [
     "banded",
@@ -52,7 +51,4 @@ __all__ = [
     "corpus_summary",
     "GENERATORS",
     "list_generators",
-    "MatrixStream",
-    "edge_stream",
-    "stream_corpus",
 ]

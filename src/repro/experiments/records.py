@@ -50,7 +50,7 @@ class MatrixRecord:
     dense_ratio_after: float
     preprocess_s: float
     #: Degradation-ladder summary when a plan build settled below the
-    #: ``full`` rung (e.g. ``"rr: full: TimeoutExceeded: ...; round1-only:
+    #: ``full`` rung (e.g. ``"rr: full: TimeoutExceeded: ...; identity:
     #: ok"``); empty for clean builds.  Defaulted so records saved before
     #: this field existed still load.
     degradation: str = ""

@@ -225,8 +225,8 @@ class ExecutionPlan:
         Degradation-ladder history when the plan was built under a
         :class:`repro.resilience.ResiliencePolicy` — one entry per
         attempted rung, e.g. ``("full: TimeoutExceeded: cluster1
-        exceeded its 2s deadline", "round1-only: ok")``.  Empty for
-        plans built without a policy.
+        exceeded its 2s deadline", "identity: ok")``.  Empty for plans
+        built without a policy.
     backend:
         The compiled kernel backend the plan's sessions execute through
         (the *resolved* backend — after any degradation).  Defaults to
@@ -522,9 +522,11 @@ def build_plan(
     ``resilience`` accepts a :class:`repro.resilience.ResiliencePolicy`.
     With one, each preprocessing attempt runs under a per-rung stage
     deadline, and a rung that times out (or hits memory pressure) drops
-    down the degradation ladder ``full -> round1-only -> identity ->
-    untiled-csr`` instead of failing the build.  Every attempted rung is
-    recorded in :attr:`ExecutionPlan.provenance`; settling below ``full``
+    down the degradation ladder ``full -> identity`` instead of failing
+    the build; ``identity``, the floor, runs without a deadline.  Every
+    attempted rung is recorded in :attr:`ExecutionPlan.provenance`; a
+    round-2 read for the store's write runs inside ``full``, so its
+    timeout settles at ``identity`` as well.  Settling below ``full``
     emits a :class:`repro.errors.DegradedExecution` warning, and degraded
     plans are never written to the cache (a transient failure must not
     pin a weaker plan under the original config's key).

@@ -14,7 +14,7 @@ degraded-but-correct execution a first-class citizen of the pipeline:
   MinHash, LSH and clustering; polling points raise
   :class:`repro.errors.TimeoutExceeded` when the budget expires.
 * :class:`ResiliencePolicy` — per-plan budget plus the degradation
-  ladder ``full -> round1-only -> identity -> untiled-csr`` consumed by
+  ladder ``full -> identity`` consumed by
   :func:`repro.reorder.build_plan`.
 * :func:`retry_io` — bounded retry-with-backoff for transient
   filesystem errors around dataset and plan-store IO.
@@ -41,7 +41,7 @@ from repro.resilience.faults import (
     active_injector,
     fault_point,
 )
-from repro.resilience.policy import LADDER_RUNGS, ResiliencePolicy, ladder_rungs
+from repro.resilience.policy import ResiliencePolicy, ladder_rungs
 from repro.resilience.retry import NON_TRANSIENT_OS_ERRORS, retry_io
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "fault_point",
     "active_injector",
     "ResiliencePolicy",
-    "LADDER_RUNGS",
     "ladder_rungs",
     "retry_io",
     "NON_TRANSIENT_OS_ERRORS",

@@ -16,6 +16,11 @@ or *rejected explicitly* with a status the client can act on:
 Overload is checked before quota: an over-capacity server rejects
 everyone equally without charging tenants tokens for work it cannot do.
 
+The tenant table forgets a bucket once it has refilled to its burst: a
+fresh bucket behaves the same, so forgetting changes no quota, and a
+stream of one-off tenant names cannot grow the table (or the ``health``
+report that lists it) without bound.
+
 The clock is injectable (``clock=``) so quota behaviour is exactly
 testable; no wall-clock read influences any numeric result.
 """
@@ -29,6 +34,11 @@ from repro.observability.metrics import METRICS
 from repro.serve.protocol import STATUS_REJECTED_OVERLOAD, STATUS_REJECTED_QUOTA
 
 __all__ = ["TokenBucket", "AdmissionController"]
+
+#: Table size at which a new tenant first triggers a sweep of the full
+#: buckets; each sweep sets the next trigger to twice the buckets it
+#: kept, so the sweeps cost amortised constant time per new tenant.
+_SWEEP_AT_LEAST = 64
 
 
 class TokenBucket:
@@ -101,6 +111,7 @@ class AdmissionController:
         self._tenant_quotas = dict(tenant_quotas or {})
         self._clock = clock
         self._buckets: dict[str, TokenBucket] = {}
+        self._sweep_at = _SWEEP_AT_LEAST
         self._in_flight = 0
         self._lock = threading.Lock()
         self._admitted = METRICS.counter("serve.admitted", "requests admitted")
@@ -115,12 +126,24 @@ class AdmissionController:
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
+            if len(self._buckets) >= self._sweep_at:
+                self._forget_full_buckets()
             rate, burst = self._tenant_quotas.get(
                 tenant, (self.quota_rate, self.quota_burst)
             )
             bucket = TokenBucket(rate, burst, clock=self._clock)
             self._buckets[tenant] = bucket
         return bucket
+
+    def _forget_full_buckets(self) -> None:
+        """Drop every bucket that has refilled to its burst (caller holds
+        the lock)."""
+        self._buckets = {
+            name: bucket
+            for name, bucket in self._buckets.items()
+            if bucket.tokens < bucket.burst
+        }
+        self._sweep_at = max(_SWEEP_AT_LEAST, 2 * len(self._buckets))
 
     # ------------------------------------------------------------------
     def admit(self, tenant: str) -> str | None:
@@ -158,7 +181,8 @@ class AdmissionController:
             return self._in_flight
 
     def snapshot(self) -> dict:
-        """Health-endpoint view: slots plus per-tenant token balances."""
+        """Health-endpoint view: slots plus the token balances of the
+        tenants in the table (a forgotten tenant's bucket was full)."""
         with self._lock:
             tenants = {
                 name: round(bucket.tokens, 3)

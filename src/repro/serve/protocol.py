@@ -63,7 +63,7 @@ from repro.errors import FormatError, ShapeError, ValidationError
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.util.hashing import digest_arrays, stable_digest
-from repro.util.validation import check_dense
+from repro.util.validation import check_dense, finite_real
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -135,6 +135,12 @@ def decode_message(line: bytes | str) -> dict:
 # Matrix / operand wire formats
 # ----------------------------------------------------------------------
 
+def _is_count(value) -> bool:
+    """Whether a decoded JSON value is a non-negative ``int`` (JSON
+    ``true`` decodes to ``True``, an ``int`` that is no count)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def matrix_to_wire(csr: CSRMatrix) -> dict:
     """Encode a CSR matrix as the COO-triple upload payload."""
     coo = csr.to_coo()
@@ -160,7 +166,7 @@ def matrix_from_wire(obj) -> CSRMatrix:
     if (
         not isinstance(shape, (list, tuple))
         or len(shape) != 2
-        or not all(isinstance(s, int) and s >= 0 for s in shape)
+        or not all(_is_count(s) for s in shape)
     ):
         raise FormatError(f"matrix shape must be two non-negative ints, got {shape}")
     try:
@@ -220,8 +226,11 @@ def delta_from_wire(obj):
         raise FormatError(f"delta triples are not numeric arrays: {exc}") from exc
     new_rows = obj.get("new_rows", 0)
     mode = obj.get("mode", "add")
-    if not isinstance(new_rows, int) or new_rows < 0:
+    timestamp = obj.get("timestamp", 0.0)
+    if not _is_count(new_rows):
         raise FormatError(f"delta new_rows must be a non-negative int, got {new_rows!r}")
+    if not finite_real(timestamp):
+        raise FormatError(f"delta timestamp must be a finite number, got {timestamp!r}")
     try:
         # DeltaBatch validates shapes, dtypes and the mode/new_rows combination.
         return DeltaBatch(
@@ -230,7 +239,7 @@ def delta_from_wire(obj):
             values=values,
             new_rows=new_rows,
             mode=mode,
-            timestamp=float(obj.get("timestamp", 0.0)),
+            timestamp=float(timestamp),
         )
     except (TypeError, ValueError, ValidationError) as exc:
         raise FormatError(f"invalid delta payload: {exc}") from exc

@@ -35,9 +35,8 @@ import pytest
 from repro.datasets import hidden_clusters
 from repro.errors import ReproIOError
 from repro.kernels import KernelSession, spmm
-from repro.reorder import build_plan
-from repro.resilience import FAULT_SITES, FaultInjector
-from repro.resilience.policy import LADDER_RUNGS
+from repro.reorder import ReorderConfig, build_plan
+from repro.resilience import FAULT_SITES, FaultInjector, ladder_rungs
 from repro.serve import ServeClient, ServeConfig
 from repro.serve.protocol import (
     STATUS_DEADLINE_EXCEEDED,
@@ -108,7 +107,8 @@ def _settled_label(provenance):
 def _assert_monotone_provenance(provenance):
     """Failures first, strictly down the ladder, exactly one final ok."""
     labels = [p.split(":", 1)[0] for p in provenance]
-    order = [LADDER_RUNGS.index(label) for label in labels]
+    rungs = [label for label, _ in ladder_rungs(ReorderConfig())]
+    order = [rungs.index(label) for label in labels]
     assert order == sorted(set(order)), f"non-monotone ladder walk: {provenance}"
     for line in provenance[:-1]:
         assert not line.endswith(": ok"), f"ok before the settle: {provenance}"

@@ -126,19 +126,6 @@ class TestBackendsCommand:
         assert rows["cc"] == ("no", "C compiler '/nonexistent/cc' not found (set CC)")
 
 
-class TestStreamBench:
-    def test_json_rows_count_every_update(self, capsys):
-        assert main(["stream-bench", "--batches", "2", "--repeats", "1",
-                     "--json"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        names = [row["stream"] for row in doc["streams"]]
-        assert names == ["rmat-growing", "ratings-growing", "small-world-infill"]
-        for row in doc["streams"]:
-            assert row["batches"] == 2
-            assert row["patched"] + row["replanned"] == row["batches"]
-            assert row["patch_ms"] > 0 and row["rebuild_ms"] > 0
-
-
 class TestFigureJsonExport:
     def test_json_dump(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"

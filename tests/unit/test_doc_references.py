@@ -1,7 +1,8 @@
 """The hand-written docs, and the Sphinx-role cross-references in the
-library's own docstrings and comments, name only modules, attributes and
-files that exist."""
+library's own docstrings and comments, name only modules, attributes,
+files and CLI subcommands that exist."""
 
+import argparse
 import importlib
 import re
 from pathlib import Path
@@ -14,6 +15,13 @@ DOCS = [ROOT / n for n in ("README.md", "DESIGN.md", "CONTRIBUTING.md", "EXPERIM
 DOCS += [p for p in sorted((ROOT / "docs").glob("*.md")) if p.name != "API.md"]  # API.md is generated
 SOURCES = sorted((ROOT / "src" / "repro").rglob("*.py"))
 ROLE_REFERENCE = re.compile(r":(?:func|class|mod|meth|attr|data|exc):`[~!]?(repro(?:\.\w+)+)`")
+#: `` `repro <cmd>` ``, a ``repro <cmd>`` line of a code block, or
+#: ``python -m repro.cli <cmd>``.
+SUBCOMMAND = re.compile(
+    r"(?:`|^[ \t]*(?:\$[ \t]+)?)repro[ \t]+([a-z][\w-]*)"
+    r"|python3? -m repro\.cli[ \t]+([a-z][\w-]*)",
+    re.MULTILINE,
+)
 
 
 def _resolves(dotted: str) -> bool:
@@ -47,3 +55,19 @@ def test_doc_references_resolve(doc):
 def test_source_role_references_resolve(source):
     names = set(ROLE_REFERENCE.findall(source.read_text()))
     assert [n for n in sorted(names) if not _resolves(n)] == []
+
+
+def test_doc_subcommands_exist():
+    from repro.cli import build_parser
+
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    named = {
+        (str(doc.relative_to(ROOT)), a or b)
+        for doc in DOCS
+        for a, b in SUBCOMMAND.findall(doc.read_text())
+    }
+    assert named  # the pattern still finds the docs' commands
+    assert sorted(n for n in named if n[1] not in subparsers.choices) == []

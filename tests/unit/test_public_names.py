@@ -24,7 +24,6 @@ CALLER_DIRS = ("src", "examples", "benchmarks", "perfbench", "scripts")
 EXEMPT = (
     "*_rowwise_reference", "assert_*_correct", "jaccard_rows",
     "pairwise_jaccard_dense", "spmm_tiled", "sddmm_tiled", "validate_sarif",
-    "LADDER_RUNGS",
     "active_tracer", "uninstall_tracer", "active_injector",
     "contracts_enabled", "enable_contracts", "lint_source", "ServerThread",
 )

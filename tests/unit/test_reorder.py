@@ -13,6 +13,8 @@ import pytest
 from repro.aspt import tile_matrix
 from repro.errors import DegradedExecution, TimeoutExceeded, ValidationError
 from repro.gpu import GPUExecutor, P100
+from repro.kernels import spmm
+from repro.observability import Tracer, tracing
 from repro.reorder import (
     AutotuneResult,
     ExecutionPlan,
@@ -27,6 +29,9 @@ from repro.resilience import Deadline, FaultInjector, ResiliencePolicy, ladder_r
 from repro.sparse import CSRMatrix, permute_csr_rows
 
 from conftest import assert_plans_identical, random_csr
+
+#: The degradation ladder's labels, ``full`` first.
+RUNGS = [label for label, _ in ladder_rungs(ReorderConfig())]
 
 
 def clustered_then_shuffled(rng, n_clusters=12, rows_per=12, n_cols=256, row_nnz=16):
@@ -252,7 +257,7 @@ class TestGateTiling:
         assert not plan.stats.round1_applied
         assert len(tile_calls) == 1
 
-    @pytest.mark.parametrize("rung", ["identity", "untiled-csr"])
+    @pytest.mark.parametrize("rung", RUNGS[1:])
     def test_ladder_rungs_without_round1_tile_once(self, rng, tile_calls, rung):
         m = clustered_then_shuffled(rng)
         config = dict(ladder_rungs(ReorderConfig(siglen=64, panel_height=8)))[rung]
@@ -396,7 +401,7 @@ class TestDeferredRound2:
 
     def test_round2_fault_under_a_policy_drops_a_rung(self, rng):
         """Through a store round 2 runs inside rung 0, for the store's
-        write, so a fault in its clustering is absorbed by the ladder and
+        write, so a fault in its clustering settles at ``identity`` and
         nothing is stored."""
         m = round1_gated_off(rng)
         store = PlanStore()
@@ -408,8 +413,10 @@ class TestDeferredRound2:
                 resilience=ResiliencePolicy(),
             )
         assert plan.provenance[0].startswith("full: TimeoutExceeded")
-        assert plan.provenance[1:] == ("round1-only: ok",)
+        assert plan.provenance[1:] == ("identity: ok",)
         assert len(store.memory) == 0
+        X = rng.normal(size=(m.n_cols, 4))
+        np.testing.assert_array_equal(plan.session().run(X), spmm(m, X))
 
     def test_failed_first_read_charges_one_run(self, rng, monkeypatch):
         """A round 2 that raises adds no time and stays pending, so the
@@ -449,6 +456,65 @@ class TestDeferredRound2:
         assert failed.error.startswith("TimeoutExceeded")
         (built,) = build_plans([m], config)
         assert "sim2" in built.plan.preprocess_seconds
+
+
+class TestDegradationLadder:
+    """A policy build that fails at ``full`` settles at ``identity``, the
+    floor, which runs no reordering round and no deadline."""
+
+    CONFIG = ReorderConfig(siglen=64, panel_height=8, force_round1=True)
+
+    def test_a_round1_timeout_runs_round1_once(self, rng, monkeypatch):
+        """Without a store ``full`` runs round 1 and the tiling only, so
+        its timeout goes straight to ``identity``, with no second round
+        1."""
+        m = clustered_then_shuffled(rng)
+        check = Deadline.check
+
+        def lsh_overruns(deadline, stage=""):
+            check(Deadline.after(0.0) if stage == "lsh" else deadline, stage)
+
+        monkeypatch.setattr(Deadline, "check", lsh_overruns)
+        tracer = Tracer()
+        with tracing(tracer), pytest.warns(DegradedExecution, match="identity"):
+            plan = build_plan(
+                m, self.CONFIG, resilience=ResiliencePolicy(deadline_s=3600.0)
+            )
+        events = tracer.chrome_trace()["traceEvents"]
+        assert [e["name"] for e in events].count("lsh1") == 1
+        assert plan.provenance == (
+            "full: TimeoutExceeded: lsh exceeded its 0s deadline",
+            "identity: ok",
+        )
+        assert not plan.stats.round1_applied
+        X = rng.normal(size=(m.n_cols, 8))
+        np.testing.assert_array_equal(plan.session().run(X), spmm(m, X))
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
+    def test_a_zero_deadline_settles_at_identity(self, rng, stored):
+        m = clustered_then_shuffled(rng)
+        store = PlanStore() if stored else None
+        with pytest.warns(DegradedExecution, match="identity"):
+            plan = build_plan(
+                m, self.CONFIG, cache=store,
+                resilience=ResiliencePolicy(deadline_s=0.0),
+            )
+        assert plan.provenance == (
+            "full: TimeoutExceeded: minhash exceeded its 0s deadline",
+            "identity: ok",
+        )
+        assert store is None or len(store.memory) == 0
+        X = rng.normal(size=(m.n_cols, 8))
+        np.testing.assert_array_equal(plan.session().run(X), spmm(m, X))
+
+    def test_full_is_the_floor_when_both_rounds_are_off(self, rng):
+        """With no ``identity`` rung to fall to, ``full`` runs without a
+        deadline."""
+        m = clustered_then_shuffled(rng)
+        config = ReorderConfig(panel_height=8, force_round1=False, force_round2=False)
+        plan = build_plan(m, config, resilience=ResiliencePolicy(deadline_s=0.0))
+        assert plan.provenance == ("full: ok",)
+        assert_plans_identical(plan, build_plan(m, config))
 
 
 class TestAutotune:
@@ -493,20 +559,21 @@ class TestAutotune:
         assert result.cost_reordered.op == "sddmm"
 
 
-RUNGS = [label for label, _ in ladder_rungs(ReorderConfig())]
-
-
 class TestPlanPersistence:
     @pytest.mark.parametrize("rung", RUNGS)
     @pytest.mark.parametrize("max_dense_cols", [None, 2])
     @pytest.mark.parametrize("route", ["file", "disk"])
     def test_save_load_roundtrip(self, rng, tmp_path, route, max_dense_cols, rung):
         """``load(save(plan))`` and a disk-tier hit both rebuild the plan a
-        fresh build made, on every ladder rung, capped or not."""
+        fresh build made, on every ladder rung, capped or not, with a
+        dense threshold that is not the default."""
         m = clustered_then_shuffled(rng, n_clusters=24, rows_per=6, n_cols=512)
         config = dict(
             ladder_rungs(
-                ReorderConfig(siglen=32, panel_height=8, max_dense_cols=max_dense_cols)
+                ReorderConfig(
+                    siglen=32, panel_height=8, dense_threshold=3,
+                    max_dense_cols=max_dense_cols,
+                )
             )
         )[rung]
         if route == "file":

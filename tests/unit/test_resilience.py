@@ -280,26 +280,25 @@ class TestLadderRungs:
     def test_full_ladder_for_default_config(self):
         config = ReorderConfig(panel_height=8)
         rungs = ladder_rungs(config)
-        assert [label for label, _ in rungs] == [
-            "full", "round1-only", "identity", "untiled-csr",
-        ]
+        assert [label for label, _ in rungs] == ["full", "identity"]
         assert rungs[0][1] is config
-        assert rungs[1][1].force_round2 is False
-        assert rungs[2][1].force_round1 is False
-        floor = rungs[3][1]
-        assert floor.dense_threshold == config.panel_height + 1
+        floor = rungs[1][1]
+        assert floor == ReorderConfig(
+            panel_height=8, force_round1=False, force_round2=False
+        )
 
     def test_redundant_rungs_dropped(self):
         config = ReorderConfig(
             panel_height=8, force_round1=False, force_round2=False
         )
         rungs = ladder_rungs(config)
-        assert [label for label, _ in rungs] == ["full", "untiled-csr"]
+        assert [label for label, _ in rungs] == ["full"]
 
-    def test_round2_off_drops_round1_only(self):
-        config = ReorderConfig(panel_height=8, force_round2=False)
-        rungs = ladder_rungs(config)
-        assert [label for label, _ in rungs] == ["full", "identity", "untiled-csr"]
+    def test_one_round_forced_off_keeps_identity(self):
+        for forced in ({"force_round1": False}, {"force_round2": False}):
+            config = ReorderConfig(panel_height=8, **forced)
+            rungs = ladder_rungs(config)
+            assert [label for label, _ in rungs] == ["full", "identity"]
 
 
 class TestResiliencePolicy:

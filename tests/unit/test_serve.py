@@ -46,6 +46,7 @@ from repro.serve import (
     matrix_to_wire,
     parse_address,
 )
+from repro.serve.protocol import delta_to_wire
 from repro.sparse import CSRMatrix
 
 from conftest import FakeClock, random_csr
@@ -195,6 +196,25 @@ class TestAdmissionController:
         ctl = self._controller(ManualClock())
         with pytest.raises(AssertionError):
             ctl.release()
+
+    def test_refilled_buckets_are_forgotten(self):
+        """One-off tenants whose buckets have refilled leave the table and
+        the health report bounded; a tenant that spent its burst keeps
+        its bucket, so it is still refused."""
+        clock = ManualClock()
+        ctl = self._controller(
+            clock, max_inflight=100, tenant_quotas={"greedy": (1e-6, 1.0)}
+        )
+        assert ctl.admit("greedy") is None
+        ctl.release()
+        for i in range(20_000):
+            clock.advance(1.0)  # the last one-off tenant refills to its burst
+            assert ctl.admit(f"tenant-{i}") is None
+            ctl.release()
+        tenants = ctl.snapshot()["tenants"]
+        assert len(tenants) <= 64
+        assert tenants["greedy"] < 1.0
+        assert ctl.admit("greedy") == STATUS_REJECTED_QUOTA
 
 
 # ----------------------------------------------------------------------
@@ -386,10 +406,10 @@ class TestSessionPool:
 
     def test_degraded_session_is_served_but_not_kept(self):
         pool = SessionPool(capacity=4)
-        provenance = ("full: TimeoutExceeded: over budget", "untiled-csr: ok")
+        provenance = ("full: TimeoutExceeded: over budget", "identity: ok")
         entry = _put(pool, "fp", provenance=provenance)
         assert entry.refs == 1  # pinned for the batch that built it
-        assert entry.degraded and entry.rung == "untiled-csr"
+        assert entry.degraded and entry.rung == "identity"
         pool.unpin(entry)
         assert len(pool) == 0 and pool.pin("fp") is None
 
@@ -655,6 +675,15 @@ class TestServerEndToEnd:
             assert resp["status"] == STATUS_ERROR
             assert client.ping()["status"] == STATUS_OK  # connection survives
 
+    def test_boolean_shape_is_an_error(self, served):
+        """JSON ``true`` is a Python ``int``; as a dimension it is refused,
+        not read as 1."""
+        matrix = {"shape": [True, 3], "rows": [0], "cols": [2], "values": [1.0]}
+        with ServeClient(served["thread"].address) as client:
+            resp = client.request({"op": "upload", "matrix": matrix})
+            assert resp["status"] == STATUS_ERROR and "shape" in resp["error"]
+            assert client.ping()["status"] == STATUS_OK  # connection survives
+
     def test_unknown_op_is_an_error(self, served):
         with ServeClient(served["thread"].address) as client:
             resp = client.request({"op": "explode"})
@@ -858,6 +887,22 @@ class TestServerDelta:
                  "delta": {"rows": "nope"}}
             )
             assert resp["status"] == STATUS_ERROR
+            assert client.ping()["status"] == STATUS_OK  # connection survives
+
+    @pytest.mark.parametrize(
+        ("field", "value"), [("new_rows", True), ("timestamp", float("nan"))]
+    )
+    def test_boolean_or_non_finite_delta_scalar_is_an_error(
+        self, delta_served, field, value
+    ):
+        csr, rng = delta_served["csr"], delta_served["rng"]
+        payload = {**delta_to_wire(self._delta(csr, rng)), field: value}
+        with ServeClient(delta_served["thread"].address) as client:
+            fingerprint = client.upload(csr)["fingerprint"]
+            resp = client.request(
+                {"op": "delta", "fingerprint": fingerprint, "delta": payload}
+            )
+            assert resp["status"] == STATUS_ERROR and field in resp["error"]
             assert client.ping()["status"] == STATUS_OK  # connection survives
 
 

@@ -1,5 +1,5 @@
-"""Unit tests for the streaming subsystem: deltas, streams, plan
-updates and session refresh."""
+"""Unit tests for the streaming subsystem: deltas, plan updates and
+session refresh."""
 
 import dataclasses
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.aspt import tile_matrix
-from repro.datasets import edge_stream, hidden_clusters, stream_corpus
+from repro.datasets import hidden_clusters
 from repro.errors import DegradedExecution, ValidationError
 from repro.kernels import KernelSession, spmm
 from repro.observability import Tracer, tracing
@@ -137,31 +137,6 @@ class TestDeltaBatch:
     def test_split_validation(self):
         with pytest.raises(ValidationError):
             split_into_deltas(small_matrix(), 0)
-
-
-class TestStreams:
-    def test_edge_stream_timestamps_and_replay(self):
-        m = random_csr(np.random.default_rng(0), 20, 12, density=0.2)
-        stream = edge_stream(m, 5, name="s", seed=1, start_time=100.0, dt=2.0)
-        assert [d.timestamp for d in stream.deltas] == [
-            100.0, 102.0, 104.0, 106.0, 108.0
-        ]
-        last = stream.base
-        for delta in stream.deltas:
-            last = delta.apply_to(last)
-        np.testing.assert_array_equal(last.values, stream.final.values)
-        np.testing.assert_array_equal(last.colidx, stream.final.colidx)
-
-    def test_edge_stream_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            edge_stream(small_matrix(), 2, dt=0.0)
-
-    def test_stream_corpus_is_deterministic(self):
-        a, b = stream_corpus(seed=3, n_batches=4), stream_corpus(seed=3, n_batches=4)
-        assert [s.name for s in a] == [s.name for s in b]
-        for sa, sb in zip(a, b):
-            assert sa.n_events == sb.n_events
-            np.testing.assert_array_equal(sa.final.colidx, sb.final.colidx)
 
 
 class TestApplyDelta:
