@@ -5,7 +5,7 @@ Subcommands::
     repro corpus    [--scale S] [--repeats N]        # list the corpus
     repro run       [--scale S] [--k 512 1024] [--out results.json]
                     [--resume] [--stage-deadline S]  # crash-safe, resumable
-    repro doctor    [--plan-cache-dir DIR] [--checkpoint PATH] [--heal]
+    repro doctor    [--plan-cache-dir DIR] [--checkpoint PATH]
                     [--serve ADDR]                   # probe a running server
     repro serve     [--port P | --unix-socket PATH] [--max-inflight N]
                     [--quota-rate R] [--workers N]   # the SpMM service
@@ -26,8 +26,8 @@ every other subcommand consumes; see DESIGN.md for the experiment index.
 Every run journals per-matrix checkpoints next to ``--out`` (override with
 ``--checkpoint``); after a crash or Ctrl-C, ``repro run --resume``
 recomputes only the unfinished matrices, and ``repro doctor`` reports
-journal progress plus plan-cache health (``--heal`` restores quarantined
-cache entries whose checksums still verify).  See docs/RESILIENCE.md.
+journal progress plus plan-cache health (quarantined entries, which the
+next build of the same plan replaces).  See docs/RESILIENCE.md.
 
 Handlers are registered with :func:`cli_handler`, which lets :func:`main`
 route every :class:`repro.errors.ReproError` (and ``OSError``) through the
@@ -126,9 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "see `repro backends`); unavailable backends degrade to numpy",
     )
 
-    dr = sub.add_parser(
-        "doctor", help="inspect (and optionally heal) sweep/cache health"
-    )
+    dr = sub.add_parser("doctor", help="inspect sweep/cache/server health")
     dr.add_argument(
         "--plan-cache-dir", metavar="DIR", default=None,
         help="plan-store directory to inspect for quarantined entries",
@@ -136,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     dr.add_argument(
         "--checkpoint", metavar="PATH", default=None,
         help="sweep journal to summarise (progress, in-flight matrices)",
-    )
-    dr.add_argument(
-        "--heal", action="store_true",
-        help="restore quarantined plan-cache entries whose checksums "
-        "still verify",
     )
     dr.add_argument(
         "--serve", metavar="ADDR", default=None, dest="serve_address",
@@ -238,10 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     ro.add_argument("--mtx", required=True)
     ro.add_argument("--out", required=True)
     ro.add_argument("--panel-height", type=int, default=64)
-    ro.add_argument(
-        "--plan", metavar="PATH", default=None,
-        help="also persist the execution plan (.npz) for offline reuse",
-    )
 
     pl = sub.add_parser(
         "plan", help="build (and cache) execution plans for MatrixMarket files"
@@ -253,10 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pl.add_argument("--workers", type=int, default=1, help="process-pool size")
     pl.add_argument("--panel-height", type=int, default=64)
-    pl.add_argument(
-        "--save", metavar="DIR", default=None,
-        help="also write each plan as <DIR>/<stem>.plan.npz for offline reuse",
-    )
 
     at = sub.add_parser(
         "autotune", help="trial-and-error reordering decision for a .mtx file"
@@ -472,7 +457,6 @@ def _cmd_doctor(args) -> int:
     text, problems = doctor_report(
         cache_dir=args.plan_cache_dir,
         checkpoint=args.checkpoint,
-        heal=args.heal,
         serve_address=args.serve_address,
     )
     print(text)
@@ -598,9 +582,6 @@ def _cmd_reorder(args) -> int:
     plan = build_plan(matrix, ReorderConfig(panel_height=args.panel_height))
     reordered = permute_csr_rows(matrix, plan.row_order)
     write_matrix_market(args.out, reordered, comment=f"row-reordered from {args.mtx}")
-    if args.plan:
-        plan.save(args.plan)
-        print(f"saved execution plan to {args.plan}")
     s = plan.stats
     print(
         f"dense ratio {s.dense_ratio_before:.3f} -> {s.dense_ratio_after:.3f}; "
@@ -612,8 +593,6 @@ def _cmd_reorder(args) -> int:
 
 @cli_handler("plan")
 def _cmd_plan(args) -> int:
-    from pathlib import Path
-
     from repro.planstore import PlanStore, build_plans
     from repro.reorder import ReorderConfig
     from repro.util.log import enable_console_logging
@@ -632,20 +611,13 @@ def _cmd_plan(args) -> int:
             failures += 1
             print(f"{path}: FAILED ({result.error})")
             continue
-        plan = result.plan
-        s = plan.stats
+        s = result.plan.stats
         origin = "cache" if result.cache_hit else "built"
         print(
             f"{path}: {matrix.n_rows}x{matrix.n_cols} nnz={matrix.nnz} "
             f"[{origin}] rounds 1={s.round1_applied} 2={s.round2_applied} "
             f"dense ratio {s.dense_ratio_before:.3f} -> {s.dense_ratio_after:.3f}"
         )
-        if args.save:
-            out_dir = Path(args.save)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            out = out_dir / (Path(path).stem + ".plan.npz")
-            plan.save(out)
-            print(f"  saved {out}")
     stats = store.stats()
     mem = stats["memory"]
     line = f"cache: memory {mem['hits']} hits / {mem['misses']} misses"

@@ -10,10 +10,11 @@ essence — it is what both cache tiers hold, and
 the *caller's* matrix (so cached decisions are safely shared between
 matrices that agree on pattern but differ in values).
 
-:meth:`PlanDecisions.materialise` is the one rebuild path: a plan-store
-hit and :meth:`repro.reorder.ExecutionPlan.load` (the paper's
-offline-deployment story) both go through it; the plan store adds
-content addressing and eviction on top.
+:meth:`PlanDecisions.materialise` is the one rebuild path: every
+plan-store hit goes through it, the disk tier's included, which is how
+the paper's offline deployment (reorder once, reuse the ordering in
+later processes) reloads a plan; the plan store adds content addressing
+and eviction on top.
 """
 
 from __future__ import annotations

@@ -15,13 +15,14 @@ design goals, in order:
    complete, valid file (last writer wins; both wrote identical bytes
    anyway, since the key fixes the content).
 
-Corrupt entries are *quarantined* (renamed to ``*.corrupt``) rather than
-deleted, so an operator can inspect what happened.  Quarantine self-heals
-two ways: a subsequent ``put`` of the key rewrites the entry and drops
-the stale quarantine file, and :meth:`DiskPlanStore.heal` (surfaced as
-``repro doctor --heal``) re-validates each quarantined file against its
-checksum and restores the ones that turn out to be intact — e.g. entries
-quarantined by a transient read error rather than real damage.
+Only an entry whose *content* fails validation (zip damage, a missing
+or ill-shaped array, a version or checksum mismatch) is *quarantined*:
+renamed to ``*.corrupt`` rather than deleted, so an operator can inspect
+what happened (``repro doctor`` lists it).  A read that raises
+``OSError`` is a miss that leaves the file where it is, since the file
+may be intact and the next read may succeed.  Quarantine self-heals on
+the write path: the miss rebuilds the plan, and the rebuild's ``put``
+rewrites the entry and drops the stale quarantine file.
 
 This module hosts the ``planstore.read`` / ``planstore.write`` fault
 injection sites (:mod:`repro.resilience.faults`): injected corruption
@@ -57,11 +58,10 @@ _QUARANTINES = METRICS.counter(
     "planstore.quarantine", "corrupt plan files moved aside"
 )
 
-#: Exceptions that mean "this entry is unreadable", not "the program is
-#: broken": zip-level damage, missing/ill-shaped arrays, checksum or
-#: version mismatches, filesystem errors.
-_READ_FAILURES = (
-    OSError,
+#: Exceptions that mean "this entry's content is damaged", not "the
+#: program is broken": zip-level damage, missing/ill-shaped arrays,
+#: checksum or version mismatches.  None of them is an ``OSError``.
+_CONTENT_FAILURES = (
     zipfile.BadZipFile,
     KeyError,
     ValueError,
@@ -109,16 +109,22 @@ class DiskPlanStore:
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> PlanDecisions | None:
-        """Load ``key`` from disk; any failure degrades to a miss."""
+        """Load ``key`` from disk; any failure degrades to a miss.
+
+        A read that raises ``OSError`` leaves the entry in place; one
+        whose content fails validation quarantines it.
+        """
         path = self.path_for(key)
         if not path.exists():
-            self.stats.misses += 1
+            self.stats.miss.inc()
             return None
         try:
             with span("planstore.get", key=key):
                 fault_point("planstore.read")
                 decisions = self._read(path)
-        except _READ_FAILURES as exc:
+        except OSError as exc:
+            _log.warning("plan cache %s: read failed (%s); a miss", path.name, exc)
+        except _CONTENT_FAILURES as exc:
             _log.warning(
                 "plan cache %s: unreadable (%s: %s); quarantining",
                 path.name,
@@ -126,10 +132,11 @@ class DiskPlanStore:
                 exc,
             )
             self._quarantine(path)
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return decisions
+        else:
+            self.stats.hit.inc()
+            return decisions
+        self.stats.miss.inc()
+        return None
 
     def put(self, key: str, decisions: PlanDecisions) -> None:
         """Atomically persist ``key`` (write temp file, then rename).
@@ -137,8 +144,8 @@ class DiskPlanStore:
         Transient OS errors are retried with bounded backoff; a write
         that still fails degrades to a warning (the store is a cache —
         correctness never depends on a put landing).  A successful put
-        also drops any stale quarantine file for the key, completing the
-        rebuild half of the self-healing story.
+        also drops any stale quarantine file for the key: the rebuild that
+        follows a quarantine heals it.
         """
         path = self.path_for(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
@@ -148,7 +155,7 @@ class DiskPlanStore:
                     lambda: self._write(tmp, path, decisions),
                     label=f"plan cache put {path.name}",
                 )
-            self.stats.puts += 1
+            self.stats.put.inc()
         except OSError as exc:
             _log.warning("plan cache: could not write %s (%s)", path.name, exc)
             try:
@@ -238,53 +245,6 @@ class DiskPlanStore:
     def quarantined(self) -> list:
         """Quarantined entry paths, sorted by name."""
         return sorted(self.root.glob("*.corrupt"))
-
-    def heal(self) -> dict:
-        """Re-validate quarantined entries; restore the intact ones.
-
-        For each ``*.corrupt`` file: if it parses *and* its checksum
-        verifies, it was quarantined spuriously (e.g. a transient read
-        error or an injected fault) — restore it to its live name unless
-        a fresh entry already replaced it (then the quarantine file is
-        simply dropped).  Entries that fail validation stay quarantined
-        for inspection.
-
-        Returns
-        -------
-        dict
-            ``{"restored": [names], "dropped": [names],
-            "unrecoverable": [(name, reason)]}``.
-        """
-        restored: list = []
-        dropped: list = []
-        unrecoverable: list = []
-        for quarantine_path in self.quarantined():
-            live = quarantine_path.with_name(
-                quarantine_path.name[: -len(".corrupt")]
-            )
-            try:
-                self._read(quarantine_path)
-            except _READ_FAILURES as exc:
-                unrecoverable.append(
-                    (quarantine_path.name, f"{type(exc).__name__}: {exc}")
-                )
-                continue
-            try:
-                if live.exists():
-                    os.unlink(quarantine_path)
-                    dropped.append(quarantine_path.name)
-                else:
-                    os.replace(quarantine_path, live)
-                    restored.append(quarantine_path.name)
-            except OSError as exc:
-                unrecoverable.append(
-                    (quarantine_path.name, f"{type(exc).__name__}: {exc}")
-                )
-        return {
-            "restored": restored,
-            "dropped": dropped,
-            "unrecoverable": unrecoverable,
-        }
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -33,56 +33,40 @@ MAX_BYTES = 64 * 1024 * 1024
 class CacheStats:
     """Counters of one cache tier (all monotonically non-decreasing).
 
-    Each instance holds per-tier children of the process-global
-    ``planstore.hit/miss/evict/put`` instruments (see
-    :mod:`repro.observability.metrics`): reads and ``+=`` writes keep
-    their historical per-object semantics while every tier rolls up into
-    the registry.  Attempting to decrease a counter raises.
+    ``hit``, ``miss``, ``evict`` and ``put`` are this tier's children of
+    the process-global ``planstore.*`` instruments of the same names (see
+    :mod:`repro.observability.metrics`), so every tier rolls up into the
+    registry.  The tiers count with their ``inc()``, which is atomic, so
+    threads sharing one store lose no count; the properties read them.
     """
 
-    __slots__ = ("_hits", "_misses", "_evictions", "_puts")
+    __slots__ = ("hit", "miss", "evict", "put")
 
     def __init__(self) -> None:
-        self._hits = METRICS.counter("planstore.hit", "plan-cache lookups served").child()
-        self._misses = METRICS.counter("planstore.miss", "plan-cache lookups that missed").child()
-        self._evictions = METRICS.counter("planstore.evict", "plan-cache entries evicted").child()
-        self._puts = METRICS.counter("planstore.put", "plan-cache inserts").child()
+        self.hit = METRICS.counter("planstore.hit", "plan-cache lookups served").child()
+        self.miss = METRICS.counter("planstore.miss", "plan-cache lookups that missed").child()
+        self.evict = METRICS.counter("planstore.evict", "plan-cache entries evicted").child()
+        self.put = METRICS.counter("planstore.put", "plan-cache inserts").child()
 
     @property
     def hits(self) -> int:
         """Lookups served by this tier."""
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.inc(value - self._hits.value)
+        return self.hit.value
 
     @property
     def misses(self) -> int:
         """Lookups this tier could not serve."""
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.inc(value - self._misses.value)
+        return self.miss.value
 
     @property
     def evictions(self) -> int:
         """Entries dropped to stay within capacity."""
-        return self._evictions.value
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.inc(value - self._evictions.value)
+        return self.evict.value
 
     @property
     def puts(self) -> int:
         """Inserts accepted by this tier."""
-        return self._puts.value
-
-    @puts.setter
-    def puts(self, value: int) -> None:
-        self._puts.inc(value - self._puts.value)
+        return self.put.value
 
     def as_dict(self) -> dict:
         """Plain-dict view (for logging / CLI reporting)."""
@@ -122,10 +106,10 @@ class LRUPlanCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.stats.misses += 1
+                self.stats.miss.inc()
                 return None
             self._entries.move_to_end(key)
-            self.stats.hits += 1
+            self.stats.hit.inc()
             return entry
 
     def put(self, key: str, decisions: PlanDecisions) -> None:
@@ -136,13 +120,13 @@ class LRUPlanCache:
                 self._bytes -= old.nbytes
             self._entries[key] = decisions
             self._bytes += decisions.nbytes
-            self.stats.puts += 1
+            self.stats.put.inc()
             while len(self._entries) > MAX_ENTRIES or (
                 self._bytes > MAX_BYTES and len(self._entries) > 1
             ):
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
-                self.stats.evictions += 1
+                self.stats.evict.inc()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -20,8 +20,8 @@ streaming.
 
 No CPU multiply reads round 2, so every build defers it: the plan
 computes round 2 the first time anything reads ``stats``, ``remainder``,
-``remainder_order`` or ``cost_view()`` (and so ``save``, ``validate``,
-the plan store, the GPU model and the experiments runner), at most once,
+``remainder_order`` or ``cost_view()`` (and so ``validate``, the plan
+store, the GPU model and the experiments runner), at most once,
 and adds its stage times and wall-clock to ``preprocess_seconds``; a run
 that raises adds nothing, and the next read runs it again.
 ``session()``, ``spmm()`` and ``tiled`` never compute it.  The one read
@@ -32,6 +32,12 @@ that built the plan.  A streaming update
 (:func:`repro.streaming.apply_delta`) is either a plain build or a
 same-pattern successor that carries its plan's round 2 over
 (:meth:`_Round2Memo.successor`): computed if it had run, pending if not.
+
+A plan's decisions persist in one place, the plan store: the paper's
+offline deployment (reorder once, reuse the ordering for every later
+multiply) is ``build_plan(S, config, cache=PlanStore(cache_dir=...))``,
+whose disk tier (:class:`repro.planstore.DiskPlanStore`) keeps each
+entry versioned and checksummed across processes.
 """
 
 from __future__ import annotations
@@ -51,11 +57,9 @@ from repro.kernels.aspt_spmm import spmm_tiled
 from repro.kernels.spmm import spmm
 from repro.kernels.sddmm import sddmm
 from repro.kernels.backends import (
-    BACKENDS,
     DEFAULT_BACKEND,
     LoadedBackend,
     check_backend,
-    degrade,
     load_backend,
 )
 from repro.observability.metrics import METRICS
@@ -158,7 +162,7 @@ class PlanStats:
         return self.avg_sim_after - self.avg_sim_before
 
     def to_array(self) -> np.ndarray:
-        """The 8-float block plan files store (:meth:`from_array` reads it)."""
+        """The 8-float block of a plan-store entry (:meth:`from_array` reads it)."""
         return np.array(
             [
                 self.dense_ratio_before,
@@ -323,82 +327,6 @@ class ExecutionPlan:
         result_reordered = sddmm_tiled(self.tiled, X, Y[self.row_order])
         inverse = rank_of_permutation(self.row_order)
         return permute_csr_rows(result_reordered, inverse)
-
-    # ------------------------------------------------------------------
-    # persistence (the paper's offline-deployment scenario)
-    # ------------------------------------------------------------------
-    def save(self, path) -> None:
-        """Persist the plan's decisions to an ``.npz`` file.
-
-        The paper's deployment story is offline: reorder once, reuse the
-        ordering for every future multiplication.  Only the *decisions*
-        (the two permutations, the tiling parameters, the stats) are
-        stored — the tiled structures are recomputed deterministically by
-        :meth:`load`, so the file stays small and version-stable.
-        """
-        stats = self.stats  # runs a deferred round 2 into the saved total
-        np.savez_compressed(
-            path,
-            row_order=self.row_order,
-            remainder_order=self.remainder_order,
-            panel_height=np.int64(self.tiled.spec.panel_height),
-            dense_threshold=np.int64(self.tiled.dense_threshold),
-            # 0 stands for "no cap": a real cap is positive.
-            max_dense_cols=np.int64(self.tiled.max_dense_cols or 0),
-            stats=stats.to_array(),
-            preprocess_total=np.float64(self.preprocessing_time),
-            backend=np.str_(self.backend),
-        )
-
-    @classmethod
-    def load(cls, path, original: CSRMatrix) -> "ExecutionPlan":
-        """Rebuild a plan saved with :meth:`save` for ``original``.
-
-        ``original`` must be the same matrix the plan was built from (the
-        permutations are checked for shape; content equality is the
-        caller's contract, exactly as with any persisted preprocessing).
-        The plan is rebuilt by
-        :meth:`repro.planstore.PlanDecisions.materialise`, as a plan-store
-        hit is, so its backend is resolved in this process.  A stored
-        backend name this build does not know (``"numba"``, say) loads as
-        a numpy plan with a ``backend_provenance`` entry recording the
-        step, and :meth:`session` still runs.
-        """
-        from repro.planstore.decisions import PlanDecisions
-
-        with np.load(path) as data:
-            decisions = PlanDecisions(
-                row_order=data["row_order"].astype(np.int64),
-                remainder_order=data["remainder_order"].astype(np.int64),
-                stats=PlanStats.from_array(data["stats"]),
-                preprocess_total=float(data["preprocess_total"]),
-            )
-            panel_height = int(data["panel_height"])
-            dense_threshold = int(data["dense_threshold"])
-            # Tolerant read: files written before these fields existed
-            # load with no dense-column cap, as numpy-backed plans.
-            max_dense_cols = int(data.get("max_dense_cols", 0))
-            backend = str(data.get("backend", "numpy"))
-        backend_provenance: tuple = ()
-        if backend not in BACKENDS:
-            degraded = degrade(backend, "not registered in this build")
-            backend, backend_provenance = degraded.backend, degraded.provenance
-        config = ReorderConfig(
-            panel_height=panel_height,
-            dense_threshold=dense_threshold,
-            max_dense_cols=max_dense_cols or None,
-            backend=backend,
-        )
-        plan = decisions.materialise(original, config)
-        return replace(
-            plan,
-            # A loaded plan reports what its saved build paid.
-            preprocess_seconds={
-                **plan.preprocess_seconds,
-                "total": decisions.preprocess_total,
-            },
-            backend_provenance=backend_provenance + plan.backend_provenance,
-        )
 
     def session(self, **kwargs):
         """A :class:`~repro.kernels.KernelSession` pinned on this plan.

@@ -21,8 +21,9 @@ degraded-but-correct execution a first-class citizen of the pipeline:
 * :class:`SweepJournal` — crash-safe, append-only checkpoint manifest
   that makes :func:`repro.experiments.run_experiment` resumable
   (``repro run --resume``).
-* :func:`store_health` / :func:`heal_store` / :func:`journal_status` —
-  the ``repro doctor`` diagnostics.
+* :func:`store_health` / :func:`journal_status` — the ``repro doctor``
+  diagnostics (read-only: the plan store heals a quarantined entry on
+  its next ``put``).
 
 See ``docs/RESILIENCE.md`` for the full semantics.
 """
@@ -32,7 +33,6 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.doctor import (
     doctor_report,
     format_doctor_report,
-    heal_store,
     store_health,
 )
 from repro.resilience.faults import (
@@ -57,7 +57,6 @@ __all__ = [
     "SweepJournal",
     "journal_status",
     "store_health",
-    "heal_store",
     "doctor_report",
     "format_doctor_report",
 ]

@@ -3,10 +3,10 @@
 ``repro doctor`` inspects the two pieces of durable state a sweep leaves
 behind — the on-disk plan cache and the checkpoint journal — and reports
 what it finds: live entry counts, quarantined (``*.corrupt``) files, and
-how far an interrupted sweep got.  With ``--heal`` it additionally asks
-the plan store to re-validate quarantined entries and restore the ones
-whose checksums still verify (see
-:meth:`repro.planstore.disk.DiskPlanStore.heal`).
+how far an interrupted sweep got.  It changes nothing: the plan store
+quarantines only entries whose content fails validation, and the next
+``put`` of such a key replaces the entry and drops its quarantine file
+(see :class:`repro.planstore.disk.DiskPlanStore`).
 
 The plan store is imported lazily: :mod:`repro.planstore.disk` itself
 uses this package's fault-injection and retry helpers, and importing it
@@ -22,7 +22,6 @@ from repro.resilience.checkpoint import journal_status
 
 __all__ = [
     "store_health",
-    "heal_store",
     "serve_health",
     "format_doctor_report",
     "doctor_report",
@@ -37,7 +36,7 @@ def store_health(cache_dir) -> dict:
     dict
         ``exists`` (directory present), ``path``, ``entries`` (live
         entry count) and ``quarantined`` — a list of ``(name, bytes)``
-        pairs for each ``*.corrupt`` file awaiting inspection or heal.
+        pairs for each ``*.corrupt`` file awaiting inspection or a rebuild.
     """
     root = Path(cache_dir)
     if not root.is_dir():
@@ -58,20 +57,6 @@ def store_health(cache_dir) -> dict:
         "entries": len(store),
         "quarantined": quarantined,
     }
-
-
-def heal_store(cache_dir) -> dict:
-    """Re-validate and restore quarantined plan-cache entries.
-
-    Delegates to :meth:`repro.planstore.disk.DiskPlanStore.heal`; a
-    missing cache directory heals vacuously.
-    """
-    root = Path(cache_dir)
-    if not root.is_dir():
-        return {"restored": [], "dropped": [], "unrecoverable": []}
-    from repro.planstore.disk import DiskPlanStore
-
-    return DiskPlanStore(root).heal()
 
 
 def serve_health(address: str) -> dict:
@@ -157,7 +142,6 @@ def format_doctor_report(
     store: dict | None = None,
     journal: dict | None = None,
     journal_path: str = "",
-    healed: dict | None = None,
     serve: dict | None = None,
 ) -> str:
     """Render doctor findings as a human-readable multi-line report."""
@@ -173,18 +157,6 @@ def format_doctor_report(
             for name, size in store["quarantined"]:
                 size_part = f"{size} bytes" if size >= 0 else "size unknown"
                 lines.append(f"  quarantined: {name} ({size_part})")
-    if healed is not None:
-        lines.append(
-            f"heal: {len(healed['restored'])} restored, "
-            f"{len(healed['dropped'])} dropped (already rebuilt), "
-            f"{len(healed['unrecoverable'])} unrecoverable"
-        )
-        for name in healed["restored"]:
-            lines.append(f"  restored: {name}")
-        for name in healed["dropped"]:
-            lines.append(f"  dropped: {name}")
-        for name, reason in healed["unrecoverable"]:
-            lines.append(f"  unrecoverable: {name} ({reason})")
     if journal is not None:
         lines.extend(_journal_lines(journal, journal_path))
     if serve is not None:
@@ -200,20 +172,16 @@ def doctor_report(
     *,
     cache_dir=None,
     checkpoint=None,
-    heal: bool = False,
     serve_address=None,
 ) -> tuple:
     """Run all requested checks; return ``(report_text, problems_found)``.
 
-    ``problems_found`` is ``True`` when quarantined entries remain after
-    an (optional) heal, the journal is invalid, or a probed server is
-    unreachable / not ready — the CLI maps it to a non-zero exit so
-    scripts can gate on doctor health.
+    ``problems_found`` is ``True`` when quarantined entries remain, the
+    journal is invalid, or a probed server is unreachable / not ready —
+    the CLI maps it to a non-zero exit so scripts can gate on doctor
+    health.
     """
     store = store_health(cache_dir) if cache_dir is not None else None
-    healed = heal_store(cache_dir) if (heal and cache_dir is not None) else None
-    if healed is not None:
-        store = store_health(cache_dir)  # re-scan: heal changed the directory
     journal = journal_status(checkpoint) if checkpoint is not None else None
     serve = serve_health(serve_address) if serve_address is not None else None
     problems = False
@@ -227,7 +195,6 @@ def doctor_report(
         store=store,
         journal=journal,
         journal_path=str(checkpoint) if checkpoint is not None else "",
-        healed=healed,
         serve=serve,
     )
     return text, problems

@@ -100,7 +100,6 @@ class AdmissionController:
         max_inflight: int,
         quota_rate: float,
         quota_burst: float,
-        tenant_quotas: dict | None = None,
         clock=time.monotonic,
     ) -> None:
         if max_inflight < 1:
@@ -108,7 +107,6 @@ class AdmissionController:
         self.max_inflight = int(max_inflight)
         self.quota_rate = float(quota_rate)
         self.quota_burst = float(quota_burst)
-        self._tenant_quotas = dict(tenant_quotas or {})
         self._clock = clock
         self._buckets: dict[str, TokenBucket] = {}
         self._sweep_at = _SWEEP_AT_LEAST
@@ -128,10 +126,9 @@ class AdmissionController:
         if bucket is None:
             if len(self._buckets) >= self._sweep_at:
                 self._forget_full_buckets()
-            rate, burst = self._tenant_quotas.get(
-                tenant, (self.quota_rate, self.quota_burst)
+            bucket = TokenBucket(
+                self.quota_rate, self.quota_burst, clock=self._clock
             )
-            bucket = TokenBucket(rate, burst, clock=self._clock)
             self._buckets[tenant] = bucket
         return bucket
 

@@ -11,7 +11,7 @@ See ``docs/SERVING.md`` for tuning guidance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError, ValidationError
 from repro.kernels.backends import DEFAULT_BACKEND, check_backend
@@ -54,9 +54,6 @@ class ServeConfig:
         Per-tenant token-bucket refill rate (requests/second) and burst
         capacity, each a positive finite number; exhausted buckets reject
         with ``rejected_quota``.
-    tenant_quotas:
-        Per-tenant overrides, ``{tenant: (rate, burst)}``, each a pair of
-        positive finite numbers.
     default_deadline_s:
         Deadline applied to requests that do not carry ``deadline_s``
         (``None`` = no implicit deadline).
@@ -95,7 +92,6 @@ class ServeConfig:
     chunk_k: int = 64
     plan_cache_dir: str | None = None
     drain_timeout_s: float = 30.0
-    tenant_quotas: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("pool_sessions", "workers", "max_inflight",
@@ -109,16 +105,6 @@ class ServeConfig:
             if not (finite_real(value) and value > 0):
                 raise ConfigError(
                     f"{name} must be a positive finite number, got {value!r}"
-                )
-        for tenant, quota in self.tenant_quotas.items():
-            if not (
-                isinstance(quota, (tuple, list))
-                and len(quota) == 2
-                and all(finite_real(v) and v > 0 for v in quota)
-            ):
-                raise ConfigError(
-                    f"tenant_quotas[{tenant!r}] must be a (rate, burst) pair of "
-                    f"positive finite numbers, got {quota!r}"
                 )
         if self.default_deadline_s is not None and not positive_seconds(
             self.default_deadline_s

@@ -141,6 +141,32 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _triples_from_wire(obj: dict, what: str) -> tuple:
+    """The ``rows``/``cols``/``values`` arrays of an upload or delta payload.
+
+    ``np.asarray`` would read a JSON ``true``/``false`` as 1 or 0, a
+    string as the number it spells and a fractional index truncated, so
+    ``rows`` and ``cols`` must hold JSON integers and ``values`` JSON
+    numbers, none of them ``NaN`` or ``±Infinity``.
+    """
+    for name, kinds, noun in (
+        ("rows", {int}, "integers"),
+        ("cols", {int}, "integers"),
+        ("values", {int, float}, "numbers"),
+    ):
+        if isinstance(obj[name], list) and not set(map(type, obj[name])) <= kinds:
+            raise FormatError(f"{what} {name} must be JSON {noun}")
+    try:
+        rows = np.asarray(obj["rows"], dtype=np.int64)
+        cols = np.asarray(obj["cols"], dtype=np.int64)
+        values = np.asarray(obj["values"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} triples are not numeric arrays: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise FormatError(f"{what} values must be finite numbers")
+    return rows, cols, values
+
+
 def matrix_to_wire(csr: CSRMatrix) -> dict:
     """Encode a CSR matrix as the COO-triple upload payload."""
     coo = csr.to_coo()
@@ -169,12 +195,7 @@ def matrix_from_wire(obj) -> CSRMatrix:
         or not all(_is_count(s) for s in shape)
     ):
         raise FormatError(f"matrix shape must be two non-negative ints, got {shape}")
-    try:
-        rows = np.asarray(obj["rows"], dtype=np.int64)
-        cols = np.asarray(obj["cols"], dtype=np.int64)
-        values = np.asarray(obj["values"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"matrix triples are not numeric arrays: {exc}") from exc
+    rows, cols, values = _triples_from_wire(obj, "matrix")
     if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
         raise FormatError(
             "matrix rows/cols/values must be 1-D and equally long, got "
@@ -218,12 +239,7 @@ def delta_from_wire(obj):
     missing = [k for k in ("rows", "cols", "values") if k not in obj]
     if missing:
         raise FormatError(f"delta payload missing field(s): {', '.join(missing)}")
-    try:
-        rows = np.asarray(obj["rows"], dtype=np.int64)
-        cols = np.asarray(obj["cols"], dtype=np.int64)
-        values = np.asarray(obj["values"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"delta triples are not numeric arrays: {exc}") from exc
+    rows, cols, values = _triples_from_wire(obj, "delta")
     new_rows = obj.get("new_rows", 0)
     mode = obj.get("mode", "add")
     timestamp = obj.get("timestamp", 0.0)

@@ -101,7 +101,6 @@ class SpmmServer:
             max_inflight=cfg.max_inflight,
             quota_rate=cfg.quota_rate,
             quota_burst=cfg.quota_burst,
-            tenant_quotas=cfg.tenant_quotas,
             clock=clock,
         )
         self.breaker = CircuitBreaker(

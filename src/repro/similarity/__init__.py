@@ -11,7 +11,6 @@ and the approximate machinery (:mod:`repro.similarity.minhash`,
 from repro.similarity.jaccard import (
     average_consecutive_similarity,
     consecutive_similarities,
-    jaccard_for_pairs,
     jaccard_rows,
     pairwise_jaccard_dense,
 )
@@ -22,7 +21,6 @@ from repro.similarity.lsh import LSHIndex, lsh_candidate_pairs
 __all__ = [
     "average_consecutive_similarity",
     "consecutive_similarities",
-    "jaccard_for_pairs",
     "jaccard_rows",
     "pairwise_jaccard_dense",
     "MEASURES",

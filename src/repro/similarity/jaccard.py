@@ -5,15 +5,16 @@ paper defines
 
 .. math:: J(S_i, S_j) = \\frac{|S_i \\cap S_j|}{|S_i \\cup S_j|}.
 
-Three access patterns are needed by the rest of the library and each gets a
-dedicated, fully vectorised implementation:
+Two access patterns are served here:
 
-* a single pair (:func:`jaccard_rows`) — merge of two sorted views;
-* a batch of pairs (:func:`jaccard_for_pairs`) — used on LSH candidate
-  pairs; one sort of ``pair * n_cols + column`` keys over the
-  concatenated supports, no Python loop over pairs;
+* a single pair (:func:`jaccard_rows`) — merge of two sorted views, the
+  scalar oracle of the batch scorer;
 * all consecutive pairs (:func:`consecutive_similarities`) — the §4
-  "is this matrix already clustered?" indicator.
+  "is this matrix already clustered?" indicator, scored by the one batch
+  scorer, :func:`repro.similarity.measures.similarity_for_pairs` (which
+  also scores LSH candidate pairs).  Its intersection counts come from
+  :func:`_intersection_sizes`: one sort of ``pair * n_cols + column``
+  keys over the concatenated supports, no Python loop over pairs.
 
 The convention for empty sets follows the natural limit: two empty rows have
 similarity 0 (there is no data reuse between them either way, so treating
@@ -25,11 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.util.validation import check_integer_array
 
 __all__ = [
     "jaccard_rows",
-    "jaccard_for_pairs",
     "consecutive_similarities",
     "average_consecutive_similarity",
     "pairwise_jaccard_dense",
@@ -93,49 +92,21 @@ def _intersection_sizes(csr: CSRMatrix, left: np.ndarray, right: np.ndarray) -> 
     return np.bincount(p[1:][dup], minlength=n_pairs)
 
 
-def jaccard_for_pairs(csr: CSRMatrix, pairs: np.ndarray) -> np.ndarray:
-    """Exact Jaccard similarity for each row pair in ``pairs``.
-
-    Parameters
-    ----------
-    csr:
-        The sparse matrix whose rows are compared.
-    pairs:
-        Integer array of shape ``(E, 2)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``float64`` array of length ``E``.
-    """
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.ndim != 2 or (pairs.size and pairs.shape[1] != 2):
-        raise ValueError(f"pairs must have shape (E, 2), got {pairs.shape}")
-    if pairs.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    left = check_integer_array("pairs[:,0]", pairs[:, 0], min_value=0, max_value=csr.n_rows - 1)
-    right = check_integer_array("pairs[:,1]", pairs[:, 1], min_value=0, max_value=csr.n_rows - 1)
-    inter = _intersection_sizes(csr, left, right)
-    lengths = csr.row_lengths()
-    union = lengths[left] + lengths[right] - inter
-    out = np.zeros(pairs.shape[0], dtype=np.float64)
-    nonzero = union > 0
-    out[nonzero] = inter[nonzero] / union[nonzero]
-    return out
-
-
 def consecutive_similarities(csr: CSRMatrix) -> np.ndarray:
     """Jaccard similarity of each pair of consecutive rows.
 
     Returns an array of length ``n_rows - 1`` (empty for matrices with fewer
     than two rows).
     """
+    # Imported here: measures imports _intersection_sizes from this module.
+    from repro.similarity.measures import similarity_for_pairs
+
     n = csr.n_rows
     if n < 2:
         return np.zeros(0, dtype=np.float64)
     idx = np.arange(n - 1, dtype=np.int64)
     pairs = np.stack([idx, idx + 1], axis=1)
-    return jaccard_for_pairs(csr, pairs)
+    return similarity_for_pairs(csr, pairs, "jaccard")
 
 
 def average_consecutive_similarity(csr: CSRMatrix) -> float:

@@ -2,8 +2,8 @@
 
 Contract: injected read/write faults must degrade to misses (with
 quarantine where a file looks damaged), never crash, never serve a wrong
-plan — and healthy entries quarantined by a *transient* failure must be
-restorable because their checksums still verify.
+plan — and the next ``put`` of a quarantined key replaces the entry and
+drops its quarantine file.
 """
 
 import logging
@@ -31,11 +31,12 @@ def decisions(matrix):
 
 
 class TestInjectedReadFaults:
-    def test_injected_fault_quarantines_then_heal_restores(
+    def test_injected_fault_quarantines_then_put_replaces(
         self, tmp_path, decisions, chaos_seed
     ):
-        """A healthy entry hit by an injected read fault is quarantined;
-        `heal` re-validates its checksum and puts it back."""
+        """An injected read fault (corrupt bytes) quarantines the entry,
+        as real damage does; the key's next `put` replaces the entry and
+        drops the quarantine file."""
         store = DiskPlanStore(tmp_path)
         store.put(KEY, decisions)
         with FaultInjector(
@@ -45,8 +46,8 @@ class TestInjectedReadFaults:
         assert not store.path_for(KEY).exists()
         assert len(store.quarantined()) == 1
 
-        healed = store.heal()
-        assert len(healed["restored"]) == 1
+        store.put(KEY, decisions)
+        assert store.quarantined() == []
         got = store.get(KEY)
         np.testing.assert_array_equal(got.row_order, decisions.row_order)
 
@@ -100,11 +101,10 @@ class TestChaosRate:
                     np.testing.assert_array_equal(
                         got.row_order, decisions.row_order
                     )
-                else:
-                    store.heal()  # restore any healthy quarantined file
         assert injector.checked["planstore.read"] > 0
         assert injector.checked["planstore.write"] > 0
-        # The store is fully functional after the chaos window.
-        store.heal()
+        # The store is fully functional after the chaos window: a put
+        # replaces any quarantined entry.
         store.put(KEY, decisions)
         assert store.get(KEY) is not None
+        assert store.quarantined() == []

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.similarity import MEASURES, jaccard_for_pairs, similarity_for_pairs
+from repro.similarity import MEASURES, pairwise_jaccard_dense, similarity_for_pairs
 
 from test_sparse_properties import csr_matrices
 
@@ -45,6 +45,6 @@ class TestMeasureProperties:
         pairs = np.array([[i, (i + 1) % n] for i in range(n)], dtype=np.int64)
         np.testing.assert_allclose(
             similarity_for_pairs(csr, pairs, "jaccard"),
-            jaccard_for_pairs(csr, pairs),
+            pairwise_jaccard_dense(csr)[pairs[:, 0], pairs[:, 1]],
         )
 

@@ -8,11 +8,11 @@ from repro.kernels.backends import load_backend
 
 from repro.similarity import (
     average_consecutive_similarity,
-    jaccard_for_pairs,
     jaccard_rows,
     lsh_candidate_pairs,
     minhash_signatures,
     pairwise_jaccard_dense,
+    similarity_for_pairs,
 )
 from repro.similarity.minhash import MERSENNE_PRIME
 from repro.sparse import COOMatrix, CSRMatrix
@@ -48,7 +48,7 @@ class TestJaccardProperties:
         pairs = np.array(
             [[i, j] for i in range(n) for j in range(n)], dtype=np.int64
         )
-        batch = jaccard_for_pairs(csr, pairs)
+        batch = similarity_for_pairs(csr, pairs, "jaccard")
         for (i, j), s in zip(pairs, batch):
             assert abs(s - jaccard_rows(csr, int(i), int(j))) < 1e-12
 

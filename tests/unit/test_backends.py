@@ -308,51 +308,6 @@ class TestPlanIntegration:
         assert again.backend == "numpy"
         assert again.backend_provenance == ()
 
-    def test_plan_save_load_round_trips_backend(
-        self, matrix, tmp_path, compiled_backend
-    ):
-        config = ReorderConfig(siglen=16, panel_height=8, backend=compiled_backend)
-        plan = build_plan(matrix, config)
-        path = tmp_path / "plan.npz"
-        plan.save(path)
-        from repro.reorder.pipeline import ExecutionPlan
-
-        loaded = ExecutionPlan.load(path, matrix)
-        assert loaded.backend == compiled_backend
-        assert loaded.backend_provenance == ()
-
-    def test_plan_saved_under_unregistered_backend_loads_on_numpy(
-        self, matrix, rng, tmp_path
-    ):
-        # A plan file saved by a build that shipped the numba backend must
-        # still load, degraded to numpy, and multiply bit-equal to the
-        # reference.
-        from repro.reorder.pipeline import ExecutionPlan
-
-        config = ReorderConfig(
-            siglen=16, panel_height=8, force_round1=True, backend="numpy"
-        )
-        path = tmp_path / "plan.npz"
-        build_plan(matrix, config).save(path)
-        with np.load(path) as data:
-            fields = dict(data)
-        fields["backend"] = np.str_("numba")
-        np.savez_compressed(path, **fields)
-
-        fallback = METRICS.counter("kernels.backend_fallback")
-        before = fallback.value
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            loaded = ExecutionPlan.load(path, matrix)
-        assert [w.category for w in caught] == [DegradedExecution]
-        assert fallback.value == before + 1
-        assert loaded.backend == "numpy"
-        assert loaded.backend_provenance == (
-            "backend:numba->numpy: not registered in this build",
-        )
-        X = rng.normal(size=(matrix.n_cols, 8))
-        np.testing.assert_array_equal(loaded.session().run(X), spmm(matrix, X))
-
 
 class TestOneLoadPerBuild:
     """A build loads its backend once, before round 1: both rounds'
@@ -460,6 +415,7 @@ class TestPlanStoreIntegration:
         warm = build_plan(matrix, config, cache=fresh)
         assert fresh.stats()["disk"]["hits"] == 1
         assert warm.backend == compiled_backend
+        assert warm.backend_provenance == ()
         assert warm.session().backend == compiled_backend
         assert compile_counter.value == before
 

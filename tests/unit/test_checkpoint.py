@@ -9,7 +9,7 @@ from repro.planstore import DiskPlanStore, PlanDecisions
 from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import SweepJournal, doctor_report, journal_status
 from repro.resilience.checkpoint import sweep_config_digest
-from repro.resilience.doctor import format_doctor_report, heal_store, store_health
+from repro.resilience.doctor import format_doctor_report, store_health
 
 
 @pytest.fixture
@@ -137,26 +137,18 @@ class TestDoctor:
         assert not health["exists"]
         assert health["quarantined"] == []
 
-    def test_heal_restores_valid_quarantined_entry(self, tmp_path):
-        store = self._store_with_quarantine(tmp_path)
-        healed = heal_store(tmp_path)
-        assert [n for n in healed["restored"]]
-        assert store.get("a" * 32) is not None
-        assert not store.quarantined()
-
-    def test_heal_missing_dir_is_vacuous(self, tmp_path):
-        assert heal_store(tmp_path / "absent") == {
-            "restored": [], "dropped": [], "unrecoverable": [],
-        }
-
     def test_doctor_report_flags_quarantine_then_heals(self, tmp_path):
-        self._store_with_quarantine(tmp_path)
+        store = self._store_with_quarantine(tmp_path)
         text, problems = doctor_report(cache_dir=tmp_path)
         assert problems
         assert "1 quarantined" in text
-        text, problems = doctor_report(cache_dir=tmp_path, heal=True)
+        assert f"quarantined: {'a' * 32}.plan.npz.corrupt" in text
+        # The doctor changes nothing; the key's next put heals it.
+        assert len(store.quarantined()) == 1
+        store.put("a" * 32, store.get("b" * 32))
+        text, problems = doctor_report(cache_dir=tmp_path)
         assert not problems
-        assert "restored" in text
+        assert "2 entries, 0 quarantined" in text
 
     def test_doctor_report_invalid_journal_is_a_problem(self, tmp_path):
         path = tmp_path / "sweep.journal"
@@ -205,9 +197,9 @@ class TestHealEndToEnd:
         path.write_bytes(bytes(raw))
 
         assert store.get(key) is None  # quarantines the damaged file
-        healed = store.heal()
-        assert healed["restored"] == []
-        assert len(healed["unrecoverable"]) == 1
+        assert not path.exists()
+        assert len(store.quarantined()) == 1
+        assert store.get(key) is None  # stays a miss until a rebuild
 
         # A rebuild (put) self-heals: the stale quarantine is dropped.
         store.put(key, decisions)

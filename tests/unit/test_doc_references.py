@@ -1,6 +1,6 @@
 """The hand-written docs, and the Sphinx-role cross-references in the
 library's own docstrings and comments, name only modules, attributes,
-files and CLI subcommands that exist."""
+files, CLI subcommands and CLI flags that exist."""
 
 import argparse
 import importlib
@@ -22,6 +22,8 @@ SUBCOMMAND = re.compile(
     r"|python3? -m repro\.cli[ \t]+([a-z][\w-]*)",
     re.MULTILINE,
 )
+#: A ``--flag`` token.
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
 def _resolves(dotted: str) -> bool:
@@ -64,10 +66,21 @@ def test_doc_subcommands_exist():
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    named = {
-        (str(doc.relative_to(ROOT)), a or b)
-        for doc in DOCS
-        for a, b in SUBCOMMAND.findall(doc.read_text())
-    }
+    named, flags = set(), set()
+    for doc in DOCS:
+        text = doc.read_text()
+        for match in SUBCOMMAND.finditer(text):
+            where, command = str(doc.relative_to(ROOT)), match[1] or match[2]
+            named.add((where, command))
+            # The flags after the command on its line, up to the backtick
+            # that closes an inline command.
+            rest = text[match.end():].split("\n", 1)[0].split("`", 1)[0]
+            flags.update((where, command, flag) for flag in FLAG.findall(rest))
     assert named  # the pattern still finds the docs' commands
+    assert flags  # ... and their flags
     assert sorted(n for n in named if n[1] not in subparsers.choices) == []
+    assert sorted(
+        f for f in flags
+        if f[1] in subparsers.choices
+        and f[2] not in subparsers.choices[f[1]]._option_string_actions
+    ) == []

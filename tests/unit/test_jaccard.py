@@ -7,9 +7,9 @@ from repro.sparse import CSRMatrix
 from repro.similarity import (
     average_consecutive_similarity,
     consecutive_similarities,
-    jaccard_for_pairs,
     jaccard_rows,
     pairwise_jaccard_dense,
+    similarity_for_pairs,
 )
 
 from conftest import random_csr
@@ -50,28 +50,33 @@ class TestJaccardRows:
 
 
 class TestJaccardForPairs:
+    """The batch scorer's Jaccard (``similarity_for_pairs``), which
+    scores LSH candidates and the §4 consecutive-row indicator."""
+
     def test_matches_single_pair_version(self, rng):
         m = random_csr(rng, 20, 15, 0.2)
         pairs = np.array([[i, j] for i in range(20) for j in range(i + 1, 20)])
-        batch = jaccard_for_pairs(m, pairs)
+        batch = similarity_for_pairs(m, pairs, "jaccard")
         for (i, j), s in zip(pairs, batch):
-            assert s == pytest.approx(jaccard_rows(m, int(i), int(j)))
+            assert s == jaccard_rows(m, int(i), int(j))  # the same quotient
 
     def test_empty_pairs(self, paper_matrix):
-        out = jaccard_for_pairs(paper_matrix, np.empty((0, 2), dtype=np.int64))
+        out = similarity_for_pairs(
+            paper_matrix, np.empty((0, 2), dtype=np.int64), "jaccard"
+        )
         assert out.size == 0
 
     def test_bad_shape_rejected(self, paper_matrix):
         with pytest.raises(ValueError):
-            jaccard_for_pairs(paper_matrix, np.array([[0, 1, 2]]))
+            similarity_for_pairs(paper_matrix, np.array([[0, 1, 2]]), "jaccard")
 
     def test_self_pairs(self, paper_matrix):
-        out = jaccard_for_pairs(paper_matrix, np.array([[0, 0], [3, 3]]))
+        out = similarity_for_pairs(paper_matrix, np.array([[0, 0], [3, 3]]), "jaccard")
         np.testing.assert_allclose(out, [1.0, 1.0])
 
     def test_pairs_with_empty_rows(self):
         m = CSRMatrix.from_dense([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        out = jaccard_for_pairs(m, np.array([[0, 1], [1, 1], [0, 2]]))
+        out = similarity_for_pairs(m, np.array([[0, 1], [1, 1], [0, 2]]), "jaccard")
         np.testing.assert_allclose(out, [0.0, 0.0, 1.0])
 
 

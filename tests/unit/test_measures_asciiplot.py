@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.experiments.asciiplot import ascii_histogram, ascii_lines, ascii_scatter
-from repro.similarity import MEASURES, jaccard_for_pairs, similarity_for_pairs
+from repro.similarity import MEASURES, jaccard_rows, similarity_for_pairs
 from repro.sparse import CSRMatrix
 
 from conftest import random_csr
@@ -17,7 +17,7 @@ class TestSimilarityMeasures:
         pairs = np.array([[i, j] for i in range(20) for j in range(i + 1, 20)])
         np.testing.assert_allclose(
             similarity_for_pairs(m, pairs, "jaccard"),
-            jaccard_for_pairs(m, pairs),
+            [jaccard_rows(m, int(i), int(j)) for i, j in pairs],
         )
 
     def test_paper_matrix_values(self, paper_matrix):

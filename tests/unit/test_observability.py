@@ -402,25 +402,31 @@ class TestWorkspacePoolCompat:
 
 
 class TestCacheStatsCompat:
-    def test_augmented_assignment_still_works(self):
+    def test_counts_are_read_only_and_roll_up(self):
         from repro.planstore.memory import CacheStats
 
+        misses = METRICS.counter("planstore.miss")
+        before = misses.value
         stats = CacheStats()
-        stats.hits += 1
-        stats.hits += 1
-        stats.misses += 3
+        stats.hit.inc()
+        stats.hit.inc()
+        stats.miss.inc(3)
         assert (stats.hits, stats.misses) == (2, 3)
         assert stats.as_dict() == {
             "hits": 2, "misses": 3, "evictions": 0, "puts": 0,
         }
+        assert misses.value == before + 3
+        with pytest.raises(AttributeError):
+            stats.hits = 5
 
     def test_decreasing_a_counter_raises(self):
         from repro.planstore.memory import CacheStats
 
         stats = CacheStats()
-        stats.puts += 2
+        stats.put.inc(2)
         with pytest.raises(ValueError):
-            stats.puts -= 1
+            stats.put.inc(-1)
+        assert stats.puts == 2
 
     def test_lru_cache_still_counts(self):
         from repro.planstore.memory import LRUPlanCache

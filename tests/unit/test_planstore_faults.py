@@ -6,10 +6,13 @@ plan.  Each scenario then verifies the store recovers (a subsequent put
 repopulates the key).
 """
 
+import errno
 import logging
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -100,6 +103,59 @@ class TestCorruptEntries:
         )
         with caplog.at_level(logging.WARNING, logger="repro.planstore"):
             assert store.get(KEY) is None
+
+
+class TestReadErrors:
+    def test_oserror_read_is_a_miss_that_leaves_the_entry(
+        self, tmp_path, decisions, caplog, monkeypatch
+    ):
+        """A read that raises ``OSError`` says nothing about the file's
+        content: it is a miss, the entry stays where it is, nothing is
+        quarantined, and the next read hits.  (Monkeypatched: tests run
+        as root, which ignores ``chmod``.)"""
+        store = DiskPlanStore(tmp_path)
+        store.put(KEY, decisions)
+
+        def eio(path):
+            raise OSError(errno.EIO, "Input/output error", str(path))
+
+        monkeypatch.setattr(DiskPlanStore, "_read", staticmethod(eio))
+        with caplog.at_level(logging.WARNING, logger="repro.planstore"):
+            assert store.get(KEY) is None
+        assert _warning_count(caplog) == 1
+        assert store.path_for(KEY).exists()
+        assert not list(tmp_path.glob("*.corrupt"))
+        assert store.stats.misses == 1
+
+        monkeypatch.undo()
+        got = store.get(KEY)
+        np.testing.assert_array_equal(got.row_order, decisions.row_order)
+        assert store.stats.hits == 1
+
+
+class TestThreadedCounters:
+    def test_concurrent_misses_count_exactly(self, tmp_path):
+        """Threads sharing one store (serve's executor threads under
+        ``--plan-cache-dir``) lose no count, and no count raises."""
+        store = DiskPlanStore(tmp_path)
+        n_threads, per_thread = 8, 2_000
+        barrier = threading.Barrier(n_threads)
+
+        def miss():
+            barrier.wait(timeout=30)
+            for _ in range(per_thread):
+                assert store.get(KEY) is None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(n_threads) as pool:
+                for future in [pool.submit(miss) for _ in range(n_threads)]:
+                    future.result(timeout=60)  # re-raises what it raised
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.stats.misses == n_threads * per_thread
+        assert store.stats.hits == 0
 
 
 class TestVersionMismatch:
