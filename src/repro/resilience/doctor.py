@@ -64,12 +64,15 @@ def serve_health(address: str) -> dict:
 
     ``address`` is a ``host:port`` pair or a UNIX socket path (the same
     forms ``repro serve`` listens on).  Returns the server's health
-    document plus ``reachable``; an unreachable server yields
+    document plus ``reachable`` and ``client_version``, this client's
+    protocol version (a server whose ``version`` differs would misread
+    this client's frames); an unreachable server yields
     ``{"reachable": False, "error": ...}`` instead of raising, so the
     doctor report always renders.
     """
     from repro.errors import ReproError, ReproIOError
     from repro.serve.client import ServeClient, parse_address
+    from repro.serve.protocol import PROTOCOL_VERSION
 
     try:
         with ServeClient(parse_address(address), timeout=5.0) as client:
@@ -78,7 +81,12 @@ def serve_health(address: str) -> dict:
         return {"reachable": False, "address": address, "error": str(exc)}
     health["reachable"] = True
     health["address"] = address
+    health["client_version"] = PROTOCOL_VERSION
     return health
+
+
+def _incompatible(health: dict) -> bool:
+    return health.get("version") != health.get("client_version")
 
 
 def _serve_lines(health: dict) -> list:
@@ -88,11 +96,19 @@ def _serve_lines(health: dict) -> list:
     pool = health.get("pool", {})
     admission = health.get("admission", {})
     breaker = health.get("breaker", {})
-    state = "ready" if health.get("ready") else (
-        "draining" if health.get("draining") else "not ready"
-    )
+    version = health.get("version", "?")
+    if _incompatible(health):
+        state = (
+            f"INCOMPATIBLE (server protocol v{version}, "
+            f"client v{health.get('client_version')})"
+        )
+    else:
+        state = "ready" if health.get("ready") else (
+            "draining" if health.get("draining") else "not ready"
+        )
+        state += f" (protocol v{version})"
     lines = [
-        f"serve {addr}: {state} (protocol v{health.get('version', '?')})",
+        f"serve {addr}: {state}",
         f"  pool: {pool.get('entries', 0)}/{pool.get('capacity', '?')} warm "
         f"sessions, {pool.get('pinned', 0)} pinned",
         f"  admission: {admission.get('in_flight', 0)}/"
@@ -177,9 +193,9 @@ def doctor_report(
     """Run all requested checks; return ``(report_text, problems_found)``.
 
     ``problems_found`` is ``True`` when quarantined entries remain, the
-    journal is invalid, or a probed server is unreachable / not ready —
-    the CLI maps it to a non-zero exit so scripts can gate on doctor
-    health.
+    journal is invalid, or a probed server is unreachable, not ready or
+    speaks another protocol version — the CLI maps it to a non-zero exit
+    so scripts can gate on doctor health.
     """
     store = store_health(cache_dir) if cache_dir is not None else None
     journal = journal_status(checkpoint) if checkpoint is not None else None
@@ -189,7 +205,9 @@ def doctor_report(
         problems = True
     if journal is not None and journal.get("exists") and not journal.get("valid"):
         problems = True
-    if serve is not None and not (serve.get("reachable") and serve.get("ready")):
+    if serve is not None and not (
+        serve.get("reachable") and serve.get("ready") and not _incompatible(serve)
+    ):
         problems = True
     text = format_doctor_report(
         store=store,

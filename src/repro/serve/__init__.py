@@ -5,8 +5,9 @@ The paper's economic argument is that the cost of data transformation
 multiplied many times — a *serving* workload.  This package turns the
 library into that long-running service: clients submit
 ``(matrix fingerprint | matrix upload, dense batch, deadline, tenant)``
-requests over a newline-delimited-JSON TCP/UNIX-socket protocol
-(:mod:`repro.serve.protocol`) and get results computed on a bounded LRU
+requests over a TCP/UNIX-socket protocol of JSON lines, whose dense
+operands and results travel as raw float64 frames
+(:mod:`repro.serve.protocol`), and get results computed on a bounded LRU
 pool of warm :class:`~repro.kernels.KernelSession`, one per matrix
 (:mod:`repro.serve.pool`).
 

@@ -3,7 +3,9 @@
 Deliberately plain blocking sockets: the client is used by the CLI
 (``repro doctor --serve``), by tests (which drive an in-process server
 from worker threads) and as executable documentation of the wire
-protocol.  One request, one response, in order, per connection.
+protocol.  One request, one response, in order, per connection; a
+``spmm`` operand goes out and its result comes back as a raw float64
+frame (see :mod:`repro.serve.protocol`).
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ import numpy as np
 
 from repro.errors import ReproIOError, ValidationError
 from repro.serve.protocol import (
+    FRAME_DTYPE,
     decode_message,
     delta_to_wire,
+    dense_to_frame,
     encode_message,
+    frame_shape,
     matrix_to_wire,
 )
 
@@ -45,7 +50,7 @@ def parse_address(address: str):
 
 
 class ServeClient:
-    """Blocking NDJSON client (context-manager; one connection).
+    """Blocking protocol client (context-manager; one connection).
 
     ``address`` is a ``(host, port)`` pair or a UNIX socket path (the
     return shape of :func:`parse_address`).
@@ -68,16 +73,32 @@ class ServeClient:
     # ------------------------------------------------------------------
     def request(self, msg: dict) -> dict:
         """Send one message and block for its response."""
+        return self._exchange(encode_message(msg))
+
+    def _exchange(self, data: bytes) -> dict:
+        """Send ``data``; read one response and, when its ``result`` is a
+        frame header, the frame's body into a writable float64 array."""
         try:
-            self._sock.sendall(encode_message(msg))
+            self._sock.sendall(data)
             line = self._file.readline()
+            response = decode_message(line) if line else None
+            header = None if response is None else response.get("result")
+            if isinstance(header, dict):
+                rows, k = frame_shape(header)
+                body = bytearray(8 * rows * k)
+                # Blocks until the buffer is full; short only at EOF.
+                if self._file.readinto(body) < len(body):
+                    response = None
+                else:
+                    result = np.frombuffer(body, dtype=FRAME_DTYPE)
+                    response["result"] = result.reshape(rows, k)
         except OSError as exc:
             raise ReproIOError(f"request to {self.address!r} failed: {exc}") from exc
-        if not line:
+        if response is None:
             raise ReproIOError(
                 f"server at {self.address!r} closed the connection mid-request"
             )
-        return decode_message(line)
+        return response
 
     def ping(self) -> dict:
         """Liveness probe; returns ``{"status": "ok", "pong": true, ...}``."""
@@ -97,12 +118,13 @@ class ServeClient:
         tenant: str | None = None,
         request_id=None,
     ) -> dict:
-        """One multiply request; returns the raw response dict.
+        """One multiply request; returns the response dict.
 
-        On ``status == "ok"`` the dense result is under ``"result"``, a
-        nested list that ``np.asarray(..., dtype=np.float64)`` decodes.
+        ``x`` goes out as a frame.  On ``status == "ok"`` the dense result
+        is under ``"result"``, a writable ``(n_rows, K)`` float64 ndarray.
         """
-        msg: dict = {"op": "spmm", "x": np.asarray(x, dtype=np.float64).tolist()}
+        header, body = dense_to_frame(x)
+        msg: dict = {"op": "spmm", "x": header}
         if fingerprint is not None:
             msg["fingerprint"] = fingerprint
         if matrix is not None:
@@ -113,7 +135,7 @@ class ServeClient:
             msg["tenant"] = tenant
         if request_id is not None:
             msg["id"] = request_id
-        return self.request(msg)
+        return self._exchange(encode_message(msg) + body)
 
     def delta(self, fingerprint: str, delta) -> dict:
         """Stream a :class:`~repro.streaming.DeltaBatch` into ``fingerprint``.

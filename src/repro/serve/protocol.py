@@ -1,10 +1,22 @@
-"""The newline-delimited-JSON wire protocol of ``repro serve``.
+"""The wire protocol of ``repro serve``: JSON lines plus raw dense frames.
 
 One JSON object per line in each direction, UTF-8, ``\\n``-terminated.
 Requests carry an ``op`` plus op-specific fields; every response echoes
 the request ``id`` (when given) and carries a ``status`` from the table
 below.  The protocol is dependency-free and language-neutral: any client
-that can open a socket and print JSON can talk to the server.
+that can open a socket, print JSON and write bytes can talk to the server.
+
+Dense frames
+------------
+The two dense arrays, a ``spmm`` request's ``x`` and an ``ok`` response's
+``result``, travel as frames (since protocol 2).  On the message line the
+field holds a header, ``{"shape": [rows, K], "dtype": "<f8", "nbytes":
+8*rows*K}``, and exactly ``nbytes`` raw little-endian float64 bytes, row
+after row, follow the line's ``\\n``.  Nothing else carries a frame.  A
+server reads an operand's body before it answers, so a refused request
+still consumes its body; a header whose ``nbytes`` is not a count, or
+exceeds the server's line bound, is answered with ``error`` and closes
+the connection, since the stream can no longer be split into messages.
 
 Request ops
 -----------
@@ -15,8 +27,8 @@ Request ops
     fingerprint back for later fingerprint-only ``spmm`` requests.
 ``spmm``
     Multiply: either ``fingerprint`` (a previously uploaded matrix) or an
-    inline ``matrix``, plus the dense operand ``x`` (``n_cols x K``
-    nested lists), optional ``deadline_s`` and ``tenant``.
+    inline ``matrix``, plus the dense operand ``x`` (an ``n_cols x K``
+    frame of finite values), optional ``deadline_s`` and ``tenant``.
 ``delta``
     Stream a :class:`~repro.streaming.DeltaBatch` into a previously
     uploaded matrix: the registry entry is replaced by the mutated
@@ -35,7 +47,7 @@ Request ops
 Response statuses
 -----------------
 =====================  ====================================================
-``ok``                 result computed (``result`` holds the dense output)
+``ok``                 result computed (``result`` heads the output frame)
 ``rejected_overload``  admission bound hit; retry against a less loaded
                        server (explicit rejection, never silent queueing)
 ``rejected_quota``     the tenant's token bucket is empty
@@ -67,6 +79,7 @@ from repro.util.validation import check_dense, finite_real
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "FRAME_DTYPE",
     "STATUS_OK",
     "STATUS_REJECTED_OVERLOAD",
     "STATUS_REJECTED_QUOTA",
@@ -80,14 +93,22 @@ __all__ = [
     "matrix_to_wire",
     "matrix_from_wire",
     "dense_from_wire",
+    "dense_to_frame",
+    "dense_from_frame",
+    "frame_nbytes",
+    "frame_shape",
     "delta_to_wire",
     "delta_from_wire",
     "matrix_fingerprint",
 ]
 
 #: Wire-protocol version, echoed by ``ping``/``health`` so clients can
-#: detect incompatible servers instead of mis-parsing them.
-PROTOCOL_VERSION = 1
+#: detect incompatible servers instead of mis-parsing them.  Version 2
+#: moved the dense operand and result from nested lists to frames.
+PROTOCOL_VERSION = 2
+
+#: The one element type of a dense frame: little-endian float64.
+FRAME_DTYPE = "<f8"
 
 STATUS_OK = "ok"
 STATUS_REJECTED_OVERLOAD = "rejected_overload"
@@ -101,11 +122,22 @@ STATUS_ERROR = "error"
 REQUEST_OPS = ("ping", "upload", "spmm", "delta", "health", "metrics", "drain")
 
 
+def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def encode_message(obj: dict) -> bytes:
-    """Serialise one protocol message as a compact JSON line."""
-    return (json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode(
-        "utf-8"
-    )
+    """Serialise one protocol message as a compact JSON line.
+
+    An ndarray value is written as nested lists: the JSON form of a
+    response whose ``result`` a client has read, not what the wire carries.
+    """
+    return (
+        json.dumps(obj, separators=(",", ":"), sort_keys=True, default=_jsonable)
+        + "\n"
+    ).encode("utf-8")
 
 
 def decode_message(line: bytes | str) -> dict:
@@ -139,6 +171,15 @@ def _is_count(value) -> bool:
     """Whether a decoded JSON value is a non-negative ``int`` (JSON
     ``true`` decodes to ``True``, an ``int`` that is no count)."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_shape(value) -> bool:
+    """Whether a decoded JSON value is two counts."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(_is_count(n) for n in value)
+    )
 
 
 def _triples_from_wire(obj: dict, what: str) -> tuple:
@@ -189,11 +230,7 @@ def matrix_from_wire(obj) -> CSRMatrix:
     if missing:
         raise FormatError(f"matrix payload missing field(s): {', '.join(missing)}")
     shape = obj["shape"]
-    if (
-        not isinstance(shape, (list, tuple))
-        or len(shape) != 2
-        or not all(_is_count(s) for s in shape)
-    ):
+    if not _is_shape(shape):
         raise FormatError(f"matrix shape must be two non-negative ints, got {shape}")
     rows, cols, values = _triples_from_wire(obj, "matrix")
     if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
@@ -206,14 +243,92 @@ def matrix_from_wire(obj) -> CSRMatrix:
 
 
 def dense_from_wire(obj, *, rows: int) -> np.ndarray:
-    """Decode the dense operand ``x`` (``rows x K`` nested lists)."""
+    """Decode a ``rows x K`` dense matrix sent as nested JSON lists.
+
+    The protocol-1 form of ``x``; no server path reads it since frames
+    replaced it.  As for upload ``values``, every entry must be a finite
+    JSON number: ``np.asarray`` would read ``true`` as 1.0 and keep a
+    ``NaN``.
+    """
+    if isinstance(obj, list) and not all(
+        not isinstance(row, list) or set(map(type, row)) <= {int, float}
+        for row in obj
+    ):
+        raise FormatError("dense operand entries must be JSON numbers")
     try:
         x = np.asarray(obj, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"dense operand is not a numeric matrix: {exc}") from exc
     if x.ndim != 2:
         raise ShapeError(f"dense operand must be 2-D, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise FormatError("dense operand entries must be finite numbers")
     return check_dense("x", x, rows=rows)
+
+
+def dense_to_frame(a) -> tuple:
+    """The ``(header, body)`` frame of a 2-D float64 array."""
+    a = np.asarray(a, dtype=FRAME_DTYPE)
+    if a.ndim != 2:
+        raise ShapeError(f"a dense frame is 2-D, got shape {a.shape}")
+    rows, k = a.shape
+    header = {"shape": [rows, k], "dtype": FRAME_DTYPE, "nbytes": 8 * rows * k}
+    return header, a.tobytes()
+
+
+def frame_nbytes(header) -> int:
+    """The body length a frame header declares.
+
+    Raises :class:`FormatError` unless ``nbytes`` is a non-negative JSON
+    integer; a reader cannot find the next message without it.
+    """
+    nbytes = header.get("nbytes") if isinstance(header, dict) else None
+    if not _is_count(nbytes):
+        raise FormatError(
+            f"frame nbytes must be a non-negative int, got {nbytes!r}"
+        )
+    return nbytes
+
+
+def frame_shape(header) -> tuple:
+    """The ``(rows, K)`` of a frame header whose fields agree.
+
+    ``shape`` must be two non-negative JSON integers, ``dtype`` exactly
+    ``"<f8"`` and ``nbytes`` ``8 * rows * K``; else :class:`FormatError`.
+    """
+    nbytes = frame_nbytes(header)
+    shape = header.get("shape")
+    if not _is_shape(shape):
+        raise FormatError(f"frame shape must be two non-negative ints, got {shape!r}")
+    if header.get("dtype") != FRAME_DTYPE:
+        raise FormatError(
+            f"frame dtype must be {FRAME_DTYPE!r}, got {header.get('dtype')!r}"
+        )
+    rows, k = shape
+    if nbytes != 8 * rows * k:
+        raise FormatError(
+            f"frame nbytes {nbytes} does not match shape {shape} (8 bytes each)"
+        )
+    return rows, k
+
+
+def dense_from_frame(header, body, *, rows: int) -> np.ndarray:
+    """Decode the dense operand ``x``: a ``rows x K`` frame of finite values.
+
+    Raises :class:`FormatError` for a header :func:`frame_shape` refuses,
+    a body that is not ``nbytes`` long or a non-finite entry, and
+    :class:`ShapeError` when the frame does not have ``rows`` rows.  The
+    array is a read-only view of ``body``.
+    """
+    n, k = frame_shape(header)
+    if len(body) != 8 * n * k:
+        raise FormatError(f"frame body holds {len(body)} bytes, header says {8 * n * k}")
+    if n != rows:
+        raise ShapeError(f"x must have {rows} rows, got {n}")
+    x = np.frombuffer(body, dtype=FRAME_DTYPE).reshape(n, k)
+    if not np.isfinite(x).all():
+        raise FormatError("dense operand entries must be finite numbers")
+    return x.astype(np.float64, copy=False)
 
 
 def delta_to_wire(delta) -> dict:

@@ -5,9 +5,14 @@ builds run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
 so the loop never blocks on numpy (rule RD108 enforces this shape).  A
 request travels::
 
-    accept -> decode -> admission -> deadline check -> matrix resolve
-           -> coalesce -> [executor] pin-or-build -> K-chunked multiply
-           -> slice -> respond
+    accept -> decode -> read operand frame -> admission -> deadline check
+           -> matrix resolve -> [executor] frame check -> coalesce
+           -> [executor] pin-or-build -> K-chunked multiply -> slice to frames
+           -> respond
+
+The loop codes only short JSON lines: dense arrays travel as raw frames
+(see :mod:`repro.serve.protocol`) and are checked and built on the
+executor.
 
 Warm sessions are keyed by the matrix fingerprint alone: every request
 for a matrix builds with the server's one reorder config, and only the
@@ -52,8 +57,10 @@ from repro.serve.protocol import (
     STATUS_OK,
     decode_message,
     delta_from_wire,
-    dense_from_wire,
+    dense_from_frame,
+    dense_to_frame,
     encode_message,
+    frame_nbytes,
     matrix_fingerprint,
     matrix_from_wire,
 )
@@ -65,9 +72,15 @@ __all__ = ["SpmmServer", "run_server"]
 #: ``not_found``.
 MAX_MATRICES = 64
 
-#: Longest protocol line the reader buffers; a longer one is answered
-#: with an error and its connection closed.
+#: Longest protocol line the reader buffers, and the largest frame body
+#: it reads; a longer one is answered with an error and its connection
+#: closed.
 MAX_LINE_BYTES = 64 * 1024 * 1024
+
+
+class _Unframed(Exception):
+    """The connection's byte stream can no longer be split into messages:
+    the message is its last response."""
 
 
 class _Member:
@@ -226,7 +239,11 @@ class SpmmServer:
                     break
                 if not line.strip():
                     continue
-                response = await self._handle_line(line)
+                try:
+                    response = await self._handle_line(line, reader)
+                except _Unframed as exc:
+                    await self._send(writer, {"status": STATUS_ERROR, "error": str(exc)})
+                    break
                 await self._send(writer, response)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
@@ -237,20 +254,43 @@ class SpmmServer:
                 await writer.wait_closed()
 
     async def _send(self, writer, response: dict) -> None:
-        writer.write(encode_message(response))
+        # An ok spmm response's result is a (header, body) frame: the
+        # header rides the line and the body follows it.
+        frame = response.get("result")
+        if frame is None:
+            writer.write(encode_message(response))
+        else:
+            header, body = frame
+            writer.writelines((encode_message({**response, "result": header}), body))
         with contextlib.suppress(ConnectionError):
             await writer.drain()
 
-    async def _handle_line(self, line: bytes) -> dict:
+    async def _handle_line(self, line: bytes, reader) -> dict:
+        """Answer one message, reading its operand frame's body first.
+
+        The body is read before dispatch, so a request refused before its
+        operand is used still consumes it and the connection stays in
+        step.  Raises :class:`_Unframed` when the body cannot be skipped.
+        """
         self._requests.inc()
         try:
             msg = decode_message(line)
         except FormatError as exc:
             self._errors.inc()
             return {"status": STATUS_ERROR, "error": str(exc)}
+        body = None
+        if isinstance(msg.get("x"), dict):
+            try:
+                nbytes = frame_nbytes(msg["x"])
+                if nbytes > MAX_LINE_BYTES:
+                    raise FormatError(f"frame nbytes {nbytes} exceeds {MAX_LINE_BYTES}")
+            except FormatError as exc:
+                self._errors.inc()
+                raise _Unframed(str(exc)) from None
+            body = await reader.readexactly(nbytes)
         rid = msg.get("id")
         try:
-            response = await self._dispatch(msg)
+            response = await self._dispatch(msg, body)
         except (ReproError, ShapeError) as exc:
             self._errors.inc()
             response = {
@@ -268,14 +308,14 @@ class SpmmServer:
             response.setdefault("id", rid)
         return response
 
-    async def _dispatch(self, msg: dict) -> dict:
+    async def _dispatch(self, msg: dict, body: bytes | None) -> dict:
         op = msg.get("op")
         if op == "ping":
             return {"status": STATUS_OK, "pong": True, "version": PROTOCOL_VERSION}
         if op == "upload":
             return await self._op_upload(msg)
         if op == "spmm":
-            return await self._op_spmm(msg)
+            return await self._op_spmm(msg, body)
         if op == "delta":
             return await self._op_delta(msg)
         if op == "health":
@@ -384,7 +424,7 @@ class SpmmServer:
             "matrices": len(self._matrices),
         }
 
-    async def _op_spmm(self, msg: dict) -> dict:
+    async def _op_spmm(self, msg: dict, body: bytes | None) -> dict:
         if self._draining:
             return {"status": STATUS_DRAINING}
         tenant = str(msg.get("tenant", "default"))
@@ -393,12 +433,12 @@ class SpmmServer:
             return {"status": rejection}
         t0 = self._clock()
         try:
-            return await self._admitted_spmm(msg)
+            return await self._admitted_spmm(msg, body)
         finally:
             self.admission.release()
             self._latency.observe(self._clock() - t0)
 
-    async def _admitted_spmm(self, msg: dict) -> dict:
+    async def _admitted_spmm(self, msg: dict, body: bytes | None) -> dict:
         # Deadline: checked before any decode, started after it.
         deadline_s = msg.get("deadline_s", self.config.default_deadline_s)
         if deadline_s is not None and not positive_seconds(deadline_s):
@@ -430,8 +470,15 @@ class SpmmServer:
             }
         if "x" not in msg:
             return {"status": STATUS_ERROR, "error": "spmm needs a dense operand x"}
+        if body is None:
+            return {
+                "status": STATUS_ERROR,
+                "error": "x must be a frame header followed by its raw "
+                "bytes: dense operands are frames since protocol 2",
+            }
         x = await self._loop.run_in_executor(
-            self._executor, lambda: dense_from_wire(msg["x"], rows=csr.n_cols)
+            self._executor,
+            lambda: dense_from_frame(msg["x"], body, rows=csr.n_cols),
         )
 
         # Per-request budget on the server's clock.
@@ -500,7 +547,8 @@ class SpmmServer:
         )
 
     def _multiply_members(self, entry, n_rows, members) -> list:
-        """One K-chunked multiply over the concatenated batch operand.
+        """One K-chunked multiply over the concatenated batch operand;
+        each ok member's ``result`` is the frame of its columns.
 
         Output column ``j`` depends only on input column ``j`` with an
         accumulation order independent of neighbouring columns, so the
@@ -545,7 +593,7 @@ class SpmmServer:
             results.append(
                 {
                     "status": STATUS_OK,
-                    "result": out[:, starts[i] : ends[i]].tolist(),
+                    "result": dense_to_frame(out[:, starts[i] : ends[i]]),
                     "rung": entry.rung,
                     "degraded": entry.degraded,
                     "provenance": list(entry.provenance),

@@ -9,6 +9,10 @@ genuine wire path.
 """
 
 import asyncio
+import contextlib
+import json
+import socket
+import threading
 import warnings
 
 import numpy as np
@@ -19,6 +23,7 @@ from repro.errors import (
     DegradedExecution,
     FormatError,
     ReproIOError,
+    ShapeError,
     ValidationError,
 )
 from repro.kernels import spmm
@@ -40,13 +45,20 @@ from repro.serve import (
     SpmmServer,
     TokenBucket,
     decode_message,
+    dense_from_wire,
     encode_message,
     matrix_fingerprint,
     matrix_from_wire,
     matrix_to_wire,
     parse_address,
 )
-from repro.serve.protocol import delta_to_wire
+from repro.serve.protocol import (
+    PROTOCOL_VERSION,
+    delta_to_wire,
+    dense_from_frame,
+    dense_to_frame,
+)
+from repro.serve.server import MAX_LINE_BYTES
 from repro.sparse import CSRMatrix
 
 from conftest import FakeClock, random_csr
@@ -119,6 +131,68 @@ class TestProtocol:
             decode_message(encode_message(matrix_to_wire(csr)))
         )
         assert matrix_fingerprint(back) == matrix_fingerprint(csr)
+
+    def test_encode_writes_an_ndarray_as_nested_lists(self):
+        result = np.arange(6.0).reshape(2, 3)
+        line = encode_message({"status": "ok", "result": result})
+        assert decode_message(line)["result"] == result.tolist()
+
+    @pytest.mark.parametrize(
+        "x",
+        [[[True, 2.0], [False, 1.0]], [["1.0", 2.0], [0.0, 1.0]],
+         [[float("nan"), 2.0], [1.0, 1.0]], [[1.0, 2.0], [1.0, float("inf")]],
+         [[float("-inf"), 2.0], [1.0, 1.0]]],
+        ids=["bool", "string", "nan", "inf", "minus-inf"],
+    )
+    def test_dense_from_wire_refuses_non_numbers_and_non_finite(self, x):
+        """``np.asarray`` would read ``true`` as 1.0 and keep a ``NaN``."""
+        with pytest.raises(FormatError):
+            dense_from_wire(x, rows=2)
+
+    def test_dense_frame_round_trip_is_bitwise(self, rng):
+        x = rng.normal(size=(7, 5))
+        x[0, 0] = -0.0
+        header, body = dense_to_frame(x[:, 1:])  # a strided view
+        assert header == {"shape": [7, 4], "dtype": "<f8", "nbytes": 7 * 4 * 8}
+        back = dense_from_frame(decode_message(encode_message(header)), body, rows=7)
+        assert back.tobytes() == np.ascontiguousarray(x[:, 1:]).tobytes()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: h.update(shape=[True, 2]),
+            lambda h: h.update(shape=[-1, 2]),
+            lambda h: h.update(shape=[3]),
+            lambda h: h.update(shape=[3.0, 2]),
+            lambda h: h.update(dtype="<f4"),
+            lambda h: h.update(dtype=">f8"),
+            lambda h: h.update(dtype="float64"),
+            lambda h: h.update(nbytes=40),
+            lambda h: h.update(nbytes=True),
+            lambda h: h.pop("nbytes"),
+        ],
+        ids=["bool-rows", "negative-rows", "one-dim", "float-rows", "f4", "big-endian",
+             "dtype-name", "nbytes-vs-shape", "bool-nbytes", "no-nbytes"],
+    )
+    def test_dense_from_frame_refuses_a_bad_header(self, mutate):
+        header, body = dense_to_frame(np.ones((3, 2)))
+        mutate(header)
+        with pytest.raises(FormatError):
+            dense_from_frame(header, body, rows=3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_dense_from_frame_refuses_non_finite_values(self, bad):
+        x = np.ones((3, 2))
+        x[1, 1] = bad
+        with pytest.raises(FormatError, match="finite"):
+            dense_from_frame(*dense_to_frame(x), rows=3)
+
+    def test_dense_from_frame_checks_body_length_and_rows(self):
+        header, body = dense_to_frame(np.ones((3, 2)))
+        with pytest.raises(FormatError):
+            dense_from_frame(header, body[:-8], rows=3)
+        with pytest.raises(ShapeError):
+            dense_from_frame(header, body, rows=4)
 
 
 # ----------------------------------------------------------------------
@@ -977,6 +1051,238 @@ class TestServeBounds:
                 assert late.ping()["status"] == STATUS_OK
 
 
+class _RawConnection:
+    """A protocol connection with no client logic: lines and raw bytes."""
+
+    def __init__(self, address):
+        self.sock = socket.create_connection(address, timeout=30.0)
+        self.file = self.sock.makefile("rb")
+
+    def send(self, msg: dict, body: bytes = b"") -> None:
+        self.sock.sendall(encode_message(msg) + body)
+
+    def response(self):
+        """The next response line, or ``None`` once the server closed."""
+        line = self.file.readline()
+        return decode_message(line) if line else None
+
+    def close(self) -> None:
+        self.file.close()
+        self.sock.close()
+
+
+def _fingerprint(address, csr) -> str:
+    with ServeClient(address) as client:
+        return client.upload(csr)["fingerprint"]
+
+
+def _frame(rows, k=4, **header):
+    """A valid operand frame, with ``header`` fields overriding its own."""
+    frame_header, body = dense_to_frame(np.ones((rows, k)))
+    return {**frame_header, **header}, body
+
+
+class TestFrameReader:
+    """The server reads each operand frame's body whatever the request's
+    fate, so the connection stays in step; a frame it cannot skip ends
+    the connection."""
+
+    def _spmm(self, served, header, body=b"", **fields):
+        raw = _RawConnection(served["thread"].address)
+        fingerprint = _fingerprint(served["thread"].address, served["csr"])
+        raw.send({"op": "spmm", "fingerprint": fingerprint, "x": header, **fields}, body)
+        return raw
+
+    def test_short_body_then_eof_drops_only_that_connection(self, served):
+        header, body = _frame(served["csr"].n_cols)
+        raw = self._spmm(served, header, body[: len(body) // 2])
+        try:
+            raw.sock.shutdown(socket.SHUT_WR)
+            assert raw.response() is None  # closed, nothing answered
+        finally:
+            raw.close()
+        with ServeClient(served["thread"].address) as other:
+            assert other.ping()["status"] == STATUS_OK
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"nbytes": 8},  # body of nbytes bytes, shape says more
+            {"dtype": "<f4"},
+            {"dtype": ">f8"},
+            {"dtype": "float64"},
+            {"shape": [True, 4]},
+            {"shape": [-1, 4]},
+            {"shape": [3]},
+        ],
+        ids=["nbytes-vs-shape", "f4", "big-endian", "dtype-name", "bool-rows",
+             "negative-rows", "one-dim"],
+    )
+    def test_bad_header_is_an_error_and_the_connection_goes_on(self, served, fields):
+        header, body = _frame(served["csr"].n_cols, **fields)
+        raw = self._spmm(served, header, body[: header["nbytes"]])
+        try:
+            resp = raw.response()
+            assert resp["status"] == STATUS_ERROR and "frame" in resp["error"]
+            raw.send({"op": "ping"})
+            assert raw.response()["pong"] is True
+        finally:
+            raw.close()
+
+    def test_nan_in_the_body_is_an_error(self, served):
+        x = np.ones((served["csr"].n_cols, 4))
+        x[2, 3] = np.nan
+        raw = self._spmm(served, *dense_to_frame(x))
+        try:
+            resp = raw.response()
+            assert resp["status"] == STATUS_ERROR and "finite" in resp["error"]
+            raw.send({"op": "ping"})
+            assert raw.response()["pong"] is True
+        finally:
+            raw.close()
+
+    def test_nested_list_operand_is_an_error_naming_protocol_2(self, served):
+        x = np.ones((served["csr"].n_cols, 2)).tolist()
+        raw = self._spmm(served, x)
+        try:
+            resp = raw.response()
+            assert resp["status"] == STATUS_ERROR
+            assert "frames since protocol 2" in resp["error"]
+            raw.send({"op": "ping"})
+            assert raw.response()["pong"] is True
+        finally:
+            raw.close()
+
+    @pytest.mark.parametrize(
+        "nbytes", [MAX_LINE_BYTES + 8, True, -8, "64"],
+        ids=["above-bound", "bool", "negative", "string"],
+    )
+    def test_unskippable_frame_is_an_error_then_the_connection_closes(
+        self, served, nbytes
+    ):
+        header, _ = _frame(served["csr"].n_cols, nbytes=nbytes)
+        raw = self._spmm(served, header)
+        try:
+            resp = raw.response()
+            assert resp["status"] == STATUS_ERROR and "nbytes" in resp["error"]
+            assert raw.response() is None
+        finally:
+            raw.close()
+        with ServeClient(served["thread"].address) as other:
+            assert other.ping()["status"] == STATUS_OK
+
+    @pytest.mark.parametrize(
+        ("fields", "status"),
+        [({"fingerprint": "deadbeef"}, STATUS_NOT_FOUND),
+         ({"deadline_s": -1}, STATUS_ERROR)],
+        ids=["unknown-fingerprint", "negative-deadline"],
+    )
+    def test_refused_request_still_consumes_its_frame(self, served, fields, status):
+        raw = self._spmm(served, *_frame(served["csr"].n_cols), **fields)
+        try:
+            assert raw.response()["status"] == status
+            raw.send({"op": "ping"})
+            assert raw.response()["pong"] is True
+        finally:
+            raw.close()
+
+
+class _RecordingSocket:
+    """Forwards to a socket and keeps what ``sendall`` sent."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent = []
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@contextlib.contextmanager
+def _scripted_server(reply: bytes, connections: int = 1):
+    """A TCP server that answers each of ``connections`` connections'
+    first request (line and operand frame) with ``reply``, then closes it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(30.0)
+
+    def serve():
+        for _ in range(connections):
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                header = json.loads(stream.readline()).get("x")
+                if isinstance(header, dict):
+                    stream.read(header["nbytes"])
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2]
+        thread.join(30.0)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
+
+
+class TestWireLayout:
+    """An ok K=512 multiply moves one short line and raw bytes each way."""
+
+    K = 512
+
+    def test_response_is_a_short_line_then_exact_raw_bytes(self, served):
+        csr, config = served["csr"], served["thread"].config
+        from repro.reorder import build_plan
+
+        x = served["rng"].normal(size=(csr.n_cols, self.K))
+        expected = (
+            build_plan(csr, config.reorder_config())
+            .session(chunk_k=config.chunk_k)
+            .run(x)
+            .copy()
+        )
+        fingerprint = _fingerprint(served["thread"].address, csr)
+        raw = _RawConnection(served["thread"].address)
+        try:
+            header, body = dense_to_frame(x)
+            raw.send({"op": "spmm", "fingerprint": fingerprint, "x": header}, body)
+            line = raw.file.readline()
+            nbytes = 8 * csr.n_rows * self.K
+            assert len(line) < 4096
+            result = decode_message(line)["result"]
+            assert result == {"shape": [csr.n_rows, self.K], "dtype": "<f8",
+                              "nbytes": nbytes}
+            assert raw.file.read(nbytes) == expected.astype("<f8").tobytes()
+            raw.send({"op": "ping"})  # nothing follows the frame
+            assert raw.response()["pong"] is True
+        finally:
+            raw.close()
+
+    def test_client_sends_a_short_line_then_the_operand_bytes(self, served):
+        csr = served["csr"]
+        x = served["rng"].normal(size=(csr.n_cols, self.K))
+        fingerprint = _fingerprint(served["thread"].address, csr)
+        with ServeClient(served["thread"].address) as client:
+            client._sock = recording = _RecordingSocket(client._sock)
+            resp = client.spmm(x, fingerprint=fingerprint)
+        assert resp["status"] == STATUS_OK
+        assert resp["result"].flags.writeable
+        (sent,) = recording.sent
+        line, body = sent.split(b"\n", 1)
+        assert len(line) + 1 < 4096
+        assert body == x.astype("<f8").tobytes()
+
+    def test_client_raises_when_the_server_closes_mid_frame(self):
+        header = {"shape": [2, 2], "dtype": "<f8", "nbytes": 32}
+        reply = encode_message({"status": "ok", "result": header}) + bytes(10)
+        with _scripted_server(reply) as address, ServeClient(address) as client:
+            with pytest.raises(ReproIOError, match="closed the connection"):
+                client.spmm(np.ones((2, 2)), fingerprint="any")
+
+
 class TestServerDrain:
     def test_drain_rejects_new_work_then_closes(self, rng):
         csr = random_csr(rng, 20, 16, density=0.2)
@@ -1011,7 +1317,22 @@ class TestDoctorServeProbe:
         assert health["reachable"] and health["ready"]
         text, problems = doctor_report(serve_address=f"{host}:{port}")
         assert not problems
+        assert "ready (protocol v2)" in text
         assert "pool:" in text and "admission:" in text and "breaker" in text
+
+    def test_probe_reports_a_protocol_mismatch(self, capsys):
+        """A v2 client's frames would reach a v1 server as protocol lines."""
+        from repro.cli import main
+        from repro.resilience.doctor import doctor_report
+
+        health = {"status": "ok", "version": 1, "ready": True, "draining": False,
+                  "pool": {}, "admission": {}, "breaker": {"state": "closed"}}
+        with _scripted_server(encode_message(health), connections=2) as (host, port):
+            text, problems = doctor_report(serve_address=f"{host}:{port}")
+            code = main(["doctor", "--serve", f"{host}:{port}"])
+        assert problems and code == 1
+        mismatch = f"INCOMPATIBLE (server protocol v1, client v{PROTOCOL_VERSION})"
+        assert mismatch in text and mismatch in capsys.readouterr().out
 
     def test_probe_unreachable_server(self):
         from repro.resilience.doctor import doctor_report, serve_health
